@@ -38,7 +38,6 @@ from .sequences import (
     ExponentFamily,
     ExponentSequence,
     WeightSequence,
-    callable_exponents,
     callable_sequence,
     constant_family,
     gevrey,

@@ -231,11 +231,6 @@ def _assert_shape(rows, label: str) -> None:
                 f"{label} breaks the chord inequality at t={rows[i][0]:.6g}")
 
 
-def omega_eval(omega: OmegaFunction, t: float, horizon: int | None = None,
-               cfg: Config | None = None) -> OmegaValue:
-    return omega.eval(t, horizon, cfg)
-
-
 # ---------------------------------------------------------------------------
 # Young conjugate of u -> omega(e^u)
 
@@ -437,13 +432,13 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
             "horizon", f"horizon {h} too small for c_max {c_max} "
             "(need at least 16 usable indices)")
 
+    mt, nt = m.log_terms(h), n.log_terms(h)
     per_c: dict[int, dict] = {}
     if mode == "bigO":
         witness_c = None
         for c in range(1, c_max + 1):
             jmax = h // c
-            defects = [n.log_term(j) - m.log_term(c * j) / c
-                       for j in range(jmax + 1)]
+            defects = [nt[j] - mt[c * j] / c for j in range(jmax + 1)]
             per_c[c] = _defect_entry(defects, cfg)
             if witness_c is None and per_c[c]["stabilized"]:
                 witness_c = c
@@ -458,8 +453,7 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
     failing = []
     for c in range(1, c_max + 1):
         jmax = h // c
-        defects = [m.log_term(c * j) / c - n.log_term(j)
-                   for j in range(jmax + 1)]
+        defects = [mt[c * j] / c - nt[j] for j in range(jmax + 1)]
         per_c[c] = _defect_entry(defects, cfg)
         if not per_c[c]["stabilized"]:
             failing.append(c)

@@ -9,6 +9,7 @@ otherwise; they never fake a proof.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -118,7 +119,7 @@ def check_condition(
 
 
 def _check_lc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
-    terms = [m.log_term(j) for j in range(h + 1)]
+    terms = m.log_terms(h)
     quotients = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
     bad = _monotone_fails(quotients, _scan_slack(cfg, terms))
     ev = {"quotients_log": decimate(quotients)}
@@ -129,7 +130,7 @@ def _check_lc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
 
 
 def _check_slc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
-    terms = [m.log_term(j) for j in range(h + 1)]
+    terms = m.log_terms(h)
     reduced = [terms[j] - terms[j - 1] - math.log(j) for j in range(1, h + 1)]
     bad = _monotone_fails(reduced, _scan_slack(cfg, terms))
     ev = {"reduced_quotients_log": decimate(reduced)}
@@ -154,7 +155,8 @@ def _check_normalized(m: WeightSequence, h: int, cfg: Config) -> Verdict:
 # two-index growth conditions
 
 
-def sample_pairs(h: int, count: int, seed: int) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=64)
+def sample_pairs(h: int, count: int, seed: int) -> tuple[tuple[int, int], ...]:
     """Deterministic off-diagonal (j, k) sample with j + k <= horizon."""
     rng = random.Random(seed)
     pairs = []
@@ -162,20 +164,16 @@ def sample_pairs(h: int, count: int, seed: int) -> list[tuple[int, int]]:
         n = rng.randint(2, max(2, h))
         j = rng.randint(1, n - 1)
         pairs.append((j, n - j))
-    return pairs
+    return tuple(pairs)
 
 
 def _check_mg(m: WeightSequence, h: int, cfg: Config) -> Verdict:
     jmax = h // 2
     idx = list(range(1, jmax + 1))
-    diag = [
-        (m.log_term(2 * j) - 2.0 * m.log_term(j)) / (2 * j + 1)
-        for j in idx
-    ]
-    off = [
-        (m.log_term(j + k) - m.log_term(j) - m.log_term(k)) / (j + k + 1)
-        for j, k in sample_pairs(h, cfg.offdiag_samples, cfg.seed)
-    ]
+    pairs = sample_pairs(h, cfg.offdiag_samples, cfg.seed)
+    t = m.log_terms(max([2 * jmax] + [j + k for j, k in pairs]))
+    diag = [(t[2 * j] - 2.0 * t[j]) / (2 * j + 1) for j in idx]
+    off = [(t[j + k] - t[j] - t[k]) / (j + k + 1) for j, k in pairs]
     report = classify_trajectory(idx, diag, cfg)
     ev = {
         "diag_defect": decimate(diag),
@@ -192,7 +190,8 @@ def _check_mg(m: WeightSequence, h: int, cfg: Config) -> Verdict:
 
 def _check_dc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
     idx = list(range(1, h + 1))
-    defect = [m.quotient_log(j) / j for j in idx]  # M_j <= A^j M_{j-1}
+    t = m.log_terms(h)
+    defect = [(t[j] - t[j - 1]) / j for j in idx]  # M_j <= A^j M_{j-1}
     report = classify_trajectory(idx, defect, cfg)
     ev = {"defect": decimate(defect), "trajectory": report.summary()}
     if report.trend == UP:
@@ -226,16 +225,19 @@ def _check_nq_generic(tag, values_log, h, cfg):
 
 
 def _check_nq(m: WeightSequence, h: int, cfg: Config) -> Verdict:
-    return _check_nq_generic("nq", [m.quotient_log(j) for j in range(1, h + 1)], h, cfg)
+    t = m.log_terms(h)
+    return _check_nq_generic("nq", [t[j] - t[j - 1] for j in range(1, h + 1)], h, cfg)
 
 
 def _check_nq_carleman(m: WeightSequence, h: int, cfg: Config) -> Verdict:
-    return _check_nq_generic("nq_carleman", [m.root_log(j) for j in range(1, h + 1)], h, cfg)
+    t = m.log_terms(h)
+    return _check_nq_generic("nq_carleman", [t[j] / j for j in range(1, h + 1)], h, cfg)
 
 
 def _check_beta(tag: str, m: WeightSequence, h: int, cfg: Config, Q: int, floor_log: float) -> Verdict:
     lo = max(1, h // 2)
-    vals = [m.quotient_log(Q * j) - m.quotient_log(j) for j in range(lo, h + 1)]
+    t = m.log_terms(Q * h)
+    vals = [(t[Q * j] - t[Q * j - 1]) - (t[j] - t[j - 1]) for j in range(lo, h + 1)]
     tail_min = min(vals)
     ev = {"tail_min_log": tail_min, "required_log": floor_log, "Q": Q,
           "window": [lo, h]}
@@ -253,7 +255,8 @@ def _check_beta3(m: WeightSequence, h: int, cfg: Config, Q: int) -> Verdict:
 
 
 def _check_gamma1(m: WeightSequence, h: int, cfg: Config) -> Verdict:
-    mu = [m.quotient_log(j) for j in range(1, h + 1)]  # mu[i] = log mu_{i+1}
+    t = m.log_terms(h)
+    mu = [t[j] - t[j - 1] for j in range(1, h + 1)]  # mu[i] = log mu_{i+1}
     q3 = (3 * h) // 4
     p, log_tail = _powerfit_tail(
         [math.log(j) for j in range(q3 + 1, h + 1)], mu[q3:], h, cfg.powerfit_margin,
@@ -316,8 +319,9 @@ def root_growth_profile(m: WeightSequence, horizon: int | None = None,
     """
     cfg = cfg or Config()
     h = _need_horizon(horizon, cfg)
-    mu = [m.quotient_log(j) for j in range(1, h + 1)]
-    roots = [m.root_log(j) for j in range(1, h + 1)]
+    t = m.log_terms(h)
+    mu = [t[j] - t[j - 1] for j in range(1, h + 1)]
+    roots = [t[j] / j for j in range(1, h + 1)]
     q1 = max(1, h // 4)
     q3 = (3 * h) // 4
     tail_mu = mu[q3:]
@@ -352,7 +356,7 @@ def gamma_lower_bound(m: WeightSequence, alphas, horizon: int | None = None,
     cfg = cfg or Config()
     h = _need_horizon(horizon, cfg)
     out = {}
-    terms = [m.log_term(j) for j in range(h + 1)]
+    terms = m.log_terms(h)
     mu = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
     logs = [math.log(j) for j in range(1, h + 1)]
     slack = _scan_slack(cfg, terms)
@@ -366,7 +370,7 @@ def gamma_lower_bound(m: WeightSequence, alphas, horizon: int | None = None,
                 break
         onset = max(1, last_violation)
         divided_roots = [
-            (m.log_term(j) - a * math.lgamma(j + 1)) / j for j in range(1, h + 1)
+            (terms[j] - a * math.lgamma(j + 1)) / j for j in range(1, h + 1)
         ]
         q1 = max(1, h // 4)
         q3 = (3 * h) // 4

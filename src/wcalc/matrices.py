@@ -10,7 +10,9 @@ stabilizes is reported together with the constant it certifies.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -138,8 +140,9 @@ def _validate_order(mm: WeightMatrix, horizon: int = _ORDER_CHECK_HORIZON) -> No
         for seq in (ea, eb):
             if seq.max_index() is not None:
                 top = min(top, seq.max_index())
+        wa, wb = ea.log_terms(top), eb.log_terms(top)
         for j in range(top + 1):
-            ta, tb = ea.log_term(j), eb.log_term(j)
+            ta, tb = wa[j], wb[j]
             if ta > tb + _order_slack(ta, tb):
                 raise OrderViolationError(
                     f"matrix {mm.label()} not pointwise ordered",
@@ -324,25 +327,29 @@ def _trajectory_entry(indices, values, cfg: Config) -> dict:
     return entry
 
 
-def _mg_points(h: int, cfg: Config):
+@functools.lru_cache(maxsize=64)
+def _mg_points(h: int, count: int, seed: int):
+    """Diagonal and sampled (j, k) points sorted by j + k, as the arrays of
+    their j and of their k: flat machine ints keep the cached copy at about
+    5 KB for h = 512, where a tuple of pairs would hold about 20 KB."""
     pts = [(j, j) for j in range(1, h // 2 + 1)]
-    pts.extend(_conditions.sample_pairs(h, cfg.offdiag_samples, cfg.seed))
-    pts.sort(key=lambda jk: (jk[0] + jk[1], jk[0]))
-    return pts
+    pts.extend(_conditions.sample_pairs(h, count, seed))
+    # (j + k, j) in lexicographic order, as one int: 1 <= j <= h
+    pts.sort(key=lambda jk: (jk[0] + jk[1]) * (h + 1) + jk[0])
+    return array("l", [j for j, _ in pts]), array("l", [k for _, k in pts])
 
 
 def _test_mg(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
-    pts = _mg_points(h, cfg)
-    vals, idx = [], []
-    for j, k in pts:
-        d = (left.log_term(j + k) - right.log_term(j) - right.log_term(k)) / (j + k + 1)
-        vals.append(d)
-        idx.append(j + k)
-    return _trajectory_entry(idx, vals, cfg)
+    js, ks = _mg_points(h, cfg.offdiag_samples, cfg.seed)
+    sums = [j + k for j, k in zip(js, ks)]
+    tl, tr = left.log_terms(sums[-1]), right.log_terms(max(max(js), max(ks)))
+    vals = [(tl[n] - tr[j] - tr[k]) / (n + 1) for n, j, k in zip(sums, js, ks)]
+    return _trajectory_entry(sums, vals, cfg)
 
 
 def _test_dc(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
-    vals = [(left.log_term(j + 1) - right.log_term(j)) / (j + 1) for j in range(h)]
+    tl, tr = left.log_terms(h), right.log_terms(h - 1)
+    vals = [(tl[j + 1] - tr[j]) / (j + 1) for j in range(h)]
     return _trajectory_entry(list(range(1, h + 1)), vals, cfg)
 
 
@@ -350,9 +357,10 @@ def _test_l(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) ->
     per_c = {}
     ok = True
     worst = None
+    tl, tr = left.log_terms(h), right.log_terms(h)
     for cconst in cfg.l_constants:
         lc = math.log(cconst)
-        vals = [j * lc + left.log_term(j) - right.log_term(j) for j in range(h + 1)]
+        vals = [j * lc + tl[j] - tr[j] for j in range(h + 1)]
         entry = _trajectory_entry(list(range(1, h + 1)), vals[1:], cfg)
         per_c[cconst] = entry
         ok = ok and entry["stabilized"]
@@ -364,19 +372,20 @@ def _test_l(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) ->
 
 
 def _test_rai(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
-    roots_r = [right.root_log(k) for k in range(1, h + 1)]
-    suffmin = roots_r[:]
+    tl, tr = left.log_terms(h), right.log_terms(h)
+    suffmin = [tr[k] / k for k in range(1, h + 1)]
     for i in range(len(suffmin) - 2, -1, -1):
         suffmin[i] = min(suffmin[i], suffmin[i + 1])
-    vals = [left.root_log(j) - suffmin[j - 1] for j in range(1, h + 1)]
+    vals = [tl[j] / j - suffmin[j - 1] for j in range(1, h + 1)]
     return _trajectory_entry(list(range(1, h + 1)), vals, cfg)
 
 
 def _test_fdb(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
     k_top = min(h, cfg.fdb_horizon)
-    reduced = [left.reduced_log(j) for j in range(k_top + 1)]
+    tl, tr = left.log_terms(k_top), right.log_terms(k_top)
+    reduced = [tl[j] - math.lgamma(j + 1) for j in range(k_top + 1)]
     comp = composition_sequence(reduced, k_top)
-    vals = [(comp[k] - right.reduced_log(k)) / k for k in range(1, k_top + 1)]
+    vals = [(comp[k] - (tr[k] - math.lgamma(k + 1))) / k for k in range(1, k_top + 1)]
     entry = _trajectory_entry(list(range(1, k_top + 1)), vals, cfg)
     entry["k_top"] = k_top
     return entry
@@ -513,7 +522,7 @@ def composition_sequence(m, K: int, cfg: Config | None = None) -> list[float]:
     if K < 0:
         raise InvalidParameterError("K", f"need K >= 0, got {K}")
     if isinstance(m, WeightSequence):
-        logs = [m.log_term(j) for j in range(K + 1)]
+        logs = m.log_terms(K)
     else:
         logs = [float(v) for v in m]
         if len(logs) < K + 1:

@@ -42,6 +42,7 @@ class RelationId:
 
 def _ratio_trajectory(m, n, h, phi):
     """Indices and r values; phi_j = 0 indices are excluded and reported."""
+    a, b = m.log_terms(h), n.log_terms(h)
     idx, vals, excluded = [], [], []
     for j in range(1, h + 1):
         denom = float(j) if phi is None else phi.value(j)
@@ -49,7 +50,7 @@ def _ratio_trajectory(m, n, h, phi):
             excluded.append(j)
             continue
         idx.append(j)
-        vals.append((m.log_term(j) - n.log_term(j)) / denom)
+        vals.append((a[j] - b[j]) / denom)
     if not idx:
         raise InvalidParameterError("phi", "all indices excluded (phi vanishes on the window)")
     return idx, vals, excluded
@@ -95,11 +96,22 @@ def _triangle(m, n, h, cfg, phi) -> Verdict:
 def _pointwise(m, n, h, cfg, quotients: bool) -> Verdict:
     tag = "quotient_le" if quotients else "pointwise_le"
     lo = 1 if quotients else 0
-    for j in range(lo, h + 1):
-        a = m.quotient_log(j) if quotients else m.log_term(j)
-        b = n.quotient_log(j) if quotients else n.log_term(j)
+    # scan the indices both sequences have first: a violation there is a
+    # Fails even when a table ends before the horizon
+    top = h
+    for seq in (m, n):
+        if seq.max_index() is not None:
+            top = min(top, seq.max_index())
+    tm, tn = m.log_terms(top), n.log_terms(top)
+    for j in range(lo, top + 1):
+        a = tm[j] - tm[j - 1] if quotients else tm[j]
+        b = tn[j] - tn[j - 1] if quotients else tn[j]
         if a > b + cfg.comparison_slack * max(1.0, abs(a), abs(b)):
             return Verdict(tag, FAILS, h, witness=j, evidence={"gap_log": a - b})
+    if top < h:
+        # raises TableExhaustedError for the table that ends first
+        m.log_terms(top + 1)
+        n.log_terms(top + 1)
     return Verdict(tag, HOLDS, h)
 
 
@@ -178,12 +190,13 @@ def compare_phi_constancy(
             )
             if same_family:
                 expected = math.log(m.params["c"]) - math.log(n.params["c"])
+                tm, tn = m.log_terms(h), n.log_terms(h)
                 dev = 0.0
                 for j in range(1, h + 1):
                     p = phi.value(j)
                     if p == 0.0:
                         continue
-                    dev = max(dev, abs((m.log_term(j) - n.log_term(j)) / p - expected))
+                    dev = max(dev, abs((tm[j] - tn[j]) / p - expected))
                 ok = dev <= RATIO_TOL
                 pair_reports.append({
                     "pair": [m.label(), n.label()],

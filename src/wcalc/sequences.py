@@ -9,6 +9,13 @@ possible so indices far beyond any memo stay O(1):
     scaled(M, phi, c): log M_j + phi_j * ln c
     table(values):    finite data, never extrapolates
 
+Two readers serve the two access patterns.  Scans over an index window
+(conditions, relations, matrix pair tests, the witness series) call
+log_terms(n), which returns the cached prefix [log M_0, ..., log M_n] and
+grows it in one loop.  Point reads (omega bisection and evaluation) call
+log_term(j), which reads the prefix when j lies inside it and a per-index
+memo otherwise, so a point read far out never allocates a window.
+
 Exponent sequences phi = (phi_j) are plain nonnegative floats (they live in
 the exponent, not in the log domain).
 """
@@ -81,10 +88,6 @@ def table_exponents(values) -> ExponentSequence:
     return ExponentSequence("table", {"length": len(vals)}, vals.__getitem__, length=len(vals))
 
 
-def callable_exponents(fn: Callable[[int], float], label: str) -> ExponentSequence:
-    return ExponentSequence("generic", {"label": label}, fn)
-
-
 @dataclass(eq=False)
 class ExponentFamily:
     """Indexed family a -> phi^(a) of exponent sequences, a > 0."""
@@ -119,7 +122,11 @@ def indexed_family(fn: Callable[[float], ExponentSequence], label: str) -> Expon
 
 @dataclass(eq=False)
 class WeightSequence:
-    """Positive sequence handled through log-scale terms, memoized per index."""
+    """Positive sequence handled through log-scale terms.
+
+    Terms live in a cached prefix (_window, grown by log_terms) and, for
+    point reads beyond it, in a per-index memo (_memo).
+    """
 
     family: str
     params: dict
@@ -127,19 +134,42 @@ class WeightSequence:
     length: int | None = None
     horizon_hint: int = 512
     _memo: dict = field(default_factory=dict, repr=False)
+    _window: list = field(default_factory=list, repr=False)
+
+    def _eval(self, j: int) -> float:
+        if self.length is not None and j >= self.length:
+            raise TableExhaustedError(j, self.length)
+        got = float(self._fn(j))
+        if math.isnan(got) or got == math.inf:
+            raise InvalidParameterError("term", f"log M_{j} = {got!r} not finite")
+        return got
 
     def log_term(self, j: int) -> float:
         """log M_j.  Raises TableExhaustedError past table data."""
+        window = self._window
+        if type(j) is int and 0 <= j < len(window):
+            return window[j]
         _check_index(j)
         got = self._memo.get(j)
         if got is None:
-            if self.length is not None and j >= self.length:
-                raise TableExhaustedError(j, self.length)
-            got = float(self._fn(j))
-            if math.isnan(got) or got == math.inf:
-                raise InvalidParameterError("term", f"log M_{j} = {got!r} not finite")
+            got = self._eval(j)
             self._memo[j] = got
         return got
+
+    def log_terms(self, n: int) -> list[float]:
+        """[log M_0, ..., log M_n], the shared cached prefix: do not mutate.
+
+        Same per-term checks as log_term; terms already memoized by point
+        reads move into the prefix instead of being evaluated again.
+        """
+        _check_index(n)
+        window = self._window
+        if n >= len(window):
+            memo = self._memo
+            for j in range(len(window), n + 1):
+                got = memo.pop(j, None)
+                window.append(self._eval(j) if got is None else got)
+        return window if len(window) == n + 1 else window[:n + 1]
 
     def quotient_log(self, j: int) -> float:
         """log(M_j / M_{j-1}); the j = 0 quotient is defined as 1."""
@@ -255,7 +285,7 @@ def regularize_slc(m: WeightSequence, horizon: int) -> WeightSequence:
     """
     if horizon < 4:
         raise InvalidParameterError("horizon", f"need horizon >= 4, got {horizon}")
-    terms = [m.log_term(j) for j in range(horizon + 1)]
+    terms = m.log_terms(horizon)
     # quotient jitter scales with the term magnitude, not the quotient itself
     slack = 1e-12 * max(1.0, max(abs(t) for t in terms))
     q = [terms[j] - terms[j - 1] - math.log(j) for j in range(1, horizon + 1)]
@@ -278,10 +308,10 @@ def regularize_slc(m: WeightSequence, horizon: int) -> WeightSequence:
             f"{patch - 1}", witness=patch - 1,
         )
 
-    base_anchor = m.log_term(patch - 1)
+    base_anchor = terms[patch - 1]
     head = math.lgamma(patch)  # log (patch-1)!
 
-    unchanged = patch == 1 and abs(m.log_term(0)) == 0.0
+    unchanged = patch == 1 and abs(terms[0]) == 0.0
     if unchanged:
         reported = 0
     else:

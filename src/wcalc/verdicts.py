@@ -8,6 +8,7 @@ evidence attached.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -157,11 +158,9 @@ def running_sup_stabilized(values, cfg: Config) -> tuple[bool, float]:
     vals = list(values)
     if not vals:
         raise ValueError("empty trajectory")
-    sups = []
-    cur = -math.inf
-    for v in vals:
-        cur = max(cur, v)
-        sups.append(cur)
+    # seeded with -inf: max(acc, nan) keeps acc, so a NaN never becomes a sup
+    sups = list(itertools.accumulate(vals, max, initial=-math.inf))
+    del sups[0]
     q3 = (3 * len(sups)) // 4
     anchor = sups[q3] if q3 < len(sups) else sups[-1]
     moved = sups[-1] - anchor

@@ -72,7 +72,7 @@ def synthetic_bounds(m: WeightSequence, count: int, label: str | None = None) ->
     """Bounds that saturate a sequence exactly: bound_j = log M_j."""
     if count < 0:
         raise InvalidParameterError("count", f"need count >= 0, got {count}")
-    return DerivBounds(tuple(m.log_term(j) for j in range(count + 1)),
+    return DerivBounds(tuple(m.log_terms(count)),
                        label=label or f"synthetic({m.label()})",
                        source="synthetic")
 
@@ -126,11 +126,12 @@ def _require_witness_preconditions(n: WeightSequence, truncation: int,
                 f"up to {truncation}; got {v.status}", witness=v.witness)
 
 
-def _freq_log(n: WeightSequence, j: int, shift_quotients: bool) -> float:
+def _freq_log(terms: list[float], j: int, shift_quotients: bool) -> float:
     # nu_0 := 1; the optional shift replaces nu_j by nu_{j+1}
     if j == 0 and not shift_quotients:
         return 0.0
-    return n.quotient_log(j + 1 if shift_quotients else j)
+    i = j + 1 if shift_quotients else j
+    return terms[i] - terms[i - 1]
 
 
 def theta_eval(n: WeightSequence, t: float, truncation: int,
@@ -145,10 +146,11 @@ def theta_eval(n: WeightSequence, t: float, truncation: int,
         raise InvalidParameterError("t", f"need finite t, got {t}")
     _require_witness_preconditions(n, truncation, cfg)
     log_2t = math.log(2.0 * abs(t)) if t != 0.0 else None
+    terms = n.log_terms(truncation + 1 if shift_quotients else truncation)
     re_parts, im_parts = [], []
     for j in range(truncation + 1):
-        freq = _freq_log(n, j, shift_quotients)
-        mag = math.exp(n.log_term(j) - j * (_LN2 + freq))
+        freq = _freq_log(terms, j, shift_quotients)
+        mag = math.exp(terms[j] - j * (_LN2 + freq))
         if t == 0.0:
             re_parts.append(mag)
             im_parts.append(0.0)
@@ -176,10 +178,11 @@ def theta_derivative_log_bound(n: WeightSequence, k: int,
         raise InvalidParameterError(
             "truncation", f"need truncation >= k + 10 = {k + 10}, got {truncation}")
     _require_witness_preconditions(n, truncation, cfg)
+    window = n.log_terms(truncation + 1 if shift_quotients else truncation)
     terms = []
     for j in range(truncation + 1):
-        freq = _freq_log(n, j, shift_quotients)
-        terms.append(n.log_term(j) + (k - j) * (_LN2 + freq))
+        freq = _freq_log(window, j, shift_quotients)
+        terms.append(window[j] + (k - j) * (_LN2 + freq))
     return log_sum(terms)
 
 
@@ -203,7 +206,8 @@ def seminorm_trajectory(f: DerivBounds, m: WeightSequence,
     top = f.top_index()
     if m.max_index() is not None:
         top = min(top, m.max_index())
-    return [f.bounds[j] - phi.value(j) * ln_h - m.log_term(j)
+    terms = m.log_terms(top)
+    return [f.bounds[j] - phi.value(j) * ln_h - terms[j]
             for j in range(top + 1)]
 
 

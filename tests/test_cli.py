@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, env override, golden report bytes."""
 
 import csv
+import hashlib
 import json
 import math
 import pathlib
@@ -13,7 +14,8 @@ import pytest
 from wcalc import cli, ptt_matrix, synthetic_bounds
 
 ROOT = pathlib.Path(__file__).parents[1]
-SMOKE = pathlib.Path(__file__).parent / "data" / "smoke.wsq"
+DATA = pathlib.Path(__file__).parent / "data"
+SMOKE = DATA / "smoke.wsq"
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
@@ -110,6 +112,28 @@ def test_golden_report_bytes(tmp_path):
     jsonschema.validate(rep, SCHEMA)
     assert len(rep["records"]) == 9
     assert all("error" not in r for r in rep["records"])
+
+
+# sha256 of the `wcalc run` JSON report, with the exit code.  These pin
+# report bytes across commits, where test_golden_report_bytes compares two
+# runs of one commit: a change that moves any number, witness or message in
+# these reports must update the digest and say why in CHANGES.md.
+# windows.wsq runs every reader of a window of log M_j once; its short
+# tables end in two error records on purpose, hence exit code 3.
+# Recorded with CPython 3.11 on Linux x86-64; another libm may move the
+# last bit of an lgamma and with it the digest.
+GOLDEN_SHA256 = {
+    "smoke.wsq": (0, "0aceb7aef7bdb96945e4648e29dde2440d137db7041eb86a892507659b66ec9e"),
+    "windows.wsq": (3, "853dc34a2f1038b51633a1d675556d462a527e564bccdb5a561f48846c3a5d9d"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(GOLDEN_SHA256))
+def test_golden_report_digest(script, tmp_path, monkeypatch):
+    monkeypatch.delenv("WCALC_HORIZON", raising=False)
+    out = tmp_path / "r.json"
+    code = run("run", DATA / script, "--out", out)
+    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN_SHA256[script]
 
 
 def test_stdout_formats_match_file(tmp_path, capsys):

@@ -155,6 +155,7 @@ def test_sample_pairs_deterministic_and_bounded():
     b = sample_pairs(128, 64, seed=0)
     assert a == b
     assert sample_pairs(128, 64, seed=1) != a
+    assert isinstance(a, tuple) and a is b  # shared, so immutable
     assert len(a) == 64
     for j, k in a:
         assert j >= 1 and k >= 1 and j + k <= 128

@@ -9,12 +9,14 @@ from wcalc import (
     HOLDS,
     UNDETERMINED,
     InvalidParameterError,
+    TableExhaustedError,
     compare,
     compare_phi_constancy,
     gevrey,
     linear_exponents,
     power_exponents,
     scaled,
+    table,
     table_exponents,
 )
 from wcalc.relations import RATIO_TOL, RELATIONS, RelationId
@@ -79,6 +81,21 @@ def test_pointwise_relations(g1, g2):
     assert compare(g1, g2, "quotient_le", horizon=H).status == HOLDS
     q = compare(g2, g1, "quotient_le", horizon=H)
     assert q.status == FAILS and q.witness == 2
+
+
+def test_pointwise_on_a_table_shorter_than_the_horizon(g1):
+    # 12 entries; index 3 exceeds 3! = 6, long before the table ends
+    bad = table(log_values=[0.0, 0.0, math.log(2.0), math.log(50.0)]
+                + [math.log(10.0 * k) for k in range(6, 14)])
+    for rel in ("pointwise_le", "quotient_le"):
+        v = compare(bad, g1, rel, horizon=H)
+        assert (v.status, v.witness) == (FAILS, 3)
+    # no violation before the end: the exhausted table raises
+    big = table(log_values=[j * math.log(2.0) + math.lgamma(j + 1) for j in range(12)])
+    for left, right in ((g1, big), (big, big)):
+        for rel in ("pointwise_le", "quotient_le"):
+            with pytest.raises(TableExhaustedError, match="index 12 "):
+                compare(left, right, rel, horizon=H)
 
 
 def test_pointwise_rejects_phi(g1, g2):

@@ -21,6 +21,7 @@ from wcalc import (
     table,
     table_exponents,
 )
+from wcalc.matrices import sigma_matrix
 from wcalc.sequences import make_exponents, make_sequence
 
 
@@ -200,3 +201,80 @@ def test_make_sequence_round_trip(p12):
         make_sequence({"family": "unknown"})
     with pytest.raises(InvalidParameterError):
         make_exponents({"kind": "unknown"})
+
+
+# --- term windows --------------------------------------------------------
+
+WINDOW_FAMILIES = {
+    "gevrey": lambda: gevrey(1.5),
+    "ptt": lambda: ptt(1.0, 2.0),
+    "table": lambda: table(log_values=[0.5 * j * math.log(j + 1) for j in range(60)]),
+    "scaled": lambda: scaled(gevrey(1.0), power_exponents(2.0), 0.5),
+    "regularized": lambda: regularize_slc(
+        scaled(ptt(1.0, 2.0), power_exponents(2.0), 0.1), 48),
+    "sigma_element": lambda: sigma_matrix(2.0).element(3.0),
+}
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@given(
+    st.sampled_from(sorted(WINDOW_FAMILIES)),
+    st.lists(st.integers(0, 59), max_size=6),
+    st.integers(0, 59),
+    st.lists(st.integers(0, 59), max_size=6),
+)
+def test_log_terms_match_point_reads(family, before, n, after):
+    make = WINDOW_FAMILIES[family]
+    ref = make()  # only ever read one index at a time
+    m = make()
+    for j in before:
+        assert bits([m.log_term(j)]) == bits([ref.log_term(j)])
+    window = m.log_terms(n)
+    assert bits(window) == bits([ref.log_term(j) for j in range(n + 1)])
+    assert bits(m.log_terms(n // 2)) == bits(window[:n // 2 + 1])
+    for j in after:
+        assert bits([m.log_term(j)]) == bits([ref.log_term(j)])
+
+
+def test_point_reads_leave_the_window_alone():
+    calls = []
+
+    def fn(j):
+        calls.append(j)
+        return float(j * j)
+
+    m = callable_sequence("squares", {}, fn)
+    assert m.log_term(65536) == 65536.0 ** 2
+    assert calls == [65536]
+    assert m.log_term(20) == 400.0
+    assert m.log_terms(12) == [float(j * j) for j in range(13)]
+    assert len(calls) == 2 + 13
+    assert m.log_term(5) == 25.0 and m.log_terms(10) == [float(j * j) for j in range(11)]
+    assert len(calls) == 2 + 13
+    m.log_terms(25)  # index 20 comes from the point-read memo
+    assert len(calls) == 2 + 13 + 12
+
+
+def test_log_terms_error_parity():
+    short = table(log_values=[0.0, 1.0, 3.0])
+    assert short.log_terms(2) == [0.0, 1.0, 3.0]
+    with pytest.raises(TableExhaustedError) as windowed:
+        short.log_terms(7)
+    with pytest.raises(TableExhaustedError) as pointwise:
+        table(log_values=[0.0, 1.0, 3.0]).log_term(3)
+    assert str(windowed.value) == str(pointwise.value)
+    with pytest.raises(InvalidParameterError):
+        short.log_terms(-1)
+
+    for bad in (math.nan, math.inf):
+        def fn(j, bad=bad):
+            return bad if j == 4 else float(j)
+
+        with pytest.raises(InvalidParameterError) as windowed:
+            callable_sequence("holey", {}, fn).log_terms(9)
+        with pytest.raises(InvalidParameterError) as pointwise:
+            callable_sequence("holey", {}, fn).log_term(4)
+        assert str(windowed.value) == str(pointwise.value)

@@ -147,3 +147,22 @@ def test_running_sup_scale_awareness(cfg):
 def test_running_sup_returns_max(cfg, vals):
     _, sup = running_sup_stabilized(vals, cfg)
     assert sup == max(vals)
+
+
+def running_sups_loop(vals):
+    sups, cur = [], -math.inf
+    for v in vals:
+        cur = max(cur, v)
+        sups.append(cur)
+    return sups
+
+
+@given(st.lists(st.floats(-100, 100) | st.just(math.nan), min_size=1, max_size=50))
+def test_running_sup_matches_loop_reference(cfg, vals):
+    # NaNs included: max(-inf, nan) is -inf, so they never become the sup
+    sups = running_sups_loop(vals)
+    q3 = (3 * len(sups)) // 4
+    moved = sups[-1] - sups[q3]
+    scale = max(1.0, abs(sups[-1]), max(vals) - min(vals))
+    want = (moved <= cfg.stabilize_rel * scale, sups[-1])
+    assert repr(running_sup_stabilized(vals, cfg)) == repr(want)
