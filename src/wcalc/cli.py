@@ -4,6 +4,11 @@ Exit codes: 0 all verdicts acceptable, 1 any Fails (or Undetermined
 without --allow-undetermined), 2 usage or script-parse errors, 3 runtime
 errors.  The default horizon honors the WCALC_HORIZON environment
 variable; an explicit --horizon flag beats per-query script options.
+
+Subcommands build their objects with the script constructors
+(dsl.build) and reach verdicts through the script query runners
+(dsl.run_query), so a CLI call and the equivalent .wsq query give the
+same record.
 """
 
 from __future__ import annotations
@@ -11,29 +16,23 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import Config, default_config
+from .config import default_config
 from .errors import InvalidParameterError, SourceError, WcalcError
 from . import associated as _assoc
-from . import conditions as _conditions
 from . import dsl as _dsl
-from . import matrices as _matrices
-from . import relations as _relations
 from . import report as _report
-from . import sequences as _sequences
 from . import witness as _witness
 
-SEQ_FAMILIES = ("gevrey", "ptt")
-MATRIX_FAMILIES = ("ptt-matrix", "sigma-matrix")
-
-_SEQ_CONDS = {"lc", "slc", "normalized", "mg", "dc", "nq", "nq_carleman",
-              "beta1", "beta3", "gamma1", "gamma_lb"}
-_MATRIX_CONDS = {"l": "L", "mg": "mg", "dc": "dc", "rai": "rai",
-                 "fdb": "FdB", "br": "BR", "sc": "sc", "constant": "constant"}
-
-_REL_NAMES = {"preceq": "preceq", "triangle": "triangle", "approx": "approx",
-              "pointwise_le": "pointwise_le", "quotient_le": "quotient_le",
-              "bigo": "bigO", "smallo": "smallO",
-              "numeric_ratio": "numeric_ratio"}
+# spec name -> (script constructor, its parameters in colon order); a
+# matrix spec takes one more colon part, the element index C
+SPECS = {
+    "gevrey": ("gevrey", ("s",)),
+    "ptt": ("ptt", ("tau", "sigma")),
+    "ptt-matrix": ("ptt_matrix", ("tau", "sigma")),
+    "sigma-matrix": ("sigma_matrix", ("sigma",)),
+    "linear": ("linear", ()),
+    "power": ("power", ("sigma",)),
+}
 
 
 class UsageError(Exception):
@@ -65,72 +64,70 @@ def _parse_number_list(text: str, what: str) -> tuple:
         raise UsageError(f"{what} must be a comma-separated number list, got {text!r}")
 
 
-def _family(spec: str, params: dict):
-    """(kind, object, label) from a family spec like gevrey:1 or ptt-matrix.
+def _resolve(spec: str, params: str | None, cfg, grid: str | None = None,
+             kinds=("seq", "matrix")):
+    """(kind, object, label) for a spec like gevrey:1 or ptt-matrix:1:2:3,
+    built by the script constructor; kinds limits the spec names accepted.
 
-    Colon parts are positional parameters; --params entries fill or
-    override them.
+    Colon parts fill the constructor's parameters in order; --params
+    entries fill or override them, and --grid sets a matrix index grid.
+    For a matrix, c= in --params or one more colon part selects an
+    element, which is returned as a "seq".
     """
+    params = _parse_params(params)
+    grid = _parse_number_list(grid, "--grid") if grid else ()
     name, *rest = spec.split(":")
     name = name.strip().lower()
+    names = tuple(n for n, (ctor, _) in SPECS.items()
+                  if _dsl.CONSTRUCTORS[ctor] in kinds)
+    if name not in names:
+        raise UsageError(f"unknown family {name!r}; expected one of {names}")
+    ctor, keys = SPECS[name]
     pos = []
     for part in rest:
         try:
             pos.append(float(part))
         except ValueError:
             raise UsageError(f"bad numeric parameter {part!r} in {spec!r}")
-
-    def take(key: str, i: int, default=None):
-        if key in params:
-            return params[key]
-        if i < len(pos):
-            return pos[i]
-        if default is not None:
-            return default
-        raise UsageError(f"family {name!r} needs parameter {key!r}")
-
-    grid = params.get("__grid__")
-    if name == "gevrey":
-        return "seq", _sequences.gevrey(take("s", 0)), spec
-    if name == "ptt":
-        return "seq", _sequences.ptt(take("tau", 0), take("sigma", 1)), spec
-    if name == "ptt-matrix":
-        mm = _matrices.ptt_matrix(take("tau", 0), take("sigma", 1),
-                                  grid or _matrices.DEFAULT_INDEX_GRID)
-        return "matrix", mm, spec
-    if name == "sigma-matrix":
-        mm = _matrices.sigma_matrix(take("sigma", 0),
-                                    grid or _matrices.DEFAULT_INDEX_GRID)
-        return "matrix", mm, spec
-    raise UsageError(f"unknown family {name!r}; expected one of "
-                     f"{SEQ_FAMILIES + MATRIX_FAMILIES}")
+    args = []
+    for i, key in enumerate(keys):
+        v = params.get(key, pos[i] if i < len(pos) else None)
+        if v is None:
+            raise UsageError(f"family {name!r} needs parameter {key!r}")
+        args.append((key, v))
+    kind = _dsl.CONSTRUCTORS[ctor]
+    if kind == "matrix" and grid:
+        args.append(("grid", grid))
+    obj = _dsl.build(_dsl.Call(ctor, tuple(args)), {}, cfg)
+    c = params.get("c", pos[len(keys)] if len(pos) > len(keys) else None)
+    if kind != "matrix" or c is None:
+        return kind, obj, spec
+    label = ":".join([name] + rest[:len(keys)])
+    return "seq", obj.element(c), f"{label}@c={c:g}"
 
 
-def _element_params(params: dict, pos_c: float | None = None) -> float | None:
-    if "c" in params:
-        return params["c"]
-    return pos_c
-
-
-def _sequence_from(spec: str, params: dict):
-    """A weight sequence: either a sequence family or a matrix element.
-
-    Matrix element selection: c= in --params, or a trailing colon part
-    (ptt-matrix:TAU:SIGMA:C, sigma-matrix:SIGMA:TAU)."""
-    name, *rest = spec.split(":")
-    name = name.strip().lower()
-    kind, obj, label = _family(spec, params) if name not in MATRIX_FAMILIES \
-        else _family(":".join([name] + rest[:2 if name == "ptt-matrix" else 1]),
-                     params)
-    if kind == "seq":
-        return obj, label
-    extra = rest[2:] if name == "ptt-matrix" else rest[1:]
-    pos_c = float(extra[0]) if extra else None
-    c = _element_params(params, pos_c)
-    if c is None:
-        raise UsageError(f"matrix family {spec!r} needs an element index "
+def _sequence(kind: str, obj, label: str):
+    """The weight sequence of a _resolve result, with its label."""
+    if kind != "seq":
+        raise UsageError(f"matrix family {label!r} needs an element index "
                          "(c= in --params or a trailing :C)")
-    return obj.element(c), f"{label}@c={c:g}"
+    return obj, label
+
+
+def _op(kind: str, spelling: str) -> str | None:
+    """The dsl.QUERY_OPS[kind] name a user spelling means: case ignored,
+    '-' read as '_'."""
+    key = spelling.strip().replace("-", "_").lower()
+    return next((op for op in _dsl.QUERY_OPS[kind] if op.lower() == key), None)
+
+
+def _answer(kind: str, op: str, cfg, h: int, env: dict, flavor=None,
+            **numbers) -> dict:
+    """What dsl.run_query answers to `kind op(...)` with every env binding
+    passed under its name, plus the number arguments."""
+    call = _dsl.Call(op, tuple((k, _dsl.Ref(k)) for k in env)
+                     + tuple(numbers.items()))
+    return _dsl.run_query(_dsl.Query(kind, call, flavor=flavor), env, cfg, h)
 
 
 def _parse_t_grid(text: str) -> _assoc.LogGrid:
@@ -141,20 +138,6 @@ def _parse_t_grid(text: str) -> _assoc.LogGrid:
         return _assoc.LogGrid(float(parts[0]), float(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise UsageError(str(exc))
-
-
-def _phi_from(spec: str | None):
-    if spec is None:
-        return None
-    name, *rest = spec.split(":")
-    name = name.strip().lower()
-    if name == "linear":
-        return _sequences.linear_exponents()
-    if name == "power":
-        if not rest:
-            raise UsageError("power exponents need a parameter: power:SIGMA")
-        return _sequences.power_exponents(float(rest[0]))
-    raise UsageError(f"unknown exponent spec {spec!r}; expected linear or power:S")
 
 
 def _exit_code(records, allow_undetermined: bool) -> int:
@@ -168,146 +151,77 @@ def _exit_code(records, allow_undetermined: bool) -> int:
     return 0
 
 
-def _write_report(report: _report.Report, args) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "wb") as fh:
-            fh.write(_report.emit_json(report))
-    fmt = getattr(args, "format", None) or "text"
-    sys.stdout.write(_report.emit(report, fmt).decode("utf-8"))
-
-
-def _base_config(args) -> Config:
-    cfg = default_config()
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.replace(seed=args.seed)
-    return cfg
-
-
-def _effective_horizon(args, cfg: Config) -> int:
-    return args.horizon if getattr(args, "horizon", None) is not None \
-        else cfg.horizon
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the report records
 
 
-def _cmd_run(args) -> int:
-    cfg = _base_config(args)
+def _cmd_run(args, cfg, h) -> list:
     with open(args.script, encoding="utf-8") as fh:
-        text = fh.read()
-    program = _dsl.parse(text)
-    records = _dsl.execute(program, cfg, horizon_override=args.horizon)
-    _write_report(_report.Report(cfg, records), args)
-    return _exit_code(records, args.allow_undetermined)
+        program = _dsl.parse(fh.read())
+    return _dsl.execute(program, cfg, horizon_override=args.horizon)
 
 
-def _cmd_check(args) -> int:
-    cfg = _base_config(args)
-    h = _effective_horizon(args, cfg)
-    params = _parse_params(args.params)
-    if args.grid:
-        params["__grid__"] = _parse_number_list(args.grid, "--grid")
-    cond = args.cond.strip().replace("-", "_")
-    records = []
-    fam_name = args.family.split(":")[0].strip().lower()
-    matrix_level = (fam_name in MATRIX_FAMILIES and "c" not in params
-                    and cond.lower() in _MATRIX_CONDS
-                    and cond != "gamma_lb")
-    if matrix_level:
-        kind, mm, label = _family(args.family, params)
-        tag = _MATRIX_CONDS[cond.lower()]
-        cid = _matrices.condition_id(tag, args.flavor or "r")
-        res = _matrices.check_matrix_condition(mm, cid, None, h, cfg)
-        rec = {"query": f"check {tag}({label}) horizon {h} flavor {cid.flavor};"}
-        rec.update(_matrices.matrix_report_json(cid, res))
-        rec["statuses"] = [res[alpha].status for alpha in sorted(res)]
-        records.append(rec)
-    else:
-        seq, label = _sequence_from(args.family, params)
-        if cond == "gamma_lb":
-            if not args.alphas:
-                raise UsageError("--cond gamma-lb needs --alphas")
-            alphas = _parse_number_list(args.alphas, "--alphas")
-            res = _conditions.gamma_lower_bound(seq, alphas, h, cfg)
-            rec = {"query": f"check gamma_lb({label}, {list(alphas)}) horizon {h};",
-                   "per_alpha": {repr(a): v.to_json() for a, v in res.items()},
-                   "statuses": [res[a].status for a in alphas]}
-            records.append(rec)
-        else:
-            if cond not in _SEQ_CONDS:
-                raise UsageError(f"unknown condition {args.cond!r}")
-            v = _conditions.check_condition(seq, cond, h, cfg)
-            rec = {"query": f"check {cond}({label}) horizon {h};"}
-            rec.update(v.to_json())
-            records.append(rec)
-    _write_report(_report.Report(cfg, records), args)
-    return _exit_code(records, args.allow_undetermined)
+def _cmd_check(args, cfg, h) -> list:
+    kind, obj, label = _resolve(args.family, args.params, cfg, args.grid)
+    op = _op("mcheck", args.cond) if kind == "matrix" else None
+    if op is not None:
+        out = _answer("mcheck", op, cfg, h, {"mm": ("matrix", obj)},
+                      flavor=args.flavor)
+        return [{"query": f"check {op}({label}) horizon {h} "
+                          f"flavor {out['flavor']};", **out}]
+    seq, label = _sequence(kind, obj, label)
+    op = _op("check", args.cond)
+    if op is None:
+        raise UsageError(f"unknown condition {args.cond!r}")
+    env = {"m": ("seq", seq)}
+    if op != "gamma_lb":
+        return [{"query": f"check {op}({label}) horizon {h};",
+                 **_answer("check", op, cfg, h, env)}]
+    if not args.alphas:
+        raise UsageError("--cond gamma-lb needs --alphas")
+    alphas = _parse_number_list(args.alphas, "--alphas")
+    return [{"query": f"check gamma_lb({label}, {list(alphas)}) horizon {h};",
+             **_answer("check", op, cfg, h, env, alphas=alphas)}]
 
 
-def _cmd_omega(args) -> int:
-    cfg = _base_config(args)
+def _cmd_omega(args, cfg, h) -> list:
     # tabulation wants the sup actually attained; default to the index cap
     # rather than the check horizon, which an explicit --horizon overrides
     h = args.horizon if args.horizon is not None else cfg.omega_index_cap
-    params = _parse_params(args.params)
-    seq, label = _sequence_from(args.family, params)
+    seq, label = _sequence(*_resolve(args.family, args.params, cfg))
     grid = _parse_t_grid(args.t_grid) if args.t_grid \
         else _assoc.LogGrid.from_config(cfg)
     omega = _assoc.OmegaFunction.from_sequence(seq, cfg=cfg)
     rows = _assoc.export_csv(omega, grid, args.csv, h, cfg)
-    records = [{"query": f"omega({label}) grid [{grid.t_min:g}, {grid.t_max:g}, "
-                         f"{grid.points}];",
-                "rows": rows, "csv": args.csv}]
-    _write_report(_report.Report(cfg, records), args)
-    return 0
+    return [{"query": f"omega({label}) grid [{grid.t_min:g}, {grid.t_max:g}, "
+                      f"{grid.points}];",
+             "rows": rows, "csv": args.csv}]
 
 
-def _cmd_compare(args) -> int:
-    cfg = _base_config(args)
-    h = _effective_horizon(args, cfg)
-    left, llabel = _sequence_from(args.left, _parse_params(args.left_params))
-    right, rlabel = _sequence_from(args.right, _parse_params(args.right_params))
-    rel_key = args.rel.strip().replace("-", "_").lower()
-    rel = _REL_NAMES.get(rel_key)
-    if rel is None:
+def _cmd_compare(args, cfg, h) -> list:
+    left, llabel = _sequence(*_resolve(args.left, args.left_params, cfg))
+    right, rlabel = _sequence(*_resolve(args.right, args.right_params, cfg))
+    op = _op("compare", args.rel)
+    if op is None:
         raise UsageError(f"unknown relation {args.rel!r}; expected one of "
-                         f"{sorted(set(_REL_NAMES.values()))}")
-    if rel in ("bigO", "smallO"):
-        v = _assoc.assoc_relation_check(left, right, rel, args.c_max, h, cfg=cfg)
-    elif rel == "numeric_ratio":
-        v = _assoc.assoc_relation_check(left, right, rel, horizon=h, cfg=cfg)
-    else:
-        v = _relations.compare(left, right, rel, h, cfg)
-    rec = {"query": f"compare {rel}({llabel}, {rlabel}) horizon {h};"}
-    rec.update(v.to_json())
-    records = [rec]
-    _write_report(_report.Report(cfg, records), args)
-    return _exit_code(records, args.allow_undetermined)
+                         f"{sorted(_dsl.QUERY_OPS['compare'])}")
+    numbers = {"c_max": float(args.c_max)} if op in ("bigO", "smallO") else {}
+    out = _answer("compare", op, cfg, h,
+                  {"m": ("seq", left), "n": ("seq", right)}, **numbers)
+    return [{"query": f"compare {op}({llabel}, {rlabel}) horizon {h};", **out}]
 
 
-def _cmd_classify(args) -> int:
-    cfg = _base_config(args)
-    params = _parse_params(args.params)
-    if args.grid:
-        params["__grid__"] = _parse_number_list(args.grid, "--grid")
-    kind, mm, label = _family(args.matrix, params)
+def _cmd_classify(args, cfg, h) -> list:
+    kind, mm, label = _resolve(args.matrix, args.params, cfg, args.grid)
     if kind != "matrix":
         raise UsageError(f"--matrix needs a matrix family, got {args.matrix!r}")
-    if args.bounds.endswith(".json"):
-        bounds = _witness.load_bounds_json(args.bounds)
-    else:
-        bounds = _witness.load_bounds_csv(args.bounds)
-    phi = _phi_from(args.phi)
-    h_grid = _parse_number_list(args.h_grid, "--h-grid") if args.h_grid \
-        else _witness.DEFAULT_H_GRID
-    rep = _witness.classify_membership(bounds, mm, phi, None, h_grid, cfg)
-    rec = {"query": f"classify membership({args.bounds}, {label});"}
-    rec.update(rep.to_json())
-    rec["statuses"] = [rep.roumieu.status, rep.beurling.status]
-    records = [rec]
-    _write_report(_report.Report(cfg, records), args)
-    return _exit_code(records, args.allow_undetermined)
+    load = _witness.load_bounds_json if args.bounds.endswith(".json") \
+        else _witness.load_bounds_csv
+    env = {"f": ("seq", load(args.bounds)), "mm": ("matrix", mm)}
+    if args.phi is not None:
+        env["phi"] = ("exp", _resolve(args.phi, None, cfg, kinds=("exp",))[1])
+    out = _answer("classify", "membership", cfg, h, env)
+    return [{"query": f"classify membership({args.bounds}, {label});", **out}]
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="one-shot condition check on a family")
     p.add_argument("--family", required=True,
-                   help="gevrey:S | ptt:TAU:SIGMA | ptt-matrix | sigma-matrix")
+                   help="gevrey:S | ptt:TAU:SIGMA | ptt-matrix:TAU:SIGMA[:C] | "
+                        "sigma-matrix:SIGMA[:C]")
     p.add_argument("--params", default=None, help="k=v,... family parameters")
     p.add_argument("--cond", required=True,
                    help="lc|slc|normalized|mg|dc|nq|nq-carleman|beta1|beta3|"
@@ -381,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None)
     p.add_argument("--phi", default=None, help="linear | power:SIGMA")
     p.add_argument("--grid", default=None, help="matrix index grid, comma list")
-    p.add_argument("--h-grid", dest="h_grid", default=None,
-                   help="comma list of h values")
     _add_common(p)
     p.set_defaults(fn=_cmd_classify)
 
@@ -396,7 +309,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.fn(args)
+        cfg = default_config()
+        if args.seed is not None:
+            cfg = cfg.replace(seed=args.seed)
+        h = args.horizon if args.horizon is not None else cfg.horizon
+        records = args.fn(args, cfg, h)
+        report = _report.Report(cfg, records)
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(_report.emit_json(report))
+        sys.stdout.write(_report.emit(report, args.format).decode("utf-8"))
+        return _exit_code(records, args.allow_undetermined)
     except (UsageError, SourceError, InvalidParameterError) as exc:
         print(f"wcalc: {exc}", file=sys.stderr)
         return 2

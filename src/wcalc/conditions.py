@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .config import Config
 from .errors import InvalidParameterError
-from .logdomain import LOG_ZERO, log_add, log_sum
+from .logdomain import LOG_ZERO, log_add, log_sum, slack
 from .sequences import ExponentSequence, WeightSequence
 from .verdicts import (
     FAILS,
@@ -27,6 +27,7 @@ from .verdicts import (
     classify_trajectory,
     decimate,
     fit_line,
+    quarter_minima,
     running_sup_stabilized,
 )
 
@@ -56,27 +57,12 @@ def _need_horizon(horizon: int | None, cfg: Config) -> int:
     return h
 
 
-def _monotone_fails(values: list[float], slack: float) -> int | None:
-    """Position of the first drop (i with v[i] < v[i-1] - slack), else None."""
+def _monotone_fails(values: list[float], tol: float) -> int | None:
+    """Position of the first drop (i with v[i] < v[i-1] - tol), else None."""
     for i in range(1, len(values)):
-        if values[i] < values[i - 1] - slack:
+        if values[i] < values[i - 1] - tol:
             return i
     return None
-
-
-def _scan_slack(cfg: Config, magnitudes) -> float:
-    """Comparison tolerance scaled to the largest intermediate term.
-
-    Quotient-style quantities are differences of large log terms; their
-    float jitter grows with the term magnitude, not with the (often tiny)
-    difference itself.
-    """
-    scale = 1.0
-    for v in magnitudes:
-        a = abs(v)
-        if a > scale:
-            scale = a
-    return cfg.comparison_slack * scale
 
 
 def _powerfit_tail(log_indices, log_values, horizon, margin):
@@ -121,7 +107,8 @@ def check_condition(
 def _check_lc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
     terms = m.log_terms(h)
     quotients = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
-    bad = _monotone_fails(quotients, _scan_slack(cfg, terms))
+    bad = _monotone_fails(quotients,
+                          slack(cfg.comparison_slack, max(map(abs, terms))))
     ev = {"quotients_log": decimate(quotients)}
     if bad is None:
         return Verdict("lc", HOLDS, h, evidence=ev)
@@ -132,7 +119,8 @@ def _check_lc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
 def _check_slc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
     terms = m.log_terms(h)
     reduced = [terms[j] - terms[j - 1] - math.log(j) for j in range(1, h + 1)]
-    bad = _monotone_fails(reduced, _scan_slack(cfg, terms))
+    bad = _monotone_fails(reduced,
+                          slack(cfg.comparison_slack, max(map(abs, terms))))
     ev = {"reduced_quotients_log": decimate(reduced)}
     if bad is None:
         return Verdict("slc", HOLDS, h, evidence=ev)
@@ -359,13 +347,13 @@ def gamma_lower_bound(m: WeightSequence, alphas, horizon: int | None = None,
     terms = m.log_terms(h)
     mu = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
     logs = [math.log(j) for j in range(1, h + 1)]
-    slack = _scan_slack(cfg, terms)
+    tol = slack(cfg.comparison_slack, max(map(abs, terms)))
     for alpha in alphas:
         a = float(alpha)
         vals = [u - a * lj for u, lj in zip(mu, logs)]
         last_violation = 0  # j-value of the last drop
         for i in range(len(vals) - 1, 0, -1):
-            if vals[i] < vals[i - 1] - slack:
+            if vals[i] < vals[i - 1] - tol:
                 last_violation = i + 1
                 break
         onset = max(1, last_violation)
@@ -406,11 +394,8 @@ def exponent_growth_report(phi: ExponentSequence, horizon: int | None = None,
     """
     cfg = cfg or Config()
     h = _need_horizon(horizon, cfg)
-    ratios = [phi.value(j) / j for j in range(1, h + 1)]
-    quarter = max(1, h // 4)
-    mins = [min(ratios[i * quarter: (i + 1) * quarter] or ratios[-1:]) for i in range(4)]
-    shrink = 1.0 - cfg.stabilize_rel
-    decaying = mins[3] <= mins[2] * shrink and mins[2] <= mins[1] * shrink
+    mins, decaying = quarter_minima([phi.value(j) / j for j in range(1, h + 1)],
+                                    cfg)
     tail = mins[3]
     return {
         "horizon": h,

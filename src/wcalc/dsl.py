@@ -465,7 +465,8 @@ class _Args:
         return v
 
 
-def _build(call: Call, env: dict, cfg: Config):
+def build(call: Call, env: dict, cfg: Config):
+    """The object a constructor call builds; env maps names to (kind, object)."""
     a = _Args(call, env)
     name = call.name
     if name == "gevrey":
@@ -545,17 +546,6 @@ def _log_grid_from_opt(grid, cfg: Config) -> _assoc.LogGrid:
     return _assoc.LogGrid(vals[0], vals[1], int(vals[2]))
 
 
-def _flavor_name(flavor: str | None) -> str:
-    if flavor is None:
-        return _matrices.ROUMIEU
-    table = {"r": _matrices.ROUMIEU, "roumieu": _matrices.ROUMIEU,
-             "b": _matrices.BEURLING, "beurling": _matrices.BEURLING}
-    got = table.get(flavor.lower())
-    if got is None:
-        raise WcalcError(f"unknown flavor {flavor!r}")
-    return got
-
-
 def _run_check(q: Query, env: dict, cfg: Config, h: int) -> dict:
     a = _Args(q.call, env)
     if q.call.name == "gamma_lb":
@@ -575,7 +565,7 @@ def _run_mcheck(q: Query, env: dict, cfg: Config, h: int) -> dict:
     a = _Args(q.call, env)
     (mm,) = a.bind("mm")
     matrix = a.resolve(mm, "matrix", "mm")
-    cond = _matrices.condition_id(q.call.name, _flavor_name(q.flavor))
+    cond = _matrices.condition_id(q.call.name, q.flavor or _matrices.ROUMIEU)
     grid = _Args.number_list(q.grid, "grid") if q.grid is not None else None
     res = _matrices.check_matrix_condition(matrix, cond, grid, h, cfg)
     out = _matrices.matrix_report_json(cond, res)
@@ -676,6 +666,12 @@ _QUERY_RUNNERS = {
 }
 
 
+def run_query(query: Query, env: dict, cfg: Config, h: int) -> dict:
+    """The record fields answering one query at horizon h; env maps names
+    to (kind, object)."""
+    return _QUERY_RUNNERS[query.kind](query, env, cfg, h)
+
+
 def execute(program: Program, cfg: Config | None = None,
             horizon_override: int | None = None) -> list[dict]:
     """Evaluate bindings in order, run queries, one record per query.
@@ -693,7 +689,7 @@ def execute(program: Program, cfg: Config | None = None,
         text = format_statement(stmt)
         if isinstance(stmt, Binding):
             try:
-                obj = _build(stmt.call, env, cfg)
+                obj = build(stmt.call, env, cfg)
                 env[stmt.name] = (stmt.kind, obj)
             except (WcalcError, ValueError, ArithmeticError) as exc:
                 poisoned.add(stmt.name)
@@ -718,7 +714,7 @@ def execute(program: Program, cfg: Config | None = None,
         else:
             h = cfg.horizon
         try:
-            record.update(_QUERY_RUNNERS[stmt.kind](stmt, env, cfg, h))
+            record.update(run_query(stmt, env, cfg, h))
         except (WcalcError, ValueError, ArithmeticError) as exc:
             record["error"] = {"type": type(exc).__name__,
                                "message": str(exc)}

@@ -20,6 +20,23 @@ LOG_ZERO = float("-inf")
 _NEGLIGIBLE_SHIFT = -745.0
 
 
+def slack(rel: float, a: float, b: float = 0.0) -> float:
+    """Tolerance for an order comparison x > y + slack of computed log
+    values: rel * max(1, |a|, |b|).
+
+    Differences of large log terms carry float jitter that grows with the
+    terms, not with the (often tiny) difference, so the tolerance scales
+    with the magnitudes compared.  A window scan passes the largest |value|
+    of its window as a.  Written without max() so that per-index
+    comparisons allocate nothing.
+    """
+    a = abs(a)
+    b = abs(b)
+    if b > a:
+        a = b
+    return rel * a if a > 1.0 else rel
+
+
 def is_log_zero(a: float) -> bool:
     return a == LOG_ZERO
 

@@ -22,6 +22,7 @@ from .errors import (
     InvalidParameterError,
     OrderViolationError,
 )
+from .logdomain import slack
 from .sequences import (
     ExponentFamily,
     ExponentSequence,
@@ -38,6 +39,7 @@ from .verdicts import (
     Verdict,
     classify_trajectory,
     decimate,
+    quarter_minima,
     running_sup_stabilized,
 )
 from . import conditions as _conditions
@@ -52,6 +54,8 @@ MATRIX_CONDITIONS = ("L", "mg", "dc", "rai", "FdB", "BR", "sc", "constant")
 DEFAULT_INDEX_GRID = tuple(2.0 ** k for k in range(-4, 9))
 
 _ORDER_CHECK_HORIZON = 64
+# relative slack of the pointwise order checks between grid neighbours
+_ORDER_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,10 +132,6 @@ class WeightMatrix:
                 "index_grid": list(self.index_grid)}
 
 
-def _order_slack(a: float, b: float) -> float:
-    return 1e-9 * max(1.0, abs(a), abs(b))
-
-
 def _validate_order(mm: WeightMatrix, horizon: int = _ORDER_CHECK_HORIZON) -> None:
     grid = mm.index_grid
     for a, b in zip(grid, grid[1:]):
@@ -143,7 +143,7 @@ def _validate_order(mm: WeightMatrix, horizon: int = _ORDER_CHECK_HORIZON) -> No
         wa, wb = ea.log_terms(top), eb.log_terms(top)
         for j in range(top + 1):
             ta, tb = wa[j], wb[j]
-            if ta > tb + _order_slack(ta, tb):
+            if ta > tb + slack(_ORDER_SLACK, ta, tb):
                 raise OrderViolationError(
                     f"matrix {mm.label()} not pointwise ordered",
                     witness=(a, b, j))
@@ -240,7 +240,7 @@ def exponent_family_scale(base: WeightSequence, family: ExponentFamily,
         la, lb = math.log(a), math.log(b)
         for j in range(_ORDER_CHECK_HORIZON + 1):
             va, vb = pa.value(j) * la, pb.value(j) * lb
-            if va > vb + _order_slack(va, vb):
+            if va > vb + slack(_ORDER_SLACK, va, vb):
                 raise OrderViolationError(
                     "exponent family breaks the signed ordering "
                     f"Phi^a_j log a <= Phi^b_j log b at (a={a}, b={b}, j={j})",
@@ -572,7 +572,6 @@ def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
         raise InvalidParameterError("flavor", f"unknown flavor {flavor!r}")
     subject = f"absorption-{flavor}({family.label()})"
 
-    quarter = max(1, h // 4)
     pairs = {}
     found_all = True
     epsilons = []
@@ -592,12 +591,8 @@ def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
             else:
                 gaps = [(pc.value(j) * lc_ - pd.value(j) * ld) / j
                         for j in range(1, h + 1)]
-            mins = [min(gaps[i * quarter:(i + 1) * quarter] or gaps[-1:])
-                    for i in range(4)]
-            shrink = 1.0 - cfg.stabilize_rel
-            decaying = (mins[3] <= mins[2] * shrink
-                        and mins[2] <= mins[1] * shrink
-                        and mins[3] > 0.0)
+            mins, decaying = quarter_minima(gaps, cfg)
+            decaying = decaying and mins[3] > 0.0
             tail_min = mins[3]
             if best_gap is None or tail_min > best_gap["tail_min"]:
                 best_gap = {"partner": d, "beyond_grid": beyond,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .config import Config
 from .errors import InvalidParameterError
+from .logdomain import slack
 from .sequences import ExponentSequence, WeightSequence
 from .verdicts import (
     FAILS,
@@ -106,7 +107,7 @@ def _pointwise(m, n, h, cfg, quotients: bool) -> Verdict:
     for j in range(lo, top + 1):
         a = tm[j] - tm[j - 1] if quotients else tm[j]
         b = tn[j] - tn[j - 1] if quotients else tn[j]
-        if a > b + cfg.comparison_slack * max(1.0, abs(a), abs(b)):
+        if a > b + slack(cfg.comparison_slack, a, b):
             return Verdict(tag, FAILS, h, witness=j, evidence={"gap_log": a - b})
     if top < h:
         # raises TableExhaustedError for the table that ends first

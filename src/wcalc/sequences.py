@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InvalidParameterError, PreconditionError, TableExhaustedError
+from .logdomain import slack
 
 
 def _check_index(j: int) -> int:
@@ -287,17 +288,17 @@ def regularize_slc(m: WeightSequence, horizon: int) -> WeightSequence:
         raise InvalidParameterError("horizon", f"need horizon >= 4, got {horizon}")
     terms = m.log_terms(horizon)
     # quotient jitter scales with the term magnitude, not the quotient itself
-    slack = 1e-12 * max(1.0, max(abs(t) for t in terms))
+    tol = slack(1e-12, max(map(abs, terms)))
     q = [terms[j] - terms[j - 1] - math.log(j) for j in range(1, horizon + 1)]
     mono_onset = 1
     for i in range(len(q) - 1, 0, -1):
-        if q[i] < q[i - 1] - slack:
+        if q[i] < q[i - 1] - tol:
             # pair (j-1, j) with j = i+1 violates; monotone from j on.
             mono_onset = i + 1
             break
     neg_onset = 1
     for i in range(len(q) - 1, -1, -1):
-        if q[i] < -slack:
+        if q[i] < -tol:
             neg_onset = i + 1 + 1
             break
     patch = max(mono_onset, neg_onset)
@@ -330,40 +331,3 @@ def regularize_slc(m: WeightSequence, horizon: int) -> WeightSequence:
         horizon_hint=m.horizon_hint,
     )
 
-
-_FAMILIES = ("gevrey", "ptt", "table", "scaled")
-
-
-def make_sequence(spec: dict) -> WeightSequence:
-    """Build a sequence from a {family, params} description (JSON surface)."""
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise InvalidParameterError("spec", "expected a {family, params} object")
-    family = spec["family"]
-    params = spec.get("params", {})
-    if family == "gevrey":
-        return gevrey(params.get("s", 1.0))
-    if family == "ptt":
-        return ptt(params.get("tau", 1.0), params.get("sigma", 1.0))
-    if family == "table":
-        if "log_values" in params:
-            return table(log_values=params["log_values"])
-        return table(values=params.get("values"))
-    if family == "scaled":
-        base = make_sequence(params["base"])
-        phi = make_exponents(params["phi"])
-        return scaled(base, phi, params.get("c", 1.0))
-    raise InvalidParameterError("family", f"unknown family {family!r}; expected one of {_FAMILIES}")
-
-
-def make_exponents(spec: dict) -> ExponentSequence:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise InvalidParameterError("spec", "expected a {kind, params} object")
-    kind = spec["kind"]
-    params = spec.get("params", {})
-    if kind == "linear":
-        return linear_exponents()
-    if kind == "power":
-        return power_exponents(params.get("sigma", 1.0))
-    if kind == "table":
-        return table_exponents(params.get("values"))
-    raise InvalidParameterError("kind", f"unknown exponent kind {kind!r}")

@@ -166,3 +166,17 @@ def running_sup_stabilized(values, cfg: Config) -> tuple[bool, float]:
     moved = sups[-1] - anchor
     scale = max(1.0, abs(sups[-1]), max(vals) - min(vals))
     return moved <= cfg.stabilize_rel * scale, sups[-1]
+
+
+def quarter_minima(values, cfg: Config) -> tuple[list[float], bool]:
+    """Minimum of each quarter of the window, and whether they decay.
+
+    Decaying means the last three quarter minima shrink steadily, each by
+    the factor 1 - cfg.stabilize_rel: a gap vanishing at infinity even when
+    its last value still sits above a floor.
+    """
+    quarter = max(1, len(values) // 4)
+    mins = [min(values[i * quarter:(i + 1) * quarter] or values[-1:])
+            for i in range(4)]
+    shrink = 1.0 - cfg.stabilize_rel
+    return mins, mins[3] <= mins[2] * shrink and mins[2] <= mins[1] * shrink

@@ -53,7 +53,7 @@ def test_undetermined_gate():
     assert run(*argv, "--allow-undetermined") == 0
 
 
-def test_exit_two_on_usage_errors(tmp_path, capsys):
+def test_exit_two_on_usage_errors(tmp_path, bounds_csv, capsys):
     assert run("check", "--family", "gevrey:1") == 2          # missing --cond
     assert run("check", "--family", "weird:1", "--cond", "lc") == 2
     assert run("check", "--family", "gevrey:-1", "--cond", "lc") == 2
@@ -65,6 +65,11 @@ def test_exit_two_on_usage_errors(tmp_path, capsys):
     assert run("omega", "--family", "gevrey:1", "--t-grid", "1:100",
                "--csv", str(tmp_path / "o.csv")) == 2
     assert run("classify", "--bounds", "b.csv", "--matrix", "gevrey:1") == 2
+    # every colon part of a spec is a number, the element index included
+    assert run("check", "--family", "ptt-matrix:1:2:x", "--cond", "lc") == 2
+    for phi in ("power:x", "power", "gevrey:1"):
+        assert run("classify", "--bounds", bounds_csv,
+                   "--matrix", "ptt-matrix:1:2", "--phi", phi) == 2
     bad = tmp_path / "bad.wsq"
     bad.write_text("seq M = ptt(tau=1)")
     assert run("run", bad) == 2
@@ -217,3 +222,122 @@ def test_installed_entry_point(tmp_path):
         capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     jsonschema.validate(json.loads(out.read_bytes()), SCHEMA)
+
+
+# sha256 of `--format json` stdout, with the exit code, for one call of each
+# subcommand shape: these pin CLI report bytes across commits the way
+# GOLDEN_SHA256 pins `wcalc run`.  Recorded with CPython 3.11 on Linux
+# x86-64.  The classify query text embeds the bounds path, so those calls
+# run from tmp_path with a relative file name.
+CLI_GOLDEN_SHA256 = {
+    "check-seq": (
+        ("check", "--family", "ptt:1:2", "--cond", "dc", "--horizon", "128"),
+        1, "bc98eddf219aa3fe24339f3f3f816b45c1bc870d3d361328554fa1cb0167c0fb"),
+    "check-element": (
+        ("check", "--family", "ptt-matrix:1:2:2", "--cond", "lc",
+         "--horizon", "128"),
+        0, "e627240878ea1bb947a73e438b6866f25d6811386023b5eb7bcf26ca19e03fd3"),
+    "check-matrix": (
+        ("check", "--family", "sigma-matrix:2", "--cond", "mg", "--flavor", "r",
+         "--grid", "1,2,4,16,256", "--horizon", "128"),
+        0, "1239b431e998d548375b737a8b2055af0d5e44e0f843a249e863b4e2bef39c19"),
+    "check-gamma-lb": (
+        ("check", "--family", "ptt-matrix", "--params", "c=1,tau=1,sigma=2",
+         "--cond", "gamma-lb", "--alphas", "1,5,20", "--horizon", "128"),
+        0, "4bd29cd4e346851417b59c6f8a4da7325f32b554b9def18dabf595417df2b80c"),
+    "compare-preceq": (
+        ("compare", "--left", "gevrey:0.5", "--right", "gevrey:1",
+         "--rel", "preceq", "--horizon", "128"),
+        0, "10a4a49d7f83acfcaf9d113322cd5a252c0e99aced606b7cd9b79a20a7d73ffc"),
+    "compare-bigO": (
+        ("compare", "--left", "gevrey:1", "--right", "gevrey:2",
+         "--rel", "bigO", "--horizon", "64"),
+        1, "6c7797e4922de8556526f182791888d82b9e7a83179b1cf52a6c1fe87a664388"),
+    "compare-numeric-ratio": (
+        ("compare", "--left", "gevrey:1", "--right", "gevrey:1.5",
+         "--rel", "numeric-ratio", "--horizon", "128"),
+        0, "eb7389682cb38e000e07de205870811919719de9f94d4c88a594dfa334d84ae6"),
+    "classify": (
+        ("classify", "--bounds", "bounds.csv", "--matrix", "ptt-matrix:1:2"),
+        1, "abfc95fcb981874a530010ce4d8400949e213daad96c7e2ffe0b111e289c9531"),
+    "classify-phi": (
+        ("classify", "--bounds", "bounds.csv", "--matrix", "ptt-matrix:1:2",
+         "--phi", "power:2"),
+        1, "abfc95fcb981874a530010ce4d8400949e213daad96c7e2ffe0b111e289c9531"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDEN_SHA256))
+def test_cli_golden_digest(name, bounds_csv, monkeypatch, capsys):
+    monkeypatch.delenv("WCALC_HORIZON", raising=False)
+    monkeypatch.chdir(bounds_csv.parent)
+    argv, code, digest = CLI_GOLDEN_SHA256[name]
+    assert run(*argv, "--format", "json") == code
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == digest
+
+
+def test_trailing_element_index_selects_element(tmp_path, capsys):
+    # a trailing :C and c= in --params name the same element, also when
+    # --cond is a matrix condition
+    argv = ("check", "--cond", "mg", "--horizon", "32", "--format", "json")
+    code = run(*argv, "--family", "ptt-matrix:1:2:3")
+    by_colon = capsys.readouterr().out
+    assert run(*argv, "--family", "ptt-matrix:1:2", "--params", "c=3") == code
+    assert capsys.readouterr().out == by_colon
+    rec = json.loads(by_colon)["records"][0]
+    assert rec["query"] == "check mg(ptt-matrix:1:2@c=3) horizon 32;"
+    assert "per_index" not in rec
+
+
+@pytest.mark.parametrize("argv, spellings", [
+    (("check", "--family", "gevrey:1", "--cond"), ("mg", "MG", " Mg ")),
+    (("check", "--family", "sigma-matrix:2", "--grid", "1,2,4",
+      "--horizon", "32", "--cond"), ("fdb", "FdB", "FDB")),
+    (("compare", "--left", "gevrey:1", "--right", "gevrey:2",
+      "--horizon", "64", "--rel"),
+     ("bigO", "bigo", "numeric-ratio", "NUMERIC_RATIO")),
+])
+def test_op_spelling_is_case_insensitive(argv, spellings, capsys):
+    outs = set()
+    for op in spellings:
+        run(*argv, op, "--format", "json")
+        outs.add(capsys.readouterr().out)
+    # one report per operation named, whatever its spelling
+    assert len(outs) == len({o.lower().replace("-", "_").strip()
+                             for o in spellings})
+
+
+def test_cli_record_matches_script_record(tmp_path, monkeypatch):
+    # the CLI answers through the script query runners: apart from the
+    # query text and the script's kind/op keys, the records are equal
+    monkeypatch.delenv("WCALC_HORIZON", raising=False)
+    script = tmp_path / "q.wsq"
+    script.write_text(
+        "seq g = gevrey(s=1);\n"
+        "seq p = ptt(tau=1, sigma=2);\n"
+        "matrix sm = sigma_matrix(sigma=2, grid=[1, 2, 4, 16, 256]);\n"
+        "check dc(p) horizon 128;\n"
+        "check gamma_lb(g, [1, 5]) horizon 128;\n"
+        "mcheck mg(sm) horizon 128 flavor b;\n"
+        "compare bigO(g, p, 2) horizon 64;\n")
+    out = tmp_path / "r.json"
+    run("run", script, "--out", out)
+    want = [{k: v for k, v in r.items() if k not in ("query", "kind", "op")}
+            for r in json.loads(out.read_bytes())["records"]]
+    calls = [
+        ("check", "--family", "ptt:1:2", "--cond", "dc", "--horizon", "128"),
+        ("check", "--family", "gevrey:1", "--cond", "gamma-lb",
+         "--alphas", "1,5", "--horizon", "128"),
+        ("check", "--family", "sigma-matrix:2", "--grid", "1,2,4,16,256",
+         "--cond", "mg", "--flavor", "b", "--horizon", "128"),
+        ("compare", "--left", "gevrey:1", "--right", "ptt:1:2", "--rel", "bigO",
+         "--c-max", "2", "--horizon", "64"),
+    ]
+    got = []
+    for argv in calls:
+        run(*argv, "--out", out)
+        rec = json.loads(out.read_bytes())["records"][0]
+        del rec["query"]
+        got.append(rec)
+    assert got == want

@@ -194,6 +194,12 @@ def test_execute_continues_past_query_errors():
     assert recs[1]["status"] == "Holds"
 
 
+def test_execute_bad_flavor_is_a_parameter_error():
+    recs = execute(parse("matrix m = sigma_matrix(sigma=2);\n"
+                         "mcheck mg(m) horizon 32 flavor x;\n"))
+    assert recs[0]["error"]["type"] == "InvalidParameterError"
+
+
 def test_execute_horizon_chain():
     prog = parse("seq g = gevrey(s=1); check lc(g) horizon 64;")
     assert execute(prog)[0]["horizon"] == 64

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wcalc import LogDomainError, log_add, log_sub, log_sum
-from wcalc.logdomain import LOG_ZERO, is_log_zero
+from wcalc.logdomain import LOG_ZERO, is_log_zero, slack
 
 # range where exp() is exact enough for a linear-scale oracle
 moderate = st.floats(min_value=-200.0, max_value=200.0,
@@ -78,3 +78,14 @@ def test_log_sum_edge_cases():
     # huge magnitudes only shift; no overflow
     assert log_sum([1e300, 1e300]) == pytest.approx(1e300 + math.log(2.0), rel=1e-15)
     assert log_sum([-1e300, -1e300]) == pytest.approx(-1e300 + math.log(2.0), rel=1e-15)
+
+
+@given(wide, wide, st.sampled_from([1e-12, 1e-9]))
+def test_slack_is_relative_to_the_larger_magnitude(a, b, rel):
+    # bit for bit the old inline rule rel * max(1, |a|, |b|)
+    assert slack(rel, a, b) == rel * max(1.0, abs(a), abs(b))
+    assert slack(rel, a) == rel * max(1.0, abs(a))
+
+
+def test_slack_at_log_zero_is_infinite():
+    assert slack(1e-12, LOG_ZERO, 0.0) == math.inf

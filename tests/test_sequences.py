@@ -22,7 +22,6 @@ from wcalc import (
     table_exponents,
 )
 from wcalc.matrices import sigma_matrix
-from wcalc.sequences import make_exponents, make_sequence
 
 
 def test_gevrey_terms_are_factorial_powers():
@@ -188,19 +187,6 @@ def test_regularize_output_always_clean(increments):
     drops, negative = slc_violations(r, h)
     assert drops == [] and negative == []
     assert r.log_term(0) == 0.0
-
-
-def test_make_sequence_round_trip(p12):
-    spec = {"family": "ptt", "params": {"tau": 1.0, "sigma": 2.0}}
-    m = make_sequence(spec)
-    for j in range(20):
-        assert m.log_term(j) == p12.log_term(j)
-    phi = make_exponents({"kind": "power", "params": {"sigma": 2.0}})
-    assert phi.value(3) == 9.0
-    with pytest.raises(InvalidParameterError):
-        make_sequence({"family": "unknown"})
-    with pytest.raises(InvalidParameterError):
-        make_exponents({"kind": "unknown"})
 
 
 # --- term windows --------------------------------------------------------

@@ -18,6 +18,7 @@ from wcalc import (
     fit_line,
     running_sup_stabilized,
 )
+from wcalc.verdicts import quarter_minima
 
 
 def test_verdict_props_and_json():
@@ -166,3 +167,14 @@ def test_running_sup_matches_loop_reference(cfg, vals):
     scale = max(1.0, abs(sups[-1]), max(vals) - min(vals))
     want = (moved <= cfg.stabilize_rel * scale, sups[-1])
     assert repr(running_sup_stabilized(vals, cfg)) == repr(want)
+
+
+def test_quarter_minima(cfg):
+    # 1/j shrinks steadily: each later quarter minimum is smaller
+    mins, decaying = quarter_minima([1.0 / j for j in range(1, 65)], cfg)
+    assert mins == [1.0 / 16, 1.0 / 32, 1.0 / 48, 1.0 / 64] and decaying
+    mins, decaying = quarter_minima([2.0] * 64, cfg)
+    assert mins == [2.0] * 4 and not decaying
+    # a window shorter than four entries reuses its last value
+    mins, _ = quarter_minima([3.0, 1.0], cfg)
+    assert mins == [3.0, 1.0, 1.0, 1.0]
