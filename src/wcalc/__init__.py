@@ -53,7 +53,6 @@ from .sequences import (
 from .conditions import (
     CONDITIONS,
     EXPONENT_GAP_FLOOR,
-    ConditionId,
     check_condition,
     exponent_growth_report,
     gamma_lower_bound,

@@ -26,9 +26,8 @@ from .verdicts import (
     HOLDS,
     UNDETERMINED,
     Verdict,
-    classify_trajectory,
     decimate,
-    running_sup_stabilized,
+    trajectory_entry,
 )
 from . import conditions as _conditions
 
@@ -353,33 +352,6 @@ def from_omega(omega: OmegaFunction, ell: float = 1.0,
 # relation checks between sequences through their associated functions
 
 
-def _require_lc_member(m: WeightSequence, h: int, cfg: Config) -> None:
-    lc = _conditions.check_condition(m, "lc", h, cfg)
-    nm = _conditions.check_condition(m, "normalized", h, cfg)
-    profile = _conditions.root_growth_profile(m, h, cfg)
-    if not (lc.holds and nm.holds and profile["divergent"]):
-        raise PreconditionError(
-            f"{m.label()} must be log-convex, normalized, with divergent "
-            f"roots up to {h}",
-            witness={"lc": lc.status, "normalized": nm.status,
-                     "roots_divergent": profile["divergent"]})
-
-
-def _defect_entry(values: list[float], cfg: Config) -> dict:
-    stab, sup = running_sup_stabilized(values, cfg)
-    report = classify_trajectory(list(range(1, len(values))), values[1:], cfg) \
-        if len(values) >= 3 else None
-    entry = {
-        "stabilized": stab,
-        "log_constant": sup,
-        "defects": decimate(values),
-    }
-    if report is not None:
-        entry["trend"] = report.trend
-        entry["slope"] = report.slope
-    return entry
-
-
 def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
                          c_max: int = 4, horizon: int | None = None,
                          grid: LogGrid | None = None,
@@ -394,8 +366,12 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
     if mode not in ("bigO", "smallO", "numeric_ratio"):
         raise InvalidParameterError("mode", f"unknown mode {mode!r}")
     subject = f"assoc_{mode}({m.label()}, {n.label()})"
-    _require_lc_member(m, min(h, 256), cfg)
-    _require_lc_member(n, min(h, 256), cfg)
+    for seq in (m, n):
+        v = _conditions.check_sc(seq, min(h, 256), cfg)
+        if not v.holds:
+            raise PreconditionError(
+                f"{seq.label()} must be log-convex, normalized, with "
+                f"divergent roots up to {min(h, 256)}", witness=v.evidence)
 
     if mode == "numeric_ratio":
         grid = grid or LogGrid(10.0, 1e6, cfg.grid_points)
@@ -439,7 +415,7 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
         for c in range(1, c_max + 1):
             jmax = h // c
             defects = [nt[j] - mt[c * j] / c for j in range(jmax + 1)]
-            per_c[c] = _defect_entry(defects, cfg)
+            per_c[c] = trajectory_entry(range(jmax + 1), defects, cfg)
             if witness_c is None and per_c[c]["stabilized"]:
                 witness_c = c
         ev = {"mode": mode, "per_c": per_c}
@@ -454,7 +430,7 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
     for c in range(1, c_max + 1):
         jmax = h // c
         defects = [mt[c * j] / c - nt[j] for j in range(jmax + 1)]
-        per_c[c] = _defect_entry(defects, cfg)
+        per_c[c] = trajectory_entry(range(jmax + 1), defects, cfg)
         if not per_c[c]["stabilized"]:
             failing.append(c)
     ev = {"mode": mode, "per_c": per_c, "c_max": c_max}

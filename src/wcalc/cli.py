@@ -5,6 +5,9 @@ without --allow-undetermined), 2 usage or script-parse errors, 3 runtime
 errors.  The default horizon honors the WCALC_HORIZON environment
 variable; an explicit --horizon flag beats per-query script options.
 
+An option, --params key or colon part that does not apply to the call
+is a usage error rather than being ignored.
+
 Subcommands build their objects with the script constructors
 (dsl.build) and reach verdicts through the script query runners
 (dsl.run_query), so a CLI call and the equivalent .wsq query give the
@@ -72,7 +75,8 @@ def _resolve(spec: str, params: str | None, cfg, grid: str | None = None,
     Colon parts fill the constructor's parameters in order; --params
     entries fill or override them, and --grid sets a matrix index grid.
     For a matrix, c= in --params or one more colon part selects an
-    element, which is returned as a "seq".
+    element, which is returned as a "seq".  A part, key or grid the family
+    does not take is a usage error.
     """
     params = _parse_params(params)
     grid = _parse_number_list(grid, "--grid") if grid else ()
@@ -83,27 +87,44 @@ def _resolve(spec: str, params: str | None, cfg, grid: str | None = None,
     if name not in names:
         raise UsageError(f"unknown family {name!r}; expected one of {names}")
     ctor, keys = SPECS[name]
-    pos = []
-    for part in rest:
+    kind = _dsl.CONSTRUCTORS[ctor]
+    accepted = keys + ("c",) if kind == "matrix" else keys
+    if len(rest) > len(accepted):
+        raise UsageError(f"{spec!r} has more colon parts than {name!r} "
+                         f"takes ({':'.join((name,) + accepted)})")
+    bad = next((k for k in params if k not in accepted), None)
+    if bad is not None:
+        raise UsageError(f"parameter {bad!r} does not apply to family "
+                         f"{name!r}; it takes {accepted}")
+    if grid and kind != "matrix":
+        raise UsageError(f"--grid applies only to matrix families, "
+                         f"got {name!r}")
+    values = {}
+    for key, part in zip(accepted, rest):
         try:
-            pos.append(float(part))
+            values[key] = float(part)
         except ValueError:
             raise UsageError(f"bad numeric parameter {part!r} in {spec!r}")
+    values.update(params)
     args = []
-    for i, key in enumerate(keys):
-        v = params.get(key, pos[i] if i < len(pos) else None)
-        if v is None:
+    for key in keys:
+        if key not in values:
             raise UsageError(f"family {name!r} needs parameter {key!r}")
-        args.append((key, v))
-    kind = _dsl.CONSTRUCTORS[ctor]
-    if kind == "matrix" and grid:
+        args.append((key, values[key]))
+    if grid:
         args.append(("grid", grid))
     obj = _dsl.build(_dsl.Call(ctor, tuple(args)), {}, cfg)
-    c = params.get("c", pos[len(keys)] if len(pos) > len(keys) else None)
-    if kind != "matrix" or c is None:
+    c = values.get("c")
+    if c is None:
         return kind, obj, spec
     label = ":".join([name] + rest[:len(keys)])
     return "seq", obj.element(c), f"{label}@c={c:g}"
+
+
+def _unused(value, option: str, applies_to: str) -> None:
+    """Reject an option given where it does not apply."""
+    if value is not None:
+        raise UsageError(f"{option} applies only to {applies_to}")
 
 
 def _sequence(kind: str, obj, label: str):
@@ -165,16 +186,19 @@ def _cmd_check(args, cfg, h) -> list:
     kind, obj, label = _resolve(args.family, args.params, cfg, args.grid)
     op = _op("mcheck", args.cond) if kind == "matrix" else None
     if op is not None:
+        _unused(args.alphas, "--alphas", "--cond gamma-lb")
         out = _answer("mcheck", op, cfg, h, {"mm": ("matrix", obj)},
                       flavor=args.flavor)
         return [{"query": f"check {op}({label}) horizon {h} "
                           f"flavor {out['flavor']};", **out}]
+    _unused(args.flavor, "--flavor", "matrix conditions")
     seq, label = _sequence(kind, obj, label)
     op = _op("check", args.cond)
     if op is None:
         raise UsageError(f"unknown condition {args.cond!r}")
     env = {"m": ("seq", seq)}
     if op != "gamma_lb":
+        _unused(args.alphas, "--alphas", "--cond gamma-lb")
         return [{"query": f"check {op}({label}) horizon {h};",
                  **_answer("check", op, cfg, h, env)}]
     if not args.alphas:
@@ -205,7 +229,9 @@ def _cmd_compare(args, cfg, h) -> list:
     if op is None:
         raise UsageError(f"unknown relation {args.rel!r}; expected one of "
                          f"{sorted(_dsl.QUERY_OPS['compare'])}")
-    numbers = {"c_max": float(args.c_max)} if op in ("bigO", "smallO") else {}
+    if op not in ("bigO", "smallO"):
+        _unused(args.c_max, "--c-max", "--rel bigO and smallO")
+    numbers = {} if args.c_max is None else {"c_max": float(args.c_max)}
     out = _answer("compare", op, cfg, h,
                   {"m": ("seq", left), "n": ("seq", right)}, **numbers)
     return [{"query": f"compare {op}({llabel}, {rlabel}) horizon {h};", **out}]
@@ -285,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", required=True,
                    help="preceq|triangle|approx|pointwise-le|quotient-le|"
                         "bigO|smallO|numeric-ratio")
-    p.add_argument("--c-max", dest="c_max", type=int, default=4)
+    p.add_argument("--c-max", dest="c_max", type=int, default=None,
+                   help="largest scale for bigO/smallO (default 4)")
     _add_common(p)
     p.set_defaults(fn=_cmd_compare)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 
 from .config import Config
 from .errors import InvalidParameterError
@@ -41,28 +40,11 @@ CONDITIONS = (
 EXPONENT_GAP_FLOOR = 0.01
 
 
-@dataclass(frozen=True)
-class ConditionId:
-    tag: str
-    q: int | None = None
-
-    def label(self) -> str:
-        return self.tag if self.q is None else f"{self.tag}(Q={self.q})"
-
-
 def _need_horizon(horizon: int | None, cfg: Config) -> int:
     h = cfg.horizon if horizon is None else int(horizon)
     if h < 4:
         raise InvalidParameterError("horizon", f"need horizon >= 4, got {h}")
     return h
-
-
-def _monotone_fails(values: list[float], tol: float) -> int | None:
-    """Position of the first drop (i with v[i] < v[i-1] - tol), else None."""
-    for i in range(1, len(values)):
-        if values[i] < values[i - 1] - tol:
-            return i
-    return None
 
 
 def _powerfit_tail(log_indices, log_values, horizon, margin):
@@ -77,23 +59,17 @@ def _powerfit_tail(log_indices, log_values, horizon, margin):
 
 def check_condition(
     m: WeightSequence,
-    cond: str | ConditionId,
+    cond: str,
     horizon: int | None = None,
     cfg: Config | None = None,
     Q: int = 2,
 ) -> Verdict:
     cfg = cfg or Config()
-    if isinstance(cond, ConditionId):
-        tag = cond.tag
-        if cond.q is not None:
-            Q = cond.q
-    else:
-        tag = cond
-    if tag not in CONDITIONS:
-        raise InvalidParameterError("cond", f"unknown condition {tag!r}; expected one of {CONDITIONS}")
+    if cond not in CONDITIONS:
+        raise InvalidParameterError("cond", f"unknown condition {cond!r}; expected one of {CONDITIONS}")
     h = _need_horizon(horizon, cfg)
-    fn = _DISPATCH[tag]
-    if tag in ("beta1", "beta3"):
+    fn = _DISPATCH[cond]
+    if cond in ("beta1", "beta3"):
         if not isinstance(Q, int) or Q < 2:
             raise InvalidParameterError("Q", f"need integer Q >= 2, got {Q!r}")
         return fn(m, h, cfg, Q)
@@ -104,28 +80,30 @@ def check_condition(
 # exact per-index conditions
 
 
+def _monotone(tag: str, key: str, quotients: list[float], terms: list[float],
+              h: int, cfg: Config) -> Verdict:
+    """Fails at the first drop of the quotient sequence beyond the slack
+    (witness: the index j of the later quotient), Holds otherwise."""
+    tol = slack(cfg.comparison_slack, max(map(abs, terms)))
+    ev = {key: decimate(quotients)}
+    for i in range(1, len(quotients)):
+        if quotients[i] < quotients[i - 1] - tol:
+            ev["drop"] = quotients[i] - quotients[i - 1]
+            return Verdict(tag, FAILS, h, witness=i + 1, evidence=ev)
+    return Verdict(tag, HOLDS, h, evidence=ev)
+
+
 def _check_lc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
-    terms = m.log_terms(h)
-    quotients = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
-    bad = _monotone_fails(quotients,
-                          slack(cfg.comparison_slack, max(map(abs, terms))))
-    ev = {"quotients_log": decimate(quotients)}
-    if bad is None:
-        return Verdict("lc", HOLDS, h, evidence=ev)
-    ev["drop"] = quotients[bad] - quotients[bad - 1]
-    return Verdict("lc", FAILS, h, witness=bad + 1, evidence=ev)
+    t = m.log_terms(h)
+    return _monotone("lc", "quotients_log",
+                     [t[j] - t[j - 1] for j in range(1, h + 1)], t, h, cfg)
 
 
 def _check_slc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
-    terms = m.log_terms(h)
-    reduced = [terms[j] - terms[j - 1] - math.log(j) for j in range(1, h + 1)]
-    bad = _monotone_fails(reduced,
-                          slack(cfg.comparison_slack, max(map(abs, terms))))
-    ev = {"reduced_quotients_log": decimate(reduced)}
-    if bad is None:
-        return Verdict("slc", HOLDS, h, evidence=ev)
-    ev["drop"] = reduced[bad] - reduced[bad - 1]
-    return Verdict("slc", FAILS, h, witness=bad + 1, evidence=ev)
+    t = m.log_terms(h)
+    return _monotone("slc", "reduced_quotients_log",
+                     [t[j] - t[j - 1] - math.log(j) for j in range(1, h + 1)],
+                     t, h, cfg)
 
 
 def _check_normalized(m: WeightSequence, h: int, cfg: Config) -> Verdict:
@@ -137,6 +115,23 @@ def _check_normalized(m: WeightSequence, h: int, cfg: Config) -> Verdict:
     if t1 < t0 - cfg.comparison_slack:
         return Verdict("normalized", FAILS, h, witness=1, evidence=ev)
     return Verdict("normalized", HOLDS, h, evidence=ev)
+
+
+def check_sc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+    """The regularity certificate: log-convex, normalized and with
+    divergent roots up to h.  Fails with the lc witness, else the
+    normalized one (both checks are exact); Undetermined when only the
+    divergence of the roots is missing."""
+    lc = check_condition(m, "lc", h, cfg)
+    nm = check_condition(m, "normalized", h, cfg)
+    divergent = root_growth_profile(m, h, cfg)["divergent"]
+    ev = {"lc": lc.status, "normalized": nm.status,
+          "roots_divergent": divergent}
+    if lc.fails or nm.fails:
+        return Verdict("sc", FAILS, h,
+                       witness=lc.witness if lc.fails else nm.witness,
+                       evidence=ev)
+    return Verdict("sc", HOLDS if divergent else UNDETERMINED, h, evidence=ev)
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,12 @@ from .sequences import (
     scaled,
 )
 from .verdicts import (
-    FAILS,
     HOLDS,
     UNDETERMINED,
     UP,
     Verdict,
-    classify_trajectory,
-    decimate,
     quarter_minima,
-    running_sup_stabilized,
+    trajectory_entry,
 )
 from . import conditions as _conditions
 from . import relations as _relations
@@ -87,10 +84,13 @@ def condition_id(tag: str, flavor: str = ROUMIEU) -> MatrixConditionId:
 
 
 class WeightMatrix:
+    """A map c -> weight sequence over an ascending index grid; building
+    one checks that grid neighbours are pointwise ordered up to index 64
+    and raises OrderViolationError otherwise."""
+
     def __init__(self, construction: str, params: dict,
                  element_fn: Callable[[float], WeightSequence],
-                 index_grid, phi: ExponentSequence | None = None,
-                 diagnostics: dict | None = None) -> None:
+                 index_grid, phi: ExponentSequence | None = None) -> None:
         grid = tuple(float(c) for c in index_grid)
         if len(grid) < 1:
             raise InvalidParameterError("index_grid", "empty index grid")
@@ -104,7 +104,7 @@ class WeightMatrix:
         self._fn = element_fn
         self._phi = phi
         self._memo: dict[float, WeightSequence] = {}
-        self.diagnostics = diagnostics or {}
+        _validate_order(self)
 
     def element(self, c: float) -> WeightSequence:
         c = float(c)
@@ -132,11 +132,11 @@ class WeightMatrix:
                 "index_grid": list(self.index_grid)}
 
 
-def _validate_order(mm: WeightMatrix, horizon: int = _ORDER_CHECK_HORIZON) -> None:
+def _validate_order(mm: WeightMatrix) -> None:
     grid = mm.index_grid
     for a, b in zip(grid, grid[1:]):
         ea, eb = mm.element(a), mm.element(b)
-        top = horizon
+        top = _ORDER_CHECK_HORIZON
         for seq in (ea, eb):
             if seq.max_index() is not None:
                 top = min(top, seq.max_index())
@@ -149,26 +149,14 @@ def _validate_order(mm: WeightMatrix, horizon: int = _ORDER_CHECK_HORIZON) -> No
                     witness=(a, b, j))
 
 
-def _phi_diagnostics(phi: ExponentSequence, horizon: int = _ORDER_CHECK_HORIZON) -> dict:
-    vals = [phi.value(j) for j in range(horizon + 2)]
-    convex = all(2.0 * vals[j] <= vals[j - 1] + vals[j + 1] + 1e-9
-                 for j in range(1, horizon + 1))
-    ratios = [vals[j] / j for j in range(1, horizon + 1)]
-    ratio_monotone = all(ratios[i] <= ratios[i + 1] + 1e-9
-                         for i in range(len(ratios) - 1))
-    return {"phi_convex": convex, "phi_ratio_monotone": ratio_monotone}
-
-
 def scale_family(base: WeightSequence, phi: ExponentSequence,
                  index_grid=DEFAULT_INDEX_GRID) -> WeightMatrix:
     """Elements c -> base rescaled by c^(phi_j)."""
-    mm = WeightMatrix(
+    return WeightMatrix(
         "scale_family",
         {"base": base.label(), "phi": phi.label(), "_base": base, "_phi": phi},
         lambda c: scaled(base, phi, c),
-        index_grid, phi=phi, diagnostics=_phi_diagnostics(phi))
-    _validate_order(mm)
-    return mm
+        index_grid, phi=phi)
 
 
 def ptt_matrix(tau: float, sigma: float,
@@ -176,12 +164,10 @@ def ptt_matrix(tau: float, sigma: float,
     """Elements c -> c^(j^sigma) * j^(tau j^sigma)."""
     base = ptt(tau, sigma)
     phi = power_exponents(sigma)
-    mm = WeightMatrix(
+    return WeightMatrix(
         "ptt_matrix", {"tau": float(tau), "sigma": float(sigma)},
         lambda c: scaled(base, phi, c),
-        index_grid, phi=phi, diagnostics=_phi_diagnostics(phi))
-    _validate_order(mm)
-    return mm
+        index_grid, phi=phi)
 
 
 def sigma_matrix(sigma: float, index_grid=DEFAULT_INDEX_GRID) -> WeightMatrix:
@@ -209,22 +195,18 @@ def sigma_matrix(sigma: float, index_grid=DEFAULT_INDEX_GRID) -> WeightMatrix:
         return WeightSequence(
             "sigma_element", {"tau": tau, "sigma": sigma}, term)
 
-    mm = WeightMatrix("sigma_matrix", {"sigma": sigma}, make, index_grid)
-    _validate_order(mm)
-    return mm
+    return WeightMatrix("sigma_matrix", {"sigma": sigma}, make, index_grid)
 
 
 def matrix_scale(base: WeightMatrix, phi: ExponentSequence,
                  index_grid=None) -> WeightMatrix:
     """Elements c -> c^(phi_j) * N^(c)_j for a base matrix N."""
     grid = tuple(index_grid) if index_grid is not None else base.index_grid
-    mm = WeightMatrix(
+    return WeightMatrix(
         "matrix_scale",
         {"base": base.label(), "phi": phi.label(), "_base": base, "_phi": phi},
         lambda c: scaled(base.element(c), phi, c),
-        grid, phi=phi, diagnostics=_phi_diagnostics(phi))
-    _validate_order(mm)
-    return mm
+        grid, phi=phi)
 
 
 def exponent_family_scale(base: WeightSequence, family: ExponentFamily,
@@ -245,14 +227,12 @@ def exponent_family_scale(base: WeightSequence, family: ExponentFamily,
                     "exponent family breaks the signed ordering "
                     f"Phi^a_j log a <= Phi^b_j log b at (a={a}, b={b}, j={j})",
                     witness=(a, b, j))
-    mm = WeightMatrix(
+    return WeightMatrix(
         "exponent_family_scale",
         {"base": base.label(), "family": family.label(),
          "_base": base, "_family": family},
         lambda c: scaled(base, family.sequence(c), c),
         grid)
-    _validate_order(mm)
-    return mm
 
 
 def generic_matrix(pairs) -> WeightMatrix:
@@ -271,10 +251,8 @@ def generic_matrix(pairs) -> WeightMatrix:
                 "c", f"index {c} not in generic matrix grid {sorted(table)}")
         return got
 
-    mm = WeightMatrix("generic", {"indices": [c for c, _ in items]}, fn,
-                      [c for c, _ in items])
-    _validate_order(mm)
-    return mm
+    return WeightMatrix("generic", {"indices": [c for c, _ in items]}, fn,
+                        [c for c, _ in items])
 
 
 def matrix_term(mm: WeightMatrix, c: float, j: int) -> float:
@@ -316,17 +294,6 @@ def _sides(mm: WeightMatrix, alpha: float, beta: float, flavor: str):
     return mm.element(beta), mm.element(alpha)
 
 
-def _trajectory_entry(indices, values, cfg: Config) -> dict:
-    stab, sup = running_sup_stabilized(values, cfg)
-    entry = {"stabilized": stab, "log_constant": sup,
-             "defects": decimate(values)}
-    if len(values) >= 3:
-        rep = classify_trajectory(indices, values, cfg)
-        entry["trend"] = rep.trend
-        entry["slope"] = rep.slope
-    return entry
-
-
 @functools.lru_cache(maxsize=64)
 def _mg_points(h: int, count: int, seed: int):
     """Diagonal and sampled (j, k) points sorted by j + k, as the arrays of
@@ -344,13 +311,13 @@ def _test_mg(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -
     sums = [j + k for j, k in zip(js, ks)]
     tl, tr = left.log_terms(sums[-1]), right.log_terms(max(max(js), max(ks)))
     vals = [(tl[n] - tr[j] - tr[k]) / (n + 1) for n, j, k in zip(sums, js, ks)]
-    return _trajectory_entry(sums, vals, cfg)
+    return trajectory_entry(sums, vals, cfg)
 
 
 def _test_dc(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
     tl, tr = left.log_terms(h), right.log_terms(h - 1)
     vals = [(tl[j + 1] - tr[j]) / (j + 1) for j in range(h)]
-    return _trajectory_entry(list(range(1, h + 1)), vals, cfg)
+    return trajectory_entry(range(1, h + 1), vals, cfg)
 
 
 def _test_l(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
@@ -361,7 +328,7 @@ def _test_l(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) ->
     for cconst in cfg.l_constants:
         lc = math.log(cconst)
         vals = [j * lc + tl[j] - tr[j] for j in range(h + 1)]
-        entry = _trajectory_entry(list(range(1, h + 1)), vals[1:], cfg)
+        entry = trajectory_entry(range(1, h + 1), vals[1:], cfg)
         per_c[cconst] = entry
         ok = ok and entry["stabilized"]
         if worst is None or entry["log_constant"] > worst:
@@ -377,7 +344,7 @@ def _test_rai(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) 
     for i in range(len(suffmin) - 2, -1, -1):
         suffmin[i] = min(suffmin[i], suffmin[i + 1])
     vals = [tl[j] / j - suffmin[j - 1] for j in range(1, h + 1)]
-    return _trajectory_entry(list(range(1, h + 1)), vals, cfg)
+    return trajectory_entry(range(1, h + 1), vals, cfg)
 
 
 def _test_fdb(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
@@ -386,7 +353,7 @@ def _test_fdb(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) 
     reduced = [tl[j] - math.lgamma(j + 1) for j in range(k_top + 1)]
     comp = composition_sequence(reduced, k_top)
     vals = [(comp[k] - (tr[k] - math.lgamma(k + 1))) / k for k in range(1, k_top + 1)]
-    entry = _trajectory_entry(list(range(1, k_top + 1)), vals, cfg)
+    entry = trajectory_entry(range(1, k_top + 1), vals, cfg)
     entry["k_top"] = k_top
     return entry
 
@@ -407,21 +374,6 @@ _PAIR_TESTS = {
 }
 
 
-def _check_sc_element(m: WeightSequence, h: int, cfg: Config, subject: str) -> Verdict:
-    lc = _conditions.check_condition(m, "lc", h, cfg)
-    nm = _conditions.check_condition(m, "normalized", h, cfg)
-    profile = _conditions.root_growth_profile(m, h, cfg)
-    ev = {"lc": lc.status, "normalized": nm.status,
-          "roots_divergent": profile["divergent"]}
-    if lc.status == FAILS or nm.status == FAILS:
-        return Verdict(subject, FAILS, h,
-                       witness=lc.witness if lc.status == FAILS else nm.witness,
-                       evidence=ev)
-    if lc.holds and nm.holds and profile["divergent"]:
-        return Verdict(subject, HOLDS, h, evidence=ev)
-    return Verdict(subject, UNDETERMINED, h, evidence=ev)
-
-
 def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
                            index_grid=None, horizon: int | None = None,
                            cfg: Config | None = None) -> dict:
@@ -436,11 +388,14 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
         raise InvalidParameterError("index_grid",
                                     f"need at least 3 indices, got {len(grid)}")
 
+    growth = _conditions.exponent_growth_report(mm.phi, h, cfg) \
+        if cond.tag == "L" and mm.phi is not None else None
     out: dict[float, Verdict] = {}
     for alpha in grid:
         subject = f"{mm.label()}:{cond.tag}-{cond.flavor}@{alpha:g}"
         if cond.tag == "sc":
-            out[alpha] = _check_sc_element(mm.element(alpha), h, cfg, subject)
+            out[alpha] = v = _conditions.check_sc(mm.element(alpha), h, cfg)
+            v.subject = subject
             continue
         if cond.tag == "constant":
             anchor = grid[0]
@@ -474,20 +429,17 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
             ev = {"alpha": alpha, "beta": beta, "beyond_grid": beyond,
                   "flavor": cond.flavor, "condition": cond.tag}
             ev.update(entry)
-            if mm.phi is not None and cond.tag == "L":
-                ev["exponent_growth"] = _conditions.exponent_growth_report(
-                    mm.phi, h, cfg)
-            out[alpha] = Verdict(subject, HOLDS, h, witness=beta, evidence=ev)
+            v = Verdict(subject, HOLDS, h, witness=beta, evidence=ev)
         else:
             ev = {"alpha": alpha, "flavor": cond.flavor, "condition": cond.tag,
                   "diverging": all_up}
             if best is not None:
                 ev["best_beta"] = best[0]
                 ev["best"] = best[2]
-            if mm.phi is not None and cond.tag == "L":
-                ev["exponent_growth"] = _conditions.exponent_growth_report(
-                    mm.phi, h, cfg)
-            out[alpha] = Verdict(subject, UNDETERMINED, h, evidence=ev)
+            v = Verdict(subject, UNDETERMINED, h, evidence=ev)
+        if growth is not None:
+            ev["exponent_growth"] = growth
+        out[alpha] = v
     return out
 
 

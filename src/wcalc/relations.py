@@ -9,7 +9,6 @@ sinks without return.  Pointwise relations are exact per-index checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .config import Config
 from .errors import InvalidParameterError
@@ -30,15 +29,6 @@ RELATIONS = ("preceq", "approx", "triangle", "pointwise_le", "quotient_le")
 
 # tolerance for the constant-ratio fast path of scaled families
 RATIO_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RelationId:
-    tag: str
-    phi: ExponentSequence | None = None
-
-    def label(self) -> str:
-        return self.tag if self.phi is None else f"{self.tag}[phi={self.phi.label()}]"
 
 
 def _ratio_trajectory(m, n, h, phi):
@@ -119,29 +109,24 @@ def _pointwise(m, n, h, cfg, quotients: bool) -> Verdict:
 def compare(
     m: WeightSequence,
     n: WeightSequence,
-    rel: str | RelationId,
+    rel: str,
     horizon: int | None = None,
     cfg: Config | None = None,
     phi: ExponentSequence | None = None,
 ) -> Verdict:
     cfg = cfg or Config()
-    if isinstance(rel, RelationId):
-        tag = rel.tag
-        phi = rel.phi if rel.phi is not None else phi
-    else:
-        tag = rel
-    if tag not in RELATIONS:
-        raise InvalidParameterError("rel", f"unknown relation {tag!r}; expected one of {RELATIONS}")
+    if rel not in RELATIONS:
+        raise InvalidParameterError("rel", f"unknown relation {rel!r}; expected one of {RELATIONS}")
     h = cfg.horizon if horizon is None else int(horizon)
     if h < 4:
         raise InvalidParameterError("horizon", f"need horizon >= 4, got {h}")
-    if tag in ("pointwise_le", "quotient_le"):
+    if rel in ("pointwise_le", "quotient_le"):
         if phi is not None:
-            raise InvalidParameterError("phi", f"{tag} takes no exponent sequence")
-        v = _pointwise(m, n, h, cfg, tag == "quotient_le")
-    elif tag == "preceq":
+            raise InvalidParameterError("phi", f"{rel} takes no exponent sequence")
+        v = _pointwise(m, n, h, cfg, rel == "quotient_le")
+    elif rel == "preceq":
         v = _preceq(m, n, h, cfg, phi)
-    elif tag == "triangle":
+    elif rel == "triangle":
         v = _triangle(m, n, h, cfg, phi)
     else:  # approx
         fwd = _preceq(m, n, h, cfg, phi)
@@ -157,7 +142,7 @@ def compare(
     v.evidence["left"] = m.label()
     v.evidence["right"] = n.label()
     if phi is not None:
-        v.subject = f"{tag}[phi={phi.label()}]"
+        v.subject = f"{rel}[phi={phi.label()}]"
         v.evidence["phi"] = phi.label()
     return v
 

@@ -133,7 +133,6 @@ class WeightSequence:
     params: dict
     _fn: Callable[[int], float] = field(repr=False)
     length: int | None = None
-    horizon_hint: int = 512
     _memo: dict = field(default_factory=dict, repr=False)
     _window: list = field(default_factory=list, repr=False)
 
@@ -244,9 +243,7 @@ def table(values=None, log_values=None) -> WeightSequence:
     if not logs:
         raise InvalidParameterError("values", "empty table")
     return WeightSequence(
-        "table", {"length": len(logs)}, logs.__getitem__, length=len(logs),
-        horizon_hint=len(logs) - 1,
-    )
+        "table", {"length": len(logs)}, logs.__getitem__, length=len(logs))
 
 
 def scaled(base: WeightSequence, phi: ExponentSequence, c: float) -> WeightSequence:
@@ -262,9 +259,7 @@ def scaled(base: WeightSequence, phi: ExponentSequence, c: float) -> WeightSeque
         "scaled",
         {"base": base.label(), "phi": phi.label(), "c": c, "_base": base, "_phi": phi},
         lambda j: base.log_term(j) + phi.value(j) * log_c,
-        length=length,
-        horizon_hint=base.horizon_hint,
-    )
+        length=length)
 
 
 def callable_sequence(family: str, params: dict, fn: Callable[[int], float],
@@ -327,7 +322,5 @@ def regularize_slc(m: WeightSequence, horizon: int) -> WeightSequence:
         "regularized",
         {"base": m.label(), "patch_index": reported, "_base": m},
         m.log_term if unchanged else term,
-        length=m.length,
-        horizon_hint=m.horizon_hint,
-    )
+        length=m.length)
 

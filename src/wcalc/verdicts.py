@@ -168,6 +168,26 @@ def running_sup_stabilized(values, cfg: Config) -> tuple[bool, float]:
     return moved <= cfg.stabilize_rel * scale, sups[-1]
 
 
+def trajectory_entry(indices, values, cfg: Config) -> dict:
+    """Evidence of a defect trajectory sampled at increasing indices.
+
+    stabilized and log_constant are the running-sup rule over every value,
+    defects a thinned copy of them; from three points on, trend and slope
+    come from classify_trajectory.  A point at index 0 counts toward the
+    sup and the defects but stays out of the fit in ln(index).
+    """
+    stab, sup = running_sup_stabilized(values, cfg)
+    entry = {"stabilized": stab, "log_constant": sup,
+             "defects": decimate(values)}
+    if len(values) >= 3:
+        if indices[0] == 0:
+            indices, values = indices[1:], values[1:]
+        rep = classify_trajectory(indices, values, cfg)
+        entry["trend"] = rep.trend
+        entry["slope"] = rep.slope
+    return entry
+
+
 def quarter_minima(values, cfg: Config) -> tuple[list[float], bool]:
     """Minimum of each quarter of the window, and whether they decay.
 

@@ -24,8 +24,7 @@ from .verdicts import (
     UNDETERMINED,
     UP,
     Verdict,
-    classify_trajectory,
-    running_sup_stabilized,
+    trajectory_entry,
 )
 from . import conditions as _conditions
 from .matrices import WeightMatrix
@@ -262,11 +261,11 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
         elem = mm.element(c)
         for h in hs:
             vals = seminorm_trajectory(f, elem, phi, h)
-            stab, sup = running_sup_stabilized(vals, cfg)
-            cell = {"sup": sup, "stabilized": stab}
-            if len(vals) >= 3:
-                rep = classify_trajectory(range(1, len(vals) + 1), vals, cfg)
-                cell["trend"] = rep.trend
+            entry = trajectory_entry(range(1, len(vals) + 1), vals, cfg)
+            cell = {"sup": entry["log_constant"],
+                    "stabilized": entry["stabilized"]}
+            if "trend" in entry:
+                cell["trend"] = entry["trend"]
             table[(c, h)] = cell
 
     subject = f"membership({f.label or f.source}, {mm.label()})"

@@ -11,7 +11,7 @@ import sys
 import jsonschema
 import pytest
 
-from wcalc import cli, ptt_matrix, synthetic_bounds
+from wcalc import cli, gevrey, ptt_matrix, synthetic_bounds
 
 ROOT = pathlib.Path(__file__).parents[1]
 DATA = pathlib.Path(__file__).parent / "data"
@@ -125,11 +125,15 @@ def test_golden_report_bytes(tmp_path):
 # these reports must update the digest and say why in CHANGES.md.
 # windows.wsq runs every reader of a window of log M_j once; its short
 # tables end in two error records on purpose, hence exit code 3.
+# evidence.wsq runs each path that turns a trajectory or the sc
+# certificate into evidence; gevrey(s=0.01) fails the certificate at
+# horizon 64, so its bigO/smallO records are errors, hence exit code 3.
 # Recorded with CPython 3.11 on Linux x86-64; another libm may move the
 # last bit of an lgamma and with it the digest.
 GOLDEN_SHA256 = {
     "smoke.wsq": (0, "0aceb7aef7bdb96945e4648e29dde2440d137db7041eb86a892507659b66ec9e"),
     "windows.wsq": (3, "853dc34a2f1038b51633a1d675556d462a527e564bccdb5a561f48846c3a5d9d"),
+    "evidence.wsq": (3, "0f17709aa8b4a7d022da8f73a5c494767ef01d38f3a098c1a40bfcf5dfec4ae9"),
 }
 
 
@@ -212,6 +216,60 @@ def test_classify_from_csv(tmp_path, bounds_csv):
                "--out", out2) == 1
     assert (json.loads(out2.read_bytes())["records"][0]["statuses"]
             == ["Holds", "Fails"])
+
+
+# (argv, text the error names): each call exits 0 when the part that does
+# not apply is ignored, and must instead be a usage error naming it
+INAPPLICABLE = {
+    "flavor-on-seq": (("check", "--family", "gevrey:1", "--cond", "lc",
+                       "--flavor", "b"), "--flavor"),
+    "flavor-on-element": (("check", "--family", "ptt-matrix:1:2:2",
+                           "--cond", "lc", "--flavor", "r"), "--flavor"),
+    "alphas-on-seq": (("check", "--family", "gevrey:1", "--cond", "lc",
+                       "--alphas", "1,2"), "--alphas"),
+    "alphas-on-matrix": (("check", "--family", "sigma-matrix:2", "--cond", "mg",
+                          "--grid", "1,2,4,16,256", "--horizon", "64",
+                          "--alphas", "1"), "--alphas"),
+    "grid-on-seq": (("check", "--family", "gevrey:1", "--cond", "lc",
+                     "--grid", "1,2"), "--grid"),
+    "c-max-on-preceq": (("compare", "--left", "gevrey:0.5", "--right",
+                         "gevrey:1", "--rel", "preceq", "--c-max", "9"),
+                        "--c-max"),
+    "params-key": (("check", "--family", "gevrey:1", "--params", "tau=3",
+                    "--cond", "lc"), "'tau'"),
+    "params-c-on-seq": (("check", "--family", "gevrey:1", "--params", "c=2",
+                         "--cond", "lc"), "'c'"),
+    "right-params-key": (("compare", "--left", "gevrey:0.5", "--right",
+                          "gevrey:1", "--right-params", "bogus=1",
+                          "--rel", "preceq"), "'bogus'"),
+    "parts-on-seq": (("check", "--family", "gevrey:1:7:8", "--cond", "lc"),
+                     "gevrey:1:7:8"),
+    "parts-on-matrix": (("check", "--family", "ptt-matrix:1:2:2:5",
+                         "--cond", "lc"), "ptt-matrix:1:2:2:5"),
+    "parts-on-phi": (("classify", "--bounds", "gevrey.csv",
+                      "--matrix", "ptt-matrix:1:2", "--phi", "power:2:9"),
+                     "power:2:9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INAPPLICABLE))
+def test_inapplicable_option_is_usage_error(name, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.chdir(tmp_path)
+    b = synthetic_bounds(gevrey(1.0), 64)
+    with open("gevrey.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["j", "log_bound"])
+        for j, v in enumerate(b.bounds):
+            w.writerow([j, repr(v)])
+    argv, named = INAPPLICABLE[name]
+    assert run(*argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_grid_with_element_index_allowed():
+    assert run("check", "--family", "ptt-matrix:1:2:2", "--grid", "1,2,4",
+               "--cond", "lc") == 0
 
 
 def test_installed_entry_point(tmp_path):

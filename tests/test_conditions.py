@@ -24,7 +24,7 @@ from wcalc import (
     table,
     table_exponents,
 )
-from wcalc.conditions import CONDITIONS, ConditionId
+from wcalc.conditions import CONDITIONS, check_sc
 
 H = 256
 
@@ -100,10 +100,7 @@ def test_beta1_boundary_family(g1, g2):
 
 
 def test_condition_id_dispatch(g2):
-    cid = ConditionId("beta1", 4)
-    assert cid.label() == "beta1(Q=4)"
-    assert ConditionId("lc").label() == "lc"
-    v = check_condition(g2, cid, horizon=H)
+    v = check_condition(g2, "beta1", horizon=H, Q=4)
     assert v.evidence["Q"] == 4
 
 
@@ -120,6 +117,18 @@ def test_slc_failure_witness():
     v = check_condition(m, "slc", horizon=5)
     assert v.status == FAILS
     assert v.witness == 2
+
+
+def test_sc_certificate(g1, cfg):
+    ok = check_sc(g1, 64, cfg)
+    assert ok.status == HOLDS
+    assert ok.evidence == {"lc": HOLDS, "normalized": HOLDS,
+                           "roots_divergent": True}
+    bad = check_sc(table(log_values=[0.0, 1.0, 3.0, 4.0, 6.0]), 4, cfg)
+    assert (bad.status, bad.witness) == (FAILS, 3)  # the lc witness
+    slow = check_sc(gevrey(0.01), 64, cfg)
+    assert slow.status == UNDETERMINED
+    assert slow.evidence["roots_divergent"] is False
 
 
 def test_normalized_failures():

@@ -92,7 +92,6 @@ def test_ptt_matrix_terms():
     assert matrix_term(mm, 0.5, 3) == pytest.approx(
         9.0 * math.log(3.0) + 9.0 * math.log(0.5), rel=1e-14)
     assert mm.phi is not None
-    assert mm.diagnostics["phi_convex"]
 
 
 def test_matrix_scale_composes_scalings():

@@ -18,7 +18,7 @@ from wcalc import (
     fit_line,
     running_sup_stabilized,
 )
-from wcalc.verdicts import quarter_minima
+from wcalc.verdicts import quarter_minima, trajectory_entry
 
 
 def test_verdict_props_and_json():
@@ -178,3 +178,26 @@ def test_quarter_minima(cfg):
     # a window shorter than four entries reuses its last value
     mins, _ = quarter_minima([3.0, 1.0], cfg)
     assert mins == [3.0, 1.0, 1.0, 1.0]
+
+
+def test_trajectory_entry_leaves_index_zero_out_of_the_fit(cfg):
+    vals = [50.0] + [math.log(j) for j in range(1, 40)]
+    got = trajectory_entry(range(40), vals, cfg)
+    stab, sup = running_sup_stabilized(vals, cfg)
+    rep = classify_trajectory(range(1, 40), vals[1:], cfg)
+    assert got == {"stabilized": stab, "log_constant": sup,
+                   "defects": decimate(vals), "trend": rep.trend,
+                   "slope": rep.slope}
+    # the index-0 point sets the sup; classified with the rest, its early
+    # peak would read as a frozen trajectory
+    assert got["log_constant"] == 50.0 and got["trend"] == UP
+    assert classify_trajectory(range(1, 41), vals, cfg).trend == FROZEN
+    # from index 1 on every point is fitted
+    one = trajectory_entry(range(1, 41), vals, cfg)
+    assert one["slope"] == classify_trajectory(range(1, 41), vals, cfg).slope
+
+
+def test_trajectory_entry_two_points_has_no_trend(cfg):
+    got = trajectory_entry(range(2), [0.0, 1.0], cfg)
+    assert set(got) == {"stabilized", "log_constant", "defects"}
+    assert got["log_constant"] == 1.0
