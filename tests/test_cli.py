@@ -399,3 +399,51 @@ def test_cli_record_matches_script_record(tmp_path, monkeypatch):
         del rec["query"]
         got.append(rec)
     assert got == want
+
+
+# usage errors from family resolution: exact stderr, exit 2
+_PHI = ("classify", "--bounds", "bounds.csv", "--matrix", "ptt-matrix:1:2",
+        "--phi")
+USAGE_MESSAGES = [
+    (("check", "--family", "weird:1", "--cond", "lc"),
+     "unknown family 'weird'; expected one of "
+     "('gevrey', 'ptt', 'ptt-matrix', 'sigma-matrix')"),
+    (_PHI + ("gevrey:1",),
+     "unknown family 'gevrey'; expected one of ('linear', 'power')"),
+    (("check", "--family", "gevrey:1:7:8", "--cond", "lc"),
+     "'gevrey:1:7:8' has more colon parts than 'gevrey' takes (gevrey:s)"),
+    (("check", "--family", "ptt-matrix:1:2:2:5", "--cond", "lc"),
+     "'ptt-matrix:1:2:2:5' has more colon parts than 'ptt-matrix' takes "
+     "(ptt-matrix:tau:sigma:c)"),
+    (_PHI + ("power:2:9",),
+     "'power:2:9' has more colon parts than 'power' takes (power:sigma)"),
+    (("check", "--family", "gevrey:1", "--params", "tau=3", "--cond", "lc"),
+     "parameter 'tau' does not apply to family 'gevrey'; it takes ('s',)"),
+    (("check", "--family", "ptt-matrix:1:2", "--params", "s=3",
+      "--cond", "lc"),
+     "parameter 's' does not apply to family 'ptt-matrix'; "
+     "it takes ('tau', 'sigma', 'c')"),
+    (("check", "--family", "ptt:1", "--cond", "lc"),
+     "family 'ptt' needs parameter 'sigma'"),
+    (("check", "--family", "ptt-matrix", "--params", "tau=1", "--cond", "lc"),
+     "family 'ptt-matrix' needs parameter 'sigma'"),
+    (_PHI + ("power",), "family 'power' needs parameter 'sigma'"),
+    (("check", "--family", "gevrey:1", "--cond", "lc", "--grid", "1,2"),
+     "--grid applies only to matrix families, got 'gevrey'"),
+    (("check", "--family", "ptt-matrix:1:2", "--cond", "lc"),
+     "matrix family 'ptt-matrix:1:2' needs an element index "
+     "(c= in --params or a trailing :C)"),
+    (("compare", "--left", "sigma-matrix:2", "--right", "gevrey:1",
+      "--rel", "preceq"),
+     "matrix family 'sigma-matrix:2' needs an element index "
+     "(c= in --params or a trailing :C)"),
+    (("check", "--family", "gevrey:x", "--cond", "lc"),
+     "bad numeric parameter 'x' in 'gevrey:x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_MESSAGES)
+def test_usage_messages(argv, message, bounds_csv, monkeypatch, capsys):
+    monkeypatch.chdir(bounds_csv.parent)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"wcalc: {message}\n"

@@ -228,3 +228,47 @@ def test_smoke_script_runs_deterministically():
                                                    abs=1e-12)
     assert by_op["omega"]["value"] == pytest.approx(2.0 - math.log(2.0),
                                                     abs=1e-12)
+
+
+# malformed calls through execute: the exact error record of each, so a
+# change to how calls are bound keeps every type and message
+_PRE = ("seq g = gevrey(s=1); exp p = power(sigma=2); exp x = linear();\n"
+        "matrix m = ptt_matrix(1, 2); omega w = assoc(g);\n")
+_NUM = "{} must be a number"
+_LIST = "{} must be a list of numbers"
+_LOG_GRID = "grid option here means [t_min, t_max, points]"
+_BOUNDS = "{} needs derivative-bound data (theta_bounds) as its first argument"
+ERROR_RECORDS = [
+    ("seq a = ptt(tau=1, 2);", "ptt: positional argument after a named one"),
+    ("seq a = gevrey(s=1, s=2);", "gevrey: duplicate argument 's'"),
+    ("seq a = gevrey(1, s=2);", "gevrey: duplicate argument 's'"),
+    ("seq a = gevrey(1, 2);", "gevrey: takes at most 1 arguments"),
+    ("check lc(g, g);", "lc: takes at most 1 arguments"),
+    ("seq a = gevrey(t=1);", "gevrey: unknown argument 't'"),
+    ("seq a = ptt(1);", "ptt: missing argument 'sigma'"),
+    ("compare preceq(g);", "preceq: missing argument 'n'"),
+    ("seq a = gevrey(s=[1]);", _NUM.format("s")),
+    ("seq a = gevrey(g);", _NUM.format("s")),
+    ("seq a = scale(g, x, [2]);", _NUM.format("c")),
+    ("seq a = theta_bounds(g, 8, [1]);", _NUM.format("truncation")),
+    ("compare bigO(g, g, [1]);", _NUM.format("c_max")),
+    ("seq a = table(values=3);", _LIST.format("values")),
+    ("check gamma_lb(g, 3);", _LIST.format("alphas")),
+    ("mcheck mg(m) grid [g];", _LIST.format("grid")),
+    ("check lc(x);", "lc: m must be a seq, 'x' is a exp"),
+    ("mcheck mg(g);", "mg: mm must be a matrix, 'g' is a seq"),
+    ("eval omega(g, 2);", "omega: w must be a omega, 'g' is a seq"),
+    ("classify membership(m, m);", "membership: f must be a seq, 'm' is a matrix"),
+    ("eval conjugate(w, 3) grid [1, 2];", _LOG_GRID),
+    ("eval recover(w, 3) grid [1, 2, 3, 4];", _LOG_GRID),
+    ("compare numeric_ratio(g, g) grid [1];", _LOG_GRID),
+    ("eval seminorm(g, g, p, 2);", _BOUNDS.format("seminorm")),
+    ("classify membership(g, m);", _BOUNDS.format("classify membership")),
+]
+
+
+@pytest.mark.parametrize("stmt, message", ERROR_RECORDS)
+def test_error_record_messages(stmt, message):
+    records = execute(parse(_PRE + stmt))
+    assert all("error" not in r for r in records[:-1])
+    assert records[-1]["error"] == {"type": "WcalcError", "message": message}
