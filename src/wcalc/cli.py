@@ -26,16 +26,14 @@ from . import dsl as _dsl
 from . import report as _report
 from . import witness as _witness
 
-# spec name -> (script constructor, its parameters in colon order); a
-# matrix spec takes one more colon part, the element index C
-SPECS = {
-    "gevrey": ("gevrey", ("s",)),
-    "ptt": ("ptt", ("tau", "sigma")),
-    "ptt-matrix": ("ptt_matrix", ("tau", "sigma")),
-    "sigma-matrix": ("sigma_matrix", ("sigma",)),
-    "linear": ("linear", ()),
-    "power": ("power", ("sigma",)),
-}
+# spec name -> (script constructor, its parameters in colon order): the
+# constructors whose required parameters are all numbers; a matrix spec
+# takes one more colon part, the element index C
+SPECS = {name.replace("_", "-"): (name, tuple(p.name for p in sig.params
+                                               if p.required))
+         for (kind, name), sig in _dsl.SIGNATURES.items()
+         if kind in _dsl.BINDING_KINDS
+         and all(p.type == _dsl.NUMBER for p in sig.params if p.required)}
 
 
 class UsageError(Exception):
@@ -254,6 +252,19 @@ def _cmd_classify(args, cfg, h) -> list:
 # argument wiring
 
 
+def _specs(kinds, element: str = "") -> str:
+    """The spec forms of the families of these kinds, for help text."""
+    return " | ".join(
+        ":".join([name, *(k.upper() for k in keys)])
+        + (element if _dsl.CONSTRUCTORS[ctor] == "matrix" else "")
+        for name, (ctor, keys) in SPECS.items()
+        if _dsl.CONSTRUCTORS[ctor] in kinds)
+
+
+def _ops(kind: str) -> str:
+    return "|".join(op.replace("_", "-") for op in _dsl.QUERY_OPS[kind])
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=int, default=None,
                    help="index horizon (beats script options and "
@@ -281,13 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="one-shot condition check on a family")
     p.add_argument("--family", required=True,
-                   help="gevrey:S | ptt:TAU:SIGMA | ptt-matrix:TAU:SIGMA[:C] | "
-                        "sigma-matrix:SIGMA[:C]")
+                   help=_specs(("seq", "matrix"), "[:C]"))
     p.add_argument("--params", default=None, help="k=v,... family parameters")
     p.add_argument("--cond", required=True,
-                   help="lc|slc|normalized|mg|dc|nq|nq-carleman|beta1|beta3|"
-                        "gamma1|gamma-lb or a matrix condition "
-                        "(L|mg|dc|rai|FdB|BR|sc|constant)")
+                   help=f"{_ops('check')} or a matrix condition "
+                        f"({_ops('mcheck')})")
     p.add_argument("--flavor", default=None, help="r|b for matrix conditions")
     p.add_argument("--alphas", default=None, help="comma list for gamma-lb")
     p.add_argument("--grid", default=None, help="matrix index grid, comma list")
@@ -303,25 +312,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_omega)
 
+    c_max = next(p.default for p in _dsl.SIGNATURES["compare", "bigO"].params
+                 if p.name == "c_max")
     p = sub.add_parser("compare", help="order relation between two sequences")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--left-params", dest="left_params", default=None)
     p.add_argument("--right-params", dest="right_params", default=None)
-    p.add_argument("--rel", required=True,
-                   help="preceq|triangle|approx|pointwise-le|quotient-le|"
-                        "bigO|smallO|numeric-ratio")
+    p.add_argument("--rel", required=True, help=_ops("compare"))
     p.add_argument("--c-max", dest="c_max", type=int, default=None,
-                   help="largest scale for bigO/smallO (default 4)")
+                   help=f"largest scale for bigO/smallO (default {c_max})")
     _add_common(p)
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("classify", help="membership of derivative-bound data")
     p.add_argument("--bounds", required=True, help="CSV (j,log_bound) or JSON")
-    p.add_argument("--matrix", required=True,
-                   help="ptt-matrix:TAU:SIGMA | sigma-matrix:SIGMA")
+    p.add_argument("--matrix", required=True, help=_specs(("matrix",)))
     p.add_argument("--params", default=None)
-    p.add_argument("--phi", default=None, help="linear | power:SIGMA")
+    p.add_argument("--phi", default=None, help=_specs(("exp",)))
     p.add_argument("--grid", default=None, help="matrix index grid, comma list")
     _add_common(p)
     p.set_defaults(fn=_cmd_classify)

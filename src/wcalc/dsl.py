@@ -6,15 +6,19 @@ stmt    := ("seq"|"exp"|"matrix"|"omega") IDENT "=" call ";"
 call    := IDENT "(" [arg ("," arg)*] ")"
 arg     := IDENT "=" value | value
 value   := NUMBER | IDENT | "[" value ("," value)* "]"
-opts    := ("horizon" NUMBER | "grid" list | "flavor" IDENT)*
+opts    := ("horizon" INTEGER | "grid" list | "flavor" IDENT)*
 
 '#' starts a comment.  Names are resolved and kind-checked at parse time:
 a script that parses cannot fail on a missing or rebound name later.
+A query takes each option at most once, and only the options its
+operation reads (SIGNATURES); every query takes horizon.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .config import Config
 from .errors import SourceError, WcalcError
@@ -29,33 +33,170 @@ BINDING_KINDS = ("seq", "exp", "matrix", "omega")
 QUERY_KINDS = ("check", "compare", "eval", "classify", "mcheck")
 OPT_KEYS = ("horizon", "grid", "flavor")
 
-# constructor name -> kind of the bound result
-CONSTRUCTORS = {
-    "gevrey": "seq",
-    "ptt": "seq",
-    "table": "seq",
-    "scale": "seq",
-    "from_omega": "seq",
-    "theta_bounds": "seq",   # derivative-bound data rides under seq
-    "power": "exp",
-    "linear": "exp",
-    "ptt_matrix": "matrix",
-    "sigma_matrix": "matrix",
-    "matrix_scale": "matrix",
-    "family_scale": "matrix",
-    "assoc": "omega",
+
+# ---------------------------------------------------------------------------
+# signatures: one table for constructors and query operations
+
+# Parameter types.  Any other type names the kind of binding a reference
+# must point to; "seq|matrix" takes either, and BOUNDS takes
+# derivative-bound data, which a theta_bounds binding holds under seq.
+NUMBER, INT, NUMBERS = "number", "int", "numbers"
+LOG_GRID = "log_grid"   # [t_min, t_max, points]
+NAME = "name"
+BOUNDS = "bounds"
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    name: str
+    type: str
+    default: object = _REQUIRED
+
+    @property
+    def required(self) -> bool:
+        return self.default is _REQUIRED
+
+
+def _to_json(v, *_):
+    return v.to_json()
+
+
+@dataclass(frozen=True)
+class Signature:
+    """A constructor or query operation: its parameters, its target
+    target(cfg, h, *values), the shaper shape(result, *values) that turns
+    a query result into record fields, and the query options it reads,
+    which are converted like parameters and passed after them.
+
+    Targets look up library functions when called, so a function replaced
+    on its module (as a tracer does) is the one that runs."""
+    params: tuple
+    target: Callable
+    shape: Callable = _to_json
+    opts: tuple = ()
+
+
+def _record(*keys):
+    """Shaper naming the parts of a tuple result, or a lone value."""
+    return lambda r, *_: dict(zip(keys, r if isinstance(r, tuple) else (r,)))
+
+
+def _mcheck(tag, mm, flavor, grid, h, cfg):
+    cond = _matrices.condition_id(tag, flavor or _matrices.ROUMIEU)
+    return cond, _matrices.check_matrix_condition(mm, cond, grid, h, cfg)
+
+
+def _matrix_record(cond_results, *_):
+    out = _matrices.matrix_report_json(*cond_results)
+    return {**out, "statuses": [e["status"] for e in out["per_index"]]}
+
+
+_M, _N, _W = Param("m", "seq"), Param("n", "seq"), Param("w", "omega")
+_BASE = Param("base", "seq")
+_MM, _PHI, _F = Param("mm", "matrix"), Param("phi", "exp"), Param("f", BOUNDS)
+_S, _TAU, _SIGMA = (Param(k, NUMBER) for k in ("s", "tau", "sigma"))
+_INDEX_GRID = Param("grid", NUMBERS, _matrices.DEFAULT_INDEX_GRID)
+_TRUNCATION = Param("truncation", INT, None)
+_GRID, _LOG_GRID = Param("grid", NUMBERS, None), Param("grid", LOG_GRID, None)
+
+# (statement keyword, name) -> Signature; the keyword of a constructor is
+# the kind it builds.  Entry order is the order of QUERY_OPS and of the
+# CLI family lists.
+SIGNATURES = {
+    ("seq", "gevrey"): Signature(
+        (_S,), lambda cfg, h, *v: _sequences.gevrey(*v)),
+    ("seq", "ptt"): Signature(
+        (_TAU, _SIGMA), lambda cfg, h, *v: _sequences.ptt(*v)),
+    ("seq", "table"): Signature(
+        (Param("values", NUMBERS),), lambda cfg, h, *v: _sequences.table(*v)),
+    ("seq", "scale"): Signature(
+        (_BASE, _PHI, Param("c", NUMBER)),
+        lambda cfg, h, *v: _sequences.scaled(*v)),
+    ("seq", "from_omega"): Signature(
+        (_W, Param("ell", NUMBER, 1.0)),
+        lambda cfg, h, *v: _assoc.from_omega(*v, cfg=cfg)),
+    ("seq", "theta_bounds"): Signature(
+        (_N, Param("count", INT), _TRUNCATION),
+        lambda cfg, h, *v: _witness.theta_bounds(*v, cfg)),
+    ("exp", "linear"): Signature(
+        (), lambda cfg, h: _sequences.linear_exponents()),
+    ("exp", "power"): Signature(
+        (_SIGMA,), lambda cfg, h, *v: _sequences.power_exponents(*v)),
+    ("matrix", "ptt_matrix"): Signature(
+        (_TAU, _SIGMA, _INDEX_GRID),
+        lambda cfg, h, *v: _matrices.ptt_matrix(*v)),
+    ("matrix", "sigma_matrix"): Signature(
+        (_SIGMA, _INDEX_GRID), lambda cfg, h, *v: _matrices.sigma_matrix(*v)),
+    # a matrix base keeps its own index grid unless one is given
+    ("matrix", "matrix_scale"): Signature(
+        (Param("base", "seq|matrix"), _PHI, _GRID),
+        lambda cfg, h, base, phi, grid:
+            _matrices.matrix_scale(base, phi, grid)
+            if isinstance(base, _matrices.WeightMatrix) else
+            _matrices.scale_family(base, phi, grid or _INDEX_GRID.default)),
+    ("matrix", "family_scale"): Signature(
+        (_BASE, _PHI, _INDEX_GRID),
+        lambda cfg, h, base, phi, grid: _matrices.exponent_family_scale(
+            base, _sequences.constant_family(phi), grid)),
+    ("omega", "assoc"): Signature(
+        (_M,), lambda cfg, h, m: _assoc.OmegaFunction.from_sequence(m, cfg=cfg)),
+    **{("check", c): Signature(
+        (_M,), lambda cfg, h, m, c=c: _conditions.check_condition(m, c, h, cfg))
+       for c in _conditions.CONDITIONS},
+    ("check", "gamma_lb"): Signature(
+        (_M, Param("alphas", NUMBERS)),
+        lambda cfg, h, *v: _conditions.gamma_lower_bound(*v, h, cfg),
+        lambda res, m, alphas: {
+            "per_alpha": {repr(a): v.to_json() for a, v in res.items()},
+            "statuses": [res[a].status for a in alphas]}),
+    **{("mcheck", c): Signature(
+        (_MM,), lambda cfg, h, *v, c=c: _mcheck(c, *v, h, cfg),
+        _matrix_record, (Param("flavor", NAME, None), _GRID))
+       for c in _matrices.MATRIX_CONDITIONS},
+    **{("compare", r): Signature(
+        (_M, _N), lambda cfg, h, m, n, r=r: _relations.compare(m, n, r, h, cfg))
+       for r in ("preceq", "triangle", "approx", "pointwise_le", "quotient_le")},
+    **{("compare", r): Signature(
+        (_M, _N, Param("c_max", INT, 4)), lambda cfg, h, m, n, c_max, r=r:
+            _assoc.assoc_relation_check(m, n, r, c_max, h, cfg=cfg))
+       for r in ("bigO", "smallO")},
+    ("compare", "numeric_ratio"): Signature(
+        (_M, _N), lambda cfg, h, m, n, grid: _assoc.assoc_relation_check(
+            m, n, "numeric_ratio", horizon=h, grid=grid, cfg=cfg),
+        opts=(_LOG_GRID,)),
+    ("eval", "omega"): Signature(
+        (_W, Param("t", NUMBER)), lambda cfg, h, w, t: w.eval(t, h, cfg),
+        _record("value", "attained_at")),
+    ("eval", "conjugate"): Signature(
+        (_W, _S), lambda cfg, h, *v: _assoc.young_conjugate(*v, h, cfg),
+        _record("value", "log_t_star"), (_LOG_GRID,)),
+    ("eval", "recover"): Signature(
+        (_W, Param("j", INT)), lambda cfg, h, *v: _assoc.recover_term(*v, h, cfg),
+        _record("value"), (_LOG_GRID,)),
+    ("eval", "theta"): Signature(
+        (_N, Param("t", NUMBER), Param("truncation", INT, 40)),
+        lambda cfg, h, *v: _witness.theta_eval(*v, cfg),
+        _record("real", "imaginary")),
+    ("eval", "theta_deriv"): Signature(
+        (_N, Param("k", INT), _TRUNCATION),
+        lambda cfg, h, *v: _witness.theta_derivative_log_bound(*v, cfg),
+        _record("value")),
+    ("eval", "seminorm"): Signature(
+        (_F, _M, _PHI, Param("h", NUMBER)),
+        lambda cfg, h, *v: _witness.seminorm(*v), _record("value")),
+    ("classify", "membership"): Signature(
+        (_F, _MM, Param("phi", "exp", None)),
+        lambda cfg, h, *v: _witness.classify_membership(*v, cfg=cfg),
+        lambda rep, *_: {**rep.to_json(), "statuses": [
+            rep.roumieu.status, rep.beurling.status]}, (_GRID,)),
 }
 
-QUERY_OPS = {
-    "check": ("lc", "slc", "normalized", "mg", "dc", "nq", "nq_carleman",
-              "beta1", "beta3", "gamma1", "gamma_lb"),
-    "mcheck": _matrices.MATRIX_CONDITIONS,
-    "compare": ("preceq", "triangle", "approx", "pointwise_le",
-                "quotient_le", "bigO", "smallO", "numeric_ratio"),
-    "eval": ("omega", "conjugate", "recover", "theta", "theta_deriv",
-             "seminorm"),
-    "classify": ("membership",),
-}
+# constructor name -> kind of the bound result
+CONSTRUCTORS = {name: kind for kind, name in SIGNATURES
+                if kind in BINDING_KINDS}
+QUERY_OPS = {q: tuple(name for kind, name in SIGNATURES if kind == q)
+             for q in QUERY_KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +264,10 @@ def tokenize(text: str) -> list[Token]:
                         j += 1
             lit = text[i:j]
             try:
-                float(lit)
+                finite = math.isfinite(float(lit))
             except ValueError:
+                finite = False
+            if not finite:
                 raise SourceError(f"bad number literal {lit!r}",
                                   start_line, start_col)
             out.append(Token("NUMBER", lit, start_line, start_col))
@@ -260,47 +403,57 @@ class _Parser:
         return Binding(kw.text, name, call, kw.line, kw.col)
 
     def _check_overloads(self, call: Call, tok: Token) -> None:
-        if call.name != "matrix_scale":
-            return
-        ref = next((v for _, v in call.args if isinstance(v, Ref)), None)
-        if ref is not None and self.scope.get(ref.name) not in ("seq", "matrix"):
-            raise self.fail(
-                f"matrix_scale needs a seq or matrix referent, "
-                f"{ref.name!r} is {self.scope.get(ref.name)!r}", tok)
+        """Kind-check references to a parameter that takes several kinds;
+        other references are kind-checked when the call runs."""
+        params = SIGNATURES[CONSTRUCTORS[call.name], call.name].params
+        for i, (key, v) in enumerate(call.args):
+            p = next((p for j, p in enumerate(params)
+                      if (p.name == key if key else i == j)), None)
+            kinds = p.type.split("|") if p else []
+            if len(kinds) > 1 and isinstance(v, Ref) \
+                    and self.scope[v.name] not in kinds:
+                raise self.fail(
+                    f"{call.name} needs a {' or '.join(kinds)} referent, "
+                    f"{v.name!r} is {self.scope[v.name]!r}", tok)
 
     def query(self) -> Query:
         self.productions.add("query")
         kw = self.advance()
         call_tok = self.peek()
         call = self.call()
-        ops = QUERY_OPS[kw.text]
-        if call.name not in ops:
+        sig = SIGNATURES.get((kw.text, call.name))
+        if sig is None:
             raise self.fail(f"unknown {kw.text} operation {call.name!r}",
-                            call_tok, expected=tuple(ops))
-        horizon = None
-        grid = None
-        flavor = None
+                            call_tok, expected=QUERY_OPS[kw.text])
+        takes = ("horizon",) + tuple(o.name for o in sig.opts)
+        opts: dict = {}
         while self.peek().kind == "IDENT" and self.peek().text in OPT_KEYS:
             opt = self.advance()
+            if opt.text not in takes:
+                raise self.fail(f"option {opt.text!r} does not apply to "
+                                f"{kw.text} {call.name}", opt, expected=takes)
+            if opt.text in opts:
+                raise self.fail(f"option {opt.text!r} given twice", opt)
+            self.productions.add("opt_" + opt.text)
             if opt.text == "horizon":
-                self.productions.add("opt_horizon")
                 num = self.peek()
                 if num.kind != "NUMBER":
                     raise self.fail("horizon needs a number", num,
                                     expected=("number",))
                 self.advance()
-                horizon = int(float(num.text))
+                if not float(num.text).is_integer():
+                    raise self.fail(f"horizon needs an integer, got "
+                                    f"{num.text}", num)
+                opts["horizon"] = int(float(num.text))
             elif opt.text == "grid":
-                self.productions.add("opt_grid")
                 tok = self.peek()
                 if not (tok.kind == "PUNCT" and tok.text == "["):
                     raise self.fail("grid needs a list", tok, expected=("[",))
-                grid = self.value()
+                opts["grid"] = self.value()
             else:
-                self.productions.add("opt_flavor")
-                flavor = self.expect_ident("a flavor name").text
+                opts["flavor"] = self.expect_ident("a flavor name").text
         self.expect_punct(";")
-        return Query(kw.text, call, horizon, grid, flavor, kw.line, kw.col)
+        return Query(kw.text, call, line=kw.line, col=kw.col, **opts)
 
     def call(self) -> Call:
         self.productions.add("call")
@@ -385,12 +538,10 @@ def format_statement(stmt) -> str:
     if isinstance(stmt, Binding):
         return f"{stmt.kind} {stmt.name} = {_format_call(stmt.call)};"
     bits = [stmt.kind, _format_call(stmt.call)]
-    if stmt.horizon is not None:
-        bits.append(f"horizon {stmt.horizon}")
-    if stmt.grid is not None:
-        bits.append(f"grid {_format_value(stmt.grid)}")
-    if stmt.flavor is not None:
-        bits.append(f"flavor {stmt.flavor}")
+    for key in OPT_KEYS:
+        v = getattr(stmt, key)
+        if v is not None:
+            bits.append(f"{key} {_format_value(v) if key == 'grid' else v}")
     return " ".join(bits) + ";"
 
 
@@ -402,274 +553,92 @@ def print_program(p: Program) -> str:
 # execution
 
 
-class _Args:
-    """Positional/keyword argument matcher for constructor and query calls."""
-
-    def __init__(self, call: Call, env: dict):
-        self.call = call
-        self.env = env
-        self.positional = []
-        self.named = {}
-        for key, v in call.args:
-            if key is None:
-                if self.named:
-                    raise WcalcError(
-                        f"{call.name}: positional argument after a named one")
-                self.positional.append(v)
-            else:
-                if key in self.named:
-                    raise WcalcError(f"{call.name}: duplicate argument {key!r}")
-                self.named[key] = v
-
-    def bind(self, *names, required: int | None = None):
-        if len(self.positional) > len(names):
-            raise WcalcError(
-                f"{self.call.name}: takes at most {len(names)} arguments")
-        got = {}
-        for i, v in enumerate(self.positional):
-            got[names[i]] = v
-        for key, v in self.named.items():
-            if key not in names:
-                raise WcalcError(f"{self.call.name}: unknown argument {key!r}")
-            if key in got:
-                raise WcalcError(f"{self.call.name}: duplicate argument {key!r}")
-            got[key] = v
-        need = names if required is None else names[:required]
-        for name in need:
-            if name not in got:
-                raise WcalcError(f"{self.call.name}: missing argument {name!r}")
-        return [got.get(name) for name in names]
-
-    def resolve(self, v, kind: str | None = None, what: str = "argument"):
-        if v is None:
-            return None
-        if isinstance(v, Ref):
-            bound_kind, obj = self.env[v.name]
-            if kind is not None and bound_kind != kind:
-                raise WcalcError(
-                    f"{self.call.name}: {what} must be a {kind}, "
-                    f"{v.name!r} is a {bound_kind}")
-            return obj
-        return v
-
-    @staticmethod
-    def number(v, what: str) -> float:
+def _convert(op: str, p: Param, v, env: dict):
+    """The value a call passes for parameter p, checked against its type;
+    env maps names to (kind, object)."""
+    t = p.type
+    if t in (NUMBER, INT):
         if not isinstance(v, float):
-            raise WcalcError(f"{what} must be a number")
-        return v
-
-    @staticmethod
-    def number_list(v, what: str) -> tuple:
+            raise WcalcError(f"{p.name} must be a number")
+        return int(v) if t == INT else v
+    if t in (NUMBERS, LOG_GRID):
         if not isinstance(v, tuple) or not all(isinstance(x, float) for x in v):
-            raise WcalcError(f"{what} must be a list of numbers")
+            raise WcalcError(f"{p.name} must be a list of numbers")
+        if t == NUMBERS:
+            return v
+        if len(v) != 3:
+            raise WcalcError("grid option here means [t_min, t_max, points]")
+        return _assoc.LogGrid(v[0], v[1], int(v[2]))
+    if t == NAME:
         return v
+    kinds = ("seq",) if t == BOUNDS else tuple(t.split("|"))
+    want = " or ".join(kinds)
+    if not isinstance(v, Ref):
+        raise WcalcError(f"{op}: {p.name} must be a {want} name")
+    kind, obj = env[v.name]
+    if kind not in kinds:
+        raise WcalcError(f"{op}: {p.name} must be a {want}, "
+                         f"{v.name!r} is a {kind}")
+    if t == BOUNDS and not isinstance(obj, _witness.DerivBounds):
+        what = "classify membership" if op == "membership" else op
+        raise WcalcError(f"{what} needs derivative-bound data "
+                         "(theta_bounds) as its first argument")
+    if t != BOUNDS and isinstance(obj, _witness.DerivBounds):
+        raise WcalcError(f"{op}: {p.name} must be a {want}, "
+                         f"{v.name!r} is derivative-bound data")
+    return obj
+
+
+def _bind(call: Call, params: tuple, env: dict) -> list:
+    """The value of each parameter of a call in order, defaults filled in."""
+    name = call.name
+    positional, named = [], {}
+    for key, v in call.args:
+        if key is None:
+            if named:
+                raise WcalcError(f"{name}: positional argument after a named one")
+            positional.append(v)
+        elif key in named:
+            raise WcalcError(f"{name}: duplicate argument {key!r}")
+        else:
+            named[key] = v
+    if len(positional) > len(params):
+        raise WcalcError(f"{name}: takes at most {len(params)} arguments")
+    got = {p.name: v for p, v in zip(params, positional)}
+    for key, v in named.items():
+        if key not in (p.name for p in params):
+            raise WcalcError(f"{name}: unknown argument {key!r}")
+        if key in got:
+            raise WcalcError(f"{name}: duplicate argument {key!r}")
+        got[key] = v
+    for p in params:
+        if p.required and p.name not in got:
+            raise WcalcError(f"{name}: missing argument {p.name!r}")
+    return [_convert(name, p, got[p.name], env) if p.name in got
+            else p.default for p in params]
 
 
 def build(call: Call, env: dict, cfg: Config):
     """The object a constructor call builds; env maps names to (kind, object)."""
-    a = _Args(call, env)
-    name = call.name
-    if name == "gevrey":
-        (s,) = a.bind("s")
-        return _sequences.gevrey(a.number(s, "s"))
-    if name == "ptt":
-        tau, sigma = a.bind("tau", "sigma")
-        return _sequences.ptt(a.number(tau, "tau"), a.number(sigma, "sigma"))
-    if name == "table":
-        (values,) = a.bind("values")
-        return _sequences.table(a.number_list(values, "values"))
-    if name == "scale":
-        base, phi, c = a.bind("base", "phi", "c")
-        return _sequences.scaled(a.resolve(base, "seq", "base"),
-                                 a.resolve(phi, "exp", "phi"),
-                                 a.number(c, "c"))
-    if name == "power":
-        (sigma,) = a.bind("sigma")
-        return _sequences.power_exponents(a.number(sigma, "sigma"))
-    if name == "linear":
-        a.bind()
-        return _sequences.linear_exponents()
-    if name == "ptt_matrix":
-        tau, sigma, grid = a.bind("tau", "sigma", "grid", required=2)
-        grid = a.number_list(grid, "grid") if grid is not None \
-            else _matrices.DEFAULT_INDEX_GRID
-        return _matrices.ptt_matrix(a.number(tau, "tau"),
-                                    a.number(sigma, "sigma"), grid)
-    if name == "sigma_matrix":
-        sigma, grid = a.bind("sigma", "grid", required=1)
-        grid = a.number_list(grid, "grid") if grid is not None \
-            else _matrices.DEFAULT_INDEX_GRID
-        return _matrices.sigma_matrix(a.number(sigma, "sigma"), grid)
-    if name == "matrix_scale":
-        base, phi, grid = a.bind("base", "phi", "grid", required=2)
-        phi_obj = a.resolve(phi, "exp", "phi")
-        if isinstance(base, Ref) and env[base.name][0] == "matrix":
-            base_obj = a.resolve(base, "matrix", "base")
-            grid = a.number_list(grid, "grid") if grid is not None else None
-            return _matrices.matrix_scale(base_obj, phi_obj, grid)
-        base_obj = a.resolve(base, "seq", "base")
-        grid = a.number_list(grid, "grid") if grid is not None \
-            else _matrices.DEFAULT_INDEX_GRID
-        return _matrices.scale_family(base_obj, phi_obj, grid)
-    if name == "family_scale":
-        base, phi, grid = a.bind("base", "phi", "grid", required=2)
-        grid = a.number_list(grid, "grid") if grid is not None \
-            else _matrices.DEFAULT_INDEX_GRID
-        return _matrices.exponent_family_scale(
-            a.resolve(base, "seq", "base"),
-            _sequences.constant_family(a.resolve(phi, "exp", "phi")),
-            grid)
-    if name == "assoc":
-        (m,) = a.bind("m")
-        return _assoc.OmegaFunction.from_sequence(
-            a.resolve(m, "seq", "m"), cfg=cfg)
-    if name == "from_omega":
-        w, ell = a.bind("w", "ell", required=1)
-        ell = a.number(ell, "ell") if ell is not None else 1.0
-        return _assoc.from_omega(a.resolve(w, "omega", "w"), ell, cfg=cfg)
-    if name == "theta_bounds":
-        n, count, truncation = a.bind("n", "count", "truncation", required=2)
-        truncation = int(a.number(truncation, "truncation")) \
-            if truncation is not None else None
-        return _witness.theta_bounds(a.resolve(n, "seq", "n"),
-                                     int(a.number(count, "count")),
-                                     truncation, cfg)
-    raise WcalcError(f"unknown constructor {name!r}")
-
-
-def _log_grid_from_opt(grid, cfg: Config) -> _assoc.LogGrid:
-    if grid is None:
-        return _assoc.LogGrid.from_config(cfg)
-    vals = _Args.number_list(grid, "grid")
-    if len(vals) != 3:
-        raise WcalcError("grid option here means [t_min, t_max, points]")
-    return _assoc.LogGrid(vals[0], vals[1], int(vals[2]))
-
-
-def _run_check(q: Query, env: dict, cfg: Config, h: int) -> dict:
-    a = _Args(q.call, env)
-    if q.call.name == "gamma_lb":
-        m, alphas = a.bind("m", "alphas")
-        seq = a.resolve(m, "seq", "m")
-        alphas = a.number_list(alphas, "alphas")
-        res = _conditions.gamma_lower_bound(seq, alphas, h, cfg)
-        return {"per_alpha": {repr(al): v.to_json() for al, v in res.items()},
-                "statuses": [res[al].status for al in alphas]}
-    (m,) = a.bind("m")
-    seq = a.resolve(m, "seq", "m")
-    v = _conditions.check_condition(seq, q.call.name, h, cfg)
-    return v.to_json()
-
-
-def _run_mcheck(q: Query, env: dict, cfg: Config, h: int) -> dict:
-    a = _Args(q.call, env)
-    (mm,) = a.bind("mm")
-    matrix = a.resolve(mm, "matrix", "mm")
-    cond = _matrices.condition_id(q.call.name, q.flavor or _matrices.ROUMIEU)
-    grid = _Args.number_list(q.grid, "grid") if q.grid is not None else None
-    res = _matrices.check_matrix_condition(matrix, cond, grid, h, cfg)
-    out = _matrices.matrix_report_json(cond, res)
-    out["statuses"] = [res[alpha].status for alpha in sorted(res)]
-    return out
-
-
-def _run_compare(q: Query, env: dict, cfg: Config, h: int) -> dict:
-    a = _Args(q.call, env)
-    name = q.call.name
-    if name in ("bigO", "smallO"):
-        m, n, c_max = a.bind("m", "n", "c_max", required=2)
-        c_max = int(a.number(c_max, "c_max")) if c_max is not None else 4
-        v = _assoc.assoc_relation_check(
-            a.resolve(m, "seq", "m"), a.resolve(n, "seq", "n"),
-            name, c_max, h, cfg=cfg)
-        return v.to_json()
-    if name == "numeric_ratio":
-        m, n = a.bind("m", "n")
-        grid = None if q.grid is None else _log_grid_from_opt(q.grid, cfg)
-        v = _assoc.assoc_relation_check(
-            a.resolve(m, "seq", "m"), a.resolve(n, "seq", "n"),
-            "numeric_ratio", horizon=h, grid=grid, cfg=cfg)
-        return v.to_json()
-    m, n = a.bind("m", "n")
-    v = _relations.compare(a.resolve(m, "seq", "m"),
-                           a.resolve(n, "seq", "n"), name, h, cfg)
-    return v.to_json()
-
-
-def _run_eval(q: Query, env: dict, cfg: Config, h: int) -> dict:
-    a = _Args(q.call, env)
-    name = q.call.name
-    if name == "omega":
-        w, t = a.bind("w", "t")
-        omega = a.resolve(w, "omega", "w")
-        got = omega.eval(a.number(t, "t"), h, cfg)
-        return {"value": got.value, "attained_at": got.attained_at}
-    if name == "conjugate":
-        w, s = a.bind("w", "s")
-        omega = a.resolve(w, "omega", "w")
-        grid = None if q.grid is None else _log_grid_from_opt(q.grid, cfg)
-        got = _assoc.young_conjugate(omega, a.number(s, "s"), grid, h, cfg)
-        return {"value": got.value, "log_t_star": got.log_t_star}
-    if name == "recover":
-        w, j = a.bind("w", "j")
-        omega = a.resolve(w, "omega", "w")
-        grid = None if q.grid is None else _log_grid_from_opt(q.grid, cfg)
-        return {"value": _assoc.recover_term(
-            omega, int(a.number(j, "j")), grid, h, cfg)}
-    if name == "theta":
-        n, t, truncation = a.bind("n", "t", "truncation", required=2)
-        truncation = int(a.number(truncation, "truncation")) \
-            if truncation is not None else 40
-        re, im = _witness.theta_eval(a.resolve(n, "seq", "n"),
-                                     a.number(t, "t"), truncation, cfg)
-        return {"real": re, "imaginary": im}
-    if name == "theta_deriv":
-        n, k, truncation = a.bind("n", "k", "truncation", required=2)
-        truncation = int(a.number(truncation, "truncation")) \
-            if truncation is not None else None
-        return {"value": _witness.theta_derivative_log_bound(
-            a.resolve(n, "seq", "n"), int(a.number(k, "k")), truncation, cfg)}
-    if name == "seminorm":
-        f, m, phi, hval = a.bind("f", "m", "phi", "h", required=4)
-        bounds = a.resolve(f, "seq", "f")
-        if not isinstance(bounds, _witness.DerivBounds):
-            raise WcalcError("seminorm needs derivative-bound data "
-                             "(theta_bounds) as its first argument")
-        return {"value": _witness.seminorm(
-            bounds, a.resolve(m, "seq", "m"), a.resolve(phi, "exp", "phi"),
-            a.number(hval, "h"))}
-    raise WcalcError(f"unknown eval operation {name!r}")
-
-
-def _run_classify(q: Query, env: dict, cfg: Config, h: int) -> dict:
-    a = _Args(q.call, env)
-    f, mm, phi = a.bind("f", "mm", "phi", required=2)
-    bounds = a.resolve(f, "seq", "f")
-    if not isinstance(bounds, _witness.DerivBounds):
-        raise WcalcError("classify membership needs derivative-bound data "
-                         "(theta_bounds) as its first argument")
-    matrix = a.resolve(mm, "matrix", "mm")
-    phi_obj = a.resolve(phi, "exp", "phi") if phi is not None else None
-    grid = _Args.number_list(q.grid, "grid") if q.grid is not None else None
-    rep = _witness.classify_membership(bounds, matrix, phi_obj, grid, cfg=cfg)
-    out = rep.to_json()
-    out["statuses"] = [rep.roumieu.status, rep.beurling.status]
-    return out
-
-
-_QUERY_RUNNERS = {
-    "check": _run_check,
-    "mcheck": _run_mcheck,
-    "compare": _run_compare,
-    "eval": _run_eval,
-    "classify": _run_classify,
-}
+    kind = CONSTRUCTORS.get(call.name)
+    if kind is None:
+        raise WcalcError(f"unknown constructor {call.name!r}")
+    sig = SIGNATURES[kind, call.name]
+    return sig.target(cfg, None, *_bind(call, sig.params, env))
 
 
 def run_query(query: Query, env: dict, cfg: Config, h: int) -> dict:
     """The record fields answering one query at horizon h; env maps names
     to (kind, object)."""
-    return _QUERY_RUNNERS[query.kind](query, env, cfg, h)
+    name = query.call.name
+    sig = SIGNATURES.get((query.kind, name))
+    if sig is None:
+        raise WcalcError(f"unknown {query.kind} operation {name!r}")
+    values = _bind(query.call, sig.params, env)
+    for o in sig.opts:
+        v = getattr(query, o.name)
+        values.append(o.default if v is None else _convert(name, o, v, env))
+    return sig.shape(sig.target(cfg, h, *values), *values)
 
 
 def execute(program: Program, cfg: Config | None = None,
@@ -677,46 +646,37 @@ def execute(program: Program, cfg: Config | None = None,
     """Evaluate bindings in order, run queries, one record per query.
 
     Operation errors become per-query error records and execution
-    continues; a binding error poisons its name, so queries touching it
-    also produce error records.  horizon_override models a command-line
-    flag and beats per-query horizon options.
+    continues; a binding error poisons its name, so queries and bindings
+    touching it also produce error records.  horizon_override models a
+    command-line flag and beats per-query horizon options.
     """
     cfg = cfg or Config()
     env: dict[str, tuple[str, object]] = {}
     poisoned: set[str] = set()
     records: list[dict] = []
     for stmt in program.statements:
-        text = format_statement(stmt)
-        if isinstance(stmt, Binding):
-            try:
-                obj = build(stmt.call, env, cfg)
-                env[stmt.name] = (stmt.kind, obj)
-            except (WcalcError, ValueError, ArithmeticError) as exc:
-                poisoned.add(stmt.name)
-                env[stmt.name] = (stmt.kind, None)
-                records.append({"query": text, "kind": "binding",
-                                "name": stmt.name,
-                                "error": {"type": type(exc).__name__,
-                                          "message": str(exc)}})
-            continue
-        record = {"query": text, "kind": stmt.kind, "op": stmt.call.name}
+        binding = isinstance(stmt, Binding)
+        record = {"query": format_statement(stmt)}
+        record.update({"kind": "binding", "name": stmt.name} if binding
+                      else {"kind": stmt.kind, "op": stmt.call.name})
         bad = next((v.name for _, v in stmt.call.args
                     if isinstance(v, Ref) and v.name in poisoned), None)
-        if bad is not None:
-            record["error"] = {"type": "PoisonedReference",
-                               "message": f"binding {bad!r} failed earlier"}
-            records.append(record)
-            continue
-        if horizon_override is not None:
-            h = horizon_override
-        elif stmt.horizon is not None:
-            h = stmt.horizon
-        else:
-            h = cfg.horizon
         try:
-            record.update(run_query(stmt, env, cfg, h))
+            if bad is not None:
+                record["error"] = {"type": "PoisonedReference",
+                                   "message": f"binding {bad!r} failed earlier"}
+            elif binding:
+                env[stmt.name] = (stmt.kind, build(stmt.call, env, cfg))
+            else:
+                h = next(x for x in (horizon_override, stmt.horizon,
+                                     cfg.horizon) if x is not None)
+                record.update(run_query(stmt, env, cfg, h))
         except (WcalcError, ValueError, ArithmeticError) as exc:
             record["error"] = {"type": type(exc).__name__,
                                "message": str(exc)}
-        records.append(record)
+        if binding and "error" in record:
+            poisoned.add(stmt.name)
+            env[stmt.name] = (stmt.kind, None)
+        if not binding or "error" in record:
+            records.append(record)
     return records

@@ -4,11 +4,23 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wcalc import Config, SourceError
+from wcalc import Config, SourceError, cli
 from wcalc.dsl import (
+    BINDING_KINDS,
+    BOUNDS,
+    INT,
+    LOG_GRID,
+    NAME,
+    NUMBER,
+    NUMBERS,
+    SIGNATURES,
     Binding,
+    Call,
+    Program,
     Query,
+    Ref,
     execute,
     format_statement,
     parse,
@@ -41,9 +53,17 @@ check mg(a) horizon 128;
 check dc(b);
 check nq(a);
 check beta1(d);
+check nq_carleman(a);
+check beta3(d);
+check gamma1(b);
 check gamma_lb(b, [1, 5, 20]) horizon 64;
 compare preceq(a, b);
+compare triangle(a, b);
+compare approx(a, b);
+compare pointwise_le(a, c);
+compare quotient_le(a, c);
 compare bigO(b, a, 2) horizon 64;
+compare smallO(b, a);
 compare numeric_ratio(a, b) grid [1, 1e6, 50];
 eval omega(w, 2.5);
 eval conjugate(w, 3) grid [0.05, 100, 200];
@@ -54,6 +74,11 @@ eval seminorm(f, a, q, 2);
 mcheck mg(m1) horizon 64 flavor r;
 mcheck L(m2) flavor b;
 mcheck sc(m3) grid [1, 2] flavor r;
+mcheck dc(m1);
+mcheck rai(m1) flavor b;
+mcheck FdB(m2);
+mcheck BR(m4);
+mcheck constant(m1);
 classify membership(f, m1, p);
 """
 
@@ -151,6 +176,8 @@ def test_parse_checks_matrix_scale_referent_kind():
 def test_roundtrip_and_production_coverage():
     first = parse(CORPUS)
     assert first.productions == ALL_PRODUCTIONS
+    # every constructor and query operation of the signature table
+    assert {(s.kind, s.call.name) for s in first.statements} == set(SIGNATURES)
     printed = print_program(first)
     second = parse(printed)
     assert second.statements == first.statements
@@ -272,3 +299,131 @@ def test_error_record_messages(stmt, message):
     records = execute(parse(_PRE + stmt))
     assert all("error" not in r for r in records[:-1])
     assert records[-1]["error"] == {"type": "WcalcError", "message": message}
+
+
+@pytest.mark.parametrize("stmt, message, col", [
+    ("check mg(g) horizon 1e400;", "bad number literal '1e400'", 21),
+    ("check mg(g) horizon 2.7;", "horizon needs an integer, got 2.7", 21),
+    ("check mg(g) horizon 8 horizon 16;", "option 'horizon' given twice", 23),
+])
+def test_bad_horizon_literal_is_a_source_error(stmt, message, col, tmp_path):
+    text = "seq g = gevrey(s=1);\n" + stmt
+    with pytest.raises(SourceError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (2, col)
+    assert message in str(err.value)
+    script = tmp_path / "bad.wsq"
+    script.write_text(text)
+    assert cli.main(["run", str(script)]) == 2
+
+
+def test_integer_valued_horizon_literal_is_accepted():
+    q = parse("seq g = gevrey(s=1); check lc(g) horizon 1e3;").statements[1]
+    assert q.horizon == 1000
+    assert format_statement(q) == "check lc(g) horizon 1000;"
+
+
+@pytest.mark.parametrize("stmt, col", [
+    ("check lc(g) flavor b;", 13),
+    ("check lc(g) grid [1, 2, 3];", 13),
+    ("compare preceq(g, g) grid [1, 2, 3];", 22),
+    ("eval theta(g, 1) horizon 64 grid [1, 2, 3];", 29),
+    ("classify membership(f, m) flavor r;", 27),
+])
+def test_option_that_does_not_apply_is_rejected(stmt, col):
+    pre = ("seq g = gevrey(s=1); matrix m = ptt_matrix(1, 2);"
+           " seq f = theta_bounds(g, 8);\n")
+    with pytest.raises(SourceError) as err:
+        parse(pre + stmt)
+    assert (err.value.line, err.value.column) == (2, col)
+    assert "does not apply" in str(err.value)
+
+
+# Programs drawn from the signature table: every constructor and query
+# operation, each parameter given a value of its type, positional or
+# named, with the query options the operation reads.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_VALUE = {
+    NUMBER: _FLOATS,
+    INT: st.integers(-10**6, 10**6).map(float),
+    NUMBERS: st.lists(_FLOATS, min_size=1, max_size=4).map(tuple),
+    LOG_GRID: st.lists(_FLOATS, min_size=3, max_size=3).map(tuple),
+    NAME: st.sampled_from(["r", "b", "roumieu", "beurling"]),
+}
+
+
+@st.composite
+def programs(draw):
+    scope: dict[str, str] = {}
+    stmts = []
+    for i in range(draw(st.integers(1, 10))):
+        kind, name = draw(st.sampled_from(sorted(SIGNATURES)))
+        sig = SIGNATURES[kind, name]
+        count = draw(st.integers(sum(p.required for p in sig.params),
+                                 len(sig.params)))
+        named = draw(st.booleans())
+        args = []
+        for p in sig.params[:count]:
+            if p.type in _VALUE:
+                v = draw(_VALUE[p.type])
+            else:
+                kinds = ("seq",) if p.type == BOUNDS else p.type.split("|")
+                names = sorted(n for n, k in scope.items() if k in kinds)
+                if not names:
+                    break
+                v = Ref(draw(st.sampled_from(names)))
+            args.append((p.name if named else None, v))
+        else:
+            call = Call(name, tuple(args))
+            if kind in BINDING_KINDS:
+                scope[f"x{i}"] = kind
+                stmts.append(Binding(kind, f"x{i}", call))
+                continue
+            opts = {o.name: draw(_VALUE[o.type]) for o in sig.opts
+                    if draw(st.booleans())}
+            horizon = draw(st.none() | st.integers(-10**9, 10**9))
+            stmts.append(Query(kind, call, horizon=horizon, **opts))
+    return Program(tuple(stmts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs())
+def test_print_parse_roundtrip(program):
+    assert parse(print_program(program)).statements == program.statements
+
+
+_ODD_LITERALS = ["1e400", "-1e400", "2.7", "1e3", "-0", ".5", "1e-400",
+                 "9" * 320, "1..2", "1e", "+"]
+_WORDS = sorted({n for _, n in SIGNATURES} | set(BINDING_KINDS)
+                | {"check", "mcheck", "horizon", "grid", "flavor", "x0"}
+                | set("()=,;[]#\n@"))
+
+
+@st.composite
+def fuzzed_sources(draw):
+    """A program from the table, printed, with some number literals
+    swapped for odd ones and some tokens dropped, repeated or inserted."""
+    tokens = [t.text for t in tokenize(print_program(draw(programs())))]
+    out = []
+    for text in tokens:
+        roll = draw(st.integers(0, 19))
+        if roll == 0:
+            continue
+        if roll == 1:
+            out.append(draw(st.sampled_from(_WORDS)))
+        elif roll == 2:
+            out.append(text)
+        elif roll < 6 and text[:1].isdigit() or text[:1] == "-":
+            text = draw(st.sampled_from(_ODD_LITERALS))
+        out.append(text)
+    return " ".join(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_sources())
+def test_fuzzed_source_raises_only_source_error(text):
+    try:
+        program = parse(text)
+    except SourceError:
+        return
+    assert parse(print_program(program)).statements == program.statements
