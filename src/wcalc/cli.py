@@ -26,11 +26,11 @@ from . import dsl as _dsl
 from . import report as _report
 from . import witness as _witness
 
-# spec name -> (script constructor, its parameters in colon order): the
-# constructors whose required parameters are all numbers; a matrix spec
-# takes one more colon part, the element index C
-SPECS = {name.replace("_", "-"): (name, tuple(p.name for p in sig.params
-                                               if p.required))
+# spec name -> (script constructor, kind it builds, its parameters in
+# colon order): the constructors whose required parameters are all
+# numbers; a matrix spec takes one more colon part, the element index C
+SPECS = {name.replace("_", "-"): (name, kind, tuple(p.name for p in sig.params
+                                                     if p.required))
          for (kind, name), sig in _dsl.SIGNATURES.items()
          if kind in _dsl.BINDING_KINDS
          and all(p.type == _dsl.NUMBER for p in sig.params if p.required)}
@@ -80,12 +80,10 @@ def _resolve(spec: str, params: str | None, cfg, grid: str | None = None,
     grid = _parse_number_list(grid, "--grid") if grid else ()
     name, *rest = spec.split(":")
     name = name.strip().lower()
-    names = tuple(n for n, (ctor, _) in SPECS.items()
-                  if _dsl.CONSTRUCTORS[ctor] in kinds)
+    names = tuple(n for n, (_, kind, _) in SPECS.items() if kind in kinds)
     if name not in names:
         raise UsageError(f"unknown family {name!r}; expected one of {names}")
-    ctor, keys = SPECS[name]
-    kind = _dsl.CONSTRUCTORS[ctor]
+    ctor, kind, keys = SPECS[name]
     accepted = keys + ("c",) if kind == "matrix" else keys
     if len(rest) > len(accepted):
         raise UsageError(f"{spec!r} has more colon parts than {name!r} "
@@ -256,9 +254,8 @@ def _specs(kinds, element: str = "") -> str:
     """The spec forms of the families of these kinds, for help text."""
     return " | ".join(
         ":".join([name, *(k.upper() for k in keys)])
-        + (element if _dsl.CONSTRUCTORS[ctor] == "matrix" else "")
-        for name, (ctor, keys) in SPECS.items()
-        if _dsl.CONSTRUCTORS[ctor] in kinds)
+        + (element if kind == "matrix" else "")
+        for name, (_, kind, keys) in SPECS.items() if kind in kinds)
 
 
 def _ops(kind: str) -> str:

@@ -352,6 +352,16 @@ _VALUE = {
 }
 
 
+def _arg(p, scope):
+    """A strategy for a value of p's type; None when no name in scope
+    has a kind p takes."""
+    if p.type in _VALUE:
+        return _VALUE[p.type]
+    kinds = ("seq",) if p.type == BOUNDS else p.type.split("|")
+    names = sorted(n for n, k in scope.items() if k in kinds)
+    return st.sampled_from(names).map(Ref) if names else None
+
+
 @st.composite
 def programs(draw):
     scope: dict[str, str] = {}
@@ -361,32 +371,24 @@ def programs(draw):
         sig = SIGNATURES[kind, name]
         count = draw(st.integers(sum(p.required for p in sig.params),
                                  len(sig.params)))
+        values = [_arg(p, scope) for p in sig.params[:count]]
+        if None in values:
+            continue
         named = draw(st.booleans())
-        args = []
-        for p in sig.params[:count]:
-            if p.type in _VALUE:
-                v = draw(_VALUE[p.type])
-            else:
-                kinds = ("seq",) if p.type == BOUNDS else p.type.split("|")
-                names = sorted(n for n, k in scope.items() if k in kinds)
-                if not names:
-                    break
-                v = Ref(draw(st.sampled_from(names)))
-            args.append((p.name if named else None, v))
-        else:
-            call = Call(name, tuple(args))
-            if kind in BINDING_KINDS:
-                scope[f"x{i}"] = kind
-                stmts.append(Binding(kind, f"x{i}", call))
-                continue
-            opts = {o.name: draw(_VALUE[o.type]) for o in sig.opts
-                    if draw(st.booleans())}
-            horizon = draw(st.none() | st.integers(-10**9, 10**9))
-            stmts.append(Query(kind, call, horizon=horizon, **opts))
+        call = Call(name, tuple((p.name if named else None, draw(v))
+                                for p, v in zip(sig.params, values)))
+        if kind in BINDING_KINDS:
+            scope[f"x{i}"] = kind
+            stmts.append(Binding(kind, f"x{i}", call))
+            continue
+        opts = {o.name: draw(_VALUE[o.type]) for o in sig.opts
+                if draw(st.booleans())}
+        horizon = draw(st.none() | st.integers(-10**9, 10**9))
+        stmts.append(Query(kind, call, horizon=horizon, **opts))
     return Program(tuple(stmts))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(programs())
 def test_print_parse_roundtrip(program):
     assert parse(print_program(program)).statements == program.statements
@@ -401,25 +403,24 @@ _WORDS = sorted({n for _, n in SIGNATURES} | set(BINDING_KINDS)
 
 @st.composite
 def fuzzed_sources(draw):
-    """A program from the table, printed, with some number literals
-    swapped for odd ones and some tokens dropped, repeated or inserted."""
-    tokens = [t.text for t in tokenize(print_program(draw(programs())))]
-    out = []
-    for text in tokens:
-        roll = draw(st.integers(0, 19))
-        if roll == 0:
-            continue
-        if roll == 1:
-            out.append(draw(st.sampled_from(_WORDS)))
-        elif roll == 2:
-            out.append(text)
-        elif roll < 6 and text[:1].isdigit() or text[:1] == "-":
-            text = draw(st.sampled_from(_ODD_LITERALS))
-        out.append(text)
-    return " ".join(out)
+    """A program from the table, printed, with about one number literal in
+    four swapped for an odd one, then up to three tokens dropped, repeated
+    or inserted."""
+    odd = st.sampled_from(_ODD_LITERALS)
+    tokens = [draw(odd) if t.kind == "NUMBER" and draw(st.integers(0, 3)) == 0
+              else t.text
+              for t in tokenize(print_program(draw(programs())))[:-1]]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["drop", "repeat", "insert"]))
+        if edit == "insert":
+            tokens.insert(i, draw(st.sampled_from(_WORDS)))
+        elif i < len(tokens):
+            tokens[i:i + 1] = [] if edit == "drop" else [tokens[i]] * 2
+    return " ".join(tokens)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(fuzzed_sources())
 def test_fuzzed_source_raises_only_source_error(text):
     try:
