@@ -309,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_omega)
 
-    c_max = next(p.default for p in _dsl.SIGNATURES["compare", "bigO"].params
-                 if p.name == "c_max")
+    c_max = next(q.default for q in _dsl.SIGNATURES["compare", "bigO"].params
+                 if q.name == "c_max")
     p = sub.add_parser("compare", help="order relation between two sequences")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)

@@ -407,8 +407,8 @@ class _Parser:
         other references are kind-checked when the call runs."""
         params = SIGNATURES[CONSTRUCTORS[call.name], call.name].params
         for i, (key, v) in enumerate(call.args):
-            p = next((p for j, p in enumerate(params)
-                      if (p.name == key if key else i == j)), None)
+            p = next((q for j, q in enumerate(params)
+                      if (q.name == key if key else i == j)), None)
             kinds = p.type.split("|") if p else []
             if len(kinds) > 1 and isinstance(v, Ref) \
                     and self.scope[v.name] not in kinds:

@@ -301,6 +301,31 @@ def test_error_record_messages(stmt, message):
     assert records[-1]["error"] == {"type": "WcalcError", "message": message}
 
 
+@pytest.mark.parametrize("stmt, message", [
+    ("check lc(3);", "lc: m must be a seq name"),
+    ("seq f = theta_bounds(g, 8); check lc(f);",
+     "lc: m must be a seq, 'f' is derivative-bound data"),
+    ("seq f = theta_bounds(g, 8); omega a = assoc(f);",
+     "assoc: m must be a seq, 'f' is derivative-bound data"),
+])
+def test_bad_referent_is_an_error_record(stmt, message):
+    # each used to escape execute as an AttributeError
+    records = execute(parse(_PRE + stmt))
+    assert records[-1]["error"] == {"type": "WcalcError", "message": message}
+
+
+def test_binding_on_a_poisoned_name_is_poisoned():
+    records = execute(parse(
+        "seq bad = gevrey(s=-1);\n"
+        "omega w = assoc(bad);\n"
+        "eval omega(w, 2);\n"))
+    assert [(r["kind"], r["error"]["type"]) for r in records] == [
+        ("binding", "InvalidParameterError"),
+        ("binding", "PoisonedReference"),
+        ("eval", "PoisonedReference")]
+    assert records[2]["error"]["message"] == "binding 'w' failed earlier"
+
+
 @pytest.mark.parametrize("stmt, message, col", [
     ("check mg(g) horizon 1e400;", "bad number literal '1e400'", 21),
     ("check mg(g) horizon 2.7;", "horizon needs an integer, got 2.7", 21),
