@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .config import default_config
 from .errors import InvalidParameterError, SourceError, WcalcError
@@ -250,6 +251,7 @@ def _cmd_classify(args, cfg, h) -> list:
 # argument wiring
 
 
+@cache
 def _specs(kinds, element: str = "") -> str:
     """The spec forms of the families of these kinds, for help text."""
     return " | ".join(
@@ -258,6 +260,7 @@ def _specs(kinds, element: str = "") -> str:
         for name, (_, kind, keys) in SPECS.items() if kind in kinds)
 
 
+@cache
 def _ops(kind: str) -> str:
     return "|".join(op.replace("_", "-") for op in _dsl.QUERY_OPS[kind])
 
