@@ -291,6 +291,12 @@ ERROR_RECORDS = [
     ("compare numeric_ratio(g, g) grid [1];", _LOG_GRID),
     ("eval seminorm(g, g, p, 2);", _BOUNDS.format("seminorm")),
     ("classify membership(g, m);", _BOUNDS.format("classify membership")),
+    # a number or derivative-bound data where a sequence name belongs
+    ("check lc(3);", "lc: m must be a seq name"),
+    ("seq f = theta_bounds(g, 8); check lc(f);",
+     "lc: m must be a seq, 'f' is derivative-bound data"),
+    ("seq f = theta_bounds(g, 8); omega a = assoc(f);",
+     "assoc: m must be a seq, 'f' is derivative-bound data"),
 ]
 
 
@@ -298,19 +304,6 @@ ERROR_RECORDS = [
 def test_error_record_messages(stmt, message):
     records = execute(parse(_PRE + stmt))
     assert all("error" not in r for r in records[:-1])
-    assert records[-1]["error"] == {"type": "WcalcError", "message": message}
-
-
-@pytest.mark.parametrize("stmt, message", [
-    ("check lc(3);", "lc: m must be a seq name"),
-    ("seq f = theta_bounds(g, 8); check lc(f);",
-     "lc: m must be a seq, 'f' is derivative-bound data"),
-    ("seq f = theta_bounds(g, 8); omega a = assoc(f);",
-     "assoc: m must be a seq, 'f' is derivative-bound data"),
-])
-def test_bad_referent_is_an_error_record(stmt, message):
-    # each used to escape execute as an AttributeError
-    records = execute(parse(_PRE + stmt))
     assert records[-1]["error"] == {"type": "WcalcError", "message": message}
 
 
