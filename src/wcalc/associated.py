@@ -375,8 +375,9 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
 
     if mode == "numeric_ratio":
         grid = grid or LogGrid(10.0, 1e6, cfg.grid_points)
-        om = OmegaFunction.from_sequence(m, cfg, min(h, 256))
-        on = OmegaFunction.from_sequence(n, cfg, min(h, 256))
+        # check_sc above is the certificate from_sequence would repeat
+        om, on = (OmegaFunction(sequence=seq, evaluator=None, label=seq.label(),
+                                normalized=True) for seq in (m, n))
         ts, ratios = [], []
         for t in grid.values():
             try:

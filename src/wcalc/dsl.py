@@ -553,6 +553,12 @@ def print_program(p: Program) -> str:
 # execution
 
 
+def _integer(what: str, v: float) -> int:
+    if not v.is_integer():
+        raise WcalcError(f"{what} must be an integer")
+    return int(v)
+
+
 def _convert(op: str, p: Param, v, env: dict):
     """The value a call passes for parameter p, checked against its type;
     env maps names to (kind, object)."""
@@ -560,7 +566,7 @@ def _convert(op: str, p: Param, v, env: dict):
     if t in (NUMBER, INT):
         if not isinstance(v, float):
             raise WcalcError(f"{p.name} must be a number")
-        return int(v) if t == INT else v
+        return _integer(p.name, v) if t == INT else v
     if t in (NUMBERS, LOG_GRID):
         if not isinstance(v, tuple) or not all(isinstance(x, float) for x in v):
             raise WcalcError(f"{p.name} must be a list of numbers")
@@ -568,7 +574,7 @@ def _convert(op: str, p: Param, v, env: dict):
             return v
         if len(v) != 3:
             raise WcalcError("grid option here means [t_min, t_max, points]")
-        return _assoc.LogGrid(v[0], v[1], int(v[2]))
+        return _assoc.LogGrid(v[0], v[1], _integer("grid points", v[2]))
     if t == NAME:
         return v
     kinds = ("seq",) if t == BOUNDS else tuple(t.split("|"))

@@ -466,7 +466,14 @@ def composition_sequence(m, K: int, cfg: Config | None = None) -> list[float]:
 
     Entry k is the max over all partitions k = j_1 + ... + j_l (parts >= 1)
     of log m_l + log m_{j_1} + ... + log m_{j_l}; entry 0 is log 1 = 0.
-    Dynamic program over (remaining sum, parts used), O(K^3).
+
+    O(K) when log m_1, ..., log m_K are finite and convex (with a margin
+    over rounding, see _convex_from_one): the maximum over l parts then
+    sits at the composition with one part k - l + 1 and l - 1 ones, and
+    over l at l = 1 or l = k, so entry k is the larger of the one-part and
+    the k-ones sums, added in the order the dynamic program adds them (the
+    result is bit-identical).  Any other input runs the dynamic program
+    over (remaining sum, parts used), O(K^3).
 
     m may be a WeightSequence whose log_term IS the reduced sequence, or a
     plain list of log values of length >= K+1.
@@ -480,6 +487,42 @@ def composition_sequence(m, K: int, cfg: Config | None = None) -> list[float]:
         if len(logs) < K + 1:
             raise InvalidParameterError(
                 "m", f"need {K + 1} reduced terms, got {len(logs)}")
+    if not _convex_from_one(logs, K):
+        return _composition_dp(logs, K)
+    out = [0.0]
+    ones = 0.0
+    for k in range(1, K + 1):
+        ones = logs[1] + ones
+        out.append(max(logs[1] + (logs[k] + 0.0), logs[k] + ones))
+    return out
+
+
+def _convex_from_one(logs: list[float], K: int) -> bool:
+    """logs[1..K] are finite, too small for a sum of K + 1 of them to
+    overflow, and convex with room for rounding.
+
+    On convex input every composition of k other than the one-part and the
+    k-ones one falls short of the better of those two by at least
+    |logs[1]| plus the least second difference.  The convex path agrees
+    with the dynamic program bit for bit when that gap exceeds the
+    rounding error of the sums the program forms (at most K + 1 terms) and
+    of the second differences measured here; 16 (K+1)^2 ulps of the
+    largest |logs[j]| bound both.  Near-affine input with logs[1] close to
+    0 ties within rounding and stays on the dynamic program.
+    """
+    a = logs[1:K + 1]
+    top = max(map(abs, a), default=0.0)
+    if not (all(map(math.isfinite, a)) and math.isfinite(4.0 * (K + 1) * top)):
+        return False
+    d = [y - x for x, y in zip(a, a[1:])]
+    curv = min((y - x for x, y in zip(d, d[1:])), default=math.inf)
+    return curv >= 0.0 and (
+        K < 3 or abs(a[0]) + curv > 16 * (K + 1) ** 2 * math.ulp(top))
+
+
+def _composition_dp(logs: list[float], K: int) -> list[float]:
+    """composition_sequence by dynamic program on any input, O(K^3); the
+    reference the convex path is tested against."""
     neg = float("-inf")
     # best[k][l]: max sum of logs over l parts summing to k
     best = [[neg] * (K + 1) for _ in range(K + 1)]

@@ -20,6 +20,7 @@ from wcalc import (
     callable_sequence,
     export_csv,
     from_omega,
+    gevrey,
     omega_doubling_probe,
     recover_term,
     table,
@@ -221,6 +222,29 @@ def test_numeric_ratio_tail(g1, g2):
     assert v.evidence["points"] >= 150
     assert v.evidence["ratio_tail_max"] < 0.02
     assert v.evidence["ratio_tail_min"] > 0.0
+
+
+def test_numeric_ratio_certifies_each_sequence_once(monkeypatch):
+    from wcalc import conditions
+
+    calls = []
+    check, profile = conditions.check_condition, conditions.root_growth_profile
+
+    def counted_check(m, cond, *a, **k):
+        calls.append(cond)
+        return check(m, cond, *a, **k)
+
+    def counted_profile(*a, **k):
+        calls.append("profile")
+        return profile(*a, **k)
+
+    monkeypatch.setattr(conditions, "check_condition", counted_check)
+    monkeypatch.setattr(conditions, "root_growth_profile", counted_profile)
+    v = assoc_relation_check(gevrey(1.0), gevrey(1.5), "numeric_ratio",
+                             horizon=128)
+    assert v.status == HOLDS
+    assert sorted(calls) == ["lc", "lc", "normalized", "normalized",
+                             "profile", "profile"]
 
 
 def test_assoc_relation_validation(g1, g2):

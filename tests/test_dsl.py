@@ -265,6 +265,7 @@ _NUM = "{} must be a number"
 _LIST = "{} must be a list of numbers"
 _LOG_GRID = "grid option here means [t_min, t_max, points]"
 _BOUNDS = "{} needs derivative-bound data (theta_bounds) as its first argument"
+_INT = "{} must be an integer"
 ERROR_RECORDS = [
     ("seq a = ptt(tau=1, 2);", "ptt: positional argument after a named one"),
     ("seq a = gevrey(s=1, s=2);", "gevrey: duplicate argument 's'"),
@@ -279,6 +280,12 @@ ERROR_RECORDS = [
     ("seq a = scale(g, x, [2]);", _NUM.format("c")),
     ("seq a = theta_bounds(g, 8, [1]);", _NUM.format("truncation")),
     ("compare bigO(g, g, [1]);", _NUM.format("c_max")),
+    # an int parameter takes only integer-valued numbers
+    ("eval recover(w, 3.7);", _INT.format("j")),
+    ("eval theta_deriv(g, 2.5);", _INT.format("k")),
+    ("seq a = theta_bounds(g, 8.9);", _INT.format("count")),
+    ("compare bigO(g, g, c_max=2.5);", _INT.format("c_max")),
+    ("eval recover(w, 3) grid [1, 1e70, 400.5];", _INT.format("grid points")),
     ("seq a = table(values=3);", _LIST.format("values")),
     ("check gamma_lb(g, 3);", _LIST.format("alphas")),
     ("mcheck mg(m) grid [g];", _LIST.format("grid")),

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wcalc import (
     BEURLING,
@@ -34,7 +34,13 @@ from wcalc import (
     table,
     table_exponents,
 )
-from wcalc.matrices import DEFAULT_INDEX_GRID, MATRIX_CONDITIONS, exponent_family_scale
+from wcalc.matrices import (
+    DEFAULT_INDEX_GRID,
+    MATRIX_CONDITIONS,
+    _composition_dp,
+    _convex_from_one,
+    exponent_family_scale,
+)
 
 GRID4 = (0.5, 1.0, 2.0, 4.0)
 
@@ -320,6 +326,7 @@ def test_composition_matches_enumeration_random(increments):
     got = composition_sequence(logs, K)
     want = brute_composition(logs, K)
     assert got == pytest.approx(want, abs=1e-9)
+    assert _composition_dp(logs, K) == pytest.approx(want, abs=1e-9)
 
 
 def test_composition_accepts_sequence_views():
@@ -338,6 +345,63 @@ def test_composition_dominates_single_block():
     comp = composition_sequence(logs, 20)
     for k in range(1, 21):
         assert comp[k] >= logs[k] + logs[1] - 1e-12
+
+
+def convex_logs(a0, a1, slope, bends):
+    """[a0, a1, a1 + slope, ...] with the slope growing by each bend, each
+    term nudged up by ulps until its float difference is no smaller than
+    the one before, so the differences never decrease on 1..K."""
+    logs = [a0, a1, a1 + slope]
+    for b in bends:
+        slope += b
+        x = logs[-1] + slope
+        while x - logs[-1] < logs[-1] - logs[-2]:
+            x = math.nextafter(x, math.inf)
+        logs.append(x)
+    return logs, len(logs) - 1
+
+
+@st.composite
+def convex_reduced(draw):
+    """Straight runs (zero bends), exact dyadic lines, a_1 = 0 on a line
+    (every composition ties), negative a_1 and a_1 within rounding of 0."""
+    K = draw(st.integers(0, 60))
+    dyadic = st.integers(-40, 40).map(lambda n: n / 8)
+    tiny = st.floats(1e-16, 1e-14)
+    a1 = draw(st.one_of(st.just(0.0), dyadic, st.floats(-5.0, 5.0), tiny,
+                        tiny.map(lambda x: -x)))
+    slope = draw(st.one_of(dyadic, st.floats(-5.0, 5.0)))
+    bend = draw(st.sampled_from([
+        st.just(0.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e-13), st.floats(0.0, 2.0),
+                  dyadic.map(abs))]))
+    bends = draw(st.lists(bend, min_size=max(K - 2, 0), max_size=max(K - 2, 0)))
+    logs, _ = convex_logs(draw(st.floats(-5.0, 5.0)), a1, slope, bends)
+    return logs[:K + 1], K
+
+
+# a line with a_1 within rounding of 0: every composition nearly ties, and
+# the DP's sums round above both extremes unless the guard keeps a margin
+@example(convex_logs(0.0, 1e-15, math.pi, [0.0] * 38))
+@settings(deadline=None, max_examples=300)
+@given(convex_reduced())
+def test_composition_convex_path_equals_dp(case):
+    logs, K = case
+    assert composition_sequence(logs, K) == _composition_dp(logs, K)
+
+
+def test_composition_convex_path_on_a_ptt_matrix_element():
+    t = ptt_matrix(1.0, 2.0).element(1.0).log_terms(120)
+    reduced = [t[j] - math.lgamma(j + 1) for j in range(121)]
+    assert _convex_from_one(reduced, 120)
+    assert composition_sequence(reduced, 120) == _composition_dp(reduced, 120)
+
+
+def test_composition_non_convex_matches_enumeration():
+    logs = [0.0] + [0.3 * j + (1.5 if j % 2 else 0.0) for j in range(1, 13)]
+    assert not _convex_from_one(logs, 12)
+    assert composition_sequence(logs, 12) == pytest.approx(
+        brute_composition(logs, 12), abs=1e-9)
 
 
 # --- exponent family absorption --------------------------------------------
