@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from array import array
 from dataclasses import dataclass
 from typing import Callable
@@ -347,11 +348,22 @@ def _test_rai(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) 
     return trajectory_entry(range(1, h + 1), vals, cfg)
 
 
+# composition sequence of each FdB left element, per k_top: the Roumieu
+# search puts element(alpha) on the left for every partner, and the r and b
+# statements share a matrix's elements.  Weak keys (WeightSequence compares
+# by identity) drop an element's entry with the element.
+_FDB_COMPOSITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _test_fdb(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
     k_top = min(h, cfg.fdb_horizon)
-    tl, tr = left.log_terms(k_top), right.log_terms(k_top)
-    reduced = [tl[j] - math.lgamma(j + 1) for j in range(k_top + 1)]
-    comp = composition_sequence(reduced, k_top)
+    per_k = _FDB_COMPOSITIONS.setdefault(left, {})
+    comp = per_k.get(k_top)
+    if comp is None:
+        tl = left.log_terms(k_top)
+        reduced = [tl[j] - math.lgamma(j + 1) for j in range(k_top + 1)]
+        comp = per_k[k_top] = composition_sequence(reduced, k_top)
+    tr = right.log_terms(k_top)
     vals = [(comp[k] - (tr[k] - math.lgamma(k + 1))) / k for k in range(1, k_top + 1)]
     entry = trajectory_entry(range(1, k_top + 1), vals, cfg)
     entry["k_top"] = k_top
@@ -461,7 +473,7 @@ def matrix_report_json(cond: MatrixConditionId, results: dict) -> dict:
 # composition sequence (partition maximum)
 
 
-def composition_sequence(m, K: int, cfg: Config | None = None) -> list[float]:
+def composition_sequence(m, K: int) -> list[float]:
     """Partition-maximum transform of a reduced sequence.
 
     Entry k is the max over all partitions k = j_1 + ... + j_l (parts >= 1)

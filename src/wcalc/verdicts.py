@@ -8,9 +8,12 @@ evidence attached.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import mul
 
 from .config import Config
 
@@ -54,19 +57,49 @@ def decimate(values, limit: int = 16) -> list:
     return [vals[round(i * step)] for i in range(limit)]
 
 
-def fit_line(xs, ys) -> tuple[float, float]:
-    """Least-squares slope/intercept; returns (0, mean) for degenerate xs."""
-    n = len(xs)
-    if n == 0:
-        return 0.0, 0.0
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
+def _centre(xs) -> tuple[float, array, float]:
+    """Mean of xs, the deviations from it, and their sum of squares."""
+    mx = math.fsum(xs) / len(xs)
+    dx = array("d", [x - mx for x in xs])
+    return mx, dx, math.fsum(d ** 2 for d in dx)
+
+
+def _centred_fit(dx, sxx: float, ys) -> tuple[float, float]:
+    """Least-squares slope of ys against xs given as the deviations dx from
+    their mean, with sxx the sum of their squares, and the mean of ys; the
+    slope is 0 for degenerate xs (sxx == 0)."""
+    my = math.fsum(ys) / len(dx)
     if sxx == 0.0:
         return 0.0, my
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    return slope, my - slope * mx
+    return math.fsum(map(mul, dx, [y - my for y in ys])) / sxx, my
+
+
+def fit_line(xs, ys) -> tuple[float, float]:
+    """Least-squares slope/intercept; returns (0, mean) for degenerate xs."""
+    if len(xs) == 0:
+        return 0.0, 0.0
+    mx, dx, sxx = _centre(xs)
+    slope, my = _centred_fit(dx, sxx, ys)
+    return slope, (my - slope * mx if sxx != 0.0 else my)
+
+
+@functools.lru_cache(maxsize=8)
+def _log_axis(indices: range | tuple) -> tuple[array, float]:
+    """Centred ln(index) axis of a fit over indices, and its sum of squares.
+    A range keys a contiguous run by its ends alone; other index lists key
+    by their tuple."""
+    _, dx, sxx = _centre([math.log(i) for i in indices])
+    return dx, sxx
+
+
+def _log_slope(hidx: list, half: list) -> float:
+    """fit_line([ln i for i in hidx], half)[0] on a cached ln axis: the
+    trajectories of one run share a few index lists."""
+    first = hidx[0]
+    run = range(first, first + len(hidx)) if type(first) is int else None
+    dx, sxx = _log_axis(run if run is not None and hidx == list(run)
+                        else tuple(hidx))
+    return _centred_fit(dx, sxx, half)[0]
 
 
 FROZEN = "frozen"
@@ -124,7 +157,7 @@ def classify_trajectory(indices, values, cfg: Config) -> TailReport:
     tail = vals[q3:] or vals[-1:]
     half = vals[n // 2:]
     hidx = idx[n // 2:]
-    slope, _ = fit_line([math.log(i) for i in hidx], half)
+    slope = _log_slope(hidx, half)
     if n >= 8 and sup_pos < q3 and max(tail) <= sup + cfg.comparison_slack:
         trend = FROZEN
     elif n < 8:
@@ -158,14 +191,15 @@ def running_sup_stabilized(values, cfg: Config) -> tuple[bool, float]:
     vals = list(values)
     if not vals:
         raise ValueError("empty trajectory")
-    # seeded with -inf: max(acc, nan) keeps acc, so a NaN never becomes a sup
-    sups = list(itertools.accumulate(vals, max, initial=-math.inf))
-    del sups[0]
-    q3 = (3 * len(sups)) // 4
-    anchor = sups[q3] if q3 < len(sups) else sups[-1]
-    moved = sups[-1] - anchor
-    scale = max(1.0, abs(sups[-1]), max(vals) - min(vals))
-    return moved <= cfg.stabilize_rel * scale, sups[-1]
+    # the running sup at 3n/4 and at the end; seeded with -inf, and max
+    # keeps its current value unless an item is strictly greater, so a NaN
+    # never becomes a sup
+    q3 = (3 * len(vals)) // 4
+    anchor = max(chain((-math.inf,), vals[:q3 + 1]))
+    last = max(chain((anchor,), vals[q3 + 1:]))
+    moved = last - anchor
+    scale = max(1.0, abs(last), max(vals) - min(vals))
+    return moved <= cfg.stabilize_rel * scale, last
 
 
 def trajectory_entry(indices, values, cfg: Config) -> dict:

@@ -134,6 +134,7 @@ GOLDEN_SHA256 = {
     "smoke.wsq": (0, "0aceb7aef7bdb96945e4648e29dde2440d137db7041eb86a892507659b66ec9e"),
     "windows.wsq": (3, "853dc34a2f1038b51633a1d675556d462a527e564bccdb5a561f48846c3a5d9d"),
     "evidence.wsq": (3, "0f17709aa8b4a7d022da8f73a5c494767ef01d38f3a098c1a40bfcf5dfec4ae9"),
+    "matrix.wsq": (1, "2f3a3468c6adf7000223480fd9ed4a3ff9fd2dcc1710103521a6de492bfe5d04"),
 }
 
 

@@ -1,7 +1,10 @@
 """Weight matrices: constructors, per-index condition search, absorption."""
 
+import collections
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,6 +37,7 @@ from wcalc import (
     table,
     table_exponents,
 )
+from wcalc import matrices
 from wcalc.matrices import (
     DEFAULT_INDEX_GRID,
     MATRIX_CONDITIONS,
@@ -402,6 +406,37 @@ def test_composition_non_convex_matches_enumeration():
     assert not _convex_from_one(logs, 12)
     assert composition_sequence(logs, 12) == pytest.approx(
         brute_composition(logs, 12), abs=1e-9)
+
+
+def fdb_verdicts(mm, flavors):
+    return {f: {a: v.to_json() for a, v in check_matrix_condition(
+        mm, MatrixConditionId("FdB", f), horizon=128).items()} for f in flavors}
+
+
+def test_fdb_composition_runs_once_per_left_element(monkeypatch):
+    dp_inputs = collections.Counter()
+    real_dp = matrices._composition_dp
+
+    def counting_dp(logs, K):
+        dp_inputs[tuple(logs)] += 1
+        return real_dp(logs, K)
+
+    monkeypatch.setattr(matrices, "_composition_dp", counting_dp)
+    mm = sigma_matrix(2.0)
+    got = fdb_verdicts(mm, (ROUMIEU, BEURLING))
+    # the Beurling search revisits the grid elements the Roumieu one used
+    assert dp_inputs and max(dp_inputs.values()) == 1
+    assert got == fdb_verdicts(sigma_matrix(2.0), (BEURLING, ROUMIEU))
+
+    assert all(mm.element(a) in matrices._FDB_COMPOSITIONS
+               for a in mm.index_grid)
+    elements = [weakref.ref(e) for e in mm._memo.values()]
+    held = len(matrices._FDB_COMPOSITIONS)
+    del mm
+    gc.collect()
+    assert all(e() is None for e in elements)
+    # the entries went with the elements
+    assert len(matrices._FDB_COMPOSITIONS) <= held - len(DEFAULT_INDEX_GRID)
 
 
 # --- exponent family absorption --------------------------------------------

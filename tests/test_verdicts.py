@@ -1,9 +1,10 @@
 """Trajectory classification and verdict plumbing."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wcalc import (
     DOWN,
@@ -150,23 +151,92 @@ def test_running_sup_returns_max(cfg, vals):
     assert sup == max(vals)
 
 
-def running_sups_loop(vals):
-    sups, cur = [], -math.inf
-    for v in vals:
-        cur = max(cur, v)
-        sups.append(cur)
-    return sups
-
-
-@given(st.lists(st.floats(-100, 100) | st.just(math.nan), min_size=1, max_size=50))
-def test_running_sup_matches_loop_reference(cfg, vals):
-    # NaNs included: max(-inf, nan) is -inf, so they never become the sup
-    sups = running_sups_loop(vals)
+def running_sup_reference(vals, cfg):
+    """running_sup_stabilized over the full list of running sups, each
+    max(acc, v) seeded with -inf."""
+    sups = list(itertools.accumulate(vals, max, initial=-math.inf))
+    del sups[0]
     q3 = (3 * len(sups)) // 4
-    moved = sups[-1] - sups[q3]
+    anchor = sups[q3] if q3 < len(sups) else sups[-1]
+    moved = sups[-1] - anchor
     scale = max(1.0, abs(sups[-1]), max(vals) - min(vals))
-    want = (moved <= cfg.stabilize_rel * scale, sups[-1])
-    assert repr(running_sup_stabilized(vals, cfg)) == repr(want)
+    return moved <= cfg.stabilize_rel * scale, sups[-1]
+
+
+def same_float(a, b):
+    """Equal including the sign of zero, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+SPECIAL_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308])
+
+
+@example([math.nan, 1.0, -2.0, 0.5])
+@example([math.nan, math.nan, math.nan])
+@example([-0.0, 0.0, -0.0, 0.0, 0.0])
+@example([0.0, -0.0, -0.0, -0.0, 0.0])
+@example([1e308, -1e308, math.inf, 1e308])
+@example([0.0] * 10 + [math.nan, 5.0])
+@given(st.lists(st.floats(-100, 100) | SPECIAL_FLOATS | st.floats(),
+                min_size=1, max_size=50))
+def test_running_sup_matches_loop_reference(cfg, vals):
+    # NaNs included: max(-inf, nan) is -inf, so they never become the sup;
+    # of two equal zeros the earlier one stays the sup
+    stab, sup = running_sup_stabilized(vals, cfg)
+    want_stab, want_sup = running_sup_reference(vals, cfg)
+    assert stab == want_stab
+    assert same_float(sup, want_sup)
+
+
+def least_squares_slope(xs, ys):
+    """Reference slope: every sum an fsum over a generator, no shared axis."""
+    n = len(xs)
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    sxx = math.fsum((x - mx) ** 2 for x in xs)
+    if sxx == 0.0:
+        return 0.0
+    return math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+
+
+@st.composite
+def fitted_trajectory(draw):
+    """(indices, values) whose last half is a contiguous run, a sparse
+    increasing list or a single point."""
+    shape = draw(st.sampled_from(["contiguous", "sparse", "one point"]))
+    n = draw(st.integers(1, 2)) if shape == "one point" else \
+        draw(st.integers(3, 64))
+    if shape == "sparse":
+        idx = sorted(draw(st.sets(st.integers(1, 5000), min_size=n, max_size=n)))
+    else:
+        first = draw(st.integers(1, 600))
+        idx = list(range(first, first + n))
+    vals = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    return idx, vals
+
+
+@example(([1, 2, 3, 5, 6, 7, 8], [0.0, 1.0, 4.0, 2.0, -0.0, 3.0, 1.0]))
+# the matrix search's axis; a plain sum of the products gives 1 - 2^-52
+@example((list(range(1, 513)), [math.log(j) for j in range(1, 513)]))
+@given(fitted_trajectory())
+def test_classify_slope_equals_fit_line(cfg, case):
+    # bit for bit, on the first call (axis built) and the second (cached)
+    idx, vals = case
+    n = len(vals)
+    xs, half = [math.log(i) for i in idx[n // 2:]], vals[n // 2:]
+    want = least_squares_slope(xs, half)
+    assert same_float(fit_line(xs, half)[0], want)
+    for _ in range(2):
+        assert same_float(classify_trajectory(idx, vals, cfg).slope, want)
+
+
+@pytest.mark.parametrize("idx", [[0], [-2, -1, 0, 1], [-5, -3, 0, 7]])
+def test_classify_index_zero_in_the_fit_raises(cfg, idx):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="math domain error"):
+            classify_trajectory(idx, [1.0] * len(idx), cfg)
 
 
 def test_quarter_minima(cfg):
