@@ -13,7 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .config import Config
+from .config import (
+    DEFAULT_HORIZON,
+    GOLDEN_ITERS,
+    GRID_POINTS,
+    GRID_T_MAX,
+    GRID_T_MIN,
+    OMEGA_INDEX_CAP,
+)
 from .errors import (
     InvalidParameterError,
     MaximizerOnBoundaryError,
@@ -42,9 +49,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 class LogGrid:
     """Geometric evaluation grid on [t_min, t_max]."""
 
-    t_min: float = 1.0
-    t_max: float = 1e8
-    points: int = 200
+    t_min: float = GRID_T_MIN
+    t_max: float = GRID_T_MAX
+    points: int = GRID_POINTS
 
     def __post_init__(self) -> None:
         if not (self.t_min > 0.0 and math.isfinite(self.t_min)):
@@ -63,10 +70,6 @@ class LogGrid:
 
     def values(self) -> list[float]:
         return [math.exp(u) for u in self.log_points()]
-
-    @classmethod
-    def from_config(cls, cfg: Config) -> "LogGrid":
-        return cls(cfg.grid_t_min, cfg.grid_t_max, cfg.grid_points)
 
 
 class OmegaValue(NamedTuple):
@@ -96,24 +99,21 @@ class OmegaFunction:
         self._cache: dict[float, tuple[float, int | None]] = {}
 
     @classmethod
-    def from_sequence(cls, m: WeightSequence, cfg: Config | None = None,
+    def from_sequence(cls, m: WeightSequence,
                       check_horizon: int | None = None) -> "OmegaFunction":
-        cfg = cfg or Config()
-        h = check_horizon or cfg.horizon
-        if m.max_index() is not None:
-            h = min(h, m.max_index())
-        lc = _conditions.check_condition(m, "lc", h, cfg)
+        h = m.last_index(check_horizon or DEFAULT_HORIZON)
+        lc = _conditions.check_condition(m, "lc", h)
         if not lc.holds:
             raise PreconditionError(
                 f"sequence {m.label()} is not log-convex up to {h}",
                 witness={"lc": lc.status, "witness": lc.witness})
-        profile = _conditions.root_growth_profile(m, h, cfg)
+        profile = _conditions.root_growth_profile(m, h)
         if not profile["divergent"]:
             raise PreconditionError(
                 f"roots of {m.label()} not empirically divergent up to {h}",
                 witness={"root_last_quarter_min": profile["root_last_quarter_min"],
                          "root_first_quarter_max": profile["root_first_quarter_max"]})
-        normalized = _conditions.check_condition(m, "normalized", h, cfg).holds
+        normalized = _conditions.check_condition(m, "normalized", h).holds
         return cls(sequence=m, evaluator=None, label=m.label(), normalized=normalized)
 
     @classmethod
@@ -146,9 +146,7 @@ class OmegaFunction:
         """
         m = self._m
         assert m is not None
-        cap = horizon
-        if m.max_index() is not None:
-            cap = min(cap, m.max_index())
+        cap = m.last_index(horizon)
         if m.quotient_log(cap) <= log_t:
             raise SupNotAttainedError(
                 f"maximizer of {self._label} at log t = {log_t:.6g} reaches "
@@ -170,11 +168,9 @@ class OmegaFunction:
                 hi = mid
         return lo
 
-    def eval(self, t: float, horizon: int | None = None,
-             cfg: Config | None = None) -> OmegaValue:
+    def eval(self, t: float, horizon: int | None = None) -> OmegaValue:
         if not (math.isfinite(t) and t >= 0.0):
             raise InvalidParameterError("t", f"need finite t >= 0, got {t}")
-        cfg = cfg or Config()
         if self._fn is not None:
             cached = self._cache.get(t)
             if cached is not None:
@@ -188,7 +184,7 @@ class OmegaFunction:
             return OmegaValue(*out)
         if t == 0.0:
             return OmegaValue(0.0, 0)
-        h = horizon if horizon is not None else cfg.omega_index_cap
+        h = horizon if horizon is not None else OMEGA_INDEX_CAP
         cached = self._cache.get(t)
         if cached is not None:
             if cached[1] is not None and cached[1] <= h:
@@ -203,12 +199,12 @@ class OmegaFunction:
         self._cache[t] = (value, j)
         return OmegaValue(value, j)
 
-    def table(self, grid: LogGrid, horizon: int | None = None,
-              cfg: Config | None = None) -> list[tuple[float, float, int | None]]:
+    def table(self, grid: LogGrid,
+              horizon: int | None = None) -> list[tuple[float, float, int | None]]:
         """Evaluate on a grid and assert the shape invariants of the batch."""
         rows = []
         for t in grid.values():
-            v = self.eval(t, horizon, cfg)
+            v = self.eval(t, horizon)
             rows.append((t, v.value, v.attained_at))
         _assert_shape(rows, self._label)
         return rows
@@ -235,7 +231,7 @@ def _assert_shape(rows, label: str) -> None:
 
 
 def _conjugate_scan(omega: OmegaFunction, s: float, us: list[float],
-                    horizon: int | None, cfg: Config):
+                    horizon: int | None):
     """g(u) = s*u - omega(e^u) on the grid, cut where the inner sup leaves
     the horizon.  For points beyond the cut g is non-increasing (the inner
     maximizer already exceeds s there), so they cannot host the max."""
@@ -244,11 +240,9 @@ def _conjugate_scan(omega: OmegaFunction, s: float, us: list[float],
     cut = False
     for u in us:
         try:
-            w = omega.eval(math.exp(u), horizon, cfg)
+            w = omega.eval(math.exp(u), horizon)
         except SupNotAttainedError:
-            if omega.from_sequence_source and not vals:
-                raise
-            if not omega.from_sequence_source:
+            if not (omega.from_sequence_source and vals):
                 raise
             cut = True
             break
@@ -258,14 +252,12 @@ def _conjugate_scan(omega: OmegaFunction, s: float, us: list[float],
 
 
 def young_conjugate(omega: OmegaFunction, s: float, grid: LogGrid | None = None,
-                    horizon: int | None = None,
-                    cfg: Config | None = None) -> ConjugateValue:
+                    horizon: int | None = None) -> ConjugateValue:
     if not (math.isfinite(s) and s >= 0.0):
         raise InvalidParameterError("s", f"need finite s >= 0, got {s}")
-    cfg = cfg or Config()
-    grid = grid or LogGrid.from_config(cfg)
+    grid = grid or LogGrid()
     us = grid.log_points()
-    vals, attained, cut = _conjugate_scan(omega, s, us, horizon, cfg)
+    vals, attained, cut = _conjugate_scan(omega, s, us, horizon)
     best = max(range(len(vals)), key=lambda i: vals[i])
     last = len(vals) - 1
     if best == last:
@@ -288,13 +280,13 @@ def young_conjugate(omega: OmegaFunction, s: float, grid: LogGrid | None = None,
     hi = us[min(best + 1, last)]
 
     def g(u: float) -> float:
-        return s * u - omega.eval(math.exp(u), horizon, cfg).value
+        return s * u - omega.eval(math.exp(u), horizon).value
 
     a, b = lo, hi
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = g(x1), g(x2)
-    for _ in range(cfg.golden_iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
@@ -311,7 +303,7 @@ def young_conjugate(omega: OmegaFunction, s: float, grid: LogGrid | None = None,
 
 
 def recover_term(omega: OmegaFunction, j: int, grid: LogGrid | None = None,
-                 horizon: int | None = None, cfg: Config | None = None) -> float:
+                 horizon: int | None = None) -> float:
     """Rebuild log M_j as the conjugate at integer argument.
 
     For a log-convex normalized source with divergent roots the conjugate
@@ -320,29 +312,29 @@ def recover_term(omega: OmegaFunction, j: int, grid: LogGrid | None = None,
     """
     if j < 0:
         raise InvalidParameterError("j", f"need j >= 0, got {j}")
-    return young_conjugate(omega, float(j), grid, horizon, cfg).value
+    return young_conjugate(omega, float(j), grid, horizon).value
 
 
 def assoc_matrix_term(omega: OmegaFunction, ell: float, j: int,
-                      grid: LogGrid | None = None, horizon: int | None = None,
-                      cfg: Config | None = None) -> float:
+                      grid: LogGrid | None = None,
+                      horizon: int | None = None) -> float:
     """Term of the conjugate-generated weight matrix: (1/ell) * conj(ell*j)."""
     if not (ell > 0.0 and math.isfinite(ell)):
         raise InvalidParameterError("ell", f"need ell > 0, got {ell}")
     if j < 0:
         raise InvalidParameterError("j", f"need j >= 0, got {j}")
-    return young_conjugate(omega, ell * j, grid, horizon, cfg).value / ell
+    return young_conjugate(omega, ell * j, grid, horizon).value / ell
 
 
 def from_omega(omega: OmegaFunction, ell: float = 1.0,
-               grid: LogGrid | None = None, horizon: int | None = None,
-               cfg: Config | None = None) -> WeightSequence:
+               grid: LogGrid | None = None,
+               horizon: int | None = None) -> WeightSequence:
     """Weight sequence generated by the conjugate at scale ell."""
     if not (ell > 0.0 and math.isfinite(ell)):
         raise InvalidParameterError("ell", f"need ell > 0, got {ell}")
 
     def term(j: int) -> float:
-        return assoc_matrix_term(omega, ell, j, grid, horizon, cfg)
+        return assoc_matrix_term(omega, ell, j, grid, horizon)
 
     return WeightSequence(
         "from_omega", {"ell": ell, "omega": omega.label()}, term)
@@ -354,35 +346,33 @@ def from_omega(omega: OmegaFunction, ell: float = 1.0,
 
 def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
                          c_max: int = 4, horizon: int | None = None,
-                         grid: LogGrid | None = None,
-                         cfg: Config | None = None) -> Verdict:
+                         grid: LogGrid | None = None) -> Verdict:
     """Certify the sequence-side renderings of the associated-function
     comparison: an index-dilation inequality with a single witness scale
     (bigO), the same for every scale up to c_max (smallO), or the direct
     numeric ratio probe of the two associated functions.
     """
-    cfg = cfg or Config()
-    h = horizon if horizon is not None else cfg.horizon
+    h = horizon if horizon is not None else DEFAULT_HORIZON
     if mode not in ("bigO", "smallO", "numeric_ratio"):
         raise InvalidParameterError("mode", f"unknown mode {mode!r}")
     subject = f"assoc_{mode}({m.label()}, {n.label()})"
     for seq in (m, n):
-        v = _conditions.check_sc(seq, min(h, 256), cfg)
+        v = _conditions.check_sc(seq, min(h, 256))
         if not v.holds:
             raise PreconditionError(
                 f"{seq.label()} must be log-convex, normalized, with "
                 f"divergent roots up to {min(h, 256)}", witness=v.evidence)
 
     if mode == "numeric_ratio":
-        grid = grid or LogGrid(10.0, 1e6, cfg.grid_points)
+        grid = grid or LogGrid(10.0, 1e6)
         # check_sc above is the certificate from_sequence would repeat
         om, on = (OmegaFunction(sequence=seq, evaluator=None, label=seq.label(),
                                 normalized=True) for seq in (m, n))
         ts, ratios = [], []
         for t in grid.values():
             try:
-                a = om.eval(t, cfg.omega_index_cap, cfg).value
-                b = on.eval(t, cfg.omega_index_cap, cfg).value
+                a = om.eval(t).value
+                b = on.eval(t).value
             except SupNotAttainedError:
                 break
             if a <= 0.0 or b <= 0.0:
@@ -416,7 +406,7 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
         for c in range(1, c_max + 1):
             jmax = h // c
             defects = [nt[j] - mt[c * j] / c for j in range(jmax + 1)]
-            per_c[c] = trajectory_entry(range(jmax + 1), defects, cfg)
+            per_c[c] = trajectory_entry(range(jmax + 1), defects)
             if witness_c is None and per_c[c]["stabilized"]:
                 witness_c = c
         ev = {"mode": mode, "per_c": per_c}
@@ -431,7 +421,7 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
     for c in range(1, c_max + 1):
         jmax = h // c
         defects = [mt[c * j] / c - nt[j] for j in range(jmax + 1)]
-        per_c[c] = trajectory_entry(range(jmax + 1), defects, cfg)
+        per_c[c] = trajectory_entry(range(jmax + 1), defects)
         if not per_c[c]["stabilized"]:
             failing.append(c)
     ev = {"mode": mode, "per_c": per_c, "c_max": c_max}
@@ -442,17 +432,15 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
 
 
 def omega_doubling_probe(omega: OmegaFunction, grid: LogGrid | None = None,
-                         horizon: int | None = None,
-                         cfg: Config | None = None) -> dict:
+                         horizon: int | None = None) -> dict:
     """Ratio omega(2t)/omega(t) across the grid; a bounded tail is the
     empirical face of the doubling condition."""
-    cfg = cfg or Config()
-    grid = grid or LogGrid(10.0, 1e6, cfg.grid_points)
+    grid = grid or LogGrid(10.0, 1e6)
     ts, ratios = [], []
     for t in grid.values():
         try:
-            a = omega.eval(2.0 * t, horizon, cfg).value
-            b = omega.eval(t, horizon, cfg).value
+            a = omega.eval(2.0 * t, horizon).value
+            b = omega.eval(t, horizon).value
         except SupNotAttainedError:
             break
         if b <= 0.0:
@@ -471,9 +459,9 @@ def omega_doubling_probe(omega: OmegaFunction, grid: LogGrid | None = None,
 
 
 def export_csv(omega: OmegaFunction, grid: LogGrid, path: str,
-               horizon: int | None = None, cfg: Config | None = None) -> int:
+               horizon: int | None = None) -> int:
     """Write (t, omega, attaining index) rows; returns the row count."""
-    rows = omega.table(grid, horizon, cfg)
+    rows = omega.table(grid, horizon)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "omega", "attained_at"])

@@ -13,7 +13,13 @@ import functools
 import math
 import random
 
-from .config import Config
+from .config import (
+    COMPARISON_SLACK,
+    DEFAULT_HORIZON,
+    OFFDIAG_SAMPLES,
+    POWERFIT_MARGIN,
+    ROOT_MARGIN,
+)
 from .errors import InvalidParameterError
 from .logdomain import LOG_ZERO, log_add, log_sum, slack
 from .sequences import ExponentSequence, WeightSequence
@@ -40,18 +46,18 @@ CONDITIONS = (
 EXPONENT_GAP_FLOOR = 0.01
 
 
-def _need_horizon(horizon: int | None, cfg: Config) -> int:
-    h = cfg.horizon if horizon is None else int(horizon)
+def _need_horizon(horizon: int | None) -> int:
+    h = DEFAULT_HORIZON if horizon is None else int(horizon)
     if h < 4:
         raise InvalidParameterError("horizon", f"need horizon >= 4, got {h}")
     return h
 
 
-def _powerfit_tail(log_indices, log_values, horizon, margin):
+def _powerfit_tail(log_indices, log_values, horizon):
     """Fit log v ~ p log j over the tail; log of the integral tail bound
     for sum 1/v beyond the horizon, or None when the fit is too shallow."""
     p, q = fit_line(log_indices, log_values)
-    if p <= 1.0 + margin:
+    if p <= 1.0 + POWERFIT_MARGIN:
         return p, None
     log_tail = -q + (1.0 - p) * math.log(horizon) - math.log(p - 1.0)
     return p, log_tail
@@ -61,19 +67,23 @@ def check_condition(
     m: WeightSequence,
     cond: str,
     horizon: int | None = None,
-    cfg: Config | None = None,
     Q: int = 2,
+    *,
+    seed: int = 0,
 ) -> Verdict:
-    cfg = cfg or Config()
+    """Verdict of one condition on m up to the horizon; Q is the
+    dilation of beta1/beta3 and seed the off-diagonal pair sample of mg."""
     if cond not in CONDITIONS:
         raise InvalidParameterError("cond", f"unknown condition {cond!r}; expected one of {CONDITIONS}")
-    h = _need_horizon(horizon, cfg)
+    h = _need_horizon(horizon)
     fn = _DISPATCH[cond]
     if cond in ("beta1", "beta3"):
         if not isinstance(Q, int) or Q < 2:
             raise InvalidParameterError("Q", f"need integer Q >= 2, got {Q!r}")
-        return fn(m, h, cfg, Q)
-    return fn(m, h, cfg)
+        return fn(m, h, Q)
+    if cond == "mg":
+        return fn(m, h, seed)
+    return fn(m, h)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +91,10 @@ def check_condition(
 
 
 def _monotone(tag: str, key: str, quotients: list[float], terms: list[float],
-              h: int, cfg: Config) -> Verdict:
+              h: int) -> Verdict:
     """Fails at the first drop of the quotient sequence beyond the slack
     (witness: the index j of the later quotient), Holds otherwise."""
-    tol = slack(cfg.comparison_slack, max(map(abs, terms)))
+    tol = slack(COMPARISON_SLACK, max(map(abs, terms)))
     ev = {key: decimate(quotients)}
     for i in range(1, len(quotients)):
         if quotients[i] < quotients[i - 1] - tol:
@@ -93,38 +103,38 @@ def _monotone(tag: str, key: str, quotients: list[float], terms: list[float],
     return Verdict(tag, HOLDS, h, evidence=ev)
 
 
-def _check_lc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+def _check_lc(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
     return _monotone("lc", "quotients_log",
-                     [t[j] - t[j - 1] for j in range(1, h + 1)], t, h, cfg)
+                     [t[j] - t[j - 1] for j in range(1, h + 1)], t, h)
 
 
-def _check_slc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+def _check_slc(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
     return _monotone("slc", "reduced_quotients_log",
                      [t[j] - t[j - 1] - math.log(j) for j in range(1, h + 1)],
-                     t, h, cfg)
+                     t, h)
 
 
-def _check_normalized(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+def _check_normalized(m: WeightSequence, h: int) -> Verdict:
     t0 = m.log_term(0)
     t1 = m.log_term(1)
     ev = {"log_term_0": t0, "log_term_1": t1}
-    if abs(t0) > cfg.comparison_slack:
+    if abs(t0) > COMPARISON_SLACK:
         return Verdict("normalized", FAILS, h, witness=0, evidence=ev)
-    if t1 < t0 - cfg.comparison_slack:
+    if t1 < t0 - COMPARISON_SLACK:
         return Verdict("normalized", FAILS, h, witness=1, evidence=ev)
     return Verdict("normalized", HOLDS, h, evidence=ev)
 
 
-def check_sc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+def check_sc(m: WeightSequence, h: int) -> Verdict:
     """The regularity certificate: log-convex, normalized and with
     divergent roots up to h.  Fails with the lc witness, else the
     normalized one (both checks are exact); Undetermined when only the
     divergence of the roots is missing."""
-    lc = check_condition(m, "lc", h, cfg)
-    nm = check_condition(m, "normalized", h, cfg)
-    divergent = root_growth_profile(m, h, cfg)["divergent"]
+    lc = check_condition(m, "lc", h)
+    nm = check_condition(m, "normalized", h)
+    divergent = root_growth_profile(m, h)["divergent"]
     ev = {"lc": lc.status, "normalized": nm.status,
           "roots_divergent": divergent}
     if lc.fails or nm.fails:
@@ -150,14 +160,14 @@ def sample_pairs(h: int, count: int, seed: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _check_mg(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+def _check_mg(m: WeightSequence, h: int, seed: int) -> Verdict:
     jmax = h // 2
     idx = list(range(1, jmax + 1))
-    pairs = sample_pairs(h, cfg.offdiag_samples, cfg.seed)
+    pairs = sample_pairs(h, OFFDIAG_SAMPLES, seed)
     t = m.log_terms(max([2 * jmax] + [j + k for j, k in pairs]))
     diag = [(t[2 * j] - 2.0 * t[j]) / (2 * j + 1) for j in idx]
     off = [(t[j + k] - t[j] - t[k]) / (j + k + 1) for j, k in pairs]
-    report = classify_trajectory(idx, diag, cfg)
+    report = classify_trajectory(idx, diag)
     ev = {
         "diag_defect": decimate(diag),
         "offdiag_max": max(off) if off else None,
@@ -171,11 +181,11 @@ def _check_mg(m: WeightSequence, h: int, cfg: Config) -> Verdict:
     return Verdict("mg", HOLDS, h, evidence=ev)
 
 
-def _check_dc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+def _check_dc(m: WeightSequence, h: int) -> Verdict:
     idx = list(range(1, h + 1))
     t = m.log_terms(h)
     defect = [(t[j] - t[j - 1]) / j for j in idx]  # M_j <= A^j M_{j-1}
-    report = classify_trajectory(idx, defect, cfg)
+    report = classify_trajectory(idx, defect)
     ev = {"defect": decimate(defect), "trajectory": report.summary()}
     if report.trend == UP:
         ev["diverging"] = True
@@ -188,17 +198,13 @@ def _check_dc(m: WeightSequence, h: int, cfg: Config) -> Verdict:
 # series/ratio conditions
 
 
-def _check_nq_generic(tag, values_log, h, cfg):
+def _check_nq_generic(tag, values_log, h):
     """values_log[i] = log of the positive sequence whose reciprocals are summed."""
     partial = log_sum([-v for v in values_log])
     q3 = (3 * len(values_log)) // 4
     tail_idx = range(q3 + 1, len(values_log) + 1)
     p, log_tail = _powerfit_tail(
-        [math.log(j) for j in tail_idx],
-        values_log[q3:],
-        h,
-        cfg.powerfit_margin,
-    )
+        [math.log(j) for j in tail_idx], values_log[q3:], h)
     ev = {"partial_sum_log": partial, "fitted_exponent": p}
     if log_tail is None:
         return Verdict(tag, UNDETERMINED, h, evidence=ev)
@@ -207,17 +213,17 @@ def _check_nq_generic(tag, values_log, h, cfg):
     return Verdict(tag, HOLDS, h, evidence=ev)
 
 
-def _check_nq(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+def _check_nq(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
-    return _check_nq_generic("nq", [t[j] - t[j - 1] for j in range(1, h + 1)], h, cfg)
+    return _check_nq_generic("nq", [t[j] - t[j - 1] for j in range(1, h + 1)], h)
 
 
-def _check_nq_carleman(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+def _check_nq_carleman(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
-    return _check_nq_generic("nq_carleman", [t[j] / j for j in range(1, h + 1)], h, cfg)
+    return _check_nq_generic("nq_carleman", [t[j] / j for j in range(1, h + 1)], h)
 
 
-def _check_beta(tag: str, m: WeightSequence, h: int, cfg: Config, Q: int, floor_log: float) -> Verdict:
+def _check_beta(tag: str, m: WeightSequence, h: int, Q: int, floor_log: float) -> Verdict:
     lo = max(1, h // 2)
     t = m.log_terms(Q * h)
     vals = [(t[Q * j] - t[Q * j - 1]) - (t[j] - t[j - 1]) for j in range(lo, h + 1)]
@@ -229,21 +235,20 @@ def _check_beta(tag: str, m: WeightSequence, h: int, cfg: Config, Q: int, floor_
     return Verdict(tag, UNDETERMINED, h, evidence=ev)
 
 
-def _check_beta1(m: WeightSequence, h: int, cfg: Config, Q: int) -> Verdict:
-    return _check_beta("beta1", m, h, cfg, Q, math.log(Q))
+def _check_beta1(m: WeightSequence, h: int, Q: int) -> Verdict:
+    return _check_beta("beta1", m, h, Q, math.log(Q))
 
 
-def _check_beta3(m: WeightSequence, h: int, cfg: Config, Q: int) -> Verdict:
-    return _check_beta("beta3", m, h, cfg, Q, 0.0)
+def _check_beta3(m: WeightSequence, h: int, Q: int) -> Verdict:
+    return _check_beta("beta3", m, h, Q, 0.0)
 
 
-def _check_gamma1(m: WeightSequence, h: int, cfg: Config) -> Verdict:
+def _check_gamma1(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
     mu = [t[j] - t[j - 1] for j in range(1, h + 1)]  # mu[i] = log mu_{i+1}
     q3 = (3 * h) // 4
     p, log_tail = _powerfit_tail(
-        [math.log(j) for j in range(q3 + 1, h + 1)], mu[q3:], h, cfg.powerfit_margin,
-    )
+        [math.log(j) for j in range(q3 + 1, h + 1)], mu[q3:], h)
     ev = {"fitted_exponent": p}
     if log_tail is None:
         # reciprocal tail beyond the horizon cannot be bounded
@@ -259,7 +264,7 @@ def _check_gamma1(m: WeightSequence, h: int, cfg: Config) -> Verdict:
         (mu[j - 1] - math.log(j)) + log_add(suffix[j - 1], log_tail)
         for j in range(1, jmax + 1)
     ]
-    stable, sup = running_sup_stabilized(traj, cfg)
+    stable, sup = running_sup_stabilized(traj)
     ev.update({
         "sup_log": sup,
         "stabilized": stable,
@@ -289,8 +294,7 @@ _DISPATCH = {
 # growth profiles
 
 
-def root_growth_profile(m: WeightSequence, horizon: int | None = None,
-                        cfg: Config | None = None) -> dict:
+def root_growth_profile(m: WeightSequence, horizon: int | None = None) -> dict:
     """Tail estimates for quotient/root growth plus window-safe orderings.
 
     liminf/limsup estimates are min/max over the last quarter.  The
@@ -298,10 +302,9 @@ def root_growth_profile(m: WeightSequence, horizon: int | None = None,
     window: roots never exceed quotients pointwise (normalized log-convex
     inputs), and the tail max of the roots stays below the tail max of the
     quotients.  The divergence flag compares the last-quarter minimum of
-    the roots against the first-quarter maximum plus cfg.root_margin.
+    the roots against the first-quarter maximum plus ROOT_MARGIN.
     """
-    cfg = cfg or Config()
-    h = _need_horizon(horizon, cfg)
+    h = _need_horizon(horizon)
     t = m.log_terms(h)
     mu = [t[j] - t[j - 1] for j in range(1, h + 1)]
     roots = [t[j] / j for j in range(1, h + 1)]
@@ -309,26 +312,26 @@ def root_growth_profile(m: WeightSequence, horizon: int | None = None,
     q3 = (3 * h) // 4
     tail_mu = mu[q3:]
     tail_roots = roots[q3:]
-    pointwise_ok = all(r <= u + cfg.comparison_slack for r, u in zip(roots, mu))
+    pointwise_ok = all(r <= u + COMPARISON_SLACK for r, u in zip(roots, mu))
     profile = {
         "horizon": h,
         "mu_liminf_log": min(tail_mu),
         "mu_limsup_log": max(tail_mu),
         "root_liminf_log": min(tail_roots),
         "root_limsup_log": max(tail_roots),
-        "sandwich_ok": pointwise_ok and max(tail_roots) <= max(tail_mu) + cfg.comparison_slack,
+        "sandwich_ok": pointwise_ok and max(tail_roots) <= max(tail_mu) + COMPARISON_SLACK,
         "root_first_quarter_max": max(roots[:q1]),
         "root_last_quarter_min": min(tail_roots),
-        "margin": cfg.root_margin,
+        "margin": ROOT_MARGIN,
     }
     profile["divergent"] = (
-        profile["root_last_quarter_min"] >= profile["root_first_quarter_max"] + cfg.root_margin
+        profile["root_last_quarter_min"] >= profile["root_first_quarter_max"] + ROOT_MARGIN
     )
     return profile
 
 
-def gamma_lower_bound(m: WeightSequence, alphas, horizon: int | None = None,
-                      cfg: Config | None = None) -> dict:
+def gamma_lower_bound(m: WeightSequence, alphas,
+                      horizon: int | None = None) -> dict:
     """Certify growth-index lower bounds: for each alpha, Holds when
     j -> log mu_j - alpha log j is non-decreasing from an onset in the
     first half of the window and the alpha-divided roots are not decaying.
@@ -336,13 +339,12 @@ def gamma_lower_bound(m: WeightSequence, alphas, horizon: int | None = None,
     Fails (with the last violating index) when the monotonicity defect
     persists into the last quarter; late onsets give Undetermined.
     """
-    cfg = cfg or Config()
-    h = _need_horizon(horizon, cfg)
+    h = _need_horizon(horizon)
     out = {}
     terms = m.log_terms(h)
     mu = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
     logs = [math.log(j) for j in range(1, h + 1)]
-    tol = slack(cfg.comparison_slack, max(map(abs, terms)))
+    tol = slack(COMPARISON_SLACK, max(map(abs, terms)))
     for alpha in alphas:
         a = float(alpha)
         vals = [u - a * lj for u, lj in zip(mu, logs)]
@@ -365,7 +367,7 @@ def gamma_lower_bound(m: WeightSequence, alphas, horizon: int | None = None,
             "onset": onset,
             "divided_root_tail_min": tail_min,
             "divided_root_first_max": first_max,
-            "divided_root_divergent": tail_min >= first_max + cfg.root_margin,
+            "divided_root_divergent": tail_min >= first_max + ROOT_MARGIN,
         }
         subject = f"gamma_lb(alpha={a})"
         if last_violation > q3:
@@ -380,17 +382,15 @@ def gamma_lower_bound(m: WeightSequence, alphas, horizon: int | None = None,
     return out
 
 
-def exponent_growth_report(phi: ExponentSequence, horizon: int | None = None,
-                           cfg: Config | None = None) -> dict:
+def exponent_growth_report(phi: ExponentSequence,
+                           horizon: int | None = None) -> dict:
     """Tail behaviour of phi_j / j: estimate of the liminf plus a decay flag.
 
     Quarterly minima that shrink steadily mark a gap vanishing at infinity
     even when the last value still sits above EXPONENT_GAP_FLOOR.
     """
-    cfg = cfg or Config()
-    h = _need_horizon(horizon, cfg)
-    mins, decaying = quarter_minima([phi.value(j) / j for j in range(1, h + 1)],
-                                    cfg)
+    h = _need_horizon(horizon)
+    mins, decaying = quarter_minima([phi.value(j) / j for j in range(1, h + 1)])
     tail = mins[3]
     return {
         "horizon": h,

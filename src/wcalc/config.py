@@ -1,8 +1,11 @@
-"""Shared evaluation defaults and heuristic thresholds.
+"""Evaluation settings and the finite-horizon thresholds.
 
-All finite-horizon heuristics read their knobs from one record so that a
-report can embed the exact configuration it was produced under and a rerun
-with the same record is bit-for-bit reproducible.
+Only two values are settable: the default index horizon and the seed of
+the off-diagonal pair sample (Config, and WCALC_HORIZON for the horizon).
+The thresholds below are this library's own heuristics around the
+paper's conditions, fixed constants that no call changes.  Every report
+records them next to the two settings (Config.to_dict), so a rerun with
+the same horizon and seed is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -13,61 +16,68 @@ import os
 
 ENV_HORIZON = "WCALC_HORIZON"
 
+DEFAULT_HORIZON = 512  # default index horizon of finite checks
+# a running-sup trajectory is stabilized when it moves by less than this
+# relative amount over the last quarter
+STABILIZE_REL = 1e-3
+# a defect trajectory is diverging when its least-squares slope against
+# ln j over the last half exceeds this; slower-than-log growth is below
+# the honesty boundary of a finite window and classifies as stabilized
+LOG_SLOPE_TOL = 0.25
+# a fitted quotient exponent must exceed 1 by this before a series tail
+# is declared summable
+POWERFIT_MARGIN = 0.1
+# log gap between first-quarter max and last-quarter min of the roots
+# before they count as empirically divergent
+ROOT_MARGIN = math.log(2.0)
+OFFDIAG_SAMPLES = 64  # seeded (j, k) pairs added to two-index diagonals
+# absolute slack of order comparisons of computed logs (last-ulp jitter)
+COMPARISON_SLACK = 1e-12
+# default geometric grid of associated functions: [t_min, t_max], points
+GRID_T_MIN, GRID_T_MAX, GRID_POINTS = 1.0, 1e8, 200
+GOLDEN_ITERS = 40  # golden-section refinement steps (rel. width ~4e-9)
+FDB_HORIZON = 60  # cap of composition-sequence (FdB) checks
+OMEGA_INDEX_CAP = 1 << 26  # hard cap of the index search in sup evaluations
+# partner candidates a quantifier search adds beyond its index grid
+CONTINUATION_STEPS = 4
+# constants standing in for "for all C > 0" in scaling-stability checks
+L_CONSTANTS = (2.0, 8.0)
+
 
 @dataclasses.dataclass(frozen=True)
 class Config:
-    """Evaluation defaults shared across condition checks and reports.
+    """The settable evaluation defaults.
 
     horizon: default index horizon for finite checks.
     seed: seed for the deterministic off-diagonal pair sample.
-    stabilize_rel: a running-sup trajectory counts as stabilized when it
-        moves by less than this relative amount over the last quarter.
-    log_slope_tol: a defect trajectory counts as diverging when its
-        least-squares slope against ln j over the last half exceeds this.
-        Trajectories growing slower than ~log are below the honesty
-        boundary of a finite window and classify as stabilized.
-    powerfit_margin: a fitted quotient exponent must exceed 1 by this
-        margin before a series tail is declared summable.
-    root_margin: log gap required between first-quarter max and
-        last-quarter min before roots count as empirically divergent.
-    offdiag_samples: number of seeded random (j, k) pairs added to the
-        diagonal when sampling two-index conditions.
-    comparison_slack: absolute slack for order comparisons of computed
-        log values (absorbs last-ulp jitter, nothing more).
-    grid_t_min/grid_t_max/grid_points: default geometric evaluation grid.
-    golden_iters: golden-section refinement steps (rel. width ~4e-9).
-    fdb_horizon: default cap for composition-sequence checks.
-    omega_index_cap: hard cap for the index search in sup evaluations.
-    continuation_steps: extra index-grid candidates generated beyond the
-        supplied window when a quantifier search exhausts it.
-    l_constants: sample constants standing in for the "for all C > 0"
-        quantifier of scaling-stability checks.
     """
 
-    horizon: int = 512
+    horizon: int = DEFAULT_HORIZON
     seed: int = 0
-    stabilize_rel: float = 1e-3
-    log_slope_tol: float = 0.25
-    powerfit_margin: float = 0.1
-    root_margin: float = math.log(2.0)
-    offdiag_samples: int = 64
-    comparison_slack: float = 1e-12
-    grid_t_min: float = 1.0
-    grid_t_max: float = 1e8
-    grid_points: int = 200
-    golden_iters: int = 40
-    fdb_horizon: int = 60
-    omega_index_cap: int = 1 << 26
-    continuation_steps: int = 4
-    l_constants: tuple[float, ...] = (2.0, 8.0)
 
     def replace(self, **kwargs) -> "Config":
         return dataclasses.replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["l_constants"] = list(self.l_constants)
-        return out
+        """The two settings and every threshold, as a report records them."""
+        return {
+            "horizon": self.horizon,
+            "seed": self.seed,
+            "stabilize_rel": STABILIZE_REL,
+            "log_slope_tol": LOG_SLOPE_TOL,
+            "powerfit_margin": POWERFIT_MARGIN,
+            "root_margin": ROOT_MARGIN,
+            "offdiag_samples": OFFDIAG_SAMPLES,
+            "comparison_slack": COMPARISON_SLACK,
+            "grid_t_min": GRID_T_MIN,
+            "grid_t_max": GRID_T_MAX,
+            "grid_points": GRID_POINTS,
+            "golden_iters": GOLDEN_ITERS,
+            "fdb_horizon": FDB_HORIZON,
+            "omega_index_cap": OMEGA_INDEX_CAP,
+            "continuation_steps": CONTINUATION_STEPS,
+            "l_constants": list(L_CONSTANTS),
+        }
 
 
 def default_config() -> Config:

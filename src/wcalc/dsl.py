@@ -82,9 +82,9 @@ def _record(*keys):
     return lambda r, *_: dict(zip(keys, r if isinstance(r, tuple) else (r,)))
 
 
-def _mcheck(tag, mm, flavor, grid, h, cfg):
+def _mcheck(tag, mm, flavor, grid, h, seed):
     cond = _matrices.condition_id(tag, flavor or _matrices.ROUMIEU)
-    return cond, _matrices.check_matrix_condition(mm, cond, grid, h, cfg)
+    return cond, _matrices.check_matrix_condition(mm, cond, grid, h, seed=seed)
 
 
 def _matrix_record(cond_results, *_):
@@ -115,10 +115,10 @@ SIGNATURES = {
         lambda cfg, h, *v: _sequences.scaled(*v)),
     ("seq", "from_omega"): Signature(
         (_W, Param("ell", NUMBER, 1.0)),
-        lambda cfg, h, *v: _assoc.from_omega(*v, cfg=cfg)),
+        lambda cfg, h, *v: _assoc.from_omega(*v)),
     ("seq", "theta_bounds"): Signature(
         (_N, Param("count", INT), _TRUNCATION),
-        lambda cfg, h, *v: _witness.theta_bounds(*v, cfg)),
+        lambda cfg, h, *v: _witness.theta_bounds(*v)),
     ("exp", "linear"): Signature(
         (), lambda cfg, h: _sequences.linear_exponents()),
     ("exp", "power"): Signature(
@@ -140,54 +140,55 @@ SIGNATURES = {
         lambda cfg, h, base, phi, grid: _matrices.exponent_family_scale(
             base, _sequences.constant_family(phi), grid)),
     ("omega", "assoc"): Signature(
-        (_M,), lambda cfg, h, m: _assoc.OmegaFunction.from_sequence(m, cfg=cfg)),
+        (_M,), lambda cfg, h, m: _assoc.OmegaFunction.from_sequence(m, cfg.horizon)),
     **{("check", c): Signature(
-        (_M,), lambda cfg, h, m, c=c: _conditions.check_condition(m, c, h, cfg))
+        (_M,), lambda cfg, h, m, c=c: _conditions.check_condition(
+            m, c, h, seed=cfg.seed))
        for c in _conditions.CONDITIONS},
     ("check", "gamma_lb"): Signature(
         (_M, Param("alphas", NUMBERS)),
-        lambda cfg, h, *v: _conditions.gamma_lower_bound(*v, h, cfg),
+        lambda cfg, h, *v: _conditions.gamma_lower_bound(*v, h),
         lambda res, m, alphas: {
             "per_alpha": {repr(a): v.to_json() for a, v in res.items()},
             "statuses": [res[a].status for a in alphas]}),
     **{("mcheck", c): Signature(
-        (_MM,), lambda cfg, h, *v, c=c: _mcheck(c, *v, h, cfg),
+        (_MM,), lambda cfg, h, *v, c=c: _mcheck(c, *v, h, cfg.seed),
         _matrix_record, (Param("flavor", NAME, None), _GRID))
        for c in _matrices.MATRIX_CONDITIONS},
     **{("compare", r): Signature(
-        (_M, _N), lambda cfg, h, m, n, r=r: _relations.compare(m, n, r, h, cfg))
+        (_M, _N), lambda cfg, h, m, n, r=r: _relations.compare(m, n, r, h))
        for r in ("preceq", "triangle", "approx", "pointwise_le", "quotient_le")},
     **{("compare", r): Signature(
         (_M, _N, Param("c_max", INT, 4)), lambda cfg, h, m, n, c_max, r=r:
-            _assoc.assoc_relation_check(m, n, r, c_max, h, cfg=cfg))
+            _assoc.assoc_relation_check(m, n, r, c_max, h))
        for r in ("bigO", "smallO")},
     ("compare", "numeric_ratio"): Signature(
         (_M, _N), lambda cfg, h, m, n, grid: _assoc.assoc_relation_check(
-            m, n, "numeric_ratio", horizon=h, grid=grid, cfg=cfg),
+            m, n, "numeric_ratio", horizon=h, grid=grid),
         opts=(_LOG_GRID,)),
     ("eval", "omega"): Signature(
-        (_W, Param("t", NUMBER)), lambda cfg, h, w, t: w.eval(t, h, cfg),
+        (_W, Param("t", NUMBER)), lambda cfg, h, w, t: w.eval(t, h),
         _record("value", "attained_at")),
     ("eval", "conjugate"): Signature(
-        (_W, _S), lambda cfg, h, *v: _assoc.young_conjugate(*v, h, cfg),
+        (_W, _S), lambda cfg, h, *v: _assoc.young_conjugate(*v, h),
         _record("value", "log_t_star"), (_LOG_GRID,)),
     ("eval", "recover"): Signature(
-        (_W, Param("j", INT)), lambda cfg, h, *v: _assoc.recover_term(*v, h, cfg),
+        (_W, Param("j", INT)), lambda cfg, h, *v: _assoc.recover_term(*v, h),
         _record("value"), (_LOG_GRID,)),
     ("eval", "theta"): Signature(
         (_N, Param("t", NUMBER), Param("truncation", INT, 40)),
-        lambda cfg, h, *v: _witness.theta_eval(*v, cfg),
+        lambda cfg, h, *v: _witness.theta_eval(*v),
         _record("real", "imaginary")),
     ("eval", "theta_deriv"): Signature(
         (_N, Param("k", INT), _TRUNCATION),
-        lambda cfg, h, *v: _witness.theta_derivative_log_bound(*v, cfg),
+        lambda cfg, h, *v: _witness.theta_derivative_log_bound(*v),
         _record("value")),
     ("eval", "seminorm"): Signature(
         (_F, _M, _PHI, Param("h", NUMBER)),
         lambda cfg, h, *v: _witness.seminorm(*v), _record("value")),
     ("classify", "membership"): Signature(
         (_F, _MM, Param("phi", "exp", None)),
-        lambda cfg, h, *v: _witness.classify_membership(*v, cfg=cfg),
+        lambda cfg, h, *v: _witness.classify_membership(*v),
         lambda rep, *_: {**rep.to_json(), "statuses": [
             rep.roumieu.status, rep.beurling.status]}, (_GRID,)),
 }

@@ -17,7 +17,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
-from .config import Config
+from .config import (
+    CONTINUATION_STEPS,
+    DEFAULT_HORIZON,
+    FDB_HORIZON,
+    L_CONSTANTS,
+    OFFDIAG_SAMPLES,
+)
 from .errors import (
     HorizonError,
     InvalidParameterError,
@@ -137,10 +143,8 @@ def _validate_order(mm: WeightMatrix) -> None:
     grid = mm.index_grid
     for a, b in zip(grid, grid[1:]):
         ea, eb = mm.element(a), mm.element(b)
-        top = _ORDER_CHECK_HORIZON
-        for seq in (ea, eb):
-            if seq.max_index() is not None:
-                top = min(top, seq.max_index())
+        top = min(ea.last_index(_ORDER_CHECK_HORIZON),
+                  eb.last_index(_ORDER_CHECK_HORIZON))
         wa, wb = ea.log_terms(top), eb.log_terms(top)
         for j in range(top + 1):
             ta, tb = wa[j], wb[j]
@@ -264,9 +268,10 @@ def matrix_term(mm: WeightMatrix, c: float, j: int) -> float:
 # condition checking
 
 
-def _beta_candidates(grid, alpha: float, flavor: str, steps: int):
+def _beta_candidates(grid, alpha: float, flavor: str):
     """(beta, beyond_grid) candidates: grid points on the search side of
-    alpha, then a geometric continuation past the grid edge."""
+    alpha, then CONTINUATION_STEPS of a geometric continuation past the
+    grid edge."""
     out: list[tuple[float, bool]] = []
     if flavor == ROUMIEU:
         for b in grid:
@@ -274,7 +279,7 @@ def _beta_candidates(grid, alpha: float, flavor: str, steps: int):
                 out.append((b, False))
         ratio = grid[-1] / grid[-2] if len(grid) >= 2 else 2.0
         edge = grid[-1]
-        for i in range(1, steps + 1):
+        for i in range(1, CONTINUATION_STEPS + 1):
             out.append((edge * ratio ** i, True))
     else:
         for b in reversed(grid):
@@ -282,7 +287,7 @@ def _beta_candidates(grid, alpha: float, flavor: str, steps: int):
                 out.append((b, False))
         ratio = grid[1] / grid[0] if len(grid) >= 2 else 2.0
         edge = grid[0]
-        for i in range(1, steps + 1):
+        for i in range(1, CONTINUATION_STEPS + 1):
             out.append((edge / ratio ** i, True))
     return out
 
@@ -296,40 +301,40 @@ def _sides(mm: WeightMatrix, alpha: float, beta: float, flavor: str):
 
 
 @functools.lru_cache(maxsize=64)
-def _mg_points(h: int, count: int, seed: int):
+def _mg_points(h: int, seed: int):
     """Diagonal and sampled (j, k) points sorted by j + k, as the arrays of
     their j and of their k: flat machine ints keep the cached copy at about
     5 KB for h = 512, where a tuple of pairs would hold about 20 KB."""
     pts = [(j, j) for j in range(1, h // 2 + 1)]
-    pts.extend(_conditions.sample_pairs(h, count, seed))
+    pts.extend(_conditions.sample_pairs(h, OFFDIAG_SAMPLES, seed))
     # (j + k, j) in lexicographic order, as one int: 1 <= j <= h
     pts.sort(key=lambda jk: (jk[0] + jk[1]) * (h + 1) + jk[0])
     return array("l", [j for j, _ in pts]), array("l", [k for _, k in pts])
 
 
-def _test_mg(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
-    js, ks = _mg_points(h, cfg.offdiag_samples, cfg.seed)
+def _test_mg(left: WeightSequence, right: WeightSequence, h: int, seed: int) -> dict:
+    js, ks = _mg_points(h, seed)
     sums = [j + k for j, k in zip(js, ks)]
     tl, tr = left.log_terms(sums[-1]), right.log_terms(max(max(js), max(ks)))
     vals = [(tl[n] - tr[j] - tr[k]) / (n + 1) for n, j, k in zip(sums, js, ks)]
-    return trajectory_entry(sums, vals, cfg)
+    return trajectory_entry(sums, vals)
 
 
-def _test_dc(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
+def _test_dc(left: WeightSequence, right: WeightSequence, h: int) -> dict:
     tl, tr = left.log_terms(h), right.log_terms(h - 1)
     vals = [(tl[j + 1] - tr[j]) / (j + 1) for j in range(h)]
-    return trajectory_entry(range(1, h + 1), vals, cfg)
+    return trajectory_entry(range(1, h + 1), vals)
 
 
-def _test_l(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
+def _test_l(left: WeightSequence, right: WeightSequence, h: int) -> dict:
     per_c = {}
     ok = True
     worst = None
     tl, tr = left.log_terms(h), right.log_terms(h)
-    for cconst in cfg.l_constants:
+    for cconst in L_CONSTANTS:
         lc = math.log(cconst)
         vals = [j * lc + tl[j] - tr[j] for j in range(h + 1)]
-        entry = trajectory_entry(range(1, h + 1), vals[1:], cfg)
+        entry = trajectory_entry(range(1, h + 1), vals[1:])
         per_c[cconst] = entry
         ok = ok and entry["stabilized"]
         if worst is None or entry["log_constant"] > worst:
@@ -339,13 +344,13 @@ def _test_l(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) ->
                          key=lambda t: t == UP)}
 
 
-def _test_rai(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
+def _test_rai(left: WeightSequence, right: WeightSequence, h: int) -> dict:
     tl, tr = left.log_terms(h), right.log_terms(h)
     suffmin = [tr[k] / k for k in range(1, h + 1)]
     for i in range(len(suffmin) - 2, -1, -1):
         suffmin[i] = min(suffmin[i], suffmin[i + 1])
     vals = [tl[j] / j - suffmin[j - 1] for j in range(1, h + 1)]
-    return trajectory_entry(range(1, h + 1), vals, cfg)
+    return trajectory_entry(range(1, h + 1), vals)
 
 
 # composition sequence of each FdB left element, per k_top: the Roumieu
@@ -355,8 +360,8 @@ def _test_rai(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) 
 _FDB_COMPOSITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _test_fdb(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
-    k_top = min(h, cfg.fdb_horizon)
+def _test_fdb(left: WeightSequence, right: WeightSequence, h: int) -> dict:
+    k_top = min(h, FDB_HORIZON)
     per_k = _FDB_COMPOSITIONS.setdefault(left, {})
     comp = per_k.get(k_top)
     if comp is None:
@@ -365,13 +370,13 @@ def _test_fdb(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) 
         comp = per_k[k_top] = composition_sequence(reduced, k_top)
     tr = right.log_terms(k_top)
     vals = [(comp[k] - (tr[k] - math.lgamma(k + 1))) / k for k in range(1, k_top + 1)]
-    entry = trajectory_entry(range(1, k_top + 1), vals, cfg)
+    entry = trajectory_entry(range(1, k_top + 1), vals)
     entry["k_top"] = k_top
     return entry
 
 
-def _test_br(left: WeightSequence, right: WeightSequence, h: int, cfg: Config) -> dict:
-    v = _relations.compare(left, right, "triangle", h, cfg)
+def _test_br(left: WeightSequence, right: WeightSequence, h: int) -> dict:
+    v = _relations.compare(left, right, "triangle", h)
     return {"stabilized": v.holds, "log_constant": None,
             "trend": v.evidence.get("trend"), "relation_status": v.status}
 
@@ -388,10 +393,10 @@ _PAIR_TESTS = {
 
 def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
                            index_grid=None, horizon: int | None = None,
-                           cfg: Config | None = None) -> dict:
-    """Per-grid-index verdicts for a matrix-level condition."""
-    cfg = cfg or Config()
-    h = horizon if horizon is not None else cfg.horizon
+                           *, seed: int = 0) -> dict:
+    """Per-grid-index verdicts for a matrix-level condition; seed is
+    the off-diagonal pair sample of mg."""
+    h = horizon if horizon is not None else DEFAULT_HORIZON
     if h < 16:
         raise HorizonError(f"need horizon >= 16, got {h}")
     grid = tuple(float(c) for c in index_grid) if index_grid is not None \
@@ -400,19 +405,19 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
         raise InvalidParameterError("index_grid",
                                     f"need at least 3 indices, got {len(grid)}")
 
-    growth = _conditions.exponent_growth_report(mm.phi, h, cfg) \
+    growth = _conditions.exponent_growth_report(mm.phi, h) \
         if cond.tag == "L" and mm.phi is not None else None
     out: dict[float, Verdict] = {}
     for alpha in grid:
         subject = f"{mm.label()}:{cond.tag}-{cond.flavor}@{alpha:g}"
         if cond.tag == "sc":
-            out[alpha] = v = _conditions.check_sc(mm.element(alpha), h, cfg)
+            out[alpha] = v = _conditions.check_sc(mm.element(alpha), h)
             v.subject = subject
             continue
         if cond.tag == "constant":
             anchor = grid[0]
             v = _relations.compare(mm.element(alpha), mm.element(anchor),
-                                   "approx", h, cfg)
+                                   "approx", h)
             ev = {"partner": anchor, "left": v.evidence.get("left"),
                   "right": v.evidence.get("right")}
             out[alpha] = Verdict(subject, v.status, h, witness=v.witness,
@@ -420,13 +425,14 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
             continue
 
         test = _PAIR_TESTS[cond.tag]
+        if cond.tag == "mg":
+            test = functools.partial(test, seed=seed)
         found = None
         best = None
         all_up = True
-        for beta, beyond in _beta_candidates(grid, alpha, cond.flavor,
-                                             cfg.continuation_steps):
+        for beta, beyond in _beta_candidates(grid, alpha, cond.flavor):
             left, right = _sides(mm, alpha, beta, cond.flavor)
-            entry = test(left, right, h, cfg)
+            entry = test(left, right, h)
             if entry.get("trend") != UP:
                 all_up = False
             if entry["stabilized"]:
@@ -562,14 +568,12 @@ def _composition_dp(logs: list[float], K: int) -> list[float]:
 
 def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
                                      index_grid=DEFAULT_INDEX_GRID,
-                                     horizon: int | None = None,
-                                     cfg: Config | None = None) -> Verdict:
+                                     horizon: int | None = None) -> Verdict:
     """For each grid index c, search a partner d (above for Roumieu, below
     for Beurling) whose per-index gap [Phi^d_j log d - Phi^c_j log c] / j
     keeps a uniform positive tail; Holds reports the worst found tail as
     the uniform margin."""
-    cfg = cfg or Config()
-    h = horizon if horizon is not None else cfg.horizon
+    h = horizon if horizon is not None else DEFAULT_HORIZON
     if h < 16:
         raise HorizonError(f"need horizon >= 16, got {h}")
     grid = tuple(float(c) for c in index_grid)
@@ -586,8 +590,7 @@ def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
     for c in grid:
         found = None
         best_gap = None
-        for d, beyond in _beta_candidates(grid, c, flavor,
-                                          cfg.continuation_steps):
+        for d, beyond in _beta_candidates(grid, c, flavor):
             if d == c:
                 continue
             pc, pd = family.sequence(c), family.sequence(d)
@@ -598,7 +601,7 @@ def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
             else:
                 gaps = [(pc.value(j) * lc_ - pd.value(j) * ld) / j
                         for j in range(1, h + 1)]
-            mins, decaying = quarter_minima(gaps, cfg)
+            mins, decaying = quarter_minima(gaps)
             decaying = decaying and mins[3] > 0.0
             tail_min = mins[3]
             if best_gap is None or tail_min > best_gap["tail_min"]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .config import Config
+from .config import COMPARISON_SLACK, DEFAULT_HORIZON, LOG_SLOPE_TOL
 from .errors import InvalidParameterError
 from .logdomain import slack
 from .sequences import ExponentSequence, WeightSequence
@@ -34,9 +34,12 @@ RATIO_TOL = 1e-9
 def _ratio_trajectory(m, n, h, phi):
     """Indices and r values; phi_j = 0 indices are excluded and reported."""
     a, b = m.log_terms(h), n.log_terms(h)
+    if phi is None:
+        idx = list(range(1, h + 1))
+        return idx, [(a[j] - b[j]) / j for j in idx], []
     idx, vals, excluded = [], [], []
     for j in range(1, h + 1):
-        denom = float(j) if phi is None else phi.value(j)
+        denom = phi.value(j)
         if denom == 0.0:
             excluded.append(j)
             continue
@@ -47,10 +50,10 @@ def _ratio_trajectory(m, n, h, phi):
     return idx, vals, excluded
 
 
-def _preceq(m, n, h, cfg, phi) -> Verdict:
+def _preceq(m, n, h, phi) -> Verdict:
     idx, vals, excluded = _ratio_trajectory(m, n, h, phi)
-    report = classify_trajectory(idx, vals, cfg)
-    stable, sup = running_sup_stabilized(vals, cfg)
+    report = classify_trajectory(idx, vals)
+    stable, sup = running_sup_stabilized(vals)
     ev = {
         "ratio_log": decimate(vals),
         "trajectory": report.summary(),
@@ -66,15 +69,15 @@ def _preceq(m, n, h, cfg, phi) -> Verdict:
     return Verdict("preceq", UNDETERMINED, h, evidence=ev)
 
 
-def _triangle(m, n, h, cfg, phi) -> Verdict:
+def _triangle(m, n, h, phi) -> Verdict:
     idx, vals, excluded = _ratio_trajectory(m, n, h, phi)
-    report = classify_trajectory(idx, vals, cfg)
+    report = classify_trajectory(idx, vals)
     q3 = (3 * len(vals)) // 4
     tail = vals[q3:]
     ev = {"ratio_log": decimate(vals), "trajectory": report.summary()}
     if excluded:
         ev["excluded_indices"] = decimate(excluded)
-    sinking = report.slope < -cfg.log_slope_tol
+    sinking = report.slope < -LOG_SLOPE_TOL
     if sinking and max(tail) < 0.0:
         return Verdict("triangle", HOLDS, h, evidence=ev)
     if min(tail) > 0.0 and not sinking:
@@ -84,20 +87,17 @@ def _triangle(m, n, h, cfg, phi) -> Verdict:
     return Verdict("triangle", UNDETERMINED, h, evidence=ev)
 
 
-def _pointwise(m, n, h, cfg, quotients: bool) -> Verdict:
+def _pointwise(m, n, h, quotients: bool) -> Verdict:
     tag = "quotient_le" if quotients else "pointwise_le"
     lo = 1 if quotients else 0
     # scan the indices both sequences have first: a violation there is a
     # Fails even when a table ends before the horizon
-    top = h
-    for seq in (m, n):
-        if seq.max_index() is not None:
-            top = min(top, seq.max_index())
+    top = min(m.last_index(h), n.last_index(h))
     tm, tn = m.log_terms(top), n.log_terms(top)
     for j in range(lo, top + 1):
         a = tm[j] - tm[j - 1] if quotients else tm[j]
         b = tn[j] - tn[j - 1] if quotients else tn[j]
-        if a > b + slack(cfg.comparison_slack, a, b):
+        if a > b + slack(COMPARISON_SLACK, a, b):
             return Verdict(tag, FAILS, h, witness=j, evidence={"gap_log": a - b})
     if top < h:
         # raises TableExhaustedError for the table that ends first
@@ -111,26 +111,24 @@ def compare(
     n: WeightSequence,
     rel: str,
     horizon: int | None = None,
-    cfg: Config | None = None,
     phi: ExponentSequence | None = None,
 ) -> Verdict:
-    cfg = cfg or Config()
     if rel not in RELATIONS:
         raise InvalidParameterError("rel", f"unknown relation {rel!r}; expected one of {RELATIONS}")
-    h = cfg.horizon if horizon is None else int(horizon)
+    h = DEFAULT_HORIZON if horizon is None else int(horizon)
     if h < 4:
         raise InvalidParameterError("horizon", f"need horizon >= 4, got {h}")
     if rel in ("pointwise_le", "quotient_le"):
         if phi is not None:
             raise InvalidParameterError("phi", f"{rel} takes no exponent sequence")
-        v = _pointwise(m, n, h, cfg, rel == "quotient_le")
+        v = _pointwise(m, n, h, rel == "quotient_le")
     elif rel == "preceq":
-        v = _preceq(m, n, h, cfg, phi)
+        v = _preceq(m, n, h, phi)
     elif rel == "triangle":
-        v = _triangle(m, n, h, cfg, phi)
+        v = _triangle(m, n, h, phi)
     else:  # approx
-        fwd = _preceq(m, n, h, cfg, phi)
-        bwd = _preceq(n, m, h, cfg, phi)
+        fwd = _preceq(m, n, h, phi)
+        bwd = _preceq(n, m, h, phi)
         ev = {"forward": fwd.to_json(), "backward": bwd.to_json()}
         if fwd.holds and bwd.holds:
             v = Verdict("approx", HOLDS, h, evidence=ev)
@@ -151,7 +149,6 @@ def compare_phi_constancy(
     seqs: list[WeightSequence],
     phi: ExponentSequence,
     horizon: int | None = None,
-    cfg: Config | None = None,
 ) -> Verdict:
     """All-pairs equivalence in the phi-weighted root scale.
 
@@ -159,8 +156,7 @@ def compare_phi_constancy(
     term ratio per phi-unit must equal log(c1) - log(c2) to RATIO_TOL.
     Other pairs fall back to the two-sided stabilization comparison.
     """
-    cfg = cfg or Config()
-    h = cfg.horizon if horizon is None else int(horizon)
+    h = DEFAULT_HORIZON if horizon is None else int(horizon)
     if len(seqs) < 2:
         raise InvalidParameterError("seqs", "need at least two sequences")
     pair_reports = []
@@ -195,7 +191,7 @@ def compare_phi_constancy(
                     status = FAILS
                     witness = [m.label(), n.label()]
             else:
-                v = compare(m, n, "approx", h, cfg, phi=phi)
+                v = compare(m, n, "approx", h, phi=phi)
                 pair_reports.append({
                     "pair": [m.label(), n.label()],
                     "mode": "approx",

@@ -191,6 +191,10 @@ class WeightSequence:
     def max_index(self) -> int | None:
         return None if self.length is None else self.length - 1
 
+    def last_index(self, h: int) -> int:
+        """h clamped to the last index the sequence has."""
+        return h if self.length is None else min(h, self.length - 1)
+
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()) if not k.startswith("_"))
         return f"{self.family}({inner})"

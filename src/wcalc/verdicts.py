@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import mul
 
-from .config import Config
+from .config import COMPARISON_SLACK, LOG_SLOPE_TOL, STABILIZE_REL
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -132,13 +132,13 @@ class TailReport:
         }
 
 
-def classify_trajectory(indices, values, cfg: Config) -> TailReport:
+def classify_trajectory(indices, values) -> TailReport:
     """Classify a defect trajectory sampled at increasing integer indices.
 
     frozen: the max was attained before the last quarter and the last
         quarter never reaches it again.
     Otherwise the least-squares slope of value against ln(index) over the
-    last half decides: above cfg.log_slope_tol the trajectory is growing
+    last half decides: above LOG_SLOPE_TOL the trajectory is growing
     beyond anything a bounded defect produces on this window (up), below
     the negative tolerance it is sinking (down), else flat.  Slower-than-log
     growth is indistinguishable from convergence on a finite window; that
@@ -158,14 +158,14 @@ def classify_trajectory(indices, values, cfg: Config) -> TailReport:
     half = vals[n // 2:]
     hidx = idx[n // 2:]
     slope = _log_slope(hidx, half)
-    if n >= 8 and sup_pos < q3 and max(tail) <= sup + cfg.comparison_slack:
+    if n >= 8 and sup_pos < q3 and max(tail) <= sup + COMPARISON_SLACK:
         trend = FROZEN
     elif n < 8:
         # window too short to call growth; only an exact freeze counts
-        trend = FLAT if all(v <= vals[0] + cfg.comparison_slack for v in vals) else UP
-    elif slope > cfg.log_slope_tol:
+        trend = FLAT if all(v <= vals[0] + COMPARISON_SLACK for v in vals) else UP
+    elif slope > LOG_SLOPE_TOL:
         trend = UP
-    elif slope < -cfg.log_slope_tol:
+    elif slope < -LOG_SLOPE_TOL:
         trend = DOWN
     else:
         trend = FLAT
@@ -179,11 +179,11 @@ def classify_trajectory(indices, values, cfg: Config) -> TailReport:
     )
 
 
-def running_sup_stabilized(values, cfg: Config) -> tuple[bool, float]:
+def running_sup_stabilized(values) -> tuple[bool, float]:
     """Stabilization rule for running-sup trajectories.
 
     The running sup is non-decreasing; stabilized means it moved by less
-    than cfg.stabilize_rel over the last quarter of the window, relative
+    than STABILIZE_REL over the last quarter of the window, relative
     to the trajectory's own scale (max of 1, |sup| and the value range, so
     a sup crawling through the last fraction of a large initial climb
     still counts as settled).
@@ -199,10 +199,10 @@ def running_sup_stabilized(values, cfg: Config) -> tuple[bool, float]:
     last = max(chain((anchor,), vals[q3 + 1:]))
     moved = last - anchor
     scale = max(1.0, abs(last), max(vals) - min(vals))
-    return moved <= cfg.stabilize_rel * scale, last
+    return moved <= STABILIZE_REL * scale, last
 
 
-def trajectory_entry(indices, values, cfg: Config) -> dict:
+def trajectory_entry(indices, values) -> dict:
     """Evidence of a defect trajectory sampled at increasing indices.
 
     stabilized and log_constant are the running-sup rule over every value,
@@ -210,27 +210,27 @@ def trajectory_entry(indices, values, cfg: Config) -> dict:
     come from classify_trajectory.  A point at index 0 counts toward the
     sup and the defects but stays out of the fit in ln(index).
     """
-    stab, sup = running_sup_stabilized(values, cfg)
+    stab, sup = running_sup_stabilized(values)
     entry = {"stabilized": stab, "log_constant": sup,
              "defects": decimate(values)}
     if len(values) >= 3:
         if indices[0] == 0:
             indices, values = indices[1:], values[1:]
-        rep = classify_trajectory(indices, values, cfg)
+        rep = classify_trajectory(indices, values)
         entry["trend"] = rep.trend
         entry["slope"] = rep.slope
     return entry
 
 
-def quarter_minima(values, cfg: Config) -> tuple[list[float], bool]:
+def quarter_minima(values) -> tuple[list[float], bool]:
     """Minimum of each quarter of the window, and whether they decay.
 
     Decaying means the last three quarter minima shrink steadily, each by
-    the factor 1 - cfg.stabilize_rel: a gap vanishing at infinity even when
+    the factor 1 - STABILIZE_REL: a gap vanishing at infinity even when
     its last value still sits above a floor.
     """
     quarter = max(1, len(values) // 4)
     mins = [min(values[i * quarter:(i + 1) * quarter] or values[-1:])
             for i in range(4)]
-    shrink = 1.0 - cfg.stabilize_rel
+    shrink = 1.0 - STABILIZE_REL
     return mins, mins[3] <= mins[2] * shrink and mins[2] <= mins[1] * shrink

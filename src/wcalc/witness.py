@@ -14,7 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .config import Config
 from .errors import InvalidParameterError, PreconditionError
 from .logdomain import log_sum
 from .sequences import ExponentSequence, WeightSequence, linear_exponents
@@ -115,10 +114,9 @@ def load_bounds_json(path: str) -> DerivBounds:
 # witness series
 
 
-def _require_witness_preconditions(n: WeightSequence, truncation: int,
-                                   cfg: Config) -> None:
+def _require_witness_preconditions(n: WeightSequence, truncation: int) -> None:
     for tag in ("lc", "normalized"):
-        v = _conditions.check_condition(n, tag, truncation, cfg)
+        v = _conditions.check_condition(n, tag, truncation)
         if not v.holds:
             raise PreconditionError(
                 f"witness series needs {tag} to hold on {n.label()} "
@@ -134,16 +132,14 @@ def _freq_log(terms: list[float], j: int, shift_quotients: bool) -> float:
 
 
 def theta_eval(n: WeightSequence, t: float, truncation: int,
-               cfg: Config | None = None,
                shift_quotients: bool = False) -> tuple[float, float]:
     """Truncated witness series value; tail error below 2^-truncation."""
-    cfg = cfg or Config()
     if truncation < 1:
         raise InvalidParameterError("truncation", f"need >= 1, got {truncation}")
     t = float(t)
     if not math.isfinite(t):
         raise InvalidParameterError("t", f"need finite t, got {t}")
-    _require_witness_preconditions(n, truncation, cfg)
+    _require_witness_preconditions(n, truncation)
     log_2t = math.log(2.0 * abs(t)) if t != 0.0 else None
     terms = n.log_terms(truncation + 1 if shift_quotients else truncation)
     re_parts, im_parts = [], []
@@ -164,11 +160,9 @@ def theta_eval(n: WeightSequence, t: float, truncation: int,
 
 def theta_derivative_log_bound(n: WeightSequence, k: int,
                                truncation: int | None = None,
-                               cfg: Config | None = None,
                                shift_quotients: bool = False) -> float:
     """log |theta^(k)(0)|: every term shares the phase i^k, so the modulus
     is the log-sum over j of log N_j + (k-j)(ln 2 + log nu_j)."""
-    cfg = cfg or Config()
     if k < 0:
         raise InvalidParameterError("k", f"need k >= 0, got {k}")
     if truncation is None:
@@ -176,7 +170,7 @@ def theta_derivative_log_bound(n: WeightSequence, k: int,
     if truncation < k + 10:
         raise InvalidParameterError(
             "truncation", f"need truncation >= k + 10 = {k + 10}, got {truncation}")
-    _require_witness_preconditions(n, truncation, cfg)
+    _require_witness_preconditions(n, truncation)
     window = n.log_terms(truncation + 1 if shift_quotients else truncation)
     terms = []
     for j in range(truncation + 1):
@@ -185,10 +179,10 @@ def theta_derivative_log_bound(n: WeightSequence, k: int,
     return log_sum(terms)
 
 
-def theta_bounds(n: WeightSequence, count: int, truncation: int | None = None,
-                 cfg: Config | None = None) -> DerivBounds:
+def theta_bounds(n: WeightSequence, count: int,
+                 truncation: int | None = None) -> DerivBounds:
     """Derivative-bound data of the witness series of n at 0."""
-    vals = tuple(theta_derivative_log_bound(n, k, truncation, cfg)
+    vals = tuple(theta_derivative_log_bound(n, k, truncation)
                  for k in range(count + 1))
     return DerivBounds(vals, label=f"theta({n.label()})", source="theta")
 
@@ -202,9 +196,7 @@ def seminorm_trajectory(f: DerivBounds, m: WeightSequence,
     if not (h > 0.0 and math.isfinite(h)):
         raise InvalidParameterError("h", f"need h > 0, got {h}")
     ln_h = math.log(h)
-    top = f.top_index()
-    if m.max_index() is not None:
-        top = min(top, m.max_index())
+    top = m.last_index(f.top_index())
     terms = m.log_terms(top)
     return [f.bounds[j] - phi.value(j) * ln_h - terms[j]
             for j in range(top + 1)]
@@ -238,15 +230,14 @@ DEFAULT_H_GRID = (0.5, 1.0, 2.0, 4.0)
 
 def classify_membership(f: DerivBounds, mm: WeightMatrix,
                         phi: ExponentSequence | None = None,
-                        index_grid=None, h_grid=DEFAULT_H_GRID,
-                        cfg: Config | None = None) -> MembershipReport:
+                        index_grid=None,
+                        h_grid=DEFAULT_H_GRID) -> MembershipReport:
     """Seminorm stabilization over a (c, h) grid.
 
     Roumieu membership needs one stabilized cell anywhere; Beurling needs
     every h to stabilize at the smallest index, since shrinking the index
     only tightens the Beurling class.
     """
-    cfg = cfg or Config()
     phi = phi or (mm.phi if mm.phi is not None else linear_exponents())
     grid = tuple(float(c) for c in index_grid) if index_grid is not None \
         else mm.index_grid
@@ -261,7 +252,7 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
         elem = mm.element(c)
         for h in hs:
             vals = seminorm_trajectory(f, elem, phi, h)
-            entry = trajectory_entry(range(1, len(vals) + 1), vals, cfg)
+            entry = trajectory_entry(range(1, len(vals) + 1), vals)
             cell = {"sup": entry["log_constant"],
                     "stabilized": entry["stabilized"]}
             if "trend" in entry:

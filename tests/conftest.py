@@ -1,11 +1,6 @@
 import pytest
 
-from wcalc import Config, gevrey, ptt
-
-
-@pytest.fixture(scope="session")
-def cfg() -> Config:
-    return Config()
+from wcalc import gevrey, ptt
 
 
 @pytest.fixture(scope="session")

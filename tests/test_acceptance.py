@@ -13,7 +13,6 @@ import time
 
 
 from wcalc import (
-    Config,
     FAILS,
     HOLDS,
     UNDETERMINED,
@@ -41,9 +40,9 @@ from wcalc import (
     table_exponents,
     theta_derivative_log_bound,
 )
+from wcalc.config import CONTINUATION_STEPS
 from wcalc.dsl import parse, print_program
 
-CFG = Config()
 SMOKE = pathlib.Path(__file__).parent / "data" / "smoke.wsq"
 
 
@@ -57,9 +56,9 @@ def test_criterion_01_roundtrip_recovery():
     grid = LogGrid(1.0, 1e70, 400)
     worst = 0.0
     for m in (gevrey(1), gevrey(2), ptt(1, 2)):
-        om = OmegaFunction.from_sequence(m, cfg=CFG)
+        om = OmegaFunction.from_sequence(m)
         for j in range(1, 21):
-            err = abs(recover_term(om, j, grid, cfg=CFG) - m.log_term(j))
+            err = abs(recover_term(om, j, grid) - m.log_term(j))
             worst = max(worst, err)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-2 and elapsed < 5.0
@@ -94,13 +93,12 @@ def test_criterion_03_geometric_scaling_law_exact():
 def test_criterion_04_moderate_growth_contrast():
     cid = condition_id("mg", "roumieu")
     res_p = check_matrix_condition(ptt_matrix(1.0, 2.0, (1.0, 2.0, 4.0, 8.0)),
-                                   cid, None, 128, CFG)
+                                   cid, None, 128)
     ptt_ok = all(v.status == UNDETERMINED and v.evidence["diverging"]
                  for v in res_p.values())
     sigma = 2.0
     grid = (1.0, 2.0, 4.0, 16.0, 256.0)
-    res_s = check_matrix_condition(sigma_matrix(sigma, grid), cid, None, 128,
-                                   CFG)
+    res_s = check_matrix_condition(sigma_matrix(sigma, grid), cid, None, 128)
     holds_ok = all(v.status == HOLDS for v in res_s.values())
     beta_map = {alpha: v.witness for alpha, v in res_s.items()}
     # For sigma_matrix(sigma) the diagonal defect is
@@ -115,7 +113,7 @@ def test_criterion_04_moderate_growth_contrast():
     # report: skipping it overshoots.
     ratio = grid[-1] / grid[-2]
     order = list(grid) + [grid[-1] * ratio ** i
-                          for i in range(1, CFG.continuation_steps + 1)]
+                          for i in range(1, CONTINUATION_STEPS + 1)]
     want = {alpha: next(b for b in order
                         if b >= alpha and b > 2.0 ** (sigma - 1.0) * alpha)
             for alpha in grid}
@@ -142,7 +140,7 @@ def test_criterion_05_scaling_stability_matches_exponent_growth():
         mm = scale_family(gevrey(1), phi, (0.5, 1.0, 2.0, 4.0))
         for flavor in ("roumieu", "beurling"):
             res = check_matrix_condition(mm, condition_id("L", flavor),
-                                         None, 512, CFG)
+                                         None, 512)
             for v in res.values():
                 ok = ok and v.status == want
                 if want == UNDETERMINED:
@@ -153,12 +151,12 @@ def test_criterion_05_scaling_stability_matches_exponent_growth():
 
 def test_criterion_06_one_sided_domination_and_ratio_decay():
     g1, g2 = gevrey(1), gevrey(2)
-    v = assoc_relation_check(g2, g1, "bigO", 4, 256, cfg=CFG)
+    v = assoc_relation_check(g2, g1, "bigO", 4, 256)
     cell = v.evidence["per_c"][2]
     bound_ok = (v.status == HOLDS and cell["stabilized"]
                 and math.exp(cell["log_constant"]) <= math.e)
-    om1 = OmegaFunction.from_sequence(g1, cfg=CFG)
-    om2 = OmegaFunction.from_sequence(g2, cfg=CFG)
+    om1 = OmegaFunction.from_sequence(g1)
+    om2 = OmegaFunction.from_sequence(g2)
     tail = [(t, om2.eval(t).value / om1.eval(t).value)
             for t in LogGrid(10.0, 1e6, 200).values() if t >= 1e5]
     tail_ok = max(r for _, r in tail) < 1.0
@@ -175,7 +173,7 @@ def test_criterion_07_two_sided_equivalence_within_family():
     mm = sigma_matrix(2.0)
     e1, e3 = mm.element(1.0), mm.element(3.0)
     s1 = scaled(e1, power_exponents(2.0), 2.0)
-    oms = {id(m): OmegaFunction.from_sequence(m, cfg=CFG)
+    oms = {id(m): OmegaFunction.from_sequence(m)
            for m in (e1, e3, s1)}
     ratio_ok = True
     for t in LogGrid(10.0, 1e6, 200).values():
@@ -185,7 +183,7 @@ def test_criterion_07_two_sided_equivalence_within_family():
             ratio_ok = ratio_ok and 1.0 / 50.0 <= r <= 50.0
     both_ok = True
     for m, n in ((e3, e1), (e1, e3), (s1, e1), (e1, s1)):
-        v = assoc_relation_check(m, n, "bigO", 8, 512, cfg=CFG)
+        v = assoc_relation_check(m, n, "bigO", 8, 512)
         both_ok = both_ok and v.status == HOLDS
     ok = ratio_ok and both_ok
     report(7, "index/geometric variants stay mutually bounded", ok)
@@ -222,7 +220,7 @@ def test_criterion_08_composition_dp_vs_enumeration():
         worst = max(worst, max(abs(a - b) for a, b in zip(got, want)))
     dp_ok = worst <= 1e-9
     res = check_matrix_condition(ptt_matrix(1.0, 2.0, (1.0, 2.0, 4.0, 8.0)),
-                                 condition_id("FdB", "roumieu"), None, 48, CFG)
+                                 condition_id("FdB", "roumieu"), None, 48)
     fdb_ok = all(v.status == HOLDS for v in res.values())
     ok = dp_ok and fdb_ok
     report(8, f"composition dp equals enumeration (worst {worst:.2e})", ok)
@@ -236,10 +234,10 @@ def test_criterion_09_root_growth_floor():
         v.status == HOLDS
         for c in (0.5, 1.0, 2.0)
         for v in gamma_lower_bound(mm.element(c), (1.0, 5.0, 20.0),
-                                   512, CFG).values())
+                                   512).values())
     gevrey_ok = True
     for s in (1.0, 2.0):
-        res = gamma_lower_bound(gevrey(s), (0.5, s, s + 0.5), 512, CFG)
+        res = gamma_lower_bound(gevrey(s), (0.5, s, s + 0.5), 512)
         gevrey_ok = (gevrey_ok and res[0.5].status == HOLDS
                      and res[s].status == HOLDS
                      and res[s + 0.5].status == FAILS)

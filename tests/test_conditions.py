@@ -119,14 +119,14 @@ def test_slc_failure_witness():
     assert v.witness == 2
 
 
-def test_sc_certificate(g1, cfg):
-    ok = check_sc(g1, 64, cfg)
+def test_sc_certificate(g1):
+    ok = check_sc(g1, 64)
     assert ok.status == HOLDS
     assert ok.evidence == {"lc": HOLDS, "normalized": HOLDS,
                            "roots_divergent": True}
-    bad = check_sc(table(log_values=[0.0, 1.0, 3.0, 4.0, 6.0]), 4, cfg)
+    bad = check_sc(table(log_values=[0.0, 1.0, 3.0, 4.0, 6.0]), 4)
     assert (bad.status, bad.witness) == (FAILS, 3)  # the lc witness
-    slow = check_sc(gevrey(0.01), 64, cfg)
+    slow = check_sc(gevrey(0.01), 64)
     assert slow.status == UNDETERMINED
     assert slow.evidence["roots_divergent"] is False
 

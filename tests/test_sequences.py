@@ -57,6 +57,8 @@ def test_constructor_validation():
 def test_table_bounds_and_exhaustion():
     t = table([1.0, 2.0, 8.0])
     assert t.max_index() == 2
+    assert (t.last_index(1), t.last_index(2), t.last_index(64)) == (1, 2, 2)
+    assert gevrey(1.0).last_index(64) == 64
     assert t.log_term(2) == pytest.approx(math.log(8.0))
     with pytest.raises(TableExhaustedError):
         t.log_term(3)

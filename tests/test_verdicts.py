@@ -19,6 +19,7 @@ from wcalc import (
     fit_line,
     running_sup_stabilized,
 )
+from wcalc.config import STABILIZE_REL
 from wcalc.verdicts import quarter_minima, trajectory_entry
 
 
@@ -52,106 +53,106 @@ def test_fit_line_recovers_exact_line():
     assert fit_line([], []) == (0.0, 0.0)
 
 
-def classify(vals, cfg, idx=None):
+def classify(vals, idx=None):
     idx = idx or list(range(1, len(vals) + 1))
-    return classify_trajectory(idx, vals, cfg)
+    return classify_trajectory(idx, vals)
 
 
-def test_classify_frozen_peak_then_decay(cfg):
+def test_classify_frozen_peak_then_decay():
     vals = [0.0, 5.0, 3.0, 2.0, 1.5, 1.2, 1.1, 1.05, 1.02, 1.0]
-    r = classify(vals, cfg)
+    r = classify(vals)
     assert r.trend == FROZEN
     assert r.stabilized
     assert r.sup == 5.0 and r.sup_index == 1
 
 
-def test_classify_constant_is_frozen(cfg):
-    r = classify([2.5] * 16, cfg)
+def test_classify_constant_is_frozen():
+    r = classify([2.5] * 16)
     assert r.trend == FROZEN
     assert r.sup == 2.5
 
 
-def test_classify_log_growth_is_up(cfg):
+def test_classify_log_growth_is_up():
     vals = [math.log(j) for j in range(1, 65)]
-    r = classify(vals, cfg)
+    r = classify(vals)
     assert r.trend == UP
     assert not r.stabilized
     assert r.slope == pytest.approx(1.0, abs=0.05)
 
 
-def test_classify_pure_decay_is_frozen(cfg):
+def test_classify_pure_decay_is_frozen():
     # sup sits at the first sample, so the freeze rule wins over the slope
     vals = [-math.log(j) for j in range(1, 65)]
-    r = classify(vals, cfg)
+    r = classify(vals)
     assert r.trend == FROZEN
     assert r.stabilized
 
 
-def test_classify_late_spike_with_sinking_fit_is_down(cfg):
+def test_classify_late_spike_with_sinking_fit_is_down():
     # sup inside the last quarter blocks the freeze; the fit decides
     vals = [-float(i) for i in range(64)]
     vals[60] = 1.0
-    r = classify(vals, cfg)
+    r = classify(vals)
     assert r.trend == DOWN
     assert r.stabilized
 
 
-def test_classify_late_sup_with_flat_slope(cfg):
+def test_classify_late_sup_with_flat_slope():
     vals = [0.0] * 15 + [1e-9]
-    r = classify(vals, cfg)
+    r = classify(vals)
     assert r.trend == FLAT
     assert r.stabilized
 
 
-def test_classify_short_window_rules(cfg):
+def test_classify_short_window_rules():
     # under 8 points only a head-certified sup avoids the growth call
-    assert classify([1.0, 1.0, 1.0], cfg).trend == FLAT
-    assert classify([1.0, 1.0, 1.1], cfg).trend == UP
-    assert classify([3.0, 2.0, 1.0], cfg).trend == FLAT
+    assert classify([1.0, 1.0, 1.0]).trend == FLAT
+    assert classify([1.0, 1.0, 1.1]).trend == UP
+    assert classify([3.0, 2.0, 1.0]).trend == FLAT
 
 
-def test_classify_input_validation(cfg):
+def test_classify_input_validation():
     with pytest.raises(ValueError):
-        classify_trajectory([], [], cfg)
+        classify_trajectory([], [])
     with pytest.raises(ValueError):
-        classify_trajectory([1, 2], [1.0], cfg)
+        classify_trajectory([1, 2], [1.0])
 
 
 @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=8, max_size=64))
-def test_classify_sup_is_max(cfg, vals):
-    r = classify(vals, cfg)
+def test_classify_sup_is_max(vals):
+    r = classify(vals)
     assert r.sup == max(vals)
     assert vals[r.sup_index] == r.sup
     assert r.trend in (FROZEN, FLAT, UP, DOWN)
 
 
-def test_running_sup_plateau_stabilizes(cfg):
+def test_running_sup_plateau_stabilizes():
     vals = [min(float(j), 10.0) for j in range(1, 65)]
-    stable, sup = running_sup_stabilized(vals, cfg)
+    stable, sup = running_sup_stabilized(vals)
     assert stable and sup == 10.0
 
 
-def test_running_sup_steady_climb_does_not(cfg):
+def test_running_sup_steady_climb_does_not():
     vals = [math.log(j) for j in range(1, 65)]
-    stable, sup = running_sup_stabilized(vals, cfg)
+    stable, sup = running_sup_stabilized(vals)
     assert not stable
     assert sup == pytest.approx(math.log(64))
 
 
-def test_running_sup_scale_awareness(cfg):
+def test_running_sup_scale_awareness():
     # a 1000-unit climb that settles to sub-relative drift still counts
     vals = [1000.0 * (1.0 - 2.0 ** -j) for j in range(1, 65)]
-    stable, sup = running_sup_stabilized(vals, cfg)
+    stable, sup = running_sup_stabilized(vals)
     assert stable
 
 
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=50))
-def test_running_sup_returns_max(cfg, vals):
-    _, sup = running_sup_stabilized(vals, cfg)
+def test_running_sup_returns_max(vals):
+    _, sup = running_sup_stabilized(vals)
     assert sup == max(vals)
 
 
-def running_sup_reference(vals, cfg):
+def running_sup_reference(vals):
     """running_sup_stabilized over the full list of running sups, each
     max(acc, v) seeded with -inf."""
     sups = list(itertools.accumulate(vals, max, initial=-math.inf))
@@ -160,7 +161,7 @@ def running_sup_reference(vals, cfg):
     anchor = sups[q3] if q3 < len(sups) else sups[-1]
     moved = sups[-1] - anchor
     scale = max(1.0, abs(sups[-1]), max(vals) - min(vals))
-    return moved <= cfg.stabilize_rel * scale, sups[-1]
+    return moved <= STABILIZE_REL * scale, sups[-1]
 
 
 def same_float(a, b):
@@ -182,11 +183,11 @@ SPECIAL_FLOATS = st.sampled_from(
 @example([0.0] * 10 + [math.nan, 5.0])
 @given(st.lists(st.floats(-100, 100) | SPECIAL_FLOATS | st.floats(),
                 min_size=1, max_size=50))
-def test_running_sup_matches_loop_reference(cfg, vals):
+def test_running_sup_matches_loop_reference(vals):
     # NaNs included: max(-inf, nan) is -inf, so they never become the sup;
     # of two equal zeros the earlier one stays the sup
-    stab, sup = running_sup_stabilized(vals, cfg)
-    want_stab, want_sup = running_sup_reference(vals, cfg)
+    stab, sup = running_sup_stabilized(vals)
+    want_stab, want_sup = running_sup_reference(vals)
     assert stab == want_stab
     assert same_float(sup, want_sup)
 
@@ -221,7 +222,7 @@ def fitted_trajectory(draw):
 # the matrix search's axis; a plain sum of the products gives 1 - 2^-52
 @example((list(range(1, 513)), [math.log(j) for j in range(1, 513)]))
 @given(fitted_trajectory())
-def test_classify_slope_equals_fit_line(cfg, case):
+def test_classify_slope_equals_fit_line(case):
     # bit for bit, on the first call (axis built) and the second (cached)
     idx, vals = case
     n = len(vals)
@@ -229,45 +230,45 @@ def test_classify_slope_equals_fit_line(cfg, case):
     want = least_squares_slope(xs, half)
     assert same_float(fit_line(xs, half)[0], want)
     for _ in range(2):
-        assert same_float(classify_trajectory(idx, vals, cfg).slope, want)
+        assert same_float(classify_trajectory(idx, vals).slope, want)
 
 
 @pytest.mark.parametrize("idx", [[0], [-2, -1, 0, 1], [-5, -3, 0, 7]])
-def test_classify_index_zero_in_the_fit_raises(cfg, idx):
+def test_classify_index_zero_in_the_fit_raises(idx):
     for _ in range(2):
         with pytest.raises(ValueError, match="math domain error"):
-            classify_trajectory(idx, [1.0] * len(idx), cfg)
+            classify_trajectory(idx, [1.0] * len(idx))
 
 
-def test_quarter_minima(cfg):
+def test_quarter_minima():
     # 1/j shrinks steadily: each later quarter minimum is smaller
-    mins, decaying = quarter_minima([1.0 / j for j in range(1, 65)], cfg)
+    mins, decaying = quarter_minima([1.0 / j for j in range(1, 65)])
     assert mins == [1.0 / 16, 1.0 / 32, 1.0 / 48, 1.0 / 64] and decaying
-    mins, decaying = quarter_minima([2.0] * 64, cfg)
+    mins, decaying = quarter_minima([2.0] * 64)
     assert mins == [2.0] * 4 and not decaying
     # a window shorter than four entries reuses its last value
-    mins, _ = quarter_minima([3.0, 1.0], cfg)
+    mins, _ = quarter_minima([3.0, 1.0])
     assert mins == [3.0, 1.0, 1.0, 1.0]
 
 
-def test_trajectory_entry_leaves_index_zero_out_of_the_fit(cfg):
+def test_trajectory_entry_leaves_index_zero_out_of_the_fit():
     vals = [50.0] + [math.log(j) for j in range(1, 40)]
-    got = trajectory_entry(range(40), vals, cfg)
-    stab, sup = running_sup_stabilized(vals, cfg)
-    rep = classify_trajectory(range(1, 40), vals[1:], cfg)
+    got = trajectory_entry(range(40), vals)
+    stab, sup = running_sup_stabilized(vals)
+    rep = classify_trajectory(range(1, 40), vals[1:])
     assert got == {"stabilized": stab, "log_constant": sup,
                    "defects": decimate(vals), "trend": rep.trend,
                    "slope": rep.slope}
     # the index-0 point sets the sup; classified with the rest, its early
     # peak would read as a frozen trajectory
     assert got["log_constant"] == 50.0 and got["trend"] == UP
-    assert classify_trajectory(range(1, 41), vals, cfg).trend == FROZEN
+    assert classify_trajectory(range(1, 41), vals).trend == FROZEN
     # from index 1 on every point is fitted
-    one = trajectory_entry(range(1, 41), vals, cfg)
-    assert one["slope"] == classify_trajectory(range(1, 41), vals, cfg).slope
+    one = trajectory_entry(range(1, 41), vals)
+    assert one["slope"] == classify_trajectory(range(1, 41), vals).slope
 
 
-def test_trajectory_entry_two_points_has_no_trend(cfg):
-    got = trajectory_entry(range(2), [0.0, 1.0], cfg)
+def test_trajectory_entry_two_points_has_no_trend():
+    got = trajectory_entry(range(2), [0.0, 1.0])
     assert set(got) == {"stabilized", "log_constant", "defects"}
     assert got["log_constant"] == 1.0
