@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .config import (
-    DEFAULT_HORIZON,
     GOLDEN_ITERS,
     GRID_POINTS,
     GRID_T_MAX,
     GRID_T_MIN,
-    OMEGA_INDEX_CAP,
+    need_horizon,
 )
 from .errors import (
     InvalidParameterError,
@@ -101,7 +100,7 @@ class OmegaFunction:
     @classmethod
     def from_sequence(cls, m: WeightSequence,
                       check_horizon: int | None = None) -> "OmegaFunction":
-        h = m.last_index(check_horizon or DEFAULT_HORIZON)
+        h = m.last_index(need_horizon(check_horizon, 4))
         lc = _conditions.check_condition(m, "lc", h)
         if not lc.holds:
             raise PreconditionError(
@@ -169,6 +168,9 @@ class OmegaFunction:
         return lo
 
     def eval(self, t: float, horizon: int | None = None) -> OmegaValue:
+        """omega(t) with the index j that attains it; horizon caps the
+        index search (default OMEGA_INDEX_CAP)."""
+        h = need_horizon(horizon, 1, omega=True)
         if not (math.isfinite(t) and t >= 0.0):
             raise InvalidParameterError("t", f"need finite t >= 0, got {t}")
         if self._fn is not None:
@@ -184,7 +186,6 @@ class OmegaFunction:
             return OmegaValue(*out)
         if t == 0.0:
             return OmegaValue(0.0, 0)
-        h = horizon if horizon is not None else OMEGA_INDEX_CAP
         cached = self._cache.get(t)
         if cached is not None:
             if cached[1] is not None and cached[1] <= h:
@@ -352,7 +353,7 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
     (bigO), the same for every scale up to c_max (smallO), or the direct
     numeric ratio probe of the two associated functions.
     """
-    h = horizon if horizon is not None else DEFAULT_HORIZON
+    h = need_horizon(horizon, 4)
     if mode not in ("bigO", "smallO", "numeric_ratio"):
         raise InvalidParameterError("mode", f"unknown mode {mode!r}")
     subject = f"assoc_{mode}({m.label()}, {n.label()})"

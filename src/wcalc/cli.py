@@ -20,7 +20,7 @@ import argparse
 import sys
 from functools import cache
 
-from .config import OMEGA_INDEX_CAP, default_config
+from .config import default_config
 from .errors import InvalidParameterError, SourceError, WcalcError
 from . import associated as _assoc
 from . import dsl as _dsl
@@ -206,14 +206,13 @@ def _cmd_check(args, cfg, h) -> list:
 
 
 def _cmd_omega(args, cfg, h) -> list:
-    # tabulation wants the sup actually attained; default to the index cap
-    # rather than the check horizon, which an explicit --horizon overrides
-    h = args.horizon if args.horizon is not None else OMEGA_INDEX_CAP
+    # tabulation wants the sup actually attained: only an explicit
+    # --horizon caps the index search, not the check horizon
     seq, label = _sequence(*_resolve(args.family, args.params, cfg))
     grid = _parse_t_grid(args.t_grid) if args.t_grid \
         else _assoc.LogGrid()
     omega = _assoc.OmegaFunction.from_sequence(seq, cfg.horizon)
-    rows = _assoc.export_csv(omega, grid, args.csv, h)
+    rows = _assoc.export_csv(omega, grid, args.csv, args.horizon)
     return [{"query": f"omega({label}) grid [{grid.t_min:g}, {grid.t_max:g}, "
                       f"{grid.points}];",
              "rows": rows, "csv": args.csv}]

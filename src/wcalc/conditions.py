@@ -15,10 +15,10 @@ import random
 
 from .config import (
     COMPARISON_SLACK,
-    DEFAULT_HORIZON,
     OFFDIAG_SAMPLES,
     POWERFIT_MARGIN,
     ROOT_MARGIN,
+    need_horizon,
 )
 from .errors import InvalidParameterError
 from .logdomain import LOG_ZERO, log_add, log_sum, slack
@@ -46,13 +46,6 @@ CONDITIONS = (
 EXPONENT_GAP_FLOOR = 0.01
 
 
-def _need_horizon(horizon: int | None) -> int:
-    h = DEFAULT_HORIZON if horizon is None else int(horizon)
-    if h < 4:
-        raise InvalidParameterError("horizon", f"need horizon >= 4, got {h}")
-    return h
-
-
 def _powerfit_tail(log_indices, log_values, horizon):
     """Fit log v ~ p log j over the tail; log of the integral tail bound
     for sum 1/v beyond the horizon, or None when the fit is too shallow."""
@@ -75,7 +68,7 @@ def check_condition(
     dilation of beta1/beta3 and seed the off-diagonal pair sample of mg."""
     if cond not in CONDITIONS:
         raise InvalidParameterError("cond", f"unknown condition {cond!r}; expected one of {CONDITIONS}")
-    h = _need_horizon(horizon)
+    h = need_horizon(horizon, 4)
     fn = _DISPATCH[cond]
     if cond in ("beta1", "beta3"):
         if not isinstance(Q, int) or Q < 2:
@@ -304,7 +297,7 @@ def root_growth_profile(m: WeightSequence, horizon: int | None = None) -> dict:
     quotients.  The divergence flag compares the last-quarter minimum of
     the roots against the first-quarter maximum plus ROOT_MARGIN.
     """
-    h = _need_horizon(horizon)
+    h = need_horizon(horizon, 4)
     t = m.log_terms(h)
     mu = [t[j] - t[j - 1] for j in range(1, h + 1)]
     roots = [t[j] / j for j in range(1, h + 1)]
@@ -339,7 +332,7 @@ def gamma_lower_bound(m: WeightSequence, alphas,
     Fails (with the last violating index) when the monotonicity defect
     persists into the last quarter; late onsets give Undetermined.
     """
-    h = _need_horizon(horizon)
+    h = need_horizon(horizon, 4)
     out = {}
     terms = m.log_terms(h)
     mu = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
@@ -389,7 +382,7 @@ def exponent_growth_report(phi: ExponentSequence,
     Quarterly minima that shrink steadily mark a gap vanishing at infinity
     even when the last value still sits above EXPONENT_GAP_FLOOR.
     """
-    h = _need_horizon(horizon)
+    h = need_horizon(horizon, 4)
     mins, decaying = quarter_minima([phi.value(j) / j for j in range(1, h + 1)])
     tail = mins[3]
     return {

@@ -14,6 +14,8 @@ import dataclasses
 import math
 import os
 
+from .errors import HorizonError
+
 ENV_HORIZON = "WCALC_HORIZON"
 
 DEFAULT_HORIZON = 512  # default index horizon of finite checks
@@ -78,6 +80,21 @@ class Config:
             "continuation_steps": CONTINUATION_STEPS,
             "l_constants": list(L_CONSTANTS),
         }
+
+
+def need_horizon(horizon, floor: int, *, omega: bool = False) -> int:
+    """The index horizon a call runs at, the one rule every entry point
+    that takes a horizon applies.
+
+    None means the default: DEFAULT_HORIZON, or OMEGA_INDEX_CAP for the
+    index search of an omega evaluation (omega=True).  Any other value
+    must be an int (a bool is not one) of at least floor.
+    """
+    if horizon is None:
+        return OMEGA_INDEX_CAP if omega else DEFAULT_HORIZON
+    if type(horizon) is not int or horizon < floor:
+        raise HorizonError(f"need an integer >= {floor}, got {horizon!r}")
+    return horizon
 
 
 def default_config() -> Config:

@@ -318,7 +318,6 @@ class Query:
 @dataclass(frozen=True)
 class Program:
     statements: tuple
-    productions: frozenset = field(compare=False, default=frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +328,6 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
         self.pos = 0
-        self.productions: set[str] = set()
         self.scope: dict[str, str] = {}  # name -> kind
 
     def peek(self) -> Token:
@@ -360,11 +358,10 @@ class _Parser:
         return self.advance()
 
     def program(self) -> Program:
-        self.productions.add("program")
         stmts = []
         while self.peek().kind != "EOF":
             stmts.append(self.statement())
-        return Program(tuple(stmts), frozenset(self.productions))
+        return Program(tuple(stmts))
 
     def statement(self):
         tok = self.peek()
@@ -379,7 +376,6 @@ class _Parser:
                         expected=BINDING_KINDS + QUERY_KINDS)
 
     def binding(self) -> Binding:
-        self.productions.add("binding")
         kw = self.advance()
         name_tok = self.expect_ident("a name")
         name = name_tok.text
@@ -418,7 +414,6 @@ class _Parser:
                     f"{v.name!r} is {self.scope[v.name]!r}", tok)
 
     def query(self) -> Query:
-        self.productions.add("query")
         kw = self.advance()
         call_tok = self.peek()
         call = self.call()
@@ -435,7 +430,6 @@ class _Parser:
                                 f"{kw.text} {call.name}", opt, expected=takes)
             if opt.text in opts:
                 raise self.fail(f"option {opt.text!r} given twice", opt)
-            self.productions.add("opt_" + opt.text)
             if opt.text == "horizon":
                 num = self.peek()
                 if num.kind != "NUMBER":
@@ -457,7 +451,6 @@ class _Parser:
         return Query(kw.text, call, line=kw.line, col=kw.col, **opts)
 
     def call(self) -> Call:
-        self.productions.add("call")
         name = self.expect_ident("an operation name").text
         self.expect_punct("(")
         args = []
@@ -473,27 +466,22 @@ class _Parser:
         nxt = self.toks[self.pos + 1] if self.pos + 1 < len(self.toks) else None
         if (self.peek().kind == "IDENT" and nxt is not None
                 and nxt.kind == "PUNCT" and nxt.text == "="):
-            self.productions.add("arg_named")
             key = self.advance().text
             self.advance()
             return (key, self.value())
-        self.productions.add("arg_positional")
         return (None, self.value())
 
     def value(self):
         tok = self.peek()
         if tok.kind == "NUMBER":
-            self.productions.add("value_number")
             self.advance()
             return float(tok.text)
         if tok.kind == "IDENT":
-            self.productions.add("value_ref")
             self.advance()
             if tok.text not in self.scope:
                 raise self.fail(f"unbound name {tok.text!r}", tok)
             return Ref(tok.text)
         if tok.kind == "PUNCT" and tok.text == "[":
-            self.productions.add("value_list")
             self.advance()
             items = [self.value()]
             while self.peek().kind == "PUNCT" and self.peek().text == ",":

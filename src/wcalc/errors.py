@@ -35,8 +35,12 @@ class TableExhaustedError(WcalcError, IndexError):
         )
 
 
-class HorizonError(WcalcError, ValueError):
-    """The requested horizon is too small for the computation."""
+class HorizonError(InvalidParameterError):
+    """The requested horizon is not an integer or is below the floor of the
+    computation (config.need_horizon)."""
+
+    def __init__(self, message: str):
+        super().__init__("horizon", message)
 
 
 class PreconditionError(WcalcError, ValueError):

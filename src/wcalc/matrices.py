@@ -19,16 +19,12 @@ from typing import Callable
 
 from .config import (
     CONTINUATION_STEPS,
-    DEFAULT_HORIZON,
     FDB_HORIZON,
     L_CONSTANTS,
     OFFDIAG_SAMPLES,
+    need_horizon,
 )
-from .errors import (
-    HorizonError,
-    InvalidParameterError,
-    OrderViolationError,
-)
+from .errors import InvalidParameterError, OrderViolationError
 from .logdomain import slack
 from .sequences import (
     ExponentFamily,
@@ -62,6 +58,24 @@ _ORDER_CHECK_HORIZON = 64
 _ORDER_SLACK = 1e-9
 
 
+def _index_grid(values, min_len: int) -> tuple[float, ...]:
+    """values as an index grid: at least min_len finite, positive and
+    strictly ascending floats.  The order is part of every matrix
+    condition, since the Roumieu partner is searched above an index and the
+    Beurling partner below it."""
+    grid = tuple(float(c) for c in values)
+    if len(grid) < min_len:
+        raise InvalidParameterError(
+            "index_grid", f"need at least {min_len} indices, got {len(grid)}")
+    if not all(c > 0.0 and math.isfinite(c) for c in grid):
+        raise InvalidParameterError(
+            "index_grid", f"indices must be finite and positive: {grid}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidParameterError(
+            "index_grid", f"indices must be strictly ascending: {grid}")
+    return grid
+
+
 @dataclass(frozen=True)
 class MatrixConditionId:
     tag: str
@@ -91,23 +105,16 @@ def condition_id(tag: str, flavor: str = ROUMIEU) -> MatrixConditionId:
 
 
 class WeightMatrix:
-    """A map c -> weight sequence over an ascending index grid; building
-    one checks that grid neighbours are pointwise ordered up to index 64
-    and raises OrderViolationError otherwise."""
+    """A map c -> weight sequence over a strictly ascending index grid;
+    building one checks that grid neighbours are pointwise ordered up to
+    index 64 and raises OrderViolationError otherwise."""
 
     def __init__(self, construction: str, params: dict,
                  element_fn: Callable[[float], WeightSequence],
                  index_grid, phi: ExponentSequence | None = None) -> None:
-        grid = tuple(float(c) for c in index_grid)
-        if len(grid) < 1:
-            raise InvalidParameterError("index_grid", "empty index grid")
-        if any(not (c > 0.0 and math.isfinite(c)) for c in grid):
-            raise InvalidParameterError("index_grid", f"indices must be positive: {grid}")
-        if list(grid) != sorted(grid):
-            raise InvalidParameterError("index_grid", "index grid must be ascending")
         self.construction = construction
         self.params = params
-        self.index_grid = grid
+        self.index_grid = _index_grid(index_grid, 1)
         self._fn = element_fn
         self._phi = phi
         self._memo: dict[float, WeightSequence] = {}
@@ -206,12 +213,11 @@ def sigma_matrix(sigma: float, index_grid=DEFAULT_INDEX_GRID) -> WeightMatrix:
 def matrix_scale(base: WeightMatrix, phi: ExponentSequence,
                  index_grid=None) -> WeightMatrix:
     """Elements c -> c^(phi_j) * N^(c)_j for a base matrix N."""
-    grid = tuple(index_grid) if index_grid is not None else base.index_grid
     return WeightMatrix(
         "matrix_scale",
         {"base": base.label(), "phi": phi.label(), "_base": base, "_phi": phi},
         lambda c: scaled(base.element(c), phi, c),
-        grid, phi=phi)
+        base.index_grid if index_grid is None else index_grid, phi=phi)
 
 
 def exponent_family_scale(base: WeightSequence, family: ExponentFamily,
@@ -221,7 +227,7 @@ def exponent_family_scale(base: WeightSequence, family: ExponentFamily,
     Requires the signed products Phi^a_j log(a) <= Phi^b_j log(b) on the
     grid; log(a) changes sign at 1, so no absolute values anywhere.
     """
-    grid = tuple(float(c) for c in index_grid)
+    grid = _index_grid(index_grid, 1)
     for a, b in zip(grid, grid[1:]):
         pa, pb = family.sequence(a), family.sequence(b)
         la, lb = math.log(a), math.log(b)
@@ -277,7 +283,7 @@ def _beta_candidates(grid, alpha: float, flavor: str):
         for b in grid:
             if b >= alpha:
                 out.append((b, False))
-        ratio = grid[-1] / grid[-2] if len(grid) >= 2 else 2.0
+        ratio = grid[-1] / grid[-2]
         edge = grid[-1]
         for i in range(1, CONTINUATION_STEPS + 1):
             out.append((edge * ratio ** i, True))
@@ -285,7 +291,7 @@ def _beta_candidates(grid, alpha: float, flavor: str):
         for b in reversed(grid):
             if b <= alpha:
                 out.append((b, False))
-        ratio = grid[1] / grid[0] if len(grid) >= 2 else 2.0
+        ratio = grid[1] / grid[0]
         edge = grid[0]
         for i in range(1, CONTINUATION_STEPS + 1):
             out.append((edge / ratio ** i, True))
@@ -396,14 +402,9 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
                            *, seed: int = 0) -> dict:
     """Per-grid-index verdicts for a matrix-level condition; seed is
     the off-diagonal pair sample of mg."""
-    h = horizon if horizon is not None else DEFAULT_HORIZON
-    if h < 16:
-        raise HorizonError(f"need horizon >= 16, got {h}")
-    grid = tuple(float(c) for c in index_grid) if index_grid is not None \
-        else mm.index_grid
-    if cond.tag not in ("sc", "constant") and len(grid) < 3:
-        raise InvalidParameterError("index_grid",
-                                    f"need at least 3 indices, got {len(grid)}")
+    h = need_horizon(horizon, 16)
+    grid = _index_grid(mm.index_grid if index_grid is None else index_grid,
+                       1 if cond.tag in ("sc", "constant") else 3)
 
     growth = _conditions.exponent_growth_report(mm.phi, h) \
         if cond.tag == "L" and mm.phi is not None else None
@@ -573,12 +574,8 @@ def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
     for Beurling) whose per-index gap [Phi^d_j log d - Phi^c_j log c] / j
     keeps a uniform positive tail; Holds reports the worst found tail as
     the uniform margin."""
-    h = horizon if horizon is not None else DEFAULT_HORIZON
-    if h < 16:
-        raise HorizonError(f"need horizon >= 16, got {h}")
-    grid = tuple(float(c) for c in index_grid)
-    if len(grid) < 2:
-        raise InvalidParameterError("index_grid", "need at least 2 indices")
+    h = need_horizon(horizon, 16)
+    grid = _index_grid(index_grid, 2)
     if flavor not in (ROUMIEU, BEURLING):
         raise InvalidParameterError("flavor", f"unknown flavor {flavor!r}")
     subject = f"absorption-{flavor}({family.label()})"

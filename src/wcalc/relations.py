@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .config import COMPARISON_SLACK, DEFAULT_HORIZON, LOG_SLOPE_TOL
+from .config import COMPARISON_SLACK, LOG_SLOPE_TOL, need_horizon
 from .errors import InvalidParameterError
 from .logdomain import slack
 from .sequences import ExponentSequence, WeightSequence
@@ -115,9 +115,7 @@ def compare(
 ) -> Verdict:
     if rel not in RELATIONS:
         raise InvalidParameterError("rel", f"unknown relation {rel!r}; expected one of {RELATIONS}")
-    h = DEFAULT_HORIZON if horizon is None else int(horizon)
-    if h < 4:
-        raise InvalidParameterError("horizon", f"need horizon >= 4, got {h}")
+    h = need_horizon(horizon, 4)
     if rel in ("pointwise_le", "quotient_le"):
         if phi is not None:
             raise InvalidParameterError("phi", f"{rel} takes no exponent sequence")
@@ -156,7 +154,7 @@ def compare_phi_constancy(
     term ratio per phi-unit must equal log(c1) - log(c2) to RATIO_TOL.
     Other pairs fall back to the two-sided stabilization comparison.
     """
-    h = DEFAULT_HORIZON if horizon is None else int(horizon)
+    h = need_horizon(horizon, 4)
     if len(seqs) < 2:
         raise InvalidParameterError("seqs", "need at least two sequences")
     pair_reports = []

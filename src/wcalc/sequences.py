@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .config import need_horizon
 from .errors import InvalidParameterError, PreconditionError, TableExhaustedError
 from .logdomain import slack
 
@@ -272,7 +273,7 @@ def callable_sequence(family: str, params: dict, fn: Callable[[int], float],
     return WeightSequence(family, params, fn, length=length)
 
 
-def regularize_slc(m: WeightSequence, horizon: int) -> WeightSequence:
+def regularize_slc(m: WeightSequence, horizon: int | None) -> WeightSequence:
     """Patch the head of M so the reduced quotients are non-decreasing.
 
     Scans for the smallest index from which (a) the reduced quotients
@@ -283,8 +284,7 @@ def regularize_slc(m: WeightSequence, horizon: int) -> WeightSequence:
     log-convex on [0, horizon].  Output params carry patch_index (0 when
     the input already qualifies and is unchanged).
     """
-    if horizon < 4:
-        raise InvalidParameterError("horizon", f"need horizon >= 4, got {horizon}")
+    horizon = need_horizon(horizon, 4)
     terms = m.log_terms(horizon)
     # quotient jitter scales with the term magnitude, not the quotient itself
     tol = slack(1e-12, max(map(abs, terms)))

@@ -48,13 +48,17 @@ class Verdict:
         }
 
 
-def decimate(values, limit: int = 16) -> list:
-    """Evenly thinned copy for evidence payloads."""
+# length of the thinned copies that evidence payloads carry
+_DECIMATE_LIMIT = 16
+
+
+def decimate(values) -> list:
+    """Evenly thinned copy for evidence payloads, ends kept."""
     vals = list(values)
-    if len(vals) <= limit:
+    if len(vals) <= _DECIMATE_LIMIT:
         return vals
-    step = (len(vals) - 1) / (limit - 1)
-    return [vals[round(i * step)] for i in range(limit)]
+    step = (len(vals) - 1) / (_DECIMATE_LIMIT - 1)
+    return [vals[round(i * step)] for i in range(_DECIMATE_LIMIT)]
 
 
 def _centre(xs) -> tuple[float, array, float]:

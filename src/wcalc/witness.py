@@ -26,7 +26,7 @@ from .verdicts import (
     trajectory_entry,
 )
 from . import conditions as _conditions
-from .matrices import WeightMatrix
+from .matrices import WeightMatrix, _index_grid
 
 SOURCES = ("synthetic", "theta", "user")
 
@@ -123,16 +123,13 @@ def _require_witness_preconditions(n: WeightSequence, truncation: int) -> None:
                 f"up to {truncation}; got {v.status}", witness=v.witness)
 
 
-def _freq_log(terms: list[float], j: int, shift_quotients: bool) -> float:
-    # nu_0 := 1; the optional shift replaces nu_j by nu_{j+1}
-    if j == 0 and not shift_quotients:
-        return 0.0
-    i = j + 1 if shift_quotients else j
-    return terms[i] - terms[i - 1]
+def _freq_log(terms: list[float], j: int) -> float:
+    """log nu_j, with nu_0 := 1."""
+    return terms[j] - terms[j - 1] if j else 0.0
 
 
-def theta_eval(n: WeightSequence, t: float, truncation: int,
-               shift_quotients: bool = False) -> tuple[float, float]:
+def theta_eval(n: WeightSequence, t: float,
+               truncation: int) -> tuple[float, float]:
     """Truncated witness series value; tail error below 2^-truncation."""
     if truncation < 1:
         raise InvalidParameterError("truncation", f"need >= 1, got {truncation}")
@@ -141,10 +138,10 @@ def theta_eval(n: WeightSequence, t: float, truncation: int,
         raise InvalidParameterError("t", f"need finite t, got {t}")
     _require_witness_preconditions(n, truncation)
     log_2t = math.log(2.0 * abs(t)) if t != 0.0 else None
-    terms = n.log_terms(truncation + 1 if shift_quotients else truncation)
+    terms = n.log_terms(truncation)
     re_parts, im_parts = [], []
     for j in range(truncation + 1):
-        freq = _freq_log(terms, j, shift_quotients)
+        freq = _freq_log(terms, j)
         mag = math.exp(terms[j] - j * (_LN2 + freq))
         if t == 0.0:
             re_parts.append(mag)
@@ -159,8 +156,7 @@ def theta_eval(n: WeightSequence, t: float, truncation: int,
 
 
 def theta_derivative_log_bound(n: WeightSequence, k: int,
-                               truncation: int | None = None,
-                               shift_quotients: bool = False) -> float:
+                               truncation: int | None = None) -> float:
     """log |theta^(k)(0)|: every term shares the phase i^k, so the modulus
     is the log-sum over j of log N_j + (k-j)(ln 2 + log nu_j)."""
     if k < 0:
@@ -171,10 +167,10 @@ def theta_derivative_log_bound(n: WeightSequence, k: int,
         raise InvalidParameterError(
             "truncation", f"need truncation >= k + 10 = {k + 10}, got {truncation}")
     _require_witness_preconditions(n, truncation)
-    window = n.log_terms(truncation + 1 if shift_quotients else truncation)
+    window = n.log_terms(truncation)
     terms = []
     for j in range(truncation + 1):
-        freq = _freq_log(window, j, shift_quotients)
+        freq = _freq_log(window, j)
         terms.append(window[j] + (k - j) * (_LN2 + freq))
     return log_sum(terms)
 
@@ -230,27 +226,20 @@ DEFAULT_H_GRID = (0.5, 1.0, 2.0, 4.0)
 
 def classify_membership(f: DerivBounds, mm: WeightMatrix,
                         phi: ExponentSequence | None = None,
-                        index_grid=None,
-                        h_grid=DEFAULT_H_GRID) -> MembershipReport:
-    """Seminorm stabilization over a (c, h) grid.
+                        index_grid=None) -> MembershipReport:
+    """Seminorm stabilization over a (c, h) grid, h from DEFAULT_H_GRID.
 
     Roumieu membership needs one stabilized cell anywhere; Beurling needs
     every h to stabilize at the smallest index, since shrinking the index
     only tightens the Beurling class.
     """
     phi = phi or (mm.phi if mm.phi is not None else linear_exponents())
-    grid = tuple(float(c) for c in index_grid) if index_grid is not None \
-        else mm.index_grid
-    hs = tuple(float(h) for h in h_grid)
-    if not grid or not hs:
-        raise InvalidParameterError("grid", "index and h grids must be nonempty")
-    if any(h <= 0 for h in hs):
-        raise InvalidParameterError("h_grid", f"need positive h, got {hs}")
+    grid = _index_grid(mm.index_grid if index_grid is None else index_grid, 1)
 
     table: dict[tuple[float, float], dict] = {}
     for c in grid:
         elem = mm.element(c)
-        for h in hs:
+        for h in DEFAULT_H_GRID:
             vals = seminorm_trajectory(f, elem, phi, h)
             entry = trajectory_entry(range(1, len(vals) + 1), vals)
             cell = {"sup": entry["log_constant"],
@@ -262,7 +251,7 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
     subject = f"membership({f.label or f.source}, {mm.label()})"
     horizon = f.top_index()
 
-    r_witness = next(((c, h) for c in grid for h in hs
+    r_witness = next(((c, h) for c in grid for h in DEFAULT_H_GRID
                       if table[(c, h)]["stabilized"]), None)
     if r_witness is not None:
         r = Verdict(subject + ":roumieu", HOLDS, horizon, witness=r_witness,
@@ -273,9 +262,9 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
     else:
         r = Verdict(subject + ":roumieu", UNDETERMINED, horizon)
 
-    c0 = min(grid)
-    b_cells = {h: table[(c0, h)] for h in hs}
-    b_bad = next((h for h in hs if b_cells[h].get("trend") == UP
+    c0 = grid[0]
+    b_cells = {h: table[(c0, h)] for h in DEFAULT_H_GRID}
+    b_bad = next((h for h in DEFAULT_H_GRID if b_cells[h].get("trend") == UP
                   and not b_cells[h]["stabilized"]), None)
     if all(cell["stabilized"] for cell in b_cells.values()):
         b = Verdict(subject + ":beurling", HOLDS, horizon, witness=c0,

@@ -77,6 +77,22 @@ def test_exit_two_on_usage_errors(tmp_path, bounds_csv, capsys):
     assert "wcalc:" in err and "column" in err
 
 
+def test_exit_two_on_bad_horizon_or_index_grid(tmp_path):
+    # HorizonError is an InvalidParameterError, whatever the floor of the call
+    for argv in (
+            ("check", "--family", "gevrey:1", "--cond", "lc", "--horizon", "3"),
+            ("check", "--family", "ptt-matrix:1:2", "--cond", "mg",
+             "--horizon", "8"),
+            ("omega", "--family", "gevrey:1", "--csv", tmp_path / "o.csv",
+             "--horizon", "0"),
+            ("compare", "--left", "gevrey:2", "--right", "gevrey:1",
+             "--rel", "bigO", "--horizon", "-1")):
+        assert run(*argv) == 2, argv
+    for grid in ("4,2,1", "1,1,2"):
+        assert run("check", "--family", "sigma-matrix:2", "--cond", "mg",
+                   "--grid", grid) == 2
+
+
 def test_exit_three_on_runtime_errors(tmp_path, monkeypatch):
     assert run("run", tmp_path / "missing.wsq") == 3
     # explicit horizon below the sup maximizer: the value is not attained

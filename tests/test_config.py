@@ -6,8 +6,10 @@ import dataclasses
 import json
 import pathlib
 
+import pytest
+
 import wcalc
-from wcalc import Config
+from wcalc import Config, HorizonError, InvalidParameterError
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parents[1] / "docs" / "report-schema.json")
@@ -74,6 +76,99 @@ def test_only_the_config_modules_know_config():
         if path.stem in CONFIG_MODULES:
             continue
         hits = _config_mentions(ast.parse(path.read_text(), str(path)))
+        if hits:
+            found[path.name] = hits
+    assert found == {}
+
+
+# every entry point that takes a horizon, with its floor and the horizon
+# its result ran at; need_horizon in config is the one rule they share
+def _entry_points():
+    g1, g2 = wcalc.gevrey(1), wcalc.gevrey(2)
+    mm = wcalc.ptt_matrix(1, 2, (1.0, 2.0, 4.0))
+    fam = wcalc.constant_family(wcalc.linear_exponents())
+    verdict = lambda v: v.horizon  # noqa: E731
+    return {
+        "check_condition": (4, lambda h: wcalc.check_condition(g1, "lc", h),
+                            verdict),
+        "root_growth_profile": (4, lambda h: wcalc.root_growth_profile(g1, h),
+                                lambda r: r["horizon"]),
+        "gamma_lower_bound": (4, lambda h: wcalc.gamma_lower_bound(
+            g1, [1.0], h)[1.0], verdict),
+        "exponent_growth_report": (4, lambda h: wcalc.exponent_growth_report(
+            wcalc.power_exponents(2), h), lambda r: r["horizon"]),
+        "compare": (4, lambda h: wcalc.compare(g2, g1, "preceq", h), verdict),
+        "compare_phi_constancy": (4, lambda h: wcalc.compare_phi_constancy(
+            [mm.element(1.0), mm.element(2.0)], mm.phi, h), verdict),
+        "check_matrix_condition": (16, lambda h: wcalc.check_matrix_condition(
+            mm, wcalc.MatrixConditionId("sc"), None, h)[1.0], verdict),
+        "check_exponent_family_absorption": (
+            16, lambda h: wcalc.check_exponent_family_absorption(
+                fam, wcalc.ROUMIEU, (1.0, 2.0, 4.0), h), verdict),
+        "assoc_relation_check": (4, lambda h: wcalc.assoc_relation_check(
+            g2, g1, "bigO", 1, h), verdict),
+        # the window the certificate read
+        "OmegaFunction.from_sequence": (
+            4, lambda h: wcalc.OmegaFunction.from_sequence(wcalc.gevrey(1), h),
+            lambda om: len(om.sequence._window) - 1),
+        "regularize_slc": (4, lambda h: wcalc.regularize_slc(wcalc.gevrey(1), h),
+                           lambda m: len(m.params["_base"]._window) - 1),
+    }
+
+
+def _rejects_bad_horizons(name, floor, call):
+    for bad in (0, -1, floor - 1, 64.5, True, "64"):
+        with pytest.raises(HorizonError) as err:
+            call(bad)
+        assert isinstance(err.value, InvalidParameterError), name
+        assert err.value.field == "horizon", name
+
+
+def test_every_horizon_entry_point_takes_one_rule():
+    for name, (floor, call, horizon_of) in _entry_points().items():
+        _rejects_bad_horizons(name, floor, call)
+        assert horizon_of(call(None)) == 512, name
+
+
+def test_omega_index_cap_takes_the_same_rule():
+    omega = wcalc.OmegaFunction.from_sequence(wcalc.gevrey(1), 64)
+    _rejects_bad_horizons("OmegaFunction.eval", 1,
+                          lambda h: omega.eval(1e7, h))
+    # the default caps the index search far above the check horizon
+    assert omega.eval(1e7).attained_at > 512
+
+
+_CONFIG_ONLY = {"DEFAULT_HORIZON", "OMEGA_INDEX_CAP"}
+
+
+def _horizon_rule_copies(tree) -> list:
+    """Lines where a module names a horizon default or raises HorizonError."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            names = {node.id}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "HorizonError":
+                hits.append(node.lineno)
+            continue
+        else:
+            continue
+        if names & _CONFIG_ONLY:
+            hits.append(node.lineno)
+    return hits
+
+
+def test_only_config_defaults_or_rejects_a_horizon():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "config":
+            continue
+        hits = _horizon_rule_copies(ast.parse(path.read_text(), str(path)))
         if hits:
             found[path.name] = hits
     assert found == {}

@@ -15,6 +15,7 @@ from wcalc.dsl import (
     NAME,
     NUMBER,
     NUMBERS,
+    OPT_KEYS,
     SIGNATURES,
     Binding,
     Call,
@@ -173,9 +174,37 @@ def test_parse_checks_matrix_scale_referent_kind():
     parse("matrix m1 = sigma_matrix(sigma=2); matrix m2 = matrix_scale(m1);")
 
 
+def _productions(program: Program) -> set:
+    """The grammar productions the statements of a parsed program use."""
+    found = {"program"}
+
+    def value(v):
+        if isinstance(v, Ref):
+            found.add("value_ref")
+        elif isinstance(v, tuple):
+            found.add("value_list")
+            for x in v:
+                value(x)
+        else:
+            found.add("value_number")
+
+    for stmt in program.statements:
+        found |= {"binding" if isinstance(stmt, Binding) else "query", "call"}
+        for key, v in stmt.call.args:
+            found.add("arg_named" if key else "arg_positional")
+            value(v)
+        for key in OPT_KEYS if isinstance(stmt, Query) else ():
+            v = getattr(stmt, key)
+            if v is not None:
+                found.add("opt_" + key)
+                if key == "grid":
+                    value(v)
+    return found
+
+
 def test_roundtrip_and_production_coverage():
     first = parse(CORPUS)
-    assert first.productions == ALL_PRODUCTIONS
+    assert _productions(first) == ALL_PRODUCTIONS
     # every constructor and query operation of the signature table
     assert {(s.kind, s.call.name) for s in first.statements} == set(SIGNATURES)
     printed = print_program(first)
@@ -225,6 +254,20 @@ def test_execute_bad_flavor_is_a_parameter_error():
     recs = execute(parse("matrix m = sigma_matrix(sigma=2);\n"
                          "mcheck mg(m) horizon 32 flavor x;\n"))
     assert recs[0]["error"]["type"] == "InvalidParameterError"
+
+
+def test_execute_rejects_unordered_index_grids():
+    # the partner search reads the grid's order, so a descending or
+    # repeating grid is an error record, never a verdict
+    recs = execute(parse(
+        "seq g = gevrey(s=1); seq f = theta_bounds(g, 20);\n"
+        "matrix m = sigma_matrix(sigma=2);\n"
+        "mcheck mg(m) grid [4, 2, 1];\n"
+        "mcheck mg(m) grid [1, 1, 2];\n"
+        "classify membership(f, m) grid [4, 2, 1];\n"))
+    assert [r["error"]["type"] for r in recs] == ["InvalidParameterError"] * 3
+    assert all(r["error"]["message"].startswith(
+        "index_grid: indices must be strictly ascending") for r in recs)
 
 
 def test_execute_horizon_chain():

@@ -69,6 +69,9 @@ def test_matrix_grid_validation(g1):
         scale_family(g1, linear_exponents(), (1.0, -2.0))
     with pytest.raises(InvalidParameterError):
         scale_family(g1, linear_exponents(), (2.0, 1.0))
+    with pytest.raises(InvalidParameterError) as err:
+        ptt_matrix(1, 2, (1, 1, 2))
+    assert err.value.field == "index_grid"
 
 
 def test_element_memoization_and_validation(g1):
@@ -272,6 +275,11 @@ def test_check_matrix_condition_validation(g1):
     with pytest.raises(InvalidParameterError):
         check_matrix_condition(mm, MatrixConditionId("mg"),
                                index_grid=(1.0, 2.0), horizon=64)
+    for grid in ((4.0, 2.0, 1.0), (1.0, 1.0, 2.0)):
+        with pytest.raises(InvalidParameterError) as err:
+            check_matrix_condition(mm, MatrixConditionId("mg"),
+                                   index_grid=grid, horizon=64)
+        assert err.value.field == "index_grid"
     # element-wise conditions accept short grids
     out = check_matrix_condition(mm, MatrixConditionId("sc"),
                                  index_grid=(1.0,), horizon=64)
@@ -482,6 +490,14 @@ def test_absorption_validation():
         check_exponent_family_absorption(fam, ROUMIEU, (1.0,), horizon=64)
     with pytest.raises(InvalidParameterError):
         check_exponent_family_absorption(fam, "mixed", GRID4, horizon=64)
+    # the partner side depends on the grid's order: a descending or
+    # repeating grid raises instead of giving an order-dependent verdict
+    fam2 = constant_family(power_exponents(2))
+    for grid in ((4.0, 2.0, 1.0, 0.5), (0.5, 1.0, 1.0, 2.0)):
+        for flavor in (ROUMIEU, BEURLING):
+            with pytest.raises(InvalidParameterError) as err:
+                check_exponent_family_absorption(fam2, flavor, grid)
+            assert err.value.field == "index_grid"
 
 
 def test_condition_tag_inventory():

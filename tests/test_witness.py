@@ -116,13 +116,6 @@ def test_theta_phase_guard_extreme_argument(g2):
     assert math.hypot(re, im) <= 2.0 + 1e-9
 
 
-def test_theta_shifted_frequencies(g1):
-    base = theta_eval(g1, 1.0, 30)
-    shifted = theta_eval(g1, 1.0, 30, shift_quotients=True)
-    assert base != shifted
-    assert math.hypot(*shifted) <= 2.0 + 1e-9
-
-
 def test_theta_preconditions_and_validation(g1):
     humped = table(log_values=[0.0, 1.0, 3.0, 4.0, 6.0, 9.0, 12.5, 17.0,
                                22.0, 28.0, 35.0])
@@ -233,11 +226,13 @@ def test_membership_json_layout(ptt_mm):
 
 
 def test_membership_validation(ptt_mm):
+    # the Beurling cells sit at the first index, so the grid must ascend
     f = synthetic_bounds(ptt_mm.element(1.0), 32)
-    with pytest.raises(InvalidParameterError):
-        classify_membership(f, ptt_mm, h_grid=())
-    with pytest.raises(InvalidParameterError):
-        classify_membership(f, ptt_mm, h_grid=(1.0, -2.0))
+    for grid in [(), (4.0, 2.0, 1.0), (1.0, 1.0, 2.0), (1.0, -2.0),
+                 (1.0, math.inf)]:
+        with pytest.raises(InvalidParameterError) as err:
+            classify_membership(f, ptt_mm, index_grid=grid)
+        assert err.value.field == "index_grid"
 
 
 def test_membership_with_theta_data(g1):
