@@ -234,6 +234,7 @@ def _cmd_compare(args, cfg, h) -> list:
 
 
 def _cmd_classify(args, cfg, h) -> list:
+    _unused(args.horizon, "--horizon", "check, compare, omega and run")
     kind, mm, label = _resolve(args.matrix, args.params, cfg, args.grid)
     if kind != "matrix":
         raise UsageError(f"--matrix needs a matrix family, got {args.matrix!r}")

@@ -98,15 +98,14 @@ def need_horizon(horizon, floor: int, *, omega: bool = False) -> int:
 
 
 def default_config() -> Config:
-    """Config with the WCALC_HORIZON environment override applied."""
-    cfg = Config()
+    """Config with the WCALC_HORIZON environment override applied; a value
+    that is not an integer of at least 16 raises HorizonError, as an
+    explicit horizon does."""
     env = os.environ.get(ENV_HORIZON)
-    if env is not None:
-        try:
-            horizon = int(env)
-        except ValueError as exc:
-            raise ValueError(f"{ENV_HORIZON} must be an integer, got {env!r}") from exc
-        if horizon < 16:
-            raise ValueError(f"{ENV_HORIZON} must be >= 16, got {horizon}")
-        cfg = cfg.replace(horizon=horizon)
-    return cfg
+    if env is None:
+        return Config()
+    try:
+        horizon = int(env)
+    except ValueError:
+        horizon = env  # need_horizon rejects it as a non-int
+    return Config(horizon=need_horizon(horizon, 16))

@@ -14,7 +14,7 @@ import functools
 import math
 import weakref
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .config import (
@@ -107,7 +107,18 @@ def condition_id(tag: str, flavor: str = ROUMIEU) -> MatrixConditionId:
 class WeightMatrix:
     """A map c -> weight sequence over a strictly ascending index grid;
     building one checks that grid neighbours are pointwise ordered up to
-    index 64 and raises OrderViolationError otherwise."""
+    index 64 and raises OrderViolationError otherwise.
+
+    Two memos live and die with the matrix, and each grows only with the
+    statements run on it, never past the elements and pairs those
+    statements read: _memo maps an index c to its element, and _checks
+    maps (tag, left element, right element or None, h, seed) to the result
+    of one matrix-check computation (a pair test, the sc certificate of an
+    element or the constant comparison), with seed None for every tag but
+    mg.  Elements compare by identity, and _memo keeps them alive, so the
+    Roumieu and Beurling searches of one condition run each pair they share
+    once.  A memoized result is read-only.
+    """
 
     def __init__(self, construction: str, params: dict,
                  element_fn: Callable[[float], WeightSequence],
@@ -118,6 +129,7 @@ class WeightMatrix:
         self._fn = element_fn
         self._phi = phi
         self._memo: dict[float, WeightSequence] = {}
+        self._checks: dict[tuple, object] = {}
         _validate_order(self)
 
     def element(self, c: float) -> WeightSequence:
@@ -309,19 +321,20 @@ def _sides(mm: WeightMatrix, alpha: float, beta: float, flavor: str):
 @functools.lru_cache(maxsize=64)
 def _mg_points(h: int, seed: int):
     """Diagonal and sampled (j, k) points sorted by j + k, as the arrays of
-    their j and of their k: flat machine ints keep the cached copy at about
-    5 KB for h = 512, where a tuple of pairs would hold about 20 KB."""
+    their j + k, j and k, and the largest j or k: flat machine ints keep
+    the cached copy at about 8 KB for h = 512, where a tuple of pairs would
+    hold about 20 KB."""
     pts = [(j, j) for j in range(1, h // 2 + 1)]
     pts.extend(_conditions.sample_pairs(h, OFFDIAG_SAMPLES, seed))
     # (j + k, j) in lexicographic order, as one int: 1 <= j <= h
     pts.sort(key=lambda jk: (jk[0] + jk[1]) * (h + 1) + jk[0])
-    return array("l", [j for j, _ in pts]), array("l", [k for _, k in pts])
+    return (array("l", [j + k for j, k in pts]), array("l", [j for j, _ in pts]),
+            array("l", [k for _, k in pts]), max(max(jk) for jk in pts))
 
 
 def _test_mg(left: WeightSequence, right: WeightSequence, h: int, seed: int) -> dict:
-    js, ks = _mg_points(h, seed)
-    sums = [j + k for j, k in zip(js, ks)]
-    tl, tr = left.log_terms(sums[-1]), right.log_terms(max(max(js), max(ks)))
+    sums, js, ks, top = _mg_points(h, seed)
+    tl, tr = left.log_terms(sums[-1]), right.log_terms(top)
     vals = [(tl[n] - tr[j] - tr[k]) / (n + 1) for n, j, k in zip(sums, js, ks)]
     return trajectory_entry(sums, vals)
 
@@ -408,17 +421,28 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
 
     growth = _conditions.exponent_growth_report(mm.phi, h) \
         if cond.tag == "L" and mm.phi is not None else None
+    tag_seed = seed if cond.tag == "mg" else None
+
+    def checked(left, right, run, *args):
+        # run(*args) once per matrix, whichever flavor or grid asks first
+        key = (cond.tag, left, right, h, tag_seed)
+        got = mm._checks.get(key)
+        if got is None:
+            got = mm._checks[key] = run(*args)
+        return got
+
     out: dict[float, Verdict] = {}
     for alpha in grid:
         subject = f"{mm.label()}:{cond.tag}-{cond.flavor}@{alpha:g}"
         if cond.tag == "sc":
-            out[alpha] = v = _conditions.check_sc(mm.element(alpha), h)
-            v.subject = subject
+            e = mm.element(alpha)
+            v = checked(e, None, _conditions.check_sc, e, h)
+            out[alpha] = replace(v, subject=subject)
             continue
         if cond.tag == "constant":
             anchor = grid[0]
-            v = _relations.compare(mm.element(alpha), mm.element(anchor),
-                                   "approx", h)
+            a, b = mm.element(alpha), mm.element(anchor)
+            v = checked(a, b, _relations.compare, a, b, "approx", h)
             ev = {"partner": anchor, "left": v.evidence.get("left"),
                   "right": v.evidence.get("right")}
             out[alpha] = Verdict(subject, v.status, h, witness=v.witness,
@@ -433,7 +457,7 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
         all_up = True
         for beta, beyond in _beta_candidates(grid, alpha, cond.flavor):
             left, right = _sides(mm, alpha, beta, cond.flavor)
-            entry = test(left, right, h)
+            entry = checked(left, right, test, left, right, h)
             if entry.get("trend") != UP:
                 all_up = False
             if entry["stabilized"]:

@@ -77,7 +77,8 @@ def test_exit_two_on_usage_errors(tmp_path, bounds_csv, capsys):
     assert "wcalc:" in err and "column" in err
 
 
-def test_exit_two_on_bad_horizon_or_index_grid(tmp_path):
+def test_exit_two_on_bad_horizon_or_index_grid(tmp_path, bounds_csv,
+                                               monkeypatch, capsys):
     # HorizonError is an InvalidParameterError, whatever the floor of the call
     for argv in (
             ("check", "--family", "gevrey:1", "--cond", "lc", "--horizon", "3"),
@@ -91,17 +92,23 @@ def test_exit_two_on_bad_horizon_or_index_grid(tmp_path):
     for grid in ("4,2,1", "1,1,2"):
         assert run("check", "--family", "sigma-matrix:2", "--cond", "mg",
                    "--grid", grid) == 2
+    # membership reads the bounds' own length, so --horizon does not apply
+    for horizon in ("0", "64"):
+        assert run("classify", "--bounds", bounds_csv,
+                   "--matrix", "ptt-matrix:1:2", "--horizon", horizon) == 2
+    assert "--horizon applies only to" in capsys.readouterr().err
+    # WCALC_HORIZON takes the rule --horizon takes
+    for env in ("abc", "8", "64.5"):
+        monkeypatch.setenv("WCALC_HORIZON", env)
+        assert run("check", "--family", "gevrey:1", "--cond", "lc") == 2, env
+        assert "horizon: need an integer >= 16" in capsys.readouterr().err
 
 
-def test_exit_three_on_runtime_errors(tmp_path, monkeypatch):
+def test_exit_three_on_runtime_errors(tmp_path):
     assert run("run", tmp_path / "missing.wsq") == 3
     # explicit horizon below the sup maximizer: the value is not attained
     assert run("omega", "--family", "gevrey:1", "--t-grid", "1:1e6:10",
                "--csv", str(tmp_path / "o.csv"), "--horizon", "64") == 3
-    monkeypatch.setenv("WCALC_HORIZON", "abc")
-    assert run("check", "--family", "gevrey:1", "--cond", "lc") == 3
-    monkeypatch.setenv("WCALC_HORIZON", "8")
-    assert run("check", "--family", "gevrey:1", "--cond", "lc") == 3
 
 
 def test_help_exits_clean(capsys):

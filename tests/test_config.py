@@ -130,6 +130,17 @@ def test_every_horizon_entry_point_takes_one_rule():
         assert horizon_of(call(None)) == 512, name
 
 
+def test_env_horizon_takes_the_same_rule(monkeypatch):
+    for bad in ("abc", "", "64.5", "0", "15"):
+        monkeypatch.setenv(wcalc.ENV_HORIZON, bad)
+        with pytest.raises(HorizonError):
+            wcalc.default_config()
+    monkeypatch.setenv(wcalc.ENV_HORIZON, "16")
+    assert wcalc.default_config() == Config(horizon=16)
+    monkeypatch.delenv(wcalc.ENV_HORIZON)
+    assert wcalc.default_config() == Config()
+
+
 def test_omega_index_cap_takes_the_same_rule():
     omega = wcalc.OmegaFunction.from_sequence(wcalc.gevrey(1), 64)
     _rejects_bad_horizons("OmegaFunction.eval", 1,

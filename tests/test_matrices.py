@@ -3,6 +3,7 @@
 import collections
 import gc
 import itertools
+import json
 import math
 import weakref
 
@@ -445,6 +446,75 @@ def test_fdb_composition_runs_once_per_left_element(monkeypatch):
     assert all(e() is None for e in elements)
     # the entries went with the elements
     assert len(matrices._FDB_COMPOSITIONS) <= held - len(DEFAULT_INDEX_GRID)
+
+
+def _report_bytes(cid, results):
+    return json.dumps(matrix_report_json(cid, results), sort_keys=True)
+
+
+@pytest.mark.parametrize("first", (ROUMIEU, BEURLING))
+def test_both_flavors_on_one_matrix_match_fresh_matrices(first):
+    second = BEURLING if first == ROUMIEU else ROUMIEU
+    shared = sigma_matrix(2.0)
+    for tag in MATRIX_CONDITIONS:
+        for flavor in (first, second):
+            cid = MatrixConditionId(tag, flavor)
+            got = check_matrix_condition(shared, cid, horizon=128)
+            fresh = check_matrix_condition(sigma_matrix(2.0), cid, horizon=128)
+            assert _report_bytes(cid, got) == _report_bytes(cid, fresh), cid
+
+
+def test_each_pair_test_runs_once_per_matrix(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(tag, test):
+        def run(left, right, h, **kw):
+            calls[tag, left, right, h] += 1
+            return test(left, right, h, **kw)
+        return run
+
+    for tag, test in list(matrices._PAIR_TESTS.items()):
+        monkeypatch.setitem(matrices._PAIR_TESTS, tag, counting(tag, test))
+    cids = [MatrixConditionId(tag, flavor) for tag in matrices._PAIR_TESTS
+            for flavor in (ROUMIEU, BEURLING)]
+    for cid in cids:
+        check_matrix_condition(sigma_matrix(2.0), cid, horizon=64)
+    alone = collections.Counter(tag for tag, *_ in calls)
+    calls.clear()
+    mm = sigma_matrix(2.0)
+    for cid in cids:
+        check_matrix_condition(mm, cid, horizon=64)
+    assert max(calls.values()) == 1
+    # the two searches share pairs for every tag
+    shared = collections.Counter(tag for tag, *_ in calls)
+    assert all(0 < shared[tag] < alone[tag] for tag in matrices._PAIR_TESTS)
+
+
+def test_memo_keys_on_seed_and_horizon():
+    grid = (1.0, 2.0, 4.0, 8.0)
+    mg = MatrixConditionId("mg", ROUMIEU)
+    shared = sigma_matrix(2.0, grid)
+    seed0 = _report_bytes(mg, check_matrix_condition(shared, mg, horizon=128))
+    seed1 = _report_bytes(mg, check_matrix_condition(shared, mg, horizon=128,
+                                                     seed=1))
+    assert seed1 != seed0
+    assert seed1 == _report_bytes(mg, check_matrix_condition(
+        sigma_matrix(2.0, grid), mg, horizon=128, seed=1))
+    check_matrix_condition(shared, mg, horizon=256)
+    at512 = _report_bytes(mg, check_matrix_condition(shared, mg, horizon=512))
+    assert at512 == _report_bytes(mg, check_matrix_condition(
+        sigma_matrix(2.0, grid), mg, horizon=512))
+
+
+def test_sc_flavors_keep_their_own_subject():
+    mm = sigma_matrix(2.0, GRID4)
+    out = {f: check_matrix_condition(mm, MatrixConditionId("sc", f),
+                                     horizon=64) for f in (ROUMIEU, BEURLING)}
+    for alpha in GRID4:
+        r, b = out[ROUMIEU][alpha], out[BEURLING][alpha]
+        assert r.subject.endswith(f":sc-{ROUMIEU}@{alpha:g}")
+        assert b.subject.endswith(f":sc-{BEURLING}@{alpha:g}")
+        assert r.evidence is b.evidence  # one certificate, run once
 
 
 # --- exponent family absorption --------------------------------------------
