@@ -38,10 +38,8 @@ from .sequences import (
     ExponentFamily,
     ExponentSequence,
     WeightSequence,
-    callable_sequence,
     constant_family,
     gevrey,
-    indexed_family,
     linear_exponents,
     power_exponents,
     ptt,
@@ -85,7 +83,6 @@ from .matrices import (
     generic_matrix,
     matrix_report_json,
     matrix_scale,
-    matrix_term,
     ptt_matrix,
     scale_family,
     sigma_matrix,

@@ -345,6 +345,26 @@ def from_omega(omega: OmegaFunction, ell: float = 1.0,
 # relation checks between sequences through their associated functions
 
 
+def _ratio_probe(num, den, grid: LogGrid):
+    """(ts, ratios, (tail min, tail max)) of num(t) / den(t) over the grid
+    points where both are positive, numerator first, up to the first
+    unattained sup; the tail is the last quarter of the ratios, and its
+    bounds are None when no point qualifies."""
+    ts, ratios = [], []
+    for t in grid.values():
+        try:
+            a = num(t)
+            b = den(t)
+        except SupNotAttainedError:
+            break
+        if a <= 0.0 or b <= 0.0:
+            continue
+        ts.append(t)
+        ratios.append(a / b)
+    tail = ratios[(3 * len(ratios)) // 4:] or ratios
+    return ts, ratios, (min(tail), max(tail)) if tail else (None, None)
+
+
 def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
                          c_max: int = 4, horizon: int | None = None,
                          grid: LogGrid | None = None) -> Verdict:
@@ -369,24 +389,13 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
         # check_sc above is the certificate from_sequence would repeat
         om, on = (OmegaFunction(sequence=seq, evaluator=None, label=seq.label(),
                                 normalized=True) for seq in (m, n))
-        ts, ratios = [], []
-        for t in grid.values():
-            try:
-                a = om.eval(t).value
-                b = on.eval(t).value
-            except SupNotAttainedError:
-                break
-            if a <= 0.0 or b <= 0.0:
-                continue
-            ts.append(t)
-            ratios.append(a / b)
-        q3 = (3 * len(ratios)) // 4
-        tail = ratios[q3:] or ratios
+        ts, ratios, (lo, hi) = _ratio_probe(
+            lambda t: om.eval(t).value, lambda t: on.eval(t).value, grid)
         ev = {
             "mode": mode,
             "points": len(ratios),
-            "ratio_tail_min": min(tail) if tail else None,
-            "ratio_tail_max": max(tail) if tail else None,
+            "ratio_tail_min": lo,
+            "ratio_tail_max": hi,
             "ts": ts,
             "ratios": ratios,
         }
@@ -436,24 +445,13 @@ def omega_doubling_probe(omega: OmegaFunction, grid: LogGrid | None = None,
                          horizon: int | None = None) -> dict:
     """Ratio omega(2t)/omega(t) across the grid; a bounded tail is the
     empirical face of the doubling condition."""
-    grid = grid or LogGrid(10.0, 1e6)
-    ts, ratios = [], []
-    for t in grid.values():
-        try:
-            a = omega.eval(2.0 * t, horizon).value
-            b = omega.eval(t, horizon).value
-        except SupNotAttainedError:
-            break
-        if b <= 0.0:
-            continue
-        ts.append(t)
-        ratios.append(a / b)
-    q3 = (3 * len(ratios)) // 4
-    tail = ratios[q3:] or ratios
+    ts, ratios, (lo, hi) = _ratio_probe(
+        lambda t: omega.eval(2.0 * t, horizon).value,
+        lambda t: omega.eval(t, horizon).value, grid or LogGrid(10.0, 1e6))
     return {
         "points": len(ratios),
-        "tail_min": min(tail) if tail else None,
-        "tail_max": max(tail) if tail else None,
+        "tail_min": lo,
+        "tail_max": hi,
         "ts": decimate(ts),
         "ratios": decimate(ratios),
     }

@@ -100,12 +100,14 @@ def need_horizon(horizon, floor: int, *, omega: bool = False) -> int:
 def default_config() -> Config:
     """Config with the WCALC_HORIZON environment override applied; a value
     that is not an integer of at least 16 raises HorizonError, as an
-    explicit horizon does."""
+    explicit horizon does, naming the variable and its raw value."""
     env = os.environ.get(ENV_HORIZON)
     if env is None:
         return Config()
+    floor = 16
     try:
-        horizon = int(env)
+        # int() rejects non-integer text; HorizonError is a ValueError too
+        return Config(horizon=need_horizon(int(env), floor))
     except ValueError:
-        horizon = env  # need_horizon rejects it as a non-int
-    return Config(horizon=need_horizon(horizon, 16))
+        raise HorizonError(f"need an integer >= {floor}, "
+                           f"got {ENV_HORIZON}={env!r}") from None

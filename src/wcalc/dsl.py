@@ -8,8 +8,9 @@ arg     := IDENT "=" value | value
 value   := NUMBER | IDENT | "[" value ("," value)* "]"
 opts    := ("horizon" INTEGER | "grid" list | "flavor" IDENT)*
 
-'#' starts a comment.  Names are resolved and kind-checked at parse time:
-a script that parses cannot fail on a missing or rebound name later.
+'#' starts a comment.  Names are resolved at parse time, so a script
+that parses cannot fail on a missing or rebound name later; the kind of
+binding each name refers to is checked when its statement runs.
 A query takes each option at most once, and only the options its
 operation reads (SIGNATURES); every query takes horizon.
 """
@@ -38,8 +39,8 @@ OPT_KEYS = ("horizon", "grid", "flavor")
 # signatures: one table for constructors and query operations
 
 # Parameter types.  Any other type names the kind of binding a reference
-# must point to; "seq|matrix" takes either, and BOUNDS takes
-# derivative-bound data, which a theta_bounds binding holds under seq.
+# must point to; BOUNDS takes derivative-bound data, which a theta_bounds
+# binding holds under seq.
 NUMBER, INT, NUMBERS = "number", "int", "numbers"
 LOG_GRID = "log_grid"   # [t_min, t_max, points]
 NAME = "name"
@@ -128,17 +129,14 @@ SIGNATURES = {
         lambda cfg, h, *v: _matrices.ptt_matrix(*v)),
     ("matrix", "sigma_matrix"): Signature(
         (_SIGMA, _INDEX_GRID), lambda cfg, h, *v: _matrices.sigma_matrix(*v)),
-    # a matrix base keeps its own index grid unless one is given
+    # c -> c^(phi_j) * M^(c)_j: the base keeps its own grid unless one is given
     ("matrix", "matrix_scale"): Signature(
-        (Param("base", "seq|matrix"), _PHI, _GRID),
-        lambda cfg, h, base, phi, grid:
-            _matrices.matrix_scale(base, phi, grid)
-            if isinstance(base, _matrices.WeightMatrix) else
-            _matrices.scale_family(base, phi, grid or _INDEX_GRID.default)),
+        (Param("base", "matrix"), _PHI, _GRID),
+        lambda cfg, h, *v: _matrices.matrix_scale(*v)),
+    # c -> c^(phi_j) * M_j from one sequence M
     ("matrix", "family_scale"): Signature(
         (_BASE, _PHI, _INDEX_GRID),
-        lambda cfg, h, base, phi, grid: _matrices.exponent_family_scale(
-            base, _sequences.constant_family(phi), grid)),
+        lambda cfg, h, *v: _matrices.scale_family(*v)),
     ("omega", "assoc"): Signature(
         (_M,), lambda cfg, h, m: _assoc.OmegaFunction.from_sequence(m, cfg.horizon)),
     **{("check", c): Signature(
@@ -394,24 +392,9 @@ class _Parser:
             raise self.fail(
                 f"constructor {call.name!r} builds a {result_kind!r}, "
                 f"bound under {kw.text!r}", call_tok)
-        self._check_overloads(call, call_tok)
         self.expect_punct(";")
         self.scope[name] = kw.text
         return Binding(kw.text, name, call, kw.line, kw.col)
-
-    def _check_overloads(self, call: Call, tok: Token) -> None:
-        """Kind-check references to a parameter that takes several kinds;
-        other references are kind-checked when the call runs."""
-        params = SIGNATURES[CONSTRUCTORS[call.name], call.name].params
-        for i, (key, v) in enumerate(call.args):
-            p = next((q for j, q in enumerate(params)
-                      if (q.name == key if key else i == j)), None)
-            kinds = p.type.split("|") if p else []
-            if len(kinds) > 1 and isinstance(v, Ref) \
-                    and self.scope[v.name] not in kinds:
-                raise self.fail(
-                    f"{call.name} needs a {' or '.join(kinds)} referent, "
-                    f"{v.name!r} is {self.scope[v.name]!r}", tok)
 
     def query(self) -> Query:
         kw = self.advance()
@@ -566,12 +549,11 @@ def _convert(op: str, p: Param, v, env: dict):
         return _assoc.LogGrid(v[0], v[1], _integer("grid points", v[2]))
     if t == NAME:
         return v
-    kinds = ("seq",) if t == BOUNDS else tuple(t.split("|"))
-    want = " or ".join(kinds)
+    want = "seq" if t == BOUNDS else t
     if not isinstance(v, Ref):
         raise WcalcError(f"{op}: {p.name} must be a {want} name")
     kind, obj = env[v.name]
-    if kind not in kinds:
+    if kind != want:
         raise WcalcError(f"{op}: {p.name} must be a {want}, "
                          f"{v.name!r} is a {kind}")
     if t == BOUNDS and not isinstance(obj, _witness.DerivBounds):

@@ -37,10 +37,6 @@ def slack(rel: float, a: float, b: float = 0.0) -> float:
     return rel * a if a > 1.0 else rel
 
 
-def is_log_zero(a: float) -> bool:
-    return a == LOG_ZERO
-
-
 def log_add(a: float, b: float) -> float:
     """log(exp(a) + exp(b)) without leaving the log domain."""
     if math.isnan(a) or math.isnan(b):

@@ -278,10 +278,6 @@ def generic_matrix(pairs) -> WeightMatrix:
                         [c for c, _ in items])
 
 
-def matrix_term(mm: WeightMatrix, c: float, j: int) -> float:
-    return mm.element(c).log_term(j)
-
-
 # ---------------------------------------------------------------------------
 # condition checking
 

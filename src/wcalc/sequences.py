@@ -114,10 +114,6 @@ def constant_family(phi: ExponentSequence) -> ExponentFamily:
     return ExponentFamily("constant", {"phi": phi.label()}, lambda a: phi)
 
 
-def indexed_family(fn: Callable[[float], ExponentSequence], label: str) -> ExponentFamily:
-    return ExponentFamily("indexed", {"label": label}, fn)
-
-
 # ---------------------------------------------------------------------------
 # weight sequences
 
@@ -188,9 +184,6 @@ class WeightSequence:
         if _check_index(j) == 0:
             raise InvalidParameterError("j", "root is defined for j >= 1")
         return self.log_term(j) / j
-
-    def max_index(self) -> int | None:
-        return None if self.length is None else self.length - 1
 
     def last_index(self, h: int) -> int:
         """h clamped to the last index the sequence has."""
@@ -265,12 +258,6 @@ def scaled(base: WeightSequence, phi: ExponentSequence, c: float) -> WeightSeque
         {"base": base.label(), "phi": phi.label(), "c": c, "_base": base, "_phi": phi},
         lambda j: base.log_term(j) + phi.value(j) * log_c,
         length=length)
-
-
-def callable_sequence(family: str, params: dict, fn: Callable[[int], float],
-                      length: int | None = None) -> WeightSequence:
-    """Escape hatch for derived families (associated-function terms etc.)."""
-    return WeightSequence(family, params, fn, length=length)
 
 
 def regularize_slc(m: WeightSequence, horizon: int | None) -> WeightSequence:

@@ -17,7 +17,6 @@ from wcalc import (
     WcalcError,
     assoc_matrix_term,
     assoc_relation_check,
-    callable_sequence,
     export_csv,
     from_omega,
     gevrey,
@@ -26,6 +25,7 @@ from wcalc import (
     table,
     young_conjugate,
 )
+from wcalc.sequences import WeightSequence
 
 WIDE = LogGrid(1.0, 1e70, 400)
 
@@ -254,7 +254,7 @@ def test_assoc_relation_validation(g1, g2):
         assoc_relation_check(g1, g2, "bigO", c_max=0)
     with pytest.raises(InvalidParameterError):
         assoc_relation_check(g1, g2, "bigO", c_max=4, horizon=32)
-    denormalized = callable_sequence(
+    denormalized = WeightSequence(
         "denorm", {}, lambda j: math.lgamma(j + 1) + 1.0)
     with pytest.raises(PreconditionError):
         assoc_relation_check(denormalized, g2, "bigO", horizon=128)

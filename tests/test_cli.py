@@ -101,7 +101,10 @@ def test_exit_two_on_bad_horizon_or_index_grid(tmp_path, bounds_csv,
     for env in ("abc", "8", "64.5"):
         monkeypatch.setenv("WCALC_HORIZON", env)
         assert run("check", "--family", "gevrey:1", "--cond", "lc") == 2, env
-        assert "horizon: need an integer >= 16" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "horizon: need an integer >= 16" in err
+        # the message names where the bad value came from
+        assert f"WCALC_HORIZON={env!r}" in err
 
 
 def test_exit_three_on_runtime_errors(tmp_path):

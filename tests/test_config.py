@@ -183,3 +183,40 @@ def test_only_config_defaults_or_rejects_a_horizon():
         if hits:
             found[path.name] = hits
     assert found == {}
+
+
+# public names that nothing in src/wcalc calls yet; ROADMAP item 5 routes
+# each through dsl.SIGNATURES or deletes it
+_UNCALLED_API = {"print_program", "table_exponents", "constant_family",
+                 "regularize_slc", "synthetic_bounds"}
+
+
+def _traced_names() -> set:
+    """The attributes bench/tracing.py wraps, read from its TARGETS literal."""
+    tracing = pathlib.Path(__file__).parents[1] / "bench" / "tracing.py"
+    for node in ast.parse(tracing.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "TARGETS" for t in node.targets):
+            return {attr for _, _, attr, _ in ast.literal_eval(node.value)}
+    raise AssertionError("bench/tracing.py defines no TARGETS")
+
+
+def test_every_public_definition_has_a_caller():
+    defined, used = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue  # an export is not a caller
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(a.name for a in node.names)
+    orphans = set(defined) - used - _traced_names() - _UNCALLED_API
+    assert {n: defined[n] for n in sorted(orphans)} == {}

@@ -42,8 +42,8 @@ exp q = linear();
 seq d = scale(base=b, phi=p, c=0.5);
 matrix m1 = ptt_matrix(tau=1, sigma=2);
 matrix m2 = sigma_matrix(sigma=2, grid=[1, 2, 4]);
-matrix m3 = matrix_scale(a, q);
-matrix m4 = family_scale(b, p, grid=[0.5, 1, 2]);
+matrix m3 = family_scale(a, q);
+matrix m4 = matrix_scale(m1, p, grid=[0.5, 1, 2]);
 omega w = assoc(m=a);
 seq e = from_omega(w=w, ell=2);
 seq f = theta_bounds(n=a, count=12);
@@ -163,15 +163,6 @@ def test_parse_rejects_unknown_operations():
         parse("seq M = gevrey(s=1); check bogus(M);")
     assert "unknown check operation" in str(err.value)
     assert "lc" in err.value.expected
-
-
-def test_parse_checks_matrix_scale_referent_kind():
-    with pytest.raises(SourceError) as err:
-        parse("exp p = power(sigma=2); matrix mm = matrix_scale(p, p);")
-    assert "seq or matrix referent" in str(err.value)
-    # both legitimate overloads parse
-    parse("seq a = gevrey(s=1); matrix mm = matrix_scale(a);")
-    parse("matrix m1 = sigma_matrix(sigma=2); matrix m2 = matrix_scale(m1);")
 
 
 def _productions(program: Program) -> set:
@@ -336,6 +327,13 @@ ERROR_RECORDS = [
     ("mcheck mg(g);", "mg: mm must be a matrix, 'g' is a seq"),
     ("eval omega(g, 2);", "omega: w must be a omega, 'g' is a seq"),
     ("classify membership(m, m);", "membership: f must be a seq, 'm' is a matrix"),
+    # one base kind per scaled-matrix constructor
+    ("matrix a = matrix_scale(g, p);",
+     "matrix_scale: base must be a matrix, 'g' is a seq"),
+    ("matrix a = matrix_scale(p, p);",
+     "matrix_scale: base must be a matrix, 'p' is a exp"),
+    ("matrix a = family_scale(m, p);",
+     "family_scale: base must be a seq, 'm' is a matrix"),
     ("eval conjugate(w, 3) grid [1, 2];", _LOG_GRID),
     ("eval recover(w, 3) grid [1, 2, 3, 4];", _LOG_GRID),
     ("compare numeric_ratio(g, g) grid [1];", _LOG_GRID),
@@ -355,6 +353,15 @@ def test_error_record_messages(stmt, message):
     records = execute(parse(_PRE + stmt))
     assert all("error" not in r for r in records[:-1])
     assert records[-1]["error"] == {"type": "WcalcError", "message": message}
+
+
+def test_family_scale_attaches_phi():
+    # the L evidence of a matrix built from one sequence reports phi's growth
+    rec, = execute(parse("seq a = gevrey(s=1); exp q = linear();\n"
+                         "matrix m = family_scale(a, q, grid=[1, 2, 4]);\n"
+                         "mcheck L(m) horizon 32;\n"))
+    assert all("exponent_growth" in e["evidence"]
+               for e in rec["per_index"])
 
 
 def test_binding_on_a_poisoned_name_is_poisoned():
@@ -425,8 +432,8 @@ def _arg(p, scope):
     has a kind p takes."""
     if p.type in _VALUE:
         return _VALUE[p.type]
-    kinds = ("seq",) if p.type == BOUNDS else p.type.split("|")
-    names = sorted(n for n, k in scope.items() if k in kinds)
+    kind = "seq" if p.type == BOUNDS else p.type
+    names = sorted(n for n, k in scope.items() if k == kind)
     return st.sampled_from(names).map(Ref) if names else None
 
 

@@ -26,11 +26,9 @@ from wcalc import (
     condition_id,
     constant_family,
     generic_matrix,
-    indexed_family,
     linear_exponents,
     matrix_report_json,
     matrix_scale,
-    matrix_term,
     power_exponents,
     ptt_matrix,
     scale_family,
@@ -46,6 +44,7 @@ from wcalc.matrices import (
     _convex_from_one,
     exponent_family_scale,
 )
+from wcalc.sequences import ExponentFamily
 
 GRID4 = (0.5, 1.0, 2.0, 4.0)
 
@@ -94,16 +93,16 @@ def test_label_and_json_hide_private_params(g1):
 
 def test_sigma_matrix_terms():
     mm = sigma_matrix(2.0, (1.0, 2.0, 4.0))
-    assert matrix_term(mm, 2.0, 3) == pytest.approx(
+    assert mm.element(2.0).log_term(3) == pytest.approx(
         9.0 * math.log(2.0) + 18.0 * math.log(3.0), rel=1e-15)
-    assert matrix_term(mm, 1.0, 0) == 0.0
+    assert mm.element(1.0).log_term(0) == 0.0
     with pytest.raises(InvalidParameterError):
         sigma_matrix(0.5)
 
 
 def test_ptt_matrix_terms():
     mm = ptt_matrix(1.0, 2.0, GRID4)
-    assert matrix_term(mm, 0.5, 3) == pytest.approx(
+    assert mm.element(0.5).log_term(3) == pytest.approx(
         9.0 * math.log(3.0) + 9.0 * math.log(0.5), rel=1e-14)
     assert mm.phi is not None
 
@@ -112,7 +111,7 @@ def test_matrix_scale_composes_scalings():
     base = ptt_matrix(1.0, 2.0, GRID4)
     mm = matrix_scale(base, power_exponents(2.0))
     assert mm.index_grid == base.index_grid
-    got = matrix_term(mm, 2.0, 3)
+    got = mm.element(2.0).log_term(3)
     assert got == pytest.approx(9.0 * math.log(3.0) + 18.0 * math.log(2.0), rel=1e-14)
 
 
@@ -131,11 +130,11 @@ def test_generic_matrix_order_violation(g1, g2):
 
 def test_exponent_family_scale_signed_order(g1):
     ok = exponent_family_scale(g1, constant_family(power_exponents(2.0)), GRID4)
-    assert matrix_term(ok, 0.5, 2) == pytest.approx(
+    assert ok.element(0.5).log_term(2) == pytest.approx(
         math.lgamma(3.0) + 4.0 * math.log(0.5), rel=1e-14)
-    mixed = indexed_family(
-        lambda a: power_exponents(2.0) if a <= 2.0 else linear_exponents(),
-        "mixed")
+    mixed = ExponentFamily(
+        "indexed", {"label": "mixed"},
+        lambda a: power_exponents(2.0) if a <= 2.0 else linear_exponents())
     with pytest.raises(OrderViolationError) as err:
         exponent_family_scale(g1, mixed, (2.0, 4.0))
     assert err.value.witness == (2.0, 4.0, 3)

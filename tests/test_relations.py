@@ -2,7 +2,10 @@
 
 import math
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wcalc import (
     FAILS,
@@ -15,6 +18,7 @@ from wcalc import (
     gevrey,
     linear_exponents,
     power_exponents,
+    ptt,
     scaled,
     table,
     table_exponents,
@@ -161,3 +165,48 @@ def test_phi_constancy_mixed_mode(g1, g2):
 def test_phi_constancy_needs_two(g1):
     with pytest.raises(InvalidParameterError):
         compare_phi_constancy([g1], linear_exponents(), horizon=H)
+
+
+# certificate properties: preceq is reflexive and approx is symmetric,
+# on sequences from each family kind at a drawn horizon
+@st.composite
+def _weight(draw, h):
+    kind = draw(st.sampled_from(["gevrey", "ptt", "table"]))
+    if kind == "gevrey":
+        return gevrey(draw(st.floats(0.1, 4.0)))
+    if kind == "ptt":
+        return ptt(draw(st.floats(0.1, 4.0)), draw(st.floats(1.0, 3.0)))
+    # log-convex table of at least h + 1 terms: non-decreasing quotients
+    steps = draw(st.lists(st.floats(0.0, 2.0), min_size=h, max_size=h + 8))
+    quotients = itertools.accumulate(steps, initial=draw(st.floats(-2.0, 2.0)))
+    return table(log_values=list(itertools.accumulate(quotients, initial=0.0)))
+
+
+@st.composite
+def _phi_nonzero_somewhere(draw, h):
+    kind = draw(st.sampled_from(["linear", "power", "table"]))
+    if kind == "linear":
+        return linear_exponents()
+    if kind == "power":
+        return power_exponents(draw(st.floats(1.0, 3.0)))
+    vals = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                         min_size=h + 1, max_size=h + 1))
+    vals[draw(st.integers(1, h))] = 1.0
+    return table_exponents(vals)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(8, 96).flatmap(
+    lambda h: st.tuples(st.just(h), _weight(h), _phi_nonzero_somewhere(h))))
+def test_preceq_is_reflexive(case):
+    h, m, phi = case
+    assert compare(m, m, "preceq", h).status == HOLDS
+    assert compare(m, m, "preceq", h, phi=phi).status == HOLDS
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(8, 96).flatmap(
+    lambda h: st.tuples(st.just(h), _weight(h), _weight(h))))
+def test_approx_is_symmetric(case):
+    h, m, n = case
+    assert compare(m, n, "approx", h).status == compare(n, m, "approx", h).status

@@ -9,10 +9,8 @@ from wcalc import (
     InvalidParameterError,
     PreconditionError,
     TableExhaustedError,
-    callable_sequence,
     constant_family,
     gevrey,
-    indexed_family,
     linear_exponents,
     power_exponents,
     ptt,
@@ -22,6 +20,7 @@ from wcalc import (
     table_exponents,
 )
 from wcalc.matrices import sigma_matrix
+from wcalc.sequences import ExponentFamily, WeightSequence
 
 
 def test_gevrey_terms_are_factorial_powers():
@@ -56,7 +55,7 @@ def test_constructor_validation():
 
 def test_table_bounds_and_exhaustion():
     t = table([1.0, 2.0, 8.0])
-    assert t.max_index() == 2
+    assert t.length == 3
     assert (t.last_index(1), t.last_index(2), t.last_index(64)) == (1, 2, 2)
     assert gevrey(1.0).last_index(64) == 64
     assert t.log_term(2) == pytest.approx(math.log(8.0))
@@ -90,7 +89,7 @@ def test_scaled_adds_weighted_log_factor(p12):
 
 def test_scaled_inherits_table_length():
     s = scaled(table([1.0, 2.0, 6.0]), linear_exponents(), 3.0)
-    assert s.max_index() == 2
+    assert s.length == 3
     with pytest.raises(TableExhaustedError):
         s.log_term(3)
 
@@ -110,15 +109,15 @@ def test_exponent_sequences():
 def test_exponent_families():
     fam = constant_family(power_exponents(2.0))
     assert fam.sequence(0.5).value(3) == fam.sequence(4.0).value(3) == 9.0
-    custom = indexed_family(lambda a: power_exponents(a), "powers")
+    custom = ExponentFamily("indexed", {"label": "powers"}, power_exponents)
     assert custom.sequence(1.0).value(5) == 5.0
     assert custom.sequence(2.0).value(5) == 25.0
 
 
 def test_callable_sequence_wraps_fn():
-    s = callable_sequence("demo", {"k": 1}, lambda j: float(j), length=10)
+    s = WeightSequence("demo", {"k": 1}, lambda j: float(j), length=10)
     assert s.log_term(9) == 9.0
-    assert s.max_index() == 9
+    assert s.length == 10
 
 
 # --- head regularization -----------------------------------------------
@@ -168,7 +167,7 @@ def test_regularize_idempotent(dented):
 
 def test_regularize_rejects_hopeless_input():
     # strictly log-concave: no onset exists inside any window
-    bad = callable_sequence("concave", {}, lambda j: math.sqrt(j), length=None)
+    bad = WeightSequence("concave", {}, lambda j: math.sqrt(j))
     with pytest.raises(PreconditionError):
         regularize_slc(bad, 64)
 
@@ -234,7 +233,7 @@ def test_point_reads_leave_the_window_alone():
         calls.append(j)
         return float(j * j)
 
-    m = callable_sequence("squares", {}, fn)
+    m = WeightSequence("squares", {}, fn)
     assert m.log_term(65536) == 65536.0 ** 2
     assert calls == [65536]
     assert m.log_term(20) == 400.0
@@ -262,7 +261,7 @@ def test_log_terms_error_parity():
             return bad if j == 4 else float(j)
 
         with pytest.raises(InvalidParameterError) as windowed:
-            callable_sequence("holey", {}, fn).log_terms(9)
+            WeightSequence("holey", {}, fn).log_terms(9)
         with pytest.raises(InvalidParameterError) as pointwise:
-            callable_sequence("holey", {}, fn).log_term(4)
+            WeightSequence("holey", {}, fn).log_term(4)
         assert str(windowed.value) == str(pointwise.value)
