@@ -87,6 +87,14 @@ class OmegaFunction:
     Instances built from a sequence carry a verified certificate: the input
     was log-convex with empirically divergent roots at construction time,
     which is what makes the maximizer-localized evaluation sound.
+
+    Two memos live on the instance and die with it.  _cache maps t to
+    (omega(t), maximizer).  _columns maps a (LogGrid, horizon) pair to the
+    grid column that young_conjugate reads: omega at the grid's log points
+    up to the cut where the maximizer leaves the horizon, and the maximizer
+    at the last of them.  It grows only with the distinct grids and
+    horizons that conjugate, recover and from_omega calls use on this
+    omega, by at most one float per grid point each.
     """
 
     def __init__(self, *, sequence: WeightSequence | None, evaluator, label: str,
@@ -96,6 +104,7 @@ class OmegaFunction:
         self._label = label
         self._normalized = normalized
         self._cache: dict[float, tuple[float, int | None]] = {}
+        self._columns: dict[tuple[LogGrid, int], tuple[list[float], int | None]] = {}
 
     @classmethod
     def from_sequence(cls, m: WeightSequence,
@@ -231,25 +240,32 @@ def _assert_shape(rows, label: str) -> None:
 # Young conjugate of u -> omega(e^u)
 
 
-def _conjugate_scan(omega: OmegaFunction, s: float, us: list[float],
-                    horizon: int | None):
-    """g(u) = s*u - omega(e^u) on the grid, cut where the inner sup leaves
-    the horizon.  For points beyond the cut g is non-increasing (the inner
-    maximizer already exceeds s there), so they cannot host the max."""
-    vals: list[float] = []
-    attained: list[int | None] = []
-    cut = False
-    for u in us:
+def _grid_column(omega: OmegaFunction, grid: LogGrid, us: list[float],
+                 horizon: int | None) -> tuple[list[float], int | None]:
+    """omega(e^u) at the log points us of grid, cut where the inner sup
+    leaves the horizon, with the maximizer at the last point scanned.
+
+    The column is kept per (grid, horizon).  A column that was cut probes
+    its cut point again through eval, whose cache a later call at a larger
+    horizon may have filled, so it holds exactly what a fresh scan through
+    eval would read.  A scan that raises stores nothing."""
+    h = need_horizon(horizon, 1, omega=True)
+    col = omega._columns.get((grid, h), ((), None))
+    ws, j_last = col
+    if len(ws) == len(us):
+        return col
+    ws = list(ws)
+    for u in us[len(ws):]:
         try:
-            w = omega.eval(math.exp(u), horizon)
+            w = omega.eval(math.exp(u), h)
         except SupNotAttainedError:
-            if not (omega.from_sequence_source and vals):
+            if not (omega.from_sequence_source and ws):
                 raise
-            cut = True
             break
-        vals.append(s * u - w.value)
-        attained.append(w.attained_at)
-    return vals, attained, cut
+        ws.append(w.value)
+        j_last = w.attained_at
+    omega._columns[grid, h] = ws, j_last
+    return ws, j_last
 
 
 def young_conjugate(omega: OmegaFunction, s: float, grid: LogGrid | None = None,
@@ -258,13 +274,17 @@ def young_conjugate(omega: OmegaFunction, s: float, grid: LogGrid | None = None,
         raise InvalidParameterError("s", f"need finite s >= 0, got {s}")
     grid = grid or LogGrid()
     us = grid.log_points()
-    vals, attained, cut = _conjugate_scan(omega, s, us, horizon)
-    best = max(range(len(vals)), key=lambda i: vals[i])
+    # g(u) = s*u - omega(e^u) on the grid.  For points beyond the cut g is
+    # non-increasing (the inner maximizer already exceeds s there), so they
+    # cannot host the max.
+    ws, j_last = _grid_column(omega, grid, us, horizon)
+    vals = [s * u - w for u, w in zip(us, ws)]
+    best = max(range(len(vals)), key=vals.__getitem__)
     last = len(vals) - 1
     if best == last:
         # right edge: safe only when the cut already certifies descent
-        j_here = attained[best]
-        if not (cut and j_here is not None and j_here >= s):
+        cut = len(vals) < len(us)
+        if not (cut and j_last is not None and j_last >= s):
             raise MaximizerOnBoundaryError(
                 f"conjugate maximizer for s={s:.6g} sits at the grid end "
                 f"t={math.exp(us[best]):.6g}; enlarge the grid")

@@ -337,23 +337,25 @@ def gamma_lower_bound(m: WeightSequence, alphas,
     terms = m.log_terms(h)
     mu = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
     logs = [math.log(j) for j in range(1, h + 1)]
+    log_factorials = [math.lgamma(j + 1) for j in range(1, h + 1)]
     tol = slack(COMPARISON_SLACK, max(map(abs, terms)))
+    q1 = max(1, h // 4)
+    q3 = (3 * h) // 4
+
+    def divided_roots(a: float, js: range):
+        return ((terms[j] - a * log_factorials[j - 1]) / j for j in js)
+
     for alpha in alphas:
         a = float(alpha)
-        vals = [u - a * lj for u, lj in zip(mu, logs)]
+        # last drop of j -> log mu_j - a log j, scanned from the end
         last_violation = 0  # j-value of the last drop
-        for i in range(len(vals) - 1, 0, -1):
-            if vals[i] < vals[i - 1] - tol:
+        for i in range(h - 1, 0, -1):
+            if mu[i] - a * logs[i] < mu[i - 1] - a * logs[i - 1] - tol:
                 last_violation = i + 1
                 break
         onset = max(1, last_violation)
-        divided_roots = [
-            (terms[j] - a * math.lgamma(j + 1)) / j for j in range(1, h + 1)
-        ]
-        q1 = max(1, h // 4)
-        q3 = (3 * h) // 4
-        first_max = max(divided_roots[:q1])
-        tail_min = min(divided_roots[q3:])
+        first_max = max(divided_roots(a, range(1, q1 + 1)))
+        tail_min = min(divided_roots(a, range(q3 + 1, h + 1)))
         decayed = tail_min < first_max - math.log(10.0)
         ev = {
             "alpha": a,

@@ -633,7 +633,8 @@ def execute(program: Program, cfg: Config | None = None,
     records: list[dict] = []
     for stmt in program.statements:
         binding = isinstance(stmt, Binding)
-        record = {"query": format_statement(stmt)}
+        # "query" is filled in below, for the records that are kept
+        record = {"query": None}
         record.update({"kind": "binding", "name": stmt.name} if binding
                       else {"kind": stmt.kind, "op": stmt.call.name})
         bad = next((v.name for _, v in stmt.call.args
@@ -655,5 +656,6 @@ def execute(program: Program, cfg: Config | None = None,
             poisoned.add(stmt.name)
             env[stmt.name] = (stmt.kind, None)
         if not binding or "error" in record:
+            record["query"] = format_statement(stmt)
             records.append(record)
     return records

@@ -170,6 +170,9 @@ class WeightSequence:
 
     def quotient_log(self, j: int) -> float:
         """log(M_j / M_{j-1}); the j = 0 quotient is defined as 1."""
+        window = self._window
+        if type(j) is int and 0 < j < len(window):
+            return window[j] - window[j - 1]
         _check_index(j)
         if j == 0:
             return 0.0

@@ -154,6 +154,9 @@ def test_golden_report_bytes(tmp_path):
 # evidence.wsq runs each path that turns a trajectory or the sc
 # certificate into evidence; gevrey(s=0.01) fails the certificate at
 # horizon 64, so its bigO/smallO records are errors, hence exit code 3.
+# omega.wsq interleaves conjugate and recover calls on one omega under two
+# grids and two horizons, with from_omega and numeric_ratio; its last two
+# queries start past the horizon on purpose, hence exit code 3.
 # Recorded with CPython 3.11 on Linux x86-64; another libm may move the
 # last bit of an lgamma and with it the digest.
 GOLDEN_SHA256 = {
@@ -161,6 +164,7 @@ GOLDEN_SHA256 = {
     "windows.wsq": (3, "853dc34a2f1038b51633a1d675556d462a527e564bccdb5a561f48846c3a5d9d"),
     "evidence.wsq": (3, "0f17709aa8b4a7d022da8f73a5c494767ef01d38f3a098c1a40bfcf5dfec4ae9"),
     "matrix.wsq": (1, "2f3a3468c6adf7000223480fd9ed4a3ff9fd2dcc1710103521a6de492bfe5d04"),
+    "omega.wsq": (3, "d138fba5080c42ebbf0c90ce7f5127f30935ca90bdb92d2b8313ce743a2e0f69"),
 }
 
 

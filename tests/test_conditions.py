@@ -266,3 +266,48 @@ def test_holds_never_claimed_for_diverging_defect(p12):
             v = check_condition(p12, cond, horizon=h)
             assert v.status == UNDETERMINED
             assert v.evidence["diverging"] is True
+
+
+# --- gamma_lb against a plain per-alpha computation -----------------------
+
+
+def gamma_evidence(logs, a, h):
+    """(status, witness, onset, tail min, first max) of gamma_lb(alpha=a),
+    written out per alpha as a reference."""
+    tol = 1e-12 * max(1.0, max(map(abs, logs)))
+    vals = [logs[j] - logs[j - 1] - a * math.log(j) for j in range(1, h + 1)]
+    last = next((i + 1 for i in range(h - 1, 0, -1)
+                 if vals[i] < vals[i - 1] - tol), 0)
+    roots = [(logs[j] - a * math.lgamma(j + 1)) / j for j in range(1, h + 1)]
+    first_max = max(roots[:max(1, h // 4)])
+    tail_min = min(roots[(3 * h) // 4:])
+    if last > (3 * h) // 4:
+        status, witness = FAILS, last
+    elif max(1, last) > h // 2 or tail_min < first_max - math.log(10.0):
+        status, witness = UNDETERMINED, None
+    else:
+        status, witness = HOLDS, None
+    return status, witness, max(1, last), tail_min, first_max
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.floats(0.0, 2.0), min_size=40, max_size=80),
+    st.lists(st.tuples(st.integers(1, 79), st.floats(-3.0, 0.0)), max_size=3),
+    st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4),
+)
+def test_gamma_lower_bound_matches_reference(steps, drops, alphas):
+    quotients = [sum(steps[:i + 1]) for i in range(len(steps))]
+    for i, d in drops:
+        if i < len(quotients):
+            quotients[i] += d
+    logs = [0.0]
+    for q in quotients:
+        logs.append(logs[-1] + q)
+    h = len(quotients)
+    got = gamma_lower_bound(table(log_values=logs), alphas, h)
+    for a in alphas:
+        v = got[a]
+        ev = v.evidence
+        assert (v.status, v.witness, ev["onset"], ev["divided_root_tail_min"],
+                ev["divided_root_first_max"]) == gamma_evidence(logs, a, h)

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcalc import Config, SourceError, cli
+from wcalc import Config, SourceError, cli, dsl
 from wcalc.dsl import (
     BINDING_KINDS,
     BOUNDS,
@@ -269,9 +269,22 @@ def test_execute_horizon_chain():
     assert execute(bare, Config(horizon=100))[0]["horizon"] == 100
 
 
-def test_execute_record_carries_query_text():
-    recs = execute(parse("seq g = gevrey(s=1); check lc(g) horizon 64;"))
-    assert recs[0]["query"] == "check lc(g) horizon 64;"
+def test_execute_record_carries_query_text(monkeypatch):
+    formatted = []
+
+    def counting(stmt):
+        formatted.append(stmt)
+        return format_statement(stmt)
+
+    monkeypatch.setattr(dsl, "format_statement", counting)
+    prog = parse("seq g = gevrey(s=1); seq bad = gevrey(s=-1);\n"
+                 "check lc(g) horizon 64; check lc(bad);")
+    recs = execute(prog)
+    assert [r["query"] for r in recs] == [
+        "seq bad = gevrey(s=-1);", "check lc(g) horizon 64;", "check lc(bad);"]
+    assert all(next(iter(r)) == "query" for r in recs)
+    # the binding of g succeeds and leaves no record, so it is not formatted
+    assert formatted == list(prog.statements[1:])
 
 
 def test_smoke_script_runs_deterministically():

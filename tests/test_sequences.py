@@ -265,3 +265,44 @@ def test_log_terms_error_parity():
         with pytest.raises(InvalidParameterError) as pointwise:
             WeightSequence("holey", {}, fn).log_term(4)
         assert str(windowed.value) == str(pointwise.value)
+
+
+QUOTIENT_FAMILIES = ("gevrey", "ptt", "scaled", "table")
+
+
+@given(
+    st.sampled_from(QUOTIENT_FAMILIES),
+    st.lists(st.integers(0, 59), max_size=6),
+    st.integers(0, 40),
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-40, 19)), max_size=12),
+)
+def test_quotient_reads_match_term_differences(family, before, n, offsets):
+    """quotient_log(j) is log_term(j) - log_term(j - 1) to the bit, whether
+    j lies inside the window, at its edge, or past it where only the
+    point memo holds the terms."""
+    make = WINDOW_FAMILIES[family]
+    ref = make()  # only ever read one index at a time
+    m = make()
+    for j in before:
+        m.log_term(j)
+    m.log_terms(n)
+    for j in sorted({min(59, max(0, n + d)) for d in offsets} | set(before)):
+        want = 0.0 if j == 0 else ref.log_term(j) - ref.log_term(j - 1)
+        assert bits([m.quotient_log(j)]) == bits([want])
+        if j:
+            assert bits([m.quotient_log(j)]) == bits(
+                [m.log_term(j) - m.log_term(j - 1)])
+    if family != "table":  # far out: two point-memo reads
+        far = 65536 + n
+        assert bits([m.quotient_log(far)]) == bits(
+            [ref.log_term(far) - ref.log_term(far - 1)])
+
+
+def test_quotient_read_errors_match_term_reads():
+    short = table(log_values=[0.0, 1.0, 3.0])
+    short.log_terms(2)
+    with pytest.raises(TableExhaustedError):
+        short.quotient_log(3)
+    for bad in (-1, 1.0, True):
+        with pytest.raises(InvalidParameterError):
+            short.quotient_log(bad)
