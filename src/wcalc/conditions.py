@@ -385,7 +385,8 @@ def exponent_growth_report(phi: ExponentSequence,
     even when the last value still sits above EXPONENT_GAP_FLOOR.
     """
     h = need_horizon(horizon, 4)
-    mins, decaying = quarter_minima([phi.value(j) / j for j in range(1, h + 1)])
+    mins, decaying = quarter_minima(
+        [p / j for j, p in enumerate(phi.values(1, h), 1)])
     tail = mins[3]
     return {
         "horizon": h,

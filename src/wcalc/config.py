@@ -40,6 +40,10 @@ GRID_T_MIN, GRID_T_MAX, GRID_POINTS = 1.0, 1e8, 200
 GOLDEN_ITERS = 40  # golden-section refinement steps (rel. width ~4e-9)
 FDB_HORIZON = 60  # cap of composition-sequence (FdB) checks
 OMEGA_INDEX_CAP = 1 << 26  # hard cap of the index search in sup evaluations
+# largest index a term window or a window horizon may reach; a window fill
+# allocates its whole block before checking a term, so this bounds memory.
+# Not a threshold: reports leave it out of their config block.
+WINDOW_CAP = 1 << 20
 # partner candidates a quantifier search adds beyond its index grid
 CONTINUATION_STEPS = 4
 # constants standing in for "for all C > 0" in scaling-stability checks
@@ -82,32 +86,44 @@ class Config:
         }
 
 
+def _unmet_rule(horizon, floor: int, omega: bool) -> str | None:
+    """The horizon rule a value breaks, or None when it meets them all."""
+    if type(horizon) is not int or horizon < floor:
+        return f"need an integer >= {floor}"
+    if not omega and horizon > WINDOW_CAP:
+        return f"need an integer <= {WINDOW_CAP}"
+    return None
+
+
 def need_horizon(horizon, floor: int, *, omega: bool = False) -> int:
     """The index horizon a call runs at, the one rule every entry point
     that takes a horizon applies.
 
     None means the default: DEFAULT_HORIZON, or OMEGA_INDEX_CAP for the
     index search of an omega evaluation (omega=True).  Any other value
-    must be an int (a bool is not one) of at least floor.
+    must be an int (a bool is not one) of at least floor, and a window
+    horizon (omega=False) at most WINDOW_CAP.
     """
     if horizon is None:
         return OMEGA_INDEX_CAP if omega else DEFAULT_HORIZON
-    if type(horizon) is not int or horizon < floor:
-        raise HorizonError(f"need an integer >= {floor}, got {horizon!r}")
+    rule = _unmet_rule(horizon, floor, omega)
+    if rule is not None:
+        raise HorizonError(f"{rule}, got {horizon!r}")
     return horizon
 
 
 def default_config() -> Config:
     """Config with the WCALC_HORIZON environment override applied; a value
-    that is not an integer of at least 16 raises HorizonError, as an
+    that is not an integer in [16, WINDOW_CAP] raises HorizonError, as an
     explicit horizon does, naming the variable and its raw value."""
     env = os.environ.get(ENV_HORIZON)
     if env is None:
         return Config()
-    floor = 16
     try:
-        # int() rejects non-integer text; HorizonError is a ValueError too
-        return Config(horizon=need_horizon(int(env), floor))
+        horizon = int(env)
     except ValueError:
-        raise HorizonError(f"need an integer >= {floor}, "
-                           f"got {ENV_HORIZON}={env!r}") from None
+        horizon = env  # text, which the integer rule rejects
+    rule = _unmet_rule(horizon, 16, False)
+    if rule is not None:
+        raise HorizonError(f"{rule}, got {ENV_HORIZON}={env!r}")
+    return Config(horizon=horizon)

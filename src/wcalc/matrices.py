@@ -232,6 +232,17 @@ def matrix_scale(base: WeightMatrix, phi: ExponentSequence,
         base.index_grid if index_grid is None else index_grid, phi=phi)
 
 
+def _lockstep(p: ExponentSequence, q: ExponentSequence, lo: int, hi: int):
+    """Pairs (p_j, q_j) for j = lo..hi from two block reads.  When either
+    raises, the pairs come index by index instead, so the caller sees every
+    pair below the lowest bad index before its error, p's before q's, as a
+    loop reading p.value(j) then q.value(j) would."""
+    try:
+        return zip(p.values(lo, hi), q.values(lo, hi))
+    except Exception:  # the per-index reads raise it again, in index order
+        return ((p.value(j), q.value(j)) for j in range(lo, hi + 1))
+
+
 def exponent_family_scale(base: WeightSequence, family: ExponentFamily,
                           index_grid=DEFAULT_INDEX_GRID) -> WeightMatrix:
     """Elements c -> c^(Phi^c_j) * M_j with a per-index exponent sequence.
@@ -243,8 +254,8 @@ def exponent_family_scale(base: WeightSequence, family: ExponentFamily,
     for a, b in zip(grid, grid[1:]):
         pa, pb = family.sequence(a), family.sequence(b)
         la, lb = math.log(a), math.log(b)
-        for j in range(_ORDER_CHECK_HORIZON + 1):
-            va, vb = pa.value(j) * la, pb.value(j) * lb
+        for j, (x, y) in enumerate(_lockstep(pa, pb, 0, _ORDER_CHECK_HORIZON)):
+            va, vb = x * la, y * lb
             if va > vb + slack(_ORDER_SLACK, va, vb):
                 raise OrderViolationError(
                     "exponent family breaks the signed ordering "
@@ -613,11 +624,11 @@ def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
             pc, pd = family.sequence(c), family.sequence(d)
             lc_, ld = math.log(c), math.log(d)
             if flavor == ROUMIEU:
-                gaps = [(pd.value(j) * ld - pc.value(j) * lc_) / j
-                        for j in range(1, h + 1)]
+                gaps = [(x * ld - y * lc_) / j for j, (x, y)
+                        in enumerate(_lockstep(pd, pc, 1, h), 1)]
             else:
-                gaps = [(pc.value(j) * lc_ - pd.value(j) * ld) / j
-                        for j in range(1, h + 1)]
+                gaps = [(x * lc_ - y * ld) / j for j, (x, y)
+                        in enumerate(_lockstep(pc, pd, 1, h), 1)]
             mins, decaying = quarter_minima(gaps)
             decaying = decaying and mins[3] > 0.0
             tail_min = mins[3]

@@ -38,8 +38,7 @@ def _ratio_trajectory(m, n, h, phi):
         idx = list(range(1, h + 1))
         return idx, [(a[j] - b[j]) / j for j in idx], []
     idx, vals, excluded = [], [], []
-    for j in range(1, h + 1):
-        denom = phi.value(j)
+    for j, denom in enumerate(phi.values(1, h), 1):
         if denom == 0.0:
             excluded.append(j)
             continue
@@ -160,6 +159,7 @@ def compare_phi_constancy(
     pair_reports = []
     status = HOLDS
     witness = None
+    phis = None  # phi_1..phi_h, read at the first exact-ratio pair
     for a in range(len(seqs)):
         for b in range(a + 1, len(seqs)):
             m, n = seqs[a], seqs[b]
@@ -171,9 +171,10 @@ def compare_phi_constancy(
             if same_family:
                 expected = math.log(m.params["c"]) - math.log(n.params["c"])
                 tm, tn = m.log_terms(h), n.log_terms(h)
+                if phis is None:
+                    phis = phi.values(1, h)
                 dev = 0.0
-                for j in range(1, h + 1):
-                    p = phi.value(j)
+                for j, p in enumerate(phis, 1):
                     if p == 0.0:
                         continue
                     dev = max(dev, abs((tm[j] - tn[j]) / p - expected))

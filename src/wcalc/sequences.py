@@ -11,19 +11,31 @@ possible so indices far beyond any memo stay O(1):
 
 Two readers serve the two access patterns.  Scans over an index window
 (conditions, relations, matrix pair tests, the witness series) call
-log_terms(n), which returns the cached prefix [log M_0, ..., log M_n] and
-grows it in one loop.  Point reads (omega bisection and evaluation) call
-log_term(j), which reads the prefix when j lies inside it and a per-index
-memo otherwise, so a point read far out never allocates a window.
+log_terms(n), which returns the cached prefix [log M_0, ..., log M_n].  It
+grows the prefix by evaluating the whole missing range as one block: a
+family's block function where it has one (scaled reads its base's window
+and one block of phi), else a map over the term function.  One sum over
+the block validates it; only when that sum is NaN or +inf, or the block
+raised, does a per-index pass run, which raises the same error at the
+same lowest index, leaving the same valid prefix, as reading term by term
+would.  Point reads (omega bisection and evaluation) call log_term(j),
+which reads the prefix when j lies inside it and a per-index memo
+otherwise, so a point read far out never allocates a window; a later fill
+moves memoized terms into the prefix without evaluating them again.  A
+window never reaches past WINDOW_CAP (config): log_terms raises
+HorizonError above it before it evaluates a term.
 
 Exponent sequences phi = (phi_j) are plain nonnegative floats (they live in
-the exponent, not in the log domain).
+the exponent, not in the log domain).  value(j) reads one; values(lo, hi)
+reads a block under the same checks, and every window read of phi goes
+through it.  Phi blocks are not cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 from .config import need_horizon
@@ -37,18 +49,56 @@ def _check_index(j: int) -> int:
     return j
 
 
+def _extend_checked(out: list, block, ok, point, lo: int, hi: int) -> None:
+    """Append the values at lo..hi to out.
+
+    block(lo, hi) evaluates them in one pass and ok(values) is a cheap
+    check of the whole block.  When the block raises or fails the check,
+    point(j) runs index by index instead: it raises the error of the
+    lowest bad index after appending the valid values below it.
+    """
+    try:
+        got = block(lo, hi)
+    except Exception:  # the per-index pass raises what reading term by term raises
+        got = None
+    if got is not None and ok(got):
+        out.extend(got)
+        return
+    for j in range(lo, hi + 1):
+        out.append(point(j))
+
+
+def _map_block(fn: Callable[[int], float]):
+    """The block function of a family without one: fn over lo..hi."""
+    return lambda lo, hi: list(map(float, map(fn, range(lo, hi + 1))))
+
+
+def _terms_ok(block: list) -> bool:
+    # a NaN or +inf term makes the sum NaN or +inf; -inf terms are allowed
+    return sum(block) < math.inf
+
+
+def _exponents_ok(block: list) -> bool:
+    return sum(block) < math.inf and min(block) >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # exponent sequences
 
 
 @dataclass(eq=False)
 class ExponentSequence:
-    """Nonnegative exponent sequence phi, one float per index."""
+    """Nonnegative exponent sequence phi, one float per index.
+
+    _fn evaluates one value; _block, when given, evaluates the values at
+    lo..hi in one pass with the same float operations.
+    """
 
     kind: str
     params: dict
     _fn: Callable[[int], float]
     length: int | None = None
+    _block: Callable[[int, int], list] | None = None
 
     def value(self, j: int) -> float:
         _check_index(j)
@@ -58,6 +108,20 @@ class ExponentSequence:
         if math.isnan(v) or v < 0.0 or math.isinf(v):
             raise InvalidParameterError("phi", f"phi_{j} = {v!r} is not a finite nonnegative value")
         return v
+
+    def values(self, lo: int, hi: int) -> list[float]:
+        """[phi_lo, ..., phi_hi] read as one block, under value's checks:
+        the lowest bad index raises the error value raises there."""
+        _check_index(lo)
+        _check_index(hi)
+        top = hi if self.length is None else min(hi, self.length - 1)
+        out: list[float] = []
+        if lo <= top:
+            _extend_checked(out, self._block or _map_block(self._fn),
+                            _exponents_ok, self.value, lo, top)
+        if top < hi and lo <= hi:
+            raise TableExhaustedError(max(lo, self.length), self.length)
+        return out
 
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
@@ -77,7 +141,9 @@ def power_exponents(sigma: float) -> ExponentSequence:
     sigma = float(sigma)
     if not math.isfinite(sigma) or sigma < 1.0:
         raise InvalidParameterError("sigma", f"need sigma >= 1, got {sigma!r}")
-    return ExponentSequence("power", {"sigma": sigma}, lambda j: float(j) ** sigma)
+    return ExponentSequence(
+        "power", {"sigma": sigma}, lambda j: float(j) ** sigma,
+        _block=lambda lo, hi: [float(j) ** sigma for j in range(lo, hi + 1)])
 
 
 def table_exponents(values) -> ExponentSequence:
@@ -123,7 +189,9 @@ class WeightSequence:
     """Positive sequence handled through log-scale terms.
 
     Terms live in a cached prefix (_window, grown by log_terms) and, for
-    point reads beyond it, in a per-index memo (_memo).
+    point reads beyond it, in a per-index memo (_memo).  _fn evaluates one
+    term; _block, when given, evaluates the terms at lo..hi in one pass with
+    the same float operations.
     """
 
     family: str
@@ -132,6 +200,7 @@ class WeightSequence:
     length: int | None = None
     _memo: dict = field(default_factory=dict, repr=False)
     _window: list = field(default_factory=list, repr=False)
+    _block: Callable[[int, int], list] | None = field(default=None, repr=False)
 
     def _eval(self, j: int) -> float:
         if self.length is not None and j >= self.length:
@@ -156,16 +225,26 @@ class WeightSequence:
     def log_terms(self, n: int) -> list[float]:
         """[log M_0, ..., log M_n], the shared cached prefix: do not mutate.
 
-        Same per-term checks as log_term; terms already memoized by point
-        reads move into the prefix instead of being evaluated again.
+        Same errors as reading the terms with log_term in index order; terms
+        already memoized by point reads move into the prefix instead of
+        being evaluated again.
         """
         _check_index(n)
         window = self._window
         if n >= len(window):
+            need_horizon(n, 0)  # the window ceiling, before any term is evaluated
+            top = n if self.length is None else min(n, self.length - 1)
             memo = self._memo
-            for j in range(len(window), n + 1):
-                got = memo.pop(j, None)
-                window.append(self._eval(j) if got is None else got)
+            held = sorted(filter(range(len(window), top + 1).__contains__, memo))
+            block = self._block or _map_block(self._fn)
+            for k in held + [top + 1]:
+                if len(window) < k:
+                    _extend_checked(window, block, _terms_ok, self._eval,
+                                    len(window), k - 1)
+                if k <= top:
+                    window.append(memo.pop(k))
+            if top < n:
+                raise TableExhaustedError(self.length, self.length)
         return window if len(window) == n + 1 else window[:n + 1]
 
     def quotient_log(self, j: int) -> float:
@@ -256,11 +335,16 @@ def scaled(base: WeightSequence, phi: ExponentSequence, c: float) -> WeightSeque
     length = base.length
     if phi.length is not None:
         length = phi.length if length is None else min(length, phi.length)
+
+    def block(lo: int, hi: int) -> list[float]:
+        return [b + p * log_c for b, p in
+                zip(islice(base.log_terms(hi), lo, None), phi.values(lo, hi))]
+
     return WeightSequence(
         "scaled",
         {"base": base.label(), "phi": phi.label(), "c": c, "_base": base, "_phi": phi},
         lambda j: base.log_term(j) + phi.value(j) * log_c,
-        length=length)
+        length=length, _block=block)
 
 
 def regularize_slc(m: WeightSequence, horizon: int | None) -> WeightSequence:

@@ -189,13 +189,21 @@ def theta_bounds(n: WeightSequence, count: int,
 
 def seminorm_trajectory(f: DerivBounds, m: WeightSequence,
                         phi: ExponentSequence, h: float) -> list[float]:
-    if not (h > 0.0 and math.isfinite(h)):
-        raise InvalidParameterError("h", f"need h > 0, got {h}")
-    ln_h = math.log(h)
+    return _seminorm_trajectories(f, m, phi, (h,))[0]
+
+
+def _seminorm_trajectories(f: DerivBounds, m: WeightSequence,
+                           phi: ExponentSequence, hs) -> list[list[float]]:
+    """seminorm_trajectory at each h of hs, from one read of the terms and
+    one of phi."""
+    for h in hs:
+        if not (h > 0.0 and math.isfinite(h)):
+            raise InvalidParameterError("h", f"need h > 0, got {h}")
     top = m.last_index(f.top_index())
     terms = m.log_terms(top)
-    return [f.bounds[j] - phi.value(j) * ln_h - terms[j]
-            for j in range(top + 1)]
+    phis = phi.values(0, top)
+    return [[b - p * ln_h - t for b, p, t in zip(f.bounds, phis, terms)]
+            for ln_h in map(math.log, hs)]
 
 
 def seminorm(f: DerivBounds, m: WeightSequence, phi: ExponentSequence | None,
@@ -238,9 +246,8 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
 
     table: dict[tuple[float, float], dict] = {}
     for c in grid:
-        elem = mm.element(c)
-        for h in DEFAULT_H_GRID:
-            vals = seminorm_trajectory(f, elem, phi, h)
+        rows = _seminorm_trajectories(f, mm.element(c), phi, DEFAULT_H_GRID)
+        for h, vals in zip(DEFAULT_H_GRID, rows):
             entry = trajectory_entry(range(1, len(vals) + 1), vals)
             cell = {"sup": entry["log_constant"],
                     "stabilized": entry["stabilized"]}

@@ -97,6 +97,17 @@ def test_exit_two_on_bad_horizon_or_index_grid(tmp_path, bounds_csv,
         assert run("classify", "--bounds", bounds_csv,
                    "--matrix", "ptt-matrix:1:2", "--horizon", horizon) == 2
     assert "--horizon applies only to" in capsys.readouterr().err
+    # a window horizon above WINDOW_CAP exits 2 before any term is read
+    for argv in (("check", "--family", "gevrey:1", "--cond", "lc"),
+                 ("compare", "--left", "gevrey:2", "--right", "gevrey:1",
+                  "--rel", "preceq")):
+        assert run(*argv, "--horizon", 10**12) == 2, argv
+        assert "horizon: need an integer <= 1048576, got 1000000000000" \
+            in capsys.readouterr().err
+    monkeypatch.setenv("WCALC_HORIZON", str(10**12))
+    assert run("check", "--family", "gevrey:1", "--cond", "lc") == 2
+    assert "need an integer <= 1048576, got WCALC_HORIZON='1000000000000'" \
+        in capsys.readouterr().err
     # WCALC_HORIZON takes the rule --horizon takes
     for env in ("abc", "8", "64.5"):
         monkeypatch.setenv("WCALC_HORIZON", env)

@@ -10,6 +10,7 @@ import pytest
 
 import wcalc
 from wcalc import Config, HorizonError, InvalidParameterError
+from wcalc.config import WINDOW_CAP
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parents[1] / "docs" / "report-schema.json")
@@ -116,8 +117,8 @@ def _entry_points():
     }
 
 
-def _rejects_bad_horizons(name, floor, call):
-    for bad in (0, -1, floor - 1, 64.5, True, "64"):
+def _rejects_bad_horizons(name, floor, call, bad=()):
+    for bad in (0, -1, floor - 1, 64.5, True, "64", *bad):
         with pytest.raises(HorizonError) as err:
             call(bad)
         assert isinstance(err.value, InvalidParameterError), name
@@ -126,12 +127,13 @@ def _rejects_bad_horizons(name, floor, call):
 
 def test_every_horizon_entry_point_takes_one_rule():
     for name, (floor, call, horizon_of) in _entry_points().items():
-        _rejects_bad_horizons(name, floor, call)
+        # a window horizon has a ceiling, checked before any term is read
+        _rejects_bad_horizons(name, floor, call, (WINDOW_CAP + 1, 10**30))
         assert horizon_of(call(None)) == 512, name
 
 
 def test_env_horizon_takes_the_same_rule(monkeypatch):
-    for bad in ("abc", "", "64.5", "0", "15"):
+    for bad in ("abc", "", "64.5", "0", "15", str(WINDOW_CAP + 1)):
         monkeypatch.setenv(wcalc.ENV_HORIZON, bad)
         with pytest.raises(HorizonError):
             wcalc.default_config()
@@ -147,9 +149,11 @@ def test_omega_index_cap_takes_the_same_rule():
                           lambda h: omega.eval(1e7, h))
     # the default caps the index search far above the check horizon
     assert omega.eval(1e7).attained_at > 512
+    # the index search allocates no window, so WINDOW_CAP does not bound it
+    assert omega.eval(1e5, WINDOW_CAP + 1).attained_at > 512
 
 
-_CONFIG_ONLY = {"DEFAULT_HORIZON", "OMEGA_INDEX_CAP"}
+_CONFIG_ONLY = {"DEFAULT_HORIZON", "OMEGA_INDEX_CAP", "WINDOW_CAP"}
 
 
 def _horizon_rule_copies(tree) -> list:

@@ -411,6 +411,14 @@ def test_integer_valued_horizon_literal_is_accepted():
     assert format_statement(q) == "check lc(g) horizon 1000;"
 
 
+def test_horizon_above_the_window_cap_is_an_error_record():
+    recs = execute(parse("seq g = gevrey(s=1); check lc(g) horizon 1e30;"
+                         "check lc(g) horizon 64;"))
+    assert recs[0]["error"]["type"] == "HorizonError"
+    assert "need an integer <= 1048576" in recs[0]["error"]["message"]
+    assert recs[1]["status"] == "Holds"
+
+
 @pytest.mark.parametrize("stmt, col", [
     ("check lc(g) flavor b;", 13),
     ("check lc(g) grid [1, 2, 3];", 13),

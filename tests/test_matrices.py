@@ -172,6 +172,15 @@ def test_sigma_matrix_mg_partner_map():
         assert v.evidence["stabilized"]
 
 
+def test_elements_fill_from_the_shared_base_window():
+    """Every element of ptt_matrix is the shared ptt base rescaled; after
+    mg at horizon 512 that base holds one window and no point-read memo."""
+    mm = ptt_matrix(1.0, 2.0)
+    check_matrix_condition(mm, MatrixConditionId("mg", ROUMIEU), horizon=512)
+    base = mm.element(1.0).params["_base"]
+    assert len(base._window) >= 513 and base._memo == {}
+
+
 def test_ptt_matrix_mg_diverges_everywhere():
     grid = (1.0, 2.0, 4.0, 8.0)
     out = mg_roumieu(ptt_matrix(1.0, 2.0, grid), grid)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wcalc import (
     InvalidParameterError,
@@ -19,8 +19,10 @@ from wcalc import (
     table,
     table_exponents,
 )
-from wcalc.matrices import sigma_matrix
-from wcalc.sequences import ExponentFamily, WeightSequence
+from wcalc.config import WINDOW_CAP
+from wcalc.errors import HorizonError
+from wcalc.matrices import matrix_scale, sigma_matrix
+from wcalc.sequences import ExponentFamily, ExponentSequence, WeightSequence
 
 
 def test_gevrey_terms_are_factorial_powers():
@@ -200,6 +202,10 @@ WINDOW_FAMILIES = {
     "regularized": lambda: regularize_slc(
         scaled(ptt(1.0, 2.0), power_exponents(2.0), 0.1), 48),
     "sigma_element": lambda: sigma_matrix(2.0).element(3.0),
+    "scaled_of_scaled": lambda: scaled(
+        scaled(ptt(1.0, 2.0), power_exponents(1.5), 3.0), linear_exponents(), 0.25),
+    "matrix_scale": lambda: matrix_scale(
+        sigma_matrix(2.0), power_exponents(2.0)).element(0.5),
 }
 
 
@@ -256,15 +262,121 @@ def test_log_terms_error_parity():
     with pytest.raises(InvalidParameterError):
         short.log_terms(-1)
 
-    for bad in (math.nan, math.inf):
-        def fn(j, bad=bad):
-            return bad if j == 4 else float(j)
 
-        with pytest.raises(InvalidParameterError) as windowed:
-            WeightSequence("holey", {}, fn).log_terms(9)
-        with pytest.raises(InvalidParameterError) as pointwise:
-            WeightSequence("holey", {}, fn).log_term(4)
-        assert str(windowed.value) == str(pointwise.value)
+def outcome(read):
+    """The bits of read(), or the type and message of what it raised."""
+    try:
+        return bits(read())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def read_both_ways(make, n):
+    """(outcome, window left) of log_terms(n) on one fresh sequence, and
+    (outcome, terms read) of log_term(0..n) in index order on another."""
+    m, ref = make(), make()
+    windowed = outcome(lambda: m.log_terms(n)), bits(m._window)
+    read = []
+
+    def pointwise():
+        for j in range(n + 1):
+            read.append(ref.log_term(j))
+        return read
+
+    return windowed, (outcome(pointwise), bits(read))
+
+
+# what a custom term or exponent function does at a drawn index
+BAD_KINDS = {
+    "nan": lambda j: math.nan,
+    "inf": lambda j: math.inf,
+    "-inf": lambda j: -math.inf,
+    "negative": lambda j: -1.0,
+    "raises": lambda j: float(10.0 ** 400),  # OverflowError
+}
+
+
+def holey(bad: dict):
+    """A term function that is j * 0.5 except at the indices in bad."""
+    return lambda j: BAD_KINDS[bad[j]](j) if j in bad else j * 0.5
+
+
+bad_indices = st.dictionaries(st.integers(0, 40), st.sampled_from(sorted(BAD_KINDS)),
+                              max_size=3)
+
+
+@given(bad_indices, st.lists(st.integers(0, 45), max_size=4), st.integers(0, 45))
+@example({3: "nan", 7: "raises"}, [9, 3], 12)  # NaN below a raise; 9 memoized
+def test_block_fill_errors_match_term_by_term_reads(bad, before, n):
+    """NaN or +inf terms, a function that raises, and -inf terms (which
+    are allowed): the window fill raises the same error as term-by-term
+    reads and leaves the same valid prefix, with or without earlier point
+    reads in the memo."""
+    def make():
+        m = WeightSequence("holey", {}, holey(bad))
+        for j in before:
+            try:
+                m.log_term(j)
+            except Exception:
+                pass
+        return m
+
+    windowed, pointwise = read_both_ways(make, n)
+    assert windowed == pointwise
+
+
+@given(st.sampled_from(["linear", "power", "table"]),
+       st.integers(0, 40), st.integers(0, 40))
+def test_phi_values_match_point_reads(kind, lo, hi):
+    phi = {"linear": linear_exponents(), "power": power_exponents(1.7),
+           "table": table_exponents([0.25 * j for j in range(30)])}[kind]
+
+    assert outcome(lambda: phi.values(lo, hi)) == outcome(
+        lambda: [phi.value(j) for j in range(lo, hi + 1)])
+
+
+@given(bad_indices, st.integers(0, 45), st.integers(0, 45))
+@example({4: "negative", 6: "raises"}, 2, 12)
+def test_phi_values_errors_match_point_reads(bad, lo, hi):
+    """Negative, NaN or infinite exponents and a function that raises: the
+    block reader raises what value raises at the lowest bad index."""
+    phi = ExponentSequence("holey", {}, holey(bad))
+
+    assert outcome(lambda: phi.values(lo, hi)) == outcome(
+        lambda: [phi.value(j) for j in range(lo, hi + 1)])
+
+
+@given(bad_indices, bad_indices, st.integers(0, 45))
+@example({5: "nan"}, {5: "negative"}, 8)  # the base term fails first
+@example({6: "inf"}, {2: "raises"}, 8)
+def test_scaled_errors_match_term_by_term_reads(base_bad, phi_bad, n):
+    """A scaled sequence whose base and phi may both fail: within one index
+    the base term is checked before phi, in both modes."""
+    def make():
+        return scaled(WeightSequence("holey", {}, holey(base_bad)),
+                      ExponentSequence("holey", {}, holey(phi_bad)), 2.0)
+
+    windowed, pointwise = read_both_ways(make, n)
+    assert windowed == pointwise
+
+
+def test_window_ceiling_evaluates_nothing():
+    calls = []
+
+    def fn(j):
+        calls.append(j)
+        return float(j)
+
+    m = WeightSequence("counted", {}, fn)
+    with pytest.raises(HorizonError):
+        m.log_terms(WINDOW_CAP + 1)
+    assert calls == [] and m._window == []
+    # a scaled sequence checks its own window before reading its base's
+    with pytest.raises(HorizonError):
+        scaled(m, linear_exponents(), 2.0).log_terms(WINDOW_CAP + 1)
+    assert calls == []
+    # point reads past the ceiling stay allowed: they allocate no window
+    assert m.log_term(WINDOW_CAP + 1) == float(WINDOW_CAP + 1)
 
 
 QUOTIENT_FAMILIES = ("gevrey", "ptt", "scaled", "table")
