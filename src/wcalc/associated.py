@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .config import (
     GOLDEN_ITERS,
@@ -73,7 +73,7 @@ class LogGrid:
 
 class OmegaValue(NamedTuple):
     value: float
-    attained_at: int | None
+    attained_at: int
 
 
 class ConjugateValue(NamedTuple):
@@ -82,29 +82,29 @@ class ConjugateValue(NamedTuple):
 
 
 class OmegaFunction:
-    """sup_j (j log t - log M_j), or an explicit evaluator for cross-checks.
+    """sup_j (j log t - log M_j) of one certified weight sequence.
 
-    Instances built from a sequence carry a verified certificate: the input
-    was log-convex with empirically divergent roots at construction time,
-    which is what makes the maximizer-localized evaluation sound.
+    from_sequence verifies the certificate: the input was log-convex with
+    empirically divergent roots at construction time, which is what makes
+    the maximizer-localized evaluation sound.
 
-    Two memos live on the instance and die with it.  _cache maps t to
-    (omega(t), maximizer).  _columns maps a (LogGrid, horizon) pair to the
-    grid column that young_conjugate reads: omega at the grid's log points
-    up to the cut where the maximizer leaves the horizon, and the maximizer
-    at the last of them.  It grows only with the distinct grids and
-    horizons that conjugate, recover and from_omega calls use on this
+    Two memos live on the instance and die with it.  _cache maps an index
+    cap (last_index of eval's horizon) to {t: (omega(t), maximizer)}, so
+    an entry is what a fresh search at that cap returns and no answer
+    depends on the queries before it; it grows by one entry per distinct
+    (cap, t) that eval answers.  _columns maps a (LogGrid, horizon) pair
+    to the grid column that young_conjugate reads: omega at the grid's log
+    points up to the cut where the maximizer leaves the horizon, and the
+    maximizer at the last of them.  It grows only with the distinct grids
+    and horizons that conjugate, recover and from_omega calls use on this
     omega, by at most one float per grid point each.
     """
 
-    def __init__(self, *, sequence: WeightSequence | None, evaluator, label: str,
-                 normalized: bool) -> None:
+    def __init__(self, sequence: WeightSequence, normalized: bool) -> None:
         self._m = sequence
-        self._fn = evaluator
-        self._label = label
         self._normalized = normalized
-        self._cache: dict[float, tuple[float, int | None]] = {}
-        self._columns: dict[tuple[LogGrid, int], tuple[list[float], int | None]] = {}
+        self._cache: dict[int, dict[float, tuple[float, int]]] = {}
+        self._columns: dict[tuple[LogGrid, int], tuple[list[float], int]] = {}
 
     @classmethod
     def from_sequence(cls, m: WeightSequence,
@@ -122,19 +122,10 @@ class OmegaFunction:
                 witness={"root_last_quarter_min": profile["root_last_quarter_min"],
                          "root_first_quarter_max": profile["root_first_quarter_max"]})
         normalized = _conditions.check_condition(m, "normalized", h).holds
-        return cls(sequence=m, evaluator=None, label=m.label(), normalized=normalized)
-
-    @classmethod
-    def explicit(cls, fn: Callable[[float], float], label: str,
-                 normalized: bool = False) -> "OmegaFunction":
-        return cls(sequence=None, evaluator=fn, label=label, normalized=normalized)
+        return cls(m, normalized)
 
     @property
-    def from_sequence_source(self) -> bool:
-        return self._m is not None
-
-    @property
-    def sequence(self) -> WeightSequence | None:
+    def sequence(self) -> WeightSequence:
         return self._m
 
     @property
@@ -142,32 +133,27 @@ class OmegaFunction:
         return self._normalized
 
     def label(self) -> str:
-        return self._label
+        return self._m.label()
 
     # -- evaluation ---------------------------------------------------------
 
-    def _argmax_index(self, log_t: float, horizon: int) -> int:
-        """Largest j <= horizon with log mu_j <= log t.
+    def _argmax_index(self, log_t: float, cap: int) -> int:
+        """Largest j <= cap with log mu_j <= log t.
 
         Sound because the quotients were certified non-decreasing at
         construction; doubling plus bisection touches O(log j*) terms.
         """
         m = self._m
-        assert m is not None
-        cap = m.last_index(horizon)
         if m.quotient_log(cap) <= log_t:
             raise SupNotAttainedError(
-                f"maximizer of {self._label} at log t = {log_t:.6g} reaches "
+                f"maximizer of {m.label()} at log t = {log_t:.6g} reaches "
                 f"index {cap}; raise the horizon")
         hi = 1
         while hi < cap and m.quotient_log(hi) <= log_t:
             hi = min(2 * hi, cap)
-        lo = hi // 2  # quotient at lo (if > 0) is <= log_t
+        lo = hi // 2
         # invariant: quotient(lo) <= log_t (or lo == 0), quotient(hi) > log_t
-        if m.quotient_log(hi) <= log_t:
-            raise SupNotAttainedError(
-                f"maximizer of {self._label} at log t = {log_t:.6g} reaches "
-                f"index {hi}; raise the horizon")
+        # (the loop read it, or hi == cap, read above)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if m.quotient_log(mid) <= log_t:
@@ -182,41 +168,25 @@ class OmegaFunction:
         h = need_horizon(horizon, 1, omega=True)
         if not (math.isfinite(t) and t >= 0.0):
             raise InvalidParameterError("t", f"need finite t >= 0, got {t}")
-        if self._fn is not None:
-            cached = self._cache.get(t)
-            if cached is not None:
-                return OmegaValue(*cached)
-            v = float(self._fn(t))
-            if not math.isfinite(v) or v < -1e-9:
-                raise WcalcError(
-                    f"explicit evaluator {self._label} returned {v} at t={t}")
-            out = (max(0.0, v), None)
-            self._cache[t] = out
-            return OmegaValue(*out)
         if t == 0.0:
             return OmegaValue(0.0, 0)
-        cached = self._cache.get(t)
-        if cached is not None:
-            if cached[1] is not None and cached[1] <= h:
-                return OmegaValue(*cached)
-            # cached maximizer above this call's horizon: same contract as fresh
-            raise SupNotAttainedError(
-                f"maximizer of {self._label} at t = {t:.6g} is {cached[1]}, "
-                f"beyond horizon {h}")
-        log_t = math.log(t)
-        j = self._argmax_index(log_t, h)
-        value = max(0.0, j * log_t - self._m.log_term(j))
-        self._cache[t] = (value, j)
-        return OmegaValue(value, j)
+        cap = self._m.last_index(h)
+        memo = self._cache.setdefault(cap, {})
+        hit = memo.get(t)
+        if hit is None:
+            log_t = math.log(t)
+            j = self._argmax_index(log_t, cap)
+            hit = memo[t] = (max(0.0, j * log_t - self._m.log_term(j)), j)
+        return OmegaValue(*hit)
 
     def table(self, grid: LogGrid,
-              horizon: int | None = None) -> list[tuple[float, float, int | None]]:
+              horizon: int | None = None) -> list[tuple[float, float, int]]:
         """Evaluate on a grid and assert the shape invariants of the batch."""
         rows = []
         for t in grid.values():
             v = self.eval(t, horizon)
             rows.append((t, v.value, v.attained_at))
-        _assert_shape(rows, self._label)
+        _assert_shape(rows, self.label())
         return rows
 
 
@@ -241,31 +211,30 @@ def _assert_shape(rows, label: str) -> None:
 
 
 def _grid_column(omega: OmegaFunction, grid: LogGrid, us: list[float],
-                 horizon: int | None) -> tuple[list[float], int | None]:
+                 horizon: int | None) -> tuple[list[float], int]:
     """omega(e^u) at the log points us of grid, cut where the inner sup
     leaves the horizon, with the maximizer at the last point scanned.
 
-    The column is kept per (grid, horizon).  A column that was cut probes
-    its cut point again through eval, whose cache a later call at a larger
-    horizon may have filled, so it holds exactly what a fresh scan through
-    eval would read.  A scan that raises stores nothing."""
+    The column is kept per (grid, horizon) and returned as stored: eval
+    answers each point as a fresh search at the horizon's cap does, so a
+    second scan would read the same column.  A scan that raises at its
+    first point stores nothing."""
     h = need_horizon(horizon, 1, omega=True)
-    col = omega._columns.get((grid, h), ((), None))
-    ws, j_last = col
-    if len(ws) == len(us):
+    col = omega._columns.get((grid, h))
+    if col is not None:
         return col
-    ws = list(ws)
-    for u in us[len(ws):]:
+    ws, j_last = [], 0
+    for u in us:
         try:
             w = omega.eval(math.exp(u), h)
         except SupNotAttainedError:
-            if not (omega.from_sequence_source and ws):
+            if not ws:
                 raise
             break
         ws.append(w.value)
         j_last = w.attained_at
-    omega._columns[grid, h] = ws, j_last
-    return ws, j_last
+    col = omega._columns[grid, h] = ws, j_last
+    return col
 
 
 def young_conjugate(omega: OmegaFunction, s: float, grid: LogGrid | None = None,
@@ -284,7 +253,7 @@ def young_conjugate(omega: OmegaFunction, s: float, grid: LogGrid | None = None,
     if best == last:
         # right edge: safe only when the cut already certifies descent
         cut = len(vals) < len(us)
-        if not (cut and j_last is not None and j_last >= s):
+        if not (cut and j_last >= s):
             raise MaximizerOnBoundaryError(
                 f"conjugate maximizer for s={s:.6g} sits at the grid end "
                 f"t={math.exp(us[best]):.6g}; enlarge the grid")
@@ -407,8 +376,7 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
     if mode == "numeric_ratio":
         grid = grid or LogGrid(10.0, 1e6)
         # check_sc above is the certificate from_sequence would repeat
-        om, on = (OmegaFunction(sequence=seq, evaluator=None, label=seq.label(),
-                                normalized=True) for seq in (m, n))
+        om, on = (OmegaFunction(seq, True) for seq in (m, n))
         ts, ratios, (lo, hi) = _ratio_probe(
             lambda t: om.eval(t).value, lambda t: on.eval(t).value, grid)
         ev = {
@@ -485,5 +453,5 @@ def export_csv(omega: OmegaFunction, grid: LogGrid, path: str,
         writer = csv.writer(fh)
         writer.writerow(["t", "omega", "attained_at"])
         for t, v, j in rows:
-            writer.writerow([repr(t), repr(v), "" if j is None else j])
+            writer.writerow([repr(t), repr(v), j])
     return len(rows)

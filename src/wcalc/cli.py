@@ -211,7 +211,8 @@ def _cmd_omega(args, cfg, h) -> list:
     seq, label = _sequence(*_resolve(args.family, args.params, cfg))
     grid = _parse_t_grid(args.t_grid) if args.t_grid \
         else _assoc.LogGrid()
-    omega = _assoc.OmegaFunction.from_sequence(seq, cfg.horizon)
+    omega = _dsl.build(_dsl.Call("assoc", (("m", _dsl.Ref("m")),)),
+                       {"m": ("seq", seq)}, cfg)
     rows = _assoc.export_csv(omega, grid, args.csv, args.horizon)
     return [{"query": f"omega({label}) grid [{grid.t_min:g}, {grid.t_max:g}, "
                       f"{grid.points}];",

@@ -121,10 +121,6 @@ class TailReport:
     tail_first: float
     tail_last: float
 
-    @property
-    def stabilized(self) -> bool:
-        return self.trend in (FROZEN, FLAT, DOWN)
-
     def summary(self) -> dict:
         return {
             "trend": self.trend,

@@ -88,7 +88,15 @@ def load_bounds_csv(path: str, label: str | None = None) -> DerivBounds:
             jv, bv = row.get("j"), row.get("log_bound")
             if jv is None or bv is None:
                 raise InvalidParameterError("path", f"short row in {path}")
-            table[int(jv)] = float(bv)
+            try:
+                j, bound = int(jv), float(bv)
+            except ValueError:
+                j = -1
+            if j < 0:
+                raise InvalidParameterError(
+                    "path", f"need an integer j >= 0 and a number log_bound "
+                    f"in {path}, got {jv!r}, {bv!r}")
+            table[j] = bound
     if not table:
         raise InvalidParameterError("path", f"no rows in {path}")
     top = max(table)
@@ -101,12 +109,24 @@ def load_bounds_csv(path: str, label: str | None = None) -> DerivBounds:
 
 
 def load_bounds_json(path: str) -> DerivBounds:
+    """A list of log bounds, or an object with that list under "bounds"
+    and optional "label" and "source"."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(
+                "path", f"{path} is not JSON: {exc}") from None
     if isinstance(data, list):
         data = {"bounds": data}
-    return DerivBounds(tuple(float(v) for v in data["bounds"]),
-                       label=data.get("label", path),
+    bounds = data.get("bounds") if isinstance(data, dict) else None
+    try:
+        vals = tuple(float(v) for v in bounds)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            "path", f'need a list of numbers, or an object with one under '
+            f'"bounds", in {path}') from None
+    return DerivBounds(vals, label=data.get("label", path),
                        source=data.get("source", "user"))
 
 

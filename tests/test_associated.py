@@ -28,7 +28,7 @@ from wcalc import (
     table,
     young_conjugate,
 )
-from wcalc.associated import _grid_column
+from wcalc.associated import _assert_shape, _grid_column
 from wcalc.config import GOLDEN_ITERS
 from wcalc.sequences import WeightSequence
 
@@ -117,41 +117,50 @@ def test_from_sequence_preconditions():
         OmegaFunction.from_sequence(flat)  # roots never diverge
 
 
-def test_explicit_evaluator():
-    om = OmegaFunction.explicit(lambda t: t, "ident")
-    assert not om.from_sequence_source
-    v = om.eval(7.5)
-    assert v.value == 7.5 and v.attained_at is None
-    bad = OmegaFunction.explicit(lambda t: -1.0, "neg")
-    with pytest.raises(WcalcError):
-        bad.eval(2.0)
-
-
 def test_table_shape_guard(om_g1):
     rows = om_g1.table(LogGrid(1.0, 1e4, 50))
     assert len(rows) == 50
     assert all(b[1] >= a[1] for a, b in zip(rows, rows[1:]))
-    dip = OmegaFunction.explicit(lambda t: abs(math.log(t) - 2.0), "vee")
-    with pytest.raises(WcalcError):
-        dip.table(LogGrid(1.0, 100.0, 30))
 
 
-def test_young_conjugate_closed_form():
-    om = OmegaFunction.explicit(lambda t: t, "ident")
-    got = young_conjugate(om, 3.0, LogGrid(0.05, 100.0, 300))
-    assert got.value == pytest.approx(3.0 * math.log(3.0) - 3.0, abs=1e-9)
-    assert got.log_t_star == pytest.approx(math.log(3.0), abs=1e-4)
+def test_shape_assertion_rejects_dips_and_chord_breaks():
+    """Rows at log t = 0, 1, 2: omega must not decrease and must lie on or
+    under each chord, both up to the shape tolerance."""
+    def rows(*ws):
+        return [(math.exp(u), w, 0) for u, w in enumerate(ws)]
+
+    _assert_shape(rows(0.0, 1.0, 2.0), "line")
+    _assert_shape(rows(1.0, 1.0 - 1e-10, 1.0), "dip within tolerance")
+    with pytest.raises(WcalcError, match="decreased"):
+        _assert_shape(rows(0.0, 1.0, 0.5), "dip")
+    with pytest.raises(WcalcError, match="chord"):
+        _assert_shape(rows(0.0, 1.5, 2.0), "bulge")
+
+
+def test_young_conjugate_interpolates_log_terms(om_g1):
+    """The conjugate of a log-convex sequence's omega is the linear
+    interpolation of its log terms, with the sup at the next quotient."""
+    for s in (2.5, 7.25):
+        j, frac = int(s), s - int(s)
+        want = (1.0 - frac) * math.lgamma(j + 1) + frac * math.lgamma(j + 2)
+        got = young_conjugate(om_g1, s)
+        assert got.value == pytest.approx(want, abs=1e-9), s
+        assert got.log_t_star == pytest.approx(math.log(j + 1), abs=1e-4), s
 
 
 def test_young_conjugate_validation_and_boundaries(om_g1):
     with pytest.raises(InvalidParameterError):
         young_conjugate(om_g1, -1.0)
-    sqrt_om = OmegaFunction.explicit(lambda t: math.sqrt(t), "root")
+    # the sup for s = 50 sits at mu_51 = 51, past the grid end
     with pytest.raises(MaximizerOnBoundaryError):
-        young_conjugate(sqrt_om, 50.0, LogGrid(1.0, 100.0, 50))
-    ident = OmegaFunction.explicit(lambda t: t, "ident")
+        young_conjugate(om_g1, 50.0, LogGrid(1.0, 10.0, 50))
+    # omega rises from the grid start, and without normalization the sup
+    # over (0, t_min] is not the edge value
+    shifted = OmegaFunction.from_sequence(WeightSequence(
+        "shifted", {}, lambda j: math.lgamma(j + 1) + 1.0))
+    assert not shifted.normalized
     with pytest.raises(MaximizerOnBoundaryError):
-        young_conjugate(ident, 0.0, LogGrid(1.0, 100.0, 50))
+        young_conjugate(shifted, 0.0, LogGrid(10.0, 1e4, 50))
 
 
 def test_conjugate_at_zero_for_normalized(om_g1):
@@ -257,21 +266,31 @@ def test_scan_whose_first_point_raises_raises_on_every_repeat():
     assert om._columns == {}
 
 
-def test_cut_column_rereads_its_cut_point_through_eval():
-    """A cut column probes its cut point again, so it reads what a scan
-    through eval reads even after eval's cache changed under it."""
+def test_cut_column_stays_cut_after_a_larger_cap():
+    """An eval at a larger cap at the cut point of a column answers for
+    that cap only: the column at the smaller cap stays cut."""
     om = OmegaFunction.from_sequence(gevrey(1.0))
     grid = LogGrid(1.0, 64.5 ** 2, 3)
     us = grid.log_points()
-    ws, _ = _grid_column(om, grid, us, 64)
-    assert len(ws) == 1  # log mu_64 = log 64 <= log 64.5: cut at point 1
-    # a larger cap finds the maximizer 64 there, and eval caches it by t
-    assert om.eval(math.exp(us[1]), 65536).attained_at == 64
     ws, j_last = _grid_column(om, grid, us, 64)
-    assert ws == [om.eval(math.exp(u), 64).value for u in us[:2]]
-    assert j_last == 64
+    assert len(ws) == 1  # log mu_64 = log 64 <= log 64.5: cut at point 1
+    assert om.eval(math.exp(us[1]), 65536).attained_at == 64
+    assert _grid_column(om, grid, us, 64) == ([om.eval(1.0, 64).value], j_last)
     with pytest.raises(SupNotAttainedError):
-        om.eval(math.exp(us[2]), 64)
+        om.eval(math.exp(us[1]), 64)
+
+
+def test_maximizer_at_the_cap_raises_in_either_order():
+    """On gevrey(1) the maximizer at t = 64.5 is 64, the cap itself: the
+    search at cap 64 raises whether or not cap 65536 answered first."""
+    small_first = OmegaFunction.from_sequence(gevrey(1.0))
+    with pytest.raises(SupNotAttainedError):
+        small_first.eval(64.5, 64)
+    assert small_first.eval(64.5, 65536).attained_at == 64
+    large_first = OmegaFunction.from_sequence(gevrey(1.0))
+    assert large_first.eval(64.5, 65536).attained_at == 64
+    with pytest.raises(SupNotAttainedError):
+        large_first.eval(64.5, 64)
 
 
 def searched_indices(q, cap, log_t):
@@ -290,8 +309,6 @@ def searched_indices(q, cap, log_t):
     while hi < cap and read(hi) <= log_t:
         hi = min(2 * hi, cap)
     lo = hi // 2
-    if read(hi) <= log_t:
-        return None, reads
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if read(mid) <= log_t:
@@ -325,7 +342,7 @@ def test_argmax_reads_the_same_indices_as_before(steps, window, dip, where,
         logs.append(logs[-1] + q)
     m, ref = table(log_values=logs), table(log_values=logs)
     m.log_terms(window)
-    om = OmegaFunction(sequence=m, evaluator=None, label="t", normalized=True)
+    om = OmegaFunction(m, True)
     reads = []
     real = m.quotient_log
 
@@ -339,16 +356,16 @@ def test_argmax_reads_the_same_indices_as_before(steps, window, dip, where,
         lambda j: ref.log_term(j) - ref.log_term(j - 1),
         m.last_index(horizon), log_t)
     try:
-        got = om._argmax_index(log_t, horizon)
+        got = om._argmax_index(log_t, m.last_index(horizon))
     except SupNotAttainedError:
         got = None
     assert (got, reads) == (want, want_reads)
 
 
-# --- open defects of the omega certificate ---------------------------------
+# --- the omega certificate and eval's memo --------------------------------
 # The certificate covers [0, check horizon] while the search reads up to
-# its cap, and eval's cache is keyed on t alone.  These tests pin the
-# wanted outcomes and fail until that is mended.
+# its cap; the first test pins the wanted outcome and fails until that is
+# mended.  eval's memo is kept per cap, so the second holds.
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -373,12 +390,11 @@ def test_omega_sees_a_dip_past_the_certificate():
     assert got == pytest.approx(want, abs=1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="eval's cache is keyed on t alone")
 def test_omega_outcome_does_not_depend_on_a_smaller_cap_first():
     """scale(gevrey(1), power(2), 0.9995) is log-convex at 512 but its
-    quotients go to -inf, so omega is +inf.  Alone the horizon-65536 query
-    raises SupNotAttainedError; after the cap-512 query it returns 7.9715."""
+    quotients go to -inf, so omega is +inf.  The horizon-65536 query
+    raises SupNotAttainedError, also after the cap-512 query returned
+    7.9715."""
     head = ("seq g = gevrey(s=1); exp p = power(sigma=2); "
             "seq m = scale(base=g, phi=p, c=0.9995); omega w = assoc(m=m);\n")
 

@@ -260,6 +260,21 @@ def test_classify_from_csv(tmp_path, bounds_csv):
             == ["Holds", "Fails"])
 
 
+@pytest.mark.parametrize("name, text", [
+    ("no-bounds-key.json", '{"label": "probe"}'),
+    ("number.json", "3.5"),
+    ("fractional-order.csv", "j,log_bound\n0,0.0\n1.5,1.0\n"),
+    ("null-bound.json", "[0.0, null]"),
+    ("cut-short.json", "[0.0, 1.0"),
+])
+def test_malformed_bounds_file_exits_two(name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run("classify", "--bounds", path, "--matrix", "ptt-matrix:1:2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wcalc: path: ") and str(path) in err
+
+
 # (argv, text the error names): each call exits 0 when the part that does
 # not apply is ignored, and must instead be a usage error naming it
 INAPPLICABLE = {

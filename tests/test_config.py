@@ -205,16 +205,28 @@ def _traced_names() -> set:
     raise AssertionError("bench/tracing.py defines no TARGETS")
 
 
+def _public_definitions(tree):
+    """(name, qualified name) of each public module-level function and
+    class, and of each public method, property and classmethod of those
+    classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f.name, f"{node.name}.{f.name}") for f in node.body
+                            if isinstance(f, ast.FunctionDef)
+                            and not f.name.startswith("_"))
+
+
 def test_every_public_definition_has_a_caller():
     defined, used = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "__init__":
             continue  # an export is not a caller
         tree = ast.parse(path.read_text(), str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                defined[node.name] = path.name
+        for name, qualified in _public_definitions(tree):
+            defined[qualified] = (name, path.name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -222,5 +234,6 @@ def test_every_public_definition_has_a_caller():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(a.name for a in node.names)
-    orphans = set(defined) - used - _traced_names() - _UNCALLED_API
-    assert {n: defined[n] for n in sorted(orphans)} == {}
+    exempt = used | _traced_names() | _UNCALLED_API
+    assert {q: path for q, (name, path) in sorted(defined.items())
+            if name not in exempt} == {}

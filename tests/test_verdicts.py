@@ -62,7 +62,6 @@ def test_classify_frozen_peak_then_decay():
     vals = [0.0, 5.0, 3.0, 2.0, 1.5, 1.2, 1.1, 1.05, 1.02, 1.0]
     r = classify(vals)
     assert r.trend == FROZEN
-    assert r.stabilized
     assert r.sup == 5.0 and r.sup_index == 1
 
 
@@ -76,7 +75,6 @@ def test_classify_log_growth_is_up():
     vals = [math.log(j) for j in range(1, 65)]
     r = classify(vals)
     assert r.trend == UP
-    assert not r.stabilized
     assert r.slope == pytest.approx(1.0, abs=0.05)
 
 
@@ -85,7 +83,6 @@ def test_classify_pure_decay_is_frozen():
     vals = [-math.log(j) for j in range(1, 65)]
     r = classify(vals)
     assert r.trend == FROZEN
-    assert r.stabilized
 
 
 def test_classify_late_spike_with_sinking_fit_is_down():
@@ -94,14 +91,12 @@ def test_classify_late_spike_with_sinking_fit_is_down():
     vals[60] = 1.0
     r = classify(vals)
     assert r.trend == DOWN
-    assert r.stabilized
 
 
 def test_classify_late_sup_with_flat_slope():
     vals = [0.0] * 15 + [1e-9]
     r = classify(vals)
     assert r.trend == FLAT
-    assert r.stabilized
 
 
 def test_classify_short_window_rules():

@@ -66,6 +66,11 @@ def test_load_bounds_csv(tmp_path):
     empty.write_text("j,log_bound\n")
     with pytest.raises(InvalidParameterError):
         load_bounds_csv(str(empty))
+    # a negative order is an error, not a row left out
+    negative = tmp_path / "negative.csv"
+    negative.write_text("j,log_bound\n0,0.0\n1,1.5\n-3,9.0\n")
+    with pytest.raises(InvalidParameterError, match="negative.csv"):
+        load_bounds_csv(str(negative))
 
 
 def test_load_bounds_json(tmp_path):
