@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import (
-    GOLDEN_ITERS,
     GRID_POINTS,
     GRID_T_MAX,
     GRID_T_MIN,
+    need_grid_points,
     need_horizon,
 )
 from .errors import (
@@ -40,9 +40,6 @@ from . import conditions as _conditions
 # chord slack for the convexity-in-log-t batch assertion
 _SHAPE_TOL = 1e-9
 
-# golden ratio step for section search
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class LogGrid:
@@ -58,8 +55,7 @@ class LogGrid:
         if not (self.t_max > self.t_min and math.isfinite(self.t_max)):
             raise InvalidParameterError(
                 "t_max", f"need t_max > t_min, got {self.t_max}")
-        if self.points < 2:
-            raise InvalidParameterError("points", f"need >= 2 points, got {self.points}")
+        need_grid_points(self.points)
 
     def log_points(self) -> list[float]:
         lo = math.log(self.t_min)
@@ -86,25 +82,18 @@ class OmegaFunction:
 
     from_sequence verifies the certificate: the input was log-convex with
     empirically divergent roots at construction time, which is what makes
-    the maximizer-localized evaluation sound.
+    the maximizer search and young_conjugate's two-term reading sound.
 
-    Two memos live on the instance and die with it.  _cache maps an index
+    One memo lives on the instance and dies with it.  _cache maps an index
     cap (last_index of eval's horizon) to {t: (omega(t), maximizer)}, so
     an entry is what a fresh search at that cap returns and no answer
     depends on the queries before it; it grows by one entry per distinct
-    (cap, t) that eval answers.  _columns maps a (LogGrid, horizon) pair
-    to the grid column that young_conjugate reads: omega at the grid's log
-    points up to the cut where the maximizer leaves the horizon, and the
-    maximizer at the last of them.  It grows only with the distinct grids
-    and horizons that conjugate, recover and from_omega calls use on this
-    omega, by at most one float per grid point each.
+    (cap, t) that eval answers.
     """
 
-    def __init__(self, sequence: WeightSequence, normalized: bool) -> None:
+    def __init__(self, sequence: WeightSequence) -> None:
         self._m = sequence
-        self._normalized = normalized
         self._cache: dict[int, dict[float, tuple[float, int]]] = {}
-        self._columns: dict[tuple[LogGrid, int], tuple[list[float], int]] = {}
 
     @classmethod
     def from_sequence(cls, m: WeightSequence,
@@ -121,16 +110,7 @@ class OmegaFunction:
                 f"roots of {m.label()} not empirically divergent up to {h}",
                 witness={"root_last_quarter_min": profile["root_last_quarter_min"],
                          "root_first_quarter_max": profile["root_first_quarter_max"]})
-        normalized = _conditions.check_condition(m, "normalized", h).holds
-        return cls(m, normalized)
-
-    @property
-    def sequence(self) -> WeightSequence:
-        return self._m
-
-    @property
-    def normalized(self) -> bool:
-        return self._normalized
+        return cls(m)
 
     def label(self) -> str:
         return self._m.label()
@@ -138,25 +118,30 @@ class OmegaFunction:
     # -- evaluation ---------------------------------------------------------
 
     def _argmax_index(self, log_t: float, cap: int) -> int:
-        """Largest j <= cap with log mu_j <= log t.
-
-        Sound because the quotients were certified non-decreasing at
-        construction; doubling plus bisection touches O(log j*) terms.
-        """
-        m = self._m
-        if m.quotient_log(cap) <= log_t:
+        """Largest j <= cap with log mu_j <= log t."""
+        j = self._last_index(self._m.quotient_log, log_t, cap)
+        if j is None:
             raise SupNotAttainedError(
-                f"maximizer of {m.label()} at log t = {log_t:.6g} reaches "
-                f"index {cap}; raise the horizon")
+                f"maximizer of {self._m.label()} at log t = {log_t:.6g} "
+                f"reaches index {cap}; raise the horizon")
+        return j
+
+    @staticmethod
+    def _last_index(key, bound: float, cap: int) -> int | None:
+        """Largest j < cap with key(j) <= bound, or None when key(cap) <=
+        bound, for a key that the certified quotients keep non-decreasing
+        on [1, cap]; doubling plus bisection reads O(log j) keys."""
+        if key(cap) <= bound:
+            return None
         hi = 1
-        while hi < cap and m.quotient_log(hi) <= log_t:
+        while hi < cap and key(hi) <= bound:
             hi = min(2 * hi, cap)
         lo = hi // 2
-        # invariant: quotient(lo) <= log_t (or lo == 0), quotient(hi) > log_t
-        # (the loop read it, or hi == cap, read above)
+        # invariant: key(lo) <= bound (or lo == 0), key(hi) > bound (the
+        # loop read it, or hi == cap, read above)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if m.quotient_log(mid) <= log_t:
+            if key(mid) <= bound:
                 lo = mid
             else:
                 hi = mid
@@ -210,95 +195,65 @@ def _assert_shape(rows, label: str) -> None:
 # Young conjugate of u -> omega(e^u)
 
 
-def _grid_column(omega: OmegaFunction, grid: LogGrid, us: list[float],
-                 horizon: int | None) -> tuple[list[float], int]:
-    """omega(e^u) at the log points us of grid, cut where the inner sup
-    leaves the horizon, with the maximizer at the last point scanned.
-
-    The column is kept per (grid, horizon) and returned as stored: eval
-    answers each point as a fresh search at the horizon's cap does, so a
-    second scan would read the same column.  A scan that raises at its
-    first point stores nothing."""
-    h = need_horizon(horizon, 1, omega=True)
-    col = omega._columns.get((grid, h))
-    if col is not None:
-        return col
-    ws, j_last = [], 0
-    for u in us:
-        try:
-            w = omega.eval(math.exp(u), h)
-        except SupNotAttainedError:
-            if not ws:
-                raise
-            break
-        ws.append(w.value)
-        j_last = w.attained_at
-    col = omega._columns[grid, h] = ws, j_last
-    return col
-
-
 def young_conjugate(omega: OmegaFunction, s: float, grid: LogGrid | None = None,
                     horizon: int | None = None) -> ConjugateValue:
+    """sup_u (s*u - omega(e^u)), read off the certified sequence.
+
+    g(u) = s*u - omega(e^u) is concave and piecewise linear, with slope
+    s - j between log mu_j and log mu_{j+1}.  With k = ceil(s) it peaks at
+    log mu_k, where its value is log M_k + (s - k) log mu_k; an integer s
+    peaks on the whole gap [log mu_s, log mu_{s+1}] (log mu_0 = -inf, and
+    log mu_s alone at the index cap) with the value log M_s.  The grid
+    only bounds where the peak may sit: a peak wholly past its end or
+    wholly before its start raises MaximizerOnBoundaryError, and k past
+    the horizon's index cap raises SupNotAttainedError.
+    """
     if not (math.isfinite(s) and s >= 0.0):
         raise InvalidParameterError("s", f"need finite s >= 0, got {s}")
     grid = grid or LogGrid()
-    us = grid.log_points()
-    # g(u) = s*u - omega(e^u) on the grid.  For points beyond the cut g is
-    # non-increasing (the inner maximizer already exceeds s there), so they
-    # cannot host the max.
-    ws, j_last = _grid_column(omega, grid, us, horizon)
-    vals = [s * u - w for u, w in zip(us, ws)]
-    best = max(range(len(vals)), key=vals.__getitem__)
-    last = len(vals) - 1
-    if best == last:
-        # right edge: safe only when the cut already certifies descent
-        cut = len(vals) < len(us)
-        if not (cut and j_last >= s):
-            raise MaximizerOnBoundaryError(
-                f"conjugate maximizer for s={s:.6g} sits at the grid end "
-                f"t={math.exp(us[best]):.6g}; enlarge the grid")
-    if best == 0:
-        plateau = len(vals) > 1 and vals[1] >= vals[0] - 1e-12
-        if not (omega.normalized or plateau):
-            raise MaximizerOnBoundaryError(
-                f"conjugate maximizer for s={s:.6g} sits at the grid start "
-                f"t={grid.t_min:.6g}; extend the grid downward")
-        # for normalized omega the sup over (0, t_min] equals g(u_min) exactly
-        return ConjugateValue(vals[0], us[0])
-
-    lo = us[best - 1]
-    hi = us[min(best + 1, last)]
-
-    def g(u: float) -> float:
-        return s * u - omega.eval(math.exp(u), horizon).value
-
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(GOLDEN_ITERS):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = g(x2)
+    m = omega._m
+    cap = m.last_index(need_horizon(horizon, 1, omega=True))
+    k = math.ceil(s)
+    if k > cap:
+        raise SupNotAttainedError(
+            f"conjugate maximizer for s={s:.6g} sits at index {k}, past the "
+            f"index cap {cap}; raise the horizon")
+    lo = m.quotient_log(k) if k else -math.inf
+    hi = m.quotient_log(k + 1) if k == s and k < cap else lo
+    value = m.log_term(k) if k == s else m.log_term(k) + (s - k) * lo
+    # omega clamps sup_j (j u - log M_j) at 0, binding only where M_0 > 1:
+    # if the sup is negative at lo, g is s*u below its zero u0, so the peak
+    # moves to u0 ((-inf, u0] at s = 0) or, if it crosses u0, starts there
+    if m.log_term(0) > 0.0 and (k * lo if k else 0.0) < m.log_term(k):
+        j = omega._last_index(
+            lambda i: i * m.quotient_log(i) - m.log_term(i), 0.0, cap)
+        if j is None:
+            raise SupNotAttainedError(
+                f"omega of {m.label()} is 0 up to index {cap}; raise the "
+                "horizon")
+        u0 = m.log_term(j) / j
+        if s and u0 < hi:
+            lo = u0
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = g(x1)
-    u_star = x1 if f1 >= f2 else x2
-    refined = max(f1, f2)
-    if refined >= vals[best]:
-        return ConjugateValue(refined, u_star)
-    return ConjugateValue(vals[best], us[best])
+            lo, hi, value = u0 if s else -math.inf, u0, s * u0
+    if lo > math.log(grid.t_max):
+        raise MaximizerOnBoundaryError(
+            f"conjugate maximizer for s={s:.6g} sits at the grid end "
+            f"t={grid.t_max:.6g}; enlarge the grid")
+    log_t_min = math.log(grid.t_min)
+    if hi < log_t_min:
+        raise MaximizerOnBoundaryError(
+            f"conjugate maximizer for s={s:.6g} sits at the grid start "
+            f"t={grid.t_min:.6g}; extend the grid downward")
+    return ConjugateValue(value, max(lo, log_t_min))
 
 
 def recover_term(omega: OmegaFunction, j: int, grid: LogGrid | None = None,
                  horizon: int | None = None) -> float:
     """Rebuild log M_j as the conjugate at integer argument.
 
-    For a log-convex normalized source with divergent roots the conjugate
-    is flat on the whole quotient gap [mu_j, mu_{j+1}], so the grid search
-    lands on the exact value rather than a discretization of it.
+    For M_0 <= 1 the conjugate is flat at log M_j on the gap [mu_j,
+    mu_{j+1}], so this is log M_j bit for bit once grid and horizon reach it.
     """
     if j < 0:
         raise InvalidParameterError("j", f"need j >= 0, got {j}")
@@ -376,7 +331,7 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
     if mode == "numeric_ratio":
         grid = grid or LogGrid(10.0, 1e6)
         # check_sc above is the certificate from_sequence would repeat
-        om, on = (OmegaFunction(seq, True) for seq in (m, n))
+        om, on = (OmegaFunction(seq) for seq in (m, n))
         ts, ratios, (lo, hi) = _ratio_probe(
             lambda t: om.eval(t).value, lambda t: on.eval(t).value, grid)
         ev = {

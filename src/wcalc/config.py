@@ -14,7 +14,7 @@ import dataclasses
 import math
 import os
 
-from .errors import HorizonError
+from .errors import HorizonError, InvalidParameterError
 
 ENV_HORIZON = "WCALC_HORIZON"
 
@@ -37,7 +37,6 @@ OFFDIAG_SAMPLES = 64  # seeded (j, k) pairs added to two-index diagonals
 COMPARISON_SLACK = 1e-12
 # default geometric grid of associated functions: [t_min, t_max], points
 GRID_T_MIN, GRID_T_MAX, GRID_POINTS = 1.0, 1e8, 200
-GOLDEN_ITERS = 40  # golden-section refinement steps (rel. width ~4e-9)
 FDB_HORIZON = 60  # cap of composition-sequence (FdB) checks
 OMEGA_INDEX_CAP = 1 << 26  # hard cap of the index search in sup evaluations
 # largest index a term window or a window horizon may reach; a window fill
@@ -78,7 +77,9 @@ class Config:
             "grid_t_min": GRID_T_MIN,
             "grid_t_max": GRID_T_MAX,
             "grid_points": GRID_POINTS,
-            "golden_iters": GOLDEN_ITERS,
+            # read by nothing; the key goes with fdb_horizon, whose
+            # removal moves every report digest anyway
+            "golden_iters": 40,
             "fdb_horizon": FDB_HORIZON,
             "omega_index_cap": OMEGA_INDEX_CAP,
             "continuation_steps": CONTINUATION_STEPS,
@@ -110,6 +111,14 @@ def need_horizon(horizon, floor: int, *, omega: bool = False) -> int:
     if rule is not None:
         raise HorizonError(f"{rule}, got {horizon!r}")
     return horizon
+
+
+def need_grid_points(points) -> None:
+    """Reject a log-grid point count that is not an int (a bool is not
+    one) in [2, WINDOW_CAP], before any grid point is made."""
+    if type(points) is not int or not 2 <= points <= WINDOW_CAP:
+        raise InvalidParameterError(
+            "points", f"need an integer in [2, {WINDOW_CAP}], got {points!r}")
 
 
 def default_config() -> Config:

@@ -121,6 +121,8 @@ def load_bounds_json(path: str) -> DerivBounds:
         data = {"bounds": data}
     bounds = data.get("bounds") if isinstance(data, dict) else None
     try:
+        if not isinstance(bounds, list):
+            raise TypeError
         vals = tuple(float(v) for v in bounds)
     except (TypeError, ValueError):
         raise InvalidParameterError(

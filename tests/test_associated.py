@@ -28,8 +28,9 @@ from wcalc import (
     table,
     young_conjugate,
 )
-from wcalc.associated import _assert_shape, _grid_column
-from wcalc.config import GOLDEN_ITERS
+from wcalc.associated import ConjugateValue, _assert_shape
+from wcalc.config import WINDOW_CAP
+from wcalc.conditions import check_condition
 from wcalc.sequences import WeightSequence
 
 WIDE = LogGrid(1.0, 1e70, 400)
@@ -62,6 +63,16 @@ def test_log_grid_shape_and_validation():
         LogGrid(10.0, 10.0, 5)
     with pytest.raises(InvalidParameterError):
         LogGrid(1.0, 10.0, 1)
+
+
+@pytest.mark.parametrize("points", [10**11, WINDOW_CAP + 1, 2.5, 200.0, True])
+def test_log_grid_points_are_an_int_up_to_the_window_cap(points):
+    """Checked before any grid point is made, so a huge count allocates
+    nothing."""
+    with pytest.raises(InvalidParameterError) as err:
+        LogGrid(1.0, 10.0, points)
+    assert err.value.field == "points"
+    assert LogGrid(1.0, 10.0, WINDOW_CAP).points == WINDOW_CAP
 
 
 def test_eval_matches_exhaustive_sup(g1, g2, p12, om_g1, om_g2):
@@ -154,12 +165,11 @@ def test_young_conjugate_validation_and_boundaries(om_g1):
     # the sup for s = 50 sits at mu_51 = 51, past the grid end
     with pytest.raises(MaximizerOnBoundaryError):
         young_conjugate(om_g1, 50.0, LogGrid(1.0, 10.0, 50))
-    # omega rises from the grid start, and without normalization the sup
-    # over (0, t_min] is not the edge value
+    # M_0 = e: omega is 0 up to t = sqrt(2e) = 2.33, so for s = 0 the sup
+    # sits on (0, 2.33], wholly below the grid start
     shifted = OmegaFunction.from_sequence(WeightSequence(
         "shifted", {}, lambda j: math.lgamma(j + 1) + 1.0))
-    assert not shifted.normalized
-    with pytest.raises(MaximizerOnBoundaryError):
+    with pytest.raises(MaximizerOnBoundaryError, match="grid start"):
         young_conjugate(shifted, 0.0, LogGrid(10.0, 1e4, 50))
 
 
@@ -206,9 +216,62 @@ def test_assoc_matrix_term_and_from_omega(om_g1):
         assert b >= a - 1e-9
 
 
-# --- the grid column and the maximizer search ----------------------------
+# --- the conjugate against the grid search it replaced -------------------
 
 NEAR = LogGrid(0.5, 1e40, 250)
+
+
+def golden_conjugate(omega, s, grid=None, horizon=None):
+    """The grid-column and golden-section conjugate that young_conjugate
+    replaced, kept as an oracle: omega on the grid's log points up to the
+    cut where the maximizer leaves the horizon, the best point, then 40
+    golden-section steps on its two neighbours.  Its error is at most
+    0.618^40 times the bracket, 8.8e-9 times the grid step in log t."""
+    if not (math.isfinite(s) and s >= 0.0):
+        raise InvalidParameterError("s", f"need finite s >= 0, got {s}")
+    grid = grid or LogGrid()
+    us = grid.log_points()
+    ws, j_last = [], 0
+    for u in us:
+        try:
+            w = omega.eval(math.exp(u), horizon)
+        except SupNotAttainedError:
+            if not ws:
+                raise
+            break
+        ws.append(w.value)
+        j_last = w.attained_at
+    vals = [s * u - w for u, w in zip(us, ws)]
+    best = max(range(len(vals)), key=vals.__getitem__)
+    last = len(vals) - 1
+    if best == last and not (len(vals) < len(us) and j_last >= s):
+        raise MaximizerOnBoundaryError("grid end")
+    if best == 0:
+        normalized = check_condition(omega._m, "normalized", 4).holds
+        plateau = len(vals) > 1 and vals[1] >= vals[0] - 1e-12
+        if not (normalized or plateau):
+            raise MaximizerOnBoundaryError("grid start")
+        return ConjugateValue(vals[0], us[0])
+
+    def g(u):
+        return s * u - omega.eval(math.exp(u), horizon).value
+
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = us[best - 1], us[min(best + 1, last)]
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = g(x1), g(x2)
+    for _ in range(40):
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = g(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = g(x1)
+    if max(f1, f2) >= vals[best]:
+        return ConjugateValue(max(f1, f2), x1 if f1 >= f2 else x2)
+    return ConjugateValue(vals[best], us[best])
 
 
 def answer(om, op, x, grid, horizon):
@@ -223,9 +286,8 @@ def answer(om, op, x, grid, horizon):
 @pytest.mark.parametrize("make", [lambda: gevrey(1.5), lambda: ptt(1.0, 2.0)])
 def test_conjugate_and_recover_answer_alike_in_any_order(make):
     """One omega serving every (grid, horizon) pair, in either order,
-    answers each call as a fresh omega does.  Horizon 64 cuts the gevrey
-    scans and 512 cuts them further out; recover(100) needs the longer
-    column."""
+    answers each call as a fresh omega does; horizon 64 puts recover(100)
+    past the cap."""
     calls = [(op, x, grid, h)
              for grid, h in ((WIDE, 512), (NEAR, 512), (WIDE, 64), (NEAR, 64))
              for op, x in (("recover", 3), ("conjugate", 2.5), ("recover", 6),
@@ -238,46 +300,175 @@ def test_conjugate_and_recover_answer_alike_in_any_order(make):
         assert [got[c] for c in calls] == fresh
 
 
-def test_repeat_scan_reads_its_column(p12):
-    om = OmegaFunction.from_sequence(p12)
-    first = young_conjugate(om, 5.5, WIDE)
-    calls = []
-    real = om.eval
+def test_young_conjugate_makes_no_eval_call(monkeypatch):
+    def no_eval(self, t, horizon=None):
+        raise AssertionError(f"eval({t!r}) called")
 
-    def counting(t, horizon=None):
-        calls.append(t)
-        return real(t, horizon)
-
-    om.eval = counting
-    assert young_conjugate(om, 5.5, WIDE) == first
-    # the golden-section refinement only: no grid point is evaluated again
-    assert len(calls) == GOLDEN_ITERS + 2
-    assert not set(calls) & set(WIDE.values())
+    m = ptt(1.0, 2.0)
+    om = OmegaFunction.from_sequence(m)
+    monkeypatch.setattr(OmegaFunction, "eval", no_eval)
+    assert young_conjugate(om, 5.5, WIDE).value == pytest.approx(
+        0.5 * (m.log_term(5) + m.log_term(6)), rel=1e-15)
+    assert recover_term(om, 4, WIDE) == m.log_term(4)
+    assert assoc_matrix_term(om, 2.0, 3, WIDE) == m.log_term(6) / 2.0
+    assert from_omega(om, 1.0, WIDE).log_terms(8) == m.log_terms(8)
 
 
-def test_scan_whose_first_point_raises_raises_on_every_repeat():
+def test_peak_below_the_grid_start_raises_on_every_repeat():
+    """gevrey(1.5) at s = 2 peaks on [log mu_2, log mu_3], far below a grid
+    starting at 1e30, whose first point is past horizon 64 as well."""
     om = OmegaFunction.from_sequence(gevrey(1.5))
     far = LogGrid(1e30, 1e70, 50)
     for _ in range(3):
-        with pytest.raises(SupNotAttainedError):
+        with pytest.raises(MaximizerOnBoundaryError, match="grid start"):
             young_conjugate(om, 2.0, far, 64)
-        with pytest.raises(SupNotAttainedError):
+        with pytest.raises(MaximizerOnBoundaryError, match="grid start"):
             recover_term(om, 2, far, 64)
-    assert om._columns == {}
+    assert om._cache == {}
 
 
-def test_cut_column_stays_cut_after_a_larger_cap():
-    """An eval at a larger cap at the cut point of a column answers for
-    that cap only: the column at the smaller cap stays cut."""
-    om = OmegaFunction.from_sequence(gevrey(1.0))
-    grid = LogGrid(1.0, 64.5 ** 2, 3)
-    us = grid.log_points()
-    ws, j_last = _grid_column(om, grid, us, 64)
-    assert len(ws) == 1  # log mu_64 = log 64 <= log 64.5: cut at point 1
-    assert om.eval(math.exp(us[1]), 65536).attained_at == 64
-    assert _grid_column(om, grid, us, 64) == ([om.eval(1.0, 64).value], j_last)
+def outcome(call):
+    try:
+        return call()
+    except WcalcError as exc:
+        kind = type(exc).__name__
+        for edge in ("grid start", "grid end"):
+            if edge in str(exc):
+                return kind, edge
+        return kind
+
+
+G1 = OmegaFunction.from_sequence(gevrey(1.0))
+
+
+@pytest.mark.parametrize("args, was, now", [
+    # a normalized omega whose peak lies below t_min: the grid search
+    # answered g at t_min, not the sup; log 3! = 1.79
+    ((G1, 3.0, LogGrid(100.0, 1e6, 50)), -82.9621,
+     ("MaximizerOnBoundaryError", "grid start")),
+    # the first grid point is past the cap while k = 2 <= 64 sits below it
+    ((G1, 2.0, LogGrid(1e30, 1e70, 50), 64), "SupNotAttainedError",
+     ("MaximizerOnBoundaryError", "grid start")),
+    # k = 70 is past the cap 64; the grid search saw omega rise to its end
+    ((G1, 70.0, LogGrid(1.0, 10.0, 50), 64),
+     ("MaximizerOnBoundaryError", "grid end"), "SupNotAttainedError"),
+    # k = 64 is the cap itself: the column was cut one point early
+    ((G1, 64.0, WIDE, 64), ("MaximizerOnBoundaryError", "grid end"),
+     math.lgamma(65.0)),
+    # log mu_3 = log 3 < log 3.1, but the 7-point scan peaked at its end
+    ((G1, 2.5, LogGrid(1.0, 3.1, 7)), ("MaximizerOnBoundaryError", "grid end"),
+     0.5 * (math.lgamma(3.0) + math.lgamma(4.0))),
+    # M_0 = 1/e, not normalized: the peak (-inf, log mu_1] reaches t_min = 1
+    ((OmegaFunction.from_sequence(WeightSequence(
+        "low", {}, lambda j: math.lgamma(j + 1) - 1.0)), 0.0),
+     ("MaximizerOnBoundaryError", "grid start"), -1.0),
+])
+def test_each_changed_outcome(args, was, now):
+    """One example of each outcome the two-term reading changes, with the
+    grid search's outcome beside it."""
+    def value(call):
+        got = outcome(call)
+        return got.value if isinstance(got, ConjugateValue) else got
+
+    old = value(lambda: golden_conjugate(*args))
+    new = value(lambda: young_conjugate(*args))
+    if isinstance(was, float):
+        assert old == pytest.approx(was, abs=1e-4)
+    else:
+        assert old == was
+    if isinstance(now, float):
+        assert new == pytest.approx(now, rel=1e-15)
+    else:
+        assert new == now
+
+
+def test_omega_clamped_at_zero_moves_the_peak():
+    """M_0 = e: omega = max(0, sup_j (j log t - log M_j)) is 0 up to the
+    zero u0 = (1 + log 2) / 2 of the sup, so g = s*u there.  For s <= 1
+    the peak moves to u0; at s = 2 the flat piece [log 2, log 3] is cut
+    to [u0, log 3]."""
+    om = OmegaFunction.from_sequence(WeightSequence(
+        "shifted", {}, lambda j: math.lgamma(j + 1) + 1.0))
+    u0 = (1.0 + math.log(2.0)) / 2.0
+    grid = LogGrid(1e-3, 1e8, 300)
+    for s, want, at in ((0.0, 0.0, math.log(1e-3)), (0.5, 0.5 * u0, u0),
+                        (1.0, u0, u0), (2.0, 1.0 + math.log(2.0), u0),
+                        (2.5, 1.0 + 0.5 * (math.log(2.0) + math.log(6.0)),
+                         math.log(3.0))):
+        got = young_conjugate(om, s, grid)
+        assert got.value == pytest.approx(want, abs=1e-12), s
+        assert got.log_t_star == pytest.approx(at, abs=1e-12), s
+        assert got.value == pytest.approx(
+            golden_conjugate(om, s, grid).value, abs=1e-8), s
+    # the zero of the sup past the cap: omega is 0 on the whole search range
     with pytest.raises(SupNotAttainedError):
-        om.eval(math.exp(us[1]), 64)
+        young_conjugate(om, 0.5, grid, 2)
+
+
+def _log_convex_table(head, steps):
+    logs = [head]
+    q = 0.0
+    for step in steps:
+        q += step
+        logs.append(logs[-1] + q)
+    return table(log_values=logs)
+
+
+SOURCES = st.one_of(
+    st.builds(gevrey, st.floats(0.5, 3.0)),
+    st.builds(ptt, st.floats(0.5, 2.0), st.floats(1.1, 2.0)),
+    st.builds(_log_convex_table,
+              st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+              st.lists(st.floats(0.01, 2.0), min_size=8, max_size=90)),
+)
+
+
+@st.composite
+def log_grids(draw):
+    """Grids whose step in log t is at most 1, so the oracle is within
+    8.8e-9 of the sup."""
+    lo = draw(st.floats(-5.0, 10.0))
+    span = draw(st.floats(0.5, 90.0))
+    points = math.ceil(span) + 1 + draw(st.integers(0, 300))
+    return LogGrid(math.exp(lo), math.exp(lo + span), points)
+
+
+@settings(deadline=None, max_examples=120)
+@given(SOURCES, log_grids(),
+       st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 40.0)),
+       st.one_of(st.none(), st.integers(1, 600)))
+def test_conjugate_matches_the_grid_search(m, grid, s, horizon):
+    """Where both answer, the oracle from its section search, they agree
+    within 1e-8 max(1, |v|); the value is s u - omega(e^u) at log_t_star
+    and at least that at every grid point eval answers, within the same
+    bound; recover gives log M_j bit for bit when M_0 <= 1."""
+    om = OmegaFunction(m)
+    new = outcome(lambda: young_conjugate(om, s, grid, horizon))
+    if not isinstance(new, ConjugateValue):
+        return
+    tol = 1e-8 * max(1.0, abs(new.value))
+    old = outcome(lambda: golden_conjugate(om, s, grid, horizon))
+    # the oracle's answer at t_min is g there, not the sup, when the peak
+    # lies off the grid or between its first two points
+    if isinstance(old, ConjugateValue) and old.log_t_star > grid.log_points()[0]:
+        assert new.value == pytest.approx(old.value, abs=tol)
+    try:
+        w = om.eval(math.exp(new.log_t_star), horizon).value
+    except SupNotAttainedError:
+        pass  # the peak is mu_cap itself
+    else:
+        assert new.value == pytest.approx(s * new.log_t_star - w, abs=tol)
+    for u in grid.log_points():
+        try:
+            w = om.eval(math.exp(u), horizon).value
+        except SupNotAttainedError:
+            break
+        assert new.value >= s * u - w - tol
+    if s == int(s):
+        got = recover_term(om, int(s), grid, horizon)
+        # M_0 > 1: omega's clamp at 0 pulls the small terms down
+        assert (got == m.log_term(int(s)) if m.log_term(0) <= 0.0
+                else got == new.value <= m.log_term(int(s)))
 
 
 def test_maximizer_at_the_cap_raises_in_either_order():
@@ -342,7 +533,7 @@ def test_argmax_reads_the_same_indices_as_before(steps, window, dip, where,
         logs.append(logs[-1] + q)
     m, ref = table(log_values=logs), table(log_values=logs)
     m.log_terms(window)
-    om = OmegaFunction(m, True)
+    om = OmegaFunction(m)
     reads = []
     real = m.quotient_log
 

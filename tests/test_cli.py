@@ -118,6 +118,15 @@ def test_exit_two_on_bad_horizon_or_index_grid(tmp_path, bounds_csv,
         assert f"WCALC_HORIZON={env!r}" in err
 
 
+def test_grid_points_past_the_window_cap_exit_two(tmp_path, capsys):
+    for points in ("100000000000", "2.5"):
+        assert run("omega", "--family", "gevrey:1", "--t-grid",
+                   f"1:10:{points}", "--csv", tmp_path / "o.csv") == 2
+    assert "points: need an integer in [2, 1048576], got 100000000000" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_exit_three_on_runtime_errors(tmp_path):
     assert run("run", tmp_path / "missing.wsq") == 3
     # explicit horizon below the sup maximizer: the value is not attained
@@ -167,15 +176,15 @@ def test_golden_report_bytes(tmp_path):
 # horizon 64, so its bigO/smallO records are errors, hence exit code 3.
 # omega.wsq interleaves conjugate and recover calls on one omega under two
 # grids and two horizons, with from_omega and numeric_ratio; its last two
-# queries start past the horizon on purpose, hence exit code 3.
+# queries peak below the grid start on purpose, hence exit code 3.
 # Recorded with CPython 3.11 on Linux x86-64; another libm may move the
 # last bit of an lgamma and with it the digest.
 GOLDEN_SHA256 = {
-    "smoke.wsq": (0, "0aceb7aef7bdb96945e4648e29dde2440d137db7041eb86a892507659b66ec9e"),
+    "smoke.wsq": (0, "d4813b563b662b6012587928c0d0ad2f7dee402a9b9e2b1c6c06c65206826363"),
     "windows.wsq": (3, "853dc34a2f1038b51633a1d675556d462a527e564bccdb5a561f48846c3a5d9d"),
     "evidence.wsq": (3, "0f17709aa8b4a7d022da8f73a5c494767ef01d38f3a098c1a40bfcf5dfec4ae9"),
     "matrix.wsq": (1, "2f3a3468c6adf7000223480fd9ed4a3ff9fd2dcc1710103521a6de492bfe5d04"),
-    "omega.wsq": (3, "d138fba5080c42ebbf0c90ce7f5127f30935ca90bdb92d2b8313ce743a2e0f69"),
+    "omega.wsq": (3, "daa73e19fedcc56be56ebac5cb97fb4da139aa5ba564f285a393e749200b3e7b"),
 }
 
 
@@ -266,6 +275,9 @@ def test_classify_from_csv(tmp_path, bounds_csv):
     ("fractional-order.csv", "j,log_bound\n0,0.0\n1.5,1.0\n"),
     ("null-bound.json", "[0.0, null]"),
     ("cut-short.json", "[0.0, 1.0"),
+    # a string or an object under "bounds" is not a list of bounds
+    ("string-bounds.json", '{"bounds": "12"}'),
+    ("object-bounds.json", '{"bounds": {"1": 0}}'),
 ])
 def test_malformed_bounds_file_exits_two(name, text, tmp_path, capsys):
     path = tmp_path / name

@@ -111,7 +111,7 @@ def _entry_points():
         # the window the certificate read
         "OmegaFunction.from_sequence": (
             4, lambda h: wcalc.OmegaFunction.from_sequence(wcalc.gevrey(1), h),
-            lambda om: len(om.sequence._window) - 1),
+            lambda om: len(om._m._window) - 1),
         "regularize_slc": (4, lambda h: wcalc.regularize_slc(wcalc.gevrey(1), h),
                            lambda m: len(m.params["_base"]._window) - 1),
     }

@@ -368,6 +368,14 @@ def test_error_record_messages(stmt, message):
     assert records[-1]["error"] == {"type": "WcalcError", "message": message}
 
 
+@pytest.mark.parametrize("points", ["1e11", "1048577"])
+def test_grid_points_past_the_window_cap_are_an_error_record(points):
+    rec = execute(parse(_PRE + f"eval recover(w, 3) grid [1, 1e70, {points}];"))[-1]
+    assert rec["error"] == {
+        "type": "InvalidParameterError",
+        "message": f"points: need an integer in [2, 1048576], got {int(float(points))}"}
+
+
 def test_family_scale_attaches_phi():
     # the L evidence of a matrix built from one sequence reports phi's growth
     rec, = execute(parse("seq a = gevrey(s=1); exp q = linear();\n"
