@@ -149,13 +149,16 @@ def _answer(kind: str, op: str, cfg, h: int, env: dict, flavor=None,
 
 
 def _parse_t_grid(text: str) -> _assoc.LogGrid:
-    parts = text.split(":")
-    if len(parts) != 3:
+    try:
+        t_min, t_max, points = map(float, text.split(":"))
+    except ValueError:  # not three parts, or one is not a number
         raise UsageError(f"--t-grid looks like a:b:n, got {text!r}")
     try:
-        return _assoc.LogGrid(float(parts[0]), float(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        # the count rule of a script grid: 1e3 is 1000, 2.5 is an error
+        points = _dsl._integer("--t-grid point count n", points)
+    except WcalcError as exc:
+        raise UsageError(f"{exc}, got {text!r}")
+    return _assoc.LogGrid(t_min, t_max, points)
 
 
 def _exit_code(records, allow_undetermined: bool) -> int:
@@ -279,19 +282,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="exit 0 even when verdicts are Undetermined")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wcalc",
-        description="Finite-horizon calculus for weight sequences, weight "
-                    "matrices, and their associated functions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="run a .wsq script")
+def _args_run(p: argparse.ArgumentParser) -> None:
     p.add_argument("script")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("check", help="one-shot condition check on a family")
+
+def _args_check(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True,
                    help=_specs(("seq", "matrix"), "[:C]"))
     p.add_argument("--params", default=None, help="k=v,... family parameters")
@@ -301,21 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", default=None, help="r|b for matrix conditions")
     p.add_argument("--alphas", default=None, help="comma list for gamma-lb")
     p.add_argument("--grid", default=None, help="matrix index grid, comma list")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("omega", help="tabulate an associated function to CSV")
+
+def _args_omega(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--t-grid", dest="t_grid", default=None,
                    help="a:b:n geometric evaluation grid")
     p.add_argument("--csv", required=True, help="output CSV path")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_omega)
 
+
+def _args_compare(p: argparse.ArgumentParser) -> None:
     c_max = next(q.default for q in _dsl.SIGNATURES["compare", "bigO"].params
                  if q.name == "c_max")
-    p = sub.add_parser("compare", help="order relation between two sequences")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--left-params", dest="left_params", default=None)
@@ -323,25 +316,69 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel", required=True, help=_ops("compare"))
     p.add_argument("--c-max", dest="c_max", type=int, default=None,
                    help=f"largest scale for bigO/smallO (default {c_max})")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_compare)
 
-    p = sub.add_parser("classify", help="membership of derivative-bound data")
+
+def _args_classify(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bounds", required=True, help="CSV (j,log_bound) or JSON")
     p.add_argument("--matrix", required=True, help=_specs(("matrix",)))
     p.add_argument("--params", default=None)
     p.add_argument("--phi", default=None, help=_specs(("exp",)))
     p.add_argument("--grid", default=None, help="matrix index grid, comma list")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_classify)
 
+
+# subcommand name -> (help line, argument adder, handler)
+COMMANDS = {
+    "run": ("run a .wsq script", _args_run, _cmd_run),
+    "check": ("one-shot condition check on a family", _args_check, _cmd_check),
+    "omega": ("tabulate an associated function to CSV", _args_omega,
+              _cmd_omega),
+    "compare": ("order relation between two sequences", _args_compare,
+                _cmd_compare),
+    "classify": ("membership of derivative-bound data", _args_classify,
+                 _cmd_classify),
+}
+
+
+def _add_command(p: argparse.ArgumentParser, name: str) -> None:
+    _, add, fn = COMMANDS[name]
+    add(p)
+    _add_common(p)
+    p.set_defaults(fn=fn)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand with all of its options."""
+    parser = argparse.ArgumentParser(
+        prog="wcalc",
+        description="Finite-horizon calculus for weight sequences, weight "
+                    "matrices, and their associated functions.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse argv with only the parser of the subcommand argv[0] names.
+
+    That parser is the one build_parser() registers under the name, so it
+    prints the same help and errors.  Anything it cannot settle, such as
+    no subcommand first or arguments left over, goes to the full parser,
+    whose top-level usage and `unrecognized arguments` error it keeps.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"wcalc {argv[0]}")
+        _add_command(parser, argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

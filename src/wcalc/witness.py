@@ -200,6 +200,8 @@ def theta_derivative_log_bound(n: WeightSequence, k: int,
 def theta_bounds(n: WeightSequence, count: int,
                  truncation: int | None = None) -> DerivBounds:
     """Derivative-bound data of the witness series of n at 0."""
+    if count < 0:
+        raise InvalidParameterError("count", f"need count >= 0, got {count}")
     vals = tuple(theta_derivative_log_bound(n, k, truncation)
                  for k in range(count + 1))
     return DerivBounds(vals, label=f"theta({n.label()})", source="theta")

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, env override, golden report bytes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -127,6 +128,18 @@ def test_grid_points_past_the_window_cap_exit_two(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_t_grid_count_reads_like_the_script_grid(tmp_path, capsys):
+    # 1e3 is 1000 points, as in the script grid [1, 10, 1e3]
+    path = tmp_path / "o.csv"
+    assert run("omega", "--family", "gevrey:1", "--t-grid", "1:10:1e3",
+               "--csv", path) == 0
+    assert len(list(csv.reader(open(path)))) == 1001
+    for points in ("2.5", "x"):
+        assert run("omega", "--family", "gevrey:1", "--t-grid",
+                   f"1:10:{points}", "--csv", path) == 2
+        assert capsys.readouterr().err.startswith("wcalc: --t-grid ")
+
+
 def test_exit_three_on_runtime_errors(tmp_path):
     assert run("run", tmp_path / "missing.wsq") == 3
     # explicit horizon below the sup maximizer: the value is not attained
@@ -137,6 +150,70 @@ def test_exit_three_on_runtime_errors(tmp_path):
 def test_help_exits_clean(capsys):
     assert run("--help") == 0
     assert "run" in capsys.readouterr().out
+
+
+# argv that argparse alone answers (help or a parse error): the CLI must
+# print the bytes the full parser prints, whichever parser it builds
+PARSE_ONLY = {
+    "help": ("--help",),
+    **{f"{name}-help": (name, "--help") for name in cli.COMMANDS},
+    "missing-required": ("check", "--family", "gevrey:1"),
+    "unrecognized": ("check", "--family", "gevrey:1", "--cond", "lc",
+                     "--bogus", "1"),
+    "extra-positional": ("run", "a.wsq", "b.wsq"),
+    "bad-format": ("compare", "--left", "gevrey:1", "--right", "gevrey:2",
+                   "--rel", "preceq", "--format", "xml"),
+    "non-integer-horizon": ("check", "--family", "gevrey:1", "--cond", "lc",
+                            "--horizon", "1.5"),
+    "not-a-command": ("bogus", "--family", "gevrey:1"),
+    "option-first": ("--horizon", "64", "check"),
+    "empty": (),
+}
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+@pytest.mark.parametrize("name", sorted(PARSE_ONLY))
+def test_parse_output_matches_full_parser(name, columns, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", columns)
+    argv = list(PARSE_ONLY[name])
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    want = (exc.value.code, capsys.readouterr())
+    assert (run(*argv), capsys.readouterr()) == want
+
+
+def test_a_subcommand_call_builds_only_its_parser(monkeypatch):
+    full = cli.build_parser
+
+    class FullParser(Exception):
+        pass
+
+    def refuse():
+        raise FullParser
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    argv = ("check", "--family", "gevrey:1", "--cond", "lc", "--horizon", "64")
+    assert run(*argv) == 0
+    # left-over arguments go to the full parser for its error text
+    with pytest.raises(FullParser):
+        run(*argv, "--bogus")
+    # which still registers every subcommand with all of its options
+    sub, = (a for a in full()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    common = ["--allow-undetermined", "--format", "--help", "--horizon",
+              "--out", "--seed", "-h"]
+    assert {name: sorted(o for a in p._actions
+                         for o in a.option_strings or [a.dest])
+            for name, p in sub.choices.items()} == {
+        "run": sorted(common + ["script"]),
+        "check": sorted(common + ["--family", "--params", "--cond",
+                                  "--flavor", "--alphas", "--grid"]),
+        "omega": sorted(common + ["--family", "--params", "--t-grid",
+                                  "--csv"]),
+        "compare": sorted(common + ["--left", "--right", "--left-params",
+                                    "--right-params", "--rel", "--c-max"]),
+        "classify": sorted(common + ["--bounds", "--matrix", "--params",
+                                     "--phi", "--grid"]),
+    }
 
 
 def test_env_horizon_and_flag_precedence(tmp_path, monkeypatch):

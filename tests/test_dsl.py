@@ -376,6 +376,13 @@ def test_grid_points_past_the_window_cap_are_an_error_record(points):
         "message": f"points: need an integer in [2, 1048576], got {int(float(points))}"}
 
 
+def test_negative_theta_count_is_an_error_record():
+    # the count rule of synthetic_bounds, not "need at least one bound"
+    rec = execute(parse(_PRE + "seq a = theta_bounds(g, -1);"))[-1]
+    assert rec["error"] == {"type": "InvalidParameterError",
+                            "message": "count: need count >= 0, got -1"}
+
+
 def test_family_scale_attaches_phi():
     # the L evidence of a matrix built from one sequence reports phi's growth
     rec, = execute(parse("seq a = gevrey(s=1); exp q = linear();\n"
