@@ -88,7 +88,11 @@ class OmegaFunction:
     cap (last_index of eval's horizon) to {t: (omega(t), maximizer)}, so
     an entry is what a fresh search at that cap returns and no answer
     depends on the queries before it; it grows by one entry per distinct
-    (cap, t) that eval answers.
+    (cap, t) that eval answers.  In a script that is at most one entry per
+    eval query and two per grid point of a query that reads omega on a
+    grid (at t and 2t), and the instance dies when the run ends.  It grows without bound only for
+    a long-lived Python caller that keeps one instance and evaluates it at
+    ever new points.
     """
 
     def __init__(self, sequence: WeightSequence) -> None:

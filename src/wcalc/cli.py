@@ -388,10 +388,12 @@ def main(argv=None) -> int:
         h = args.horizon if args.horizon is not None else cfg.horizon
         records = args.fn(args, cfg, h)
         report = _report.Report(cfg, records)
+        body = _report.emit(report, args.format)
         if args.out:
             with open(args.out, "wb") as fh:
-                fh.write(_report.emit_json(report))
-        sys.stdout.write(_report.emit(report, args.format).decode("utf-8"))
+                fh.write(body if args.format == "json"
+                         else _report.emit_json(report))
+        sys.stdout.write(body.decode("utf-8"))
         return _exit_code(records, args.allow_undetermined)
     except (UsageError, SourceError, InvalidParameterError) as exc:
         print(f"wcalc: {exc}", file=sys.stderr)

@@ -43,6 +43,10 @@ OMEGA_INDEX_CAP = 1 << 26  # hard cap of the index search in sup evaluations
 # allocates its whole block before checking a term, so this bounds memory.
 # Not a threshold: reports leave it out of their config block.
 WINDOW_CAP = 1 << 20
+# largest derivative-bound count of a theta_bounds call, whose work is
+# O(count^2): 9.5 s for gevrey(1) at 4096 on a 2-vCPU x86-64 guest.  Not
+# a threshold either.
+THETA_COUNT_CAP = 1 << 12
 # partner candidates a quantifier search adds beyond its index grid
 CONTINUATION_STEPS = 4
 # constants standing in for "for all C > 0" in scaling-stability checks
@@ -91,8 +95,9 @@ def _unmet_rule(horizon, floor: int, omega: bool) -> str | None:
     """The horizon rule a value breaks, or None when it meets them all."""
     if type(horizon) is not int or horizon < floor:
         return f"need an integer >= {floor}"
-    if not omega and horizon > WINDOW_CAP:
-        return f"need an integer <= {WINDOW_CAP}"
+    cap = OMEGA_INDEX_CAP if omega else WINDOW_CAP
+    if horizon > cap:
+        return f"need an integer <= {cap}"
     return None
 
 
@@ -102,8 +107,8 @@ def need_horizon(horizon, floor: int, *, omega: bool = False) -> int:
 
     None means the default: DEFAULT_HORIZON, or OMEGA_INDEX_CAP for the
     index search of an omega evaluation (omega=True).  Any other value
-    must be an int (a bool is not one) of at least floor, and a window
-    horizon (omega=False) at most WINDOW_CAP.
+    must be an int (a bool is not one) of at least floor, and at most
+    WINDOW_CAP for a window horizon or OMEGA_INDEX_CAP for an index search.
     """
     if horizon is None:
         return OMEGA_INDEX_CAP if omega else DEFAULT_HORIZON

@@ -13,13 +13,25 @@ that parses cannot fail on a missing or rebound name later; the kind of
 binding each name refers to is checked when its statement runs.
 A query takes each option at most once, and only the options its
 operation reads (SIGNATURES); every query takes horizon.
+
+NUMBER is an optional sign, a run of digits and dots, and an optional
+exponent ([eE], an optional sign, digits), and must read as a finite
+float.  One compiled regex scans the tokens (_Scanner), in batches that
+end at a "[".  There the parser first tries the list as one block: a
+span up to the next "]" that holds only number characters, commas and
+blanks, and whose comma-separated items all read as finite floats, is
+exactly a list of NUMBER tokens, so it is read with str.split and float
+and no token is made.  Any other list (a name, a nested list, a comment,
+a malformed or non-finite literal, an empty item) is read token by
+token, which raises the error of the token path.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .config import Config
 from .errors import SourceError, WcalcError
@@ -201,80 +213,122 @@ QUERY_OPS = {q: tuple(name for kind, name in SIGNATURES if kind == q)
 # ---------------------------------------------------------------------------
 # tokens
 
-_PUNCT = "()=,;[]"
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str           # IDENT | NUMBER | PUNCT | EOF
     text: str
     line: int
     col: int
 
 
+def _scan_pattern(digits: str, nonalpha: str) -> re.Pattern:
+    r"""The token regex, given the characters besides \d that str.isdigit
+    takes (digits) and the word characters that str.isalpha does not
+    (nonalpha): \w is exactly str.isalnum or "_", and \d str.isdecimal.
+    It skips leading blanks, and the group that matched names the token."""
+    num = rf"\d{digits}."
+    return re.compile(
+        r"[ \t\r]*(?:"
+        r"(?P<NL>\n)"
+        r"|(?P<COMMENT>#[^\n]*)"
+        r"|(?P<PUNCT>[()=,;\[\]])"
+        rf"|(?P<IDENT>(?![\d{nonalpha}])\w+)"
+        rf"|(?P<NUMBER>[+-]?(?=[{num}])[{num}]*(?:[eE][+-]?[\d{digits}]+)?)"
+        r"|(?P<EOF>\Z)"
+        r"|(?P<OTHER>.))")
+
+
+# in ASCII text \d is str.isdigit, and \w minus \d str.isalpha or "_"
+_ASCII_SCAN = _scan_pattern("", "")
+# a list of plain numbers, between its brackets
+_PLAIN_LIST = re.compile(r"[0-9eE.+\-, \t\r\n]*")
+
+
+def _finite(lit: str) -> bool:
+    try:
+        return math.isfinite(float(lit))
+    except ValueError:
+        return False
+
+
+class _Scanner:
+    """The tokens of a script, read by one compiled regex in batches that
+    end at a "[" (so that a list may be read as one block) or at EOF.
+
+    Columns count characters from 1, except that a comment does not
+    advance them (so an EOF after a trailing comment sits at the "#")."""
+
+    def __init__(self, text: str):
+        self.text = text
+        if text.isascii():
+            pattern = _ASCII_SCAN
+        else:
+            odd = {ch for ch in set(text) if not ch.isascii()}
+            pattern = _scan_pattern(
+                "".join(sorted(ch for ch in odd if ch.isdigit())),
+                "".join(sorted(ch for ch in odd
+                               if ch.isalnum() and not ch.isalpha())))
+        self._match = pattern.match
+        self.pos = 0
+        self.line = 1
+        self.line_start = 0   # offset that column 1 of this line stands at
+
+    def tokens(self) -> list[Token]:
+        """The tokens from here through the next "[" or EOF."""
+        text, match, make = self.text, self._match, Token._make
+        pos, line, line_start = self.pos, self.line, self.line_start
+        out = []
+        while True:
+            m = match(text, pos)
+            kind = m.lastgroup
+            start, pos = m.span(kind)
+            if kind == "NL":
+                line += 1
+                line_start = pos
+                continue
+            if kind == "COMMENT":
+                line_start += pos - start
+                continue
+            lit = m[kind]
+            col = start - line_start + 1
+            if kind == "OTHER":
+                raise SourceError(f"unexpected character {lit!r}", line, col)
+            if kind == "NUMBER" and not _finite(lit):
+                raise SourceError(f"bad number literal {lit!r}", line, col)
+            out.append(make((kind, lit, line, col)))
+            if kind == "EOF" or lit == "[":
+                self.pos, self.line, self.line_start = pos, line, line_start
+                return out
+
+    def numbers(self) -> tuple | None:
+        """The values of a list of plain numbers whose "[" ended the last
+        batch, read as one block through its "]"; None, reading
+        nothing, when the list holds anything else (a name, a nested list,
+        a comment, a malformed or non-finite literal, an empty item).
+        Every item float() takes here is one NUMBER token."""
+        text, start = self.text, self.pos
+        end = text.find("]", start)
+        if end < 0 or not _PLAIN_LIST.fullmatch(text, start, end):
+            return None
+        try:
+            values = tuple(map(float, text[start:end].split(",")))
+        except ValueError:
+            return None
+        if not math.isfinite(sum(values)):  # inf or nan in, or overflow
+            return None
+        newlines = text.count("\n", start, end)
+        if newlines:
+            self.line += newlines
+            self.line_start = text.rindex("\n", start, end) + 1
+        self.pos = end + 1
+        return values
+
+
 def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _PUNCT:
-            out.append(Token("PUNCT", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("IDENT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or ch == "." or (ch in "+-" and i + 1 < n
-                                         and (text[i + 1].isdigit()
-                                              or text[i + 1] == ".")):
-            j = i
-            if text[j] in "+-":
-                j += 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
-            try:
-                finite = math.isfinite(float(lit))
-            except ValueError:
-                finite = False
-            if not finite:
-                raise SourceError(f"bad number literal {lit!r}",
-                                  start_line, start_col)
-            out.append(Token("NUMBER", lit, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise SourceError(f"unexpected character {ch!r}", start_line, start_col)
-    out.append(Token("EOF", "", line, col))
+    scan = _Scanner(text)
+    out = scan.tokens()
+    while out[-1].kind != "EOF":
+        out += scan.tokens()
     return out
 
 
@@ -323,8 +377,12 @@ class Program:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    """Recursive descent over a scanner: anything with tokens() and
+    numbers() as _Scanner has them."""
+
+    def __init__(self, scan):
+        self.scan = scan
+        self.toks = scan.tokens()
         self.pos = 0
         self.scope: dict[str, str] = {}  # name -> kind
 
@@ -334,6 +392,8 @@ class _Parser:
     def advance(self) -> Token:
         tok = self.toks[self.pos]
         self.pos += 1
+        if self.pos == len(self.toks):
+            self.toks, self.pos = self.scan.tokens(), 0
         return tok
 
     def fail(self, message: str, tok: Token | None = None,
@@ -465,6 +525,11 @@ class _Parser:
                 raise self.fail(f"unbound name {tok.text!r}", tok)
             return Ref(tok.text)
         if tok.kind == "PUNCT" and tok.text == "[":
+            # a "[" ends its batch, so the scanner stands just past it
+            block = self.scan.numbers()
+            if block is not None:
+                self.toks, self.pos = self.scan.tokens(), 0
+                return block
             self.advance()
             items = [self.value()]
             while self.peek().kind == "PUNCT" and self.peek().text == ",":
@@ -477,7 +542,13 @@ class _Parser:
 
 
 def parse(text: str) -> Program:
-    return _Parser(tokenize(text)).program()
+    """The program a script holds.  A script with a bad token anywhere
+    raises the first such token's error, before any grammar error."""
+    try:
+        return _Parser(_Scanner(text)).program()
+    except SourceError:
+        tokenize(text)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,13 @@ class WeightSequence:
     point reads beyond it, in a per-index memo (_memo).  _fn evaluates one
     term; _block, when given, evaluates the terms at lo..hi in one pass with
     the same float operations.
+
+    The memo holds one entry per distinct index read past the window and
+    dies with the sequence.  A script's sequences live while its run does,
+    and each query adds only the indices it reads: O(log cap) for an omega
+    evaluation, a few for a conjugate or a recovered term.  It grows
+    without bound only for a long-lived Python caller that keeps one
+    sequence and reads ever new indices past its window.
     """
 
     family: str

@@ -12,7 +12,7 @@ import sys
 import jsonschema
 import pytest
 
-from wcalc import cli, gevrey, ptt_matrix, synthetic_bounds
+from wcalc import cli, gevrey, ptt_matrix, report, synthetic_bounds
 
 ROOT = pathlib.Path(__file__).parents[1]
 DATA = pathlib.Path(__file__).parent / "data"
@@ -105,6 +105,11 @@ def test_exit_two_on_bad_horizon_or_index_grid(tmp_path, bounds_csv,
         assert run(*argv, "--horizon", 10**12) == 2, argv
         assert "horizon: need an integer <= 1048576, got 1000000000000" \
             in capsys.readouterr().err
+    # an omega index cap above OMEGA_INDEX_CAP exits 2 before any search
+    assert run("omega", "--family", "gevrey:1", "--csv", tmp_path / "o.csv",
+               "--horizon", 2**26 + 1) == 2
+    assert "horizon: need an integer <= 67108864, got 67108865" \
+        in capsys.readouterr().err
     monkeypatch.setenv("WCALC_HORIZON", str(10**12))
     assert run("check", "--family", "gevrey:1", "--cond", "lc") == 2
     assert "need an integer <= 1048576, got WCALC_HORIZON='1000000000000'" \
@@ -273,11 +278,16 @@ def test_golden_report_digest(script, tmp_path, monkeypatch):
     assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN_SHA256[script]
 
 
-def test_stdout_formats_match_file(tmp_path, capsys):
+def test_stdout_formats_match_file(tmp_path, capsys, monkeypatch):
+    calls = []
+    emit_json = report.emit_json
+    monkeypatch.setattr(report, "emit_json",
+                        lambda rep: calls.append(rep) or emit_json(rep))
     out = tmp_path / "r.json"
     assert run("check", "--family", "gevrey:1", "--cond", "mg",
                "--out", out, "--format", "json") == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+    assert len(calls) == 1  # one encoding serves the file and stdout
     assert run("check", "--family", "gevrey:1", "--cond", "mg",
                "--format", "csv") == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))

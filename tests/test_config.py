@@ -10,7 +10,7 @@ import pytest
 
 import wcalc
 from wcalc import Config, HorizonError, InvalidParameterError
-from wcalc.config import WINDOW_CAP
+from wcalc.config import OMEGA_INDEX_CAP, WINDOW_CAP
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parents[1] / "docs" / "report-schema.json")
@@ -145,8 +145,14 @@ def test_env_horizon_takes_the_same_rule(monkeypatch):
 
 def test_omega_index_cap_takes_the_same_rule():
     omega = wcalc.OmegaFunction.from_sequence(wcalc.gevrey(1), 64)
+    # an explicit index cap has the default as its ceiling
     _rejects_bad_horizons("OmegaFunction.eval", 1,
-                          lambda h: omega.eval(1e7, h))
+                          lambda h: omega.eval(1e7, h),
+                          (OMEGA_INDEX_CAP + 1, 10**30))
+    _rejects_bad_horizons("young_conjugate", 1,
+                          lambda h: wcalc.young_conjugate(omega, 2.5, horizon=h),
+                          (OMEGA_INDEX_CAP + 1, 10**30))
+    assert omega.eval(1e7, OMEGA_INDEX_CAP) == omega.eval(1e7)
     # the default caps the index search far above the check horizon
     assert omega.eval(1e7).attained_at > 512
     # the index search allocates no window, so WINDOW_CAP does not bound it

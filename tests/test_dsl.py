@@ -4,7 +4,7 @@ import math
 import pathlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wcalc import Config, SourceError, cli, dsl
 from wcalc.dsl import (
@@ -22,6 +22,7 @@ from wcalc.dsl import (
     Program,
     Query,
     Ref,
+    Token,
     execute,
     format_statement,
     parse,
@@ -383,6 +384,16 @@ def test_negative_theta_count_is_an_error_record():
                             "message": "count: need count >= 0, got -1"}
 
 
+def test_count_and_index_cap_ceilings_are_error_records():
+    recs = execute(parse(_PRE + "seq a = theta_bounds(g, 4097);\n"
+                         "eval omega(w, 2) horizon 67108865;"))
+    assert [r["error"] for r in recs[-2:]] == [
+        {"type": "InvalidParameterError",
+         "message": "count: need count <= 4096, got 4097"},
+        {"type": "HorizonError",
+         "message": "horizon: need an integer <= 67108864, got 67108865"}]
+
+
 def test_family_scale_attaches_phi():
     # the L evidence of a matrix built from one sequence reports phi's growth
     rec, = execute(parse("seq a = gevrey(s=1); exp q = linear();\n"
@@ -539,3 +550,186 @@ def test_fuzzed_source_raises_only_source_error(text):
     except SourceError:
         return
     assert parse(print_program(program)).statements == program.statements
+
+
+# ---------------------------------------------------------------------------
+# the regex scanner and the block list read against the character loop
+
+
+def _loop_tokenize(text):
+    """The character-by-character scanner the regex scanner replaced."""
+    out = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch in "()=,;[]":
+            out.append(Token("PUNCT", ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            out.append(Token("IDENT", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit() or ch == "." or (ch in "+-" and i + 1 < n
+                                         and (text[i + 1].isdigit()
+                                              or text[i + 1] == ".")):
+            j = i
+            if text[j] in "+-":
+                j += 1
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            lit = text[i:j]
+            try:
+                finite = math.isfinite(float(lit))
+            except ValueError:
+                finite = False
+            if not finite:
+                raise SourceError(f"bad number literal {lit!r}",
+                                  start_line, start_col)
+            out.append(Token("NUMBER", lit, start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise SourceError(f"unexpected character {ch!r}", start_line, start_col)
+    out.append(Token("EOF", "", line, col))
+    return out
+
+
+class _TokenBatch:
+    """A scanner that hands over a finished token list as one batch."""
+
+    def __init__(self, tokens):
+        self.batch = tokens
+
+    def tokens(self):
+        return self.batch
+
+
+class _LoopParser(dsl._Parser):
+    """The parser with the per-token list loop only, no block read."""
+
+    def value(self):
+        tok = self.peek()
+        if tok.kind == "PUNCT" and tok.text == "[":
+            self.advance()
+            items = [self.value()]
+            while self.peek().kind == "PUNCT" and self.peek().text == ",":
+                self.advance()
+                items.append(self.value())
+            self.expect_punct("]")
+            return tuple(items)
+        return super().value()
+
+
+def _loop_parse(text):
+    return _LoopParser(_TokenBatch(_loop_tokenize(text))).program()
+
+
+def _outcome(fn, text):
+    """What fn returns on text, statements with their positions, or the
+    message, position and expectations of the SourceError it raises."""
+    try:
+        out = fn(text)
+    except SourceError as exc:
+        return ("error", str(exc), exc.line, exc.column, exc.expected)
+    if isinstance(out, Program):
+        return [(s, s.line, s.col) for s in out.statements]
+    return out
+
+
+_PLAIN_NUMBERS = ["1", "0", "-2.5", "+.5", "1e3", "2E-2", "-0", "7.",
+                  "1e308", "12.5e-3"]
+# str.isdigit takes more than \d ("²"), and str.isalpha is not [^\W\d_]
+# ("²", "½", "Ⅻ"); "١" is a decimal digit that float() reads, and so are
+# "1_0" and a no-break space, which no token takes
+_ODD_NUMBERS = ["1e", "1e+", "1..2", "1e400", "-1e400", "9" * 320, ".", "+",
+                "-", "١", "1١", "²", "3²", "1e²", "½", "e", "x", "1 2", "",
+                "[1]", "1_0"]
+_GAPS = [",", ", ", " ,", ",\n", ",\r\n  ", "\t,"]
+_ODD_GAPS = [", # note\n", ",,", " ", ",\xa0"]
+_BITS = _PLAIN_NUMBERS + _ODD_NUMBERS + _GAPS + _ODD_GAPS + [
+    "seq", "check", "lc", "horizon", "grid", "table", "values", "t", "µ",
+    "Ⅻ", "a_1", "(", ")", "=", ";", "[", "]", " ", "\n", "\r\n", "\t",
+    "# comment", "#", "@", "Ä"]
+
+
+def _mostly(plain, odd):
+    """One in five draws from odd."""
+    return st.integers(0, 4).flatmap(
+        lambda i: st.sampled_from(odd if i == 0 else plain))
+
+
+@st.composite
+def _number_lists(draw):
+    items = draw(st.lists(_mostly(_PLAIN_NUMBERS, _ODD_NUMBERS),
+                          min_size=1, max_size=8))
+    text = items[0]
+    for item in items[1:]:
+        text += draw(_mostly(_GAPS, _ODD_GAPS)) + item
+    return text + draw(_mostly(["", "\n"], [",", " ,\n"]))
+
+
+@st.composite
+def scripts(draw):
+    """A table binding and a query with a grid, their lists drawn mostly
+    from plain number literals and separators, then as often as not up to
+    three fragments spliced in anywhere; or a soup of fragments."""
+    if draw(st.integers(0, 4)) == 0:
+        return "".join(draw(st.lists(st.sampled_from(_BITS), max_size=30)))
+    text = (f"seq t = table(values=[{draw(_number_lists())}]);\r\n"
+            "check lc(t) horizon 64;\n"
+            f"compare numeric_ratio(t, t) grid [{draw(_number_lists())}];"
+            + draw(st.sampled_from(["", "\n", " # end", "\n# end"])))
+    for _ in range(draw(st.integers(-3, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(_BITS)) + text[i:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(scripts())
+@example("check lc(t); # trailing")  # EOF column stays at the "#"
+@example("#")
+@example("µ² = Ⅻ½;")
+@example("x١ ١ 1١ ²")
+@example("1e²")
+@example("+²")
+@example("seq t = table(values=[1,\r\n 2 ,3\n]); @")
+@example("seq t = table(values=[1, 1e400]);")
+@example("seq 1 = x; @")
+@example("check lc(t) grid [1, 2, 3,];")
+@example("seq t = table(values=[1,\n 2]); check lc(t) x;")  # column past a block
+@example("seq t = table(values=[1_0]);")  # float() reads "1_0"
+@example("seq t = table(values=[1,\xa02]);")  # and strips a no-break space
+@example("seq t = table(values=[1,\n[2]]);")
+def test_scanner_and_block_read_match_the_character_loop(text):
+    assert _outcome(tokenize, text) == _outcome(_loop_tokenize, text)
+    assert _outcome(parse, text) == _outcome(_loop_parse, text)

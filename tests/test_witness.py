@@ -26,6 +26,8 @@ from wcalc import (
     theta_derivative_log_bound,
     theta_eval,
 )
+from wcalc import witness
+from wcalc.config import THETA_COUNT_CAP
 
 LN2 = math.log(2.0)
 
@@ -156,6 +158,13 @@ def test_derivative_bound_validation(g1):
     # explicit truncation above the floor is accepted
     v = theta_derivative_log_bound(g1, 10, truncation=25)
     assert v >= g1.log_term(10)
+
+
+def test_theta_count_past_its_ceiling_raises_before_any_bound(g1, monkeypatch):
+    monkeypatch.setattr(witness, "theta_derivative_log_bound",
+                        lambda *a: pytest.fail("a bound was computed"))
+    with pytest.raises(InvalidParameterError, match="need count <= 4096"):
+        theta_bounds(g1, THETA_COUNT_CAP + 1)
 
 
 def test_theta_bounds_dataset(g1):
