@@ -47,6 +47,10 @@ WINDOW_CAP = 1 << 20
 # O(count^2): 9.5 s for gevrey(1) at 4096 on a 2-vCPU x86-64 guest.  Not
 # a threshold either.
 THETA_COUNT_CAP = 1 << 12
+# largest (count + 1) * (truncation + 1) of a theta_bounds call with an
+# explicit truncation: the terms the largest default call reads (orders
+# 0..THETA_COUNT_CAP, order k truncated at k + 50), 8,599,603
+THETA_TERM_CAP = (THETA_COUNT_CAP + 1) * (THETA_COUNT_CAP + 102) // 2
 # partner candidates a quantifier search adds beyond its index grid
 CONTINUATION_STEPS = 4
 # constants standing in for "for all C > 0" in scaling-stability checks

@@ -3,6 +3,14 @@
 The JSON form is byte-stable: sorted keys, fixed separators, trailing
 newline, no timestamps.  Two runs with the same config produce identical
 bytes, which is what the golden-file tests pin down.
+
+emit_json writes exactly the bytes of json.dumps(d, sort_keys=True,
+indent=2, ensure_ascii=False) plus a newline, UTF-8 encoded, where d is
+Report.to_dict().  It writes them itself: json.dumps never uses its C
+encoder once indent is set, and joins the whole text before encoding it,
+so the report would be held as pieces, as a str and as bytes at once.
+The writer encodes its pieces into UTF-8 chunks every _FLUSH_PIECES
+pieces instead.
 """
 
 from __future__ import annotations
@@ -38,10 +46,117 @@ def _scalar(v) -> bool:
     return v is None or isinstance(v, (str, int, float, bool))
 
 
+_encode_str = json.encoder.encode_basestring
+# float.__repr__ of the values json writes as NaN, Infinity, -Infinity
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# pieces the JSON writer gathers before it encodes them as one chunk
+_FLUSH_PIECES = 4096
+
+
+def _float_text(v: float) -> str:
+    text = float.__repr__(v)
+    return _NONFINITE.get(text, text)
+
+
+def _subclass_text(v) -> str | None:
+    """JSON text of a str, int or float subclass, as its base type; None
+    for a value json cannot write."""
+    if isinstance(v, str):
+        return _encode_str(v)
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float_text(v)
+    return None
+
+
+# JSON text of a scalar by its exact type; other types go to _subclass_text
+_TEXT_OF_TYPE = {
+    str: _encode_str,
+    float: _float_text,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key_text(k) -> str:
+    """A dict key as json.dumps writes it: a str as itself, an int, float,
+    bool or None as its scalar text, quoted."""
+    text = _TEXT_OF_TYPE.get(type(k), _subclass_text)(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return text if isinstance(k, str) else f'"{text}"'
+
+
+def _write(v, level: int, pieces: list[str], chunks: list[bytes]) -> None:
+    """Append the JSON text of the container v, indented at level, to
+    pieces, and encode pieces into a chunk once there are _FLUSH_PIECES."""
+    put = pieces.append
+    text_of = _TEXT_OF_TYPE.get
+    other = _subclass_text
+    if isinstance(v, (list, tuple)):
+        if not v:
+            put("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level + "]"
+        texts = [text_of(type(x), other)(x) for x in v]
+        if None not in texts:
+            put(f"[{inner}{(',' + inner).join(texts)}{close}")
+            return
+        sep = "[" + inner
+        for x, text in zip(v, texts):
+            if text is None:
+                put(sep)
+                _write(x, level + 1, pieces, chunks)
+            else:
+                put(sep + text)
+            sep = "," + inner
+        put(close)
+    elif isinstance(v, dict):
+        if not v:
+            put("{}")
+            return
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for k, x in sorted(v.items()):
+            key = _encode_str(k) if type(k) is str else _key_text(k)
+            text = text_of(type(x), other)(x)
+            if text is None:
+                put(f"{sep}{key}: ")
+                _write(x, level + 1, pieces, chunks)
+            else:
+                put(f"{sep}{key}: {text}")
+            sep = "," + inner
+        put("\n" + "  " * level + "}")
+    else:
+        raise TypeError(f"Object of type {v.__class__.__name__} "
+                        f"is not JSON serializable")
+    if len(pieces) >= _FLUSH_PIECES:
+        chunks.append("".join(pieces).encode("utf-8"))
+        pieces.clear()
+
+
+def _json_chunks(value) -> list[bytes]:
+    """The UTF-8 chunks of json.dumps(value, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n"; tuples are lists, dict items are sorted
+    on their original keys, and any other type raises TypeError."""
+    pieces: list[str] = []
+    chunks: list[bytes] = []
+    text = _TEXT_OF_TYPE.get(type(value), _subclass_text)(value)
+    if text is None:
+        _write(value, 0, pieces, chunks)
+    else:
+        pieces.append(text)
+    pieces.append("\n")
+    chunks.append("".join(pieces).encode("utf-8"))
+    return chunks
+
+
 def emit_json(report: Report) -> bytes:
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2,
-                      ensure_ascii=False)
-    return (text + "\n").encode("utf-8")
+    return b"".join(_json_chunks(report.to_dict()))
 
 
 def emit_csv(report: Report) -> bytes:

@@ -12,7 +12,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from operator import mul
 
 from .config import COMPARISON_SLACK, LOG_SLOPE_TOL, STABILIZE_REL
@@ -52,11 +52,18 @@ class Verdict:
 _DECIMATE_LIMIT = 16
 
 
+def _as_list(xs) -> list | range:
+    """xs itself when it is a list or a range, else a list of its items:
+    the trajectory helpers read their inputs without changing them."""
+    return xs if type(xs) is list or type(xs) is range else list(xs)
+
+
 def decimate(values) -> list:
-    """Evenly thinned copy for evidence payloads, ends kept."""
-    vals = list(values)
+    """Evenly thinned copy for evidence payloads, ends kept; always a new
+    list, so evidence never shares the caller's."""
+    vals = _as_list(values)
     if len(vals) <= _DECIMATE_LIMIT:
-        return vals
+        return list(vals)
     step = (len(vals) - 1) / (_DECIMATE_LIMIT - 1)
     return [vals[round(i * step)] for i in range(_DECIMATE_LIMIT)]
 
@@ -96,13 +103,17 @@ def _log_axis(indices: range | tuple) -> tuple[array, float]:
     return dx, sxx
 
 
-def _log_slope(hidx: list, half: list) -> float:
+def _log_slope(hidx: list | range, half: list) -> float:
     """fit_line([ln i for i in hidx], half)[0] on a cached ln axis: the
-    trajectories of one run share a few index lists."""
-    first = hidx[0]
-    run = range(first, first + len(hidx)) if type(first) is int else None
-    dx, sxx = _log_axis(run if run is not None and hidx == list(run)
-                        else tuple(hidx))
+    trajectories of one run share a few index lists.  A range keys the
+    cache as it is, a list of consecutive ints as the range it spells."""
+    if type(hidx) is range:
+        key = hidx
+    else:
+        first = hidx[0]
+        run = range(first, first + len(hidx)) if type(first) is int else None
+        key = run if run is not None and hidx == list(run) else tuple(hidx)
+    dx, sxx = _log_axis(key)
     return _centred_fit(dx, sxx, half)[0]
 
 
@@ -144,8 +155,8 @@ def classify_trajectory(indices, values) -> TailReport:
     growth is indistinguishable from convergence on a finite window; that
     boundary is exactly what the tolerance encodes.
     """
-    vals = list(values)
-    idx = list(indices)
+    vals = _as_list(values)
+    idx = _as_list(indices)
     n = len(vals)
     if n == 0:
         raise ValueError("empty trajectory")
@@ -188,15 +199,15 @@ def running_sup_stabilized(values) -> tuple[bool, float]:
     a sup crawling through the last fraction of a large initial climb
     still counts as settled).
     """
-    vals = list(values)
+    vals = _as_list(values)
     if not vals:
         raise ValueError("empty trajectory")
     # the running sup at 3n/4 and at the end; seeded with -inf, and max
     # keeps its current value unless an item is strictly greater, so a NaN
     # never becomes a sup
     q3 = (3 * len(vals)) // 4
-    anchor = max(chain((-math.inf,), vals[:q3 + 1]))
-    last = max(chain((anchor,), vals[q3 + 1:]))
+    anchor = max(chain((-math.inf,), islice(vals, q3 + 1)))
+    last = max(chain((anchor,), islice(vals, q3 + 1, None)))
     moved = last - anchor
     scale = max(1.0, abs(last), max(vals) - min(vals))
     return moved <= STABILIZE_REL * scale, last

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .config import THETA_COUNT_CAP
+from .config import THETA_COUNT_CAP, THETA_TERM_CAP
 from .errors import InvalidParameterError, PreconditionError
 from .logdomain import log_sum
 from .sequences import ExponentSequence, WeightSequence, linear_exponents
@@ -201,12 +201,18 @@ def theta_derivative_log_bound(n: WeightSequence, k: int,
 def theta_bounds(n: WeightSequence, count: int,
                  truncation: int | None = None) -> DerivBounds:
     """Derivative-bound data of the witness series of n at 0, for the
-    orders 0..count (count at most THETA_COUNT_CAP)."""
+    orders 0..count (count at most THETA_COUNT_CAP).  An explicit
+    truncation reads truncation + 1 terms per order, so (count + 1) *
+    (truncation + 1) may not pass THETA_TERM_CAP."""
     if count < 0:
         raise InvalidParameterError("count", f"need count >= 0, got {count}")
     if count > THETA_COUNT_CAP:
         raise InvalidParameterError(
             "count", f"need count <= {THETA_COUNT_CAP}, got {count}")
+    if truncation is not None and (count + 1) * (truncation + 1) > THETA_TERM_CAP:
+        raise InvalidParameterError(
+            "truncation", f"need (count + 1) * (truncation + 1) <= "
+            f"{THETA_TERM_CAP}, got {(count + 1) * (truncation + 1)}")
     vals = tuple(theta_derivative_log_bound(n, k, truncation)
                  for k in range(count + 1))
     return DerivBounds(vals, label=f"theta({n.label()})", source="theta")

@@ -394,6 +394,14 @@ def test_count_and_index_cap_ceilings_are_error_records():
          "message": "horizon: need an integer <= 67108864, got 67108865"}]
 
 
+def test_theta_work_ceiling_is_an_error_record():
+    rec = execute(parse(_PRE + "seq a = theta_bounds(g, 4096, 1000000);"))[-1]
+    assert rec["error"] == {
+        "type": "InvalidParameterError",
+        "message": "truncation: need (count + 1) * (truncation + 1) <= "
+                   "8599603, got 4097004097"}
+
+
 def test_family_scale_attaches_phi():
     # the L evidence of a matrix built from one sequence reports phi's growth
     rec, = execute(parse("seq a = gevrey(s=1); exp q = linear();\n"

@@ -1,14 +1,17 @@
 """Report emitters: canonical JSON, CSV flattening, text rendering."""
 
 import csv
+import enum
 import json
 import pathlib
+import tracemalloc
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from wcalc import Config, Report, emit, emit_csv, emit_json, emit_text
-from wcalc.report import collect_statuses, has_errors
+from wcalc import Config, Report, dsl, emit, emit_csv, emit_json, emit_text
+from wcalc.report import _json_chunks, collect_statuses, has_errors
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parents[1] / "docs" / "report-schema.json")
@@ -105,3 +108,127 @@ def test_status_collection_and_error_scan():
     assert collect_statuses(RECORDS) == ["Holds", "Holds", "Undetermined"]
     assert has_errors(RECORDS)
     assert not has_errors(RECORDS[:3])
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against json.dumps, its oracle
+
+
+def _dumps(v) -> bytes:
+    return (json.dumps(v, sort_keys=True, indent=2, ensure_ascii=False)
+            + "\n").encode("utf-8")
+
+
+def _outcome(fn, v):
+    """The bytes fn writes for v, or the type of what it raises."""
+    try:
+        return fn(v)
+    except Exception as exc:  # both sides must raise the same type
+        return type(exc)
+
+
+def _written(v) -> bytes:
+    return b"".join(_json_chunks(v))
+
+
+_ODD_TEXT = st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\u2029'
+                    "a é€😀\U0010ffff")
+_TEXT = st.one_of(st.text(), _ODD_TEXT)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-(2 ** 300), max_value=2 ** 300),
+    # every float, and the subnormal range on its own
+    st.floats(), st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    _TEXT)
+# one key type per dict: json.dumps sorts keys, so mixed types raise
+_KEYS = (_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        *(st.dictionaries(k, children, max_size=6) for k in _KEYS))
+
+
+_VALUES = st.recursive(_SCALARS, _containers, max_leaves=40)
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+class _Half(float):
+    def __repr__(self):
+        return "half"
+
+
+class _Name(str):
+    def __repr__(self):
+        return "name"
+
+
+def _nested(depth: int):
+    v = {"x": []}
+    for i in range(depth):
+        v = [v, (i,), {}] if i % 2 else {str(i): v, "e": []}
+    return v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALUES)
+@example(float("nan"))
+@example([float("inf"), -float("inf"), -0.0, 5e-324, 2.2250738585072014e-308,
+          1e16, 1e22, 0.1, 1.7976931348623157e308])
+@example({1.5: 0, -0.0: 1, float("inf"): 2, float("nan"): 3})
+@example({True: [], False: {}})
+@example({None: ()})
+@example({-(2 ** 200): 2 ** 200, 7: True})
+@example(["\"\\\x00\x1f\x7f\u2028 é 😀"])
+@example(_nested(60))
+# subclasses are written as their base type, whatever their repr
+@example([_Count.TWO, {_Count.TWO: _Half(0.5)}, {_Half(1.5): _Name("n")},
+          {_Name("k"): (_Count.TWO,)}])
+def test_writer_matches_json_dumps(value):
+    assert _written(value) == _dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, [b"x"], {"a": bytearray(b"")}, {(1, 2): 0}, {1: 0, "a": 1},
+    {None: 0, 1: 1}, object(), ["\ud800"],
+], ids=["set", "bytes", "bytearray", "tuple-key", "int-and-str-keys",
+        "none-and-int-keys", "object", "lone-surrogate"])
+def test_writer_raises_what_json_dumps_raises(value):
+    got = _outcome(_written, value)
+    assert isinstance(got, type) and got is _outcome(_dumps, value)
+
+
+@pytest.mark.parametrize("script", sorted(
+    p.name for p in (pathlib.Path(__file__).parent / "data").glob("*.wsq")))
+def test_script_reports_match_json_dumps(script):
+    text = (pathlib.Path(__file__).parent / "data" / script).read_text()
+    rep = Report(Config(), dsl.execute(dsl.parse(text), Config()))
+    assert emit_json(rep) == _dumps(rep.to_dict())
+
+
+def test_emit_json_peak_memory_stays_below_three_report_sizes():
+    # json.dumps needs about 5x its output here (4.9x on a matrix_search
+    # report): the pieces, the joined str and the bytes copy live at once
+    records = [{"query": f"check mg(m{i}) horizon 512;", "status": "Holds",
+                "horizon": 512, "witness": None,
+                "evidence": {"defects": [i / 7.0 + j / 3.0 for j in range(16)],
+                             "trend": "flat", "stabilized": True,
+                             "log_constant": i * 0.1}}
+               for i in range(700)]
+    rep = Report(Config(), records)
+    tracemalloc.start()
+    try:
+        out = emit_json(rep)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 400_000 < len(out) < 700_000
+    assert peak < 3 * len(out)
+    # only the output outlives the call: no reference cycle keeps the
+    # chunks alive until the next garbage collection
+    assert held < 1.1 * len(out)

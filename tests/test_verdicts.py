@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from array import array
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -40,6 +41,10 @@ def test_decimate_keeps_ends():
     assert len(thin) == 16
     assert thin[0] == 0 and thin[-1] == 99
     assert thin == sorted(thin)
+    # a fresh list, also when nothing is thinned: evidence never shares
+    # the caller's list
+    assert decimate(short) is not short
+    assert decimate(range(3)) == [0, 1, 2]
 
 
 def test_fit_line_recovers_exact_line():
@@ -226,6 +231,26 @@ def test_classify_slope_equals_fit_line(case):
     assert same_float(fit_line(xs, half)[0], want)
     for _ in range(2):
         assert same_float(classify_trajectory(idx, vals).slope, want)
+
+
+@given(fitted_trajectory(), st.integers(1, 3))
+def test_helpers_read_every_sequence_type_alike(case, step):
+    # a list or range is read as it is, anything else through a list copy;
+    # the results are the same to the bit and the inputs stay unchanged
+    idx, vals = case
+    idx = [idx[0] + step * (i - idx[0]) for i in idx]
+    snapshot = (list(idx), list(vals))
+    want = repr((classify_trajectory(idx, vals), running_sup_stabilized(vals),
+                 decimate(vals), trajectory_entry(idx, vals)))
+    index_forms = [tuple(idx), array("l", idx)]
+    if idx == list(range(idx[0], idx[-1] + 1, step)):
+        index_forms.append(range(idx[0], idx[-1] + 1, step))
+    for i, v in itertools.product(index_forms,
+                                  [vals, tuple(vals), array("d", vals)]):
+        got = (classify_trajectory(i, v), running_sup_stabilized(v),
+               decimate(v), trajectory_entry(i, v))
+        assert repr(got) == want
+    assert (idx, vals) == snapshot
 
 
 @pytest.mark.parametrize("idx", [[0], [-2, -1, 0, 1], [-5, -3, 0, 7]])

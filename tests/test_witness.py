@@ -27,7 +27,7 @@ from wcalc import (
     theta_eval,
 )
 from wcalc import witness
-from wcalc.config import THETA_COUNT_CAP
+from wcalc.config import THETA_COUNT_CAP, THETA_TERM_CAP
 
 LN2 = math.log(2.0)
 
@@ -165,6 +165,24 @@ def test_theta_count_past_its_ceiling_raises_before_any_bound(g1, monkeypatch):
                         lambda *a: pytest.fail("a bound was computed"))
     with pytest.raises(InvalidParameterError, match="need count <= 4096"):
         theta_bounds(g1, THETA_COUNT_CAP + 1)
+
+
+def test_theta_work_past_its_ceiling_raises_before_any_bound(g1, monkeypatch):
+    # THETA_TERM_CAP = 4097 * 2099: the largest default call's term reads
+    calls = []
+    monkeypatch.setattr(witness, "theta_derivative_log_bound",
+                        lambda n, k, truncation: calls.append(k) or 0.0)
+    assert THETA_TERM_CAP == sum(k + 51 for k in range(THETA_COUNT_CAP + 1))
+    assert len(theta_bounds(g1, THETA_COUNT_CAP, 2098).bounds) == 4097
+    assert len(theta_bounds(g1, 0, THETA_TERM_CAP - 1).bounds) == 1
+    calls.clear()
+    for count, truncation in [(THETA_COUNT_CAP, 2099), (0, THETA_TERM_CAP),
+                              (4096, 1_000_000)]:
+        with pytest.raises(InvalidParameterError,
+                           match=r"truncation: need \(count \+ 1\) \* "
+                                 r"\(truncation \+ 1\) <= 8599603"):
+            theta_bounds(g1, count, truncation)
+    assert calls == []
 
 
 def test_theta_bounds_dataset(g1):
