@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import (
@@ -41,21 +40,32 @@ from . import conditions as _conditions
 _SHAPE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class LogGrid:
-    """Geometric evaluation grid on [t_min, t_max]."""
+    """Geometric evaluation grid on [t_min, t_max], compared and hashed by
+    value."""
 
-    t_min: float = GRID_T_MIN
-    t_max: float = GRID_T_MAX
-    points: int = GRID_POINTS
+    __slots__ = ("t_min", "t_max", "points")
 
-    def __post_init__(self) -> None:
-        if not (self.t_min > 0.0 and math.isfinite(self.t_min)):
-            raise InvalidParameterError("t_min", f"need t_min > 0, got {self.t_min}")
-        if not (self.t_max > self.t_min and math.isfinite(self.t_max)):
+    def __init__(self, t_min: float = GRID_T_MIN, t_max: float = GRID_T_MAX,
+                 points: int = GRID_POINTS) -> None:
+        if not (t_min > 0.0 and math.isfinite(t_min)):
+            raise InvalidParameterError("t_min", f"need t_min > 0, got {t_min}")
+        if not (t_max > t_min and math.isfinite(t_max)):
             raise InvalidParameterError(
-                "t_max", f"need t_max > t_min, got {self.t_max}")
-        need_grid_points(self.points)
+                "t_max", f"need t_max > t_min, got {t_max}")
+        need_grid_points(points)
+        self.t_min = t_min
+        self.t_max = t_max
+        self.points = points
+
+    def _key(self) -> tuple:
+        return self.t_min, self.t_max, self.points
+
+    def __eq__(self, other) -> bool:
+        return type(other) is LogGrid and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def log_points(self) -> list[float]:
         lo = math.log(self.t_min)

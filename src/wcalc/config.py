@@ -10,7 +10,6 @@ the same horizon and seed is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 
@@ -57,19 +56,28 @@ CONTINUATION_STEPS = 4
 L_CONSTANTS = (2.0, 8.0)
 
 
-@dataclasses.dataclass(frozen=True)
 class Config:
-    """The settable evaluation defaults.
+    """The settable evaluation defaults, compared and hashed by value.
 
     horizon: default index horizon for finite checks.
     seed: seed for the deterministic off-diagonal pair sample.
     """
 
-    horizon: int = DEFAULT_HORIZON
-    seed: int = 0
+    __slots__ = ("horizon", "seed")
+
+    def __init__(self, horizon: int = DEFAULT_HORIZON, seed: int = 0) -> None:
+        self.horizon = horizon
+        self.seed = seed
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Config and (self.horizon, self.seed) == (other.horizon, other.seed)
+
+    def __hash__(self) -> int:
+        return hash((self.horizon, self.seed))
 
     def replace(self, **kwargs) -> "Config":
-        return dataclasses.replace(self, **kwargs)
+        """A copy with the settings named in kwargs changed."""
+        return Config(**{"horizon": self.horizon, "seed": self.seed, **kwargs})
 
     def to_dict(self) -> dict:
         """The two settings and every threshold, as a report records them."""

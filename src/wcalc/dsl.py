@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .config import Config
@@ -60,11 +59,13 @@ BOUNDS = "bounds"
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
 class Param:
-    name: str
-    type: str
-    default: object = _REQUIRED
+    __slots__ = ("name", "type", "default")
+
+    def __init__(self, name: str, type: str, default: object = _REQUIRED) -> None:
+        self.name = name
+        self.type = type
+        self.default = default
 
     @property
     def required(self) -> bool:
@@ -75,7 +76,6 @@ def _to_json(v, *_):
     return v.to_json()
 
 
-@dataclass(frozen=True)
 class Signature:
     """A constructor or query operation: its parameters, its target
     target(cfg, h, *values), the shaper shape(result, *values) that turns
@@ -84,10 +84,15 @@ class Signature:
 
     Targets look up library functions when called, so a function replaced
     on its module (as a tracer does) is the one that runs."""
-    params: tuple
-    target: Callable
-    shape: Callable = _to_json
-    opts: tuple = ()
+
+    __slots__ = ("params", "target", "shape", "opts")
+
+    def __init__(self, params: tuple, target: Callable,
+                 shape: Callable = _to_json, opts: tuple = ()) -> None:
+        self.params = params
+        self.target = target
+        self.shape = shape
+        self.opts = opts
 
 
 def _record(*keys):
@@ -336,40 +341,87 @@ def tokenize(text: str) -> list[Token]:
 # AST
 
 
-@dataclass(frozen=True)
+# Nodes compare and hash by value; a statement's line and col stay out of
+# both, so the same script text parses to equal trees wherever it sits.
+
+
 class Ref:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Ref and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
 
-@dataclass(frozen=True)
 class Call:
-    name: str
-    args: tuple  # of (keyword | None, value); value: float | Ref | tuple
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple) -> None:
+        self.name = name
+        self.args = args  # of (keyword | None, value); value: float | Ref | tuple
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Call and (self.name, self.args) == (other.name, other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.args))
 
 
-@dataclass(frozen=True)
 class Binding:
-    kind: str
-    name: str
-    call: Call
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    __slots__ = ("kind", "name", "call", "line", "col")
+
+    def __init__(self, kind: str, name: str, call: Call,
+                 line: int = 0, col: int = 0) -> None:
+        self.kind = kind
+        self.name = name
+        self.call = call
+        self.line = line
+        self.col = col
+
+    def _key(self) -> tuple:
+        return self.kind, self.name, self.call
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Binding and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class Query:
-    kind: str
-    call: Call
-    horizon: int | None = None
-    grid: tuple | None = None
-    flavor: str | None = None
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    __slots__ = ("kind", "call", "horizon", "grid", "flavor", "line", "col")
+
+    def __init__(self, kind: str, call: Call, horizon: int | None = None,
+                 grid: tuple | None = None, flavor: str | None = None,
+                 line: int = 0, col: int = 0) -> None:
+        self.kind = kind
+        self.call = call
+        self.horizon = horizon
+        self.grid = grid
+        self.flavor = flavor
+        self.line = line
+        self.col = col
+
+    def _key(self) -> tuple:
+        return self.kind, self.call, self.horizon, self.grid, self.flavor
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Query and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
 class Program:
-    statements: tuple
+    __slots__ = ("statements",)
+
+    def __init__(self, statements: tuple) -> None:
+        self.statements = statements
 
 
 # ---------------------------------------------------------------------------

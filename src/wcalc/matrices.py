@@ -14,7 +14,6 @@ import functools
 import math
 import weakref
 from array import array
-from dataclasses import dataclass, replace
 from typing import Callable
 
 from .config import (
@@ -76,19 +75,28 @@ def _index_grid(values, min_len: int) -> tuple[float, ...]:
     return grid
 
 
-@dataclass(frozen=True)
 class MatrixConditionId:
-    tag: str
-    flavor: str = ROUMIEU
+    """A matrix condition and its flavor, compared and hashed by value."""
 
-    def __post_init__(self) -> None:
-        if self.tag not in MATRIX_CONDITIONS:
+    __slots__ = ("tag", "flavor")
+
+    def __init__(self, tag: str, flavor: str = ROUMIEU) -> None:
+        if tag not in MATRIX_CONDITIONS:
             raise InvalidParameterError(
-                "tag", f"unknown matrix condition {self.tag!r}; "
+                "tag", f"unknown matrix condition {tag!r}; "
                 f"expected one of {MATRIX_CONDITIONS}")
-        if self.flavor not in (ROUMIEU, BEURLING):
+        if flavor not in (ROUMIEU, BEURLING):
             raise InvalidParameterError(
-                "flavor", f"unknown flavor {self.flavor!r}")
+                "flavor", f"unknown flavor {flavor!r}")
+        self.tag = tag
+        self.flavor = flavor
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is MatrixConditionId
+                and (self.tag, self.flavor) == (other.tag, other.flavor))
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.flavor))
 
 
 def condition_id(tag: str, flavor: str = ROUMIEU) -> MatrixConditionId:
@@ -444,7 +452,7 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
         if cond.tag == "sc":
             e = mm.element(alpha)
             v = checked(e, None, _conditions.check_sc, e, h)
-            out[alpha] = replace(v, subject=subject)
+            out[alpha] = Verdict(subject, v.status, v.horizon, v.witness, v.evidence)
             continue
         if cond.tag == "constant":
             anchor = grid[0]

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 
 from .config import Config
 
@@ -28,10 +27,12 @@ VERSION = "0.1.0"
 _FORMATS = ("json", "csv", "text")
 
 
-@dataclass
 class Report:
-    config: Config
-    records: list = field(default_factory=list)
+    __slots__ = ("config", "records")
+
+    def __init__(self, config: Config, records: list | None = None) -> None:
+        self.config = config
+        self.records = [] if records is None else records
 
     def to_dict(self) -> dict:
         return {

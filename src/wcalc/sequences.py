@@ -34,7 +34,6 @@ through it.  Phi blocks are not cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable
 
@@ -86,19 +85,22 @@ def _exponents_ok(block: list) -> bool:
 # exponent sequences
 
 
-@dataclass(eq=False)
 class ExponentSequence:
-    """Nonnegative exponent sequence phi, one float per index.
+    """Nonnegative exponent sequence phi, one float per index; compared and
+    hashed by identity.
 
     _fn evaluates one value; _block, when given, evaluates the values at
     lo..hi in one pass with the same float operations.
     """
 
-    kind: str
-    params: dict
-    _fn: Callable[[int], float]
-    length: int | None = None
-    _block: Callable[[int, int], list] | None = None
+    def __init__(self, kind: str, params: dict, _fn: Callable[[int], float],
+                 length: int | None = None,
+                 _block: Callable[[int, int], list] | None = None) -> None:
+        self.kind = kind
+        self.params = params
+        self._fn = _fn
+        self.length = length
+        self._block = _block
 
     def value(self, j: int) -> float:
         _check_index(j)
@@ -156,13 +158,14 @@ def table_exponents(values) -> ExponentSequence:
     return ExponentSequence("table", {"length": len(vals)}, vals.__getitem__, length=len(vals))
 
 
-@dataclass(eq=False)
 class ExponentFamily:
     """Indexed family a -> phi^(a) of exponent sequences, a > 0."""
 
-    kind: str
-    params: dict
-    _fn: Callable[[float], ExponentSequence]
+    def __init__(self, kind: str, params: dict,
+                 _fn: Callable[[float], ExponentSequence]) -> None:
+        self.kind = kind
+        self.params = params
+        self._fn = _fn
 
     def sequence(self, a: float) -> ExponentSequence:
         a = float(a)
@@ -184,9 +187,10 @@ def constant_family(phi: ExponentSequence) -> ExponentFamily:
 # weight sequences
 
 
-@dataclass(eq=False)
 class WeightSequence:
-    """Positive sequence handled through log-scale terms.
+    """Positive sequence handled through log-scale terms; compared and
+    hashed by identity, and weakly referenceable (the FdB memo of matrices
+    is keyed by element).
 
     Terms live in a cached prefix (_window, grown by log_terms) and, for
     point reads beyond it, in a per-index memo (_memo).  _fn evaluates one
@@ -201,13 +205,17 @@ class WeightSequence:
     sequence and reads ever new indices past its window.
     """
 
-    family: str
-    params: dict
-    _fn: Callable[[int], float] = field(repr=False)
-    length: int | None = None
-    _memo: dict = field(default_factory=dict, repr=False)
-    _window: list = field(default_factory=list, repr=False)
-    _block: Callable[[int, int], list] | None = field(default=None, repr=False)
+    def __init__(self, family: str, params: dict, _fn: Callable[[int], float],
+                 length: int | None = None, _memo: dict | None = None,
+                 _window: list | None = None,
+                 _block: Callable[[int, int], list] | None = None) -> None:
+        self.family = family
+        self.params = params
+        self._fn = _fn
+        self.length = length
+        self._memo = {} if _memo is None else _memo
+        self._window = [] if _window is None else _window
+        self._block = _block
 
     def _eval(self, j: int) -> float:
         if self.length is not None and j >= self.length:

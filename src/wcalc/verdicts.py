@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import mul
 
@@ -22,13 +21,16 @@ FAILS = "Fails"
 UNDETERMINED = "Undetermined"
 
 
-@dataclass
 class Verdict:
-    subject: str
-    status: str
-    horizon: int
-    witness: object = None
-    evidence: dict = field(default_factory=dict)
+    __slots__ = ("subject", "status", "horizon", "witness", "evidence")
+
+    def __init__(self, subject: str, status: str, horizon: int,
+                 witness: object = None, evidence: dict | None = None) -> None:
+        self.subject = subject
+        self.status = status
+        self.horizon = horizon
+        self.witness = witness
+        self.evidence = {} if evidence is None else evidence
 
     @property
     def holds(self) -> bool:
@@ -123,14 +125,21 @@ UP = "up"
 DOWN = "down"
 
 
-@dataclass
 class TailReport:
-    trend: str
-    sup: float
-    sup_index: int  # position in the index list, not the index value
-    slope: float
-    tail_first: float
-    tail_last: float
+    __slots__ = ("trend", "sup", "sup_index", "slope", "tail_first", "tail_last")
+
+    def __init__(self, trend: str, sup: float, sup_index: int, slope: float,
+                 tail_first: float, tail_last: float) -> None:
+        self.trend = trend
+        self.sup = sup
+        self.sup_index = sup_index  # position in the index list, not the index value
+        self.slope = slope
+        self.tail_first = tail_first
+        self.tail_last = tail_last
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"TailReport({fields})"
 
     def summary(self) -> dict:
         return {

@@ -12,11 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
 
-from .config import THETA_COUNT_CAP, THETA_TERM_CAP
+from .config import COMPARISON_SLACK, THETA_COUNT_CAP, THETA_TERM_CAP
 from .errors import InvalidParameterError, PreconditionError
-from .logdomain import log_sum
+from .logdomain import log_sum, slack
 from .sequences import ExponentSequence, WeightSequence, linear_exponents
 from .verdicts import (
     FAILS,
@@ -38,26 +37,25 @@ _PHASE_EXP_LIMIT = 700.0
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
 class DerivBounds:
     """Log sup-norms of successive derivatives on a fixed compact set."""
 
-    bounds: tuple
-    label: str = ""
-    source: str = "user"
+    __slots__ = ("bounds", "label", "source")
 
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.bounds)
+    def __init__(self, bounds: tuple, label: str = "", source: str = "user") -> None:
+        vals = tuple(float(v) for v in bounds)
         if not vals:
             raise InvalidParameterError("bounds", "need at least one bound")
         for j, v in enumerate(vals):
             if not math.isfinite(v):
                 raise InvalidParameterError(
                     "bounds", f"bound {j} is not finite: {v}")
-        if self.source not in SOURCES:
+        if source not in SOURCES:
             raise InvalidParameterError(
-                "source", f"unknown source {self.source!r}; expected {SOURCES}")
-        object.__setattr__(self, "bounds", vals)
+                "source", f"unknown source {source!r}; expected {SOURCES}")
+        self.bounds = vals
+        self.label = label
+        self.source = source
 
     def top_index(self) -> int:
         return len(self.bounds) - 1
@@ -178,24 +176,71 @@ def theta_eval(n: WeightSequence, t: float,
     return math.fsum(re_parts), math.fsum(im_parts)
 
 
+def _order_truncation(k: int, truncation: int | None) -> int:
+    """The truncation of the order-k bound: k + 50 by default, and at
+    least k + 10."""
+    if truncation is None:
+        return k + 50
+    if truncation < k + 10:
+        raise InvalidParameterError(
+            "truncation", f"need truncation >= k + 10 = {k + 10}, got {truncation}")
+    return truncation
+
+
+def _steps(window: list[float], lo: int, hi: int) -> list[float]:
+    """ln 2 + log nu_j for j = lo..hi."""
+    return [_LN2 + _freq_log(window, j) for j in range(lo, hi + 1)]
+
+
+def _log_bound(window: list[float], steps: list[float], k: int,
+               truncation: int) -> float:
+    """The order-k log-sum over j <= truncation, steps[j] = ln 2 + log nu_j."""
+    return log_sum([window[j] + (k - j) * steps[j] for j in range(truncation + 1)])
+
+
 def theta_derivative_log_bound(n: WeightSequence, k: int,
                                truncation: int | None = None) -> float:
     """log |theta^(k)(0)|: every term shares the phase i^k, so the modulus
     is the log-sum over j of log N_j + (k-j)(ln 2 + log nu_j)."""
     if k < 0:
         raise InvalidParameterError("k", f"need k >= 0, got {k}")
-    if truncation is None:
-        truncation = k + 50
-    if truncation < k + 10:
-        raise InvalidParameterError(
-            "truncation", f"need truncation >= k + 10 = {k + 10}, got {truncation}")
+    truncation = _order_truncation(k, truncation)
     _require_witness_preconditions(n, truncation)
     window = n.log_terms(truncation)
-    terms = []
-    for j in range(truncation + 1):
-        freq = _freq_log(window, j)
-        terms.append(window[j] + (k - j) * (_LN2 + freq))
-    return log_sum(terms)
+    return _log_bound(window, _steps(window, 0, truncation), k, truncation)
+
+
+def _theta_log_bounds(n: WeightSequence, count: int,
+                      truncation: int | None) -> list[float]:
+    """theta_derivative_log_bound(n, k, truncation) for k = 0..count, with
+    the same values and errors, from one scan of the preconditions.
+
+    Order 0 runs both checks at its truncation.  normalized reads only M_0
+    and M_1, so it needs no other run.  The lc slack only grows with the
+    truncation, so a quotient drop that passes at the first truncation
+    including it passes at every later one: a later order tests only the
+    drops its truncation adds, under its own slack, and the first that
+    fails raises through the full checks at that truncation."""
+    out: list[float] = []
+    steps: list[float] = []
+    checked = -1  # the largest truncation certified so far
+    big = 0.0     # the largest |log N_j| up to it
+    for k in range(count + 1):
+        top = _order_truncation(k, truncation)
+        if top > checked:
+            if checked < 0:
+                _require_witness_preconditions(n, top)
+            window = n.log_terms(top)
+            big = max(big, max(map(abs, window[checked + 1:top + 1])))
+            tol = slack(COMPARISON_SLACK, big)
+            if checked >= 0 and any(
+                    window[j] - window[j - 1] < window[j - 1] - window[j - 2] - tol
+                    for j in range(checked + 1, top + 1)):
+                _require_witness_preconditions(n, top)  # raises the lc failure
+            steps += _steps(window, len(steps), top)
+            checked = top
+        out.append(_log_bound(window, steps, k, top))
+    return out
 
 
 def theta_bounds(n: WeightSequence, count: int,
@@ -213,9 +258,8 @@ def theta_bounds(n: WeightSequence, count: int,
         raise InvalidParameterError(
             "truncation", f"need (count + 1) * (truncation + 1) <= "
             f"{THETA_TERM_CAP}, got {(count + 1) * (truncation + 1)}")
-    vals = tuple(theta_derivative_log_bound(n, k, truncation)
-                 for k in range(count + 1))
-    return DerivBounds(vals, label=f"theta({n.label()})", source="theta")
+    return DerivBounds(_theta_log_bounds(n, count, truncation),
+                       label=f"theta({n.label()})", source="theta")
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +292,15 @@ def seminorm(f: DerivBounds, m: WeightSequence, phi: ExponentSequence | None,
     return max(seminorm_trajectory(f, m, phi, h))
 
 
-@dataclass(frozen=True)
 class MembershipReport:
-    subject: str
-    roumieu: Verdict
-    beurling: Verdict
-    table: dict = field(default_factory=dict)
+    __slots__ = ("subject", "roumieu", "beurling", "table")
+
+    def __init__(self, subject: str, roumieu: Verdict, beurling: Verdict,
+                 table: dict | None = None) -> None:
+        self.subject = subject
+        self.roumieu = roumieu
+        self.beurling = beurling
+        self.table = {} if table is None else table
 
     def to_json(self) -> dict:
         cells = [{"c": c, "h": h, **cell} for (c, h), cell in

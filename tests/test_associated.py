@@ -24,7 +24,9 @@ from wcalc import (
     gevrey,
     omega_doubling_probe,
     ptt,
+    linear_exponents,
     recover_term,
+    scaled,
     table,
     young_conjugate,
 )
@@ -683,3 +685,30 @@ def test_export_csv(tmp_path, om_g1):
     assert float(t) == pytest.approx(1e4)
     assert float(val) == om_g1.eval(1e4).value
     assert int(j) == om_g1.eval(1e4).attained_at
+
+
+# --- scaling ----------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(st.builds(gevrey, st.floats(1.0, 3.0)),
+              st.builds(ptt, st.floats(0.5, 2.0), st.floats(1.1, 2.0))),
+    st.floats(1 / 8, 8.0),
+    st.floats(-5.0, 9.0),
+)
+def test_omega_of_a_geometric_rescaling_reads_t_over_a(m, a, log_t):
+    """omega of A^j M_j at t is omega_M(t / A) within 1e-9 max(1, |omega|),
+    attained at the same index unless the quotients between the two
+    indices lie within rounding of log(t / A)."""
+    t = math.exp(log_t)
+    got = OmegaFunction.from_sequence(scaled(m, linear_exponents(), a)).eval(t)
+    want = OmegaFunction.from_sequence(m).eval(t / a)
+    assert got.value == pytest.approx(want.value,
+                                      abs=1e-9 * max(1.0, abs(want.value)))
+    if got.attained_at != want.attained_at:
+        lo, hi = sorted((got.attained_at, want.attained_at))
+        at = math.log(t / a)
+        for j in range(lo + 1, hi + 1):
+            rounding = 1e-12 * max(1.0, abs(m.log_term(j)), abs(j * math.log(a)))
+            assert abs(m.quotient_log(j) - at) <= rounding

@@ -438,6 +438,28 @@ def test_installed_entry_point(tmp_path):
     jsonschema.validate(json.loads(out.read_bytes()), SCHEMA)
 
 
+# The child records the modules its interpreter loaded before the import, so
+# a site that preloads some of them cannot fail the test.
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import wcalc, wcalc.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses, with inspect, loads in about 14 ms, and each dataclass
+    # takes about 1 ms to build, at every start of the CLI
+    proc = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, str(ROOT / "src")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert "wcalc.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 # sha256 of `--format json` stdout, with the exit code, for one call of each
 # subcommand shape: these pin CLI report bytes across commits the way
 # GOLDEN_SHA256 pins `wcalc run`.  Recorded with CPython 3.11 on Linux

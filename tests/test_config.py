@@ -2,7 +2,7 @@
 and which modules may know Config."""
 
 import ast
-import dataclasses
+import inspect
 import json
 import pathlib
 
@@ -22,7 +22,7 @@ CONFIG_MODULES = {"__init__", "config", "dsl", "cli", "report"}
 
 
 def test_config_settles_only_horizon_and_seed():
-    assert tuple(f.name for f in dataclasses.fields(Config)) == ("horizon", "seed")
+    assert tuple(inspect.signature(Config).parameters) == ("horizon", "seed")
     assert Config() == Config(horizon=512, seed=0)
 
 

@@ -1,9 +1,11 @@
 """Witness series bounds, seminorms, and class membership."""
 
+import itertools
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wcalc import (
     FAILS,
@@ -26,8 +28,9 @@ from wcalc import (
     theta_derivative_log_bound,
     theta_eval,
 )
-from wcalc import witness
+from wcalc import conditions, witness
 from wcalc.config import THETA_COUNT_CAP, THETA_TERM_CAP
+from wcalc.logdomain import log_sum
 
 LN2 = math.log(2.0)
 
@@ -161,7 +164,7 @@ def test_derivative_bound_validation(g1):
 
 
 def test_theta_count_past_its_ceiling_raises_before_any_bound(g1, monkeypatch):
-    monkeypatch.setattr(witness, "theta_derivative_log_bound",
+    monkeypatch.setattr(witness, "_theta_log_bounds",
                         lambda *a: pytest.fail("a bound was computed"))
     with pytest.raises(InvalidParameterError, match="need count <= 4096"):
         theta_bounds(g1, THETA_COUNT_CAP + 1)
@@ -170,8 +173,9 @@ def test_theta_count_past_its_ceiling_raises_before_any_bound(g1, monkeypatch):
 def test_theta_work_past_its_ceiling_raises_before_any_bound(g1, monkeypatch):
     # THETA_TERM_CAP = 4097 * 2099: the largest default call's term reads
     calls = []
-    monkeypatch.setattr(witness, "theta_derivative_log_bound",
-                        lambda n, k, truncation: calls.append(k) or 0.0)
+    monkeypatch.setattr(witness, "_theta_log_bounds",
+                        lambda n, count, truncation:
+                        calls.append(count) or [0.0] * (count + 1))
     assert THETA_TERM_CAP == sum(k + 51 for k in range(THETA_COUNT_CAP + 1))
     assert len(theta_bounds(g1, THETA_COUNT_CAP, 2098).bounds) == 4097
     assert len(theta_bounds(g1, 0, THETA_TERM_CAP - 1).bounds) == 1
@@ -190,6 +194,103 @@ def test_theta_bounds_dataset(g1):
     assert f.source == "theta"
     assert f.top_index() == 12
     assert f.label.startswith("theta(")
+
+
+def per_order_theta_bounds(n, count, truncation=None):
+    """theta_bounds as a loop over the orders, each checking lc and
+    normalized at its own truncation: the oracle of the one-scan check."""
+    out = []
+    for k in range(count + 1):
+        top = k + 50 if truncation is None else truncation
+        if top < k + 10:
+            raise InvalidParameterError(
+                "truncation", f"need truncation >= k + 10 = {k + 10}, got {top}")
+        for tag in ("lc", "normalized"):
+            v = conditions.check_condition(n, tag, top)
+            if not v.holds:
+                raise PreconditionError(
+                    f"witness series needs {tag} to hold on {n.label()} "
+                    f"up to {top}; got {v.status}", witness=v.witness)
+        window = n.log_terms(top)
+        out.append(log_sum([window[j] + (k - j) * (LN2 + (window[j] - window[j - 1] if j else 0.0))
+                            for j in range(top + 1)]))
+    return tuple(out)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # compared by type, message and witness
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@st.composite
+def theta_cases(draw):
+    """(log terms, count, truncation): log-convex tables of 60..160 terms,
+    normalized or not (M_0 != 1, or M_1 < M_0), some with one quotient
+    drop, large or near the lc slack, mostly where a later order's
+    truncation first reaches it; the counts and truncations mostly fit
+    the table."""
+    quotients = sorted(draw(st.lists(st.floats(0.0, 3.0), min_size=59, max_size=159)))
+    head = 0.0
+    denormal = draw(st.sampled_from([None, None, None, "head", "first"]))
+    if denormal == "head":
+        head = draw(st.floats(-1.0, 1.0))
+    elif denormal == "first":
+        quotients[0] = -draw(st.floats(1e-6, 0.5))
+    top = len(quotients)
+    if draw(st.booleans()):
+        truncation = None
+        count = draw(st.integers(0, top - 48))
+        first, last = 50, count + 50
+    else:
+        truncation = draw(st.integers(8, top + 2))
+        count = draw(st.integers(0, truncation - 8))
+        first = last = truncation
+    # quotient at (0-based) is log M_{at+1} - log M_at, first read at
+    # truncation at + 1; an explicit truncation has no later one
+    later = range(min(first, top - 1), min(last, top)) or range(1, top)
+    drop = draw(st.one_of(st.none(), st.tuples(
+        st.one_of(st.sampled_from(later), st.integers(1, top - 1)),
+        st.one_of(st.sampled_from([1.0, 1e-3]),
+                  # in lc slacks at the drop: 1e-12 max(1, |log M_j|), j <= at + 1
+                  st.sampled_from([0.5, 0.99, 1.01, 2.0]).map(lambda r: -r)))))
+    logs = list(itertools.accumulate(quotients, initial=head))
+    if drop is not None:
+        at, size = drop
+        if size < 0.0:
+            size *= -1e-12 * max(1.0, max(map(abs, logs[:at + 2])))
+        quotients[at] = quotients[at - 1] - size
+        logs = list(itertools.accumulate(quotients, initial=head))
+    return logs, count, truncation
+
+
+@settings(deadline=None, max_examples=300)
+@given(theta_cases())
+def test_theta_bounds_checks_once_as_every_order_did(case):
+    """Bit-identical bounds, or the same error with the same message and
+    witness, as checking the preconditions at every order's truncation."""
+    logs, count, truncation = case
+    want = outcome(lambda: per_order_theta_bounds(table(log_values=logs), count,
+                                                  truncation))
+    got = outcome(lambda: theta_bounds(table(log_values=logs), count,
+                                       truncation).bounds)
+    assert got == want
+
+
+def test_theta_bounds_runs_two_checks(g1, monkeypatch):
+    calls = []
+    real = conditions.check_condition
+
+    def counted(m, cond, *args, **kwargs):
+        calls.append((cond, *args))
+        return real(m, cond, *args, **kwargs)
+
+    monkeypatch.setattr(conditions, "check_condition", counted)
+    got = theta_bounds(g1, 64).bounds
+    assert calls == [("lc", 50), ("normalized", 50)]
+    monkeypatch.undo()
+    assert got == per_order_theta_bounds(g1, 64)
 
 
 # --- seminorms --------------------------------------------------------------
