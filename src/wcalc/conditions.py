@@ -86,13 +86,17 @@ def check_condition(
 def _monotone(tag: str, key: str, quotients: list[float], terms: list[float],
               h: int) -> Verdict:
     """Fails at the first drop of the quotient sequence beyond the slack
-    (witness: the index j of the later quotient), Holds otherwise."""
-    tol = slack(COMPARISON_SLACK, max(map(abs, terms)))
+    (witness: the index j of the later quotient), Holds otherwise.  The
+    slack of a drop reads |log M_i| for i <= j only, so the verdict and
+    witness hold at every horizon past j."""
     ev = {key: decimate(quotients)}
+    big, seen = 0.0, 0  # the largest |terms[i]| for i < seen
     for i in range(1, len(quotients)):
-        if quotients[i] < quotients[i - 1] - tol:
-            ev["drop"] = quotients[i] - quotients[i - 1]
-            return Verdict(tag, FAILS, h, witness=i + 1, evidence=ev)
+        if quotients[i] < quotients[i - 1]:
+            big, seen = max(big, max(map(abs, terms[seen:i + 2]))), i + 2
+            if quotients[i] < quotients[i - 1] - slack(COMPARISON_SLACK, big):
+                ev["drop"] = quotients[i] - quotients[i - 1]
+                return Verdict(tag, FAILS, h, witness=i + 1, evidence=ev)
     return Verdict(tag, HOLDS, h, evidence=ev)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from array import array
 from typing import Callable
 
@@ -123,9 +122,10 @@ class WeightMatrix:
     maps (tag, left element, right element or None, h, seed) to the result
     of one matrix-check computation (a pair test, the sc certificate of an
     element or the constant comparison), with seed None for every tag but
-    mg.  Elements compare by identity, and _memo keeps them alive, so the
-    Roumieu and Beurling searches of one condition run each pair they share
-    once.  A memoized result is read-only.
+    mg, and ("composition", left element, k_top) to its FdB composition
+    sequence.  Elements compare by identity, and _memo keeps them alive, so
+    the Roumieu and Beurling searches of one condition run each pair and
+    composition they share once.  A memoized result is read-only.
     """
 
     def __init__(self, construction: str, params: dict,
@@ -305,32 +305,37 @@ def _beta_candidates(grid, alpha: float, flavor: str):
     """(beta, beyond_grid) candidates: grid points on the search side of
     alpha, then CONTINUATION_STEPS of a geometric continuation past the
     grid edge."""
-    out: list[tuple[float, bool]] = []
+    steps = range(1, CONTINUATION_STEPS + 1)
     if flavor == ROUMIEU:
-        for b in grid:
-            if b >= alpha:
-                out.append((b, False))
-        ratio = grid[-1] / grid[-2]
-        edge = grid[-1]
-        for i in range(1, CONTINUATION_STEPS + 1):
-            out.append((edge * ratio ** i, True))
+        near = [b for b in grid if b >= alpha]
+        far = [grid[-1] * (grid[-1] / grid[-2]) ** i for i in steps]
     else:
-        for b in reversed(grid):
-            if b <= alpha:
-                out.append((b, False))
-        ratio = grid[1] / grid[0]
-        edge = grid[0]
-        for i in range(1, CONTINUATION_STEPS + 1):
-            out.append((edge / ratio ** i, True))
-    return out
+        near = [b for b in reversed(grid) if b <= alpha]
+        far = [grid[0] / (grid[1] / grid[0]) ** i for i in steps]
+    return [(b, False) for b in near] + [(b, True) for b in far]
 
 
-def _sides(mm: WeightMatrix, alpha: float, beta: float, flavor: str):
-    """(absorbed, absorbing) elements: the Roumieu partner sits above alpha
-    on the right-hand side, the Beurling partner below it on the left."""
-    if flavor == ROUMIEU:
-        return mm.element(alpha), mm.element(beta)
-    return mm.element(beta), mm.element(alpha)
+def _partner_search(candidates, test, ok, key):
+    """The partner search of every for-all/exists question: test the
+    candidates in order up to the first whose entry is ok.  Returns that
+    (candidate, entry) or None; the one with the least key(entry) tried
+    before it (the earlier of a tie; a None key neither replaces the best
+    nor is replaced; None when key is None); and whether every entry
+    tried has trend up."""
+    best = best_key = None
+    all_up = True
+    for cand in candidates:
+        entry = test(cand)
+        if entry.get("trend") != UP:
+            all_up = False
+        if ok(entry):
+            return (cand, entry), best, all_up
+        if key is not None:
+            k = key(entry)
+            if best is None or (k is not None and best_key is not None
+                                and k < best_key):
+                best, best_key = (cand, entry), k
+    return None, best, all_up
 
 
 @functools.lru_cache(maxsize=64)
@@ -387,21 +392,15 @@ def _test_rai(left: WeightSequence, right: WeightSequence, h: int) -> dict:
     return trajectory_entry(range(1, h + 1), vals)
 
 
-# composition sequence of each FdB left element, per k_top: the Roumieu
-# search puts element(alpha) on the left for every partner, and the r and b
-# statements share a matrix's elements.  Weak keys (WeightSequence compares
-# by identity) drop an element's entry with the element.
-_FDB_COMPOSITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _test_fdb(left: WeightSequence, right: WeightSequence, h: int) -> dict:
+def _test_fdb(left: WeightSequence, right: WeightSequence, h: int,
+              checks: dict) -> dict:
     k_top = min(h, FDB_HORIZON)
-    per_k = _FDB_COMPOSITIONS.setdefault(left, {})
-    comp = per_k.get(k_top)
+    key = ("composition", left, k_top)
+    comp = checks.get(key)
     if comp is None:
         tl = left.log_terms(k_top)
         reduced = [tl[j] - math.lgamma(j + 1) for j in range(k_top + 1)]
-        comp = per_k[k_top] = composition_sequence(reduced, k_top)
+        comp = checks[key] = composition_sequence(reduced, k_top)
     tr = right.log_terms(k_top)
     vals = [(comp[k] - (tr[k] - math.lgamma(k + 1))) / k for k in range(1, k_top + 1)]
     entry = trajectory_entry(range(1, k_top + 1), vals)
@@ -446,6 +445,21 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
             got = mm._checks[key] = run(*args)
         return got
 
+    test = _PAIR_TESTS.get(cond.tag)
+    if cond.tag == "mg":
+        test = functools.partial(test, seed=seed)
+    elif cond.tag == "FdB":
+        test = functools.partial(test, checks=mm._checks)
+
+    def pair(alpha, beta):
+        # the Roumieu partner absorbs on the right, the Beurling one is
+        # absorbed on the left
+        if cond.flavor == ROUMIEU:
+            left, right = mm.element(alpha), mm.element(beta)
+        else:
+            left, right = mm.element(beta), mm.element(alpha)
+        return checked(left, right, test, left, right, h)
+
     out: dict[float, Verdict] = {}
     for alpha in grid:
         subject = f"{mm.label()}:{cond.tag}-{cond.flavor}@{alpha:g}"
@@ -464,26 +478,13 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
                                  evidence=ev)
             continue
 
-        test = _PAIR_TESTS[cond.tag]
-        if cond.tag == "mg":
-            test = functools.partial(test, seed=seed)
-        found = None
-        best = None
-        all_up = True
-        for beta, beyond in _beta_candidates(grid, alpha, cond.flavor):
-            left, right = _sides(mm, alpha, beta, cond.flavor)
-            entry = checked(left, right, test, left, right, h)
-            if entry.get("trend") != UP:
-                all_up = False
-            if entry["stabilized"]:
-                found = (beta, beyond, entry)
-                break
-            sup = entry.get("log_constant")
-            if best is None or (sup is not None and best[2].get("log_constant")
-                                is not None and sup < best[2]["log_constant"]):
-                best = (beta, beyond, entry)
+        found, best, all_up = _partner_search(
+            _beta_candidates(grid, alpha, cond.flavor),
+            lambda cand: pair(alpha, cand[0]),
+            lambda entry: entry["stabilized"],
+            lambda entry: entry.get("log_constant"))
         if found is not None:
-            beta, beyond, entry = found
+            (beta, beyond), entry = found
             ev = {"alpha": alpha, "beta": beta, "beyond_grid": beyond,
                   "flavor": cond.flavor, "condition": cond.tag}
             ev.update(entry)
@@ -492,8 +493,8 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
             ev = {"alpha": alpha, "flavor": cond.flavor, "condition": cond.tag,
                   "diverging": all_up}
             if best is not None:
-                ev["best_beta"] = best[0]
-                ev["best"] = best[2]
+                ev["best_beta"] = best[0][0]
+                ev["best"] = best[1]
             v = Verdict(subject, UNDETERMINED, h, evidence=ev)
         if growth is not None:
             ev["exponent_growth"] = growth
@@ -619,45 +620,38 @@ def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
         raise InvalidParameterError("flavor", f"unknown flavor {flavor!r}")
     subject = f"absorption-{flavor}({family.label()})"
 
+    def gap(lo, hi):
+        # [Phi^hi_j log hi - Phi^lo_j log lo] / j for lo < hi: the partner
+        # is hi for Roumieu, lo for Beurling
+        p_lo, p_hi = family.sequence(lo), family.sequence(hi)
+        l_lo, l_hi = math.log(lo), math.log(hi)
+        mins, decaying = quarter_minima([
+            (x * l_hi - y * l_lo) / j
+            for j, (x, y) in enumerate(_lockstep(p_hi, p_lo, 1, h), 1)])
+        return {"tail_min": mins[3], "decaying": decaying and mins[3] > 0.0,
+                "quarter_mins": mins}
+
     pairs = {}
-    found_all = True
     epsilons = []
     vanishing = False
     for c in grid:
-        found = None
-        best_gap = None
-        for d, beyond in _beta_candidates(grid, c, flavor):
-            if d == c:
-                continue
-            pc, pd = family.sequence(c), family.sequence(d)
-            lc_, ld = math.log(c), math.log(d)
-            if flavor == ROUMIEU:
-                gaps = [(x * ld - y * lc_) / j for j, (x, y)
-                        in enumerate(_lockstep(pd, pc, 1, h), 1)]
-            else:
-                gaps = [(x * lc_ - y * ld) / j for j, (x, y)
-                        in enumerate(_lockstep(pc, pd, 1, h), 1)]
-            mins, decaying = quarter_minima(gaps)
-            decaying = decaying and mins[3] > 0.0
-            tail_min = mins[3]
-            if best_gap is None or tail_min > best_gap["tail_min"]:
-                best_gap = {"partner": d, "beyond_grid": beyond,
-                            "tail_min": tail_min, "decaying": decaying,
-                            "quarter_mins": mins}
-            if tail_min >= _conditions.EXPONENT_GAP_FLOOR and not decaying:
-                found = {"partner": d, "beyond_grid": beyond,
-                         "tail_min": tail_min}
-                break
+        found, best, _ = _partner_search(
+            [(d, far) for d, far in _beta_candidates(grid, c, flavor) if d != c],
+            lambda cand: gap(*sorted((c, cand[0]))),
+            lambda e: (e["tail_min"] >= _conditions.EXPONENT_GAP_FLOOR
+                       and not e["decaying"]),
+            lambda e: -e["tail_min"])
         if found is not None:
-            pairs[c] = found
-            epsilons.append(found["tail_min"])
-        else:
-            found_all = False
-            pairs[c] = best_gap or {"partner": None, "tail_min": None}
-            if best_gap is not None and best_gap["decaying"]:
-                vanishing = True
+            (d, beyond), e = found
+            pairs[c] = {"partner": d, "beyond_grid": beyond,
+                        "tail_min": e["tail_min"]}
+            epsilons.append(e["tail_min"])
+        else:  # the continuation past the grid edge is always tried
+            (d, beyond), e = best
+            pairs[c] = {"partner": d, "beyond_grid": beyond, **e}
+            vanishing = vanishing or e["decaying"]
     ev = {"flavor": flavor, "pairs": {repr(c): p for c, p in pairs.items()}}
-    if found_all:
+    if len(epsilons) == len(grid):
         ev["epsilon"] = min(epsilons)
         return Verdict(subject, HOLDS, h, evidence=ev)
     ev["vanishing_gap"] = vanishing

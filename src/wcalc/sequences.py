@@ -34,7 +34,7 @@ through it.  Phi blocks are not cached.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable
 
 from .config import need_horizon
@@ -189,8 +189,7 @@ def constant_family(phi: ExponentSequence) -> ExponentFamily:
 
 class WeightSequence:
     """Positive sequence handled through log-scale terms; compared and
-    hashed by identity, and weakly referenceable (the FdB memo of matrices
-    is keyed by element).
+    hashed by identity.
 
     Terms live in a cached prefix (_window, grown by log_terms) and, for
     point reads beyond it, in a per-index memo (_memo).  _fn evaluates one
@@ -375,18 +374,19 @@ def regularize_slc(m: WeightSequence, horizon: int | None) -> WeightSequence:
     """
     horizon = need_horizon(horizon, 4)
     terms = m.log_terms(horizon)
-    # quotient jitter scales with the term magnitude, not the quotient itself
-    tol = slack(1e-12, max(map(abs, terms)))
+    # quotient jitter scales with the term magnitude, not the quotient
+    # itself; q[i] gets the slack of terms[0..i+1], as in the slc check
+    tol = [slack(1e-12, b) for b in accumulate(map(abs, terms), max)]
     q = [terms[j] - terms[j - 1] - math.log(j) for j in range(1, horizon + 1)]
     mono_onset = 1
     for i in range(len(q) - 1, 0, -1):
-        if q[i] < q[i - 1] - tol:
+        if q[i] < q[i - 1] - tol[i + 1]:
             # pair (j-1, j) with j = i+1 violates; monotone from j on.
             mono_onset = i + 1
             break
     neg_onset = 1
     for i in range(len(q) - 1, -1, -1):
-        if q[i] < -tol:
+        if q[i] < -tol[i + 1]:
             neg_onset = i + 1 + 1
             break
     patch = max(mono_onset, neg_onset)

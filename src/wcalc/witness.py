@@ -26,7 +26,7 @@ from .verdicts import (
     trajectory_entry,
 )
 from . import conditions as _conditions
-from .matrices import WeightMatrix, _index_grid
+from .matrices import WeightMatrix, _index_grid, _partner_search
 
 SOURCES = ("synthetic", "theta", "user")
 
@@ -216,11 +216,12 @@ def _theta_log_bounds(n: WeightSequence, count: int,
     the same values and errors, from one scan of the preconditions.
 
     Order 0 runs both checks at its truncation.  normalized reads only M_0
-    and M_1, so it needs no other run.  The lc slack only grows with the
-    truncation, so a quotient drop that passes at the first truncation
+    and M_1, so it needs no other run.  The lc test of the quotient drop
+    at index j uses the slack of the largest |log N_i| over i <= j, which
+    no truncation changes, so a drop that passes at the first truncation
     including it passes at every later one: a later order tests only the
-    drops its truncation adds, under its own slack, and the first that
-    fails raises through the full checks at that truncation."""
+    drops its truncation adds, each under its own prefix slack, and the
+    first that fails raises through the full checks at that truncation."""
     out: list[float] = []
     steps: list[float] = []
     checked = -1  # the largest truncation certified so far
@@ -231,12 +232,11 @@ def _theta_log_bounds(n: WeightSequence, count: int,
             if checked < 0:
                 _require_witness_preconditions(n, top)
             window = n.log_terms(top)
-            big = max(big, max(map(abs, window[checked + 1:top + 1])))
-            tol = slack(COMPARISON_SLACK, big)
-            if checked >= 0 and any(
-                    window[j] - window[j - 1] < window[j - 1] - window[j - 2] - tol
-                    for j in range(checked + 1, top + 1)):
-                _require_witness_preconditions(n, top)  # raises the lc failure
+            for j in range(checked + 1, top + 1):
+                big = max(big, abs(window[j]))
+                if checked >= 0 and window[j] - window[j - 1] < (
+                        window[j - 1] - window[j - 2] - slack(COMPARISON_SLACK, big)):
+                    _require_witness_preconditions(n, top)  # raises the lc failure
             steps += _steps(window, len(steps), top)
             checked = top
         out.append(_log_bound(window, steps, k, top))
@@ -340,12 +340,13 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
     subject = f"membership({f.label or f.source}, {mm.label()})"
     horizon = f.top_index()
 
-    r_witness = next(((c, h) for c in grid for h in DEFAULT_H_GRID
-                      if table[(c, h)]["stabilized"]), None)
-    if r_witness is not None:
-        r = Verdict(subject + ":roumieu", HOLDS, horizon, witness=r_witness,
-                    evidence={"sup": table[r_witness]["sup"]})
-    elif all(cell.get("trend") == UP for cell in table.values()):
+    found, _, all_up = _partner_search(
+        [(c, h) for c in grid for h in DEFAULT_H_GRID], table.__getitem__,
+        lambda cell: cell["stabilized"], None)
+    if found is not None:
+        r = Verdict(subject + ":roumieu", HOLDS, horizon, witness=found[0],
+                    evidence={"sup": found[1]["sup"]})
+    elif all_up:
         r = Verdict(subject + ":roumieu", FAILS, horizon,
                     evidence={"diverging": True})
     else:

@@ -1,5 +1,6 @@
 """Single-sequence growth conditions on the standard families."""
 
+import itertools
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from wcalc import (
     UNDETERMINED,
     InvalidParameterError,
     check_condition,
+    compare,
     exponent_growth_report,
     gamma_lower_bound,
     gevrey,
@@ -148,6 +150,17 @@ def test_scan_slack_scales_with_magnitude():
     assert v.status == FAILS and v.witness == 5
 
 
+def test_early_lc_drop_keeps_failing_past_large_late_terms():
+    # quotients 1, 1, 1, 1, 1 - 5e-11, then climbing by 0.05: the drop at
+    # j = 5 is past the slack of log M_0..M_5 but inside that of the
+    # whole window from h = 64 on, where late terms are in the thousands
+    quotients = [1.0] * 4 + [1.0 - 5e-11] + [1.0 + 0.05 * k for k in range(1, 396)]
+    m = table(log_values=list(itertools.accumulate(quotients, initial=0.0)))
+    for h in (8, 16, 64, 128, 399, 400):
+        v = check_condition(m, "lc", horizon=h)
+        assert (v.status, v.witness) == (FAILS, 5), h
+
+
 def test_condition_validation(g1):
     with pytest.raises(InvalidParameterError):
         check_condition(g1, "no_such_condition")
@@ -257,6 +270,65 @@ def test_exact_conditions_window_independent(h):
     for m in (gevrey(1.0), gevrey(2.0), ptt(1.0, 2.0)):
         for cond in ("lc", "slc", "normalized"):
             assert check_condition(m, cond, horizon=h).status == HOLDS
+
+
+@st.composite
+def _near_tie_logs(draw, n):
+    """n log terms whose quotients climb by random steps, by late jumps
+    that make later terms far larger than earlier ones, or by ties of the
+    lc or the slc quotients missed by -10 to 10 times 1e-12 of the terms
+    so far."""
+    logs = [draw(st.sampled_from([0.0, 1e-13, -1e-13, 2.0]))]
+    q = draw(st.floats(-2.0, 2.0))
+    for j in range(1, n):
+        kind = draw(st.sampled_from(["up", "jump", "lc", "slc", "slc"]))
+        if kind == "up":
+            q += draw(st.floats(0.0, 2.0))
+        elif kind == "jump":
+            q += draw(st.floats(10.0, 1e4))
+        else:
+            tie = math.log(j / (j - 1)) if kind == "slc" and j > 1 else 0.0
+            q += tie - draw(st.floats(-10.0, 10.0)) * 1e-12 * max(1.0, abs(logs[-1]))
+        logs.append(logs[-1] + q)
+    return logs
+
+
+@st.composite
+def _near_tie_pair(draw):
+    """(m, n) log tables of one length: n is m moved at some indices by
+    ties, near-ties at 1e-12 of the term, or whole units."""
+    m = draw(_near_tie_logs(draw(st.integers(12, 64))))
+    n = [t + draw(st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5e-12, -0.5e-12,
+                                   2e-12, -2e-12])) * max(1.0, abs(t))
+         for t in m]
+    return m, n
+
+
+_EXACT = {
+    "lc": lambda m, n, h: check_condition(m, "lc", h),
+    "slc": lambda m, n, h: check_condition(m, "slc", h),
+    "normalized": lambda m, n, h: check_condition(m, "normalized", h),
+    "pointwise_le": lambda m, n, h: compare(m, n, "pointwise_le", h),
+    "quotient_le": lambda m, n, h: compare(m, n, "quotient_le", h),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_EXACT))
+@settings(deadline=None, max_examples=100)
+@given(logs=_near_tie_pair())
+def test_exact_verdicts_are_stable_in_the_horizon(tag, logs):
+    # a Fails witness w at h is the witness at every h' in [w, end], and a
+    # Holds at h holds at every h' <= h
+    m, n = (table(log_values=v) for v in logs)
+    end = len(logs[0]) - 1
+    got = {h: _EXACT[tag](m, n, h) for h in range(4, end + 1)}
+    for h, v in got.items():
+        if v.status == FAILS:
+            assert all((got[k].status, got[k].witness) == (FAILS, v.witness)
+                       for k in range(max(4, v.witness), end + 1)), h
+        else:
+            assert v.status == HOLDS, h
+            assert all(got[k].status == HOLDS for k in range(4, h)), h
 
 
 def test_holds_never_claimed_for_diverging_defect(p12):

@@ -195,7 +195,7 @@ def test_only_config_defaults_or_rejects_a_horizon():
     assert found == {}
 
 
-# public names that nothing in src/wcalc calls yet; ROADMAP item 5 routes
+# public names that nothing in src/wcalc calls yet; ROADMAP item 6 routes
 # each through dsl.SIGNATURES or deletes it
 _UNCALLED_API = {"print_program", "table_exponents", "constant_family",
                  "regularize_slc", "synthetic_bounds"}

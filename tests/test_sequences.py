@@ -1,14 +1,17 @@
 """Constructors, derived views, and the head-patching regularizer."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from wcalc import (
+    HOLDS,
     InvalidParameterError,
     PreconditionError,
     TableExhaustedError,
+    check_condition,
     constant_family,
     gevrey,
     linear_exponents,
@@ -165,6 +168,19 @@ def test_regularize_idempotent(dented):
     assert r2.params["patch_index"] == 0
     for j in range(97):
         assert r2.log_term(j) == r1.log_term(j)
+
+
+def test_regularize_patches_an_early_drop_past_large_late_terms():
+    # reduced quotients 1, ..., 1 then 1 - 5e-11 at j = 6, then climbing:
+    # the drop is past the slack of log M_0..M_6, so the head is patched
+    # through it at every horizon and the output passes the slc check
+    reduced = [1.0] * 5 + [1.0 - 5e-11] + [1.0 + 0.05 * k for k in range(1, 395)]
+    m = table(log_values=list(itertools.accumulate(
+        (r + math.log(j) for j, r in enumerate(reduced, 1)), initial=0.0)))
+    for h in (8, 64, 399):
+        r = regularize_slc(m, h)
+        assert r.params["patch_index"] == 6, h
+        assert check_condition(r, "slc", h).status == HOLDS, h
 
 
 def test_regularize_rejects_hopeless_input():
