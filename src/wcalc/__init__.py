@@ -31,7 +31,6 @@ from .verdicts import (
     Verdict,
     classify_trajectory,
     decimate,
-    fit_line,
     running_sup_stabilized,
 )
 from .sequences import (

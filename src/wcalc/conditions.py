@@ -12,6 +12,9 @@ from __future__ import annotations
 import functools
 import math
 import random
+from array import array
+from itertools import accumulate, islice, repeat
+from operator import mul, neg, sub, truediv
 
 from .config import (
     COMPARISON_SLACK,
@@ -21,7 +24,14 @@ from .config import (
     need_horizon,
 )
 from .errors import InvalidParameterError
-from .logdomain import LOG_ZERO, log_add, log_sum, slack
+from .logdomain import (
+    ln_axis,
+    ln_factorial_axis,
+    log_add,
+    log_running_sums,
+    log_sum,
+    slack,
+)
 from .sequences import ExponentSequence, WeightSequence
 from .verdicts import (
     FAILS,
@@ -31,7 +41,7 @@ from .verdicts import (
     Verdict,
     classify_trajectory,
     decimate,
-    fit_line,
+    log_fit,
     quarter_minima,
     running_sup_stabilized,
 )
@@ -46,10 +56,11 @@ CONDITIONS = (
 EXPONENT_GAP_FLOOR = 0.01
 
 
-def _powerfit_tail(log_indices, log_values, horizon):
-    """Fit log v ~ p log j over the tail; log of the integral tail bound
-    for sum 1/v beyond the horizon, or None when the fit is too shallow."""
-    p, q = fit_line(log_indices, log_values)
+def _powerfit_tail(indices: range, log_values, horizon):
+    """Fit log v ~ p log j over the tail indices; log of the integral tail
+    bound for sum 1/v beyond the horizon, or None when the fit is too
+    shallow."""
+    p, q = log_fit(indices, log_values)
     if p <= 1.0 + POWERFIT_MARGIN:
         return p, None
     log_tail = -q + (1.0 - p) * math.log(horizon) - math.log(p - 1.0)
@@ -108,9 +119,9 @@ def _check_lc(m: WeightSequence, h: int) -> Verdict:
 
 def _check_slc(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
+    ln = ln_axis(h)
     return _monotone("slc", "reduced_quotients_log",
-                     [t[j] - t[j - 1] - math.log(j) for j in range(1, h + 1)],
-                     t, h)
+                     [t[j] - t[j - 1] - ln[j] for j in range(1, h + 1)], t, h)
 
 
 def _check_normalized(m: WeightSequence, h: int) -> Verdict:
@@ -159,7 +170,7 @@ def sample_pairs(h: int, count: int, seed: int) -> tuple[tuple[int, int], ...]:
 
 def _check_mg(m: WeightSequence, h: int, seed: int) -> Verdict:
     jmax = h // 2
-    idx = list(range(1, jmax + 1))
+    idx = range(1, jmax + 1)
     pairs = sample_pairs(h, OFFDIAG_SAMPLES, seed)
     t = m.log_terms(max([2 * jmax] + [j + k for j, k in pairs]))
     diag = [(t[2 * j] - 2.0 * t[j]) / (2 * j + 1) for j in idx]
@@ -179,7 +190,7 @@ def _check_mg(m: WeightSequence, h: int, seed: int) -> Verdict:
 
 
 def _check_dc(m: WeightSequence, h: int) -> Verdict:
-    idx = list(range(1, h + 1))
+    idx = range(1, h + 1)
     t = m.log_terms(h)
     defect = [(t[j] - t[j - 1]) / j for j in idx]  # M_j <= A^j M_{j-1}
     report = classify_trajectory(idx, defect)
@@ -199,9 +210,8 @@ def _check_nq_generic(tag, values_log, h):
     """values_log[i] = log of the positive sequence whose reciprocals are summed."""
     partial = log_sum([-v for v in values_log])
     q3 = (3 * len(values_log)) // 4
-    tail_idx = range(q3 + 1, len(values_log) + 1)
     p, log_tail = _powerfit_tail(
-        [math.log(j) for j in tail_idx], values_log[q3:], h)
+        range(q3 + 1, len(values_log) + 1), values_log[q3:], h)
     ev = {"partial_sum_log": partial, "fitted_exponent": p}
     if log_tail is None:
         return Verdict(tag, UNDETERMINED, h, evidence=ev)
@@ -244,21 +254,18 @@ def _check_gamma1(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
     mu = [t[j] - t[j - 1] for j in range(1, h + 1)]  # mu[i] = log mu_{i+1}
     q3 = (3 * h) // 4
-    p, log_tail = _powerfit_tail(
-        [math.log(j) for j in range(q3 + 1, h + 1)], mu[q3:], h)
+    p, log_tail = _powerfit_tail(range(q3 + 1, h + 1), mu[q3:], h)
     ev = {"fitted_exponent": p}
     if log_tail is None:
         # reciprocal tail beyond the horizon cannot be bounded
         return Verdict("gamma1", UNDETERMINED, h, evidence=ev)
     # suffix log-sums of 1/mu_k from j to horizon, then the tail bound
-    suffix = [LOG_ZERO] * (h + 1)
-    acc = LOG_ZERO
-    for i in range(h - 1, -1, -1):
-        acc = log_add(acc, -mu[i])
-        suffix[i] = acc
+    suffix = log_running_sums(map(neg, reversed(mu)))
+    suffix.reverse()
+    ln = ln_axis(h)
     jmax = max(1, h // 2)
     traj = [
-        (mu[j - 1] - math.log(j)) + log_add(suffix[j - 1], log_tail)
+        (mu[j - 1] - ln[j]) + log_add(suffix[j - 1], log_tail)
         for j in range(1, jmax + 1)
     ]
     stable, sup = running_sup_stabilized(traj)
@@ -340,26 +347,38 @@ def gamma_lower_bound(m: WeightSequence, alphas,
     out = {}
     terms = m.log_terms(h)
     mu = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
-    logs = [math.log(j) for j in range(1, h + 1)]
-    log_factorials = [math.lgamma(j + 1) for j in range(1, h + 1)]
-    tol = slack(COMPARISON_SLACK, max(map(abs, terms)))
+    ln = ln_axis(h)
+    ln_fact = ln_factorial_axis(h)
+    big = None  # big[j] = max |terms[k]| over k <= j, made at the first decrease
     q1 = max(1, h // 4)
     q3 = (3 * h) // 4
 
-    def divided_roots(a: float, js: range):
-        return ((terms[j] - a * log_factorials[j - 1]) / j for j in js)
+    def divided_roots(a: float, lo: int, hi: int):
+        # (terms[j] - a * ln j!) / j for j = lo..hi
+        return map(truediv,
+                   map(sub, islice(terms, lo, hi + 1),
+                       map(mul, repeat(a), islice(ln_fact, lo, hi + 1))),
+                   range(lo, hi + 1))
 
     for alpha in alphas:
         a = float(alpha)
-        # last drop of j -> log mu_j - a log j, scanned from the end
+        # last drop of j -> log mu_j - a log j, scanned from the end; the
+        # drop with j-value i + 1 gets the slack of |log M_k| for k <= i + 1,
+        # as in _monotone
         last_violation = 0  # j-value of the last drop
+        cur = mu[h - 1] - a * ln[h]
         for i in range(h - 1, 0, -1):
-            if mu[i] - a * logs[i] < mu[i - 1] - a * logs[i - 1] - tol:
-                last_violation = i + 1
-                break
+            prev = mu[i - 1] - a * ln[i]
+            if cur < prev:
+                if big is None:
+                    big = array("d", accumulate(map(abs, terms), max))
+                if cur < prev - slack(COMPARISON_SLACK, big[i + 1]):
+                    last_violation = i + 1
+                    break
+            cur = prev
         onset = max(1, last_violation)
-        first_max = max(divided_roots(a, range(1, q1 + 1)))
-        tail_min = min(divided_roots(a, range(q3 + 1, h + 1)))
+        first_max = max(divided_roots(a, 1, q1))
+        tail_min = min(divided_roots(a, q3 + 1, h))
         decayed = tail_min < first_max - math.log(10.0)
         ev = {
             "alpha": a,

@@ -4,16 +4,26 @@ A value x >= 0 is carried as log(x) in a double; -inf encodes 0.  Addition
 and subtraction shift by the running maximum before exponentiating, so
 intermediate terms stay in [0, 1] and never overflow.  Long sums go through
 math.fsum, which accumulates exactly and then rounds once.
+
+The module also owns the two index axes every window check reads: ln j
+and ln j!, each computed once per process into a growing array prefix.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable
 
+from .config import need_horizon
 from .errors import LogDomainError
 
 LOG_ZERO = float("-inf")
+
+# ln j and ln j! at index j, grown on demand by ln_axis and
+# ln_factorial_axis; pure functions of j, so every caller may share them
+_LN_AXIS = array("d")
+_LN_FACTORIAL_AXIS = array("d")
 
 # exp(log_x) for log_x below this underflows even after the shift; such
 # terms cannot move a double sum and are dropped early.
@@ -91,3 +101,60 @@ def log_sum(values: Iterable[float]) -> float:
         math.exp(v - hi) for v in vals if v - hi > _NEGLIGIBLE_SHIFT
     )
     return hi + math.log(total)
+
+
+def log_running_sums(values: Iterable[float]) -> list[float]:
+    """The running log-sums of values: entry k is log_add of entry k - 1
+    and values[k], from LOG_ZERO.
+
+    One pass with log_add's arithmetic inline, so every entry equals the
+    chain of log_add calls bit for bit, and a NaN value raises the same
+    LogDomainError at the same place.
+    """
+    out = []
+    append = out.append
+    acc = LOG_ZERO
+    log1p, exp = math.log1p, math.exp
+    for b in values:
+        if b != b:  # acc is never NaN: no step below makes one
+            raise LogDomainError("nan operand")
+        if acc == LOG_ZERO:
+            acc = b
+        elif b != LOG_ZERO:
+            if acc < b:
+                acc, b = b, acc
+            if acc != math.inf:
+                acc = acc + log1p(exp(b - acc))
+        append(acc)
+    return out
+
+
+def ln_axis(n: int) -> array:
+    """[ln 0, ln 1, ..., ln n, ...] with ln 0 read as LOG_ZERO: the
+    process-wide cached prefix, at least n + 1 long; do not mutate.
+
+    Entry j is math.log(j) itself.  The prefix grows to n on demand and
+    never past WINDOW_CAP: a larger n raises HorizonError before it grows.
+    """
+    axis = _LN_AXIS
+    if n >= len(axis):
+        need_horizon(n, 0)
+        if not axis:
+            axis.append(LOG_ZERO)
+        axis.extend(map(math.log, range(len(axis), n + 1)))
+    return axis
+
+
+def ln_factorial_axis(n: int) -> array:
+    """[ln 0!, ln 1!, ..., ln n!, ...]: the process-wide cached prefix, at
+    least n + 1 long; do not mutate.
+
+    Entry j is math.lgamma(j + 1) itself.  The prefix grows to n on demand
+    and never past WINDOW_CAP: a larger n raises HorizonError before it
+    grows.
+    """
+    axis = _LN_FACTORIAL_AXIS
+    if n >= len(axis):
+        need_horizon(n, 0)
+        axis.extend(map(math.lgamma, range(len(axis) + 1, n + 2)))
+    return axis

@@ -35,7 +35,7 @@ def _ratio_trajectory(m, n, h, phi):
     """Indices and r values; phi_j = 0 indices are excluded and reported."""
     a, b = m.log_terms(h), n.log_terms(h)
     if phi is None:
-        idx = list(range(1, h + 1))
+        idx = range(1, h + 1)
         return idx, [(a[j] - b[j]) / j for j in idx], []
     idx, vals, excluded = [], [], []
     for j, denom in enumerate(phi.values(1, h), 1):

@@ -298,7 +298,9 @@ def gevrey(s: float) -> WeightSequence:
     s = float(s)
     if not math.isfinite(s) or s <= 0.0:
         raise InvalidParameterError("s", f"need s > 0, got {s!r}")
-    return WeightSequence("gevrey", {"s": s}, lambda j: s * math.lgamma(j + 1))
+    return WeightSequence(
+        "gevrey", {"s": s}, lambda j: s * math.lgamma(j + 1),
+        _block=lambda lo, hi: [s * math.lgamma(j + 1) for j in range(lo, hi + 1)])
 
 
 def ptt(tau: float, sigma: float) -> WeightSequence:
@@ -315,7 +317,12 @@ def ptt(tau: float, sigma: float) -> WeightSequence:
             return 0.0
         return tau * float(j) ** sigma * math.log(j)
 
-    return WeightSequence("ptt", {"tau": tau, "sigma": sigma}, term)
+    def block(lo: int, hi: int) -> list[float]:
+        return [tau * float(j) ** sigma * math.log(j) if j else 0.0
+                for j in range(lo, hi + 1)]
+
+    return WeightSequence("ptt", {"tau": tau, "sigma": sigma}, term,
+                          _block=block)
 
 
 def table(values=None, log_values=None) -> WeightSequence:

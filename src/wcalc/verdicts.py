@@ -15,6 +15,7 @@ from itertools import chain, islice
 from operator import mul
 
 from .config import COMPARISON_SLACK, LOG_SLOPE_TOL, STABILIZE_REL
+from .logdomain import ln_axis
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -70,53 +71,41 @@ def decimate(values) -> list:
     return [vals[round(i * step)] for i in range(_DECIMATE_LIMIT)]
 
 
-def _centre(xs) -> tuple[float, array, float]:
-    """Mean of xs, the deviations from it, and their sum of squares."""
+@functools.lru_cache(maxsize=8)
+def _log_axis(indices: range | tuple) -> tuple[float, array, float]:
+    """Mean of ln(index) over indices, the deviations from it and their sum
+    of squares.  A range keys a contiguous run by its ends alone, and an
+    increasing one of positive indices reads the logdomain ln axis; other
+    index lists key by their tuple."""
+    if type(indices) is range and indices.start > 0 and indices.step > 0:
+        xs = ln_axis(indices[-1])[indices.start:indices.stop:indices.step]
+    else:
+        xs = [math.log(i) for i in indices]
     mx = math.fsum(xs) / len(xs)
     dx = array("d", [x - mx for x in xs])
     return mx, dx, math.fsum(d ** 2 for d in dx)
 
 
-def _centred_fit(dx, sxx: float, ys) -> tuple[float, float]:
-    """Least-squares slope of ys against xs given as the deviations dx from
-    their mean, with sxx the sum of their squares, and the mean of ys; the
-    slope is 0 for degenerate xs (sxx == 0)."""
+def log_fit(indices: list | range, ys) -> tuple[float, float]:
+    """Least-squares slope and intercept of ys against ln(index) over
+    nonempty indices; (0, mean of ys) when every index is the same.
+
+    The centred ln axis is cached: the trajectories and power-fit tails of
+    one run share a few index lists.  A range keys the cache as it is, a
+    list of consecutive ints as the range it spells.
+    """
+    if type(indices) is range:
+        key = indices
+    else:
+        first = indices[0]
+        run = range(first, first + len(indices)) if type(first) is int else None
+        key = run if run is not None and indices == list(run) else tuple(indices)
+    mx, dx, sxx = _log_axis(key)
     my = math.fsum(ys) / len(dx)
     if sxx == 0.0:
         return 0.0, my
-    return math.fsum(map(mul, dx, [y - my for y in ys])) / sxx, my
-
-
-def fit_line(xs, ys) -> tuple[float, float]:
-    """Least-squares slope/intercept; returns (0, mean) for degenerate xs."""
-    if len(xs) == 0:
-        return 0.0, 0.0
-    mx, dx, sxx = _centre(xs)
-    slope, my = _centred_fit(dx, sxx, ys)
-    return slope, (my - slope * mx if sxx != 0.0 else my)
-
-
-@functools.lru_cache(maxsize=8)
-def _log_axis(indices: range | tuple) -> tuple[array, float]:
-    """Centred ln(index) axis of a fit over indices, and its sum of squares.
-    A range keys a contiguous run by its ends alone; other index lists key
-    by their tuple."""
-    _, dx, sxx = _centre([math.log(i) for i in indices])
-    return dx, sxx
-
-
-def _log_slope(hidx: list | range, half: list) -> float:
-    """fit_line([ln i for i in hidx], half)[0] on a cached ln axis: the
-    trajectories of one run share a few index lists.  A range keys the
-    cache as it is, a list of consecutive ints as the range it spells."""
-    if type(hidx) is range:
-        key = hidx
-    else:
-        first = hidx[0]
-        run = range(first, first + len(hidx)) if type(first) is int else None
-        key = run if run is not None and hidx == list(run) else tuple(hidx)
-    dx, sxx = _log_axis(key)
-    return _centred_fit(dx, sxx, half)[0]
+    slope = math.fsum(map(mul, dx, [y - my for y in ys])) / sxx
+    return slope, my - slope * mx
 
 
 FROZEN = "frozen"
@@ -177,7 +166,7 @@ def classify_trajectory(indices, values) -> TailReport:
     tail = vals[q3:] or vals[-1:]
     half = vals[n // 2:]
     hidx = idx[n // 2:]
-    slope = _log_slope(hidx, half)
+    slope = log_fit(hidx, half)[0]
     if n >= 8 and sup_pos < q3 and max(tail) <= sup + COMPARISON_SLACK:
         trend = FROZEN
     elif n < 8:

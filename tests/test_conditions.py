@@ -161,6 +161,29 @@ def test_early_lc_drop_keeps_failing_past_large_late_terms():
         assert (v.status, v.witness) == (FAILS, 5), h
 
 
+def test_early_gamma_lb_drop_is_not_hidden_by_large_late_terms():
+    # quotients 1 (x39), 1 - 5e-11 at j = 40, then climbing by 0.05: the
+    # drop is past the slack of log M_0..M_40 but inside that of the whole
+    # window from h = 64 on; past 3h/4 it fails, in (h/2, 3h/4] the onset
+    # is too late for Holds
+    quotients = [1.0] * 39 + [1.0 - 5e-11] + [1.0 + 0.05 * k for k in range(1, 60)]
+    m = table(log_values=list(itertools.accumulate(quotients, initial=0.0)))
+    for h, want in ((48, (FAILS, 40)), (64, (UNDETERMINED, None)),
+                    (79, (UNDETERMINED, None))):
+        v = gamma_lower_bound(m, [0], h)[0.0]
+        assert (v.status, v.witness, v.evidence["onset"]) == (*want, 40), h
+        assert (check_condition(m, "lc", h).status,
+                check_condition(m, "lc", h).witness) == (FAILS, 40), h
+    # a drop of 1.5e-9 at j = 41, past the slack of log M_0..M_40 (about
+    # 1e-9) but inside that of log M_0..M_41 (about 2e-9): like lc, the
+    # drop's own term counts, so it is no violation
+    quotients = [1.0] * 39 + [1000.0, 1000.0 - 1.5e-9] + [1000.0 + 0.05 * k for k in range(1, 30)]
+    m = table(log_values=list(itertools.accumulate(quotients, initial=0.0)))
+    assert check_condition(m, "lc", 64).status == HOLDS
+    v = gamma_lower_bound(m, [0], 64)[0.0]
+    assert (v.status, v.evidence["onset"]) == (HOLDS, 1)
+
+
 def test_condition_validation(g1):
     with pytest.raises(InvalidParameterError):
         check_condition(g1, "no_such_condition")
@@ -345,11 +368,12 @@ def test_holds_never_claimed_for_diverging_defect(p12):
 
 def gamma_evidence(logs, a, h):
     """(status, witness, onset, tail min, first max) of gamma_lb(alpha=a),
-    written out per alpha as a reference."""
-    tol = 1e-12 * max(1.0, max(map(abs, logs)))
+    written out per alpha as a reference.  The drop with j-value i + 1
+    gets the slack of log M_0..M_(i+1)."""
     vals = [logs[j] - logs[j - 1] - a * math.log(j) for j in range(1, h + 1)]
     last = next((i + 1 for i in range(h - 1, 0, -1)
-                 if vals[i] < vals[i - 1] - tol), 0)
+                 if vals[i] < vals[i - 1]
+                 - 1e-12 * max(1.0, max(map(abs, logs[:i + 2])))), 0)
     roots = [(logs[j] - a * math.lgamma(j + 1)) / j for j in range(1, h + 1)]
     first_max = max(roots[:max(1, h // 4)])
     tail_min = min(roots[(3 * h) // 4:])

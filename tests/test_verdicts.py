@@ -17,11 +17,10 @@ from wcalc import (
     Verdict,
     classify_trajectory,
     decimate,
-    fit_line,
     running_sup_stabilized,
 )
 from wcalc.config import STABILIZE_REL
-from wcalc.verdicts import quarter_minima, trajectory_entry
+from wcalc.verdicts import log_fit, quarter_minima, trajectory_entry
 
 
 def test_verdict_props_and_json():
@@ -47,15 +46,16 @@ def test_decimate_keeps_ends():
     assert decimate(range(3)) == [0, 1, 2]
 
 
-def test_fit_line_recovers_exact_line():
-    xs = [1.0, 2.0, 3.0, 4.0]
-    ys = [2.0 * x - 1.0 for x in xs]
-    slope, intercept = fit_line(xs, ys)
-    assert slope == pytest.approx(2.0, abs=1e-12)
-    assert intercept == pytest.approx(-1.0, abs=1e-12)
-    # degenerate abscissae fall back to the mean
-    assert fit_line([5.0, 5.0], [1.0, 3.0]) == (0.0, 2.0)
-    assert fit_line([], []) == (0.0, 0.0)
+def test_log_fit_recovers_exact_line():
+    # ys = 2 ln j - 1, over a range and over a sparse index list
+    for idx in (range(1, 9), [1, 3, 4, 10]):
+        ys = [2.0 * math.log(j) - 1.0 for j in idx]
+        slope, intercept = log_fit(idx, ys)
+        assert slope == pytest.approx(2.0, abs=1e-12)
+        assert intercept == pytest.approx(-1.0, abs=1e-12)
+    # one index falls back to the mean
+    assert log_fit(range(5, 6), [3.0]) == (0.0, 3.0)
+    assert log_fit([5, 5], [1.0, 3.0]) == (0.0, 2.0)
 
 
 def classify(vals, idx=None):
@@ -222,15 +222,20 @@ def fitted_trajectory(draw):
 # the matrix search's axis; a plain sum of the products gives 1 - 2^-52
 @example((list(range(1, 513)), [math.log(j) for j in range(1, 513)]))
 @given(fitted_trajectory())
-def test_classify_slope_equals_fit_line(case):
-    # bit for bit, on the first call (axis built) and the second (cached)
+def test_classify_slope_equals_log_fit(case):
+    # bit for bit, on the first call (axis built) and the second (cached),
+    # with the indices as a list and as a range where they are a run
     idx, vals = case
     n = len(vals)
     xs, half = [math.log(i) for i in idx[n // 2:]], vals[n // 2:]
     want = least_squares_slope(xs, half)
-    assert same_float(fit_line(xs, half)[0], want)
-    for _ in range(2):
-        assert same_float(classify_trajectory(idx, vals).slope, want)
+    runs = [idx]
+    if idx == list(range(idx[0], idx[0] + n)):
+        runs.append(range(idx[0], idx[0] + n))
+    for run in runs:
+        for _ in range(2):
+            assert same_float(log_fit(run[n // 2:], half)[0], want)
+            assert same_float(classify_trajectory(run, vals).slope, want)
 
 
 @given(fitted_trajectory(), st.integers(1, 3))
