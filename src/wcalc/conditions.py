@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from array import array
-from itertools import accumulate, islice, repeat
+from itertools import islice, repeat
 from operator import mul, neg, sub, truediv
 
 from .config import (
@@ -30,6 +29,7 @@ from .logdomain import (
     log_add,
     log_running_sums,
     log_sum,
+    prefix_max_abs,
     slack,
 )
 from .sequences import ExponentSequence, WeightSequence
@@ -371,7 +371,7 @@ def gamma_lower_bound(m: WeightSequence, alphas,
             prev = mu[i - 1] - a * ln[i]
             if cur < prev:
                 if big is None:
-                    big = array("d", accumulate(map(abs, terms), max))
+                    big = prefix_max_abs(terms)
                 if cur < prev - slack(COMPARISON_SLACK, big[i + 1]):
                     last_violation = i + 1
                     break

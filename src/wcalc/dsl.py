@@ -741,6 +741,36 @@ def run_query(query: Query, env: dict, cfg: Config, h: int) -> dict:
     return sig.shape(sig.target(cfg, h, *values), *values)
 
 
+def _releases(statements) -> list[list[str]]:
+    """For each statement, the names whose values leave the env once it has
+    run: values it reads for the last time (as a Ref among its call
+    arguments; options never hold names), and values it binds that nothing
+    reads.  The analysis is per value, so a name bound again releases each
+    value after that value's own last reader; a value last read by the
+    statement that rebinds its name goes when that statement replaces it."""
+    out: list[list[str]] = [[] for _ in statements]
+    last: dict[str, int] = {}  # name -> last statement binding or reading its value
+    for i, stmt in enumerate(statements):
+        for _, v in stmt.call.args:
+            if isinstance(v, Ref) and v.name in last:
+                last[v.name] = i
+        if isinstance(stmt, Binding):
+            j = last.pop(stmt.name, i)
+            if j < i:
+                out[j].append(stmt.name)
+            last[stmt.name] = i
+    for name, i in last.items():
+        out[i].append(name)
+    return out
+
+
+def _release(kind: str, obj) -> None:
+    # a matrix still read through a derived one (matrix_scale holds its
+    # base) keeps its elements, but nothing reads its pair memo again
+    if kind == "matrix" and obj is not None:
+        obj.drop_checks()
+
+
 def execute(program: Program, cfg: Config | None = None,
             horizon_override: int | None = None) -> list[dict]:
     """Evaluate bindings in order, run queries, one record per query.
@@ -749,12 +779,17 @@ def execute(program: Program, cfg: Config | None = None,
     continues; a binding error poisons its name, so queries and bindings
     touching it also produce error records.  horizon_override models a
     command-line flag and beats per-query horizon options.
+
+    Each binding leaves the env right after its last reader has run (see
+    _releases), poisoned ones too, so a script holds only the values a
+    later statement still reads; a released matrix drops its pair memo.
     """
     cfg = cfg or Config()
     env: dict[str, tuple[str, object]] = {}
     poisoned: set[str] = set()
     records: list[dict] = []
-    for stmt in program.statements:
+    statements = program.statements
+    for stmt, released in zip(statements, _releases(statements)):
         binding = isinstance(stmt, Binding)
         # "query" is filled in below, for the records that are kept
         record = {"query": None}
@@ -781,4 +816,6 @@ def execute(program: Program, cfg: Config | None = None,
         if not binding or "error" in record:
             record["query"] = format_statement(stmt)
             records.append(record)
+        for name in released:
+            _release(*env.pop(name))
     return records

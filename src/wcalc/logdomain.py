@@ -47,6 +47,21 @@ def slack(rel: float, a: float, b: float = 0.0) -> float:
     return rel * a if a > 1.0 else rel
 
 
+def prefix_max_abs(values) -> array:
+    """[max |values[k]| over k <= j for each j] of a non-empty sequence,
+    the magnitudes a window scan passes to slack: the floats of
+    array("d", accumulate(map(abs, values), max)), from one comparison per
+    index instead of one max() call."""
+    out = array("d")
+    put = out.append
+    b = abs(values[0])
+    for x in map(abs, values):
+        if x > b:
+            b = x
+        put(b)
+    return out
+
+
 def log_add(a: float, b: float) -> float:
     """log(exp(a) + exp(b)) without leaving the log domain."""
     if math.isnan(a) or math.isnan(b):

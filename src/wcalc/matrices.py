@@ -116,16 +116,21 @@ class WeightMatrix:
     building one checks that grid neighbours are pointwise ordered up to
     index 64 and raises OrderViolationError otherwise.
 
-    Two memos live and die with the matrix, and each grows only with the
-    statements run on it, never past the elements and pairs those
-    statements read: _memo maps an index c to its element, and _checks
-    maps (tag, left element, right element or None, h, seed) to the result
-    of one matrix-check computation (a pair test, the sc certificate of an
-    element or the constant comparison), with seed None for every tag but
-    mg, and ("composition", left element, k_top) to its FdB composition
-    sequence.  Elements compare by identity, and _memo keeps them alive, so
-    the Roumieu and Beurling searches of one condition run each pair and
-    composition they share once.  A memoized result is read-only.
+    Two memos grow only with the statements run on the matrix, never past
+    the elements and pairs those statements read: _memo maps an index c to
+    its element, and _checks maps (tag, left element, right element or
+    None, h, seed) to the result of one matrix-check computation (a pair
+    test, the sc certificate of an element or the constant comparison),
+    with seed None for every tag but mg, and ("composition", left element,
+    k_top) to its FdB composition sequence.  Elements compare by identity,
+    and _memo keeps them alive, so the Roumieu and Beurling searches of one
+    condition run each pair and composition they share once.  A memoized
+    result is read-only.
+
+    Both die with the matrix.  A script releases a matrix after its last
+    reader and calls drop_checks then: a matrix built on it by matrix_scale
+    still reads its elements through _memo, but no statement reads its
+    pair memo again.
     """
 
     def __init__(self, construction: str, params: dict,
@@ -149,6 +154,10 @@ class WeightMatrix:
             got = self._fn(c)
             self._memo[c] = got
         return got
+
+    def drop_checks(self) -> None:
+        """Forget every memoized matrix-check result; elements stay."""
+        self._checks.clear()
 
     @property
     def phi(self) -> ExponentSequence | None:
@@ -387,7 +396,8 @@ def _test_rai(left: WeightSequence, right: WeightSequence, h: int) -> dict:
     tl, tr = left.log_terms(h), right.log_terms(h)
     suffmin = [tr[k] / k for k in range(1, h + 1)]
     for i in range(len(suffmin) - 2, -1, -1):
-        suffmin[i] = min(suffmin[i], suffmin[i + 1])
+        if suffmin[i + 1] < suffmin[i]:
+            suffmin[i] = suffmin[i + 1]
     vals = [tl[j] / j - suffmin[j - 1] for j in range(1, h + 1)]
     return trajectory_entry(range(1, h + 1), vals)
 

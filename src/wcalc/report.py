@@ -9,8 +9,10 @@ indent=2, ensure_ascii=False) plus a newline, UTF-8 encoded, where d is
 Report.to_dict().  It writes them itself: json.dumps never uses its C
 encoder once indent is set, and joins the whole text before encoding it,
 so the report would be held as pieces, as a str and as bytes at once.
-The writer encodes its pieces into UTF-8 chunks every _FLUSH_PIECES
-pieces instead.
+The writer instead flushes every _FLUSH_PIECES pieces: it joins them,
+encodes them and writes the UTF-8 chunk into one io.BytesIO, whose
+getvalue() hands the buffer over without a copy.  So besides the records,
+emitting a report holds little more than its own bytes.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ def _scalar(v) -> bool:
 _encode_str = json.encoder.encode_basestring
 # float.__repr__ of the values json writes as NaN, Infinity, -Infinity
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# pieces the JSON writer gathers before it encodes them as one chunk
-_FLUSH_PIECES = 4096
+# pieces the JSON writer gathers before it flushes them; emitting the
+# 617 KB matrix_search report holds 1.19x its bytes at 512, 1.10x at
+# 256 (about 2% slower) and 2.0x at 4096
+_FLUSH_PIECES = 512
 
 
 def _float_text(v: float) -> str:
@@ -91,9 +95,10 @@ def _key_text(k) -> str:
     return text if isinstance(k, str) else f'"{text}"'
 
 
-def _write(v, level: int, pieces: list[str], chunks: list[bytes]) -> None:
+def _write(v, level: int, pieces: list[str], out: io.BytesIO) -> None:
     """Append the JSON text of the container v, indented at level, to
-    pieces, and encode pieces into a chunk once there are _FLUSH_PIECES."""
+    pieces, and flush them into out, UTF-8 encoded, once there are
+    _FLUSH_PIECES."""
     put = pieces.append
     text_of = _TEXT_OF_TYPE.get
     other = _subclass_text
@@ -111,7 +116,7 @@ def _write(v, level: int, pieces: list[str], chunks: list[bytes]) -> None:
         for x, text in zip(v, texts):
             if text is None:
                 put(sep)
-                _write(x, level + 1, pieces, chunks)
+                _write(x, level + 1, pieces, out)
             else:
                 put(sep + text)
             sep = "," + inner
@@ -127,7 +132,7 @@ def _write(v, level: int, pieces: list[str], chunks: list[bytes]) -> None:
             text = text_of(type(x), other)(x)
             if text is None:
                 put(f"{sep}{key}: ")
-                _write(x, level + 1, pieces, chunks)
+                _write(x, level + 1, pieces, out)
             else:
                 put(f"{sep}{key}: {text}")
             sep = "," + inner
@@ -136,28 +141,28 @@ def _write(v, level: int, pieces: list[str], chunks: list[bytes]) -> None:
         raise TypeError(f"Object of type {v.__class__.__name__} "
                         f"is not JSON serializable")
     if len(pieces) >= _FLUSH_PIECES:
-        chunks.append("".join(pieces).encode("utf-8"))
+        out.write("".join(pieces).encode("utf-8"))
         pieces.clear()
 
 
-def _json_chunks(value) -> list[bytes]:
-    """The UTF-8 chunks of json.dumps(value, sort_keys=True, indent=2,
+def _json_bytes(value) -> bytes:
+    """The UTF-8 bytes of json.dumps(value, sort_keys=True, indent=2,
     ensure_ascii=False) + "\\n"; tuples are lists, dict items are sorted
     on their original keys, and any other type raises TypeError."""
     pieces: list[str] = []
-    chunks: list[bytes] = []
+    out = io.BytesIO()
     text = _TEXT_OF_TYPE.get(type(value), _subclass_text)(value)
     if text is None:
-        _write(value, 0, pieces, chunks)
+        _write(value, 0, pieces, out)
     else:
         pieces.append(text)
     pieces.append("\n")
-    chunks.append("".join(pieces).encode("utf-8"))
-    return chunks
+    out.write("".join(pieces).encode("utf-8"))
+    return out.getvalue()
 
 
 def emit_json(report: Report) -> bytes:
-    return b"".join(_json_chunks(report.to_dict()))
+    return _json_bytes(report.to_dict())
 
 
 def emit_csv(report: Report) -> bytes:

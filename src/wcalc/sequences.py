@@ -34,12 +34,12 @@ through it.  Phi blocks are not cached.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Callable
 
 from .config import need_horizon
 from .errors import InvalidParameterError, PreconditionError, TableExhaustedError
-from .logdomain import slack
+from .logdomain import prefix_max_abs, slack
 
 
 def _check_index(j: int) -> int:
@@ -197,10 +197,11 @@ class WeightSequence:
     the same float operations.
 
     The memo holds one entry per distinct index read past the window and
-    dies with the sequence.  A script's sequences live while its run does,
-    and each query adds only the indices it reads: O(log cap) for an omega
-    evaluation, a few for a conjugate or a recovered term.  It grows
-    without bound only for a long-lived Python caller that keeps one
+    dies with the sequence.  A script drops its binding of a sequence after
+    the last statement that reads it (a sequence built on it keeps it
+    alive), and each query adds only the indices it reads: O(log cap) for
+    an omega evaluation, a few for a conjugate or a recovered term.  It
+    grows without bound only for a long-lived Python caller that keeps one
     sequence and reads ever new indices past its window.
     """
 
@@ -383,7 +384,7 @@ def regularize_slc(m: WeightSequence, horizon: int | None) -> WeightSequence:
     terms = m.log_terms(horizon)
     # quotient jitter scales with the term magnitude, not the quotient
     # itself; q[i] gets the slack of terms[0..i+1], as in the slc check
-    tol = [slack(1e-12, b) for b in accumulate(map(abs, terms), max)]
+    tol = [slack(1e-12, b) for b in prefix_max_abs(terms)]
     q = [terms[j] - terms[j - 1] - math.log(j) for j in range(1, horizon + 1)]
     mono_onset = 1
     for i in range(len(q) - 1, 0, -1):

@@ -1,12 +1,18 @@
 """Script language: tokenizer, parser, printer round-trip, execution."""
 
+import gc
 import math
 import pathlib
+import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wcalc import Config, SourceError, cli, dsl
+from wcalc import conditions as _conditions
+from wcalc import matrices as _matrices
+from wcalc import sequences as _sequences
 from wcalc.dsl import (
     BINDING_KINDS,
     BOUNDS,
@@ -741,3 +747,154 @@ def scripts(draw):
 def test_scanner_and_block_read_match_the_character_loop(text):
     assert _outcome(tokenize, text) == _outcome(_loop_tokenize, text)
     assert _outcome(parse, text) == _outcome(_loop_parse, text)
+
+
+# ---------------------------------------------------------------------------
+# a binding leaves the env after its last reader
+
+
+def _track(monkeypatch, module, name: str, refs: list) -> None:
+    """Wrap module.name so each object it builds is weakly kept in refs."""
+    real = getattr(module, name)
+
+    def tracked(*args):
+        obj = real(*args)
+        refs.append(weakref.ref(obj))
+        return obj
+
+    monkeypatch.setattr(module, name, tracked)
+
+
+def _probe_checks(monkeypatch, refs: list) -> list:
+    """Which tracked objects are alive when each check query starts."""
+    seen = []
+    real = _conditions.check_condition
+
+    def probe(*args, **kwargs):
+        gc.collect()
+        seen.append([r() is not None for r in refs])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_conditions, "check_condition", probe)
+    return seen
+
+
+def test_a_sequence_is_gone_after_its_last_reader(monkeypatch):
+    refs = []
+    _track(monkeypatch, _sequences, "gevrey", refs)
+    seen = _probe_checks(monkeypatch, refs)
+    records = execute(parse("""
+        seq a = gevrey(s=2);
+        seq unread = gevrey(s=3);
+        check lc(a) horizon 32;
+        seq b = gevrey(s=1.5);
+        check lc(b) horizon 32;
+    """))
+    assert [r["status"] for r in records] == ["Holds", "Holds"]
+    # the unread binding went right after its own statement, a after the
+    # first check, its last reader
+    assert seen == [[True, False], [False, False, True]]
+    gc.collect()
+    assert not any(r() for r in refs)
+
+
+def test_a_name_bound_twice_releases_each_value_after_its_own_last_reader(
+        monkeypatch):
+    refs = []
+    _track(monkeypatch, _sequences, "gevrey", refs)
+    seen = _probe_checks(monkeypatch, refs)
+    first = parse("seq a = gevrey(s=2); check lc(a) horizon 32;").statements
+    again = parse("seq a = gevrey(s=3); check lc(a) horizon 32;").statements
+    unread = parse("seq a = gevrey(s=4);").statements
+    records = execute(Program(first + unread + again))
+    assert [r["status"] for r in records] == ["Holds", "Holds"]
+    assert seen == [[True], [False, False, True]]
+    assert dsl._releases(first + unread + again) == [[], ["a"], ["a"], [], ["a"]]
+
+
+def test_a_poisoned_binding_and_what_it_reads_are_released(monkeypatch):
+    refs = []
+    _track(monkeypatch, _sequences, "gevrey", refs)
+    seen = _probe_checks(monkeypatch, refs)
+    program = parse("""
+        seq a = gevrey(s=2);
+        exp ph = power(sigma=1);
+        seq bad = scale(base=a, phi=ph, c=-1);
+        seq z = gevrey(s=1.5);
+        compare preceq(z, bad) horizon 32;
+        seq y = gevrey(s=3);
+        check lc(y) horizon 32;
+    """)
+    records = execute(program)
+    assert [r.get("error", {}).get("type") for r in records] == [
+        "InvalidParameterError", "PoisonedReference", None]
+    # a went after the failed binding that read it, z after the poisoned
+    # query that read it
+    assert seen == [[False, False, True]]
+    # the poisoned name leaves the env after its last reader too
+    assert dsl._releases(program.statements) == [
+        [], [], ["a", "ph"], [], ["bad", "z"], [], ["y"]]
+
+
+def test_a_released_base_matrix_keeps_its_elements_but_no_pair_memo(
+        monkeypatch):
+    refs = []
+    _track(monkeypatch, _matrices, "ptt_matrix", refs)
+    seen = []
+    real = _matrices.check_matrix_condition
+
+    def probe(mm, *args, **kwargs):
+        # (checking pm, pm's elements, pm's pair memo) before and after
+        gc.collect()
+        base = refs[0]()
+        seen.append((mm is base, len(base._memo), len(base._checks)))
+        out = real(mm, *args, **kwargs)
+        seen.append((mm is base, len(base._memo), len(base._checks)))
+        return out
+
+    monkeypatch.setattr(_matrices, "check_matrix_condition", probe)
+    records = execute(parse("""
+        matrix pm = ptt_matrix(tau=1, sigma=2);
+        exp ph = power(sigma=1);
+        matrix ms = matrix_scale(base=pm, phi=ph);
+        mcheck mg(pm) horizon 64 flavor r;
+        mcheck mg(ms) horizon 64 flavor r;
+    """))
+    assert not any("error" in r for r in records)
+    (on_pm, _, before), (_, elements, after), (on_ms, kept, dropped), _ = seen
+    assert on_pm and before == 0 and after > 0
+    # pm's last reader has run: ms still reads its elements through it
+    assert not on_ms and kept == elements > 0 and dropped == 0
+    gc.collect()
+    assert refs[0]() is None
+
+
+def _six_mchecks_each(*ctors) -> str:
+    lines = []
+    for i, ctor in enumerate(ctors):
+        lines.append(f"matrix m{i} = {ctor};")
+        lines += [f"mcheck {tag}(m{i}) horizon 256 flavor {flavor};"
+                  for tag in ("mg", "dc", "L") for flavor in ("r", "b")]
+    return "\n".join(lines) + "\n"
+
+
+def _execute_peak(program: Program) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        execute(program)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_independent_matrices_run_in_turn_do_not_add_up_in_memory():
+    one = parse(_six_mchecks_each("sigma_matrix(sigma=2)"))
+    three = parse(_six_mchecks_each(
+        "sigma_matrix(sigma=2)", "ptt_matrix(tau=1, sigma=2)",
+        "sigma_matrix(sigma=1.5)"))
+    execute(three)  # the process-wide ln axes grow outside the measurement
+    # each matrix with its elements, windows and pair memo goes after its
+    # last mcheck: 1.7x the first matrix alone, 3.3x when every one lived
+    # until the script ended
+    assert _execute_peak(three) < 2.5 * _execute_peak(one)

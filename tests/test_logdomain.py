@@ -1,12 +1,14 @@
 """Log-domain scalar arithmetic against direct linear-scale oracles."""
 
 import math
+from array import array
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wcalc import LogDomainError, log_add, log_sub, log_sum
-from wcalc.logdomain import LOG_ZERO, slack
+from wcalc.logdomain import LOG_ZERO, prefix_max_abs, slack
 
 # range where exp() is exact enough for a linear-scale oracle
 moderate = st.floats(min_value=-200.0, max_value=200.0,
@@ -89,3 +91,17 @@ def test_slack_is_relative_to_the_larger_magnitude(a, b, rel):
 
 def test_slack_at_log_zero_is_infinite():
     assert slack(1e-12, LOG_ZERO, 0.0) == math.inf
+
+
+# a few values drawn often, so that ties, -inf and both zeros come up
+_TIED = st.sampled_from([0.0, -0.0, LOG_ZERO, math.inf, 1.5, -1.5, 700.0])
+
+
+@given(st.lists(st.one_of(_TIED, st.floats()), min_size=1, max_size=60))
+@example([-0.0, 0.0, -0.0])
+@example([LOG_ZERO, 3.0, LOG_ZERO, -3.0])
+@example([math.nan, 1.0, 2.0])
+@example([1.0, math.nan, 0.5, 2.0])
+def test_prefix_max_abs_equals_accumulate_max(values):
+    want = array("d", accumulate(map(abs, values), max))
+    assert prefix_max_abs(values).tobytes() == want.tobytes()

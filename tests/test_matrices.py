@@ -663,3 +663,37 @@ def test_condition_tag_inventory():
     assert MATRIX_CONDITIONS == ("L", "mg", "dc", "rai", "FdB", "BR", "sc", "constant")
     for tag, flavor in itertools.product(("L", "mg"), (ROUMIEU, BEURLING)):
         MatrixConditionId(tag, flavor)  # constructible
+
+
+def _old_test_rai_values(tl, tr, h):
+    """The defects of _test_rai with its suffix minima taken by min()."""
+    suffmin = [tr[k] / k for k in range(1, h + 1)]
+    for i in range(len(suffmin) - 2, -1, -1):
+        suffmin[i] = min(suffmin[i], suffmin[i + 1])
+    return [tl[j] / j - suffmin[j - 1] for j in range(1, h + 1)]
+
+
+class _Terms:
+    def __init__(self, logs):
+        self.logs = logs
+
+    def log_terms(self, h):
+        return self.logs
+
+
+_TIED_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, -math.inf, 2.0, -2.0, 6.0]),
+    st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda h: st.tuples(
+    st.just(h), *(st.lists(_TIED_TERMS, min_size=h + 1, max_size=h + 1),) * 2)))
+@example((4, [0.0] * 5, [0.0, -0.0, 0.0, -0.0, 0.0]))
+@example((4, [1.0] * 5, [0.0, -math.inf, 3.0, -math.inf, 3.0]))
+def test_rai_suffix_minima_equal_the_min_loop(case):
+    h, tl, tr = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "trajectory_entry", lambda idx, vals: vals)
+        got = matrices._test_rai(_Terms(tl), _Terms(tr), h)
+    assert repr(got) == repr(_old_test_rai_values(tl, tr, h))
