@@ -41,8 +41,7 @@ _SHAPE_TOL = 1e-9
 
 
 class LogGrid:
-    """Geometric evaluation grid on [t_min, t_max], compared and hashed by
-    value."""
+    """Geometric evaluation grid on [t_min, t_max]."""
 
     __slots__ = ("t_min", "t_max", "points")
 
@@ -57,15 +56,6 @@ class LogGrid:
         self.t_min = t_min
         self.t_max = t_max
         self.points = points
-
-    def _key(self) -> tuple:
-        return self.t_min, self.t_max, self.points
-
-    def __eq__(self, other) -> bool:
-        return type(other) is LogGrid and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def log_points(self) -> list[float]:
         lo = math.log(self.t_min)
@@ -93,21 +83,10 @@ class OmegaFunction:
     from_sequence verifies the certificate: the input was log-convex with
     empirically divergent roots at construction time, which is what makes
     the maximizer search and young_conjugate's two-term reading sound.
-
-    One memo lives on the instance and dies with it.  _cache maps an index
-    cap (last_index of eval's horizon) to {t: (omega(t), maximizer)}, so
-    an entry is what a fresh search at that cap returns and no answer
-    depends on the queries before it; it grows by one entry per distinct
-    (cap, t) that eval answers.  In a script that is at most one entry per
-    eval query and two per grid point of a query that reads omega on a
-    grid (at t and 2t), and the instance dies when the run ends.  It grows without bound only for
-    a long-lived Python caller that keeps one instance and evaluates it at
-    ever new points.
     """
 
     def __init__(self, sequence: WeightSequence) -> None:
         self._m = sequence
-        self._cache: dict[int, dict[float, tuple[float, int]]] = {}
 
     @classmethod
     def from_sequence(cls, m: WeightSequence,
@@ -169,14 +148,9 @@ class OmegaFunction:
             raise InvalidParameterError("t", f"need finite t >= 0, got {t}")
         if t == 0.0:
             return OmegaValue(0.0, 0)
-        cap = self._m.last_index(h)
-        memo = self._cache.setdefault(cap, {})
-        hit = memo.get(t)
-        if hit is None:
-            log_t = math.log(t)
-            j = self._argmax_index(log_t, cap)
-            hit = memo[t] = (max(0.0, j * log_t - self._m.log_term(j)), j)
-        return OmegaValue(*hit)
+        log_t = math.log(t)
+        j = self._argmax_index(log_t, self._m.last_index(h))
+        return OmegaValue(max(0.0, j * log_t - self._m.log_term(j)), j)
 
     def table(self, grid: LogGrid,
               horizon: int | None = None) -> list[tuple[float, float, int]]:

@@ -776,8 +776,9 @@ def execute(program: Program, cfg: Config | None = None,
     """Evaluate bindings in order, run queries, one record per query.
 
     Operation errors become per-query error records and execution
-    continues; a binding error poisons its name, so queries and bindings
-    touching it also produce error records.  horizon_override models a
+    continues; a binding error poisons its name until a binding of that
+    name succeeds, so queries and bindings touching it in between also
+    produce error records.  horizon_override models a
     command-line flag and beats per-query horizon options.
 
     Each binding leaves the env right after its last reader has run (see
@@ -813,6 +814,8 @@ def execute(program: Program, cfg: Config | None = None,
         if binding and "error" in record:
             poisoned.add(stmt.name)
             env[stmt.name] = (stmt.kind, None)
+        elif binding:
+            poisoned.discard(stmt.name)
         if not binding or "error" in record:
             record["query"] = format_statement(stmt)
             records.append(record)

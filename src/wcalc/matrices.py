@@ -75,7 +75,7 @@ def _index_grid(values, min_len: int) -> tuple[float, ...]:
 
 
 class MatrixConditionId:
-    """A matrix condition and its flavor, compared and hashed by value."""
+    """A matrix condition and its flavor."""
 
     __slots__ = ("tag", "flavor")
 
@@ -89,13 +89,6 @@ class MatrixConditionId:
                 "flavor", f"unknown flavor {flavor!r}")
         self.tag = tag
         self.flavor = flavor
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is MatrixConditionId
-                and (self.tag, self.flavor) == (other.tag, other.flavor))
-
-    def __hash__(self) -> int:
-        return hash((self.tag, self.flavor))
 
 
 def condition_id(tag: str, flavor: str = ROUMIEU) -> MatrixConditionId:
@@ -530,7 +523,7 @@ def matrix_report_json(cond: MatrixConditionId, results: dict) -> dict:
 # composition sequence (partition maximum)
 
 
-def composition_sequence(m, K: int) -> list[float]:
+def composition_sequence(m: list[float], K: int) -> list[float]:
     """Partition-maximum transform of a reduced sequence.
 
     Entry k is the max over all partitions k = j_1 + ... + j_l (parts >= 1)
@@ -544,18 +537,15 @@ def composition_sequence(m, K: int) -> list[float]:
     result is bit-identical).  Any other input runs the dynamic program
     over (remaining sum, parts used), O(K^3).
 
-    m may be a WeightSequence whose log_term IS the reduced sequence, or a
-    plain list of log values of length >= K+1.
+    m is the list of log values of the reduced sequence, at least K + 1
+    of them.
     """
     if K < 0:
         raise InvalidParameterError("K", f"need K >= 0, got {K}")
-    if isinstance(m, WeightSequence):
-        logs = m.log_terms(K)
-    else:
-        logs = [float(v) for v in m]
-        if len(logs) < K + 1:
-            raise InvalidParameterError(
-                "m", f"need {K + 1} reduced terms, got {len(logs)}")
+    logs = [float(v) for v in m]
+    if len(logs) < K + 1:
+        raise InvalidParameterError(
+            "m", f"need {K + 1} reduced terms, got {len(logs)}")
     if not _convex_from_one(logs, K):
         return _composition_dp(logs, K)
     out = [0.0]

@@ -20,10 +20,10 @@ raised, does a per-index pass run, which raises the same error at the
 same lowest index, leaving the same valid prefix, as reading term by term
 would.  Point reads (omega bisection and evaluation) call log_term(j),
 which reads the prefix when j lies inside it and a per-index memo
-otherwise, so a point read far out never allocates a window; a later fill
-moves memoized terms into the prefix without evaluating them again.  A
-window never reaches past WINDOW_CAP (config): log_terms raises
-HorizonError above it before it evaluates a term.
+otherwise, so a point read far out never allocates a window.  A fill
+evaluates its whole range and leaves the memo as it is; log_term reads
+the prefix first.  A window never reaches past WINDOW_CAP (config):
+log_terms raises HorizonError above it before it evaluates a term.
 
 Exponent sequences phi = (phi_j) are plain nonnegative floats (they live in
 the exponent, not in the log domain).  value(j) reads one; values(lo, hi)
@@ -196,8 +196,9 @@ class WeightSequence:
     term; _block, when given, evaluates the terms at lo..hi in one pass with
     the same float operations.
 
-    The memo holds one entry per distinct index read past the window and
-    dies with the sequence.  A script drops its binding of a sequence after
+    The memo holds one entry per distinct index read while it lay past the
+    window, keeps it when a later fill covers that index, and dies with the
+    sequence.  A script drops its binding of a sequence after
     the last statement that reads it (a sequence built on it keeps it
     alive), and each query adds only the indices it reads: O(log cap) for
     an omega evaluation, a few for a conjugate or a recovered term.  It
@@ -206,15 +207,14 @@ class WeightSequence:
     """
 
     def __init__(self, family: str, params: dict, _fn: Callable[[int], float],
-                 length: int | None = None, _memo: dict | None = None,
-                 _window: list | None = None,
+                 length: int | None = None,
                  _block: Callable[[int, int], list] | None = None) -> None:
         self.family = family
         self.params = params
         self._fn = _fn
         self.length = length
-        self._memo = {} if _memo is None else _memo
-        self._window = [] if _window is None else _window
+        self._memo: dict[int, float] = {}
+        self._window: list[float] = []
         self._block = _block
 
     def _eval(self, j: int) -> float:
@@ -240,24 +240,16 @@ class WeightSequence:
     def log_terms(self, n: int) -> list[float]:
         """[log M_0, ..., log M_n], the shared cached prefix: do not mutate.
 
-        Same errors as reading the terms with log_term in index order; terms
-        already memoized by point reads move into the prefix instead of
-        being evaluated again.
+        Same errors as reading the terms with log_term in index order.
         """
         _check_index(n)
         window = self._window
         if n >= len(window):
             need_horizon(n, 0)  # the window ceiling, before any term is evaluated
             top = n if self.length is None else min(n, self.length - 1)
-            memo = self._memo
-            held = sorted(filter(range(len(window), top + 1).__contains__, memo))
-            block = self._block or _map_block(self._fn)
-            for k in held + [top + 1]:
-                if len(window) < k:
-                    _extend_checked(window, block, _terms_ok, self._eval,
-                                    len(window), k - 1)
-                if k <= top:
-                    window.append(memo.pop(k))
+            if len(window) <= top:
+                _extend_checked(window, self._block or _map_block(self._fn),
+                                _terms_ok, self._eval, len(window), top)
             if top < n:
                 raise TableExhaustedError(self.length, self.length)
         return window if len(window) == n + 1 else window[:n + 1]

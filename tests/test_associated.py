@@ -1,7 +1,9 @@
 """Associated functions, Young conjugates, and term recovery."""
 
 import csv
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,17 +318,47 @@ def test_young_conjugate_makes_no_eval_call(monkeypatch):
     assert from_omega(om, 1.0, WIDE).log_terms(8) == m.log_terms(8)
 
 
-def test_peak_below_the_grid_start_raises_on_every_repeat():
+def test_peak_below_the_grid_start_raises_on_every_repeat(monkeypatch):
     """gevrey(1.5) at s = 2 peaks on [log mu_2, log mu_3], far below a grid
     starting at 1e30, whose first point is past horizon 64 as well."""
     om = OmegaFunction.from_sequence(gevrey(1.5))
     far = LogGrid(1e30, 1e70, 50)
+    calls = []
+    evaluate = OmegaFunction.eval
+
+    def counted(self, t, horizon=None):
+        calls.append(t)
+        return evaluate(self, t, horizon)
+
+    monkeypatch.setattr(OmegaFunction, "eval", counted)
     for _ in range(3):
         with pytest.raises(MaximizerOnBoundaryError, match="grid start"):
             young_conjugate(om, 2.0, far, 64)
         with pytest.raises(MaximizerOnBoundaryError, match="grid start"):
             recover_term(om, 2, far, 64)
-    assert om._cache == {}
+    assert calls == []
+
+
+def test_eval_retains_nothing_per_query():
+    """eval keeps no answer: 2,000 evaluations at new points of a sequence
+    whose window already holds every index they read leave the instance
+    and its sequence as large as before."""
+    m = gevrey(1)
+    m.log_terms(4096)
+    om = OmegaFunction(m)
+    om.eval(2.0, 4096)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for i in range(2000):
+            om.eval(3.0 + 0.37 * i, 4096)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    grown = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert grown < 4096
 
 
 def outcome(call):
@@ -555,10 +587,11 @@ def test_argmax_reads_the_same_indices_as_before(steps, window, dip, where,
     assert (got, reads) == (want, want_reads)
 
 
-# --- the omega certificate and eval's memo --------------------------------
+# --- the omega certificate and the search cap -----------------------------
 # The certificate covers [0, check horizon] while the search reads up to
 # its cap; the first test pins the wanted outcome and fails until that is
-# mended.  eval's memo is kept per cap, so the second holds.
+# mended.  eval keeps no answer and searches afresh at each call's cap, so
+# the second holds.
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

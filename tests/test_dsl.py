@@ -429,6 +429,17 @@ def test_binding_on_a_poisoned_name_is_poisoned():
     assert records[2]["error"]["message"] == "binding 'w' failed earlier"
 
 
+def test_a_good_binding_clears_its_name_of_poison():
+    # the parser forbids rebinding a name, but a Program built from two
+    # parses may hold one; the second, good binding of a must be readable
+    statements = (parse("seq a = gevrey(s=-1);").statements
+                  + parse("seq a = gevrey(s=2); check lc(a) horizon 32;")
+                  .statements)
+    records = execute(Program(statements))
+    assert [(r["kind"], r.get("status"), "error" in r) for r in records] == [
+        ("binding", None, True), ("check", "Holds", False)]
+
+
 @pytest.mark.parametrize("stmt, message, col", [
     ("check mg(g) horizon 1e400;", "bad number literal '1e400'", 21),
     ("check mg(g) horizon 2.7;", "horizon needs an integer, got 2.7", 21),

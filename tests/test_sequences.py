@@ -263,8 +263,9 @@ def test_point_reads_leave_the_window_alone():
     assert len(calls) == 2 + 13
     assert m.log_term(5) == 25.0 and m.log_terms(10) == [float(j * j) for j in range(11)]
     assert len(calls) == 2 + 13
-    m.log_terms(25)  # index 20 comes from the point-read memo
-    assert len(calls) == 2 + 13 + 12
+    m.log_terms(25)  # a fill evaluates index 20 again and keeps its memo entry
+    assert len(calls) == 2 + 13 + 13
+    assert m._memo == {65536: 65536.0 ** 2, 20: 400.0}
 
 
 def test_log_terms_error_parity():
