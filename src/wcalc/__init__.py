@@ -93,7 +93,6 @@ from .witness import (
     load_bounds_csv,
     load_bounds_json,
     seminorm,
-    seminorm_trajectory,
     synthetic_bounds,
     theta_bounds,
     theta_derivative_log_bound,

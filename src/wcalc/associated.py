@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .config import (
     GRID_POINTS,
@@ -67,14 +67,8 @@ class LogGrid:
         return [math.exp(u) for u in self.log_points()]
 
 
-class OmegaValue(NamedTuple):
-    value: float
-    attained_at: int
-
-
-class ConjugateValue(NamedTuple):
-    value: float
-    log_t_star: float
+OmegaValue = namedtuple("OmegaValue", "value attained_at")
+ConjugateValue = namedtuple("ConjugateValue", "value log_t_star")
 
 
 class OmegaFunction:

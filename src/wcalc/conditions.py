@@ -24,13 +24,14 @@ from .config import (
 )
 from .errors import InvalidParameterError
 from .logdomain import (
+    first_drop,
+    last_drop,
     ln_axis,
     ln_factorial_axis,
     log_add,
     log_running_sums,
     log_sum,
     prefix_max_abs,
-    slack,
 )
 from .sequences import ExponentSequence, WeightSequence
 from .verdicts import (
@@ -96,18 +97,15 @@ def check_condition(
 
 def _monotone(tag: str, key: str, quotients: list[float], terms: list[float],
               h: int) -> Verdict:
-    """Fails at the first drop of the quotient sequence beyond the slack
-    (witness: the index j of the later quotient), Holds otherwise.  The
-    slack of a drop reads |log M_i| for i <= j only, so the verdict and
-    witness hold at every horizon past j."""
+    """Fails at logdomain.first_drop of the quotient sequence (witness: the
+    index j of the later quotient), Holds otherwise.  The slack of a drop
+    reads |log M_i| for i <= j only, so the verdict and witness hold at
+    every horizon past j."""
     ev = {key: decimate(quotients)}
-    big, seen = 0.0, 0  # the largest |terms[i]| for i < seen
-    for i in range(1, len(quotients)):
-        if quotients[i] < quotients[i - 1]:
-            big, seen = max(big, max(map(abs, terms[seen:i + 2]))), i + 2
-            if quotients[i] < quotients[i - 1] - slack(COMPARISON_SLACK, big):
-                ev["drop"] = quotients[i] - quotients[i - 1]
-                return Verdict(tag, FAILS, h, witness=i + 1, evidence=ev)
+    j = first_drop(quotients, terms)
+    if j:
+        ev["drop"] = quotients[j - 1] - quotients[j - 2]
+        return Verdict(tag, FAILS, h, witness=j, evidence=ev)
     return Verdict(tag, HOLDS, h, evidence=ev)
 
 
@@ -341,15 +339,16 @@ def gamma_lower_bound(m: WeightSequence, alphas,
     first half of the window and the alpha-divided roots are not decaying.
 
     Fails (with the last violating index) when the monotonicity defect
-    persists into the last quarter; late onsets give Undetermined.
+    persists into the last quarter; late onsets give Undetermined.  The
+    last violating index is logdomain.last_drop at alpha, the drop rule of
+    the lc and slc checks.
     """
     h = need_horizon(horizon, 4)
     out = {}
     terms = m.log_terms(h)
     mu = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
-    ln = ln_axis(h)
     ln_fact = ln_factorial_axis(h)
-    big = None  # big[j] = max |terms[k]| over k <= j, made at the first decrease
+    big = prefix_max_abs(terms)
     q1 = max(1, h // 4)
     q3 = (3 * h) // 4
 
@@ -362,20 +361,7 @@ def gamma_lower_bound(m: WeightSequence, alphas,
 
     for alpha in alphas:
         a = float(alpha)
-        # last drop of j -> log mu_j - a log j, scanned from the end; the
-        # drop with j-value i + 1 gets the slack of |log M_k| for k <= i + 1,
-        # as in _monotone
-        last_violation = 0  # j-value of the last drop
-        cur = mu[h - 1] - a * ln[h]
-        for i in range(h - 1, 0, -1):
-            prev = mu[i - 1] - a * ln[i]
-            if cur < prev:
-                if big is None:
-                    big = prefix_max_abs(terms)
-                if cur < prev - slack(COMPARISON_SLACK, big[i + 1]):
-                    last_violation = i + 1
-                    break
-            cur = prev
+        last_violation = last_drop(mu, a, big)
         onset = max(1, last_violation)
         first_max = max(divided_roots(a, 1, q1))
         tail_min = min(divided_roots(a, q3 + 1, h))

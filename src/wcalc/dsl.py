@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .config import Config
 from .errors import SourceError, WcalcError
@@ -219,11 +220,8 @@ QUERY_OPS = {q: tuple(name for kind, name in SIGNATURES if kind == q)
 # tokens
 
 
-class Token(NamedTuple):
-    kind: str           # IDENT | NUMBER | PUNCT | EOF
-    text: str
-    line: int
-    col: int
+# kind is IDENT, NUMBER, PUNCT or EOF
+Token = namedtuple("Token", "kind text line col")
 
 
 def _scan_pattern(digits: str, nonalpha: str) -> re.Pattern:

@@ -5,17 +5,19 @@ and subtraction shift by the running maximum before exponentiating, so
 intermediate terms stay in [0, 1] and never overflow.  Long sums go through
 math.fsum, which accumulates exactly and then rounds once.
 
-The module also owns the two index axes every window check reads: ln j
-and ln j!, each computed once per process into a growing array prefix.
+The module also owns the two index axes every window check reads, ln j
+and ln j!, each computed once per process into a growing array prefix,
+and the one rule that decides a quotient drop: first_drop and last_drop
+scan a quotient sequence forward and backward under it.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterable
+from collections.abc import Iterable
 
-from .config import need_horizon
+from .config import COMPARISON_SLACK, need_horizon
 from .errors import LogDomainError
 
 LOG_ZERO = float("-inf")
@@ -60,6 +62,45 @@ def prefix_max_abs(values) -> array:
             b = x
         put(b)
     return out
+
+
+def first_drop(values, terms) -> int:
+    """The first j >= 2 at which values[j - 1] drops below values[j - 2]
+    by more than slack(COMPARISON_SLACK, max |terms[k]| over k <= j), or 0
+    when no quotient drops that far.
+
+    values[i] is the quotient ending at term i + 1, so j is the index of
+    the later quotient's term.  The slack reads no term past j, so the
+    answer is the same at every horizon from j on.  The prefix maximum is
+    built from slices only where a quotient decreases.
+    """
+    big, seen = 0.0, 0  # the largest |terms[k]| for k < seen
+    for i in range(1, len(values)):
+        if values[i] < values[i - 1]:
+            big, seen = max(big, max(map(abs, terms[seen:i + 2]))), i + 2
+            if values[i] < values[i - 1] - slack(COMPARISON_SLACK, big):
+                return i + 1
+    return 0
+
+
+def last_drop(mu, a: float, big) -> int:
+    """The last j >= 2 at which mu[j - 1] - a ln j drops below its
+    predecessor mu[j - 2] - a ln(j - 1) by more than
+    slack(COMPARISON_SLACK, big[j]), or 0 when none does.
+
+    mu[i] is log M_{i+1} - log M_i and big[j] the largest |log M_k| over
+    k <= j (prefix_max_abs of the terms), so the drop at j is judged as
+    first_drop judges it.
+    """
+    h = len(mu)
+    ln = ln_axis(h)
+    cur = mu[h - 1] - a * ln[h]
+    for i in range(h - 1, 0, -1):
+        prev = mu[i - 1] - a * ln[i]
+        if cur < prev and cur < prev - slack(COMPARISON_SLACK, big[i + 1]):
+            return i + 1
+        cur = prev
+    return 0
 
 
 def log_add(a: float, b: float) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from typing import Callable
+from collections.abc import Callable
 
 from .config import (
     CONTINUATION_STEPS,
@@ -160,12 +160,6 @@ class WeightMatrix:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())
                           if not k.startswith("_"))
         return f"{self.construction}({inner})"
-
-    def to_json(self) -> dict:
-        return {"construction": self.construction,
-                "params": {k: v for k, v in self.params.items()
-                           if not k.startswith("_")},
-                "index_grid": list(self.index_grid)}
 
 
 def _validate_order(mm: WeightMatrix) -> None:

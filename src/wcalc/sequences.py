@@ -34,12 +34,12 @@ through it.  Phi blocks are not cached.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import islice
-from typing import Callable
 
-from .config import need_horizon
+from .config import COMPARISON_SLACK, need_horizon
 from .errors import InvalidParameterError, PreconditionError, TableExhaustedError
-from .logdomain import prefix_max_abs, slack
+from .logdomain import last_drop, ln_axis, prefix_max_abs, slack
 
 
 def _check_index(j: int) -> int:
@@ -128,9 +128,6 @@ class ExponentSequence:
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.kind}({inner})"
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
 
 
 def linear_exponents() -> ExponentSequence:
@@ -282,9 +279,6 @@ class WeightSequence:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()) if not k.startswith("_"))
         return f"{self.family}({inner})"
 
-    def to_json(self) -> dict:
-        return {"family": self.family, "params": {k: v for k, v in self.params.items() if not k.startswith("_")}}
-
 
 def gevrey(s: float) -> WeightSequence:
     """log M_j = s * log j!  (factorial-power scale)."""
@@ -366,6 +360,8 @@ def regularize_slc(m: WeightSequence, horizon: int | None) -> WeightSequence:
 
     Scans for the smallest index from which (a) the reduced quotients
     mu_j / j are non-decreasing through the horizon and (b) mu_j / j >= 1.
+    (a) is logdomain.last_drop at alpha = 1, so a drop counts under the
+    same slack as in the slc check, and (b) reads the same slack.
     Below that index the reduced quotients are replaced by exactly 1, which
     keeps the output equivalent to the input (the tail terms differ from
     M_j by one fixed constant) while making it normalized and strongly
@@ -375,19 +371,17 @@ def regularize_slc(m: WeightSequence, horizon: int | None) -> WeightSequence:
     horizon = need_horizon(horizon, 4)
     terms = m.log_terms(horizon)
     # quotient jitter scales with the term magnitude, not the quotient
-    # itself; q[i] gets the slack of terms[0..i+1], as in the slc check
-    tol = [slack(1e-12, b) for b in prefix_max_abs(terms)]
-    q = [terms[j] - terms[j - 1] - math.log(j) for j in range(1, horizon + 1)]
-    mono_onset = 1
-    for i in range(len(q) - 1, 0, -1):
-        if q[i] < q[i - 1] - tol[i + 1]:
-            # pair (j-1, j) with j = i+1 violates; monotone from j on.
-            mono_onset = i + 1
-            break
+    # itself: the reduced quotient mu[j-1] - ln j gets the slack of
+    # terms[0..j], as in the slc check
+    big = prefix_max_abs(terms)
+    mu = [terms[j] - terms[j - 1] for j in range(1, horizon + 1)]
+    # the last pair (j-1, j) that violates; monotone from j on
+    mono_onset = max(1, last_drop(mu, 1.0, big))
+    ln = ln_axis(horizon)
     neg_onset = 1
-    for i in range(len(q) - 1, -1, -1):
-        if q[i] < -tol[i + 1]:
-            neg_onset = i + 1 + 1
+    for j in range(horizon, 0, -1):
+        if mu[j - 1] - ln[j] < -slack(COMPARISON_SLACK, big[j]):
+            neg_onset = j + 1
             break
     patch = max(mono_onset, neg_onset)
     if patch > horizon:

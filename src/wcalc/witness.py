@@ -13,9 +13,9 @@ import csv
 import json
 import math
 
-from .config import COMPARISON_SLACK, THETA_COUNT_CAP, THETA_TERM_CAP
-from .errors import InvalidParameterError, PreconditionError
-from .logdomain import log_sum, slack
+from .config import THETA_COUNT_CAP, THETA_TERM_CAP
+from .errors import InvalidParameterError, PreconditionError, WcalcError
+from .logdomain import log_sum
 from .sequences import ExponentSequence, WeightSequence, linear_exponents
 from .verdicts import (
     FAILS,
@@ -59,10 +59,6 @@ class DerivBounds:
 
     def top_index(self) -> int:
         return len(self.bounds) - 1
-
-    def to_json(self) -> dict:
-        return {"label": self.label, "source": self.source,
-                "bounds": list(self.bounds)}
 
 
 def synthetic_bounds(m: WeightSequence, count: int, label: str | None = None) -> DerivBounds:
@@ -187,60 +183,45 @@ def _order_truncation(k: int, truncation: int | None) -> int:
     return truncation
 
 
-def _steps(window: list[float], lo: int, hi: int) -> list[float]:
-    """ln 2 + log nu_j for j = lo..hi."""
-    return [_LN2 + _freq_log(window, j) for j in range(lo, hi + 1)]
-
-
-def _log_bound(window: list[float], steps: list[float], k: int,
-               truncation: int) -> float:
-    """The order-k log-sum over j <= truncation, steps[j] = ln 2 + log nu_j."""
-    return log_sum([window[j] + (k - j) * steps[j] for j in range(truncation + 1)])
-
-
 def theta_derivative_log_bound(n: WeightSequence, k: int,
                                truncation: int | None = None) -> float:
     """log |theta^(k)(0)|: every term shares the phase i^k, so the modulus
     is the log-sum over j of log N_j + (k-j)(ln 2 + log nu_j)."""
     if k < 0:
         raise InvalidParameterError("k", f"need k >= 0, got {k}")
-    truncation = _order_truncation(k, truncation)
-    _require_witness_preconditions(n, truncation)
-    window = n.log_terms(truncation)
-    return _log_bound(window, _steps(window, 0, truncation), k, truncation)
+    return _theta_log_bounds(n, (k,), truncation)[0]
 
 
-def _theta_log_bounds(n: WeightSequence, count: int,
+def _theta_log_bounds(n: WeightSequence, orders,
                       truncation: int | None) -> list[float]:
-    """theta_derivative_log_bound(n, k, truncation) for k = 0..count, with
-    the same values and errors, from one scan of the preconditions.
+    """theta_derivative_log_bound(n, k, truncation) for each k of the
+    ascending orders, with the values and errors of checking lc and
+    normalized at every order's truncation.
 
-    Order 0 runs both checks at its truncation.  normalized reads only M_0
-    and M_1, so it needs no other run.  The lc test of the quotient drop
-    at index j uses the slack of the largest |log N_i| over i <= j, which
-    no truncation changes, so a drop that passes at the first truncation
-    including it passes at every later one: a later order tests only the
-    drops its truncation adds, each under its own prefix slack, and the
-    first that fails raises through the full checks at that truncation."""
-    out: list[float] = []
-    steps: list[float] = []
-    checked = -1  # the largest truncation certified so far
-    big = 0.0     # the largest |log N_j| up to it
-    for k in range(count + 1):
-        top = _order_truncation(k, truncation)
-        if top > checked:
-            if checked < 0:
-                _require_witness_preconditions(n, top)
-            window = n.log_terms(top)
-            for j in range(checked + 1, top + 1):
-                big = max(big, abs(window[j]))
-                if checked >= 0 and window[j] - window[j - 1] < (
-                        window[j - 1] - window[j - 2] - slack(COMPARISON_SLACK, big)):
-                    _require_witness_preconditions(n, top)  # raises the lc failure
-            steps += _steps(window, len(steps), top)
-            checked = top
-        out.append(_log_bound(window, steps, k, top))
-    return out
+    The first order runs both checks at its truncation.  normalized reads
+    only N_0 and N_1, so it needs no other run.  An lc Fails with witness
+    w stands at every horizon from w on, so one more lc at the last
+    truncation decides the rest: when it fails, the full checks raise at
+    the first truncation that reaches w.  When a term is not finite
+    instead, the full checks run at each later truncation in turn, and
+    raise what the first order to meet the drop or the term raised."""
+    tops = [_order_truncation(orders[0], truncation)]
+    _require_witness_preconditions(n, tops[0])
+    tops += [_order_truncation(k, truncation) for k in orders[1:]]
+    last = tops[-1]
+    if last > tops[0]:
+        try:
+            w = _conditions.check_condition(n, "lc", n.last_index(last)).witness
+        except WcalcError:  # a term past the first truncation is not finite
+            w = tops[0] + 1
+        if w is not None:
+            for top in tops:
+                if top >= w:
+                    _require_witness_preconditions(n, top)
+    window = n.log_terms(last)
+    steps = [_LN2 + _freq_log(window, j) for j in range(last + 1)]
+    return [log_sum([window[j] + (k - j) * steps[j] for j in range(top + 1)])
+            for k, top in zip(orders, tops)]
 
 
 def theta_bounds(n: WeightSequence, count: int,
@@ -258,7 +239,7 @@ def theta_bounds(n: WeightSequence, count: int,
         raise InvalidParameterError(
             "truncation", f"need (count + 1) * (truncation + 1) <= "
             f"{THETA_TERM_CAP}, got {(count + 1) * (truncation + 1)}")
-    return DerivBounds(_theta_log_bounds(n, count, truncation),
+    return DerivBounds(_theta_log_bounds(n, range(count + 1), truncation),
                        label=f"theta({n.label()})", source="theta")
 
 
@@ -266,15 +247,10 @@ def theta_bounds(n: WeightSequence, count: int,
 # seminorms and membership
 
 
-def seminorm_trajectory(f: DerivBounds, m: WeightSequence,
-                        phi: ExponentSequence, h: float) -> list[float]:
-    return _seminorm_trajectories(f, m, phi, (h,))[0]
-
-
 def _seminorm_trajectories(f: DerivBounds, m: WeightSequence,
                            phi: ExponentSequence, hs) -> list[list[float]]:
-    """seminorm_trajectory at each h of hs, from one read of the terms and
-    one of phi."""
+    """[bound_j - Phi_j log h - log M_j over the available orders j] at
+    each h of hs, from one read of the terms and one of phi."""
     for h in hs:
         if not (h > 0.0 and math.isfinite(h)):
             raise InvalidParameterError("h", f"need h > 0, got {h}")
@@ -289,7 +265,7 @@ def seminorm(f: DerivBounds, m: WeightSequence, phi: ExponentSequence | None,
              h: float) -> float:
     """sup_j of bound_j - Phi_j log h - log M_j over the available orders."""
     phi = phi or linear_exponents()
-    return max(seminorm_trajectory(f, m, phi, h))
+    return max(_seminorm_trajectories(f, m, phi, (h,))[0])
 
 
 class MembershipReport:

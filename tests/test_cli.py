@@ -451,13 +451,15 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     # dataclasses, with inspect, loads in about 14 ms, and each dataclass
-    # takes about 1 ms to build, at every start of the CLI
-    proc = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, str(ROOT / "src")],
-                          capture_output=True, text=True)
+    # takes about 1 ms to build, at every start of the CLI; typing takes
+    # about 9 ms more than the re it imports.  -S keeps a site .pth that
+    # preloads typing from hiding an import of it.
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _IMPORT_PROBE,
+                           str(ROOT / "src")], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     added = set(json.loads(proc.stdout))
     assert "wcalc.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "typing"}
 
 
 # sha256 of `--format json` stdout, with the exit code, for one call of each

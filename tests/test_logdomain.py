@@ -5,10 +5,17 @@ from array import array
 from itertools import accumulate
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wcalc import LogDomainError, log_add, log_sub, log_sum
-from wcalc.logdomain import LOG_ZERO, prefix_max_abs, slack
+from wcalc.logdomain import (
+    LOG_ZERO,
+    first_drop,
+    last_drop,
+    ln_axis,
+    prefix_max_abs,
+    slack,
+)
 
 # range where exp() is exact enough for a linear-scale oracle
 moderate = st.floats(min_value=-200.0, max_value=200.0,
@@ -105,3 +112,86 @@ _TIED = st.sampled_from([0.0, -0.0, LOG_ZERO, math.inf, 1.5, -1.5, 700.0])
 def test_prefix_max_abs_equals_accumulate_max(values):
     want = array("d", accumulate(map(abs, values), max))
     assert prefix_max_abs(values).tobytes() == want.tobytes()
+
+
+# --- the quotient-drop rule --------------------------------------------------
+# The oracles are the loops that conditions._monotone, gamma_lower_bound
+# and regularize_slc each ran before the rule moved into first_drop and
+# last_drop, copied as they were.
+
+
+def _monotone_loop(quotients, terms):
+    big, seen = 0.0, 0  # the largest |terms[i]| for i < seen
+    for i in range(1, len(quotients)):
+        if quotients[i] < quotients[i - 1]:
+            big, seen = max(big, max(map(abs, terms[seen:i + 2]))), i + 2
+            if quotients[i] < quotients[i - 1] - slack(1e-12, big):
+                return i + 1
+    return 0
+
+
+def _gamma_loop(terms, a):
+    h = len(terms) - 1
+    mu = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
+    ln = ln_axis(h)
+    big = None
+    last_violation = 0
+    cur = mu[h - 1] - a * ln[h]
+    for i in range(h - 1, 0, -1):
+        prev = mu[i - 1] - a * ln[i]
+        if cur < prev:
+            if big is None:
+                big = prefix_max_abs(terms)
+            if cur < prev - slack(1e-12, big[i + 1]):
+                last_violation = i + 1
+                break
+        cur = prev
+    return last_violation
+
+
+def _regularize_loop(terms):
+    horizon = len(terms) - 1
+    tol = [slack(1e-12, b) for b in prefix_max_abs(terms)]
+    q = [terms[j] - terms[j - 1] - math.log(j) for j in range(1, horizon + 1)]
+    for i in range(len(q) - 1, 0, -1):
+        if q[i] < q[i - 1] - tol[i + 1]:
+            return i + 1
+    return 0
+
+
+@st.composite
+def _drop_case(draw):
+    """(log terms, alpha): quotients that climb, jump, fall, or tie the
+    quotient before them (lc), or its alpha-reduced value, missed by -10
+    to 10 times 1e-12 of the terms so far; alpha is 0, 1 or drawn."""
+    a = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0)))
+    logs = [draw(st.sampled_from([0.0, 1e-13, -1e-13, 2.0, -3e3]))]
+    q = draw(st.floats(-2.0, 2.0))
+    for j in range(1, draw(st.integers(5, 80))):
+        kind = draw(st.sampled_from(
+            ["up", "up", "jump", "lc", "alpha", "alpha", "alpha"] * 4 + ["down"]))
+        if kind == "up":
+            q += draw(st.floats(0.0, 2.0))
+        elif kind == "jump":
+            q += draw(st.floats(10.0, 1e4))
+        elif kind == "down":
+            q -= draw(st.floats(0.0, 2.0))
+        else:
+            tie = a * math.log(j / (j - 1)) if kind == "alpha" and j > 1 else 0.0
+            q += tie - draw(st.floats(-10.0, 10.0)) * 1e-12 * max(1.0, abs(logs[-1]))
+        logs.append(logs[-1] + q)
+    return logs, a
+
+
+@settings(max_examples=200)
+@given(_drop_case())
+def test_first_and_last_drop_match_the_loops_they_replace(case):
+    terms, a = case
+    h = len(terms) - 1
+    mu = [terms[j] - terms[j - 1] for j in range(1, h + 1)]
+    big = prefix_max_abs(terms)
+    assert first_drop(mu, terms) == _monotone_loop(mu, terms)
+    reduced = [mu[j - 1] - ln_axis(h)[j] for j in range(1, h + 1)]
+    assert first_drop(reduced, terms) == _monotone_loop(reduced, terms)
+    assert last_drop(mu, a, big) == _gamma_loop(terms, a)
+    assert last_drop(mu, 1.0, big) == _regularize_loop(terms)

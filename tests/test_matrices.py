@@ -82,13 +82,10 @@ def test_element_memoization_and_validation(g1):
     assert mm.index_grid == GRID4
 
 
-def test_label_and_json_hide_private_params(g1):
+def test_label_hides_private_params(g1):
     mm = scale_family(g1, power_exponents(2.0), GRID4)
+    assert "_base" in mm.params
     assert "_base" not in mm.label()
-    d = mm.to_json()
-    assert set(d) == {"construction", "params", "index_grid"}
-    assert all(not k.startswith("_") for k in d["params"])
-    assert d["index_grid"] == list(GRID4)
 
 
 def test_sigma_matrix_terms():

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wcalc import (
     HOLDS,
@@ -206,6 +206,50 @@ def test_regularize_output_always_clean(increments):
     drops, negative = slc_violations(r, h)
     assert drops == [] and negative == []
     assert r.log_term(0) == 0.0
+
+
+def _regularize_patch(logs, h):
+    """The patch index of regularize_slc, from the two scans it ran before
+    the drop rule moved into logdomain.last_drop, copied as they were."""
+    tol = [1e-12 * max(1.0, max(map(abs, logs[:k + 1]))) for k in range(h + 1)]
+    q = [logs[j] - logs[j - 1] - math.log(j) for j in range(1, h + 1)]
+    mono_onset = next((i + 1 for i in range(len(q) - 1, 0, -1)
+                       if q[i] < q[i - 1] - tol[i + 1]), 1)
+    neg_onset = next((i + 2 for i in range(len(q) - 1, -1, -1)
+                      if q[i] < -tol[i + 1]), 1)
+    return max(mono_onset, neg_onset)
+
+
+@st.composite
+def _near_slc_logs(draw):
+    """Log tables whose reduced quotients climb, or tie the one before or
+    zero, missed by 0.5 to 2 times 1e-12 of the term they make."""
+    logs = [draw(st.sampled_from([0.0, 1e-13, 2.0, 40.0]))]
+    r = draw(st.sampled_from([0.0, 1.0, -1.0]))
+    for j in range(1, draw(st.integers(6, 40))):
+        kind = draw(st.sampled_from(["up", "tie", "zero"]))
+        if kind == "up":
+            r += draw(st.floats(0.0, 2.0))
+        else:
+            base = (r if kind == "tie" else 0.0)
+            guess = logs[-1] + base + math.log(j)
+            miss = draw(st.sampled_from([0.5, 0.99, 0.999, 1.001, 1.01, 2.0]))
+            r = base - draw(st.sampled_from([1.0, -1.0])) * miss * 1e-12 * max(1.0, abs(guess))
+        logs.append(logs[-1] + r + math.log(j))
+    return logs
+
+
+@settings(max_examples=200)
+@given(_near_slc_logs())
+def test_regularize_patch_matches_the_scans_it_replaced(logs):
+    h = len(logs) - 1
+    patch = _regularize_patch(logs, h)
+    try:
+        got = regularize_slc(table(log_values=logs), h).params["patch_index"]
+    except PreconditionError as exc:
+        assert (patch, exc.witness) == (h + 1, h)
+        return
+    assert got == (0 if patch == 1 and logs[0] == 0.0 else patch)
 
 
 # --- term windows --------------------------------------------------------

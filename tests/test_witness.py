@@ -17,11 +17,11 @@ from wcalc import (
     linear_exponents,
     load_bounds_csv,
     load_bounds_json,
+    WeightSequence,
     ptt_matrix,
     regularize_slc,
     scale_family,
     seminorm,
-    seminorm_trajectory,
     synthetic_bounds,
     table,
     theta_bounds,
@@ -38,8 +38,7 @@ LN2 = math.log(2.0)
 def test_deriv_bounds_validation():
     b = DerivBounds((0.0, 1.0, 3.0), label="demo")
     assert b.top_index() == 2
-    assert b.to_json() == {"label": "demo", "source": "user",
-                           "bounds": [0.0, 1.0, 3.0]}
+    assert (b.label, b.source, b.bounds) == ("demo", "user", (0.0, 1.0, 3.0))
     with pytest.raises(InvalidParameterError):
         DerivBounds(())
     with pytest.raises(InvalidParameterError):
@@ -174,8 +173,8 @@ def test_theta_work_past_its_ceiling_raises_before_any_bound(g1, monkeypatch):
     # THETA_TERM_CAP = 4097 * 2099: the largest default call's term reads
     calls = []
     monkeypatch.setattr(witness, "_theta_log_bounds",
-                        lambda n, count, truncation:
-                        calls.append(count) or [0.0] * (count + 1))
+                        lambda n, orders, truncation:
+                        calls.append(orders) or [0.0] * len(orders))
     assert THETA_TERM_CAP == sum(k + 51 for k in range(THETA_COUNT_CAP + 1))
     assert len(theta_bounds(g1, THETA_COUNT_CAP, 2098).bounds) == 4097
     assert len(theta_bounds(g1, 0, THETA_TERM_CAP - 1).bounds) == 1
@@ -288,9 +287,46 @@ def test_theta_bounds_runs_two_checks(g1, monkeypatch):
 
     monkeypatch.setattr(conditions, "check_condition", counted)
     got = theta_bounds(g1, 64).bounds
-    assert calls == [("lc", 50), ("normalized", 50)]
+    # both checks at the first truncation, and lc once more at the last
+    assert calls == [("lc", 50), ("normalized", 50), ("lc", 114)]
     monkeypatch.undo()
     assert got == per_order_theta_bounds(g1, 64)
+
+
+def test_theta_bounds_match_each_order_bit_for_bit(g1, g2, p12):
+    for n in (g1, g2, regularize_slc(p12, 128)):
+        for truncation in (None, 60):
+            got = theta_bounds(n, 40, truncation).bounds
+            want = [theta_derivative_log_bound(n, k, truncation)
+                    for k in range(41)]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def _lc_then_bad_term(drop_at, bad_at):
+    """A log-convex sequence whose quotient drops at drop_at and whose
+    term at bad_at cannot be read (None: neither)."""
+    def fn(j):
+        if j == bad_at:
+            return math.nan
+        return j * j / 8.0 - (1.0 if drop_at is not None and j >= drop_at else 0.0)
+    return WeightSequence("probe", {}, fn)
+
+
+@pytest.mark.parametrize("drop_at, bad_at, error", [
+    (70, 90, PreconditionError), (70, 71, PreconditionError),
+    (70, None, PreconditionError), (30, 70, PreconditionError),
+    (90, 70, InvalidParameterError), (70, 70, InvalidParameterError),
+    (None, 70, InvalidParameterError)])
+def test_theta_bounds_past_a_bad_term_raise_as_every_order_did(
+        drop_at, bad_at, error):
+    # a term that cannot be read past the first truncation: the drop or
+    # the term error that the first order to reach it meets is raised
+    want = outcome(lambda: per_order_theta_bounds(
+        _lc_then_bad_term(drop_at, bad_at), 64))
+    got = outcome(lambda: theta_bounds(_lc_then_bad_term(drop_at, bad_at),
+                                       64).bounds)
+    assert want[0] is error
+    assert got == want
 
 
 # --- seminorms --------------------------------------------------------------
@@ -315,7 +351,7 @@ def test_seminorm_h_monotone(g1):
 def test_seminorm_trajectory_respects_table_length(g1):
     f = synthetic_bounds(g1, 40)
     short = table(log_values=[0.0, 0.0, 1.0, 3.0, 6.0, 10.0])
-    vals = seminorm_trajectory(f, short, linear_exponents(), 1.0)
+    vals = witness._seminorm_trajectories(f, short, linear_exponents(), (1.0,))[0]
     assert len(vals) == 6
 
 
