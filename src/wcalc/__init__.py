@@ -27,7 +27,6 @@ from .verdicts import (
     HOLDS,
     UNDETERMINED,
     UP,
-    TailReport,
     Verdict,
     classify_trajectory,
     decimate,

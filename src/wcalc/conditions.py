@@ -176,14 +176,13 @@ def _check_mg(m: WeightSequence, h: int, seed: int) -> Verdict:
     report = classify_trajectory(idx, diag)
     ev = {
         "diag_defect": decimate(diag),
-        "offdiag_max": max(off) if off else None,
-        "trajectory": report.summary(),
+        "offdiag_max": max(off),
+        "trajectory": report,
     }
-    if report.trend == UP:
+    if report["trend"] == UP:
         ev["diverging"] = True
         return Verdict("mg", UNDETERMINED, h, evidence=ev)
-    log_c = max(diag + off) if off else max(diag)
-    ev["log_constant"] = log_c
+    ev["log_constant"] = max(max(diag), max(off))
     return Verdict("mg", HOLDS, h, evidence=ev)
 
 
@@ -192,11 +191,11 @@ def _check_dc(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
     defect = [(t[j] - t[j - 1]) / j for j in idx]  # M_j <= A^j M_{j-1}
     report = classify_trajectory(idx, defect)
-    ev = {"defect": decimate(defect), "trajectory": report.summary()}
-    if report.trend == UP:
+    ev = {"defect": decimate(defect), "trajectory": report}
+    if report["trend"] == UP:
         ev["diverging"] = True
         return Verdict("dc", UNDETERMINED, h, evidence=ev)
-    ev["log_constant"] = report.sup
+    ev["log_constant"] = report["sup"]
     return Verdict("dc", HOLDS, h, evidence=ev)
 
 

@@ -57,7 +57,7 @@ L_CONSTANTS = (2.0, 8.0)
 
 
 class Config:
-    """The settable evaluation defaults, compared and hashed by value.
+    """The settable evaluation defaults, compared by value.
 
     horizon: default index horizon for finite checks.
     seed: seed for the deterministic off-diagonal pair sample.
@@ -71,9 +71,6 @@ class Config:
 
     def __eq__(self, other) -> bool:
         return type(other) is Config and (self.horizon, self.seed) == (other.horizon, other.seed)
-
-    def __hash__(self) -> int:
-        return hash((self.horizon, self.seed))
 
     def replace(self, **kwargs) -> "Config":
         """A copy with the settings named in kwargs changed."""

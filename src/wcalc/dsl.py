@@ -339,8 +339,8 @@ def tokenize(text: str) -> list[Token]:
 # AST
 
 
-# Nodes compare and hash by value; a statement's line and col stay out of
-# both, so the same script text parses to equal trees wherever it sits.
+# Nodes compare by value; a statement's line and col stay out of the
+# comparison, so the same script text parses to equal trees wherever it sits.
 
 
 class Ref:
@@ -352,9 +352,6 @@ class Ref:
     def __eq__(self, other) -> bool:
         return type(other) is Ref and self.name == other.name
 
-    def __hash__(self) -> int:
-        return hash(self.name)
-
 
 class Call:
     __slots__ = ("name", "args")
@@ -365,9 +362,6 @@ class Call:
 
     def __eq__(self, other) -> bool:
         return type(other) is Call and (self.name, self.args) == (other.name, other.args)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.args))
 
 
 class Binding:
@@ -381,14 +375,9 @@ class Binding:
         self.line = line
         self.col = col
 
-    def _key(self) -> tuple:
-        return self.kind, self.name, self.call
-
     def __eq__(self, other) -> bool:
-        return type(other) is Binding and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return type(other) is Binding and (
+            (self.kind, self.name, self.call) == (other.kind, other.name, other.call))
 
 
 class Query:
@@ -405,14 +394,10 @@ class Query:
         self.line = line
         self.col = col
 
-    def _key(self) -> tuple:
-        return self.kind, self.call, self.horizon, self.grid, self.flavor
-
     def __eq__(self, other) -> bool:
-        return type(other) is Query and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        return type(other) is Query and (
+            (self.kind, self.call, self.horizon, self.grid, self.flavor)
+            == (other.kind, other.call, other.horizon, other.grid, other.flavor))
 
 
 class Program:

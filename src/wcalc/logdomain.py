@@ -143,16 +143,16 @@ def log_sum(values: Iterable[float]) -> float:
 
     The single shift bounds every addend by 1; fsum then keeps the
     accumulated error at one final rounding regardless of length.  Result
-    is >= max(values) always, which downstream bound checks rely on.
+    is >= max(values) always, which downstream bound checks rely on.  A
+    NaN anywhere raises LogDomainError.
     """
-    vals = [v for v in values if v != LOG_ZERO]
-    if not vals:
-        return LOG_ZERO
-    hi = max(vals)
-    if math.isnan(hi):
+    vals = values if type(values) is list else list(values)
+    # the sum is NaN when a value is, or when inf meets -inf
+    if math.isnan(sum(vals)) and any(v != v for v in vals):
         raise LogDomainError("nan operand")
-    if hi == math.inf:
-        return math.inf
+    hi = max(vals, default=LOG_ZERO)
+    if hi == LOG_ZERO or hi == math.inf:
+        return hi
     total = math.fsum(
         math.exp(v - hi) for v in vals if v - hi > _NEGLIGIBLE_SHIFT
     )

@@ -508,7 +508,7 @@ def matrix_report_json(cond: MatrixConditionId, results: dict) -> dict:
             "status": v.status,
             "beta": v.evidence.get("beta"),
             "constant": v.evidence.get("log_constant"),
-            "evidence": v.to_json()["evidence"],
+            "evidence": v.evidence,
         })
     return {"condition": cond.tag, "flavor": cond.flavor, "per_index": per_index}
 

@@ -55,14 +55,14 @@ def _preceq(m, n, h, phi) -> Verdict:
     stable, sup = running_sup_stabilized(vals)
     ev = {
         "ratio_log": decimate(vals),
-        "trajectory": report.summary(),
+        "trajectory": report,
         "sup": sup,
         "sup_stabilized": stable,
     }
     if excluded:
         ev["excluded_indices"] = decimate(excluded)
-    if report.trend == UP:
-        return Verdict("preceq", FAILS, h, witness=idx[report.sup_index], evidence=ev)
+    if report["trend"] == UP:
+        return Verdict("preceq", FAILS, h, witness=idx[report["sup_position"]], evidence=ev)
     if stable:
         return Verdict("preceq", HOLDS, h, evidence=ev)
     return Verdict("preceq", UNDETERMINED, h, evidence=ev)
@@ -73,10 +73,10 @@ def _triangle(m, n, h, phi) -> Verdict:
     report = classify_trajectory(idx, vals)
     q3 = (3 * len(vals)) // 4
     tail = vals[q3:]
-    ev = {"ratio_log": decimate(vals), "trajectory": report.summary()}
+    ev = {"ratio_log": decimate(vals), "trajectory": report}
     if excluded:
         ev["excluded_indices"] = decimate(excluded)
-    sinking = report.slope < -LOG_SLOPE_TOL
+    sinking = report["log_slope"] < -LOG_SLOPE_TOL
     if sinking and max(tail) < 0.0:
         return Verdict("triangle", HOLDS, h, evidence=ev)
     if min(tail) > 0.0 and not sinking:

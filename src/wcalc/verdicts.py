@@ -114,38 +114,17 @@ UP = "up"
 DOWN = "down"
 
 
-class TailReport:
-    __slots__ = ("trend", "sup", "sup_index", "slope", "tail_first", "tail_last")
-
-    def __init__(self, trend: str, sup: float, sup_index: int, slope: float,
-                 tail_first: float, tail_last: float) -> None:
-        self.trend = trend
-        self.sup = sup
-        self.sup_index = sup_index  # position in the index list, not the index value
-        self.slope = slope
-        self.tail_first = tail_first
-        self.tail_last = tail_last
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"TailReport({fields})"
-
-    def summary(self) -> dict:
-        return {
-            "trend": self.trend,
-            "sup": self.sup,
-            "sup_position": self.sup_index,
-            "log_slope": self.slope,
-            "tail_first": self.tail_first,
-            "tail_last": self.tail_last,
-        }
-
-
-def classify_trajectory(indices, values) -> TailReport:
+def classify_trajectory(indices, values) -> dict:
     """Classify a defect trajectory sampled at increasing integer indices.
 
-    frozen: the max was attained before the last quarter and the last
-        quarter never reaches it again.
+    Returns the summary that the mg, dc, preceq and triangle evidence
+    embeds: trend, sup (the max value), sup_position (where the max is
+    first attained, as a position in the index list, not an index value),
+    log_slope (the fit over the last half), and tail_first and tail_last
+    (the ends of the last quarter).
+
+    frozen: from eight points on, the max is first attained before the
+        last quarter.
     Otherwise the least-squares slope of value against ln(index) over the
     last half decides: above LOG_SLOPE_TOL the trajectory is growing
     beyond anything a bounded defect produces on this window (up), below
@@ -164,10 +143,8 @@ def classify_trajectory(indices, values) -> TailReport:
     sup_pos = vals.index(sup)
     q3 = (3 * n) // 4
     tail = vals[q3:] or vals[-1:]
-    half = vals[n // 2:]
-    hidx = idx[n // 2:]
-    slope = log_fit(hidx, half)[0]
-    if n >= 8 and sup_pos < q3 and max(tail) <= sup + COMPARISON_SLACK:
+    slope = log_fit(idx[n // 2:], vals[n // 2:])[0]
+    if n >= 8 and sup_pos < q3:
         trend = FROZEN
     elif n < 8:
         # window too short to call growth; only an exact freeze counts
@@ -178,14 +155,14 @@ def classify_trajectory(indices, values) -> TailReport:
         trend = DOWN
     else:
         trend = FLAT
-    return TailReport(
-        trend=trend,
-        sup=sup,
-        sup_index=sup_pos,
-        slope=slope,
-        tail_first=tail[0],
-        tail_last=tail[-1],
-    )
+    return {
+        "trend": trend,
+        "sup": sup,
+        "sup_position": sup_pos,
+        "log_slope": slope,
+        "tail_first": tail[0],
+        "tail_last": tail[-1],
+    }
 
 
 def running_sup_stabilized(values) -> tuple[bool, float]:
@@ -226,8 +203,8 @@ def trajectory_entry(indices, values) -> dict:
         if indices[0] == 0:
             indices, values = indices[1:], values[1:]
         rep = classify_trajectory(indices, values)
-        entry["trend"] = rep.trend
-        entry["slope"] = rep.slope
+        entry["trend"] = rep["trend"]
+        entry["slope"] = rep["log_slope"]
     return entry
 
 

@@ -144,11 +144,11 @@ def old_dc(m, h):
     t = m.log_terms(h)
     defect = [(t[j] - t[j - 1]) / j for j in idx]
     report = classify_trajectory(idx, defect)
-    ev = {"defect": decimate(defect), "trajectory": report.summary()}
-    if report.trend == UP:
+    ev = {"defect": decimate(defect), "trajectory": report}
+    if report["trend"] == UP:
         ev["diverging"] = True
         return Verdict("dc", UNDETERMINED, h, evidence=ev)
-    ev["log_constant"] = report.sup
+    ev["log_constant"] = report["sup"]
     return Verdict("dc", HOLDS, h, evidence=ev)
 
 
@@ -163,9 +163,9 @@ def old_mg(m, h, seed=0):
     ev = {
         "diag_defect": decimate(diag),
         "offdiag_max": max(off) if off else None,
-        "trajectory": report.summary(),
+        "trajectory": report,
     }
-    if report.trend == UP:
+    if report["trend"] == UP:
         ev["diverging"] = True
         return Verdict("mg", UNDETERMINED, h, evidence=ev)
     log_c = max(diag + off) if off else max(diag)

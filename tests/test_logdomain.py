@@ -89,6 +89,43 @@ def test_log_sum_edge_cases():
     assert log_sum([-1e300, -1e300]) == pytest.approx(-1e300 + math.log(2.0), rel=1e-15)
 
 
+
+@pytest.mark.parametrize("vals", [
+    [math.nan, 1.0, 2.0],
+    [0.0, math.nan, 2.0],
+    [1.0, 2.0, math.nan],
+    [math.inf, math.nan],
+])
+def test_log_sum_raises_on_nan_anywhere(vals):
+    with pytest.raises(LogDomainError, match="nan operand"):
+        log_sum(vals)
+    with pytest.raises(LogDomainError, match="nan operand"):
+        log_sum(iter(vals))
+
+
+def _log_sum_filtered(values):
+    # the body log_sum had before it raised on a NaN past the first place,
+    # copied as it was
+    vals = [v for v in values if v != LOG_ZERO]
+    if not vals:
+        return LOG_ZERO
+    hi = max(vals)
+    if hi == math.inf:
+        return math.inf
+    total = math.fsum(math.exp(v - hi) for v in vals if v - hi > -745.0)
+    return hi + math.log(total)
+
+
+@given(st.lists(st.one_of(st.sampled_from([LOG_ZERO, math.inf, 0.0, -0.0]),
+                          st.floats(-2000.0, 50.0), wide),
+                max_size=40),
+       st.booleans())
+@example([math.inf, LOG_ZERO], False)
+@example([3.0, 3.0 - 745.0, 3.0 - 744.9, 3.0 - 2000.0], False)
+def test_log_sum_without_nan_matches_the_filtering_body(vals, as_tuple):
+    got = log_sum(tuple(vals) if as_tuple else vals)
+    assert repr(got) == repr(_log_sum_filtered(vals))
+
 @given(wide, wide, st.sampled_from([1e-12, 1e-9]))
 def test_slack_is_relative_to_the_larger_magnitude(a, b, rel):
     # bit for bit the old inline rule rel * max(1, |a|, |b|)

@@ -66,28 +66,33 @@ def classify(vals, idx=None):
 def test_classify_frozen_peak_then_decay():
     vals = [0.0, 5.0, 3.0, 2.0, 1.5, 1.2, 1.1, 1.05, 1.02, 1.0]
     r = classify(vals)
-    assert r.trend == FROZEN
-    assert r.sup == 5.0 and r.sup_index == 1
+    assert r["trend"] == FROZEN
+    assert r["sup"] == 5.0 and r["sup_position"] == 1
+    # the summary the evidence embeds, keys in report order
+    assert list(r) == ["trend", "sup", "sup_position", "log_slope",
+                       "tail_first", "tail_last"]
+    assert r["log_slope"] == log_fit(range(6, 11), vals[5:])[0]
+    assert (r["tail_first"], r["tail_last"]) == (1.05, 1.0)
 
 
 def test_classify_constant_is_frozen():
     r = classify([2.5] * 16)
-    assert r.trend == FROZEN
-    assert r.sup == 2.5
+    assert r["trend"] == FROZEN
+    assert r["sup"] == 2.5
 
 
 def test_classify_log_growth_is_up():
     vals = [math.log(j) for j in range(1, 65)]
     r = classify(vals)
-    assert r.trend == UP
-    assert r.slope == pytest.approx(1.0, abs=0.05)
+    assert r["trend"] == UP
+    assert r["log_slope"] == pytest.approx(1.0, abs=0.05)
 
 
 def test_classify_pure_decay_is_frozen():
     # sup sits at the first sample, so the freeze rule wins over the slope
     vals = [-math.log(j) for j in range(1, 65)]
     r = classify(vals)
-    assert r.trend == FROZEN
+    assert r["trend"] == FROZEN
 
 
 def test_classify_late_spike_with_sinking_fit_is_down():
@@ -95,20 +100,20 @@ def test_classify_late_spike_with_sinking_fit_is_down():
     vals = [-float(i) for i in range(64)]
     vals[60] = 1.0
     r = classify(vals)
-    assert r.trend == DOWN
+    assert r["trend"] == DOWN
 
 
 def test_classify_late_sup_with_flat_slope():
     vals = [0.0] * 15 + [1e-9]
     r = classify(vals)
-    assert r.trend == FLAT
+    assert r["trend"] == FLAT
 
 
 def test_classify_short_window_rules():
     # under 8 points only a head-certified sup avoids the growth call
-    assert classify([1.0, 1.0, 1.0]).trend == FLAT
-    assert classify([1.0, 1.0, 1.1]).trend == UP
-    assert classify([3.0, 2.0, 1.0]).trend == FLAT
+    assert classify([1.0, 1.0, 1.0])["trend"] == FLAT
+    assert classify([1.0, 1.0, 1.1])["trend"] == UP
+    assert classify([3.0, 2.0, 1.0])["trend"] == FLAT
 
 
 def test_classify_input_validation():
@@ -121,9 +126,9 @@ def test_classify_input_validation():
 @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=8, max_size=64))
 def test_classify_sup_is_max(vals):
     r = classify(vals)
-    assert r.sup == max(vals)
-    assert vals[r.sup_index] == r.sup
-    assert r.trend in (FROZEN, FLAT, UP, DOWN)
+    assert r["sup"] == max(vals)
+    assert vals[r["sup_position"]] == r["sup"]
+    assert r["trend"] in (FROZEN, FLAT, UP, DOWN)
 
 
 def test_running_sup_plateau_stabilizes():
@@ -235,7 +240,7 @@ def test_classify_slope_equals_log_fit(case):
     for run in runs:
         for _ in range(2):
             assert same_float(log_fit(run[n // 2:], half)[0], want)
-            assert same_float(classify_trajectory(run, vals).slope, want)
+            assert same_float(classify_trajectory(run, vals)["log_slope"], want)
 
 
 @given(fitted_trajectory(), st.integers(1, 3))
@@ -282,15 +287,15 @@ def test_trajectory_entry_leaves_index_zero_out_of_the_fit():
     stab, sup = running_sup_stabilized(vals)
     rep = classify_trajectory(range(1, 40), vals[1:])
     assert got == {"stabilized": stab, "log_constant": sup,
-                   "defects": decimate(vals), "trend": rep.trend,
-                   "slope": rep.slope}
+                   "defects": decimate(vals), "trend": rep["trend"],
+                   "slope": rep["log_slope"]}
     # the index-0 point sets the sup; classified with the rest, its early
     # peak would read as a frozen trajectory
     assert got["log_constant"] == 50.0 and got["trend"] == UP
-    assert classify_trajectory(range(1, 41), vals).trend == FROZEN
+    assert classify_trajectory(range(1, 41), vals)["trend"] == FROZEN
     # from index 1 on every point is fitted
     one = trajectory_entry(range(1, 41), vals)
-    assert one["slope"] == classify_trajectory(range(1, 41), vals).slope
+    assert one["slope"] == classify_trajectory(range(1, 41), vals)["log_slope"]
 
 
 def test_trajectory_entry_two_points_has_no_trend():
