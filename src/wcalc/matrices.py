@@ -14,6 +14,8 @@ import functools
 import math
 from array import array
 from collections.abc import Callable
+from itertools import chain
+from operator import add
 
 from .config import (
     CONTINUATION_STEPS,
@@ -171,7 +173,8 @@ def _validate_order(mm: WeightMatrix) -> None:
         wa, wb = ea.log_terms(top), eb.log_terms(top)
         for j in range(top + 1):
             ta, tb = wa[j], wb[j]
-            if ta > tb + slack(_ORDER_SLACK, ta, tb):
+            # the slack is never negative: only ta > tb can break the order
+            if ta > tb and ta > tb + slack(_ORDER_SLACK, ta, tb):
                 raise OrderViolationError(
                     f"matrix {mm.label()} not pointwise ordered",
                     witness=(a, b, j))
@@ -575,26 +578,36 @@ def _convex_from_one(logs: list[float], K: int) -> bool:
 
 def _composition_dp(logs: list[float], K: int) -> list[float]:
     """composition_sequence by dynamic program on any input, O(K^3); the
-    reference the convex path is tested against."""
-    neg = float("-inf")
-    # best[k][l]: max sum of logs over l parts summing to k
-    best = [[neg] * (K + 1) for _ in range(K + 1)]
-    best[0][0] = 0.0
-    for k in range(1, K + 1):
-        for parts in range(1, k + 1):
-            b = neg
-            for j in range(1, k - parts + 2):
-                prev = best[k - j][parts - 1]
-                if prev != neg:
-                    cand = logs[j] + prev
-                    if cand > b:
-                        b = cand
-            best[k][parts] = b
-    out = [0.0]
-    for k in range(1, K + 1):
-        out.append(max(logs[parts] + best[k][parts]
-                       for parts in range(1, k + 1)))
-    return out
+    reference the convex path is tested against.
+
+    best[k][l], the max sum of logs over l parts summing to k, is the first
+    strict max from -inf of logs[j] + best[k - j][l - 1] over
+    j = 1..k - l + 1.  Column l - 1 is stored reversed (best[k][l - 1] at
+    position K - k), so those candidates pair logs[1:] with one ascending
+    slice of it.  A candidate built on a -inf best is -inf or NaN and never
+    beats -inf.  Entry k is the first max of logs[l] + best[k][l] over
+    l = 1..k.
+    """
+    neg = -math.inf
+    lj = logs[1:K + 1]
+    if lj and math.isfinite(lj[0]):
+        # each cell's first candidate, logs[1] plus a best sum (never NaN),
+        # is not NaN, and a max seeded with it equals one seeded with -inf
+        cell_max = max
+    else:
+        def cell_max(cands):
+            return max(chain((neg,), cands))
+    col = [neg] * K + [0.0]  # column 0, reversed
+    cols = [col]
+    for parts in range(1, K + 1):
+        end = K - parts + 2
+        col = [cell_max(map(add, lj, col[K - k + 1:end]))
+               for k in range(K, parts - 1, -1)] + [neg] * parts
+        cols.append(col)
+    # the rows best[k][0..K], one at a time from k = K down
+    tops = [max(map(add, lj, row[1:k + 1]))
+            for k, row in zip(range(K, 0, -1), zip(*cols))]
+    return [0.0, *reversed(tops)]
 
 
 # ---------------------------------------------------------------------------

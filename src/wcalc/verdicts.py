@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from itertools import chain, islice
-from operator import mul
+from itertools import chain, islice, repeat
+from operator import mul, sub
 
 from .config import COMPARISON_SLACK, LOG_SLOPE_TOL, STABILIZE_REL
 from .logdomain import ln_axis
@@ -104,7 +104,7 @@ def log_fit(indices: list | range, ys) -> tuple[float, float]:
     my = math.fsum(ys) / len(dx)
     if sxx == 0.0:
         return 0.0, my
-    slope = math.fsum(map(mul, dx, [y - my for y in ys])) / sxx
+    slope = math.fsum(map(mul, dx, map(sub, ys, repeat(my)))) / sxx
     return slope, my - slope * mx
 
 
@@ -112,6 +112,16 @@ FROZEN = "frozen"
 FLAT = "flat"
 UP = "up"
 DOWN = "down"
+
+
+def _max_scan(values) -> tuple[list | range, float, int]:
+    """values as a nonempty list or range, their max and the position
+    where it is first attained."""
+    vals = _as_list(values)
+    if not vals:
+        raise ValueError("empty trajectory")
+    sup = max(vals)
+    return vals, sup, vals.index(sup)
 
 
 def classify_trajectory(indices, values) -> dict:
@@ -131,20 +141,23 @@ def classify_trajectory(indices, values) -> dict:
     the negative tolerance it is sinking (down), else flat.  Slower-than-log
     growth is indistinguishable from convergence on a finite window; that
     boundary is exactly what the tolerance encodes.
+
+    The values are scanned once for the max and once for its position;
+    trajectory_entry shares that scan with the running-sup rule.
     """
-    vals = _as_list(values)
+    return _summary(indices, *_max_scan(values))
+
+
+def _summary(indices, vals, sup, pos: int) -> dict:
+    """classify_trajectory's summary of vals at indices, given
+    sup = max(vals) and pos = vals.index(sup)."""
     idx = _as_list(indices)
     n = len(vals)
-    if n == 0:
-        raise ValueError("empty trajectory")
     if n != len(idx):
         raise ValueError("indices and values must have equal length")
-    sup = max(vals)
-    sup_pos = vals.index(sup)
     q3 = (3 * n) // 4
-    tail = vals[q3:] or vals[-1:]
     slope = log_fit(idx[n // 2:], vals[n // 2:])[0]
-    if n >= 8 and sup_pos < q3:
+    if n >= 8 and pos < q3:
         trend = FROZEN
     elif n < 8:
         # window too short to call growth; only an exact freeze counts
@@ -158,10 +171,10 @@ def classify_trajectory(indices, values) -> dict:
     return {
         "trend": trend,
         "sup": sup,
-        "sup_position": sup_pos,
+        "sup_position": pos,
         "log_slope": slope,
-        "tail_first": tail[0],
-        "tail_last": tail[-1],
+        "tail_first": vals[q3],
+        "tail_last": vals[-1],
     }
 
 
@@ -172,20 +185,31 @@ def running_sup_stabilized(values) -> tuple[bool, float]:
     than STABILIZE_REL over the last quarter of the window, relative
     to the trajectory's own scale (max of 1, |sup| and the value range, so
     a sup crawling through the last fraction of a large initial climb
-    still counts as settled).
+    still counts as settled).  Returns that and the last running sup.
     """
-    vals = _as_list(values)
-    if not vals:
-        raise ValueError("empty trajectory")
-    # the running sup at 3n/4 and at the end; seeded with -inf, and max
-    # keeps its current value unless an item is strictly greater, so a NaN
-    # never becomes a sup
+    return _running_sup(*_max_scan(values))
+
+
+def _running_sup(vals, sup, pos: int) -> tuple[bool, float]:
+    """running_sup_stabilized(vals), given sup = max(vals) and
+    pos = vals.index(sup)."""
     q3 = (3 * len(vals)) // 4
-    anchor = max(chain((-math.inf,), islice(vals, q3 + 1)))
-    last = max(chain((anchor,), islice(vals, q3 + 1, None)))
-    moved = last - anchor
-    scale = max(1.0, abs(last), max(vals) - min(vals))
-    return moved <= STABILIZE_REL * scale, last
+    if sup != sup:
+        # a NaN first value: max returns it, but the running sup is seeded
+        # with -inf and keeps its value unless an item is strictly
+        # greater, so a NaN never becomes a sup (and the NaN value range
+        # never sets the scale)
+        anchor = max(chain((-math.inf,), islice(vals, q3 + 1)))
+        last = max(chain((anchor,), islice(vals, q3 + 1, None)))
+        return last - anchor <= STABILIZE_REL * max(1.0, abs(last)), last
+    # otherwise the running sup ends at sup, and it stands there at 3n/4
+    # unless sup is first attained in the last quarter; the value range
+    # is read only when 1 and |sup| leave the move unsettled
+    moved = sup - (sup if pos <= q3 else max(islice(vals, q3 + 1)))
+    scale = max(1.0, abs(sup))
+    if moved <= STABILIZE_REL * scale:
+        return True, sup
+    return moved <= STABILIZE_REL * max(scale, sup - min(vals)), sup
 
 
 def trajectory_entry(indices, values) -> dict:
@@ -193,16 +217,24 @@ def trajectory_entry(indices, values) -> dict:
 
     stabilized and log_constant are the running-sup rule over every value,
     defects a thinned copy of them; from three points on, trend and slope
-    come from classify_trajectory.  A point at index 0 counts toward the
-    sup and the defects but stays out of the fit in ln(index).
+    are classify_trajectory's trend and log_slope.  A point at index 0
+    counts toward the sup and the defects but stays out of the fit in
+    ln(index).  One scan for the max serves the rule and the trend; it is
+    repeated without the index-0 point only when that point held the max
+    or a NaN follows it.
     """
-    stab, sup = running_sup_stabilized(values)
-    entry = {"stabilized": stab, "log_constant": sup,
-             "defects": decimate(values)}
-    if len(values) >= 3:
+    vals, sup, pos = _max_scan(values)
+    stab, last = _running_sup(vals, sup, pos)
+    entry = {"stabilized": stab, "log_constant": last,
+             "defects": decimate(vals)}
+    if len(vals) >= 3:
         if indices[0] == 0:
-            indices, values = indices[1:], values[1:]
-        rep = classify_trajectory(indices, values)
+            indices = indices[1:]
+            if pos and vals[1] == vals[1]:
+                vals, pos = vals[1:], pos - 1
+            else:  # the dropped point held the max, or a NaN now comes first
+                vals, sup, pos = _max_scan(vals[1:])
+        rep = _summary(indices, vals, sup, pos)
         entry["trend"] = rep["trend"]
         entry["slope"] = rep["log_slope"]
     return entry

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import struct
 import weakref
 
 import pytest
@@ -417,6 +418,61 @@ def test_composition_non_convex_matches_enumeration():
     assert not _convex_from_one(logs, 12)
     assert composition_sequence(logs, 12) == pytest.approx(
         brute_composition(logs, 12), abs=1e-9)
+
+
+def old_composition_dp(logs, K):
+    """_composition_dp as a triple loop over (k, parts, j), kept as the
+    oracle of the slice-fed table."""
+    neg = float("-inf")
+    best = [[neg] * (K + 1) for _ in range(K + 1)]
+    best[0][0] = 0.0
+    for k in range(1, K + 1):
+        for parts in range(1, k + 1):
+            b = neg
+            for j in range(1, k - parts + 2):
+                prev = best[k - j][parts - 1]
+                if prev != neg:
+                    cand = logs[j] + prev
+                    if cand > b:
+                        b = cand
+            best[k][parts] = b
+    out = [0.0]
+    for k in range(1, K + 1):
+        out.append(max(logs[parts] + best[k][parts]
+                       for parts in range(1, k + 1)))
+    return out
+
+
+def float_bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+DP_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]
+
+
+@st.composite
+def dp_logs(draw):
+    """K in 0..60 and K + 1 logs: finite, or with NaN, +-inf, +-0.0 and
+    sums that overflow, logs[1] among them (the seeded reduction)."""
+    K = draw(st.integers(0, 60))
+    finite = st.floats(-50.0, 50.0)
+    pool = draw(st.sampled_from([finite, finite | st.sampled_from(DP_SPECIALS)]))
+    logs = draw(st.lists(pool, min_size=K + 1, max_size=K + 1))
+    return logs, K
+
+
+@example(([0.0, math.nan] + [1.0] * 59, 60))
+@example(([0.0, math.inf] + [-math.inf, 2.0] * 29 + [1.0], 60))
+@example(([0.0, -math.inf] + [math.inf, -0.0] * 29 + [1.0], 60))
+@example(([0.0, -0.0, 0.0, -0.0, 0.0], 4))
+@example(([0.0, 1e308, 1e308, -1e308, math.nan, 3.0], 5))
+@example(([0.0], 0))
+@settings(deadline=None, max_examples=120)
+@given(dp_logs())
+def test_composition_dp_matches_the_triple_loop(case):
+    logs, K = case
+    assert float_bits(_composition_dp(logs, K)) == float_bits(
+        old_composition_dp(logs, K))
 
 
 def fdb_verdicts(mm, flavors):

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import struct
 from array import array
+from operator import mul
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wcalc import (
     DOWN,
@@ -19,8 +21,14 @@ from wcalc import (
     decimate,
     running_sup_stabilized,
 )
-from wcalc.config import STABILIZE_REL
-from wcalc.verdicts import log_fit, quarter_minima, trajectory_entry
+from wcalc.config import COMPARISON_SLACK, LOG_SLOPE_TOL, STABILIZE_REL
+from wcalc.verdicts import (
+    _as_list,
+    _log_axis,
+    log_fit,
+    quarter_minima,
+    trajectory_entry,
+)
 
 
 def test_verdict_props_and_json():
@@ -302,3 +310,193 @@ def test_trajectory_entry_two_points_has_no_trend():
     got = trajectory_entry(range(2), [0.0, 1.0])
     assert set(got) == {"stabilized", "log_constant", "defects"}
     assert got["log_constant"] == 1.0
+
+
+# --- the trajectory helpers as they were before one scan served them --------
+# trajectory_entry took the running-sup rule and the classify summary from
+# separate scans; these bodies are kept as oracles, and the one-scan
+# helpers must agree with them bit for bit, exceptions included.
+
+def old_decimate(values):
+    vals = _as_list(values)
+    if len(vals) <= 16:
+        return list(vals)
+    step = (len(vals) - 1) / (16 - 1)
+    return [vals[round(i * step)] for i in range(16)]
+
+
+def old_log_fit(indices, ys):
+    if type(indices) is range:
+        key = indices
+    else:
+        first = indices[0]
+        run = range(first, first + len(indices)) if type(first) is int else None
+        key = run if run is not None and indices == list(run) else tuple(indices)
+    mx, dx, sxx = _log_axis(key)
+    my = math.fsum(ys) / len(dx)
+    if sxx == 0.0:
+        return 0.0, my
+    slope = math.fsum(map(mul, dx, [y - my for y in ys])) / sxx
+    return slope, my - slope * mx
+
+
+def old_classify_trajectory(indices, values):
+    vals = _as_list(values)
+    idx = _as_list(indices)
+    n = len(vals)
+    if n == 0:
+        raise ValueError("empty trajectory")
+    if n != len(idx):
+        raise ValueError("indices and values must have equal length")
+    sup = max(vals)
+    sup_pos = vals.index(sup)
+    q3 = (3 * n) // 4
+    tail = vals[q3:] or vals[-1:]
+    slope = old_log_fit(idx[n // 2:], vals[n // 2:])[0]
+    if n >= 8 and sup_pos < q3:
+        trend = FROZEN
+    elif n < 8:
+        trend = FLAT if all(v <= vals[0] + COMPARISON_SLACK for v in vals) else UP
+    elif slope > LOG_SLOPE_TOL:
+        trend = UP
+    elif slope < -LOG_SLOPE_TOL:
+        trend = DOWN
+    else:
+        trend = FLAT
+    return {
+        "trend": trend,
+        "sup": sup,
+        "sup_position": sup_pos,
+        "log_slope": slope,
+        "tail_first": tail[0],
+        "tail_last": tail[-1],
+    }
+
+
+def old_running_sup_stabilized(values):
+    vals = _as_list(values)
+    if not vals:
+        raise ValueError("empty trajectory")
+    q3 = (3 * len(vals)) // 4
+    anchor = max(itertools.chain((-math.inf,), itertools.islice(vals, q3 + 1)))
+    last = max(itertools.chain((anchor,), itertools.islice(vals, q3 + 1, None)))
+    moved = last - anchor
+    scale = max(1.0, abs(last), max(vals) - min(vals))
+    return moved <= STABILIZE_REL * scale, last
+
+
+def old_trajectory_entry(indices, values):
+    stab, sup = old_running_sup_stabilized(values)
+    entry = {"stabilized": stab, "log_constant": sup,
+             "defects": old_decimate(values)}
+    if len(values) >= 3:
+        if indices[0] == 0:
+            indices, values = indices[1:], values[1:]
+        rep = old_classify_trajectory(indices, values)
+        entry["trend"] = rep["trend"]
+        entry["slope"] = rep["log_slope"]
+    return entry
+
+
+def bits(x):
+    """x with every float replaced by its IEEE bytes, container types and
+    dict key order kept, so == compares floats bit for bit."""
+    if type(x) is float:
+        return ("float", struct.pack("<d", x))
+    if type(x) is dict:
+        return ("dict", [(k, bits(v)) for k, v in x.items()])
+    if type(x) in (list, tuple):
+        return (type(x).__name__, [bits(v) for v in x])
+    return (type(x).__name__, x)
+
+
+def outcome(fn, *args):
+    """bits of fn(*args), or the type and arguments of what it raised."""
+    try:
+        return bits(fn(*args))
+    except Exception as exc:  # compared, not handled
+        return ("raised", type(exc).__name__, exc.args)
+
+
+TRAJECTORY_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308]
+
+
+@st.composite
+def oracle_trajectory(draw):
+    """(indices, values): lengths 1-40 or 512; a log, linear, late-peak or
+    free shape with plateaus and special values (NaN first or elsewhere,
+    +-inf, +-0.0, values whose sums overflow) pasted in; indices as a
+    range, list or array('l') starting at 0 or later, sometimes of the
+    wrong length."""
+    n = draw(st.one_of(st.integers(1, 40), st.just(512)))
+    a = draw(st.floats(-3.0, 3.0))
+    b = draw(st.floats(-5.0, 5.0))
+    shape = draw(st.sampled_from(["log", "linear", "late peak", "free"]))
+    if shape == "free" and n <= 40:
+        vals = draw(st.lists(st.floats(-100, 100) | st.sampled_from(
+            TRAJECTORY_SPECIALS), min_size=n, max_size=n))
+    elif shape == "linear":
+        vals = [a * j + b for j in range(n)]
+    elif shape == "late peak":
+        vals = [b - a * abs(j - 0.9 * n) for j in range(n)]
+    else:
+        vals = [a * math.log(j + 1) + b for j in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo, n))
+        vals[lo:hi] = [vals[lo]] * (hi - lo)
+    for _ in range(draw(st.integers(0, 3))):
+        vals[draw(st.integers(0, n - 1))] = draw(st.sampled_from(TRAJECTORY_SPECIALS))
+    if draw(st.integers(0, 7)) == 0:
+        vals[0] = math.nan
+    start = draw(st.sampled_from([0, 0, 1, 2, 7]))
+    step = draw(st.sampled_from([1, 1, 2, 3]))
+    count = max(0, n + draw(st.sampled_from([0] * 10 + [-1, 1])))
+    idx = range(start, start + step * count, step)
+    form = draw(st.sampled_from(["range", "list", "array"]))
+    if form == "list":
+        idx = list(idx)
+    elif form == "array":
+        idx = array("l", idx)
+    return idx, vals
+
+
+@example((range(0, 40), [50.0] + [math.log(j) for j in range(1, 40)]))
+@example((range(0, 5), [math.nan, math.nan, 1.0, 2.0, 0.5]))
+@example((range(0, 5), [3.0, math.nan, 1.0, 2.0, 0.5]))
+# index 0 leaves the fit and a NaN comes first: it is the sup of the rest
+@example((range(0, 10), [1.0, math.nan] + [0.0] * 7 + [5.0]))
+# without index 0 the sup sits just before the last quarter: frozen
+@example((range(0, 13), [0.0] * 9 + [5.0] + [1.0] * 3))
+# a late climb that 1 and |sup| leave unsettled and the range does not settle
+@example((range(1, 14), [0.0] * 12 + [1.6 * STABILIZE_REL]))
+@example((range(0, 5), [-0.0, 0.0, -0.0, 0.0, -0.0]))
+@example((range(1, 6), [math.inf, -math.inf, 1.0, 2.0, 0.5]))
+@example((list(range(1, 513)), [float(j) for j in range(512)]))
+@example((array("l", range(0, 512)), [math.nan] + [1.0] * 511))
+@settings(deadline=None, max_examples=400)
+@given(oracle_trajectory())
+def test_trajectory_helpers_match_the_old_bodies(case):
+    idx, vals = case
+    for fn, old in ((trajectory_entry, old_trajectory_entry),
+                    (classify_trajectory, old_classify_trajectory)):
+        assert outcome(fn, idx, vals) == outcome(old, idx, vals)
+    for form in (vals, tuple(vals), array("d", vals)):
+        assert outcome(running_sup_stabilized, form) == outcome(
+            old_running_sup_stabilized, form)
+        assert outcome(decimate, form) == outcome(old_decimate, form)
+    assert outcome(decimate, idx) == outcome(old_decimate, idx)
+    if vals:
+        tail = vals[len(vals) // 2:]
+        axis = _as_list(idx)[len(vals) // 2:][:len(tail)]
+        if axis:
+            assert outcome(log_fit, axis, tail) == outcome(old_log_fit, axis, tail)
+
+
+def test_trajectory_helpers_empty_input_raises_as_before():
+    for fn, old in ((running_sup_stabilized, old_running_sup_stabilized),
+                    (decimate, old_decimate)):
+        assert outcome(fn, []) == outcome(old, [])
+    for fn, old in ((trajectory_entry, old_trajectory_entry),
+                    (classify_trajectory, old_classify_trajectory)):
+        assert outcome(fn, [], []) == outcome(old, [], [])
