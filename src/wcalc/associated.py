@@ -104,28 +104,42 @@ class OmegaFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _argmax_index(self, log_t: float, cap: int) -> int:
-        """Largest j <= cap with log mu_j <= log t."""
-        j = self._last_index(self._m.quotient_log, log_t, cap)
-        if j is None:
+    def _argmax_index(self, log_t: float, cap: int, start: int = 0,
+                      stride: int = 1, cap_key: float | None = None) -> int:
+        """Largest j <= cap with log mu_j <= log t, searched from start
+        (see _last_index); cap_key is log mu_cap when the caller has read
+        it already."""
+        m = self._m
+        if (m.quotient_log(cap) if cap_key is None else cap_key) <= log_t:
             raise SupNotAttainedError(
-                f"maximizer of {self._m.label()} at log t = {log_t:.6g} "
+                f"maximizer of {m.label()} at log t = {log_t:.6g} "
                 f"reaches index {cap}; raise the horizon")
-        return j
+        return self._last_index(m.quotient_log, log_t, cap, start, stride)
 
     @staticmethod
-    def _last_index(key, bound: float, cap: int) -> int | None:
-        """Largest j < cap with key(j) <= bound, or None when key(cap) <=
-        bound, for a key that the certified quotients keep non-decreasing
-        on [1, cap]; doubling plus bisection reads O(log j) keys."""
-        if key(cap) <= bound:
-            return None
-        hi = 1
+    def _last_index(key, bound: float, cap: int, start: int = 0,
+                    stride: int = 1) -> int:
+        """Largest j < cap with key(j) <= bound, for a key that the
+        certified quotients keep non-decreasing on [1, cap] and a caller
+        that has read key(cap) > bound.
+
+        The search starts from start, which must satisfy key(start) <=
+        bound (0 always does: it is never read), and probes start + stride,
+        start + 2 stride, start + 4 stride, ... until a key exceeds bound,
+        then bisects; it reads O(log((j - start) / stride)) keys.  With
+        start 0 and stride 1 it is plain doubling plus bisection from the
+        origin.
+        """
+        lo, hi = start, min(start + stride, cap)
         while hi < cap and key(hi) <= bound:
-            hi = min(2 * hi, cap)
-        lo = hi // 2
-        # invariant: key(lo) <= bound (or lo == 0), key(hi) > bound (the
-        # loop read it, or hi == cap, read above)
+            lo, hi = hi, min(start + 2 * (hi - start), cap)
+        # the midpoint of the last doubling, as plain doubling takes it
+        # (below the last passing probe when the cap clipped hi), unless
+        # no probe passed
+        lo = min(lo, start + (hi - start) // 2)
+        # invariant: key(lo) <= bound (lo is start or no larger than a
+        # probe that passed), key(hi) > bound (the loop read it, or hi ==
+        # cap)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if key(mid) <= bound:
@@ -137,22 +151,46 @@ class OmegaFunction:
     def eval(self, t: float, horizon: int | None = None) -> OmegaValue:
         """omega(t) with the index j that attains it; horizon caps the
         index search (default OMEGA_INDEX_CAP)."""
-        h = need_horizon(horizon, 1, omega=True)
-        if not (math.isfinite(t) and t >= 0.0):
-            raise InvalidParameterError("t", f"need finite t >= 0, got {t}")
-        if t == 0.0:
-            return OmegaValue(0.0, 0)
-        log_t = math.log(t)
-        j = self._argmax_index(log_t, self._m.last_index(h))
-        return OmegaValue(max(0.0, j * log_t - self._m.log_term(j)), j)
+        return next(self.sweep((t,), horizon))
+
+    def sweep(self, ts, horizon: int | None = None):
+        """Yield eval(t, horizon) for each t of an ascending sequence.
+
+        Each search starts from the previous maximizer, which a larger t
+        keeps at or below its bound, with the previous advance as its
+        first stride, so a grid reads far fewer quotients than cold evals;
+        the first search, and so eval's, starts from 0 with stride 1.
+        The values and errors are eval's, point by point; a t below the
+        one before it raises InvalidParameterError.  Nothing is kept
+        between calls.
+        """
+        m = self._m
+        cap = m.last_index(need_horizon(horizon, 1, omega=True))
+        cap_key = None
+        j, advance, prev = 0, 1, 0.0
+        for t in ts:
+            if not (math.isfinite(t) and t >= 0.0):
+                raise InvalidParameterError("t", f"need finite t >= 0, got {t}")
+            if t < prev:
+                raise InvalidParameterError(
+                    "t", f"sweep needs ascending t, got {t} after {prev}")
+            prev = t
+            if t == 0.0:
+                yield OmegaValue(0.0, 0)
+                continue
+            log_t = math.log(t)
+            if cap_key is None:  # read once, where eval's search reads it
+                cap_key = m.quotient_log(cap)
+            found = self._argmax_index(log_t, cap, j, advance, cap_key)
+            j, advance = found, max(1, found - j)
+            yield OmegaValue(max(0.0, j * log_t - m.log_term(j)), j)
 
     def table(self, grid: LogGrid,
               horizon: int | None = None) -> list[tuple[float, float, int]]:
         """Evaluate on a grid and assert the shape invariants of the batch."""
-        rows = []
-        for t in grid.values():
-            v = self.eval(t, horizon)
-            rows.append((t, v.value, v.attained_at))
+        ts = grid.values()
+        rows = [(t, v.value, v.attained_at)
+                for t, v in zip(ts, self.sweep(ts, horizon))]
         _assert_shape(rows, self.label())
         return rows
 
@@ -207,12 +245,14 @@ def young_conjugate(omega: OmegaFunction, s: float, grid: LogGrid | None = None,
     # if the sup is negative at lo, g is s*u below its zero u0, so the peak
     # moves to u0 ((-inf, u0] at s = 0) or, if it crosses u0, starts there
     if m.log_term(0) > 0.0 and (k * lo if k else 0.0) < m.log_term(k):
-        j = omega._last_index(
-            lambda i: i * m.quotient_log(i) - m.log_term(i), 0.0, cap)
-        if j is None:
+        def key(i):
+            return i * m.quotient_log(i) - m.log_term(i)
+
+        if key(cap) <= 0.0:
             raise SupNotAttainedError(
                 f"omega of {m.label()} is 0 up to index {cap}; raise the "
                 "horizon")
+        j = omega._last_index(key, 0.0, cap)
         u0 = m.log_term(j) / j
         if s and u0 < hi:
             lo = u0
@@ -271,24 +311,23 @@ def from_omega(omega: OmegaFunction, ell: float = 1.0,
 # relation checks between sequences through their associated functions
 
 
-def _ratio_probe(num, den, grid: LogGrid):
-    """(ts, ratios, (tail min, tail max)) of num(t) / den(t) over the grid
-    points where both are positive, numerator first, up to the first
-    unattained sup; the tail is the last quarter of the ratios, and its
-    bounds are None when no point qualifies."""
-    ts, ratios = [], []
-    for t in grid.values():
-        try:
-            a = num(t)
-            b = den(t)
-        except SupNotAttainedError:
-            break
-        if a <= 0.0 or b <= 0.0:
-            continue
-        ts.append(t)
-        ratios.append(a / b)
+def _ratio_probe(ts, nums, dens):
+    """(ts, ratios, (tail min, tail max)) of num / den over the points of
+    ts where both are positive, read from two streams of OmegaValues that
+    run along ts, numerator first, up to the first unattained sup; the tail
+    is the last quarter of the ratios, and its bounds are None when no
+    point qualifies."""
+    kept, ratios = [], []
+    try:
+        for t, a, b in zip(ts, nums, dens):
+            if a.value <= 0.0 or b.value <= 0.0:
+                continue
+            kept.append(t)
+            ratios.append(a.value / b.value)
+    except SupNotAttainedError:
+        pass
     tail = ratios[(3 * len(ratios)) // 4:] or ratios
-    return ts, ratios, (min(tail), max(tail)) if tail else (None, None)
+    return kept, ratios, (min(tail), max(tail)) if tail else (None, None)
 
 
 def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
@@ -314,8 +353,8 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
         grid = grid or LogGrid(10.0, 1e6)
         # check_sc above is the certificate from_sequence would repeat
         om, on = (OmegaFunction(seq) for seq in (m, n))
-        ts, ratios, (lo, hi) = _ratio_probe(
-            lambda t: om.eval(t).value, lambda t: on.eval(t).value, grid)
+        ts = grid.values()
+        ts, ratios, (lo, hi) = _ratio_probe(ts, om.sweep(ts), on.sweep(ts))
         ev = {
             "mode": mode,
             "points": len(ratios),
@@ -370,9 +409,10 @@ def omega_doubling_probe(omega: OmegaFunction, grid: LogGrid | None = None,
                          horizon: int | None = None) -> dict:
     """Ratio omega(2t)/omega(t) across the grid; a bounded tail is the
     empirical face of the doubling condition."""
+    ts = (grid or LogGrid(10.0, 1e6)).values()
     ts, ratios, (lo, hi) = _ratio_probe(
-        lambda t: omega.eval(2.0 * t, horizon).value,
-        lambda t: omega.eval(t, horizon).value, grid or LogGrid(10.0, 1e6))
+        ts, omega.sweep((2.0 * t for t in ts), horizon),
+        omega.sweep(ts, horizon))
     return {
         "points": len(ratios),
         "tail_min": lo,

@@ -2,7 +2,7 @@
 
 A weight sequence M = (M_j) is exposed only through log M_j (a float per
 index, -inf unused: weights are positive).  Families are closed-form where
-possible so indices far beyond any memo stay O(1):
+possible so indices far beyond any window stay O(1):
 
     gevrey(s):        log M_j = s * lgamma(j + 1)
     ptt(tau, sigma):  log M_j = tau * j^sigma * ln j   (0^0 := 1, so j=0 -> 0)
@@ -18,12 +18,11 @@ and one block of phi), else a map over the term function.  One sum over
 the block validates it; only when that sum is NaN or +inf, or the block
 raised, does a per-index pass run, which raises the same error at the
 same lowest index, leaving the same valid prefix, as reading term by term
-would.  Point reads (omega bisection and evaluation) call log_term(j),
-which reads the prefix when j lies inside it and a per-index memo
-otherwise, so a point read far out never allocates a window.  A fill
-evaluates its whole range and leaves the memo as it is; log_term reads
-the prefix first.  A window never reaches past WINDOW_CAP (config):
-log_terms raises HorizonError above it before it evaluates a term.
+would.  Point reads (the omega search and evaluation) call log_term(j),
+which reads the prefix when j lies inside it and evaluates the term
+otherwise, keeping nothing, so a point read far out never allocates a
+window.  A window never reaches past WINDOW_CAP (config): log_terms
+raises HorizonError above it before it evaluates a term.
 
 Exponent sequences phi = (phi_j) are plain nonnegative floats (they live in
 the exponent, not in the log domain).  value(j) reads one; values(lo, hi)
@@ -188,19 +187,11 @@ class WeightSequence:
     """Positive sequence handled through log-scale terms; compared and
     hashed by identity.
 
-    Terms live in a cached prefix (_window, grown by log_terms) and, for
-    point reads beyond it, in a per-index memo (_memo).  _fn evaluates one
-    term; _block, when given, evaluates the terms at lo..hi in one pass with
-    the same float operations.
-
-    The memo holds one entry per distinct index read while it lay past the
-    window, keeps it when a later fill covers that index, and dies with the
-    sequence.  A script drops its binding of a sequence after
-    the last statement that reads it (a sequence built on it keeps it
-    alive), and each query adds only the indices it reads: O(log cap) for
-    an omega evaluation, a few for a conjugate or a recovered term.  It
-    grows without bound only for a long-lived Python caller that keeps one
-    sequence and reads ever new indices past its window.
+    Terms live in a cached prefix (_window, grown by log_terms); a point
+    read beyond it evaluates the term each time and keeps nothing, so
+    only window fills grow a sequence.  _fn evaluates one term; _block,
+    when given, evaluates the terms at lo..hi in one pass with the same
+    float operations.
     """
 
     def __init__(self, family: str, params: dict, _fn: Callable[[int], float],
@@ -210,7 +201,6 @@ class WeightSequence:
         self.params = params
         self._fn = _fn
         self.length = length
-        self._memo: dict[int, float] = {}
         self._window: list[float] = []
         self._block = _block
 
@@ -228,11 +218,7 @@ class WeightSequence:
         if type(j) is int and 0 <= j < len(window):
             return window[j]
         _check_index(j)
-        got = self._memo.get(j)
-        if got is None:
-            got = self._eval(j)
-            self._memo[j] = got
-        return got
+        return self._eval(j)
 
     def log_terms(self, n: int) -> list[float]:
         """[log M_0, ..., log M_n], the shared cached prefix: do not mutate.
@@ -259,7 +245,7 @@ class WeightSequence:
         _check_index(j)
         if j == 0:
             return 0.0
-        return self.log_term(j) - self.log_term(j - 1)
+        return self._eval(j) - self.log_term(j - 1)  # j lies past the window
 
     def reduced_log(self, j: int) -> float:
         """log(M_j / j!)."""

@@ -97,8 +97,10 @@ def log_fit(indices: list | range, ys) -> tuple[float, float]:
     if type(indices) is range:
         key = indices
     else:
-        first = indices[0]
-        run = range(first, first + len(indices)) if type(first) is int else None
+        first, n = indices[0], len(indices)
+        # the ends rule out most non-runs before the run is spelled out
+        run = (range(first, first + n) if type(first) is int
+               and indices[-1] - first == n - 1 else None)
         key = run if run is not None and indices == list(run) else tuple(indices)
     mx, dx, sxx = _log_axis(key)
     my = math.fsum(ys) / len(dx)

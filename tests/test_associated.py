@@ -6,7 +6,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wcalc import (
     HOLDS,
@@ -27,13 +27,14 @@ from wcalc import (
     omega_doubling_probe,
     ptt,
     linear_exponents,
+    power_exponents,
     recover_term,
     scaled,
     table,
     young_conjugate,
 )
 from wcalc.associated import ConjugateValue, _assert_shape
-from wcalc.config import WINDOW_CAP
+from wcalc.config import OMEGA_INDEX_CAP, WINDOW_CAP
 from wcalc.conditions import check_condition
 from wcalc.sequences import WeightSequence
 
@@ -718,6 +719,91 @@ def test_export_csv(tmp_path, om_g1):
     assert float(t) == pytest.approx(1e4)
     assert float(val) == om_g1.eval(1e4).value
     assert int(j) == om_g1.eval(1e4).attained_at
+
+
+# --- sweeps -----------------------------------------------------------------
+
+
+def first_error_or_values(values):
+    """The values a stream yields up to its first error, and that error's
+    type and message (None when it ends cleanly)."""
+    got = []
+    try:
+        for v in values:
+            got.append(v)
+    except WcalcError as exc:
+        return got, (type(exc).__name__, str(exc))
+    return got, None
+
+
+SWEPT = st.one_of(
+    st.builds(gevrey, st.floats(0.5, 3.0)),
+    st.builds(ptt, st.floats(0.5, 2.0), st.floats(1.0, 2.0)),
+    st.builds(scaled, st.builds(gevrey, st.floats(0.5, 3.0)),
+              st.sampled_from([linear_exponents(), power_exponents(1.5)]),
+              st.floats(0.5, 4.0)),
+    st.builds(_log_convex_table,
+              st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+              st.lists(st.floats(0.0, 2.0), min_size=1, max_size=90)),
+)
+
+
+@st.composite
+def ascending_ts(draw):
+    """Ascending t with zeros, repeats, and points far enough out to pass
+    any cap drawn below."""
+    ts = draw(st.lists(st.one_of(st.just(0.0), st.floats(-4.0, 14.0).map(math.exp)),
+                       max_size=40))
+    ts += draw(st.lists(st.sampled_from(ts), max_size=5)) if ts else []
+    return sorted(ts)
+
+
+@settings(deadline=None, max_examples=200)
+@given(SWEPT, ascending_ts(), st.one_of(st.none(), st.integers(1, 3000)))
+def test_sweep_matches_cold_evals_bit_for_bit(m, ts, horizon):
+    """On sequences whose quotients do not decrease on [1, cap] (what the
+    certificate vouches for), sweep yields what eval gives point by point,
+    to the bit, and stops with the same first error, message included."""
+    om = OmegaFunction(m)
+    cap = m.last_index(horizon or OMEGA_INDEX_CAP)
+    assume(cap <= 3000)  # with no horizon, only tables (cap: their length)
+    q = [m.quotient_log(j) for j in range(1, cap + 1)]
+    assume(all(a <= b for a, b in zip(q, q[1:])))
+    want, want_error = first_error_or_values(om.eval(t, horizon) for t in ts)
+    got, got_error = first_error_or_values(om.sweep(ts, horizon))
+    assert got_error == want_error
+    assert [(v.value.hex(), v.attained_at) for v in got] == [
+        (v.value.hex(), v.attained_at) for v in want]
+
+
+def test_sweep_rejects_a_descending_t(om_g1):
+    with pytest.raises(InvalidParameterError, match="ascending"):
+        list(om_g1.sweep([1.0, 5.0, 4.0]))
+    with pytest.raises(InvalidParameterError, match="finite t"):
+        list(om_g1.sweep([1.0, math.nan]))
+    assert list(om_g1.sweep([])) == []
+
+
+def test_numeric_ratio_reads_at_most_half_the_quotients_of_cold_evals(
+        monkeypatch):
+    counted = []
+    read = WeightSequence.quotient_log
+
+    def counting(self, j):
+        counted.append(j)
+        return read(self, j)
+
+    monkeypatch.setattr(WeightSequence, "quotient_log", counting)
+    m, n = gevrey(1.3), gevrey(2.3)
+    v = assoc_relation_check(m, n, "numeric_ratio")
+    swept = len(counted)
+    del counted[:]
+    for seq in (m, n):
+        om = OmegaFunction(seq)
+        for t in LogGrid(10.0, 1e6).values():
+            om.eval(t)
+    assert v.evidence["points"] == 200
+    assert swept <= len(counted) // 2
 
 
 # --- scaling ----------------------------------------------------------------

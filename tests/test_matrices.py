@@ -171,12 +171,15 @@ def test_sigma_matrix_mg_partner_map():
 
 
 def test_elements_fill_from_the_shared_base_window():
-    """Every element of ptt_matrix is the shared ptt base rescaled; after
-    mg at horizon 512 that base holds one window and no point-read memo."""
+    """Every element of ptt_matrix is the shared ptt base rescaled; mg at
+    horizon 512 fills that base's one window and makes no point reads of
+    it."""
     mm = ptt_matrix(1.0, 2.0)
-    check_matrix_condition(mm, MatrixConditionId("mg", ROUMIEU), horizon=512)
     base = mm.element(1.0).params["_base"]
-    assert len(base._window) >= 513 and base._memo == {}
+    point_reads = []
+    base._fn = lambda j, fn=base._fn: point_reads.append(j) or fn(j)
+    check_matrix_condition(mm, MatrixConditionId("mg", ROUMIEU), horizon=512)
+    assert len(base._window) >= 513 and point_reads == []
 
 
 def test_ptt_matrix_mg_diverges_everywhere():

@@ -302,14 +302,17 @@ def test_point_reads_leave_the_window_alone():
     m = WeightSequence("squares", {}, fn)
     assert m.log_term(65536) == 65536.0 ** 2
     assert calls == [65536]
+    # a repeated point read evaluates again and keeps nothing
+    assert m.log_term(65536) == 65536.0 ** 2
+    assert calls == [65536, 65536] and m._window == []
     assert m.log_term(20) == 400.0
     assert m.log_terms(12) == [float(j * j) for j in range(13)]
-    assert len(calls) == 2 + 13
+    assert len(calls) == 3 + 13
     assert m.log_term(5) == 25.0 and m.log_terms(10) == [float(j * j) for j in range(11)]
-    assert len(calls) == 2 + 13
-    m.log_terms(25)  # a fill evaluates index 20 again and keeps its memo entry
-    assert len(calls) == 2 + 13 + 13
-    assert m._memo == {65536: 65536.0 ** 2, 20: 400.0}
+    assert len(calls) == 3 + 13
+    m.log_terms(25)  # a fill evaluates index 20 again
+    assert len(calls) == 3 + 13 + 13
+    assert m.log_term(20) == 400.0 and len(calls) == 3 + 13 + 13
 
 
 def test_log_terms_error_parity():
