@@ -57,6 +57,9 @@ class LogGrid:
         self.t_max = t_max
         self.points = points
 
+    def __repr__(self) -> str:
+        return f"LogGrid({self.t_min!r}, {self.t_max!r}, {self.points!r})"
+
     def log_points(self) -> list[float]:
         lo = math.log(self.t_min)
         hi = math.log(self.t_max)
@@ -105,40 +108,47 @@ class OmegaFunction:
     # -- evaluation ---------------------------------------------------------
 
     def _argmax_index(self, log_t: float, cap: int, start: int = 0,
-                      stride: int = 1, cap_key: float | None = None) -> int:
-        """Largest j <= cap with log mu_j <= log t, searched from start
-        (see _last_index); cap_key is log mu_cap when the caller has read
-        it already."""
+                      guess: int = 0, cap_key: float | None = None) -> int:
+        """Largest j <= cap with log mu_j <= log t, searched from guess
+        above start (see _last_index); cap_key is log mu_cap when the
+        caller has read it already."""
         m = self._m
         if (m.quotient_log(cap) if cap_key is None else cap_key) <= log_t:
             raise SupNotAttainedError(
                 f"maximizer of {m.label()} at log t = {log_t:.6g} "
                 f"reaches index {cap}; raise the horizon")
-        return self._last_index(m.quotient_log, log_t, cap, start, stride)
+        return self._last_index(m.quotient_log, log_t, cap, start, guess)
 
     @staticmethod
     def _last_index(key, bound: float, cap: int, start: int = 0,
-                    stride: int = 1) -> int:
+                    guess: int = 0) -> int:
         """Largest j < cap with key(j) <= bound, for a key that the
         certified quotients keep non-decreasing on [1, cap] and a caller
         that has read key(cap) > bound.
 
-        The search starts from start, which must satisfy key(start) <=
-        bound (0 always does: it is never read), and probes start + stride,
-        start + 2 stride, start + 4 stride, ... until a key exceeds bound,
-        then bisects; it reads O(log((j - start) / stride)) keys.  With
-        start 0 and stride 1 it is plain doubling plus bisection from the
-        origin.
+        start must satisfy key(start) <= bound (0 always does: it is never
+        read), and guess lies in [start, cap).  The search reads key(guess)
+        unless guess is start, gallops from guess with steps 1, 2, 4, ...
+        upward while the keys pass, or downward toward start while they
+        fail, then bisects the last step; it reads O(log |j - guess|)
+        keys.  With start = guess = 0 it is plain doubling plus bisection
+        from the origin.
         """
-        lo, hi = start, min(start + stride, cap)
-        while hi < cap and key(hi) <= bound:
-            lo, hi = hi, min(start + 2 * (hi - start), cap)
-        # the midpoint of the last doubling, as plain doubling takes it
-        # (below the last passing probe when the cap clipped hi), unless
-        # no probe passed
-        lo = min(lo, start + (hi - start) // 2)
+        if guess > start and key(guess) > bound:
+            hi, step, lo = guess, 1, guess - 1
+            while lo > start and key(lo) > bound:
+                hi, step = lo, 2 * step
+                lo = max(start, guess - step)
+        else:
+            lo, hi = guess, min(guess + 1, cap)
+            while hi < cap and key(hi) <= bound:
+                lo, hi = hi, min(guess + 2 * (hi - guess), cap)
+            # the midpoint of the last doubling, as plain doubling takes it
+            # (below the last passing probe when the cap clipped hi), unless
+            # no probe passed
+            lo = min(lo, guess + (hi - guess) // 2)
         # invariant: key(lo) <= bound (lo is start or no larger than a
-        # probe that passed), key(hi) > bound (the loop read it, or hi ==
+        # probe that passed), key(hi) > bound (the search read it, or hi ==
         # cap)
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -157,17 +167,23 @@ class OmegaFunction:
         """Yield eval(t, horizon) for each t of an ascending sequence.
 
         Each search starts from the previous maximizer, which a larger t
-        keeps at or below its bound, with the previous advance as its
-        first stride, so a grid reads far fewer quotients than cold evals;
-        the first search, and so eval's, starts from 0 with stride 1.
-        The values and errors are eval's, point by point; a t below the
-        one before it raises InvalidParameterError.  Nothing is kept
-        between calls.
+        keeps at or below its bound.  From the third positive t on, it
+        first reads the index that the last two (log t, maximizer) pairs
+        extrapolate to, a straight line in log t and log j, clamped to
+        [previous maximizer + 1, cap - 1]; the guess is formed in log
+        space, so it cannot overflow, and the cap bounds it and the gallop
+        from it.  A grid thus reads far fewer quotients than cold evals;
+        the first search, and so eval's, starts from 0 with no guess.  The
+        values and errors are eval's, point by point; a t below the one
+        before it raises InvalidParameterError.  Nothing is kept between
+        calls.
         """
         m = self._m
         cap = m.last_index(need_horizon(horizon, 1, omega=True))
         cap_key = None
-        j, advance, prev = 0, 1, 0.0
+        # (log t, maximizer) at the last two positive t: (u0, j0), (u, j)
+        u0 = u = prev = 0.0
+        j0 = j = 0
         for t in ts:
             if not (math.isfinite(t) and t >= 0.0):
                 raise InvalidParameterError("t", f"need finite t >= 0, got {t}")
@@ -181,8 +197,14 @@ class OmegaFunction:
             log_t = math.log(t)
             if cap_key is None:  # read once, where eval's search reads it
                 cap_key = m.quotient_log(cap)
-            found = self._argmax_index(log_t, cap, j, advance, cap_key)
-            j, advance = found, max(1, found - j)
+            guess = j
+            if j0 and u0 < u:  # j >= j0 > 0
+                log_j = math.log(j)
+                lg = log_j + (log_j - math.log(j0)) * (log_t - u) / (u - u0)
+                guess = min(max(j + 1, int(math.exp(min(lg, math.log(cap))))),
+                            cap - 1)
+            u0, j0, u = u, j, log_t
+            j = self._argmax_index(log_t, cap, j, guess, cap_key)
             yield OmegaValue(max(0.0, j * log_t - m.log_term(j)), j)
 
     def table(self, grid: LogGrid,

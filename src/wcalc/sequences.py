@@ -245,7 +245,9 @@ class WeightSequence:
         _check_index(j)
         if j == 0:
             return 0.0
-        return self._eval(j) - self.log_term(j - 1)  # j lies past the window
+        # j lies past the window; j - 1 may be its last entry
+        return self._eval(j) - (window[j - 1] if j <= len(window)
+                                else self._eval(j - 1))
 
     def reduced_log(self, j: int) -> float:
         """log(M_j / j!)."""

@@ -248,15 +248,24 @@ def theta_bounds(n: WeightSequence, count: int,
 
 
 def _seminorm_trajectories(f: DerivBounds, m: WeightSequence,
-                           phi: ExponentSequence, hs) -> list[list[float]]:
+                           phi: ExponentSequence, hs,
+                           phis: list | None = None) -> list[list[float]]:
     """[bound_j - Phi_j log h - log M_j over the available orders j] at
-    each h of hs, from one read of the terms and one of phi."""
+    each h of hs, from one read of the terms and one of phi.
+
+    phis holds the values of phi already read from index 0, shared by the
+    calls of one classification: only the indices past it are read, after
+    the terms, so the first error is the one a full read would raise.
+    """
     for h in hs:
         if not (h > 0.0 and math.isfinite(h)):
             raise InvalidParameterError("h", f"need h > 0, got {h}")
     top = m.last_index(f.top_index())
     terms = m.log_terms(top)
-    phis = phi.values(0, top)
+    if phis is None:
+        phis = []
+    if len(phis) <= top:
+        phis += phi.values(len(phis), top)
     return [[b - p * ln_h - t for b, p, t in zip(f.bounds, phis, terms)]
             for ln_h in map(math.log, hs)]
 
@@ -303,8 +312,10 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
     grid = _index_grid(mm.index_grid if index_grid is None else index_grid, 1)
 
     table: dict[tuple[float, float], dict] = {}
+    phis: list[float] = []  # each phi index is read once, for the grid
     for c in grid:
-        rows = _seminorm_trajectories(f, mm.element(c), phi, DEFAULT_H_GRID)
+        rows = _seminorm_trajectories(f, mm.element(c), phi, DEFAULT_H_GRID,
+                                      phis)
         for h, vals in zip(DEFAULT_H_GRID, rows):
             entry = trajectory_entry(range(1, len(vals) + 1), vals)
             cell = {"sup": entry["log_constant"],

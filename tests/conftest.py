@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from wcalc import gevrey, ptt
+
+# a falsifying example prints the blob that replays it with
+# @reproduce_failure
+settings.register_profile("wcalc", print_blob=True)
+settings.load_profile("wcalc")
 
 
 @pytest.fixture(scope="session")

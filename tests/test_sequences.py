@@ -370,12 +370,12 @@ bad_indices = st.dictionaries(st.integers(0, 40), st.sampled_from(sorted(BAD_KIN
 
 
 @given(bad_indices, st.lists(st.integers(0, 45), max_size=4), st.integers(0, 45))
-@example({3: "nan", 7: "raises"}, [9, 3], 12)  # NaN below a raise; 9 memoized
+@example({3: "nan", 7: "raises"}, [9, 3], 12)  # NaN below a raise; 9 read first
 def test_block_fill_errors_match_term_by_term_reads(bad, before, n):
     """NaN or +inf terms, a function that raises, and -inf terms (which
     are allowed): the window fill raises the same error as term-by-term
     reads and leaves the same valid prefix, with or without earlier point
-    reads in the memo."""
+    reads, which keep nothing."""
     def make():
         m = WeightSequence("holey", {}, holey(bad))
         for j in before:
@@ -454,8 +454,8 @@ QUOTIENT_FAMILIES = ("gevrey", "ptt", "scaled", "table")
 )
 def test_quotient_reads_match_term_differences(family, before, n, offsets):
     """quotient_log(j) is log_term(j) - log_term(j - 1) to the bit, whether
-    j lies inside the window, at its edge, or past it where only the
-    point memo holds the terms."""
+    j lies inside the window, at its edge, or past it, where the terms the
+    window lacks are evaluated."""
     make = WINDOW_FAMILIES[family]
     ref = make()  # only ever read one index at a time
     m = make()
@@ -468,7 +468,7 @@ def test_quotient_reads_match_term_differences(family, before, n, offsets):
         if j:
             assert bits([m.quotient_log(j)]) == bits(
                 [m.log_term(j) - m.log_term(j - 1)])
-    if family != "table":  # far out: two point-memo reads
+    if family != "table":  # far out: both terms evaluated
         far = 65536 + n
         assert bits([m.quotient_log(far)]) == bits(
             [ref.log_term(far) - ref.log_term(far - 1)])

@@ -14,6 +14,7 @@ from wcalc import (
     InvalidParameterError,
     PreconditionError,
     classify_membership,
+    generic_matrix,
     linear_exponents,
     load_bounds_csv,
     load_bounds_json,
@@ -24,6 +25,7 @@ from wcalc import (
     seminorm,
     synthetic_bounds,
     table,
+    table_exponents,
     theta_bounds,
     theta_derivative_log_bound,
     theta_eval,
@@ -31,6 +33,7 @@ from wcalc import (
 from wcalc import conditions, witness
 from wcalc.config import THETA_COUNT_CAP, THETA_TERM_CAP
 from wcalc.logdomain import log_sum
+from wcalc.sequences import ExponentSequence
 
 LN2 = math.log(2.0)
 
@@ -402,6 +405,57 @@ def test_membership_validation(ptt_mm):
         with pytest.raises(InvalidParameterError) as err:
             classify_membership(f, ptt_mm, index_grid=grid)
         assert err.value.field == "index_grid"
+
+
+def test_membership_reads_phi_once(ptt_mm, monkeypatch):
+    """The seminorm rows of the 13 grid elements share one read of phi
+    (the elements' own windows are filled first, since a scaled element
+    reads its phi block when it fills)."""
+    f = synthetic_bounds(ptt_mm.element(2.0), 128)
+    for c in ptt_mm.index_grid:
+        ptt_mm.element(c).log_terms(128)
+    reads = []
+    values = ExponentSequence.values
+
+    def counted(self, lo, hi):
+        reads.append((lo, hi))
+        return values(self, lo, hi)
+
+    monkeypatch.setattr(ExponentSequence, "values", counted)
+    classify_membership(f, ptt_mm)
+    assert len(ptt_mm.index_grid) == 13
+    assert reads == [(0, 128)]
+
+
+SHORT, LONG = ([0.5 * j * j for j in range(n)] for n in (6, 12))
+
+
+@pytest.mark.parametrize("phi_length", [4, 6, 9, 12, 30])
+def test_membership_rows_and_errors_match_per_element_reads(phi_length):
+    """Elements of different lengths under a phi table that may end below
+    either: the shared phi read gives each element the rows, or the first
+    error, that reading phi afresh for each element gives."""
+    mm = generic_matrix([(1.0, table(log_values=SHORT)),
+                         (2.0, table(log_values=LONG))])
+    phi = table_exponents([0.25 * j for j in range(phi_length)])
+    f = synthetic_bounds(table(log_values=LONG), 11)
+    hs = witness.DEFAULT_H_GRID
+
+    def shared():
+        phis = []
+        return [witness._seminorm_trajectories(f, mm.element(c), phi, hs, phis)
+                for c in mm.index_grid]
+
+    def fresh():
+        return [witness._seminorm_trajectories(f, mm.element(c), phi, hs)
+                for c in mm.index_grid]
+
+    assert outcome(shared) == outcome(fresh)
+    got = outcome(lambda: classify_membership(f, mm, phi).to_json())
+    if phi_length < 12:  # the long element's top, 11, lies past phi
+        assert got == outcome(fresh)
+    else:
+        assert len(got["table"]) == 2 * len(hs)
 
 
 def test_membership_with_theta_data(g1):
