@@ -299,9 +299,7 @@ def recover_term(omega: OmegaFunction, j: int, grid: LogGrid | None = None,
     For M_0 <= 1 the conjugate is flat at log M_j on the gap [mu_j,
     mu_{j+1}], so this is log M_j bit for bit once grid and horizon reach it.
     """
-    if j < 0:
-        raise InvalidParameterError("j", f"need j >= 0, got {j}")
-    return young_conjugate(omega, float(j), grid, horizon).value
+    return assoc_matrix_term(omega, 1.0, j, grid, horizon)
 
 
 def assoc_matrix_term(omega: OmegaFunction, ell: float, j: int,
@@ -397,30 +395,24 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
 
     mt, nt = m.log_terms(h), n.log_terms(h)
     per_c: dict[int, dict] = {}
-    if mode == "bigO":
-        witness_c = None
-        for c in range(1, c_max + 1):
-            jmax = h // c
-            defects = [nt[j] - mt[c * j] / c for j in range(jmax + 1)]
-            per_c[c] = trajectory_entry(range(jmax + 1), defects)
-            if witness_c is None and per_c[c]["stabilized"]:
-                witness_c = c
-        ev = {"mode": mode, "per_c": per_c}
-        if witness_c is not None:
-            ev["c"] = witness_c
-            ev["log_constant"] = per_c[witness_c]["log_constant"]
-            return Verdict(subject, HOLDS, h, witness=witness_c, evidence=ev)
-        return Verdict(subject, UNDETERMINED, h, evidence=ev)
-
-    # smallO: every scale up to c_max must stabilize
-    failing = []
     for c in range(1, c_max + 1):
         jmax = h // c
-        defects = [mt[c * j] / c - nt[j] for j in range(jmax + 1)]
+        if mode == "bigO":
+            defects = [nt[j] - mt[c * j] / c for j in range(jmax + 1)]
+        else:
+            defects = [mt[c * j] / c - nt[j] for j in range(jmax + 1)]
         per_c[c] = trajectory_entry(range(jmax + 1), defects)
-        if not per_c[c]["stabilized"]:
-            failing.append(c)
-    ev = {"mode": mode, "per_c": per_c, "c_max": c_max}
+    ev = {"mode": mode, "per_c": per_c}
+    if mode == "bigO":  # one stabilized scale is the witness
+        witness_c = next((c for c, e in per_c.items() if e["stabilized"]), None)
+        if witness_c is None:
+            return Verdict(subject, UNDETERMINED, h, evidence=ev)
+        ev["c"] = witness_c
+        ev["log_constant"] = per_c[witness_c]["log_constant"]
+        return Verdict(subject, HOLDS, h, witness=witness_c, evidence=ev)
+    # smallO: every scale up to c_max must stabilize
+    ev["c_max"] = c_max
+    failing = [c for c, e in per_c.items() if not e["stabilized"]]
     if not failing:
         return Verdict(subject, HOLDS, h, evidence=ev)
     ev["unstabilized"] = failing

@@ -81,14 +81,15 @@ def check_condition(
     if cond not in CONDITIONS:
         raise InvalidParameterError("cond", f"unknown condition {cond!r}; expected one of {CONDITIONS}")
     h = need_horizon(horizon, 4)
-    fn = _DISPATCH[cond]
     if cond in ("beta1", "beta3"):
         if not isinstance(Q, int) or Q < 2:
             raise InvalidParameterError("Q", f"need integer Q >= 2, got {Q!r}")
-        return fn(m, h, Q)
+        return _check_beta(cond, m, h, Q, math.log(Q) if cond == "beta1" else 0.0)
+    if cond in ("nq", "nq_carleman"):
+        return _check_nq(cond, m, h)
     if cond == "mg":
-        return fn(m, h, seed)
-    return fn(m, h)
+        return _check_mg(m, h, seed)
+    return _DISPATCH[cond](m, h)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +174,12 @@ def _check_mg(m: WeightSequence, h: int, seed: int) -> Verdict:
     t = m.log_terms(max([2 * jmax] + [j + k for j, k in pairs]))
     diag = [(t[2 * j] - 2.0 * t[j]) / (2 * j + 1) for j in idx]
     off = [(t[j + k] - t[j] - t[k]) / (j + k + 1) for j, k in pairs]
-    report = classify_trajectory(idx, diag)
     ev = {
         "diag_defect": decimate(diag),
         "offdiag_max": max(off),
-        "trajectory": report,
+        "trajectory": classify_trajectory(idx, diag),
     }
-    if report["trend"] == UP:
-        ev["diverging"] = True
-        return Verdict("mg", UNDETERMINED, h, evidence=ev)
-    ev["log_constant"] = max(max(diag), max(off))
-    return Verdict("mg", HOLDS, h, evidence=ev)
+    return _trend_verdict("mg", h, ev, max(max(diag), max(off)))
 
 
 def _check_dc(m: WeightSequence, h: int) -> Verdict:
@@ -192,19 +188,32 @@ def _check_dc(m: WeightSequence, h: int) -> Verdict:
     defect = [(t[j] - t[j - 1]) / j for j in idx]  # M_j <= A^j M_{j-1}
     report = classify_trajectory(idx, defect)
     ev = {"defect": decimate(defect), "trajectory": report}
-    if report["trend"] == UP:
+    return _trend_verdict("dc", h, ev, report["sup"])
+
+
+def _trend_verdict(tag: str, h: int, ev: dict, log_constant: float) -> Verdict:
+    """The rule of the mg and dc defects: Undetermined with diverging: true
+    when ev's trajectory trends up, else Holds with log_constant."""
+    if ev["trajectory"]["trend"] == UP:
         ev["diverging"] = True
-        return Verdict("dc", UNDETERMINED, h, evidence=ev)
-    ev["log_constant"] = report["sup"]
-    return Verdict("dc", HOLDS, h, evidence=ev)
+        return Verdict(tag, UNDETERMINED, h, evidence=ev)
+    ev["log_constant"] = log_constant
+    return Verdict(tag, HOLDS, h, evidence=ev)
 
 
 # ---------------------------------------------------------------------------
 # series/ratio conditions
 
 
-def _check_nq_generic(tag, values_log, h):
-    """values_log[i] = log of the positive sequence whose reciprocals are summed."""
+def _check_nq(tag: str, m: WeightSequence, h: int) -> Verdict:
+    """Summability of the reciprocals of the quotients (nq) or of the roots
+    (nq_carleman) of m, read as logs at j = 1..h."""
+    t = m.log_terms(h)
+    idx = range(1, h + 1)
+    if tag == "nq":
+        values_log = [t[j] - t[j - 1] for j in idx]
+    else:
+        values_log = [t[j] / j for j in idx]
     partial = log_sum([-v for v in values_log])
     q3 = (3 * len(values_log)) // 4
     p, log_tail = _powerfit_tail(
@@ -217,16 +226,6 @@ def _check_nq_generic(tag, values_log, h):
     return Verdict(tag, HOLDS, h, evidence=ev)
 
 
-def _check_nq(m: WeightSequence, h: int) -> Verdict:
-    t = m.log_terms(h)
-    return _check_nq_generic("nq", [t[j] - t[j - 1] for j in range(1, h + 1)], h)
-
-
-def _check_nq_carleman(m: WeightSequence, h: int) -> Verdict:
-    t = m.log_terms(h)
-    return _check_nq_generic("nq_carleman", [t[j] / j for j in range(1, h + 1)], h)
-
-
 def _check_beta(tag: str, m: WeightSequence, h: int, Q: int, floor_log: float) -> Verdict:
     lo = max(1, h // 2)
     t = m.log_terms(Q * h)
@@ -237,14 +236,6 @@ def _check_beta(tag: str, m: WeightSequence, h: int, Q: int, floor_log: float) -
     if tail_min > floor_log:
         return Verdict(tag, HOLDS, h, evidence=ev)
     return Verdict(tag, UNDETERMINED, h, evidence=ev)
-
-
-def _check_beta1(m: WeightSequence, h: int, Q: int) -> Verdict:
-    return _check_beta("beta1", m, h, Q, math.log(Q))
-
-
-def _check_beta3(m: WeightSequence, h: int, Q: int) -> Verdict:
-    return _check_beta("beta3", m, h, Q, 0.0)
 
 
 def _check_gamma1(m: WeightSequence, h: int) -> Verdict:
@@ -277,16 +268,12 @@ def _check_gamma1(m: WeightSequence, h: int) -> Verdict:
     return Verdict("gamma1", UNDETERMINED, h, evidence=ev)
 
 
+# the conditions that take only m and the horizon
 _DISPATCH = {
     "lc": _check_lc,
     "slc": _check_slc,
     "normalized": _check_normalized,
-    "mg": _check_mg,
     "dc": _check_dc,
-    "nq": _check_nq,
-    "nq_carleman": _check_nq_carleman,
-    "beta1": _check_beta1,
-    "beta3": _check_beta3,
     "gamma1": _check_gamma1,
 }
 

@@ -135,6 +135,14 @@ def need_grid_points(points) -> None:
             "points", f"need an integer in [2, {WINDOW_CAP}], got {points!r}")
 
 
+def need_sigma(sigma: float) -> float:
+    """sigma itself when it is a finite float >= 1, the growth exponent
+    rule of ptt, power_exponents and sigma_matrix."""
+    if not (sigma >= 1.0 and math.isfinite(sigma)):
+        raise InvalidParameterError("sigma", f"need sigma >= 1, got {sigma!r}")
+    return sigma
+
+
 def default_config() -> Config:
     """Config with the WCALC_HORIZON environment override applied; a value
     that is not an integer in [16, WINDOW_CAP] raises HorizonError, as an

@@ -131,11 +131,8 @@ def log_sub(a: float, b: float) -> float:
         raise LogDomainError(f"log_sub would be negative: {a!r} < {b!r}")
     if a == b:
         return LOG_ZERO
-    # exp(b - a) < 1 strictly, so log1p stays in domain.
-    diff = -math.expm1(b - a)
-    if diff <= 0.0:
-        return LOG_ZERO
-    return a + math.log(diff)
+    # b - a is negative or -inf, so -expm1(b - a) lies in (0, 1]
+    return a + math.log(-math.expm1(b - a))
 
 
 def log_sum(values: Iterable[float]) -> float:

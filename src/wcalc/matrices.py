@@ -23,6 +23,7 @@ from .config import (
     L_CONSTANTS,
     OFFDIAG_SAMPLES,
     need_horizon,
+    need_sigma,
 )
 from .errors import InvalidParameterError, OrderViolationError
 from .logdomain import slack
@@ -86,24 +87,23 @@ class MatrixConditionId:
             raise InvalidParameterError(
                 "tag", f"unknown matrix condition {tag!r}; "
                 f"expected one of {MATRIX_CONDITIONS}")
-        if flavor not in (ROUMIEU, BEURLING):
-            raise InvalidParameterError(
-                "flavor", f"unknown flavor {flavor!r}")
         self.tag = tag
-        self.flavor = flavor
+        self.flavor = _need_flavor(flavor)
+
+
+def _need_flavor(flavor: str) -> str:
+    if flavor not in (ROUMIEU, BEURLING):
+        raise InvalidParameterError("flavor", f"unknown flavor {flavor!r}")
+    return flavor
 
 
 def condition_id(tag: str, flavor: str = ROUMIEU) -> MatrixConditionId:
-    """Normalize user spellings like 'fdb'/'br'/'r'/'b'."""
+    """Normalize user spellings like 'fdb'/'br'/'r'/'b'; a name that is
+    none of them is passed on as given, for MatrixConditionId to reject."""
     canon = {c.lower(): c for c in MATRIX_CONDITIONS}
-    t = canon.get(tag.lower())
-    if t is None:
-        raise InvalidParameterError("tag", f"unknown matrix condition {tag!r}")
-    f = {"r": ROUMIEU, "roumieu": ROUMIEU, "b": BEURLING, "beurling": BEURLING}.get(
-        flavor.lower())
-    if f is None:
-        raise InvalidParameterError("flavor", f"unknown flavor {flavor!r}")
-    return MatrixConditionId(t, f)
+    flavors = {"r": ROUMIEU, "roumieu": ROUMIEU, "b": BEURLING, "beurling": BEURLING}
+    return MatrixConditionId(canon.get(tag.lower(), tag),
+                             flavors.get(flavor.lower(), flavor))
 
 
 class WeightMatrix:
@@ -210,9 +210,7 @@ def sigma_matrix(sigma: float, index_grid=DEFAULT_INDEX_GRID) -> WeightMatrix:
     log M^alpha_{2j} - 2 log M^beta_j the coefficient of j^sigma log j is
     2^sigma alpha - 2 beta, and that term outgrows any log C^(2j+1) unless
     it is negative."""
-    sigma = float(sigma)
-    if not (sigma >= 1.0 and math.isfinite(sigma)):
-        raise InvalidParameterError("sigma", f"need sigma >= 1, got {sigma}")
+    sigma = need_sigma(float(sigma))
 
     def make(tau: float) -> WeightSequence:
         lt = math.log(tau)
@@ -239,17 +237,6 @@ def matrix_scale(base: WeightMatrix, phi: ExponentSequence,
         base.index_grid if index_grid is None else index_grid, phi=phi)
 
 
-def _lockstep(p: ExponentSequence, q: ExponentSequence, lo: int, hi: int):
-    """Pairs (p_j, q_j) for j = lo..hi from two block reads.  When either
-    raises, the pairs come index by index instead, so the caller sees every
-    pair below the lowest bad index before its error, p's before q's, as a
-    loop reading p.value(j) then q.value(j) would."""
-    try:
-        return zip(p.values(lo, hi), q.values(lo, hi))
-    except Exception:  # the per-index reads raise it again, in index order
-        return ((p.value(j), q.value(j)) for j in range(lo, hi + 1))
-
-
 def exponent_family_scale(base: WeightSequence, family: ExponentFamily,
                           index_grid=DEFAULT_INDEX_GRID) -> WeightMatrix:
     """Elements c -> c^(Phi^c_j) * M_j with a per-index exponent sequence.
@@ -261,8 +248,8 @@ def exponent_family_scale(base: WeightSequence, family: ExponentFamily,
     for a, b in zip(grid, grid[1:]):
         pa, pb = family.sequence(a), family.sequence(b)
         la, lb = math.log(a), math.log(b)
-        for j, (x, y) in enumerate(_lockstep(pa, pb, 0, _ORDER_CHECK_HORIZON)):
-            va, vb = x * la, y * lb
+        for j in range(_ORDER_CHECK_HORIZON + 1):
+            va, vb = pa.value(j) * la, pb.value(j) * lb
             if va > vb + slack(_ORDER_SLACK, va, vb):
                 raise OrderViolationError(
                     "exponent family breaks the signed ordering "
@@ -623,9 +610,7 @@ def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
     the uniform margin."""
     h = need_horizon(horizon, 16)
     grid = _index_grid(index_grid, 2)
-    if flavor not in (ROUMIEU, BEURLING):
-        raise InvalidParameterError("flavor", f"unknown flavor {flavor!r}")
-    subject = f"absorption-{flavor}({family.label()})"
+    subject = f"absorption-{_need_flavor(flavor)}({family.label()})"
 
     def gap(lo, hi):
         # [Phi^hi_j log hi - Phi^lo_j log lo] / j for lo < hi: the partner
@@ -633,8 +618,8 @@ def check_exponent_family_absorption(family: ExponentFamily, flavor: str,
         p_lo, p_hi = family.sequence(lo), family.sequence(hi)
         l_lo, l_hi = math.log(lo), math.log(hi)
         mins, decaying = quarter_minima([
-            (x * l_hi - y * l_lo) / j
-            for j, (x, y) in enumerate(_lockstep(p_hi, p_lo, 1, h), 1)])
+            (p_hi.value(j) * l_hi - p_lo.value(j) * l_lo) / j
+            for j in range(1, h + 1)])
         return {"tail_min": mins[3], "decaying": decaying and mins[3] > 0.0,
                 "quarter_mins": mins}
 

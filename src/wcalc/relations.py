@@ -49,18 +49,22 @@ def _ratio_trajectory(m, n, h, phi):
     return idx, vals, excluded
 
 
-def _preceq(m, n, h, phi) -> Verdict:
+def _ratio_evidence(m, n, h, phi):
+    """(indices, r values, their trajectory summary, evidence): the prelude
+    of preceq and triangle, whose evidence both report ratio_log,
+    trajectory and any excluded_indices."""
     idx, vals, excluded = _ratio_trajectory(m, n, h, phi)
     report = classify_trajectory(idx, vals)
-    stable, sup = running_sup_stabilized(vals)
-    ev = {
-        "ratio_log": decimate(vals),
-        "trajectory": report,
-        "sup": sup,
-        "sup_stabilized": stable,
-    }
+    ev = {"ratio_log": decimate(vals), "trajectory": report}
     if excluded:
         ev["excluded_indices"] = decimate(excluded)
+    return idx, vals, report, ev
+
+
+def _preceq(m, n, h, phi) -> Verdict:
+    idx, vals, report, ev = _ratio_evidence(m, n, h, phi)
+    stable, sup = running_sup_stabilized(vals)
+    ev.update(sup=sup, sup_stabilized=stable)
     if report["trend"] == UP:
         return Verdict("preceq", FAILS, h, witness=idx[report["sup_position"]], evidence=ev)
     if stable:
@@ -69,13 +73,9 @@ def _preceq(m, n, h, phi) -> Verdict:
 
 
 def _triangle(m, n, h, phi) -> Verdict:
-    idx, vals, excluded = _ratio_trajectory(m, n, h, phi)
-    report = classify_trajectory(idx, vals)
+    idx, vals, report, ev = _ratio_evidence(m, n, h, phi)
     q3 = (3 * len(vals)) // 4
     tail = vals[q3:]
-    ev = {"ratio_log": decimate(vals), "trajectory": report}
-    if excluded:
-        ev["excluded_indices"] = decimate(excluded)
     sinking = report["log_slope"] < -LOG_SLOPE_TOL
     if sinking and max(tail) < 0.0:
         return Verdict("triangle", HOLDS, h, evidence=ev)

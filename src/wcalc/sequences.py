@@ -36,7 +36,7 @@ import math
 from collections.abc import Callable
 from itertools import islice
 
-from .config import COMPARISON_SLACK, need_horizon
+from .config import COMPARISON_SLACK, need_horizon, need_sigma
 from .errors import InvalidParameterError, PreconditionError, TableExhaustedError
 from .logdomain import last_drop, ln_axis, prefix_max_abs, slack
 
@@ -136,9 +136,7 @@ def linear_exponents() -> ExponentSequence:
 
 def power_exponents(sigma: float) -> ExponentSequence:
     """phi_j = j^sigma, sigma >= 1."""
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma < 1.0:
-        raise InvalidParameterError("sigma", f"need sigma >= 1, got {sigma!r}")
+    sigma = need_sigma(float(sigma))
     return ExponentSequence(
         "power", {"sigma": sigma}, lambda j: float(j) ** sigma,
         _block=lambda lo, hi: [float(j) ** sigma for j in range(lo, hi + 1)])
@@ -284,8 +282,7 @@ def ptt(tau: float, sigma: float) -> WeightSequence:
     sigma = float(sigma)
     if not math.isfinite(tau) or tau <= 0.0:
         raise InvalidParameterError("tau", f"need tau > 0, got {tau!r}")
-    if not math.isfinite(sigma) or sigma < 1.0:
-        raise InvalidParameterError("sigma", f"need sigma >= 1, got {sigma!r}")
+    need_sigma(sigma)
 
     def term(j: int) -> float:
         if j == 0:

@@ -71,7 +71,8 @@ def synthetic_bounds(m: WeightSequence, count: int, label: str | None = None) ->
 
 
 def load_bounds_csv(path: str, label: str | None = None) -> DerivBounds:
-    """Columns j, log_bound; rows may arrive unordered but must cover 0..J."""
+    """Columns j, log_bound; rows may arrive unordered but must cover 0..J,
+    each order once."""
     table: dict[int, float] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -91,6 +92,9 @@ def load_bounds_csv(path: str, label: str | None = None) -> DerivBounds:
                 raise InvalidParameterError(
                     "path", f"need an integer j >= 0 and a number log_bound "
                     f"in {path}, got {jv!r}, {bv!r}")
+            if j in table:
+                raise InvalidParameterError(
+                    "path", f"derivative order {j} appears twice in {path}")
             table[j] = bound
     if not table:
         raise InvalidParameterError("path", f"no rows in {path}")

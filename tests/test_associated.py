@@ -213,6 +213,21 @@ def test_recover_ptt_needs_wide_grid(p12):
         recover_term(om, 8)  # quotient gap far beyond the default grid
 
 
+def test_numeric_ratio_stops_at_the_first_unattained_sup():
+    """A 300-term table of log j! has its last quotient at log 299: omega
+    past t = 299 has no attained sup, so the probe keeps the grid points
+    below it and stops there."""
+    t = table(log_values=[math.lgamma(j + 1) for j in range(300)])
+    v = assoc_relation_check(t, t, "numeric_ratio", horizon=256)
+    grid = LogGrid(10.0, 1e6).values()
+    ts = v.evidence["ts"]
+    assert v.status == HOLDS and v.evidence["points"] == len(ts) > 8
+    assert ts == [x for x in grid if x < 299.0]
+    assert v.evidence["ratios"] == [1.0] * len(ts)
+    with pytest.raises(SupNotAttainedError):
+        OmegaFunction(t).eval(grid[len(ts)])
+
+
 def test_assoc_matrix_term_and_from_omega(om_g1):
     got = assoc_matrix_term(om_g1, 2.0, 3)
     assert got == pytest.approx(math.lgamma(7.0) / 2.0, abs=1e-9)

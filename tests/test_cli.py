@@ -627,3 +627,30 @@ def test_usage_messages(argv, message, bounds_csv, monkeypatch, capsys):
     monkeypatch.chdir(bounds_csv.parent)
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"wcalc: {message}\n"
+
+
+# usage errors of option values and of --cond: exact stderr, exit 2
+OPTION_MESSAGES = [
+    (("check", "--family", "gevrey:1", "--params", "s=x", "--cond", "lc"),
+     "--params value for 's' is not a number: 'x'"),
+    (("check", "--family", "sigma-matrix:2", "--grid", "1,x", "--cond", "mg"),
+     "--grid must be a comma-separated number list, got '1,x'"),
+    (("check", "--family", "gevrey:1", "--cond", "bogus"),
+     "unknown condition 'bogus'"),
+    (("check", "--family", "gevrey:1", "--cond", "gamma-lb"),
+     "--cond gamma-lb needs --alphas"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OPTION_MESSAGES)
+def test_option_value_messages(argv, message, capsys):
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"wcalc: {message}\n"
+
+
+def test_empty_params_entries_are_skipped(capsys):
+    base = ("check", "--family", "gevrey", "--cond", "lc", "--format", "json")
+    assert run(*base, "--params", "s=1") == 0
+    want = capsys.readouterr().out
+    assert run(*base, "--params", " ,s=1,,") == 0
+    assert capsys.readouterr().out == want

@@ -82,6 +82,31 @@ def test_only_the_config_modules_know_config():
     assert found == {}
 
 
+def _unread_imports(tree) -> list:
+    """Names a module imports and never reads; the __future__ import is
+    exempt."""
+    imported = [a.asname or a.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for a in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_every_import_is_read():
+    # __init__ imports to re-export
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        unread = _unread_imports(ast.parse(path.read_text(), str(path)))
+        if unread:
+            found[path.name] = unread
+    assert found == {}
+
+
 # every entry point that takes a horizon, with its floor and the horizon
 # its result ran at; need_horizon in config is the one rule they share
 def _entry_points():

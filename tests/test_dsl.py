@@ -172,6 +172,17 @@ def test_parse_rejects_unknown_operations():
     assert "lc" in err.value.expected
 
 
+def test_parse_rejects_option_values_of_the_wrong_shape():
+    with pytest.raises(SourceError) as err:
+        parse("seq M = gevrey(s=1); check lc(M) horizon x;")
+    assert "horizon needs a number" in str(err.value)
+    assert (err.value.column, err.value.expected) == (42, ("number",))
+    with pytest.raises(SourceError) as err:
+        parse("matrix mm = ptt_matrix(tau=1, sigma=2); mcheck mg(mm) grid 3;")
+    assert "grid needs a list" in str(err.value)
+    assert (err.value.column, err.value.expected) == (60, ("[",))
+
+
 def _productions(program: Program) -> set:
     """The grammar productions the statements of a parsed program use."""
     found = {"program"}

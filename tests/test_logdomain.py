@@ -67,6 +67,28 @@ def test_log_sub_domain():
         log_add(float("nan"), 0.0)
 
 
+@pytest.mark.parametrize("a, b", [(math.nan, 0.0), (0.0, math.nan)])
+def test_log_sub_rejects_nan(a, b):
+    with pytest.raises(LogDomainError, match="nan operand"):
+        log_sub(a, b)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite, finite)
+@example(5e-324, 0.0)
+@example(1e308, -1e308)
+def test_log_sub_difference_is_positive_past_the_early_returns(x, y):
+    """For finite a > b, and for a = inf over a finite b, b - a is negative
+    or -inf, so the difference log_sub takes the log of is positive: it
+    needs no branch for a difference that rounds to zero or below."""
+    lo, hi = sorted((x, y))
+    for a, b in [(math.inf, lo)] + ([(hi, lo)] if hi > lo else []):
+        assert -math.expm1(b - a) > 0.0
+        assert log_sub(a, b) <= a
+
+
 @given(st.lists(moderate, min_size=1, max_size=40))
 def test_log_sum_matches_fsum_oracle(vals):
     got = log_sum(vals)

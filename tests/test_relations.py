@@ -131,6 +131,14 @@ def test_vanishing_phi_indices_are_excluded(g1):
         compare(g1, g1, "preceq", horizon=H, phi=all_zero)
 
 
+def test_triangle_reports_the_indices_where_phi_vanishes(g1, g2):
+    phi = table_exponents([0.0 if j % 10 == 0 else float(j)
+                           for j in range(H + 1)])
+    v = compare(g1, g2, "triangle", horizon=H, phi=phi)
+    assert v.status == HOLDS
+    assert v.evidence["excluded_indices"] == [10, 20, 30, 40, 50, 60]
+
+
 @pytest.mark.parametrize("s1,s2", [(1.0, 1.5), (1.0, 2.0), (0.5, 3.0)])
 def test_gevrey_scale_is_ordered(s1, s2):
     a, b = gevrey(s1), gevrey(s2)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wcalc import (
     FAILS,
     HOLDS,
+    UNDETERMINED,
     DerivBounds,
     InvalidParameterError,
     PreconditionError,
@@ -19,9 +20,11 @@ from wcalc import (
     load_bounds_csv,
     load_bounds_json,
     WeightSequence,
+    ptt,
     ptt_matrix,
     regularize_slc,
     scale_family,
+    scaled,
     seminorm,
     synthetic_bounds,
     table,
@@ -78,6 +81,17 @@ def test_load_bounds_csv(tmp_path):
     negative.write_text("j,log_bound\n0,0.0\n1,1.5\n-3,9.0\n")
     with pytest.raises(InvalidParameterError, match="negative.csv"):
         load_bounds_csv(str(negative))
+
+
+def test_load_bounds_csv_rejects_a_repeated_order(tmp_path):
+    # the later row would otherwise replace the earlier one unseen
+    twice = tmp_path / "twice.csv"
+    twice.write_text("j,log_bound\n0,0.0\n1,5.0\n2,1.0\n1,-3.0\n")
+    with pytest.raises(InvalidParameterError) as err:
+        load_bounds_csv(str(twice))
+    assert err.value.field == "path"
+    assert str(err.value) == (
+        f"path: derivative order 1 appears twice in {twice}")
 
 
 def test_load_bounds_json(tmp_path):
@@ -456,6 +470,49 @@ def test_membership_rows_and_errors_match_per_element_reads(phi_length):
         assert got == outcome(fresh)
     else:
         assert len(got["table"]) == 2 * len(hs)
+
+
+def test_membership_fails_in_both_flavors_on_faster_bounds(ptt_mm):
+    # j^2.2 ln j outgrows every element's j^2 ln j + j^2 ln c at every h
+    rep = classify_membership(synthetic_bounds(ptt(1.0, 2.2), 128), ptt_mm)
+    assert all(not cell["stabilized"] and cell["trend"] == "up"
+               for cell in rep.table.values())
+    assert rep.roumieu.status == FAILS and rep.roumieu.witness is None
+    assert rep.roumieu.evidence == {"diverging": True}
+    assert rep.beurling.status == FAILS
+
+
+def test_membership_undetermined_in_both_flavors():
+    """Each seminorm row sinks until a late spike sets its sup: no cell
+    stabilizes and none trends up, so neither flavor is decided."""
+    t = table(log_values=[math.lgamma(j + 1) for j in range(65)])
+    mm = generic_matrix([(1.0, t), (2.0, scaled(t, linear_exponents(), 2.0))])
+    f = DerivBounds(tuple(b - 3.0 * j + (400.0 if j == 64 else 0.0)
+                          for j, b in enumerate(t.log_terms(64))))
+    rep = classify_membership(f, mm)
+    assert not any(cell["stabilized"] or cell["trend"] == "up"
+                   for cell in rep.table.values())
+    assert rep.roumieu.status == UNDETERMINED
+    assert (rep.roumieu.witness, rep.roumieu.evidence) == (None, {})
+    assert rep.beurling.status == UNDETERMINED
+    assert rep.beurling.witness == 1.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "membership passes orders 0..J with the indices 1..J+1, so order j is "
+    "fitted at ln(j + 1); the fix moves membership bytes"))
+def test_membership_cells_read_order_j_at_index_j(ptt_mm, monkeypatch):
+    starts = []
+    entry = witness.trajectory_entry
+
+    def spy(indices, values):
+        starts.append(indices[0])
+        return entry(indices, values)
+
+    monkeypatch.setattr(witness, "trajectory_entry", spy)
+    classify_membership(synthetic_bounds(ptt_mm.element(2.0), 64), ptt_mm)
+    assert len(starts) == len(ptt_mm.index_grid) * len(witness.DEFAULT_H_GRID)
+    assert set(starts) == {0}
 
 
 def test_membership_with_theta_data(g1):
