@@ -20,7 +20,7 @@ import argparse
 import sys
 from functools import cache
 
-from .config import default_config
+from .config import Config, default_config
 from .errors import InvalidParameterError, SourceError, WcalcError
 from . import associated as _assoc
 from . import dsl as _dsl
@@ -61,9 +61,12 @@ def _parse_params(text: str | None) -> dict:
 
 def _parse_number_list(text: str, what: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        got = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
+        got = ()
+    if not got:
         raise UsageError(f"{what} must be a comma-separated number list, got {text!r}")
+    return got
 
 
 def _resolve(spec: str, params: str | None, cfg, grid: str | None = None,
@@ -78,7 +81,7 @@ def _resolve(spec: str, params: str | None, cfg, grid: str | None = None,
     does not take is a usage error.
     """
     params = _parse_params(params)
-    grid = _parse_number_list(grid, "--grid") if grid else ()
+    grid = _parse_number_list(grid, "--grid") if grid is not None else ()
     name, *rest = spec.split(":")
     name = name.strip().lower()
     names = tuple(n for n, (_, kind, _) in SPECS.items() if kind in kinds)
@@ -384,7 +387,7 @@ def main(argv=None) -> int:
     try:
         cfg = default_config()
         if args.seed is not None:
-            cfg = cfg.replace(seed=args.seed)
+            cfg = Config(cfg.horizon, args.seed)
         h = args.horizon if args.horizon is not None else cfg.horizon
         records = args.fn(args, cfg, h)
         report = _report.Report(cfg, records)

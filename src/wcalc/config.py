@@ -72,10 +72,6 @@ class Config:
     def __eq__(self, other) -> bool:
         return type(other) is Config and (self.horizon, self.seed) == (other.horizon, other.seed)
 
-    def replace(self, **kwargs) -> "Config":
-        """A copy with the settings named in kwargs changed."""
-        return Config(**{"horizon": self.horizon, "seed": self.seed, **kwargs})
-
     def to_dict(self) -> dict:
         """The two settings and every threshold, as a report records them."""
         return {

@@ -770,7 +770,6 @@ def execute(program: Program, cfg: Config | None = None,
     """
     cfg = cfg or Config()
     env: dict[str, tuple[str, object]] = {}
-    poisoned: set[str] = set()
     records: list[dict] = []
     statements = program.statements
     for stmt, released in zip(statements, _releases(statements)):
@@ -780,7 +779,8 @@ def execute(program: Program, cfg: Config | None = None,
         record.update({"kind": "binding", "name": stmt.name} if binding
                       else {"kind": stmt.kind, "op": stmt.call.name})
         bad = next((v.name for _, v in stmt.call.args
-                    if isinstance(v, Ref) and v.name in poisoned), None)
+                    if isinstance(v, Ref) and v.name in env
+                    and env[v.name][1] is None), None)
         try:
             if bad is not None:
                 record["error"] = {"type": "PoisonedReference",
@@ -795,10 +795,7 @@ def execute(program: Program, cfg: Config | None = None,
             record["error"] = {"type": type(exc).__name__,
                                "message": str(exc)}
         if binding and "error" in record:
-            poisoned.add(stmt.name)
             env[stmt.name] = (stmt.kind, None)
-        elif binding:
-            poisoned.discard(stmt.name)
         if not binding or "error" in record:
             record["query"] = format_statement(stmt)
             records.append(record)

@@ -31,6 +31,7 @@ from .sequences import (
     ExponentFamily,
     ExponentSequence,
     WeightSequence,
+    _label,
     power_exponents,
     ptt,
     scaled,
@@ -116,11 +117,10 @@ class WeightMatrix:
     its element, and _checks maps (tag, left element, right element or
     None, h, seed) to the result of one matrix-check computation (a pair
     test, the sc certificate of an element or the constant comparison),
-    with seed None for every tag but mg, and ("composition", left element,
-    k_top) to its FdB composition sequence.  Elements compare by identity,
-    and _memo keeps them alive, so the Roumieu and Beurling searches of one
-    condition run each pair and composition they share once.  A memoized
-    result is read-only.
+    and ("composition", left element, k_top) to its FdB composition
+    sequence.  Elements compare by identity, and _memo keeps them alive,
+    so the Roumieu and Beurling searches of one condition run each pair
+    and composition they share once.  A memoized result is read-only.
 
     Both die with the matrix.  A script releases a matrix after its last
     reader and calls drop_checks then: a matrix built on it by matrix_scale
@@ -135,7 +135,7 @@ class WeightMatrix:
         self.params = params
         self.index_grid = _index_grid(index_grid, 1)
         self._fn = element_fn
-        self._phi = phi
+        self.phi = phi
         self._memo: dict[float, WeightSequence] = {}
         self._checks: dict[tuple, object] = {}
         _validate_order(self)
@@ -154,14 +154,8 @@ class WeightMatrix:
         """Forget every memoized matrix-check result; elements stay."""
         self._checks.clear()
 
-    @property
-    def phi(self) -> ExponentSequence | None:
-        return self._phi
-
     def label(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items())
-                          if not k.startswith("_"))
-        return f"{self.construction}({inner})"
+        return _label(self.construction, self.params, ", ")
 
 
 def _validate_order(mm: WeightMatrix) -> None:
@@ -422,11 +416,10 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
 
     growth = _conditions.exponent_growth_report(mm.phi, h) \
         if cond.tag == "L" and mm.phi is not None else None
-    tag_seed = seed if cond.tag == "mg" else None
 
     def checked(left, right, run, *args):
         # run(*args) once per matrix, whichever flavor or grid asks first
-        key = (cond.tag, left, right, h, tag_seed)
+        key = (cond.tag, left, right, h, seed)
         got = mm._checks.get(key)
         if got is None:
             got = mm._checks[key] = run(*args)

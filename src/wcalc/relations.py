@@ -46,7 +46,7 @@ def _ratio_trajectory(m, n, h, phi):
         vals.append((a[j] - b[j]) / denom)
     if not idx:
         raise InvalidParameterError("phi", "all indices excluded (phi vanishes on the window)")
-    return idx, vals, excluded
+    return idx if excluded else range(1, h + 1), vals, excluded
 
 
 def _ratio_evidence(m, n, h, phi):

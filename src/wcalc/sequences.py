@@ -47,28 +47,38 @@ def _check_index(j: int) -> int:
     return j
 
 
-def _extend_checked(out: list, block, ok, point, lo: int, hi: int) -> None:
-    """Append the values at lo..hi to out.
+def _fill(seq, out: list, lo: int, hi: int, ok, point) -> None:
+    """Append the values of seq at lo..hi to out, clamped to seq.length,
+    and raise TableExhaustedError when hi lies past the table's end.
 
-    block(lo, hi) evaluates them in one pass and ok(values) is a cheap
-    check of the whole block.  When the block raises or fails the check,
-    point(j) runs index by index instead: it raises the error of the
-    lowest bad index after appending the valid values below it.
+    seq._block (else a map of seq._fn) evaluates them in one pass and
+    ok(values) is a cheap check of the whole block.  When the block raises
+    or fails the check, point(j) runs index by index instead: it raises
+    the error of the lowest bad index after appending the valid values
+    below it.
     """
-    try:
-        got = block(lo, hi)
-    except Exception:  # the per-index pass raises what reading term by term raises
-        got = None
-    if got is not None and ok(got):
-        out.extend(got)
-        return
-    for j in range(lo, hi + 1):
-        out.append(point(j))
+    length = seq.length
+    top = hi if length is None else min(hi, length - 1)
+    if lo <= top:
+        try:
+            got = seq._block(lo, top) if seq._block else \
+                list(map(float, map(seq._fn, range(lo, top + 1))))
+        except Exception:  # the per-index pass raises what reading term by term raises
+            got = None
+        if got is not None and ok(got):
+            out.extend(got)
+        else:
+            for j in range(lo, top + 1):
+                out.append(point(j))
+    if top < hi and lo <= hi:
+        raise TableExhaustedError(max(lo, length), length)
 
 
-def _map_block(fn: Callable[[int], float]):
-    """The block function of a family without one: fn over lo..hi."""
-    return lambda lo, hi: list(map(float, map(fn, range(lo, hi + 1))))
+def _label(name: str, params: dict, sep: str = ",") -> str:
+    """name(k=v,...) over params in key order, leaving out the _ keys."""
+    inner = sep.join(f"{k}={v}" for k, v in sorted(params.items())
+                     if not k.startswith("_"))
+    return f"{name}({inner})"
 
 
 def _terms_ok(block: list) -> bool:
@@ -115,18 +125,12 @@ class ExponentSequence:
         the lowest bad index raises the error value raises there."""
         _check_index(lo)
         _check_index(hi)
-        top = hi if self.length is None else min(hi, self.length - 1)
         out: list[float] = []
-        if lo <= top:
-            _extend_checked(out, self._block or _map_block(self._fn),
-                            _exponents_ok, self.value, lo, top)
-        if top < hi and lo <= hi:
-            raise TableExhaustedError(max(lo, self.length), self.length)
+        _fill(self, out, lo, hi, _exponents_ok, self.value)
         return out
 
     def label(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.kind}({inner})"
+        return _label(self.kind, self.params)
 
 
 def linear_exponents() -> ExponentSequence:
@@ -168,8 +172,7 @@ class ExponentFamily:
         return self._fn(a)
 
     def label(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"family:{self.kind}({inner})"
+        return _label(f"family:{self.kind}", self.params)
 
 
 def constant_family(phi: ExponentSequence) -> ExponentFamily:
@@ -227,12 +230,7 @@ class WeightSequence:
         window = self._window
         if n >= len(window):
             need_horizon(n, 0)  # the window ceiling, before any term is evaluated
-            top = n if self.length is None else min(n, self.length - 1)
-            if len(window) <= top:
-                _extend_checked(window, self._block or _map_block(self._fn),
-                                _terms_ok, self._eval, len(window), top)
-            if top < n:
-                raise TableExhaustedError(self.length, self.length)
+            _fill(self, window, len(window), n, _terms_ok, self._eval)
         return window if len(window) == n + 1 else window[:n + 1]
 
     def quotient_log(self, j: int) -> float:
@@ -262,8 +260,7 @@ class WeightSequence:
         return h if self.length is None else min(h, self.length - 1)
 
     def label(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()) if not k.startswith("_"))
-        return f"{self.family}({inner})"
+        return _label(self.family, self.params)
 
 
 def gevrey(s: float) -> WeightSequence:

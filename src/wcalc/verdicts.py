@@ -91,18 +91,11 @@ def log_fit(indices: list | range, ys) -> tuple[float, float]:
     nonempty indices; (0, mean of ys) when every index is the same.
 
     The centred ln axis is cached: the trajectories and power-fit tails of
-    one run share a few index lists.  A range keys the cache as it is, a
-    list of consecutive ints as the range it spells.
+    one run share a few index lists.  A range keys the cache as it is, any
+    other list by its tuple.
     """
-    if type(indices) is range:
-        key = indices
-    else:
-        first, n = indices[0], len(indices)
-        # the ends rule out most non-runs before the run is spelled out
-        run = (range(first, first + n) if type(first) is int
-               and indices[-1] - first == n - 1 else None)
-        key = run if run is not None and indices == list(run) else tuple(indices)
-    mx, dx, sxx = _log_axis(key)
+    mx, dx, sxx = _log_axis(indices if type(indices) is range
+                            else tuple(indices))
     my = math.fsum(ys) / len(dx)
     if sxx == 0.0:
         return 0.0, my

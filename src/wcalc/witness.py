@@ -61,16 +61,16 @@ class DerivBounds:
         return len(self.bounds) - 1
 
 
-def synthetic_bounds(m: WeightSequence, count: int, label: str | None = None) -> DerivBounds:
+def synthetic_bounds(m: WeightSequence, count: int) -> DerivBounds:
     """Bounds that saturate a sequence exactly: bound_j = log M_j."""
     if count < 0:
         raise InvalidParameterError("count", f"need count >= 0, got {count}")
     return DerivBounds(tuple(m.log_terms(count)),
-                       label=label or f"synthetic({m.label()})",
+                       label=f"synthetic({m.label()})",
                        source="synthetic")
 
 
-def load_bounds_csv(path: str, label: str | None = None) -> DerivBounds:
+def load_bounds_csv(path: str) -> DerivBounds:
     """Columns j, log_bound; rows may arrive unordered but must cover 0..J,
     each order once."""
     table: dict[int, float] = {}
@@ -104,7 +104,7 @@ def load_bounds_csv(path: str, label: str | None = None) -> DerivBounds:
         raise InvalidParameterError(
             "path", f"missing derivative orders {missing[:5]} in {path}")
     return DerivBounds(tuple(table[j] for j in range(top + 1)),
-                       label=label or path, source="user")
+                       label=path, source="user")
 
 
 def load_bounds_json(path: str) -> DerivBounds:
@@ -251,34 +251,26 @@ def theta_bounds(n: WeightSequence, count: int,
 # seminorms and membership
 
 
-def _seminorm_trajectories(f: DerivBounds, m: WeightSequence,
-                           phi: ExponentSequence, hs,
-                           phis: list | None = None) -> list[list[float]]:
-    """[bound_j - Phi_j log h - log M_j over the available orders j] at
-    each h of hs, from one read of the terms and one of phi.
-
-    phis holds the values of phi already read from index 0, shared by the
-    calls of one classification: only the indices past it are read, after
-    the terms, so the first error is the one a full read would raise.
-    """
-    for h in hs:
-        if not (h > 0.0 and math.isfinite(h)):
-            raise InvalidParameterError("h", f"need h > 0, got {h}")
-    top = m.last_index(f.top_index())
-    terms = m.log_terms(top)
-    if phis is None:
-        phis = []
-    if len(phis) <= top:
-        phis += phi.values(len(phis), top)
-    return [[b - p * ln_h - t for b, p, t in zip(f.bounds, phis, terms)]
+def _seminorm_trajectories(bounds, terms: list[float], phis: list[float],
+                           hs) -> list[list[float]]:
+    """[bound_j - Phi_j log h - log M_j over the orders j] at each h of hs,
+    from the terms and phi values read at those orders."""
+    return [[b - p * ln_h - t for b, p, t in zip(bounds, phis, terms)]
             for ln_h in map(math.log, hs)]
 
 
 def seminorm(f: DerivBounds, m: WeightSequence, phi: ExponentSequence | None,
              h: float) -> float:
-    """sup_j of bound_j - Phi_j log h - log M_j over the available orders."""
+    """sup_j of bound_j - Phi_j log h - log M_j over the orders of f; an
+    M or phi table that ends below f's top order raises
+    TableExhaustedError."""
+    if not (h > 0.0 and math.isfinite(h)):
+        raise InvalidParameterError("h", f"need h > 0, got {h}")
     phi = phi or linear_exponents()
-    return max(_seminorm_trajectories(f, m, phi, (h,))[0])
+    top = f.top_index()
+    terms = m.log_terms(top)
+    return max(_seminorm_trajectories(f.bounds, terms, phi.values(0, top),
+                                      (h,))[0])
 
 
 class MembershipReport:
@@ -310,16 +302,20 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
 
     Roumieu membership needs one stabilized cell anywhere; Beurling needs
     every h to stabilize at the smallest index, since shrinking the index
-    only tightens the Beurling class.
+    only tightens the Beurling class.  An element or phi table that ends
+    below f's top order raises TableExhaustedError.
     """
     phi = phi or (mm.phi if mm.phi is not None else linear_exponents())
     grid = _index_grid(mm.index_grid if index_grid is None else index_grid, 1)
 
     table: dict[tuple[float, float], dict] = {}
-    phis: list[float] = []  # each phi index is read once, for the grid
+    horizon = f.top_index()
+    phis = None  # read once, for the grid, after the first element's terms
     for c in grid:
-        rows = _seminorm_trajectories(f, mm.element(c), phi, DEFAULT_H_GRID,
-                                      phis)
+        terms = mm.element(c).log_terms(horizon)
+        if phis is None:
+            phis = phi.values(0, horizon)
+        rows = _seminorm_trajectories(f.bounds, terms, phis, DEFAULT_H_GRID)
         for h, vals in zip(DEFAULT_H_GRID, rows):
             entry = trajectory_entry(range(1, len(vals) + 1), vals)
             cell = {"sup": entry["log_constant"],
@@ -329,7 +325,6 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
             table[(c, h)] = cell
 
     subject = f"membership({f.label or f.source}, {mm.label()})"
-    horizon = f.top_index()
 
     found, _, all_up = _partner_search(
         [(c, h) for c in grid for h in DEFAULT_H_GRID], table.__getitem__,

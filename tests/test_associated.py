@@ -228,6 +228,24 @@ def test_numeric_ratio_stops_at_the_first_unattained_sup():
         OmegaFunction(t).eval(grid[len(ts)])
 
 
+def test_numeric_ratio_skips_the_points_where_an_omega_is_zero():
+    """omega of 100^j j! is 0 up to t = 100: the probe keeps only the grid
+    points past it, where both omegas are positive."""
+    v = assoc_relation_check(scaled(gevrey(1.0), linear_exponents(), 100.0),
+                             gevrey(1.0), "numeric_ratio", horizon=256)
+    grid = LogGrid(10.0, 1e6).values()
+    assert v.status == HOLDS
+    assert (v.evidence["points"], len(grid)) == (160, 200)
+    assert v.evidence["ts"] == [t for t in grid if t > 100.0]
+
+
+def test_from_omega_rejects_a_scale_that_is_not_positive(om_g1):
+    for ell in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError) as err:
+            from_omega(om_g1, ell)
+        assert err.value.field == "ell"
+
+
 def test_assoc_matrix_term_and_from_omega(om_g1):
     got = assoc_matrix_term(om_g1, 2.0, 3)
     assert got == pytest.approx(math.lgamma(7.0) / 2.0, abs=1e-9)

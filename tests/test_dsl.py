@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wcalc import Config, SourceError, cli, dsl
+from wcalc import Config, SourceError, WcalcError, cli, dsl
 from wcalc import conditions as _conditions
 from wcalc import matrices as _matrices
 from wcalc import sequences as _sequences
@@ -248,6 +248,13 @@ def test_execute_poisons_failed_bindings():
     assert recs[1]["error"]["type"] == "PoisonedReference"
     assert recs[2]["error"]["type"] == "PoisonedReference"
     assert recs[3]["status"] == "Holds"
+
+
+def test_build_and_run_query_reject_an_unknown_name():
+    with pytest.raises(WcalcError, match="unknown constructor 'nope'"):
+        dsl.build(Call("nope", ()), {}, Config())
+    with pytest.raises(WcalcError, match="unknown check operation 'nope'"):
+        dsl.run_query(Query("check", Call("nope", ())), {}, Config(), 64)
 
 
 def test_execute_continues_past_query_errors():

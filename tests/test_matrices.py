@@ -416,6 +416,14 @@ def test_composition_convex_path_on_a_ptt_matrix_element():
     assert composition_sequence(reduced, 120) == _composition_dp(reduced, 120)
 
 
+def test_composition_of_non_finite_reduced_logs_runs_the_dp():
+    # a -inf entry, and one whose sum of K + 1 copies overflows
+    for logs in ([0.0, 1.0, -math.inf, 3.0, 4.0], [0.0, 1.0, 2.0, 1e308]):
+        K = len(logs) - 1
+        assert not _convex_from_one(logs, K)
+        assert composition_sequence(logs, K) == brute_composition(logs, K)
+
+
 def test_composition_non_convex_matches_enumeration():
     logs = [0.0] + [0.3 * j + (1.5 if j % 2 else 0.0) for j in range(1, 13)]
     assert not _convex_from_one(logs, 12)

@@ -58,6 +58,13 @@ def test_constructor_validation():
         table(values=[1.0], log_values=[0.0])
 
 
+def test_table_rejects_a_log_value_that_is_not_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match="entry 1 = ") as err:
+            table(log_values=[0.0, bad])
+        assert err.value.field == "log_values"
+
+
 def test_table_bounds_and_exhaustion():
     t = table([1.0, 2.0, 8.0])
     assert t.length == 3

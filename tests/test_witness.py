@@ -14,6 +14,7 @@ from wcalc import (
     DerivBounds,
     InvalidParameterError,
     PreconditionError,
+    TableExhaustedError,
     classify_membership,
     generic_matrix,
     linear_exponents,
@@ -35,6 +36,7 @@ from wcalc import (
 )
 from wcalc import conditions, witness
 from wcalc.config import THETA_COUNT_CAP, THETA_TERM_CAP
+from wcalc.dsl import execute, parse
 from wcalc.logdomain import log_sum
 from wcalc.sequences import ExponentSequence
 
@@ -81,6 +83,16 @@ def test_load_bounds_csv(tmp_path):
     negative.write_text("j,log_bound\n0,0.0\n1,1.5\n-3,9.0\n")
     with pytest.raises(InvalidParameterError, match="negative.csv"):
         load_bounds_csv(str(negative))
+
+
+def test_load_bounds_csv_rejects_a_missing_column_and_a_short_row(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("j,bound\n0,0.0\n")
+    with pytest.raises(InvalidParameterError, match="need columns j, log_bound"):
+        load_bounds_csv(str(path))
+    path.write_text("j,log_bound\n0,0.0\n1\n")
+    with pytest.raises(InvalidParameterError, match="short row"):
+        load_bounds_csv(str(path))
 
 
 def test_load_bounds_csv_rejects_a_repeated_order(tmp_path):
@@ -346,6 +358,15 @@ def test_theta_bounds_past_a_bad_term_raise_as_every_order_did(
     assert got == want
 
 
+def test_theta_eval_drops_the_orders_whose_phase_overflows(g1):
+    """At t = 1e303 the phase 2 nu_j t of gevrey(1) would overflow from
+    order 6 on: truncation 8 sums orders 0..5, as truncation 5 does."""
+    got = theta_eval(g1, 1e303, 8)
+    assert all(map(math.isfinite, got))
+    assert got == theta_eval(g1, 1e303, 6) == theta_eval(g1, 1e303, 5)
+    assert got != theta_eval(g1, 1e303, 4)
+
+
 # --- seminorms --------------------------------------------------------------
 
 
@@ -366,10 +387,26 @@ def test_seminorm_h_monotone(g1):
 
 
 def test_seminorm_trajectory_respects_table_length(g1):
-    f = synthetic_bounds(g1, 40)
+    """Bounds past the end of a table raise: the sup is never taken over
+    fewer orders than the bounds have."""
     short = table(log_values=[0.0, 0.0, 1.0, 3.0, 6.0, 10.0])
-    vals = witness._seminorm_trajectories(f, short, linear_exponents(), (1.0,))[0]
-    assert len(vals) == 6
+    with pytest.raises(TableExhaustedError):
+        seminorm(synthetic_bounds(g1, 40), short, None, 1.0)
+    f = synthetic_bounds(g1, 5)
+    assert seminorm(f, short, None, 1.0) == max(
+        b - t for b, t in zip(f.bounds, short.log_terms(5)))
+
+
+def test_a_table_shorter_than_theta_bounds_is_an_error_record():
+    """An 11-term table under family_scale against 41 theta bounds: the
+    seminorm and the membership cells do not stop at the table's end."""
+    recs = execute(parse(
+        f"seq g = gevrey(s=1); seq t = table([{', '.join(['1'] * 11)}]);\n"
+        "exp q = linear(); seq f = theta_bounds(g, count=40);\n"
+        "matrix m = family_scale(t, q, grid=[1, 2, 4]);\n"
+        "eval seminorm(f, t, q, 1);\n"
+        "classify membership(f, m);\n"))
+    assert [r["error"]["type"] for r in recs] == ["TableExhaustedError"] * 2
 
 
 # --- membership -------------------------------------------------------------
@@ -447,29 +484,24 @@ SHORT, LONG = ([0.5 * j * j for j in range(n)] for n in (6, 12))
 @pytest.mark.parametrize("phi_length", [4, 6, 9, 12, 30])
 def test_membership_rows_and_errors_match_per_element_reads(phi_length):
     """Elements of different lengths under a phi table that may end below
-    either: the shared phi read gives each element the rows, or the first
-    error, that reading phi afresh for each element gives."""
+    either: membership gives the rows, or the first error, that reading
+    each element's seminorm afresh gives, and bounds past the end of an
+    element or of phi raise."""
     mm = generic_matrix([(1.0, table(log_values=SHORT)),
                          (2.0, table(log_values=LONG))])
     phi = table_exponents([0.25 * j for j in range(phi_length)])
-    f = synthetic_bounds(table(log_values=LONG), 11)
     hs = witness.DEFAULT_H_GRID
-
-    def shared():
-        phis = []
-        return [witness._seminorm_trajectories(f, mm.element(c), phi, hs, phis)
-                for c in mm.index_grid]
-
-    def fresh():
-        return [witness._seminorm_trajectories(f, mm.element(c), phi, hs)
-                for c in mm.index_grid]
-
-    assert outcome(shared) == outcome(fresh)
-    got = outcome(lambda: classify_membership(f, mm, phi).to_json())
-    if phi_length < 12:  # the long element's top, 11, lies past phi
-        assert got == outcome(fresh)
-    else:
-        assert len(got["table"]) == 2 * len(hs)
+    for top in (5, 11):  # inside both elements, past the short one
+        f = synthetic_bounds(table(log_values=LONG), top)
+        fresh = outcome(lambda: [seminorm(f, mm.element(c), phi, h)
+                                 for c in mm.index_grid for h in hs])
+        got = outcome(lambda: classify_membership(f, mm, phi).to_json())
+        if top == 11 or phi_length <= top:
+            assert got[0] is TableExhaustedError
+            assert got == fresh
+        else:
+            assert len(got["table"]) == 2 * len(hs)
+            assert [cell["sup"] for cell in got["table"]] == fresh
 
 
 def test_membership_fails_in_both_flavors_on_faster_bounds(ptt_mm):
