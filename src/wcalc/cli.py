@@ -41,6 +41,15 @@ class UsageError(Exception):
     pass
 
 
+def _numbers(text: str, message: str, count: int | None = None) -> tuple:
+    """text read as a comma list by the script's plain-number rule
+    (dsl.numbers), of count items if count is given; else a UsageError."""
+    got = _dsl.numbers(text)
+    if got is None or count not in (None, len(got)):
+        raise UsageError(message)
+    return got
+
+
 def _parse_params(text: str | None) -> dict:
     out: dict[str, float] = {}
     if not text:
@@ -52,21 +61,14 @@ def _parse_params(text: str | None) -> dict:
         if "=" not in part:
             raise UsageError(f"--params entries look like k=v, got {part!r}")
         key, _, val = part.partition("=")
-        try:
-            out[key.strip()] = float(val)
-        except ValueError:
-            raise UsageError(f"--params value for {key!r} is not a number: {val!r}")
+        out[key.strip()] = _numbers(
+            val, f"--params value for {key!r} is not a number: {val!r}")[0]
     return out
 
 
 def _parse_number_list(text: str, what: str) -> tuple:
-    try:
-        got = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        got = ()
-    if not got:
-        raise UsageError(f"{what} must be a comma-separated number list, got {text!r}")
-    return got
+    return _numbers(
+        text, f"{what} must be a comma-separated number list, got {text!r}")
 
 
 def _resolve(spec: str, params: str | None, cfg, grid: str | None = None,
@@ -101,10 +103,8 @@ def _resolve(spec: str, params: str | None, cfg, grid: str | None = None,
                          f"got {name!r}")
     values = {}
     for key, part in zip(accepted, rest):
-        try:
-            values[key] = float(part)
-        except ValueError:
-            raise UsageError(f"bad numeric parameter {part!r} in {spec!r}")
+        values[key] = _numbers(
+            part, f"bad numeric parameter {part!r} in {spec!r}", 1)[0]
     values.update(params)
     args = []
     for key in keys:
@@ -152,10 +152,10 @@ def _answer(kind: str, op: str, cfg, h: int, env: dict, flavor=None,
 
 
 def _parse_t_grid(text: str) -> _assoc.LogGrid:
-    try:
-        t_min, t_max, points = map(float, text.split(":"))
-    except ValueError:  # not three parts, or one is not a number
-        raise UsageError(f"--t-grid looks like a:b:n, got {text!r}")
+    message = f"--t-grid looks like a:b:n, got {text!r}"
+    if text.count(":") != 2:
+        raise UsageError(message)
+    t_min, t_max, points = (_numbers(p, message, 1)[0] for p in text.split(":"))
     try:
         # the count rule of a script grid: 1e3 is 1000, 2.5 is an error
         points = _dsl._integer("--t-grid point count n", points)

@@ -329,6 +329,10 @@ def gamma_lower_bound(m: WeightSequence, alphas,
     last violating index is logdomain.last_drop at alpha, the drop rule of
     the lc and slc checks.
     """
+    alphas = tuple(map(float, alphas))
+    bad = next((a for a in alphas if not math.isfinite(a)), None)
+    if bad is not None:
+        raise InvalidParameterError("alphas", f"need finite alphas, got {bad!r}")
     h = need_horizon(horizon, 4)
     out = {}
     terms = m.log_terms(h)
@@ -345,8 +349,7 @@ def gamma_lower_bound(m: WeightSequence, alphas,
                        map(mul, repeat(a), islice(ln_fact, lo, hi + 1))),
                    range(lo, hi + 1))
 
-    for alpha in alphas:
-        a = float(alpha)
+    for a in alphas:
         last_violation = last_drop(mu, a, big)
         onset = max(1, last_violation)
         first_max = max(divided_roots(a, 1, q1))

@@ -16,14 +16,15 @@ operation reads (SIGNATURES); every query takes horizon.
 
 NUMBER is an optional sign, a run of digits and dots, and an optional
 exponent ([eE], an optional sign, digits), and must read as a finite
-float.  One compiled regex scans the tokens (_Scanner), in batches that
-end at a "[".  There the parser first tries the list as one block: a
-span up to the next "]" that holds only number characters, commas and
-blanks, and whose comma-separated items all read as finite floats, is
-exactly a list of NUMBER tokens, so it is read with str.split and float
-and no token is made.  Any other list (a name, a nested list, a comment,
-a malformed or non-finite literal, an empty item) is read token by
-token, which raises the error of the token path.
+float.  One compiled regex scans the whole script (tokenize) before the
+parser starts.  At a "[" it first tries the list as one block: a span up
+to the next "]" that holds only number characters, commas and blanks,
+and whose comma-separated items all read as finite floats (numbers), is
+exactly a list of NUMBER tokens, so its values ride on the "[" token and
+no token is made for its items.  Any other list (a name, a nested list,
+a comment, a malformed or non-finite literal, an empty item) is read
+token by token, which raises the error of the token path.  The CLI reads
+its numbers by the same rule.
 """
 
 from __future__ import annotations
@@ -220,8 +221,9 @@ QUERY_OPS = {q: tuple(name for kind, name in SIGNATURES if kind == q)
 # tokens
 
 
-# kind is IDENT, NUMBER, PUNCT or EOF
-Token = namedtuple("Token", "kind text line col")
+# kind is IDENT, NUMBER, PUNCT or EOF; values, on a "[", holds the numbers
+# of a list of plain numbers, which has no tokens of its own
+Token = namedtuple("Token", "kind text line col values", defaults=(None,))
 
 
 def _scan_pattern(digits: str, nonalpha: str) -> re.Pattern:
@@ -243,96 +245,81 @@ def _scan_pattern(digits: str, nonalpha: str) -> re.Pattern:
 
 # in ASCII text \d is str.isdigit, and \w minus \d str.isalpha or "_"
 _ASCII_SCAN = _scan_pattern("", "")
-# a list of plain numbers, between its brackets
-_PLAIN_LIST = re.compile(r"[0-9eE.+\-, \t\r\n]*")
+# a list of plain numbers, between its brackets: \d is str.isdecimal, the
+# digits float() reads (0-9 first keeps ASCII text on the fast bitmap test)
+_PLAIN_LIST = re.compile(r"[0-9\deE.+\-, \t\r\n]*")
 
 
-def _finite(lit: str) -> bool:
+def numbers(text: str, start: int = 0, end: int | None = None) -> tuple | None:
+    """The values of text[start:end] read as a comma list of NUMBER
+    literals that each read as a finite float; None when it holds anything
+    else (a name, a nested list, a comment, a malformed or non-finite
+    literal, an empty item).  Tokens, list blocks and the CLI use it."""
+    if not _PLAIN_LIST.fullmatch(text, start, len(text) if end is None else end):
+        return None
     try:
-        return math.isfinite(float(lit))
+        # unpacked: tuple(map(...)) sizes its tuple by guess and resizes
+        # it, so each one-item read would leave a tuple on a free list
+        values = (*map(float, text[start:end].split(",")),)
     except ValueError:
-        return False
-
-
-class _Scanner:
-    """The tokens of a script, read by one compiled regex in batches that
-    end at a "[" (so that a list may be read as one block) or at EOF.
-
-    Columns count characters from 1, except that a comment does not
-    advance them (so an EOF after a trailing comment sits at the "#")."""
-
-    def __init__(self, text: str):
-        self.text = text
-        if text.isascii():
-            pattern = _ASCII_SCAN
-        else:
-            odd = {ch for ch in set(text) if not ch.isascii()}
-            pattern = _scan_pattern(
-                "".join(sorted(ch for ch in odd if ch.isdigit())),
-                "".join(sorted(ch for ch in odd
-                               if ch.isalnum() and not ch.isalpha())))
-        self._match = pattern.match
-        self.pos = 0
-        self.line = 1
-        self.line_start = 0   # offset that column 1 of this line stands at
-
-    def tokens(self) -> list[Token]:
-        """The tokens from here through the next "[" or EOF."""
-        text, match, make = self.text, self._match, Token._make
-        pos, line, line_start = self.pos, self.line, self.line_start
-        out = []
-        while True:
-            m = match(text, pos)
-            kind = m.lastgroup
-            start, pos = m.span(kind)
-            if kind == "NL":
-                line += 1
-                line_start = pos
-                continue
-            if kind == "COMMENT":
-                line_start += pos - start
-                continue
-            lit = m[kind]
-            col = start - line_start + 1
-            if kind == "OTHER":
-                raise SourceError(f"unexpected character {lit!r}", line, col)
-            if kind == "NUMBER" and not _finite(lit):
-                raise SourceError(f"bad number literal {lit!r}", line, col)
-            out.append(make((kind, lit, line, col)))
-            if kind == "EOF" or lit == "[":
-                self.pos, self.line, self.line_start = pos, line, line_start
-                return out
-
-    def numbers(self) -> tuple | None:
-        """The values of a list of plain numbers whose "[" ended the last
-        batch, read as one block through its "]"; None, reading
-        nothing, when the list holds anything else (a name, a nested list,
-        a comment, a malformed or non-finite literal, an empty item).
-        Every item float() takes here is one NUMBER token."""
-        text, start = self.text, self.pos
-        end = text.find("]", start)
-        if end < 0 or not _PLAIN_LIST.fullmatch(text, start, end):
-            return None
-        try:
-            values = tuple(map(float, text[start:end].split(",")))
-        except ValueError:
-            return None
-        if not math.isfinite(sum(values)):  # inf or nan in, or overflow
-            return None
-        newlines = text.count("\n", start, end)
-        if newlines:
-            self.line += newlines
-            self.line_start = text.rindex("\n", start, end) + 1
-        self.pos = end + 1
-        return values
+        return None
+    # a finite sum settles most lists at once; one that overflows is
+    # settled item by item
+    if not (math.isfinite(sum(values)) or all(map(math.isfinite, values))):
+        return None
+    return values
 
 
 def tokenize(text: str) -> list[Token]:
-    scan = _Scanner(text)
-    out = scan.tokens()
-    while out[-1].kind != "EOF":
-        out += scan.tokens()
-    return out
+    """The tokens of a script through EOF, read by one compiled regex.
+
+    Columns count characters from 1, except that a comment does not
+    advance them (so an EOF after a trailing comment sits at the "#").
+    A "[" whose span up to the next "]" is a list of plain numbers
+    (numbers) carries their values, and the scan goes on past the "]"."""
+    if text.isascii():
+        pattern = _ASCII_SCAN
+    else:
+        odd = {ch for ch in set(text) if not ch.isascii()}
+        pattern = _scan_pattern(
+            "".join(sorted(ch for ch in odd if ch.isdigit())),
+            "".join(sorted(ch for ch in odd
+                           if ch.isalnum() and not ch.isalpha())))
+    match, make = pattern.match, Token._make
+    pos, line = 0, 1
+    line_start = 0   # offset that column 1 of this line stands at
+    out = []
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        if kind == "NL":
+            line += 1
+            line_start = pos
+            continue
+        if kind == "COMMENT":
+            line_start += pos - start
+            continue
+        lit = m[kind]
+        col = start - line_start + 1
+        if kind == "OTHER":
+            raise SourceError(f"unexpected character {lit!r}", line, col)
+        if kind == "NUMBER" and numbers(lit) is None:
+            raise SourceError(f"bad number literal {lit!r}", line, col)
+        if lit != "[":
+            out.append(make((kind, lit, line, col, None)))
+            if kind == "EOF":
+                return out
+            continue
+        end = text.find("]", pos)
+        values = numbers(text, pos, end) if end >= 0 else None
+        out.append(make((kind, lit, line, col, values)))
+        if values is not None:
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+            pos = end + 1
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +399,10 @@ class Program:
 
 
 class _Parser:
-    """Recursive descent over a scanner: anything with tokens() and
-    numbers() as _Scanner has them."""
+    """Recursive descent over a token list that ends in EOF."""
 
-    def __init__(self, scan):
-        self.scan = scan
-        self.toks = scan.tokens()
+    def __init__(self, toks: list[Token]):
+        self.toks = toks
         self.pos = 0
         self.scope: dict[str, str] = {}  # name -> kind
 
@@ -427,8 +412,6 @@ class _Parser:
     def advance(self) -> Token:
         tok = self.toks[self.pos]
         self.pos += 1
-        if self.pos == len(self.toks):
-            self.toks, self.pos = self.scan.tokens(), 0
         return tok
 
     def fail(self, message: str, tok: Token | None = None,
@@ -541,9 +524,8 @@ class _Parser:
         return Call(name, tuple(args))
 
     def arg(self):
-        nxt = self.toks[self.pos + 1] if self.pos + 1 < len(self.toks) else None
-        if (self.peek().kind == "IDENT" and nxt is not None
-                and nxt.kind == "PUNCT" and nxt.text == "="):
+        nxt = self.toks[self.pos + 1] if self.peek().kind == "IDENT" else None
+        if nxt is not None and nxt.kind == "PUNCT" and nxt.text == "=":
             key = self.advance().text
             self.advance()
             return (key, self.value())
@@ -560,12 +542,9 @@ class _Parser:
                 raise self.fail(f"unbound name {tok.text!r}", tok)
             return Ref(tok.text)
         if tok.kind == "PUNCT" and tok.text == "[":
-            # a "[" ends its batch, so the scanner stands just past it
-            block = self.scan.numbers()
-            if block is not None:
-                self.toks, self.pos = self.scan.tokens(), 0
-                return block
             self.advance()
+            if tok.values is not None:
+                return tok.values
             items = [self.value()]
             while self.peek().kind == "PUNCT" and self.peek().text == ",":
                 self.advance()
@@ -579,11 +558,7 @@ class _Parser:
 def parse(text: str) -> Program:
     """The program a script holds.  A script with a bad token anywhere
     raises the first such token's error, before any grammar error."""
-    try:
-        return _Parser(_Scanner(text)).program()
-    except SourceError:
-        tokenize(text)
-        raise
+    return _Parser(tokenize(text)).program()
 
 
 # ---------------------------------------------------------------------------

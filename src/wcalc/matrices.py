@@ -286,12 +286,17 @@ def _beta_candidates(grid, alpha: float, flavor: str):
     alpha, then CONTINUATION_STEPS of a geometric continuation past the
     grid edge."""
     steps = range(1, CONTINUATION_STEPS + 1)
-    if flavor == ROUMIEU:
-        near = [b for b in grid if b >= alpha]
-        far = [grid[-1] * (grid[-1] / grid[-2]) ** i for i in steps]
-    else:
-        near = [b for b in reversed(grid) if b <= alpha]
-        far = [grid[0] / (grid[1] / grid[0]) ** i for i in steps]
+    try:
+        if flavor == ROUMIEU:
+            near = [b for b in grid if b >= alpha]
+            far = [grid[-1] * (grid[-1] / grid[-2]) ** i for i in steps]
+        else:
+            near = [b for b in reversed(grid) if b <= alpha]
+            far = [grid[0] / (grid[1] / grid[0]) ** i for i in steps]
+    except OverflowError:
+        raise InvalidParameterError(
+            "index_grid", f"the continuation past the grid edge overflows: {grid}"
+        ) from None
     return [(b, False) for b in near] + [(b, True) for b in far]
 
 

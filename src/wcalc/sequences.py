@@ -115,7 +115,10 @@ class ExponentSequence:
         _check_index(j)
         if self.length is not None and j >= self.length:
             raise TableExhaustedError(j, self.length)
-        v = float(self._fn(j))
+        try:
+            v = float(self._fn(j))
+        except OverflowError:  # a value past the float range reads as inf
+            v = math.inf
         if math.isnan(v) or v < 0.0 or math.isinf(v):
             raise InvalidParameterError("phi", f"phi_{j} = {v!r} is not a finite nonnegative value")
         return v
@@ -208,7 +211,10 @@ class WeightSequence:
     def _eval(self, j: int) -> float:
         if self.length is not None and j >= self.length:
             raise TableExhaustedError(j, self.length)
-        got = float(self._fn(j))
+        try:
+            got = float(self._fn(j))
+        except OverflowError:  # a term past the float range reads as inf
+            got = math.inf
         if math.isnan(got) or got == math.inf:
             raise InvalidParameterError("term", f"log M_{j} = {got!r} not finite")
         return got

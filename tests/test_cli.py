@@ -259,6 +259,45 @@ def test_empty_number_lists_are_usage_errors(capsys):
             in capsys.readouterr().err
 
 
+# every number the CLI reads follows the script literal rule (dsl.numbers)
+@pytest.mark.parametrize("bad", ["nan", "inf", "1e400", "1_0", "1,,2", "1,2,"])
+def test_cli_numbers_follow_the_script_literal_rule(bad, tmp_path, capsys):
+    """Each number site rejects what a script literal rejects, with its
+    own message; float() alone took nan, inf, 1_0 and empty items."""
+    sites = [
+        (("check", "--family", "gevrey:1", "--cond", "gamma-lb",
+          "--alphas", bad), "--alphas must be a comma-separated number list"),
+        (("check", "--family", "sigma-matrix:2", "--cond", "mg",
+          "--grid", f"1,2,{bad}"), "--grid must be a comma-separated number list"),
+        # --params splits its entries at commas first
+        (("check", "--family", "gevrey", "--params", f"s={bad}",
+          "--cond", "lc"), "--params entries look like k=v" if "," in bad
+         else "--params value for 's' is not a number"),
+        (("check", "--family", f"gevrey:{bad}", "--cond", "lc"),
+         "bad numeric parameter"),
+        (("omega", "--family", "gevrey:1", "--t-grid", f"1:{bad}:3",
+          "--csv", tmp_path / "o.csv"), "--t-grid looks like a:b:n"),
+    ]
+    for argv, message in sites:
+        assert run(*argv, "--horizon", 64) == 2, argv
+        assert f"wcalc: {message}" in capsys.readouterr().err, argv
+
+
+def test_cli_numbers_read_the_floats_float_reads():
+    for text in ("1e4", "-2.5", ".5", "+3", "1,2,4,16,256", " 1 , 2 ",
+                 repr(0.1), repr(1 / 3), repr(2.0 ** -1074)):
+        assert cli._numbers(text, "") == tuple(map(float, text.split(",")))
+    with pytest.raises(cli.UsageError, match="^one$"):
+        cli._numbers("1,2", "one", 1)
+
+
+def test_gamma_lb_rejects_a_non_finite_alpha(capsys):
+    assert run("check", "--family", "gevrey:1", "--cond", "gamma-lb",
+               "--alphas", "nan,1") == 2
+    assert "--alphas must be a comma-separated number list, got 'nan,1'" \
+        in capsys.readouterr().err
+
+
 def test_golden_report_bytes(tmp_path):
     a, b, c = (tmp_path / n for n in ("a.json", "b.json", "c.json"))
     assert run("run", SMOKE, "--out", a) == 0

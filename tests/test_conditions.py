@@ -264,6 +264,14 @@ def test_gamma_lower_bound_decaying_roots_undetermined():
     assert v.evidence["decaying_roots"] is True
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gamma_lower_bound_rejects_a_non_finite_alpha(bad):
+    with pytest.raises(InvalidParameterError,
+                       match=f"alphas: need finite alphas, got {bad!r}") as err:
+        gamma_lower_bound(gevrey(1.0), [1.0, bad], horizon=64)
+    assert err.value.field == "alphas"
+
+
 def test_exponent_growth_report_families():
     for phi, tail in ((linear_exponents(), 1.0), (power_exponents(2.0), None)):
         rep = exponent_growth_report(phi, horizon=512)

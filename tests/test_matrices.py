@@ -75,6 +75,15 @@ def test_matrix_grid_validation(g1):
     assert err.value.field == "index_grid"
 
 
+@pytest.mark.parametrize("flavor", [ROUMIEU, BEURLING])
+def test_a_continuation_past_the_float_range_is_an_index_grid_error(flavor):
+    # the grid passes validation; its geometric continuation overflows
+    mm = sigma_matrix(2.0, (1e-300, 1.0, 1e300))
+    with pytest.raises(InvalidParameterError, match="overflows") as err:
+        check_matrix_condition(mm, MatrixConditionId("mg", flavor), horizon=64)
+    assert err.value.field == "index_grid"
+
+
 def test_element_memoization_and_validation(g1):
     mm = scale_family(g1, linear_exponents(), GRID4)
     assert mm.element(2.0) is mm.element(2)

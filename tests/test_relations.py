@@ -170,6 +170,38 @@ def test_phi_constancy_mixed_mode(g1, g2):
     assert w.status == FAILS
 
 
+def test_phi_constancy_exact_ratio_skips_zero_exponents(g2):
+    phi = table_exponents([0.0, 0.0, 0.0] + [float(j) for j in range(3, H + 1)])
+    v = compare_phi_constancy([scaled(g2, phi, c) for c in (0.5, 2.0)], phi,
+                              horizon=H)
+    assert v.status == HOLDS
+    assert v.evidence["pairs"][0]["mode"] == "exact_ratio"
+    assert v.evidence["pairs"][0]["max_deviation"] <= RATIO_TOL
+
+
+def test_phi_constancy_exact_ratio_fails_on_a_moving_ratio(g1, g2):
+    # two tables of one length share a label, so the pair takes the
+    # exact-ratio test, and gevrey(2) over gevrey(1) is no constant
+    lin = linear_exponents()
+    a, b = (table(log_values=g.log_terms(H)) for g in (g1, g2))
+    m, n = scaled(a, lin, 0.5), scaled(b, lin, 2.0)
+    v = compare_phi_constancy([m, n], lin, horizon=H)
+    assert v.status == FAILS
+    assert v.witness == [m.label(), n.label()]
+    assert v.evidence["pairs"][0]["mode"] == "exact_ratio"
+    assert v.evidence["pairs"][0]["max_deviation"] > RATIO_TOL
+
+
+def test_phi_constancy_undetermined_pair(g1):
+    # j^j / j! ~ e^j / sqrt(2 pi j): the window leaves the pair open
+    v = compare_phi_constancy([g1, ptt(1.0, 1.0)], linear_exponents(),
+                              horizon=H)
+    assert v.status == UNDETERMINED and v.witness is None
+    assert v.evidence["pairs"][0] == {
+        "pair": [g1.label(), "ptt(sigma=1.0,tau=1.0)"], "mode": "approx",
+        "status": UNDETERMINED}
+
+
 def test_phi_constancy_needs_two(g1):
     with pytest.raises(InvalidParameterError):
         compare_phi_constancy([g1], linear_exponents(), horizon=H)

@@ -118,12 +118,44 @@ def test_exponent_sequences():
         tb.value(4)
 
 
+def test_exponent_table_rejects_empty_negative_and_nan_entries():
+    with pytest.raises(InvalidParameterError, match="empty exponent table"):
+        table_exponents([])
+    for bad in (-1.0, math.nan):
+        with pytest.raises(InvalidParameterError, match="entry 1 = ") as err:
+            table_exponents([0.0, bad])
+        assert err.value.field == "values"
+
+
 def test_exponent_families():
     fam = constant_family(power_exponents(2.0))
     assert fam.sequence(0.5).value(3) == fam.sequence(4.0).value(3) == 9.0
     custom = ExponentFamily("indexed", {"label": "powers"}, power_exponents)
     assert custom.sequence(1.0).value(5) == 5.0
     assert custom.sequence(2.0).value(5) == 25.0
+    with pytest.raises(InvalidParameterError, match="finite positive") as err:
+        fam.sequence(0)
+    assert err.value.field == "a"
+
+
+# float(j) ** sigma raises OverflowError; the point readers read it as
+# the inf it is, and window fills fall back to them
+_OVERFLOWING_READS = {
+    "ptt-window": lambda: ptt(1.0, 1e300).log_terms(8),
+    "ptt-point": lambda: ptt(1.0, 1e300).log_term(2),
+    # a matrix element reads its terms when the grid order is checked
+    "sigma-element": lambda: sigma_matrix(1e300).element(2.0),
+    "power-window": lambda: power_exponents(1e300).values(0, 8),
+    "power-point": lambda: power_exponents(1e300).value(2),
+}
+
+
+@pytest.mark.parametrize("site", _OVERFLOWING_READS)
+def test_a_value_past_the_float_range_is_a_typed_error(site):
+    message = "phi_2 = inf is not" if site.startswith("power") \
+        else "log M_2 = inf not finite"
+    with pytest.raises(InvalidParameterError, match=message):
+        _OVERFLOWING_READS[site]()
 
 
 def test_callable_sequence_wraps_fn():
