@@ -699,34 +699,56 @@ def run_query(query: Query, env: dict, cfg: Config, h: int) -> dict:
     return sig.shape(sig.target(cfg, h, *values), *values)
 
 
-def _releases(statements) -> list[list[str]]:
-    """For each statement, the names whose values leave the env once it has
-    run: values it reads for the last time (as a Ref among its call
-    arguments; options never hold names), and values it binds that nothing
-    reads.  The analysis is per value, so a name bound again releases each
-    value after that value's own last reader; a value last read by the
-    statement that rebinds its name goes when that statement replaces it."""
-    out: list[list[str]] = [[] for _ in statements]
+def _releases(statements) -> list[list[str | tuple[str, str]]]:
+    """For each statement, what leaves the env once it has run: the names
+    whose values it reads for the last time (as a Ref among its call
+    arguments; options never hold names) or binds while nothing reads
+    them, and (name, condition) for each matrix condition it checks on
+    that name's value for the last time while a later statement still
+    reads the value.  The analysis is per value, so a name bound again
+    releases each value, and each condition's memo on it, after that
+    value's own last reader; a value last read by the statement that
+    rebinds its name goes when that statement replaces it."""
+    out: list[list[str | tuple[str, str]]] = [[] for _ in statements]
     last: dict[str, int] = {}  # name -> last statement binding or reading its value
+    # name -> condition -> last statement checking it on the name's value
+    checks: dict[str, dict[str, int]] = {}
+
+    def retire(name: str, end: int) -> None:
+        # the value of name leaves at statement end, or after the script
+        j = last.pop(name)
+        if j < end:
+            out[j].append(name)
+        # a condition last checked by the value's last reader goes with it
+        for tag, k in checks.pop(name).items():
+            if k < j:
+                out[k].append((name, tag))
+
     for i, stmt in enumerate(statements):
         for _, v in stmt.call.args:
             if isinstance(v, Ref) and v.name in last:
                 last[v.name] = i
+                if stmt.kind == "mcheck":
+                    checks[v.name][stmt.call.name] = i
         if isinstance(stmt, Binding):
-            j = last.pop(stmt.name, i)
-            if j < i:
-                out[j].append(stmt.name)
+            if stmt.name in last:
+                retire(stmt.name, i)
             last[stmt.name] = i
-    for name, i in last.items():
-        out[i].append(name)
+            checks[stmt.name] = {}
+    for name in list(last):
+        retire(name, len(statements))
     return out
 
 
-def _release(kind: str, obj) -> None:
-    # a matrix still read through a derived one (matrix_scale holds its
-    # base) keeps its elements, but nothing reads its pair memo again
+def _release(kind: str, obj, tag: str | None = None) -> None:
+    """Drop the pair memo of condition tag, or every pair memo when tag is
+    None, of a value leaving the env: a matrix still read through a
+    derived one (matrix_scale holds its base) keeps its elements, and a
+    matrix still read by a later statement keeps the memos of the
+    conditions a later statement checks.  Other kinds, and poisoned
+    bindings, hold no memo."""
     if kind == "matrix" and obj is not None:
-        obj.drop_checks()
+        obj.drop_checks(tag)
 
 
 def execute(program: Program, cfg: Config | None = None,
@@ -741,7 +763,11 @@ def execute(program: Program, cfg: Config | None = None,
 
     Each binding leaves the env right after its last reader has run (see
     _releases), poisoned ones too, so a script holds only the values a
-    later statement still reads; a released matrix drops its pair memo.
+    later statement still reads.  A matrix drops each condition's pair
+    memo right after the last statement that checks that condition on it,
+    and a released matrix drops all of them, so a script holds only the
+    pair results a later statement may read again: each pair test still
+    runs once per matrix and condition, whatever the order of the checks.
     """
     cfg = cfg or Config()
     env: dict[str, tuple[str, object]] = {}
@@ -774,6 +800,10 @@ def execute(program: Program, cfg: Config | None = None,
         if not binding or "error" in record:
             record["query"] = format_statement(stmt)
             records.append(record)
-        for name in released:
-            _release(*env.pop(name))
+        for entry in released:
+            if isinstance(entry, str):
+                _release(*env.pop(entry))
+            else:
+                name, tag = entry
+                _release(*env[name], tag)
     return records

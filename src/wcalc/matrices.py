@@ -114,17 +114,22 @@ class WeightMatrix:
 
     Two memos grow only with the statements run on the matrix, never past
     the elements and pairs those statements read: _memo maps an index c to
-    its element, and _checks maps (tag, left element, right element or
-    None, h, seed) to the result of one matrix-check computation (a pair
-    test, the sc certificate of an element or the constant comparison),
-    and ("composition", left element, k_top) to its FdB composition
+    its element, and _checks maps a condition tag to that condition's own
+    memo, which maps (left element, right element or None, h, seed) to the
+    result of one matrix-check computation (a pair test, the sc
+    certificate of an element or the constant comparison); the FdB memo
+    also maps ("composition", left element, k_top) to its composition
     sequence.  Elements compare by identity, and _memo keeps them alive,
     so the Roumieu and Beurling searches of one condition run each pair
-    and composition they share once.  A memoized result is read-only.
+    and composition they share once, in whichever order they run.  A
+    memoized result is read-only.
 
-    Both die with the matrix.  A script releases a matrix after its last
-    reader and calls drop_checks then: a matrix built on it by matrix_scale
-    still reads its elements through _memo, but no statement reads its
+    _memo lives as long as the matrix.  drop_checks(tag) forgets one
+    condition's memo and drop_checks() all of them: a script drops a
+    condition's memo after the last statement that checks that condition
+    on the matrix, and the whole pair memo when it releases the matrix
+    after its last reader.  A matrix built on it by matrix_scale still
+    reads its elements through _memo then, but no statement reads its
     pair memo again.
     """
 
@@ -137,7 +142,7 @@ class WeightMatrix:
         self._fn = element_fn
         self.phi = phi
         self._memo: dict[float, WeightSequence] = {}
-        self._checks: dict[tuple, object] = {}
+        self._checks: dict[str, dict[tuple, object]] = {}
         _validate_order(self)
 
     def element(self, c: float) -> WeightSequence:
@@ -150,9 +155,13 @@ class WeightMatrix:
             self._memo[c] = got
         return got
 
-    def drop_checks(self) -> None:
-        """Forget every memoized matrix-check result; elements stay."""
-        self._checks.clear()
+    def drop_checks(self, tag: str | None = None) -> None:
+        """Forget the memoized results of condition tag, or of every
+        condition when tag is None; elements stay."""
+        if tag is None:
+            self._checks.clear()
+        else:
+            self._checks.pop(tag, None)
 
     def label(self) -> str:
         return _label(self.construction, self.params, ", ")
@@ -379,14 +388,14 @@ def _test_rai(left: WeightSequence, right: WeightSequence, h: int) -> dict:
 
 
 def _test_fdb(left: WeightSequence, right: WeightSequence, h: int,
-              checks: dict) -> dict:
+              memo: dict) -> dict:
     k_top = min(h, FDB_HORIZON)
     key = ("composition", left, k_top)
-    comp = checks.get(key)
+    comp = memo.get(key)
     if comp is None:
         tl = left.log_terms(k_top)
         reduced = [tl[j] - math.lgamma(j + 1) for j in range(k_top + 1)]
-        comp = checks[key] = composition_sequence(reduced, k_top)
+        comp = memo[key] = composition_sequence(reduced, k_top)
     tr = right.log_terms(k_top)
     vals = [(comp[k] - (tr[k] - math.lgamma(k + 1))) / k for k in range(1, k_top + 1)]
     entry = trajectory_entry(range(1, k_top + 1), vals)
@@ -422,19 +431,21 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
     growth = _conditions.exponent_growth_report(mm.phi, h) \
         if cond.tag == "L" and mm.phi is not None else None
 
+    memo = mm._checks.setdefault(cond.tag, {})
+
     def checked(left, right, run, *args):
         # run(*args) once per matrix, whichever flavor or grid asks first
-        key = (cond.tag, left, right, h, seed)
-        got = mm._checks.get(key)
+        key = (left, right, h, seed)
+        got = memo.get(key)
         if got is None:
-            got = mm._checks[key] = run(*args)
+            got = memo[key] = run(*args)
         return got
 
     test = _PAIR_TESTS.get(cond.tag)
     if cond.tag == "mg":
         test = functools.partial(test, seed=seed)
     elif cond.tag == "FdB":
-        test = functools.partial(test, checks=mm._checks)
+        test = functools.partial(test, memo=memo)
 
     def pair(alpha, beta):
         # the Roumieu partner absorbs on the right, the Beurling one is

@@ -149,8 +149,10 @@ def compare_phi_constancy(
 ) -> Verdict:
     """All-pairs equivalence in the phi-weighted root scale.
 
-    Elements of one exponent-scaled family admit an exact check: their
-    term ratio per phi-unit must equal log(c1) - log(c2) to RATIO_TOL.
+    Elements of one exponent-scaled family (scaled on the same base and
+    phi objects; labels do not tell tables of one length apart) admit an
+    exact check: their term ratio per phi-unit must equal
+    log(c1) - log(c2) to RATIO_TOL.
     Other pairs fall back to the two-sided stabilization comparison.
     """
     h = need_horizon(horizon, 4)
@@ -165,8 +167,8 @@ def compare_phi_constancy(
             m, n = seqs[a], seqs[b]
             same_family = (
                 m.family == "scaled" and n.family == "scaled"
-                and m.params.get("base") == n.params.get("base")
-                and m.params.get("phi") == n.params.get("phi")
+                and m.params["_base"] is n.params["_base"]
+                and m.params["_phi"] is n.params["_phi"]
             )
             if same_family:
                 expected = math.log(m.params["c"]) - math.log(n.params["c"])

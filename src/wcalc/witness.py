@@ -170,7 +170,14 @@ def theta_eval(n: WeightSequence, t: float,
             continue
         if freq + log_2t > _PHASE_EXP_LIMIT:
             continue
-        phase = 2.0 * math.exp(freq) * t
+        try:
+            phase = 2.0 * math.exp(freq) * t
+        except OverflowError:
+            phase = math.inf
+        if math.isinf(phase):
+            # 2 nu_j overflows while |phase| stays below e^_PHASE_EXP_LIMIT:
+            # only then is the phase formed in log space
+            phase = math.copysign(math.exp(freq + log_2t), t)
         re_parts.append(mag * math.cos(phase))
         im_parts.append(mag * math.sin(phase))
     return math.fsum(re_parts), math.fsum(im_parts)

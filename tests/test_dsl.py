@@ -1,5 +1,6 @@
 """Script language: tokenizer, parser, printer round-trip, execution."""
 
+import collections
 import gc
 import math
 import pathlib
@@ -907,6 +908,10 @@ def test_a_poisoned_binding_and_what_it_reads_are_released(monkeypatch):
         [], [], ["a", "ph"], [], ["bad", "z"], [], ["y"]]
 
 
+def _pair_results(mm) -> int:
+    return sum(map(len, mm._checks.values()))
+
+
 def test_a_released_base_matrix_keeps_its_elements_but_no_pair_memo(
         monkeypatch):
     refs = []
@@ -915,12 +920,12 @@ def test_a_released_base_matrix_keeps_its_elements_but_no_pair_memo(
     real = _matrices.check_matrix_condition
 
     def probe(mm, *args, **kwargs):
-        # (checking pm, pm's elements, pm's pair memo) before and after
+        # (checking pm, pm's elements, pm's pair results) before and after
         gc.collect()
         base = refs[0]()
-        seen.append((mm is base, len(base._memo), len(base._checks)))
+        seen.append((mm is base, len(base._memo), _pair_results(base)))
         out = real(mm, *args, **kwargs)
-        seen.append((mm is base, len(base._memo), len(base._checks)))
+        seen.append((mm is base, len(base._memo), _pair_results(base)))
         return out
 
     monkeypatch.setattr(_matrices, "check_matrix_condition", probe)
@@ -938,6 +943,107 @@ def test_a_released_base_matrix_keeps_its_elements_but_no_pair_memo(
     assert not on_ms and kept == elements > 0 and dropped == 0
     gc.collect()
     assert refs[0]() is None
+
+
+def test_a_poisoned_matrix_bound_again_drops_each_value_s_conditions():
+    first = parse("""
+        matrix a = ptt_matrix(tau=1, sigma=0.5);
+        mcheck mg(a) horizon 32;
+        mcheck dc(a) horizon 32;
+        mcheck mg(a) horizon 32 flavor b;
+    """).statements
+    again = parse("""
+        matrix a = sigma_matrix(sigma=2);
+        exp ph = power(sigma=1);
+        mcheck dc(a) horizon 32;
+        mcheck mg(a) horizon 32;
+        matrix ms = matrix_scale(base=a, phi=ph);
+    """).statements
+    # each value drops a condition after its own last check of it, unless
+    # that check is the value's last reader, which releases the value
+    assert dsl._releases(first + again) == [
+        [], [], [("a", "dc")], ["a"],
+        [], [], [("a", "dc")], [("a", "mg")], ["a", "ph", "ms"]]
+    records = execute(Program(first + again))
+    assert [r.get("error", {}).get("type") for r in records] == [
+        "InvalidParameterError", "PoisonedReference", "PoisonedReference",
+        "PoisonedReference", None, None]
+
+
+def test_no_mcheck_starts_beside_a_condition_memo_nothing_reads_again(
+        monkeypatch):
+    refs = []
+    for ctor in ("ptt_matrix", "sigma_matrix", "matrix_scale"):
+        _track(monkeypatch, _matrices, ctor, refs)
+    # the matrix_search benchmark's script shape, at horizon 64
+    lines = [
+        "matrix pm = ptt_matrix(tau=1, sigma=2);",
+        "matrix sm = sigma_matrix(sigma=1.5);",
+        "exp ph = power(sigma=1.5);",
+        "matrix ms = matrix_scale(base=pm, phi=ph);",
+    ]
+    checks = []  # (matrix, condition) of each mcheck in order
+    for m in ("pm", "sm", "ms"):
+        for tag in _matrices.MATRIX_CONDITIONS:
+            for flavor in ("r", "b"):
+                lines.append(f"mcheck {tag}({m}) horizon 64 flavor {flavor};")
+                checks.append((m, tag))
+    held = []
+    real = _matrices.check_matrix_condition
+
+    def probe(*args, **kwargs):
+        # the conditions each live matrix holds a memo of, past the
+        # conditions this or a later statement checks on it
+        later = checks[len(held):]
+        held.append({
+            name: set(ref()._checks) - {tag for m, tag in later if m == name}
+            for name, ref in zip(("pm", "sm", "ms"), refs) if ref()})
+        if len(held) == 2:  # the Beurling L check reads the Roumieu memo
+            assert set(refs[0]()._checks) == {"L"}
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_matrices, "check_matrix_condition", probe)
+    records = execute(parse("\n".join(lines)))
+    assert len(records) == len(held) == len(checks) == 48
+    assert not any("error" in r for r in records)
+    assert [sorted(n for n, extra in h.items() if extra) for h in held] == [
+        []] * len(checks)
+
+
+def test_condition_memos_drop_without_changing_a_record_or_repeating_a_pair(
+        monkeypatch):
+    runs = collections.Counter()
+    for tag, test in _matrices._PAIR_TESTS.items():
+        def counted(left, right, h, tag=tag, test=test, **kwargs):
+            runs[tag, left, right, h, kwargs.get("seed")] += 1
+            return test(left, right, h, **kwargs)
+        monkeypatch.setitem(_matrices._PAIR_TESTS, tag, counted)
+    compose = _matrices.composition_sequence
+
+    def counted_composition(m, K):
+        runs["composition", tuple(m), K] += 1
+        return compose(m, K)
+
+    monkeypatch.setattr(_matrices, "composition_sequence", counted_composition)
+    grouped = [(tag, flavor) for tag in _matrices.MATRIX_CONDITIONS
+               for flavor in ("r", "b")]
+    orders = {"grouped": grouped,
+              "r then b": sorted(grouped, key=lambda tf: tf[1] == "b"),
+              "reversed": grouped[::-1]}
+    got = {}
+    for name, order in orders.items():
+        runs.clear()
+        records = execute(parse(
+            "matrix pm = ptt_matrix(tau=1, sigma=2);\n" + "\n".join(
+                f"mcheck {tag}(pm) horizon 64 flavor {flavor};"
+                for tag, flavor in order)))
+        got[name] = {r["query"]: r for r in records}
+        assert len(got[name]) == 16 and not any(
+            "error" in r for r in records), name
+        # FdB composes once per left element, every test once per pair
+        assert any(k[0] == "composition" for k in runs), name
+        assert max(runs.values()) == 1, name
+    assert got["grouped"] == got["r then b"] == got["reversed"]
 
 
 def _six_mchecks_each(*ctors) -> str:

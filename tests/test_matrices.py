@@ -515,9 +515,10 @@ def test_fdb_composition_runs_once_per_left_element(monkeypatch):
     assert dp_inputs and max(dp_inputs.values()) == 1
     assert got == fdb_verdicts(sigma_matrix(2.0), (BEURLING, ROUMIEU))
 
-    # the compositions live in the matrix's own memo, one per left element
-    # at k_top = min(128, FDB_HORIZON), and go with the matrix
-    comps = {key[1]: key[2] for key in mm._checks if key[0] == "composition"}
+    # the compositions live in the matrix's own FdB memo, one per left
+    # element at k_top = min(128, FDB_HORIZON), and go with the matrix
+    comps = {key[1]: key[2] for key in mm._checks["FdB"]
+             if key[0] == "composition"}
     assert (set(mm._memo.values()) >= set(comps)
             >= {mm.element(a) for a in mm.index_grid})
     assert set(comps.values()) == {60}

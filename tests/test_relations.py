@@ -179,17 +179,24 @@ def test_phi_constancy_exact_ratio_skips_zero_exponents(g2):
     assert v.evidence["pairs"][0]["max_deviation"] <= RATIO_TOL
 
 
-def test_phi_constancy_exact_ratio_fails_on_a_moving_ratio(g1, g2):
-    # two tables of one length share a label, so the pair takes the
-    # exact-ratio test, and gevrey(2) over gevrey(1) is no constant
+@pytest.mark.parametrize("gap,want", (
+    (lambda j: math.lgamma(j + 1), FAILS),   # gevrey(2) over gevrey(1)
+    (lambda j: j % 2, HOLDS),                # a bounded gap
+), ids=("moving", "bounded"))
+def test_phi_constancy_tables_of_one_length_are_two_families(gap, want):
+    # two tables of one length share a label, but only scaled elements of
+    # one base object have a constant ratio: this pair takes the approx
+    # comparison, as compare does
     lin = linear_exponents()
-    a, b = (table(log_values=g.log_terms(H)) for g in (g1, g2))
+    a = table(log_values=[math.lgamma(j + 1) for j in range(257)])
+    b = table(log_values=[math.lgamma(j + 1) + gap(j) for j in range(257)])
     m, n = scaled(a, lin, 0.5), scaled(b, lin, 2.0)
-    v = compare_phi_constancy([m, n], lin, horizon=H)
-    assert v.status == FAILS
-    assert v.witness == [m.label(), n.label()]
-    assert v.evidence["pairs"][0]["mode"] == "exact_ratio"
-    assert v.evidence["pairs"][0]["max_deviation"] > RATIO_TOL
+    assert m.params["base"] == n.params["base"]
+    v = compare_phi_constancy([m, n], lin, horizon=256)
+    approx = compare(m, n, "approx", 256, phi=lin)
+    assert v.evidence["pairs"][0]["mode"] == "approx"
+    assert (v.status, v.witness) == (approx.status, approx.witness)
+    assert v.status == want
 
 
 def test_phi_constancy_undetermined_pair(g1):

@@ -17,9 +17,11 @@ from wcalc import (
     TableExhaustedError,
     classify_membership,
     generic_matrix,
+    gevrey,
     linear_exponents,
     load_bounds_csv,
     load_bounds_json,
+    power_exponents,
     WeightSequence,
     ptt,
     ptt_matrix,
@@ -365,6 +367,34 @@ def test_theta_eval_drops_the_orders_whose_phase_overflows(g1):
     assert all(map(math.isfinite, got))
     assert got == theta_eval(g1, 1e303, 6) == theta_eval(g1, 1e303, 5)
     assert got != theta_eval(g1, 1e303, 4)
+
+
+def test_theta_eval_forms_a_phase_past_exp_overflow_in_log_space():
+    """scale(gevrey(1.5), j^2, c = DBL_MAX) has log nu_1 near 709.78, where
+    2 nu_1 overflows though 2 nu_1 t at t = 1e-300 is about 3.6e8: the
+    record holds the value a phase formed in log space gives."""
+    [rec] = execute(parse("""
+        seq g = gevrey(s=1.5);
+        exp p = power(sigma=2);
+        seq m = scale(base=g, phi=p, c=1.7976931348623157e308);
+        eval theta(m, 1e-300);
+    """))
+    assert "error" not in rec
+    t = 1e-300
+    terms = scaled(gevrey(1.5), power_exponents(2.0),
+                   1.7976931348623157e308).log_terms(40)
+    re_parts, im_parts = [], []
+    for j in range(41):
+        freq = terms[j] - terms[j - 1] if j else 0.0
+        log_phase = freq + math.log(2.0 * t)
+        if log_phase > 700.0:
+            continue
+        mag = math.exp(terms[j] - j * (LN2 + freq))
+        re_parts.append(mag * math.cos(math.exp(log_phase)))
+        im_parts.append(mag * math.sin(math.exp(log_phase)))
+    assert len(re_parts) == 2  # orders 2 on have phases past e^700
+    assert rec["real"] == pytest.approx(math.fsum(re_parts), rel=1e-12)
+    assert rec["imaginary"] == pytest.approx(math.fsum(im_parts), rel=1e-12)
 
 
 # --- seminorms --------------------------------------------------------------
