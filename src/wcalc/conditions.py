@@ -29,6 +29,7 @@ from .logdomain import (
     ln_axis,
     ln_factorial_axis,
     log_add,
+    log_add_each,
     log_running_sums,
     log_sum,
     prefix_max_abs,
@@ -252,10 +253,9 @@ def _check_gamma1(m: WeightSequence, h: int) -> Verdict:
     suffix.reverse()
     ln = ln_axis(h)
     jmax = max(1, h // 2)
-    traj = [
-        (mu[j - 1] - ln[j]) + log_add(suffix[j - 1], log_tail)
-        for j in range(1, jmax + 1)
-    ]
+    tails = log_add_each(islice(suffix, jmax), log_tail)
+    del suffix  # traj reads only the tails: free the h sums before it grows
+    traj = [(mu[j - 1] - ln[j]) + tails[j - 1] for j in range(1, jmax + 1)]
     stable, sup = running_sup_stabilized(traj)
     ev.update({
         "sup_log": sup,

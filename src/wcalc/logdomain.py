@@ -182,6 +182,26 @@ def log_running_sums(values: Iterable[float]) -> list[float]:
     return out
 
 
+def log_add_each(values: Iterable[float], b: float) -> list[float]:
+    """[log_add(v, b) for v in values] in one pass with log_add's
+    arithmetic inline, so every entry equals its log_add call bit for bit,
+    and a NaN operand raises the same LogDomainError at the same place.
+    """
+    out = []
+    append = out.append
+    log1p, exp, inf = math.log1p, math.exp, math.inf
+    for a in values:
+        if a != a or b != b:
+            raise LogDomainError("nan operand")
+        if a == LOG_ZERO or b == LOG_ZERO:
+            append(b if a == LOG_ZERO else a)
+        elif a >= b:
+            append(inf if a == inf else a + log1p(exp(b - a)))
+        else:
+            append(inf if b == inf else b + log1p(exp(a - b)))
+    return out
+
+
 def ln_axis(n: int) -> array:
     """[ln 0, ln 1, ..., ln n, ...] with ln 0 read as LOG_ZERO: the
     process-wide cached prefix, at least n + 1 long; do not mutate.

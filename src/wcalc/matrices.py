@@ -26,7 +26,7 @@ from .config import (
     need_sigma,
 )
 from .errors import InvalidParameterError, OrderViolationError
-from .logdomain import slack
+from .logdomain import ln_factorial_axis, slack
 from .sequences import (
     ExponentFamily,
     ExponentSequence,
@@ -392,12 +392,13 @@ def _test_fdb(left: WeightSequence, right: WeightSequence, h: int,
     k_top = min(h, FDB_HORIZON)
     key = ("composition", left, k_top)
     comp = memo.get(key)
+    lnf = ln_factorial_axis(k_top)
     if comp is None:
         tl = left.log_terms(k_top)
-        reduced = [tl[j] - math.lgamma(j + 1) for j in range(k_top + 1)]
+        reduced = [tl[j] - lnf[j] for j in range(k_top + 1)]
         comp = memo[key] = composition_sequence(reduced, k_top)
     tr = right.log_terms(k_top)
-    vals = [(comp[k] - (tr[k] - math.lgamma(k + 1))) / k for k in range(1, k_top + 1)]
+    vals = [(comp[k] - (tr[k] - lnf[k])) / k for k in range(1, k_top + 1)]
     entry = trajectory_entry(range(1, k_top + 1), vals)
     entry["k_top"] = k_top
     return entry
@@ -528,7 +529,11 @@ def composition_sequence(m: list[float], K: int) -> list[float]:
     over l at l = 1 or l = k, so entry k is the larger of the one-part and
     the k-ones sums, added in the order the dynamic program adds them (the
     result is bit-identical).  Any other input runs the dynamic program
-    over (remaining sum, parts used), O(K^3).
+    over (remaining sum, parts used), O(K^3), in which a cell whose parts
+    all fall inside a concave head of log m (see _concave_head) reads only
+    its two balanced candidates: a fully concave input costs O(K^2).  That
+    too is bit-identical, since on such a head every other candidate loses
+    by more than the rounding of the sums (see _composition_dp).
 
     m is the list of log values of the reduced sequence, at least K + 1
     of them.
@@ -549,32 +554,66 @@ def composition_sequence(m: list[float], K: int) -> list[float]:
     return out
 
 
+def _rounding_margin(logs: list[float], K: int) -> float | None:
+    """16 (K+1)^2 ulps of the largest |logs[1..K]|, or None when one of
+    them is not finite or a sum of K + 1 of them could overflow.
+
+    The margin bounds both the rounding error of any sum the dynamic
+    program forms (at most K + 1 terms) and that of a second difference of
+    logs, so a composition that loses by more than it in real arithmetic
+    also loses in floats.
+    """
+    a = logs[1:K + 1]
+    top = max(map(abs, a), default=0.0)
+    if not (all(map(math.isfinite, a)) and math.isfinite(4.0 * (K + 1) * top)):
+        return None
+    return 16 * (K + 1) ** 2 * math.ulp(top)
+
+
+def _second_differences(logs: list[float], K: int) -> list[float]:
+    """logs[j + 1] - logs[j] - (logs[j] - logs[j - 1]) for j = 2..K - 1."""
+    a = logs[1:K + 1]
+    d = [y - x for x, y in zip(a, a[1:])]
+    return [y - x for x, y in zip(d, d[1:])]
+
+
 def _convex_from_one(logs: list[float], K: int) -> bool:
-    """logs[1..K] are finite, too small for a sum of K + 1 of them to
-    overflow, and convex with room for rounding.
+    """logs[1..K] pass _rounding_margin's guard and are convex with room
+    for rounding.
 
     On convex input every composition of k other than the one-part and the
     k-ones one falls short of the better of those two by at least
     |logs[1]| plus the least second difference.  The convex path agrees
     with the dynamic program bit for bit when that gap exceeds the
-    rounding error of the sums the program forms (at most K + 1 terms) and
-    of the second differences measured here; 16 (K+1)^2 ulps of the
-    largest |logs[j]| bound both.  Near-affine input with logs[1] close to
-    0 ties within rounding and stays on the dynamic program.
+    margin.  Near-affine input with logs[1] close to 0 ties within
+    rounding and stays on the dynamic program.
     """
-    a = logs[1:K + 1]
-    top = max(map(abs, a), default=0.0)
-    if not (all(map(math.isfinite, a)) and math.isfinite(4.0 * (K + 1) * top)):
+    margin = _rounding_margin(logs, K)
+    if margin is None:
         return False
-    d = [y - x for x, y in zip(a, a[1:])]
-    curv = min((y - x for x, y in zip(d, d[1:])), default=math.inf)
-    return curv >= 0.0 and (
-        K < 3 or abs(a[0]) + curv > 16 * (K + 1) ** 2 * math.ulp(top))
+    curv = min(_second_differences(logs, K), default=math.inf)
+    return curv >= 0.0 and (K < 3 or abs(logs[1]) + curv > margin)
+
+
+def _concave_head(logs: list[float], K: int) -> int:
+    """The largest P <= K such that every second difference of
+    logs[1..P] is below -_rounding_margin; 0 when the guard fails.
+
+    The scan stops at the first second difference inside the margin: at
+    logs[j - 1], logs[j], logs[j + 1] the head ends at P = j.
+    """
+    margin = _rounding_margin(logs, K)
+    if margin is None:
+        return 0
+    for j, dd in enumerate(_second_differences(logs, K), 2):
+        if not dd < -margin:
+            return j
+    return K
 
 
 def _composition_dp(logs: list[float], K: int) -> list[float]:
-    """composition_sequence by dynamic program on any input, O(K^3); the
-    reference the convex path is tested against.
+    """composition_sequence by dynamic program on any input; the reference
+    the convex path is tested against.
 
     best[k][l], the max sum of logs over l parts summing to k, is the first
     strict max from -inf of logs[j] + best[k - j][l - 1] over
@@ -583,6 +622,17 @@ def _composition_dp(logs: list[float], K: int) -> list[float]:
     slice of it.  A candidate built on a -inf best is -inf or NaN and never
     beats -inf.  Entry k is the first max of logs[l] + best[k][l] over
     l = 1..k.
+
+    Head cells: when k - l + 1 <= P = _concave_head(logs, K), every part
+    lies in the concave head, and the cell takes the first strict max of
+    only j = q and j = q + 1 (q = k // l, and q + 1 only while
+    q + 1 <= k - l + 1), the same sums in the same order.  That is exact:
+    by one exchange step, on a head concave with margin delta every first
+    part other than q or q + 1 leaves a composition at least delta below
+    the balanced optimum in real arithmetic; the float cells lie within
+    the margin of that optimum; and q, q + 1 cover every ordering of the
+    balanced parts.  So each cell is the float the full scan gives, and a
+    concave input costs two candidates a cell, O(K^2).
     """
     neg = -math.inf
     lj = logs[1:K + 1]
@@ -593,12 +643,24 @@ def _composition_dp(logs: list[float], K: int) -> list[float]:
     else:
         def cell_max(cands):
             return max(chain((neg,), cands))
+    head = _concave_head(logs, K)
     col = [neg] * K + [0.0]  # column 0, reversed
     cols = [col]
     for parts in range(1, K + 1):
         end = K - parts + 2
-        col = [cell_max(map(add, lj, col[K - k + 1:end]))
-               for k in range(K, parts - 1, -1)] + [neg] * parts
+        split = min(K, head + parts - 1)  # cells k <= split are head cells
+        new = [cell_max(map(add, lj, col[K - k + 1:end]))
+               for k in range(K, split, -1)]
+        for k in range(split, parts - 1, -1):
+            q = k // parts
+            at = K - k + q  # best[k - q][parts - 1]
+            cell = lj[q - 1] + col[at]
+            if q < k - parts + 1:
+                other = lj[q] + col[at + 1]
+                if other > cell:
+                    cell = other
+            new.append(cell)
+        col = new + [neg] * parts
         cols.append(col)
     # the rows best[k][0..K], one at a time from k = K down
     tops = [max(map(add, lj, row[1:k + 1]))

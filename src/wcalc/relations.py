@@ -149,9 +149,9 @@ def compare_phi_constancy(
 ) -> Verdict:
     """All-pairs equivalence in the phi-weighted root scale.
 
-    Elements of one exponent-scaled family (scaled on the same base and
-    phi objects; labels do not tell tables of one length apart) admit an
-    exact check: their term ratio per phi-unit must equal
+    Elements of one exponent-scaled family (scaled on the same base object
+    and on phi itself; labels do not tell tables of one length apart)
+    admit an exact check: their term ratio per phi-unit must equal
     log(c1) - log(c2) to RATIO_TOL.
     Other pairs fall back to the two-sided stabilization comparison.
     """
@@ -168,7 +168,7 @@ def compare_phi_constancy(
             same_family = (
                 m.family == "scaled" and n.family == "scaled"
                 and m.params["_base"] is n.params["_base"]
-                and m.params["_phi"] is n.params["_phi"]
+                and m.params["_phi"] is n.params["_phi"] is phi
             )
             if same_family:
                 expected = math.log(m.params["c"]) - math.log(n.params["c"])

@@ -2,7 +2,8 @@
 
 The window checks read ln j from logdomain's cached axes, fit their power
 tails through verdicts.log_fit, sum gamma1's reciprocal suffixes with
-logdomain.log_running_sums and take index ranges where they used lists.
+logdomain.log_running_sums, add its tail bound to each suffix with
+logdomain.log_add_each and take index ranges where they used lists.
 Each value is the same float operation on the same operands as before, so
 the bodies these replaced are kept here as oracles and must agree byte for
 byte.
@@ -43,7 +44,13 @@ from wcalc import (
 from wcalc import relations
 from wcalc.config import OFFDIAG_SAMPLES, POWERFIT_MARGIN, WINDOW_CAP
 from wcalc.conditions import _monotone, sample_pairs
-from wcalc.logdomain import LOG_ZERO, ln_axis, ln_factorial_axis, log_running_sums
+from wcalc.logdomain import (
+    LOG_ZERO,
+    ln_axis,
+    ln_factorial_axis,
+    log_add_each,
+    log_running_sums,
+)
 from wcalc.verdicts import (
     classify_trajectory,
     decimate,
@@ -349,11 +356,20 @@ def _log_add_chain(values):
     return out
 
 
-@given(st.lists(st.floats(-800.0, 800.0)
-                | st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])
-                | st.floats(), max_size=40))
+LOG_VALUES = (st.floats(-800.0, 800.0)
+              | st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0])
+              | st.floats())
+
+
+@given(st.lists(LOG_VALUES, max_size=40))
 def test_running_sums_equal_a_chain_of_log_add(values):
     assert _outcome(log_running_sums, values) == _outcome(_log_add_chain, values)
+
+
+@given(st.lists(LOG_VALUES, max_size=40), LOG_VALUES)
+def test_add_each_equals_a_log_add_per_value(values, b):
+    assert _outcome(lambda vs: log_add_each(vs, b), values) == _outcome(
+        lambda vs: [log_add(v, b) for v in vs], values)
 
 
 def test_gamma1_on_a_nan_quotient_raises_as_before():

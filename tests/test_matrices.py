@@ -42,6 +42,7 @@ from wcalc.matrices import (
     DEFAULT_INDEX_GRID,
     MATRIX_CONDITIONS,
     _composition_dp,
+    _concave_head,
     _convex_from_one,
     exponent_family_scale,
 )
@@ -493,6 +494,95 @@ def test_composition_dp_matches_the_triple_loop(case):
     logs, K = case
     assert float_bits(_composition_dp(logs, K)) == float_bits(
         old_composition_dp(logs, K))
+
+
+def reduced_element(mm, c, K):
+    t = mm.element(c).log_terms(K)
+    return [t[j] - math.lgamma(j + 1) for j in range(K + 1)]
+
+
+SIGMA_SIXTEENTH = reduced_element(sigma_matrix(2.0), 1 / 16, 60)
+PTT_SIXTEENTH = reduced_element(ptt_matrix(1.0, 2.0), 1 / 16, 60)
+
+
+@st.composite
+def concave_head_logs(draw):
+    """K in 0..60 and a head logs[1..P], P in 0..K, whose slope falls by
+    each bend, then a convex or an arbitrary tail.  A head bend is clear
+    of the rounding margin, a dyadic step, 0, or small enough to sit
+    inside the margin (near-affine heads)."""
+    K = draw(st.integers(0, 60))
+    P = draw(st.integers(0, K))
+    dyadic = st.integers(-40, 40).map(lambda n: n / 8)
+    head_bend = draw(st.sampled_from([
+        st.floats(0.0, 2.0), dyadic.map(abs), st.floats(0.0, 1e-9),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(0.0, 2.0))]))
+    tail = draw(st.sampled_from(["convex", "arbitrary"]))
+    slope = draw(st.one_of(dyadic, st.floats(-5.0, 5.0)))
+    logs = [draw(st.floats(-5.0, 5.0)), draw(st.one_of(dyadic, st.floats(-5.0, 5.0)))]
+    for j in range(2, K + 1):
+        if j <= P:
+            slope -= draw(head_bend)
+        elif tail == "convex":
+            slope += draw(st.floats(0.0, 2.0))
+        else:
+            logs.append(draw(st.floats(-50.0, 50.0)))
+            continue
+        logs.append(logs[-1] + slope)
+    return logs[:K + 1], K
+
+
+@example((SIGMA_SIXTEENTH, 60))
+@example((PTT_SIXTEENTH, 60))
+@settings(deadline=None, max_examples=150)
+@given(concave_head_logs())
+def test_composition_dp_head_cells_match_the_triple_loop(case):
+    logs, K = case
+    assert float_bits(_composition_dp(logs, K)) == float_bits(
+        old_composition_dp(logs, K))
+
+
+def test_concave_head_of_the_reduced_matrix_elements():
+    # the sigma element is concave on all 60 terms, the ptt one on 5
+    assert _concave_head(SIGMA_SIXTEENTH, 60) == 60
+    assert _concave_head(PTT_SIXTEENTH, 60) == 5
+
+
+def test_concave_head_is_zero_past_the_guard():
+    for bad in (math.nan, math.inf, -math.inf):
+        assert _concave_head([0.0, -1.0, bad, -6.0, -10.0], 4) == 0
+    # a sum of K + 1 terms of this size overflows
+    assert _concave_head([0.0, 1e308, 1.5e308, 1.6e308], 3) == 0
+    # the guard reads logs[1..K] only
+    assert _concave_head([math.nan, -1.0, -3.0, -6.0, math.inf], 3) == 3
+
+
+def test_concave_head_covers_strictly_concave_input():
+    for K in range(8):
+        assert _concave_head([0.0] + [-j * j / 2 for j in range(1, K + 1)], K) == K
+
+
+def flat_at_seven(flat):
+    """logs[0..12] with second differences -1, except flat at logs[6],
+    logs[7], logs[8] and 0 at logs[10], logs[11], logs[12]."""
+    slopes = [10.0 - i for i in range(1, 12)]
+    slopes[6] = slopes[5] + flat
+    slopes[10] = slopes[9]
+    logs = [0.0, 0.0]
+    for d in slopes:
+        logs.append(logs[-1] + d)
+    return logs
+
+
+@pytest.mark.parametrize("share,head", ((0.0, 7), (0.5, 7), (2.0, 11)))
+def test_concave_head_stops_at_the_first_second_difference_inside_the_margin(
+        share, head):
+    margin = matrices._rounding_margin(flat_at_seven(0.0), 12)
+    logs = flat_at_seven(-share * margin)
+    assert _concave_head(logs, 12) == head
+    assert _concave_head(logs, head) == head
+    assert float_bits(_composition_dp(logs, 12)) == float_bits(
+        old_composition_dp(logs, 12))
 
 
 def fdb_verdicts(mm, flavors):

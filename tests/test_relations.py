@@ -199,6 +199,19 @@ def test_phi_constancy_tables_of_one_length_are_two_families(gap, want):
     assert v.status == want
 
 
+def test_phi_constancy_exact_ratio_needs_the_given_phi():
+    # both elements are scaled by linear(); their ratio per power(2) unit
+    # is not constant, so this pair takes the approx comparison, as
+    # compare does
+    g, lin, p2 = gevrey(2.0), linear_exponents(), power_exponents(2.0)
+    m, n = scaled(g, lin, 0.5), scaled(g, lin, 2.0)
+    v = compare_phi_constancy([m, n], p2, horizon=256)
+    approx = compare(m, n, "approx", 256, phi=p2)
+    assert v.evidence["pairs"][0]["mode"] == "approx"
+    assert (v.status, v.witness) == (approx.status, approx.witness)
+    assert v.status == UNDETERMINED
+
+
 def test_phi_constancy_undetermined_pair(g1):
     # j^j / j! ~ e^j / sqrt(2 pi j): the window leaves the pair open
     v = compare_phi_constancy([g1, ptt(1.0, 1.0)], linear_exponents(),
