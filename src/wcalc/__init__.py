@@ -53,7 +53,6 @@ from .conditions import (
     exponent_growth_report,
     gamma_lower_bound,
     root_growth_profile,
-    sample_pairs,
 )
 from .relations import compare, compare_phi_constancy
 from .associated import (

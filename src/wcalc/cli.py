@@ -276,8 +276,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=int, default=None,
                    help="index horizon (beats script options and "
                         "WCALC_HORIZON)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for the off-diagonal pair sample")
     p.add_argument("--out", default=None, help="write canonical JSON here")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text",
                    help="stdout format (default text)")
@@ -386,11 +384,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         cfg = default_config()
-        if args.seed is not None:
-            cfg = Config(cfg.horizon, args.seed)
         h = args.horizon if args.horizon is not None else cfg.horizon
         records = args.fn(args, cfg, h)
-        report = _report.Report(cfg, records)
+        # the horizon h the command ran at; omega certifies at cfg.horizon
+        report = _report.Report(Config(h), records)
         body = _report.emit(report, args.format)
         if args.out:
             with open(args.out, "wb") as fh:

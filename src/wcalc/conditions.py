@@ -9,15 +9,12 @@ otherwise; they never fake a proof.
 
 from __future__ import annotations
 
-import functools
 import math
-import random
 from itertools import islice, repeat
 from operator import mul, neg, sub, truediv
 
 from .config import (
     COMPARISON_SLACK,
-    OFFDIAG_SAMPLES,
     POWERFIT_MARGIN,
     ROOT_MARGIN,
     need_horizon,
@@ -74,11 +71,9 @@ def check_condition(
     cond: str,
     horizon: int | None = None,
     Q: int = 2,
-    *,
-    seed: int = 0,
 ) -> Verdict:
     """Verdict of one condition on m up to the horizon; Q is the
-    dilation of beta1/beta3 and seed the off-diagonal pair sample of mg."""
+    dilation of beta1/beta3."""
     if cond not in CONDITIONS:
         raise InvalidParameterError("cond", f"unknown condition {cond!r}; expected one of {CONDITIONS}")
     h = need_horizon(horizon, 4)
@@ -88,8 +83,6 @@ def check_condition(
         return _check_beta(cond, m, h, Q, math.log(Q) if cond == "beta1" else 0.0)
     if cond in ("nq", "nq_carleman"):
         return _check_nq(cond, m, h)
-    if cond == "mg":
-        return _check_mg(m, h, seed)
     return _DISPATCH[cond](m, h)
 
 
@@ -115,6 +108,12 @@ def _check_lc(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
     return _monotone("lc", "quotients_log",
                      [t[j] - t[j - 1] for j in range(1, h + 1)], t, h)
+
+
+def lc_certified(m: WeightSequence, h: int) -> bool:
+    """The lc check's verdict on [0, h] without its evidence."""
+    t = m.log_terms(h)
+    return not first_drop(list(map(sub, islice(t, 1, None), t)), t)
 
 
 def _check_slc(m: WeightSequence, h: int) -> Verdict:
@@ -156,31 +155,52 @@ def check_sc(m: WeightSequence, h: int) -> Verdict:
 # two-index growth conditions
 
 
-@functools.lru_cache(maxsize=64)
-def sample_pairs(h: int, count: int, seed: int) -> tuple[tuple[int, int], ...]:
-    """Deterministic off-diagonal (j, k) sample with j + k <= horizon."""
-    rng = random.Random(seed)
-    pairs = []
-    for _ in range(count):
-        n = rng.randint(2, max(2, h))
-        j = rng.randint(1, n - 1)
-        pairs.append((j, n - j))
-    return tuple(pairs)
+def convex_minorant(t) -> list[float]:
+    """The lower convex hull of the points (j, t[j]), read at each j and
+    clamped to at most t[j] against rounding."""
+    hull = [0]
+    for j in range(1, len(t)):
+        # a vertex stays only where the hull turns up strictly
+        while len(hull) >= 2:
+            i, k = hull[-2], hull[-1]
+            if (t[k] - t[i]) / (k - i) < (t[j] - t[i]) / (j - i):
+                break
+            hull.pop()
+        hull.append(j)
+    out = []
+    for i, k in zip(hull, hull[1:]):
+        step = (t[k] - t[i]) / (k - i)
+        out.extend(min(t[i] + step * (j - i), t[j]) for j in range(i, k))
+    out.append(t[-1])
+    return out
 
 
-def _check_mg(m: WeightSequence, h: int, seed: int) -> Verdict:
-    jmax = h // 2
-    idx = range(1, jmax + 1)
-    pairs = sample_pairs(h, OFFDIAG_SAMPLES, seed)
-    t = m.log_terms(max([2 * jmax] + [j + k for j, k in pairs]))
-    diag = [(t[2 * j] - 2.0 * t[j]) / (2 * j + 1) for j in idx]
-    off = [(t[j + k] - t[j] - t[k]) / (j + k + 1) for j, k in pairs]
-    ev = {
-        "diag_defect": decimate(diag),
-        "offdiag_max": max(off),
-        "trajectory": classify_trajectory(idx, diag),
-    }
-    return _trend_verdict("mg", h, ev, max(max(diag), max(off)))
+def mg_trajectory(tl, split, h: int, exact: bool) -> tuple:
+    """The indices n and defects (tl[n] - split[n // 2] - split[n - n // 2])
+    / (n + 1) of the mg trajectory of a pair.
+
+    split is the right-hand terms if they are lc on [0, h], else their
+    convex minorant; being convex, its least split is the balanced one, so
+    each defect bounds the worst split from above, exactly for lc terms.
+    With exact (both sides lc on [0, h]) an odd n < h adds nothing, since
+    its unscaled defect is at most the mean of its even neighbours': only
+    the even n and an odd h are read.  Otherwise every n = 2..h is.
+    """
+    ns = range(2, h + 1, 2) if exact else range(2, h + 1)
+    if exact and h % 2:
+        ns = [*ns, h]
+    return ns, [(tl[n] - split[n // 2] - split[n - n // 2]) / (n + 1)
+                for n in ns]
+
+
+def _check_mg(m: WeightSequence, h: int) -> Verdict:
+    t = m.log_terms(h)
+    exact = lc_certified(m, h)
+    split = t if exact else convex_minorant(t)
+    ns, defect = mg_trajectory(t, split, h, exact)
+    traj = classify_trajectory(ns, defect)
+    ev = {"defect": decimate(defect), "exact": exact, "trajectory": traj}
+    return _trend_verdict("mg", h, ev, traj["sup"])
 
 
 def _check_dc(m: WeightSequence, h: int) -> Verdict:
@@ -273,6 +293,7 @@ _DISPATCH = {
     "lc": _check_lc,
     "slc": _check_slc,
     "normalized": _check_normalized,
+    "mg": _check_mg,
     "dc": _check_dc,
     "gamma1": _check_gamma1,
 }

@@ -1,11 +1,10 @@
 """Evaluation settings and the finite-horizon thresholds.
 
-Only two values are settable: the default index horizon and the seed of
-the off-diagonal pair sample (Config, and WCALC_HORIZON for the horizon).
-The thresholds below are this library's own heuristics around the
-paper's conditions, fixed constants that no call changes.  Every report
-records them next to the two settings (Config.to_dict), so a rerun with
-the same horizon and seed is bit-for-bit reproducible.
+Only one value is settable: the default index horizon (Config, and
+WCALC_HORIZON).  The thresholds below are this library's own heuristics
+around the paper's conditions, fixed constants that no call changes.
+Every report records them next to the horizon (Config.to_dict), so a
+rerun with the same horizon is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ POWERFIT_MARGIN = 0.1
 # log gap between first-quarter max and last-quarter min of the roots
 # before they count as empirically divergent
 ROOT_MARGIN = math.log(2.0)
-OFFDIAG_SAMPLES = 64  # seeded (j, k) pairs added to two-index diagonals
 # absolute slack of order comparisons of computed logs (last-ulp jitter)
 COMPARISON_SLACK = 1e-12
 # default geometric grid of associated functions: [t_min, t_max], points
@@ -57,38 +55,29 @@ L_CONSTANTS = (2.0, 8.0)
 
 
 class Config:
-    """The settable evaluation defaults, compared by value.
+    """The one setting, the default index horizon of finite checks,
+    compared by value."""
 
-    horizon: default index horizon for finite checks.
-    seed: seed for the deterministic off-diagonal pair sample.
-    """
+    __slots__ = ("horizon",)
 
-    __slots__ = ("horizon", "seed")
-
-    def __init__(self, horizon: int = DEFAULT_HORIZON, seed: int = 0) -> None:
+    def __init__(self, horizon: int = DEFAULT_HORIZON) -> None:
         self.horizon = horizon
-        self.seed = seed
 
     def __eq__(self, other) -> bool:
-        return type(other) is Config and (self.horizon, self.seed) == (other.horizon, other.seed)
+        return type(other) is Config and self.horizon == other.horizon
 
     def to_dict(self) -> dict:
-        """The two settings and every threshold, as a report records them."""
+        """The horizon and every threshold, as a report records them."""
         return {
             "horizon": self.horizon,
-            "seed": self.seed,
             "stabilize_rel": STABILIZE_REL,
             "log_slope_tol": LOG_SLOPE_TOL,
             "powerfit_margin": POWERFIT_MARGIN,
             "root_margin": ROOT_MARGIN,
-            "offdiag_samples": OFFDIAG_SAMPLES,
             "comparison_slack": COMPARISON_SLACK,
             "grid_t_min": GRID_T_MIN,
             "grid_t_max": GRID_T_MAX,
             "grid_points": GRID_POINTS,
-            # read by nothing; the key goes with fdb_horizon, whose
-            # removal moves every report digest anyway
-            "golden_iters": 40,
             "fdb_horizon": FDB_HORIZON,
             "omega_index_cap": OMEGA_INDEX_CAP,
             "continuation_steps": CONTINUATION_STEPS,

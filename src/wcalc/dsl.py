@@ -102,9 +102,9 @@ def _record(*keys):
     return lambda r, *_: dict(zip(keys, r if isinstance(r, tuple) else (r,)))
 
 
-def _mcheck(tag, mm, flavor, grid, h, seed):
+def _mcheck(tag, mm, flavor, grid, h):
     cond = _matrices.condition_id(tag, flavor or _matrices.ROUMIEU)
-    return cond, _matrices.check_matrix_condition(mm, cond, grid, h, seed=seed)
+    return cond, _matrices.check_matrix_condition(mm, cond, grid, h)
 
 
 def _matrix_record(cond_results, *_):
@@ -159,8 +159,7 @@ SIGNATURES = {
     ("omega", "assoc"): Signature(
         (_M,), lambda cfg, h, m: _assoc.OmegaFunction.from_sequence(m, cfg.horizon)),
     **{("check", c): Signature(
-        (_M,), lambda cfg, h, m, c=c: _conditions.check_condition(
-            m, c, h, seed=cfg.seed))
+        (_M,), lambda cfg, h, m, c=c: _conditions.check_condition(m, c, h))
        for c in _conditions.CONDITIONS},
     ("check", "gamma_lb"): Signature(
         (_M, Param("alphas", NUMBERS)),
@@ -169,7 +168,7 @@ SIGNATURES = {
             "per_alpha": {repr(a): v.to_json() for a, v in res.items()},
             "statuses": [res[a].status for a in alphas]}),
     **{("mcheck", c): Signature(
-        (_MM,), lambda cfg, h, *v, c=c: _mcheck(c, *v, h, cfg.seed),
+        (_MM,), lambda cfg, h, *v, c=c: _mcheck(c, *v, h),
         _matrix_record, (Param("flavor", NAME, None), _GRID))
        for c in _matrices.MATRIX_CONDITIONS},
     **{("compare", r): Signature(
@@ -755,11 +754,12 @@ def execute(program: Program, cfg: Config | None = None,
             horizon_override: int | None = None) -> list[dict]:
     """Evaluate bindings in order, run queries, one record per query.
 
-    Operation errors become per-query error records and execution
-    continues; a binding error poisons its name until a binding of that
-    name succeeds, so queries and bindings touching it in between also
-    produce error records.  horizon_override models a
-    command-line flag and beats per-query horizon options.
+    Operation errors become per-query error records, which keep the
+    witness an error carries, and execution continues; a binding error
+    poisons its name until a binding of that name succeeds, so queries
+    and bindings touching it in between also produce error records.
+    horizon_override models a command-line flag and beats per-query
+    horizon options.
 
     Each binding leaves the env right after its last reader has run (see
     _releases), poisoned ones too, so a script holds only the values a
@@ -795,6 +795,8 @@ def execute(program: Program, cfg: Config | None = None,
         except (WcalcError, ValueError, ArithmeticError) as exc:
             record["error"] = {"type": type(exc).__name__,
                                "message": str(exc)}
+            if getattr(exc, "witness", None) is not None:
+                record["error"]["witness"] = exc.witness
         if binding and "error" in record:
             env[stmt.name] = (stmt.kind, None)
         if not binding or "error" in record:

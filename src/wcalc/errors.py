@@ -46,10 +46,11 @@ class HorizonError(InvalidParameterError):
 class PreconditionError(WcalcError, ValueError):
     """A documented precondition could not be verified on the input.
 
-    Carries the offending index when one exists.
+    Carries the offending index, or a dict of the failed certificate, as
+    its witness when one exists; a script's error record keeps it.
     """
 
-    def __init__(self, message: str, witness: int | None = None):
+    def __init__(self, message: str, witness: int | dict | None = None):
         self.witness = witness
         super().__init__(message)
 

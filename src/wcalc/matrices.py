@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
-from array import array
 from collections.abc import Callable
 from itertools import chain
-from operator import add
+from operator import add, sub
 
 from .config import (
     CONTINUATION_STEPS,
     FDB_HORIZON,
     L_CONSTANTS,
-    OFFDIAG_SAMPLES,
     need_horizon,
     need_sigma,
 )
@@ -115,14 +113,16 @@ class WeightMatrix:
     Two memos grow only with the statements run on the matrix, never past
     the elements and pairs those statements read: _memo maps an index c to
     its element, and _checks maps a condition tag to that condition's own
-    memo, which maps (left element, right element or None, h, seed) to the
+    memo, which maps (left element, right element or None, h) to the
     result of one matrix-check computation (a pair test, the sc
-    certificate of an element or the constant comparison); the FdB memo
+    certificate of an element or the constant comparison).  The FdB memo
     also maps ("composition", left element, k_top) to its composition
-    sequence.  Elements compare by identity, and _memo keeps them alive,
-    so the Roumieu and Beurling searches of one condition run each pair
-    and composition they share once, in whichever order they run.  A
-    memoized result is read-only.
+    sequence, and the mg memo maps ("lc", element, h) to its lc
+    certificate and ("minorant", element, h) to the convex minorant of a
+    right element without one.  Elements compare by identity, and _memo
+    keeps them alive, so the Roumieu and Beurling searches of one
+    condition run each pair and composition they share once, in whichever
+    order they run.  A memoized result is read-only.
 
     _memo lives as long as the matrix.  drop_checks(tag) forgets one
     condition's memo and drop_checks() all of them: a script drops a
@@ -332,25 +332,29 @@ def _partner_search(candidates, test, ok, key):
     return None, best, all_up
 
 
-@functools.lru_cache(maxsize=64)
-def _mg_points(h: int, seed: int):
-    """Diagonal and sampled (j, k) points sorted by j + k, as the arrays of
-    their j + k, j and k, and the largest j or k: flat machine ints keep
-    the cached copy at about 8 KB for h = 512, where a tuple of pairs would
-    hold about 20 KB."""
-    pts = [(j, j) for j in range(1, h // 2 + 1)]
-    pts.extend(_conditions.sample_pairs(h, OFFDIAG_SAMPLES, seed))
-    # (j + k, j) in lexicographic order, as one int: 1 <= j <= h
-    pts.sort(key=lambda jk: (jk[0] + jk[1]) * (h + 1) + jk[0])
-    return (array("l", [j + k for j, k in pts]), array("l", [j for j, _ in pts]),
-            array("l", [k for _, k in pts]), max(max(jk) for jk in pts))
+def _memoized(memo: dict, key: tuple, run, *args):
+    """memo[key], which run(*args) fills when the key is first read."""
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = run(*args)
+    return got
 
 
-def _test_mg(left: WeightSequence, right: WeightSequence, h: int, seed: int) -> dict:
-    sums, js, ks, top = _mg_points(h, seed)
-    tl, tr = left.log_terms(sums[-1]), right.log_terms(top)
-    vals = [(tl[n] - tr[j] - tr[k]) / (n + 1) for n, j, k in zip(sums, js, ks)]
-    return trajectory_entry(sums, vals)
+def _test_mg(left: WeightSequence, right: WeightSequence, h: int,
+             memo: dict) -> dict:
+    """conditions.mg_trajectory of the pair; each element's lc
+    certificate and convex minorant are made once per memo."""
+    def lc(e):
+        return _memoized(memo, ("lc", e, h), _conditions.lc_certified, e, h)
+
+    tr = right.log_terms(h)
+    split = tr if lc(right) else _memoized(
+        memo, ("minorant", right, h), _conditions.convex_minorant, tr)
+    exact = lc(right) and lc(left)
+    entry = trajectory_entry(*_conditions.mg_trajectory(
+        left.log_terms(h), split, h, exact))
+    entry["exact"] = exact
+    return entry
 
 
 def _test_dc(left: WeightSequence, right: WeightSequence, h: int) -> dict:
@@ -390,13 +394,10 @@ def _test_rai(left: WeightSequence, right: WeightSequence, h: int) -> dict:
 def _test_fdb(left: WeightSequence, right: WeightSequence, h: int,
               memo: dict) -> dict:
     k_top = min(h, FDB_HORIZON)
-    key = ("composition", left, k_top)
-    comp = memo.get(key)
     lnf = ln_factorial_axis(k_top)
-    if comp is None:
-        tl = left.log_terms(k_top)
-        reduced = [tl[j] - lnf[j] for j in range(k_top + 1)]
-        comp = memo[key] = composition_sequence(reduced, k_top)
+    # the composition sequence of the reduced terms log M_j - log j!
+    comp = _memoized(memo, ("composition", left, k_top), lambda: (
+        composition_sequence(list(map(sub, left.log_terms(k_top), lnf)), k_top)))
     tr = right.log_terms(k_top)
     vals = [(comp[k] - (tr[k] - lnf[k])) / k for k in range(1, k_top + 1)]
     entry = trajectory_entry(range(1, k_top + 1), vals)
@@ -421,10 +422,8 @@ _PAIR_TESTS = {
 
 
 def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
-                           index_grid=None, horizon: int | None = None,
-                           *, seed: int = 0) -> dict:
-    """Per-grid-index verdicts for a matrix-level condition; seed is
-    the off-diagonal pair sample of mg."""
+                           index_grid=None, horizon: int | None = None) -> dict:
+    """Per-grid-index verdicts for a matrix-level condition."""
     h = need_horizon(horizon, 16)
     grid = _index_grid(mm.index_grid if index_grid is None else index_grid,
                        1 if cond.tag in ("sc", "constant") else 3)
@@ -432,20 +431,12 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
     growth = _conditions.exponent_growth_report(mm.phi, h) \
         if cond.tag == "L" and mm.phi is not None else None
 
+    # each computation runs once per matrix, whichever flavor or grid
+    # asks first
     memo = mm._checks.setdefault(cond.tag, {})
 
-    def checked(left, right, run, *args):
-        # run(*args) once per matrix, whichever flavor or grid asks first
-        key = (left, right, h, seed)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = run(*args)
-        return got
-
     test = _PAIR_TESTS.get(cond.tag)
-    if cond.tag == "mg":
-        test = functools.partial(test, seed=seed)
-    elif cond.tag == "FdB":
+    if cond.tag in ("mg", "FdB"):
         test = functools.partial(test, memo=memo)
 
     def pair(alpha, beta):
@@ -455,20 +446,20 @@ def check_matrix_condition(mm: WeightMatrix, cond: MatrixConditionId,
             left, right = mm.element(alpha), mm.element(beta)
         else:
             left, right = mm.element(beta), mm.element(alpha)
-        return checked(left, right, test, left, right, h)
+        return _memoized(memo, (left, right, h), test, left, right, h)
 
     out: dict[float, Verdict] = {}
     for alpha in grid:
         subject = f"{mm.label()}:{cond.tag}-{cond.flavor}@{alpha:g}"
         if cond.tag == "sc":
             e = mm.element(alpha)
-            v = checked(e, None, _conditions.check_sc, e, h)
+            v = _memoized(memo, (e, None, h), _conditions.check_sc, e, h)
             out[alpha] = Verdict(subject, v.status, v.horizon, v.witness, v.evidence)
             continue
         if cond.tag == "constant":
             anchor = grid[0]
             a, b = mm.element(alpha), mm.element(anchor)
-            v = checked(a, b, _relations.compare, a, b, "approx", h)
+            v = _memoized(memo, (a, b, h), _relations.compare, a, b, "approx", h)
             ev = {"partner": anchor, "left": v.evidence.get("left"),
                   "right": v.evidence.get("right")}
             out[alpha] = Verdict(subject, v.status, h, witness=v.witness,

@@ -24,7 +24,7 @@ import json
 from .config import Config
 
 SCHEMA_NAME = "wcalc-report"
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 _FORMATS = ("json", "csv", "text")
 
@@ -200,8 +200,7 @@ def _summarize(rec: dict) -> str:
     return "ok"
 
 def emit_text(report: Report) -> bytes:
-    lines = [f"{SCHEMA_NAME} {VERSION}  horizon={report.config.horizon} "
-             f"seed={report.config.seed}"]
+    lines = [f"{SCHEMA_NAME} {VERSION}  horizon={report.config.horizon}"]
     for i, rec in enumerate(report.records):
         lines.append(f"[{i}] {rec.get('query', '')}")
         lines.append(f"    {_summarize(rec)}")

@@ -205,7 +205,7 @@ def test_a_subcommand_call_builds_only_its_parser(monkeypatch):
     sub, = (a for a in full()._actions
             if isinstance(a, argparse._SubParsersAction))
     common = ["--allow-undetermined", "--format", "--help", "--horizon",
-              "--out", "--seed", "-h"]
+              "--out", "-h"]
     assert {name: sorted(o for a in p._actions
                          for o in a.option_strings or [a.dest])
             for name, p in sub.choices.items()} == {
@@ -234,16 +234,22 @@ def test_env_horizon_and_flag_precedence(tmp_path, monkeypatch):
     assert json.loads(out.read_bytes())["records"][0]["horizon"] == 128
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "cli.main hands the report the default Config, so config.horizon "
-    "records 512 while the query ran at --horizon; the fix moves every "
-    "CLI golden digest"))
 def test_report_config_records_the_horizon_flag(capsys):
     assert run("check", "--family", "gevrey:1", "--cond", "lc",
                "--horizon", "64", "--format", "json") == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["records"][0]["horizon"] == 64
     assert rep["config"]["horizon"] == 64
+    assert run("check", "--family", "gevrey:1", "--cond", "lc",
+               "--horizon", "64") == 0
+    assert capsys.readouterr().out.startswith(
+        f"wcalc-report {report.VERSION}  horizon=64\n")
+
+
+def test_no_run_seed(capsys):
+    """mg reads no sample, so no seed is settable."""
+    assert run("run", SMOKE, "--seed", "1") == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_empty_number_lists_are_usage_errors(capsys):
@@ -303,7 +309,7 @@ def test_golden_report_bytes(tmp_path):
     assert run("run", SMOKE, "--out", a) == 0
     assert run("run", SMOKE, "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert run("run", SMOKE, "--seed", "4", "--out", c) == 0
+    assert run("run", SMOKE, "--horizon", "64", "--out", c) == 0
     assert a.read_bytes() != c.read_bytes()
     rep = json.loads(a.read_bytes())
     jsonschema.validate(rep, SCHEMA)
@@ -326,11 +332,11 @@ def test_golden_report_bytes(tmp_path):
 # Recorded with CPython 3.11 on Linux x86-64; another libm may move the
 # last bit of an lgamma and with it the digest.
 GOLDEN_SHA256 = {
-    "smoke.wsq": (0, "d4813b563b662b6012587928c0d0ad2f7dee402a9b9e2b1c6c06c65206826363"),
-    "windows.wsq": (3, "853dc34a2f1038b51633a1d675556d462a527e564bccdb5a561f48846c3a5d9d"),
-    "evidence.wsq": (3, "0f17709aa8b4a7d022da8f73a5c494767ef01d38f3a098c1a40bfcf5dfec4ae9"),
-    "matrix.wsq": (1, "2f3a3468c6adf7000223480fd9ed4a3ff9fd2dcc1710103521a6de492bfe5d04"),
-    "omega.wsq": (3, "daa73e19fedcc56be56ebac5cb97fb4da139aa5ba564f285a393e749200b3e7b"),
+    "smoke.wsq": (0, "85b0bbad40d86b755b11f9cbbade6d0302cd90bed613a8bd34737bd350e404ff"),
+    "windows.wsq": (3, "717840e115933ae278d3df372129220e0accf9a1d69c751cd99612bae2324f67"),
+    "evidence.wsq": (3, "af68ce3984b9ebafd53ca13c2888f977a2bd6d0e164d67d0f447bb69e9281450"),
+    "matrix.wsq": (1, "42ba203520141a7647c022e0ad3372bf170f4fa2e3135def226658b6ae62b087"),
+    "omega.wsq": (3, "ef828715f248a2dabf168edfaeb85a164ab0d1814c2938410acd2b9cf8dbaa59"),
 }
 
 
@@ -534,38 +540,38 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 CLI_GOLDEN_SHA256 = {
     "check-seq": (
         ("check", "--family", "ptt:1:2", "--cond", "dc", "--horizon", "128"),
-        1, "bc98eddf219aa3fe24339f3f3f816b45c1bc870d3d361328554fa1cb0167c0fb"),
+        1, "3d2c7222201ba0caba7fb65966cb2b5ae4189458854b2d9892064f276bb9f6d3"),
     "check-element": (
         ("check", "--family", "ptt-matrix:1:2:2", "--cond", "lc",
          "--horizon", "128"),
-        0, "e627240878ea1bb947a73e438b6866f25d6811386023b5eb7bcf26ca19e03fd3"),
+        0, "1fd55a9d2f969af0394b5661330a93115d74fd41447dd25190788f870f4febac"),
     "check-matrix": (
         ("check", "--family", "sigma-matrix:2", "--cond", "mg", "--flavor", "r",
          "--grid", "1,2,4,16,256", "--horizon", "128"),
-        0, "1239b431e998d548375b737a8b2055af0d5e44e0f843a249e863b4e2bef39c19"),
+        0, "04b28810314dcd4d8d86939e64cc164c4b86bd7a55b1a51dcafbffbc1200b086"),
     "check-gamma-lb": (
         ("check", "--family", "ptt-matrix", "--params", "c=1,tau=1,sigma=2",
          "--cond", "gamma-lb", "--alphas", "1,5,20", "--horizon", "128"),
-        0, "4bd29cd4e346851417b59c6f8a4da7325f32b554b9def18dabf595417df2b80c"),
+        0, "f2c8d32025ae62144ab403a83c2e57b475548e6ad49a029af9aa9fabf13665d0"),
     "compare-preceq": (
         ("compare", "--left", "gevrey:0.5", "--right", "gevrey:1",
          "--rel", "preceq", "--horizon", "128"),
-        0, "10a4a49d7f83acfcaf9d113322cd5a252c0e99aced606b7cd9b79a20a7d73ffc"),
+        0, "4245d4e69df42722c2378736fd8eea8e8b21dc818775555d431df819a3b804a1"),
     "compare-bigO": (
         ("compare", "--left", "gevrey:1", "--right", "gevrey:2",
          "--rel", "bigO", "--horizon", "64"),
-        1, "6c7797e4922de8556526f182791888d82b9e7a83179b1cf52a6c1fe87a664388"),
+        1, "0e3e5fb3ccc9579ed98a1ed7d85315393237abef424bcc476e0bc337774e7c00"),
     "compare-numeric-ratio": (
         ("compare", "--left", "gevrey:1", "--right", "gevrey:1.5",
          "--rel", "numeric-ratio", "--horizon", "128"),
-        0, "eb7389682cb38e000e07de205870811919719de9f94d4c88a594dfa334d84ae6"),
+        0, "d622d829e72badf07572d70281513b6520c13fc26e18dd9960fe9f55ae9d9b94"),
     "classify": (
         ("classify", "--bounds", "bounds.csv", "--matrix", "ptt-matrix:1:2"),
-        1, "abfc95fcb981874a530010ce4d8400949e213daad96c7e2ffe0b111e289c9531"),
+        1, "217316f5851aa4133f529ddf18f12383e5dcb4111b0463fbd35980d5a34bc25e"),
     "classify-phi": (
         ("classify", "--bounds", "bounds.csv", "--matrix", "ptt-matrix:1:2",
          "--phi", "power:2"),
-        1, "abfc95fcb981874a530010ce4d8400949e213daad96c7e2ffe0b111e289c9531"),
+        1, "217316f5851aa4133f529ddf18f12383e5dcb4111b0463fbd35980d5a34bc25e"),
 }
 
 

@@ -21,7 +21,6 @@ from wcalc import (
     power_exponents,
     ptt,
     root_growth_profile,
-    sample_pairs,
     scaled,
     table,
     table_exponents,
@@ -195,15 +194,33 @@ def test_condition_validation(g1):
         check_condition(g1, "beta1", Q=2.5)
 
 
-def test_sample_pairs_deterministic_and_bounded():
-    a = sample_pairs(128, 64, seed=0)
-    b = sample_pairs(128, 64, seed=0)
-    assert a == b
-    assert sample_pairs(128, 64, seed=1) != a
-    assert isinstance(a, tuple) and a is b  # shared, so immutable
-    assert len(a) == 64
-    for j, k in a:
-        assert j >= 1 and k >= 1 and j + k <= 128
+def odd_index_table(h):
+    """log M_j = log j! + j ln j at odd j > 1 and log j! elsewhere, with
+    2h + 2 terms: the mg defect at n = 2j + 1 grows like (ln n) / 2, so
+    mg fails in the limit, while the defect at n = 2j with odd j falls."""
+    return table(log_values=[
+        math.lgamma(j + 1) + (j * math.log(j) if j % 2 and j > 1 else 0.0)
+        for j in range(2 * h + 2)])
+
+
+@pytest.mark.parametrize("h", [512, 4096])
+def test_mg_reads_every_n_of_a_sequence_that_is_not_log_convex(h):
+    """A fit over the even n alone reads this table as sinking and gives
+    Holds; the trajectory over every n rises."""
+    v = check_condition(odd_index_table(h), "mg", horizon=h)
+    assert v.status == UNDETERMINED and v.evidence["diverging"] is True
+    assert v.evidence["trajectory"]["trend"] == "up"
+    assert v.evidence["exact"] is False
+
+
+def test_mg_reads_the_diagonal_of_a_log_convex_sequence(g1):
+    for h in (64, 65):
+        v = check_condition(g1, "mg", horizon=h)
+        assert v.evidence["exact"] is True
+        t = g1.log_terms(h)
+        diag = [(t[n] - t[n // 2] - t[n - n // 2]) / (n + 1)
+                for n in [*range(2, h + 1, 2), *[h] * (h % 2)]]
+        assert v.evidence["log_constant"] == max(diag)
 
 
 # --- growth profiles -----------------------------------------------------

@@ -16,30 +16,27 @@ SCHEMA = json.loads(
     (pathlib.Path(__file__).parents[1] / "docs" / "report-schema.json")
     .read_text())
 PACKAGE = pathlib.Path(wcalc.__file__).parent
-# the modules that settle or record the settings; the layers below them
-# take a horizon and a seed as plain arguments
+# the modules that settle or record the setting; the layers below them
+# take a horizon as a plain argument
 CONFIG_MODULES = {"__init__", "config", "dsl", "cli", "report"}
 
 
-def test_config_settles_only_horizon_and_seed():
-    assert tuple(inspect.signature(Config).parameters) == ("horizon", "seed")
-    assert Config() == Config(horizon=512, seed=0)
+def test_config_settles_only_the_horizon():
+    assert tuple(inspect.signature(Config).parameters) == ("horizon",)
+    assert Config() == Config(horizon=512) != Config(horizon=64)
 
 
 def test_to_dict_records_every_threshold():
-    assert Config(horizon=100, seed=3).to_dict() == {
+    assert Config(horizon=100).to_dict() == {
         "horizon": 100,
-        "seed": 3,
         "stabilize_rel": 1e-3,
         "log_slope_tol": 0.25,
         "powerfit_margin": 0.1,
         "root_margin": 0.6931471805599453,
-        "offdiag_samples": 64,
         "comparison_slack": 1e-12,
         "grid_t_min": 1.0,
         "grid_t_max": 1e8,
         "grid_points": 200,
-        "golden_iters": 40,
         "fdb_horizon": 60,
         "omega_index_cap": 67108864,
         "continuation_steps": 4,

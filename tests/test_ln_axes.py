@@ -6,7 +6,8 @@ logdomain.log_running_sums, add its tail bound to each suffix with
 logdomain.log_add_each and take index ranges where they used lists.
 Each value is the same float operation on the same operands as before, so
 the bodies these replaced are kept here as oracles and must agree byte for
-byte.
+byte.  The mg trajectories have a stronger oracle, the worst split of
+every n found by brute force.
 """
 
 import json
@@ -16,7 +17,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -41,9 +42,9 @@ from wcalc import (
     scaled,
     table,
 )
-from wcalc import relations
-from wcalc.config import OFFDIAG_SAMPLES, POWERFIT_MARGIN, WINDOW_CAP
-from wcalc.conditions import _monotone, sample_pairs
+from wcalc import matrices, relations
+from wcalc.config import COMPARISON_SLACK, POWERFIT_MARGIN, WINDOW_CAP
+from wcalc.conditions import _monotone
 from wcalc.logdomain import (
     LOG_ZERO,
     ln_axis,
@@ -159,25 +160,48 @@ def old_dc(m, h):
     return Verdict("dc", HOLDS, h, evidence=ev)
 
 
-def old_mg(m, h, seed=0):
-    jmax = h // 2
-    idx = list(range(1, jmax + 1))
-    pairs = sample_pairs(h, OFFDIAG_SAMPLES, seed)
-    t = m.log_terms(max([2 * jmax] + [j + k for j, k in pairs]))
-    diag = [(t[2 * j] - 2.0 * t[j]) / (2 * j + 1) for j in idx]
-    off = [(t[j + k] - t[j] - t[k]) / (j + k + 1) for j, k in pairs]
-    report = classify_trajectory(idx, diag)
-    ev = {
-        "diag_defect": decimate(diag),
-        "offdiag_max": max(off) if off else None,
-        "trajectory": report,
-    }
-    if report["trend"] == UP:
-        ev["diverging"] = True
-        return Verdict("mg", UNDETERMINED, h, evidence=ev)
-    log_c = max(diag + off) if off else max(diag)
-    ev["log_constant"] = log_c
-    return Verdict("mg", HOLDS, h, evidence=ev)
+def brute_mg(tl, tr, h):
+    """The oracle of the mg trajectories: the largest defect
+    (tl[j + k] - tr[j] - tr[k]) / (j + k + 1) over every j, k >= 1 with
+    j + k <= h, each n = j + k at its least tr[j] + tr[k]."""
+    return max((tl[n] - min(map(add, tr[1:n], tr[n - 1:0:-1]))) / (n + 1)
+               for n in range(2, h + 1))
+
+
+def mg_bound(h, *terms):
+    """The rounding bound of the mg oracle checks: h times the slack of
+    the lc rule at the largest |term|.  An lc-certified table may let each
+    quotient sit that slack below the one before, so a balanced split can
+    beat another one of n by (n / 2)^2 slacks at most, under h slacks after
+    the 1 / (n + 1) scaling; the float sums, the convex hull and its
+    interpolation round by a few ulps only."""
+    return h * COMPARISON_SLACK * max(1.0, *(abs(v) for t in terms for v in t))
+
+
+def assert_mg_matches_brute(got, tl, tr, h, lc_pair):
+    """got, an mg sup, is the oracle's max within mg_bound on an lc pair,
+    and at least that max less mg_bound on any pair."""
+    want, bound = brute_mg(tl, tr, h), mg_bound(h, tl, tr)
+    assert got >= want - bound
+    if lc_pair:
+        assert got <= want + bound
+
+
+def _assert_mg_as_brute(m, n, h):
+    """The single-sequence mg of m and n and the matrix pair test of (m, n)
+    against brute_mg."""
+    lc = {s: check_condition(s, "lc", h).holds for s in (m, n)}
+    for s in (m, n):
+        v = check_condition(s, "mg", h)
+        assert v.evidence["exact"] is lc[s]
+        if v.holds:
+            assert v.evidence["log_constant"] == v.evidence["trajectory"]["sup"]
+        t = s.log_terms(h)
+        assert_mg_matches_brute(v.evidence["trajectory"]["sup"], t, t, h, lc[s])
+    entry = matrices._test_mg(m, n, h, {})
+    assert entry["exact"] is (lc[m] and lc[n])
+    assert_mg_matches_brute(entry["log_constant"], m.log_terms(h),
+                            n.log_terms(h), h, lc[m] and lc[n])
 
 
 def old_ratio_trajectory(m, n, h, phi):
@@ -194,7 +218,6 @@ _SINGLE = {
     "nq_carleman": old_nq_carleman,
     "gamma1": old_gamma1,
     "dc": old_dc,
-    "mg": old_mg,
 }
 _PAIR = ("preceq", "triangle")
 
@@ -217,6 +240,7 @@ def _assert_same_as_old(m, n, h):
         assert _json(check_condition(m, cond, h)) == _json(old(m, h)), cond
     for rel in _PAIR:
         assert _json(compare(m, n, rel, h)) == _json(_old_compare(m, n, rel, h)), rel
+    _assert_mg_as_brute(m, n, h)
 
 
 def _logs(rng, length):
@@ -248,7 +272,6 @@ def _logs(rng, length):
 @given(h=st.integers(16, 600), seed=st.integers(0, 2 ** 32 - 1),
        pair=st.sampled_from(["independent", "near-tie"]))
 def test_window_checks_match_the_old_bodies(h, seed, pair):
-    # mg reads up to index 2 * (h // 2) and its off-diagonal pairs, at most h
     rng = random.Random(seed)
     left = _logs(rng, h + 1)
     if pair == "independent":
@@ -265,6 +288,36 @@ def test_window_checks_match_the_old_bodies(h, seed, pair):
 ])
 def test_window_checks_match_the_old_bodies_at_4096(left, right):
     _assert_same_as_old(left, right, 4096)
+
+
+def _convex_logs(rng, length):
+    """Log terms whose quotients never decrease, ties among them."""
+    quotients = sorted(rng.choice([0.0, rng.uniform(-3.0, 3.0)])
+                       for _ in range(length - 1))
+    logs = [rng.uniform(-2.0, 2.0)]
+    for q in quotients:
+        logs.append(logs[-1] + q)
+    return logs
+
+
+@settings(deadline=None, max_examples=100)
+@given(h=st.integers(4, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_mg_is_the_worst_split_on_log_convex_pairs(h, seed):
+    rng = random.Random(seed)
+    left, right = (table(log_values=_convex_logs(rng, h + 1)) for _ in "lr")
+    assert check_condition(left, "lc", h).holds
+    assert check_condition(right, "lc", h).holds
+    _assert_mg_as_brute(left, right, h)
+
+
+@settings(deadline=None, max_examples=100)
+@given(h=st.integers(4, 300), seed=st.integers(0, 2 ** 32 - 1),
+       spread=st.sampled_from([1.0, 50.0]))
+def test_mg_bounds_the_worst_split_on_any_pair(h, seed, spread):
+    rng = random.Random(seed)
+    left, right = (table(log_values=[rng.uniform(-spread, spread)
+                                     for _ in range(h + 1)]) for _ in "lr")
+    _assert_mg_as_brute(left, right, h)
 
 
 # --- gevrey and ptt blocks --------------------------------------------------

@@ -712,20 +712,42 @@ def test_each_pair_test_runs_once_per_matrix(monkeypatch):
     assert all(0 < shared[tag] < alone[tag] for tag in matrices._PAIR_TESTS)
 
 
-def test_memo_keys_on_seed_and_horizon():
+def test_memo_keys_on_the_horizon():
     grid = (1.0, 2.0, 4.0, 8.0)
     mg = MatrixConditionId("mg", ROUMIEU)
     shared = sigma_matrix(2.0, grid)
-    seed0 = _report_bytes(mg, check_matrix_condition(shared, mg, horizon=128))
-    seed1 = _report_bytes(mg, check_matrix_condition(shared, mg, horizon=128,
-                                                     seed=1))
-    assert seed1 != seed0
-    assert seed1 == _report_bytes(mg, check_matrix_condition(
-        sigma_matrix(2.0, grid), mg, horizon=128, seed=1))
+    at128 = _report_bytes(mg, check_matrix_condition(shared, mg, horizon=128))
+    assert at128 == _report_bytes(mg, check_matrix_condition(
+        sigma_matrix(2.0, grid), mg, horizon=128))
     check_matrix_condition(shared, mg, horizon=256)
     at512 = _report_bytes(mg, check_matrix_condition(shared, mg, horizon=512))
     assert at512 == _report_bytes(mg, check_matrix_condition(
         sigma_matrix(2.0, grid), mg, horizon=512))
+
+
+def test_mg_certifies_each_element_once_per_horizon(monkeypatch):
+    """Both flavors of mg read each element's lc certificate, and each
+    right element's convex minorant, from the mg memo: made once per
+    element and horizon, and gone with the memo."""
+    made = collections.Counter()
+    for name in ("lc_certified", "convex_minorant"):
+        def counted(*args, name=name, real=getattr(matrices._conditions, name)):
+            made[name] += 1
+            return real(*args)
+        monkeypatch.setattr(matrices._conditions, name, counted)
+    mm = ptt_matrix(1.0, 2.0)  # the elements below index 1/4 are not lc
+    for h in (64, 128):
+        for flavor in (ROUMIEU, BEURLING):
+            check_matrix_condition(mm, MatrixConditionId("mg", flavor), horizon=h)
+    kinds = collections.Counter(key[0] for key in mm._checks["mg"]
+                                if isinstance(key[0], str))
+    assert kinds == {"lc": made["lc_certified"],
+                     "minorant": made["convex_minorant"]}
+    assert made["convex_minorant"] > 0
+    assert {key[1:] for key in mm._checks["mg"] if key[0] == "lc"} <= {
+        (e, h) for e in mm._memo.values() for h in (64, 128)}
+    mm.drop_checks("mg")
+    assert "mg" not in mm._checks
 
 
 def test_sc_flavors_keep_their_own_subject():

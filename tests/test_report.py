@@ -58,6 +58,25 @@ def test_json_matches_schema():
     jsonschema.validate(json.loads(emit_json(make_report([]))), SCHEMA)
 
 
+def test_error_records_keep_the_precondition_witness():
+    """gevrey(s=0.01) passes lc and normalized, but its roots do not
+    diverge by horizon 64: the queries that need its sc certificate become
+    error records that carry the certificate as their witness."""
+    text = (pathlib.Path(__file__).parent / "data" / "evidence.wsq").read_text()
+    records = dsl.execute(dsl.parse(text), Config())
+    errors = {r["query"]: r["error"] for r in records if "error" in r}
+    assert sorted(errors) == ["compare bigO(e, g) horizon 64;",
+                              "compare bigO(g, e) horizon 64;",
+                              "compare smallO(g, e) horizon 64;"]
+    for err in errors.values():
+        assert err["type"] == "PreconditionError"
+        assert err["witness"] == {"lc": "Holds", "normalized": "Holds",
+                                  "roots_divergent": False}
+    assert "witness" in SCHEMA["properties"]["records"]["items"][
+        "properties"]["error"]["properties"]
+    jsonschema.validate(json.loads(emit_json(Report(Config(), records))), SCHEMA)
+
+
 def test_empty_report_is_valid():
     data = json.loads(emit_json(make_report([])))
     assert data["records"] == []
@@ -89,8 +108,7 @@ def test_csv_single_record_has_header_and_row():
 def test_text_rendering():
     text = emit_text(make_report()).decode()
     lines = text.splitlines()
-    assert lines[0].startswith("wcalc-report 0.1.0")
-    assert "horizon=512" in lines[0]
+    assert lines[0] == "wcalc-report 0.2.0  horizon=512"
     assert "[0] check lc(g) horizon 64;" in text
     assert "    Holds" in text
     assert "Holds, Undetermined" in text
