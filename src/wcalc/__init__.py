@@ -30,7 +30,6 @@ from .verdicts import (
     Verdict,
     classify_trajectory,
     decimate,
-    running_sup_stabilized,
 )
 from .sequences import (
     ExponentFamily,

@@ -30,9 +30,10 @@ from .sequences import WeightSequence
 from .verdicts import (
     HOLDS,
     UNDETERMINED,
+    UP,
     Verdict,
+    classify_trajectory,
     decimate,
-    trajectory_entry,
 )
 from . import conditions as _conditions
 
@@ -356,7 +357,8 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
     """Certify the sequence-side renderings of the associated-function
     comparison: an index-dilation inequality with a single witness scale
     (bigO), the same for every scale up to c_max (smallO), or the direct
-    numeric ratio probe of the two associated functions.
+    numeric ratio probe of the two associated functions, which holds once
+    the running sup of the ratio settles over the grid.
     """
     h = need_horizon(horizon, 4)
     if mode not in ("bigO", "smallO", "numeric_ratio"):
@@ -383,8 +385,13 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
             "ts": ts,
             "ratios": ratios,
         }
-        status = HOLDS if len(ratios) >= 8 else UNDETERMINED
-        return Verdict(subject, status, h, evidence=ev)
+        if len(ratios) >= 8:  # the ratio against ln t must settle
+            ev["trajectory"] = traj = classify_trajectory(ts, ratios)
+            if traj["stabilized"]:
+                return Verdict(subject, HOLDS, h, evidence=ev)
+            if traj["trend"] == UP:
+                ev["diverging"] = True
+        return Verdict(subject, UNDETERMINED, h, evidence=ev)
 
     if c_max < 1:
         raise InvalidParameterError("c_max", f"need c_max >= 1, got {c_max}")
@@ -401,7 +408,7 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
             defects = [nt[j] - mt[c * j] / c for j in range(jmax + 1)]
         else:
             defects = [mt[c * j] / c - nt[j] for j in range(jmax + 1)]
-        per_c[c] = trajectory_entry(range(jmax + 1), defects)
+        per_c[c] = classify_trajectory(range(jmax + 1), defects)
     ev = {"mode": mode, "per_c": per_c}
     if mode == "bigO":  # one stabilized scale is the witness
         witness_c = next((c for c, e in per_c.items() if e["stabilized"]), None)

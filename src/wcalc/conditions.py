@@ -42,7 +42,6 @@ from .verdicts import (
     decimate,
     log_fit,
     quarter_minima,
-    running_sup_stabilized,
 )
 
 CONDITIONS = (
@@ -199,26 +198,22 @@ def _check_mg(m: WeightSequence, h: int) -> Verdict:
     split = t if exact else convex_minorant(t)
     ns, defect = mg_trajectory(t, split, h, exact)
     traj = classify_trajectory(ns, defect)
-    ev = {"defect": decimate(defect), "exact": exact, "trajectory": traj}
-    return _trend_verdict("mg", h, ev, traj["sup"])
+    return _trend_verdict("mg", h, {"exact": exact, "trajectory": traj})
 
 
 def _check_dc(m: WeightSequence, h: int) -> Verdict:
     idx = range(1, h + 1)
     t = m.log_terms(h)
     defect = [(t[j] - t[j - 1]) / j for j in idx]  # M_j <= A^j M_{j-1}
-    report = classify_trajectory(idx, defect)
-    ev = {"defect": decimate(defect), "trajectory": report}
-    return _trend_verdict("dc", h, ev, report["sup"])
+    return _trend_verdict("dc", h, {"trajectory": classify_trajectory(idx, defect)})
 
 
-def _trend_verdict(tag: str, h: int, ev: dict, log_constant: float) -> Verdict:
+def _trend_verdict(tag: str, h: int, ev: dict) -> Verdict:
     """The rule of the mg and dc defects: Undetermined with diverging: true
-    when ev's trajectory trends up, else Holds with log_constant."""
+    when ev's trajectory trends up, else Holds."""
     if ev["trajectory"]["trend"] == UP:
         ev["diverging"] = True
         return Verdict(tag, UNDETERMINED, h, evidence=ev)
-    ev["log_constant"] = log_constant
     return Verdict(tag, HOLDS, h, evidence=ev)
 
 
@@ -275,15 +270,11 @@ def _check_gamma1(m: WeightSequence, h: int) -> Verdict:
     jmax = max(1, h // 2)
     tails = log_add_each(islice(suffix, jmax), log_tail)
     del suffix  # traj reads only the tails: free the h sums before it grows
-    traj = [(mu[j - 1] - ln[j]) + tails[j - 1] for j in range(1, jmax + 1)]
-    stable, sup = running_sup_stabilized(traj)
-    ev.update({
-        "sup_log": sup,
-        "stabilized": stable,
-        "trajectory_log": decimate(traj),
-        "tail_bound_log": log_tail,
-    })
-    if stable:
+    idx = range(1, jmax + 1)
+    traj = classify_trajectory(idx, [(mu[j - 1] - ln[j]) + tails[j - 1]
+                                     for j in idx])
+    ev.update(trajectory=traj, tail_bound_log=log_tail)
+    if traj["stabilized"]:
         return Verdict("gamma1", HOLDS, h, evidence=ev)
     return Verdict("gamma1", UNDETERMINED, h, evidence=ev)
 

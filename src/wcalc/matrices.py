@@ -39,8 +39,8 @@ from .verdicts import (
     UNDETERMINED,
     UP,
     Verdict,
+    classify_trajectory,
     quarter_minima,
-    trajectory_entry,
 )
 from . import conditions as _conditions
 from . import relations as _relations
@@ -351,7 +351,7 @@ def _test_mg(left: WeightSequence, right: WeightSequence, h: int,
     split = tr if lc(right) else _memoized(
         memo, ("minorant", right, h), _conditions.convex_minorant, tr)
     exact = lc(right) and lc(left)
-    entry = trajectory_entry(*_conditions.mg_trajectory(
+    entry = classify_trajectory(*_conditions.mg_trajectory(
         left.log_terms(h), split, h, exact))
     entry["exact"] = exact
     return entry
@@ -360,7 +360,7 @@ def _test_mg(left: WeightSequence, right: WeightSequence, h: int,
 def _test_dc(left: WeightSequence, right: WeightSequence, h: int) -> dict:
     tl, tr = left.log_terms(h), right.log_terms(h - 1)
     vals = [(tl[j + 1] - tr[j]) / (j + 1) for j in range(h)]
-    return trajectory_entry(range(1, h + 1), vals)
+    return classify_trajectory(range(1, h + 1), vals)
 
 
 def _test_l(left: WeightSequence, right: WeightSequence, h: int) -> dict:
@@ -371,13 +371,13 @@ def _test_l(left: WeightSequence, right: WeightSequence, h: int) -> dict:
     for cconst in L_CONSTANTS:
         lc = math.log(cconst)
         vals = [j * lc + tl[j] - tr[j] for j in range(h + 1)]
-        entry = trajectory_entry(range(1, h + 1), vals[1:])
+        entry = classify_trajectory(range(1, h + 1), vals[1:])
         per_c[cconst] = entry
         ok = ok and entry["stabilized"]
         if worst is None or entry["log_constant"] > worst:
             worst = entry["log_constant"]
     return {"stabilized": ok, "log_constant": worst, "per_factor": per_c,
-            "trend": max((e.get("trend", "") for e in per_c.values()),
+            "trend": max((e["trend"] for e in per_c.values()),
                          key=lambda t: t == UP)}
 
 
@@ -388,7 +388,7 @@ def _test_rai(left: WeightSequence, right: WeightSequence, h: int) -> dict:
         if suffmin[i + 1] < suffmin[i]:
             suffmin[i] = suffmin[i + 1]
     vals = [tl[j] / j - suffmin[j - 1] for j in range(1, h + 1)]
-    return trajectory_entry(range(1, h + 1), vals)
+    return classify_trajectory(range(1, h + 1), vals)
 
 
 def _test_fdb(left: WeightSequence, right: WeightSequence, h: int,
@@ -400,15 +400,15 @@ def _test_fdb(left: WeightSequence, right: WeightSequence, h: int,
         composition_sequence(list(map(sub, left.log_terms(k_top), lnf)), k_top)))
     tr = right.log_terms(k_top)
     vals = [(comp[k] - (tr[k] - lnf[k])) / k for k in range(1, k_top + 1)]
-    entry = trajectory_entry(range(1, k_top + 1), vals)
+    entry = classify_trajectory(range(1, k_top + 1), vals)
     entry["k_top"] = k_top
     return entry
 
 
 def _test_br(left: WeightSequence, right: WeightSequence, h: int) -> dict:
     v = _relations.compare(left, right, "triangle", h)
-    return {"stabilized": v.holds, "log_constant": None,
-            "trend": v.evidence.get("trend"), "relation_status": v.status}
+    return {"stabilized": v.holds, "log_constant": None, "relation_status": v.status,
+            "trend": v.evidence["trajectory"]["trend"]}
 
 
 _PAIR_TESTS = {

@@ -22,7 +22,6 @@ from .verdicts import (
     Verdict,
     classify_trajectory,
     decimate,
-    running_sup_stabilized,
 )
 
 RELATIONS = ("preceq", "approx", "triangle", "pointwise_le", "quotient_le")
@@ -50,33 +49,31 @@ def _ratio_trajectory(m, n, h, phi):
 
 
 def _ratio_evidence(m, n, h, phi):
-    """(indices, r values, their trajectory summary, evidence): the prelude
-    of preceq and triangle, whose evidence both report ratio_log,
-    trajectory and any excluded_indices."""
+    """(indices, r values, their trajectory, evidence): the prelude of
+    preceq and triangle, whose evidence both report the trajectory and any
+    excluded_indices.  A phi that leaves one index leaves no trend or slope."""
     idx, vals, excluded = _ratio_trajectory(m, n, h, phi)
-    report = classify_trajectory(idx, vals)
-    ev = {"ratio_log": decimate(vals), "trajectory": report}
+    traj = classify_trajectory(idx, vals)
+    ev = {"trajectory": traj}
     if excluded:
         ev["excluded_indices"] = decimate(excluded)
-    return idx, vals, report, ev
+    return idx, vals, traj, ev
 
 
 def _preceq(m, n, h, phi) -> Verdict:
-    idx, vals, report, ev = _ratio_evidence(m, n, h, phi)
-    stable, sup = running_sup_stabilized(vals)
-    ev.update(sup=sup, sup_stabilized=stable)
-    if report["trend"] == UP:
-        return Verdict("preceq", FAILS, h, witness=idx[report["sup_position"]], evidence=ev)
-    if stable:
+    idx, vals, traj, ev = _ratio_evidence(m, n, h, phi)
+    if traj.get("trend") == UP:  # witness: where the ratio first peaks
+        return Verdict("preceq", FAILS, h, witness=idx[vals.index(max(vals))], evidence=ev)
+    if traj["stabilized"]:
         return Verdict("preceq", HOLDS, h, evidence=ev)
     return Verdict("preceq", UNDETERMINED, h, evidence=ev)
 
 
 def _triangle(m, n, h, phi) -> Verdict:
-    idx, vals, report, ev = _ratio_evidence(m, n, h, phi)
+    idx, vals, traj, ev = _ratio_evidence(m, n, h, phi)
     q3 = (3 * len(vals)) // 4
     tail = vals[q3:]
-    sinking = report["log_slope"] < -LOG_SLOPE_TOL
+    sinking = traj.get("slope", 0.0) < -LOG_SLOPE_TOL
     if sinking and max(tail) < 0.0:
         return Verdict("triangle", HOLDS, h, evidence=ev)
     if min(tail) > 0.0 and not sinking:

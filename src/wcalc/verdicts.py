@@ -120,74 +120,76 @@ def _max_scan(values) -> tuple[list | range, float, int]:
 
 
 def classify_trajectory(indices, values) -> dict:
-    """Classify a defect trajectory sampled at increasing integer indices.
+    """Evidence of a defect trajectory sampled at increasing indices.
 
-    Returns the summary that the mg, dc, preceq and triangle evidence
-    embeds: trend, sup (the max value), sup_position (where the max is
-    first attained, as a position in the index list, not an index value),
-    log_slope (the fit over the last half), and tail_first and tail_last
-    (the ends of the last quarter).
+    stabilized and log_constant are the running-sup rule over every value
+    (_running_sup), defects a thinned copy of them.  trend and slope are
+    added whenever at least two points remain in the fit in ln(index): a
+    point at index 0 counts toward the sup and the defects but stays out of
+    the fit.  slope is the least-squares slope of value against ln(index)
+    over the last half of the fitted points, and trend reads:
 
-    frozen: from eight points on, the max is first attained before the
-        last quarter.
-    Otherwise the least-squares slope of value against ln(index) over the
-    last half decides: above LOG_SLOPE_TOL the trajectory is growing
-    beyond anything a bounded defect produces on this window (up), below
-    the negative tolerance it is sinking (down), else flat.  Slower-than-log
-    growth is indistinguishable from convergence on a finite window; that
-    boundary is exactly what the tolerance encodes.
+    frozen: from eight fitted points on, the max is first attained before
+        the last quarter.
+    up, down or flat: otherwise the slope decides.  Above LOG_SLOPE_TOL the
+        trajectory is growing beyond anything a bounded defect produces on
+        this window (up), below the negative tolerance it is sinking
+        (down), else flat.  Slower-than-log growth is indistinguishable
+        from convergence on a finite window; that boundary is exactly what
+        the tolerance encodes.  Under eight fitted points only an exact
+        freeze at the first one reads flat, anything else up.
 
-    The values are scanned once for the max and once for its position;
-    trajectory_entry shares that scan with the running-sup rule.
+    One scan for the max serves both; it is repeated without the index-0
+    point only when that point held the max or a NaN follows it.
     """
-    return _summary(indices, *_max_scan(values))
-
-
-def _summary(indices, vals, sup, pos: int) -> dict:
-    """classify_trajectory's summary of vals at indices, given
-    sup = max(vals) and pos = vals.index(sup)."""
-    idx = _as_list(indices)
-    n = len(vals)
-    if n != len(idx):
+    vals, sup, pos = _max_scan(values)
+    if len(indices) != len(vals):
         raise ValueError("indices and values must have equal length")
-    q3 = (3 * n) // 4
-    slope = log_fit(idx[n // 2:], vals[n // 2:])[0]
-    if n >= 8 and pos < q3:
-        trend = FROZEN
-    elif n < 8:
+    stab, last = _running_sup(vals, sup, pos)
+    entry = {"stabilized": stab, "log_constant": last,
+             "defects": decimate(vals)}
+    if indices[0] == 0:
+        if len(vals) < 3:
+            return entry
+        indices = indices[1:]
+        if pos and vals[1] == vals[1]:
+            vals, pos = vals[1:], pos - 1
+        else:  # the dropped point held the max, or a NaN now comes first
+            vals, _, pos = _max_scan(vals[1:])
+    elif len(vals) < 2:
+        return entry
+    entry["trend"], entry["slope"] = _summary(indices, vals, pos)
+    return entry
+
+
+def _summary(indices, vals, pos: int) -> tuple[str, float]:
+    """classify_trajectory's trend and slope of vals at indices, given
+    pos = vals.index(max(vals))."""
+    n = len(vals)
+    slope = log_fit(_as_list(indices)[n // 2:], vals[n // 2:])[0]
+    if n < 8:
         # window too short to call growth; only an exact freeze counts
-        trend = FLAT if all(v <= vals[0] + COMPARISON_SLACK for v in vals) else UP
-    elif slope > LOG_SLOPE_TOL:
-        trend = UP
-    elif slope < -LOG_SLOPE_TOL:
-        trend = DOWN
-    else:
-        trend = FLAT
-    return {
-        "trend": trend,
-        "sup": sup,
-        "sup_position": pos,
-        "log_slope": slope,
-        "tail_first": vals[q3],
-        "tail_last": vals[-1],
-    }
+        frozen = all(v <= vals[0] + COMPARISON_SLACK for v in vals)
+        return FLAT if frozen else UP, slope
+    if pos < (3 * n) // 4:
+        return FROZEN, slope
+    if slope > LOG_SLOPE_TOL:
+        return UP, slope
+    if slope < -LOG_SLOPE_TOL:
+        return DOWN, slope
+    return FLAT, slope
 
 
-def running_sup_stabilized(values) -> tuple[bool, float]:
-    """Stabilization rule for running-sup trajectories.
+def _running_sup(vals, sup, pos: int) -> tuple[bool, float]:
+    """The stabilization rule of a nonempty vals, given sup = max(vals)
+    and pos = vals.index(sup), and the last running sup.
 
     The running sup is non-decreasing; stabilized means it moved by less
     than STABILIZE_REL over the last quarter of the window, relative
     to the trajectory's own scale (max of 1, |sup| and the value range, so
     a sup crawling through the last fraction of a large initial climb
-    still counts as settled).  Returns that and the last running sup.
+    still counts as settled).
     """
-    return _running_sup(*_max_scan(values))
-
-
-def _running_sup(vals, sup, pos: int) -> tuple[bool, float]:
-    """running_sup_stabilized(vals), given sup = max(vals) and
-    pos = vals.index(sup)."""
     q3 = (3 * len(vals)) // 4
     if sup != sup:
         # a NaN first value: max returns it, but the running sup is seeded
@@ -205,34 +207,6 @@ def _running_sup(vals, sup, pos: int) -> tuple[bool, float]:
     if moved <= STABILIZE_REL * scale:
         return True, sup
     return moved <= STABILIZE_REL * max(scale, sup - min(vals)), sup
-
-
-def trajectory_entry(indices, values) -> dict:
-    """Evidence of a defect trajectory sampled at increasing indices.
-
-    stabilized and log_constant are the running-sup rule over every value,
-    defects a thinned copy of them; from three points on, trend and slope
-    are classify_trajectory's trend and log_slope.  A point at index 0
-    counts toward the sup and the defects but stays out of the fit in
-    ln(index).  One scan for the max serves the rule and the trend; it is
-    repeated without the index-0 point only when that point held the max
-    or a NaN follows it.
-    """
-    vals, sup, pos = _max_scan(values)
-    stab, last = _running_sup(vals, sup, pos)
-    entry = {"stabilized": stab, "log_constant": last,
-             "defects": decimate(vals)}
-    if len(vals) >= 3:
-        if indices[0] == 0:
-            indices = indices[1:]
-            if pos and vals[1] == vals[1]:
-                vals, pos = vals[1:], pos - 1
-            else:  # the dropped point held the max, or a NaN now comes first
-                vals, sup, pos = _max_scan(vals[1:])
-        rep = _summary(indices, vals, sup, pos)
-        entry["trend"] = rep["trend"]
-        entry["slope"] = rep["log_slope"]
-    return entry
 
 
 def quarter_minima(values) -> tuple[list[float], bool]:

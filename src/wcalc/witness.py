@@ -23,7 +23,7 @@ from .verdicts import (
     UNDETERMINED,
     UP,
     Verdict,
-    trajectory_entry,
+    classify_trajectory,
 )
 from . import conditions as _conditions
 from .matrices import WeightMatrix, _index_grid, _partner_search
@@ -324,7 +324,7 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
             phis = phi.values(0, horizon)
         rows = _seminorm_trajectories(f.bounds, terms, phis, DEFAULT_H_GRID)
         for h, vals in zip(DEFAULT_H_GRID, rows):
-            entry = trajectory_entry(range(1, len(vals) + 1), vals)
+            entry = classify_trajectory(range(len(vals)), vals)
             cell = {"sup": entry["log_constant"],
                     "stabilized": entry["stabilized"]}
             if "trend" in entry:

@@ -717,6 +717,25 @@ def test_numeric_ratio_tail(g1, g2):
     assert v.evidence["ratio_tail_min"] > 0.0
 
 
+@pytest.mark.parametrize(("s", "tail"), [(2.0, (123.0, 502.2)),
+                                         (1.5, (26.0, 66.7))])
+def test_numeric_ratio_decides_from_its_ratio_trajectory(s, tail):
+    """omega_M / omega_N of gevrey(1) over gevrey(s > 1) grows like a power
+    of t, so its running sup never settles: Undetermined, diverging.  The
+    reverse ratio sinks toward 0 and holds."""
+    v = assoc_relation_check(gevrey(1.0), gevrey(s), "numeric_ratio",
+                             horizon=128)
+    traj = v.evidence["trajectory"]
+    assert v.status == UNDETERMINED and v.evidence["diverging"] is True
+    assert traj["trend"] == "up" and not traj["stabilized"]
+    assert (v.evidence["ratio_tail_min"], traj["log_constant"]) == \
+        pytest.approx(tail, abs=0.1)
+    w = assoc_relation_check(gevrey(s), gevrey(1.0), "numeric_ratio",
+                             horizon=128)
+    assert w.status == HOLDS and w.evidence["trajectory"]["stabilized"]
+    assert "diverging" not in w.evidence
+
+
 def test_numeric_ratio_certifies_each_sequence_once(monkeypatch):
     from wcalc import conditions
 
@@ -733,7 +752,7 @@ def test_numeric_ratio_certifies_each_sequence_once(monkeypatch):
 
     monkeypatch.setattr(conditions, "check_condition", counted_check)
     monkeypatch.setattr(conditions, "root_growth_profile", counted_profile)
-    v = assoc_relation_check(gevrey(1.0), gevrey(1.5), "numeric_ratio",
+    v = assoc_relation_check(gevrey(1.5), gevrey(1.0), "numeric_ratio",
                              horizon=128)
     assert v.status == HOLDS
     assert sorted(calls) == ["lc", "lc", "normalized", "normalized",

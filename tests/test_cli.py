@@ -317,10 +317,12 @@ def test_golden_report_bytes(tmp_path):
     assert all("error" not in r for r in rep["records"])
 
 
-# sha256 of the `wcalc run` JSON report, with the exit code.  These pin
-# report bytes across commits, where test_golden_report_bytes compares two
-# runs of one commit: a change that moves any number, witness or message in
-# these reports must update the digest and say why in CHANGES.md.
+# sha256 of the `wcalc run` JSON report, with the exit code, then the
+# status digest of the same report (status_digest).  These pin report bytes
+# across commits, where test_golden_report_bytes compares two runs of one
+# commit: a change that moves any number, witness or message in these
+# reports must update the byte digest and say why in CHANGES.md.  A change
+# that re-records bytes but keeps the status digest moved no status.
 # windows.wsq runs every reader of a window of log M_j once; its short
 # tables end in two error records on purpose, hence exit code 3.
 # evidence.wsq runs each path that turns a trajectory or the sc
@@ -330,14 +332,33 @@ def test_golden_report_bytes(tmp_path):
 # grids and two horizons, with from_omega and numeric_ratio; its last two
 # queries peak below the grid start on purpose, hence exit code 3.
 # Recorded with CPython 3.11 on Linux x86-64; another libm may move the
-# last bit of an lgamma and with it the digest.
+# last bit of an lgamma and with it the byte digest.
 GOLDEN_SHA256 = {
-    "smoke.wsq": (0, "85b0bbad40d86b755b11f9cbbade6d0302cd90bed613a8bd34737bd350e404ff"),
-    "windows.wsq": (3, "717840e115933ae278d3df372129220e0accf9a1d69c751cd99612bae2324f67"),
-    "evidence.wsq": (3, "af68ce3984b9ebafd53ca13c2888f977a2bd6d0e164d67d0f447bb69e9281450"),
-    "matrix.wsq": (1, "42ba203520141a7647c022e0ad3372bf170f4fa2e3135def226658b6ae62b087"),
-    "omega.wsq": (3, "ef828715f248a2dabf168edfaeb85a164ab0d1814c2938410acd2b9cf8dbaa59"),
+    "smoke.wsq": (0,
+        "b53e45d8aa055712b27d100a2f49a7af84d025ecb9ac8ed86eeae78ebdf8f355",
+        "ab3e7eaf95687fb6cf433d0e199cfc571d2f9064689a38dd7828e7e88f643cbf"),
+    "windows.wsq": (3,
+        "8bdb987620b127fecbfba02ed07d61a145b6646a502b172ddd10a8c73d374b37",
+        "9eb05eec00de43e51752a931973bc17ae8cedd6a98f766fe6c5d9ce961df65fe"),
+    "evidence.wsq": (3,
+        "af68ce3984b9ebafd53ca13c2888f977a2bd6d0e164d67d0f447bb69e9281450",
+        "a67109b29311b547bce6ce74320f387d895d13108d824e08731d2d7cf8d0ca9e"),
+    "matrix.wsq": (1,
+        "42ba203520141a7647c022e0ad3372bf170f4fa2e3135def226658b6ae62b087",
+        "ff349fe4a04c4feed2ace3927cd4328376d7de429c49a286bd048a6959049806"),
+    "omega.wsq": (3,
+        "4a4c673fbf7f084a5f3e2cc7b10026c04ee8ad00d980a93044e91480b29136bf",
+        "1cfbd5f4f0721114c297541e43fce1ddfa5a3a7be94259e69e7861bf504cf07c"),
 }
+
+
+def status_digest(data: bytes) -> str:
+    """sha256 of each record's query, status (or statuses) and error type:
+    the verdicts of a report without its evidence, numbers and messages."""
+    rows = [[r["query"], r.get("status", r.get("statuses")),
+             r.get("error", {}).get("type")]
+            for r in json.loads(data)["records"]]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("script", sorted(GOLDEN_SHA256))
@@ -345,7 +366,10 @@ def test_golden_report_digest(script, tmp_path, monkeypatch):
     monkeypatch.delenv("WCALC_HORIZON", raising=False)
     out = tmp_path / "r.json"
     code = run("run", DATA / script, "--out", out)
-    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == GOLDEN_SHA256[script]
+    want_code, want_bytes, want_statuses = GOLDEN_SHA256[script]
+    data = out.read_bytes()
+    assert (code, status_digest(data)) == (want_code, want_statuses)
+    assert hashlib.sha256(data).hexdigest() == want_bytes
 
 
 def test_stdout_formats_match_file(tmp_path, capsys, monkeypatch):
@@ -532,46 +556,57 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert not added & {"dataclasses", "inspect", "typing"}
 
 
-# sha256 of `--format json` stdout, with the exit code, for one call of each
-# subcommand shape: these pin CLI report bytes across commits the way
-# GOLDEN_SHA256 pins `wcalc run`.  Recorded with CPython 3.11 on Linux
-# x86-64.  The classify query text embeds the bounds path, so those calls
-# run from tmp_path with a relative file name.
+# sha256 of `--format json` stdout, with the exit code, then its status
+# digest, for one call of each subcommand shape: these pin CLI report bytes
+# and verdicts across commits the way GOLDEN_SHA256 pins `wcalc run`.
+# Recorded with CPython 3.11 on Linux x86-64.  The classify query text
+# embeds the bounds path, so those calls run from tmp_path with a relative
+# file name.  compare-numeric-ratio is Undetermined: omega_M / omega_N of
+# gevrey(1) against gevrey(1.5) rises from 26 to 67 over the grid's tail.
 CLI_GOLDEN_SHA256 = {
     "check-seq": (
         ("check", "--family", "ptt:1:2", "--cond", "dc", "--horizon", "128"),
-        1, "3d2c7222201ba0caba7fb65966cb2b5ae4189458854b2d9892064f276bb9f6d3"),
+        1, "bdbc2be97ea135638c6dd7d33b36c51562eba8467ab42ec24c639c11d313c8b6",
+        "baae39164f7d494132d155b0d3451e802bfb5373ae936fe608b0aa464f437bda"),
     "check-element": (
         ("check", "--family", "ptt-matrix:1:2:2", "--cond", "lc",
          "--horizon", "128"),
-        0, "1fd55a9d2f969af0394b5661330a93115d74fd41447dd25190788f870f4febac"),
+        0, "1fd55a9d2f969af0394b5661330a93115d74fd41447dd25190788f870f4febac",
+        "3fd51c06366eff0951477f0d24efa735558d7471d3f8eefb3379a3a2c604f867"),
     "check-matrix": (
         ("check", "--family", "sigma-matrix:2", "--cond", "mg", "--flavor", "r",
          "--grid", "1,2,4,16,256", "--horizon", "128"),
-        0, "04b28810314dcd4d8d86939e64cc164c4b86bd7a55b1a51dcafbffbc1200b086"),
+        0, "04b28810314dcd4d8d86939e64cc164c4b86bd7a55b1a51dcafbffbc1200b086",
+        "24cbc2367ec4aa44a3f0d87c80137131465b2c63674f5cf17319177d5c705aeb"),
     "check-gamma-lb": (
         ("check", "--family", "ptt-matrix", "--params", "c=1,tau=1,sigma=2",
          "--cond", "gamma-lb", "--alphas", "1,5,20", "--horizon", "128"),
-        0, "f2c8d32025ae62144ab403a83c2e57b475548e6ad49a029af9aa9fabf13665d0"),
+        0, "f2c8d32025ae62144ab403a83c2e57b475548e6ad49a029af9aa9fabf13665d0",
+        "fee49b3d74800a6651bde5ba1d888af5b907050c68b8fa446ce9b974112f5f0d"),
     "compare-preceq": (
         ("compare", "--left", "gevrey:0.5", "--right", "gevrey:1",
          "--rel", "preceq", "--horizon", "128"),
-        0, "4245d4e69df42722c2378736fd8eea8e8b21dc818775555d431df819a3b804a1"),
+        0, "da051f768ce6dbaa1b2506f960db19560a0cd113ddc82275a31c59263d92c3f4",
+        "3e6488e6a2901fa2263a808181253ff34aa42d4174e485939f4168af7404fe45"),
     "compare-bigO": (
         ("compare", "--left", "gevrey:1", "--right", "gevrey:2",
          "--rel", "bigO", "--horizon", "64"),
-        1, "0e3e5fb3ccc9579ed98a1ed7d85315393237abef424bcc476e0bc337774e7c00"),
+        1, "0e3e5fb3ccc9579ed98a1ed7d85315393237abef424bcc476e0bc337774e7c00",
+        "7c9fd144845981b2a93e7435113c7a3883ef3af50a43801f6bf310f445bfb43b"),
     "compare-numeric-ratio": (
         ("compare", "--left", "gevrey:1", "--right", "gevrey:1.5",
          "--rel", "numeric-ratio", "--horizon", "128"),
-        0, "d622d829e72badf07572d70281513b6520c13fc26e18dd9960fe9f55ae9d9b94"),
+        1, "b51a887286589935d658065a6c1f6275255a03c4d8e49720897f3804a90aa995",
+        "7156958919e37eeb8a32ad9f538d2262ed5948c4c8c8acd4cee9405872a2764f"),
     "classify": (
         ("classify", "--bounds", "bounds.csv", "--matrix", "ptt-matrix:1:2"),
-        1, "217316f5851aa4133f529ddf18f12383e5dcb4111b0463fbd35980d5a34bc25e"),
+        1, "217316f5851aa4133f529ddf18f12383e5dcb4111b0463fbd35980d5a34bc25e",
+        "17f72661786f7062a4576e99be8107464883c50d2e1cb349d27b858815c38ea1"),
     "classify-phi": (
         ("classify", "--bounds", "bounds.csv", "--matrix", "ptt-matrix:1:2",
          "--phi", "power:2"),
-        1, "217316f5851aa4133f529ddf18f12383e5dcb4111b0463fbd35980d5a34bc25e"),
+        1, "217316f5851aa4133f529ddf18f12383e5dcb4111b0463fbd35980d5a34bc25e",
+        "17f72661786f7062a4576e99be8107464883c50d2e1cb349d27b858815c38ea1"),
 }
 
 
@@ -579,10 +614,11 @@ CLI_GOLDEN_SHA256 = {
 def test_cli_golden_digest(name, bounds_csv, monkeypatch, capsys):
     monkeypatch.delenv("WCALC_HORIZON", raising=False)
     monkeypatch.chdir(bounds_csv.parent)
-    argv, code, digest = CLI_GOLDEN_SHA256[name]
-    assert run(*argv, "--format", "json") == code
-    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert got == digest
+    argv, code, digest, statuses = CLI_GOLDEN_SHA256[name]
+    got_code = run(*argv, "--format", "json")
+    data = capsys.readouterr().out.encode()
+    assert (got_code, status_digest(data)) == (code, statuses)
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_trailing_element_index_selects_element(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_family_fact_matrix(request, fam, cond):
 def test_mg_constant_bounded_for_factorials(g1):
     v = check_condition(g1, "mg", horizon=H)
     # binomial defect: the per-index constant tends to 2 from below
-    assert 0.5 < v.evidence["log_constant"] < math.log(2.0) + 1e-9
+    assert 0.5 < v.evidence["trajectory"]["log_constant"] < math.log(2.0) + 1e-9
     assert "diverging" not in v.evidence
 
 
@@ -73,13 +73,15 @@ def test_mg_divergence_evidence(p12):
     v = check_condition(p12, "mg", horizon=H)
     assert v.evidence["diverging"] is True
     assert v.evidence["trajectory"]["trend"] == "up"
-    assert "log_constant" not in v.evidence
+    assert set(v.evidence) == {"exact", "trajectory", "diverging"}
 
 
 def test_dc_constant_for_factorials(g1):
     v = check_condition(g1, "dc", horizon=H)
     # sup of (log mu_j) / j sits at j = 3 for factorial quotients
-    assert v.evidence["log_constant"] == pytest.approx(math.log(3.0) / 3.0, abs=1e-12)
+    assert v.evidence["trajectory"]["log_constant"] == pytest.approx(
+        math.log(3.0) / 3.0, abs=1e-12)
+    assert set(v.evidence) == {"trajectory"}
 
 
 def test_nq_total_matches_zeta_two(g2):
@@ -220,7 +222,7 @@ def test_mg_reads_the_diagonal_of_a_log_convex_sequence(g1):
         t = g1.log_terms(h)
         diag = [(t[n] - t[n // 2] - t[n - n // 2]) / (n + 1)
                 for n in [*range(2, h + 1, 2), *[h] * (h % 2)]]
-        assert v.evidence["log_constant"] == max(diag)
+        assert v.evidence["trajectory"]["log_constant"] == max(diag)
 
 
 # --- growth profiles -----------------------------------------------------

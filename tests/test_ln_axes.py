@@ -52,11 +52,7 @@ from wcalc.logdomain import (
     log_add_each,
     log_running_sums,
 )
-from wcalc.verdicts import (
-    classify_trajectory,
-    decimate,
-    running_sup_stabilized,
-)
+from wcalc.verdicts import classify_trajectory
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -135,14 +131,9 @@ def old_gamma1(m, h):
         (mu[j - 1] - math.log(j)) + log_add(suffix[j - 1], log_tail)
         for j in range(1, jmax + 1)
     ]
-    stable, sup = running_sup_stabilized(traj)
-    ev.update({
-        "sup_log": sup,
-        "stabilized": stable,
-        "trajectory_log": decimate(traj),
-        "tail_bound_log": log_tail,
-    })
-    if stable:
+    ev["trajectory"] = classify_trajectory(list(range(1, jmax + 1)), traj)
+    ev["tail_bound_log"] = log_tail
+    if ev["trajectory"]["stabilized"]:
         return Verdict("gamma1", HOLDS, h, evidence=ev)
     return Verdict("gamma1", UNDETERMINED, h, evidence=ev)
 
@@ -151,12 +142,10 @@ def old_dc(m, h):
     idx = list(range(1, h + 1))
     t = m.log_terms(h)
     defect = [(t[j] - t[j - 1]) / j for j in idx]
-    report = classify_trajectory(idx, defect)
-    ev = {"defect": decimate(defect), "trajectory": report}
-    if report["trend"] == UP:
+    ev = {"trajectory": classify_trajectory(idx, defect)}
+    if ev["trajectory"]["trend"] == UP:
         ev["diverging"] = True
         return Verdict("dc", UNDETERMINED, h, evidence=ev)
-    ev["log_constant"] = report["sup"]
     return Verdict("dc", HOLDS, h, evidence=ev)
 
 
@@ -194,10 +183,9 @@ def _assert_mg_as_brute(m, n, h):
     for s in (m, n):
         v = check_condition(s, "mg", h)
         assert v.evidence["exact"] is lc[s]
-        if v.holds:
-            assert v.evidence["log_constant"] == v.evidence["trajectory"]["sup"]
         t = s.log_terms(h)
-        assert_mg_matches_brute(v.evidence["trajectory"]["sup"], t, t, h, lc[s])
+        assert_mg_matches_brute(v.evidence["trajectory"]["log_constant"],
+                                t, t, h, lc[s])
     entry = matrices._test_mg(m, n, h, {})
     assert entry["exact"] is (lc[m] and lc[n])
     assert_mg_matches_brute(entry["log_constant"], m.log_terms(h),

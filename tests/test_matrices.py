@@ -24,10 +24,12 @@ from wcalc import (
     OrderViolationError,
     check_exponent_family_absorption,
     check_matrix_condition,
+    compare,
     composition_sequence,
     condition_id,
     constant_family,
     generic_matrix,
+    gevrey,
     linear_exponents,
     matrix_report_json,
     matrix_scale,
@@ -241,6 +243,18 @@ def test_dc_and_br_take_next_grid_point():
     br = check_matrix_condition(mm, MatrixConditionId("BR", ROUMIEU),
                                 index_grid=grid, horizon=64)
     assert br[2.0].status == HOLDS and br[2.0].witness == 4.0
+    assert br[2.0].evidence["trend"] == "frozen"
+
+
+def test_br_entry_reports_the_trend_of_its_triangle():
+    # the partner search reads each entry's trend for diverging, so a BR
+    # entry carries the trend of the triangle trajectory it was decided on
+    pm = ptt_matrix(1.0, 2.0)
+    for left, right, trend in ((pm.element(1.0), pm.element(2.0), "frozen"),
+                               (gevrey(2.0), gevrey(1.0), "up")):
+        entry = matrices._test_br(left, right, 512)
+        v = compare(left, right, "triangle", 512)
+        assert entry["trend"] == v.evidence["trajectory"]["trend"] == trend
 
 
 def test_rai_holds_on_the_diagonal():
@@ -876,6 +890,6 @@ _TIED_TERMS = st.one_of(
 def test_rai_suffix_minima_equal_the_min_loop(case):
     h, tl, tr = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matrices, "trajectory_entry", lambda idx, vals: vals)
+        mp.setattr(matrices, "classify_trajectory", lambda idx, vals: vals)
         got = matrices._test_rai(_Terms(tl), _Terms(tr), h)
     assert repr(got) == repr(_old_test_rai_values(tl, tr, h))

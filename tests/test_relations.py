@@ -31,7 +31,8 @@ H = 64
 def test_preceq_direction(g1, g2):
     v = compare(g1, g2, "preceq", horizon=H)
     assert v.status == HOLDS
-    assert v.evidence["sup"] == 0.0  # ratio peaks at index 1 and sinks
+    # ratio peaks at index 1 and sinks
+    assert v.evidence["trajectory"]["log_constant"] == 0.0
     w = compare(g2, g1, "preceq", horizon=H)
     assert w.status == FAILS
     assert w.witness == H  # growing ratio peaks at the window edge
@@ -62,7 +63,19 @@ def test_triangle_constant_gap_is_not_strict(g2):
     assert v.status == UNDETERMINED
     p = compare(a, b, "preceq", horizon=H, phi=phi)
     assert p.status == HOLDS
-    assert p.evidence["sup"] == pytest.approx(-math.log(2.0), abs=1e-12)
+    assert p.evidence["trajectory"]["log_constant"] == pytest.approx(
+        -math.log(2.0), abs=1e-12)
+
+
+def test_a_phi_that_leaves_one_index_fits_no_trend():
+    # one ratio point: no trend and no slope, so preceq is decided by its
+    # settled running sup and triangle by the sign of that point
+    phi = table_exponents([0.0, 0.0, 0.0, 0.0, 2.0])
+    v = compare(gevrey(2.0), gevrey(1.0), "preceq", 4, phi=phi)
+    assert v.status == HOLDS and v.evidence["excluded_indices"] == [1, 2, 3]
+    assert set(v.evidence["trajectory"]) == {"stabilized", "log_constant", "defects"}
+    w = compare(gevrey(2.0), gevrey(1.0), "triangle", 4, phi=phi)
+    assert (w.status, w.witness) == (FAILS, 4)
 
 
 def test_approx_two_sided(g1, g2):

@@ -15,20 +15,16 @@ from wcalc import (
     FLAT,
     FROZEN,
     HOLDS,
+    UNDETERMINED,
     UP,
     Verdict,
+    check_condition,
     classify_trajectory,
     decimate,
-    running_sup_stabilized,
+    gevrey,
 )
 from wcalc.config import COMPARISON_SLACK, LOG_SLOPE_TOL, STABILIZE_REL
-from wcalc.verdicts import (
-    _as_list,
-    _log_axis,
-    log_fit,
-    quarter_minima,
-    trajectory_entry,
-)
+from wcalc.verdicts import _as_list, _log_axis, log_fit, quarter_minima
 
 
 def test_verdict_props_and_json():
@@ -75,25 +71,23 @@ def test_classify_frozen_peak_then_decay():
     vals = [0.0, 5.0, 3.0, 2.0, 1.5, 1.2, 1.1, 1.05, 1.02, 1.0]
     r = classify(vals)
     assert r["trend"] == FROZEN
-    assert r["sup"] == 5.0 and r["sup_position"] == 1
-    # the summary the evidence embeds, keys in report order
-    assert list(r) == ["trend", "sup", "sup_position", "log_slope",
-                       "tail_first", "tail_last"]
-    assert r["log_slope"] == log_fit(range(6, 11), vals[5:])[0]
-    assert (r["tail_first"], r["tail_last"]) == (1.05, 1.0)
+    # the evidence every trajectory reports, keys in report order
+    assert r == {"stabilized": True, "log_constant": 5.0, "defects": vals,
+                 "trend": FROZEN, "slope": log_fit(range(6, 11), vals[5:])[0]}
+    assert list(r) == ["stabilized", "log_constant", "defects", "trend", "slope"]
 
 
 def test_classify_constant_is_frozen():
     r = classify([2.5] * 16)
     assert r["trend"] == FROZEN
-    assert r["sup"] == 2.5
+    assert r["log_constant"] == 2.5 and r["stabilized"]
 
 
 def test_classify_log_growth_is_up():
     vals = [math.log(j) for j in range(1, 65)]
     r = classify(vals)
     assert r["trend"] == UP
-    assert r["log_slope"] == pytest.approx(1.0, abs=0.05)
+    assert r["slope"] == pytest.approx(1.0, abs=0.05)
 
 
 def test_classify_pure_decay_is_frozen():
@@ -122,51 +116,68 @@ def test_classify_short_window_rules():
     assert classify([1.0, 1.0, 1.0])["trend"] == FLAT
     assert classify([1.0, 1.0, 1.1])["trend"] == UP
     assert classify([3.0, 2.0, 1.0])["trend"] == FLAT
+    # two fitted points are enough for a trend: the last half is one point,
+    # so the slope is 0, and the rising second point reads up
+    assert classify([1.0, 1.1]) == {"stabilized": True, "log_constant": 1.1,
+                                    "defects": [1.0, 1.1], "trend": UP,
+                                    "slope": 0.0}
+    # one fitted point has none
+    assert "trend" not in classify([1.0]) and "slope" not in classify([1.0])
+
+
+def test_mg_short_window_keeps_its_trend():
+    """check mg at h = 4 reads the exact trajectory n = 2, 4 of gevrey(1):
+    two fitted points whose second is the larger, so the trend is up and
+    the verdict Undetermined, where a three-point rule would give no trend
+    and Holds."""
+    v = check_condition(gevrey(1.0), "mg", 4)
+    traj = v.evidence["trajectory"]
+    assert v.status == UNDETERMINED and v.evidence["diverging"] is True
+    assert v.evidence["exact"] is True and len(traj["defects"]) == 2
+    assert traj["trend"] == UP
 
 
 def test_classify_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty trajectory"):
         classify_trajectory([], [])
-    with pytest.raises(ValueError):
-        classify_trajectory([1, 2], [1.0])
+    for idx in ([1], [0], [1, 2, 3], range(1, 4)):
+        with pytest.raises(ValueError, match="equal length"):
+            classify_trajectory(idx, [1.0, 2.0])
 
 
 @given(st.lists(st.floats(-50, 50, allow_nan=False), min_size=8, max_size=64))
 def test_classify_sup_is_max(vals):
     r = classify(vals)
-    assert r["sup"] == max(vals)
-    assert vals[r["sup_position"]] == r["sup"]
+    assert r["log_constant"] == max(vals)
     assert r["trend"] in (FROZEN, FLAT, UP, DOWN)
 
 
 def test_running_sup_plateau_stabilizes():
     vals = [min(float(j), 10.0) for j in range(1, 65)]
-    stable, sup = running_sup_stabilized(vals)
-    assert stable and sup == 10.0
+    r = classify(vals)
+    assert r["stabilized"] and r["log_constant"] == 10.0
 
 
 def test_running_sup_steady_climb_does_not():
     vals = [math.log(j) for j in range(1, 65)]
-    stable, sup = running_sup_stabilized(vals)
-    assert not stable
-    assert sup == pytest.approx(math.log(64))
+    r = classify(vals)
+    assert not r["stabilized"]
+    assert r["log_constant"] == pytest.approx(math.log(64))
 
 
 def test_running_sup_scale_awareness():
     # a 1000-unit climb that settles to sub-relative drift still counts
     vals = [1000.0 * (1.0 - 2.0 ** -j) for j in range(1, 65)]
-    stable, sup = running_sup_stabilized(vals)
-    assert stable
+    assert classify(vals)["stabilized"]
 
 
 @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=50))
 def test_running_sup_returns_max(vals):
-    _, sup = running_sup_stabilized(vals)
-    assert sup == max(vals)
+    assert classify(vals)["log_constant"] == max(vals)
 
 
 def running_sup_reference(vals):
-    """running_sup_stabilized over the full list of running sups, each
+    """The running-sup rule over the full list of running sups, each
     max(acc, v) seeded with -inf."""
     sups = list(itertools.accumulate(vals, max, initial=-math.inf))
     del sups[0]
@@ -199,10 +210,17 @@ SPECIAL_FLOATS = st.sampled_from(
 def test_running_sup_matches_loop_reference(vals):
     # NaNs included: max(-inf, nan) is -inf, so they never become the sup;
     # of two equal zeros the earlier one stays the sup
-    stab, sup = running_sup_stabilized(vals)
+    n = len(vals)
+    try:
+        r = classify_trajectory(range(1, n + 1), vals)
+    except (ValueError, OverflowError) as exc:
+        # the ln fit's fsum meets inf - inf or overflows on the last half
+        with pytest.raises(type(exc)):
+            log_fit(range(n // 2 + 1, n + 1), vals[n // 2:])
+        return
     want_stab, want_sup = running_sup_reference(vals)
-    assert stab == want_stab
-    assert same_float(sup, want_sup)
+    assert r["stabilized"] == want_stab
+    assert same_float(r["log_constant"], want_sup)
 
 
 def least_squares_slope(xs, ys):
@@ -248,7 +266,11 @@ def test_classify_slope_equals_log_fit(case):
     for run in runs:
         for _ in range(2):
             assert same_float(log_fit(run[n // 2:], half)[0], want)
-            assert same_float(classify_trajectory(run, vals)["log_slope"], want)
+            got = classify_trajectory(run, vals).get("slope")
+            if n == 1:  # one point is not fitted
+                assert got is None
+            else:
+                assert same_float(got, want)
 
 
 @given(fitted_trajectory(), st.integers(1, 3))
@@ -258,20 +280,19 @@ def test_helpers_read_every_sequence_type_alike(case, step):
     idx, vals = case
     idx = [idx[0] + step * (i - idx[0]) for i in idx]
     snapshot = (list(idx), list(vals))
-    want = repr((classify_trajectory(idx, vals), running_sup_stabilized(vals),
-                 decimate(vals), trajectory_entry(idx, vals)))
+    want = repr((classify_trajectory(idx, vals), decimate(vals)))
     index_forms = [tuple(idx), array("l", idx)]
     if idx == list(range(idx[0], idx[-1] + 1, step)):
         index_forms.append(range(idx[0], idx[-1] + 1, step))
     for i, v in itertools.product(index_forms,
                                   [vals, tuple(vals), array("d", vals)]):
-        got = (classify_trajectory(i, v), running_sup_stabilized(v),
-               decimate(v), trajectory_entry(i, v))
+        got = (classify_trajectory(i, v), decimate(v))
         assert repr(got) == want
     assert (idx, vals) == snapshot
 
 
-@pytest.mark.parametrize("idx", [[0], [-2, -1, 0, 1], [-5, -3, 0, 7]])
+# only a first index 0 leaves the fit
+@pytest.mark.parametrize("idx", [[-1, 0], [-2, -1, 0, 1], [-5, -3, 0, 7]])
 def test_classify_index_zero_in_the_fit_raises(idx):
     for _ in range(2):
         with pytest.raises(ValueError, match="math domain error"):
@@ -289,33 +310,33 @@ def test_quarter_minima():
     assert mins == [3.0, 1.0, 1.0, 1.0]
 
 
-def test_trajectory_entry_leaves_index_zero_out_of_the_fit():
+def test_classify_leaves_index_zero_out_of_the_fit():
     vals = [50.0] + [math.log(j) for j in range(1, 40)]
-    got = trajectory_entry(range(40), vals)
-    stab, sup = running_sup_stabilized(vals)
-    rep = classify_trajectory(range(1, 40), vals[1:])
-    assert got == {"stabilized": stab, "log_constant": sup,
-                   "defects": decimate(vals), "trend": rep["trend"],
-                   "slope": rep["log_slope"]}
-    # the index-0 point sets the sup; classified with the rest, its early
-    # peak would read as a frozen trajectory
-    assert got["log_constant"] == 50.0 and got["trend"] == UP
+    got = classify_trajectory(range(40), vals)
+    rest = classify_trajectory(range(1, 40), vals[1:])
+    assert got == {"stabilized": True, "log_constant": 50.0,
+                   "defects": decimate(vals), "trend": rest["trend"],
+                   "slope": rest["slope"]}
+    # the index-0 point sets the sup; fitted with the rest, its early peak
+    # would read as a frozen trajectory
+    assert got["trend"] == UP
     assert classify_trajectory(range(1, 41), vals)["trend"] == FROZEN
-    # from index 1 on every point is fitted
-    one = trajectory_entry(range(1, 41), vals)
-    assert one["slope"] == classify_trajectory(range(1, 41), vals)["log_slope"]
 
 
-def test_trajectory_entry_two_points_has_no_trend():
-    got = trajectory_entry(range(2), [0.0, 1.0])
-    assert set(got) == {"stabilized", "log_constant", "defects"}
-    assert got["log_constant"] == 1.0
+def test_classify_two_points_from_index_zero_have_no_trend():
+    # index 0 leaves one point to fit, so no trend and no slope
+    got = classify_trajectory(range(2), [0.0, 1.0])
+    assert got == {"stabilized": True, "log_constant": 1.0,
+                   "defects": [0.0, 1.0]}
+    assert set(classify_trajectory(range(3), [0.0, 1.0, 2.0])) == {
+        "stabilized", "log_constant", "defects", "trend", "slope"}
 
 
-# --- the trajectory helpers as they were before one scan served them --------
-# trajectory_entry took the running-sup rule and the classify summary from
-# separate scans; these bodies are kept as oracles, and the one-scan
-# helpers must agree with them bit for bit, exceptions included.
+# --- the trajectory helper as separate scans -------------------------------
+# classify_trajectory once took the running-sup rule and the fitted summary
+# from separate scans, in three helpers; these bodies are kept as oracles,
+# and the one-scan helper must agree with them bit for bit, exceptions
+# included.
 
 def old_decimate(values):
     vals = _as_list(values)
@@ -340,18 +361,13 @@ def old_log_fit(indices, ys):
     return slope, my - slope * mx
 
 
-def old_classify_trajectory(indices, values):
+def old_fitted_summary(indices, values):
+    """Trend and slope of a nonempty trajectory of equal length."""
     vals = _as_list(values)
     idx = _as_list(indices)
     n = len(vals)
-    if n == 0:
-        raise ValueError("empty trajectory")
-    if n != len(idx):
-        raise ValueError("indices and values must have equal length")
-    sup = max(vals)
-    sup_pos = vals.index(sup)
+    sup_pos = vals.index(max(vals))
     q3 = (3 * n) // 4
-    tail = vals[q3:] or vals[-1:]
     slope = old_log_fit(idx[n // 2:], vals[n // 2:])[0]
     if n >= 8 and sup_pos < q3:
         trend = FROZEN
@@ -363,14 +379,7 @@ def old_classify_trajectory(indices, values):
         trend = DOWN
     else:
         trend = FLAT
-    return {
-        "trend": trend,
-        "sup": sup,
-        "sup_position": sup_pos,
-        "log_slope": slope,
-        "tail_first": tail[0],
-        "tail_last": tail[-1],
-    }
+    return trend, slope
 
 
 def old_running_sup_stabilized(values):
@@ -385,16 +394,16 @@ def old_running_sup_stabilized(values):
     return moved <= STABILIZE_REL * scale, last
 
 
-def old_trajectory_entry(indices, values):
+def old_classify_trajectory(indices, values):
     stab, sup = old_running_sup_stabilized(values)
+    if len(indices) != len(values):
+        raise ValueError("indices and values must have equal length")
     entry = {"stabilized": stab, "log_constant": sup,
              "defects": old_decimate(values)}
-    if len(values) >= 3:
-        if indices[0] == 0:
-            indices, values = indices[1:], values[1:]
-        rep = old_classify_trajectory(indices, values)
-        entry["trend"] = rep["trend"]
-        entry["slope"] = rep["log_slope"]
+    if indices[0] == 0:
+        indices, values = indices[1:], values[1:]
+    if len(values) >= 2:
+        entry["trend"], entry["slope"] = old_fitted_summary(indices, values)
     return entry
 
 
@@ -478,12 +487,9 @@ def oracle_trajectory(draw):
 @given(oracle_trajectory())
 def test_trajectory_helpers_match_the_old_bodies(case):
     idx, vals = case
-    for fn, old in ((trajectory_entry, old_trajectory_entry),
-                    (classify_trajectory, old_classify_trajectory)):
-        assert outcome(fn, idx, vals) == outcome(old, idx, vals)
     for form in (vals, tuple(vals), array("d", vals)):
-        assert outcome(running_sup_stabilized, form) == outcome(
-            old_running_sup_stabilized, form)
+        assert outcome(classify_trajectory, idx, form) == outcome(
+            old_classify_trajectory, idx, form)
         assert outcome(decimate, form) == outcome(old_decimate, form)
     assert outcome(decimate, idx) == outcome(old_decimate, idx)
     if vals:
@@ -494,9 +500,7 @@ def test_trajectory_helpers_match_the_old_bodies(case):
 
 
 def test_trajectory_helpers_empty_input_raises_as_before():
-    for fn, old in ((running_sup_stabilized, old_running_sup_stabilized),
-                    (decimate, old_decimate)):
-        assert outcome(fn, []) == outcome(old, [])
-    for fn, old in ((trajectory_entry, old_trajectory_entry),
-                    (classify_trajectory, old_classify_trajectory)):
-        assert outcome(fn, [], []) == outcome(old, [], [])
+    assert outcome(decimate, []) == outcome(old_decimate, [])
+    for idx in ([], [1]):
+        assert outcome(classify_trajectory, idx, []) == outcome(
+            old_classify_trajectory, idx, [])

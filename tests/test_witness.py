@@ -560,18 +560,15 @@ def test_membership_undetermined_in_both_flavors():
     assert rep.beurling.witness == 1.0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "membership passes orders 0..J with the indices 1..J+1, so order j is "
-    "fitted at ln(j + 1); the fix moves membership bytes"))
 def test_membership_cells_read_order_j_at_index_j(ptt_mm, monkeypatch):
     starts = []
-    entry = witness.trajectory_entry
+    entry = witness.classify_trajectory
 
     def spy(indices, values):
         starts.append(indices[0])
         return entry(indices, values)
 
-    monkeypatch.setattr(witness, "trajectory_entry", spy)
+    monkeypatch.setattr(witness, "classify_trajectory", spy)
     classify_membership(synthetic_bounds(ptt_mm.element(2.0), 64), ptt_mm)
     assert len(starts) == len(ptt_mm.index_grid) * len(witness.DEFAULT_H_GRID)
     assert set(starts) == {0}
