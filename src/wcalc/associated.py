@@ -382,8 +382,8 @@ def assoc_relation_check(m: WeightSequence, n: WeightSequence, mode: str,
             "points": len(ratios),
             "ratio_tail_min": lo,
             "ratio_tail_max": hi,
-            "ts": ts,
-            "ratios": ratios,
+            "ts": decimate(ts),
+            "ratios": decimate(ratios),
         }
         if len(ratios) >= 8:  # the ratio against ln t must settle
             ev["trajectory"] = traj = classify_trajectory(ts, ratios)

@@ -89,14 +89,13 @@ def check_condition(
 # exact per-index conditions
 
 
-def _monotone(tag: str, key: str, quotients: list[float], terms: list[float],
+def _monotone(tag: str, key: str, quotients: list[float], j: int,
               h: int) -> Verdict:
-    """Fails at logdomain.first_drop of the quotient sequence (witness: the
-    index j of the later quotient), Holds otherwise.  The slack of a drop
-    reads |log M_i| for i <= j only, so the verdict and witness hold at
-    every horizon past j."""
+    """Fails at the quotient drop j (witness: the index of the later
+    quotient's term; 0 is none), Holds otherwise.  j is
+    logdomain.first_drop, whose slack reads |log M_i| for i <= j only, so
+    the verdict and witness hold at every horizon past j."""
     ev = {key: decimate(quotients)}
-    j = first_drop(quotients, terms)
     if j:
         ev["drop"] = quotients[j - 1] - quotients[j - 2]
         return Verdict(tag, FAILS, h, witness=j, evidence=ev)
@@ -106,20 +105,15 @@ def _monotone(tag: str, key: str, quotients: list[float], terms: list[float],
 def _check_lc(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
     return _monotone("lc", "quotients_log",
-                     [t[j] - t[j - 1] for j in range(1, h + 1)], t, h)
-
-
-def lc_certified(m: WeightSequence, h: int) -> bool:
-    """The lc check's verdict on [0, h] without its evidence."""
-    t = m.log_terms(h)
-    return not first_drop(list(map(sub, islice(t, 1, None), t)), t)
+                     [t[j] - t[j - 1] for j in range(1, h + 1)],
+                     m.first_drop(h), h)
 
 
 def _check_slc(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
     ln = ln_axis(h)
-    return _monotone("slc", "reduced_quotients_log",
-                     [t[j] - t[j - 1] - ln[j] for j in range(1, h + 1)], t, h)
+    q = [t[j] - t[j - 1] - ln[j] for j in range(1, h + 1)]
+    return _monotone("slc", "reduced_quotients_log", q, first_drop(q, t), h)
 
 
 def _check_normalized(m: WeightSequence, h: int) -> Verdict:
@@ -174,38 +168,51 @@ def convex_minorant(t) -> list[float]:
     return out
 
 
-def mg_trajectory(tl, split, h: int, exact: bool) -> tuple:
-    """The indices n and defects (tl[n] - split[n // 2] - split[n - n // 2])
-    / (n + 1) of the mg trajectory of a pair.
+def mg_pair(left: WeightSequence, right: WeightSequence, h: int,
+            memo: dict) -> dict:
+    """classify_trajectory of the mg defects (tl[n] - split[n // 2] -
+    split[n - n // 2]) / (n + 1) of the pair, with exact: whether both
+    sides are lc on [0, h].
 
     split is the right-hand terms if they are lc on [0, h], else their
-    convex minorant; being convex, its least split is the balanced one, so
-    each defect bounds the worst split from above, exactly for lc terms.
-    With exact (both sides lc on [0, h]) an odd n < h adds nothing, since
-    its unscaled defect is at most the mean of its even neighbours': only
-    the even n and an odd h are read.  Otherwise every n = 2..h is.
+    convex minorant, made once per memo under ("minorant", right, h);
+    being convex, its least split is the balanced one, so each defect
+    bounds the worst split from above, exactly for lc terms.  When exact,
+    an odd n < h adds nothing, since its unscaled defect is at most the
+    mean of its even neighbours': only the even n and an odd h are read.
+    Otherwise every n = 2..h is.
     """
+    tr = right.log_terms(h)
+    exact = not right.first_drop(h)
+    split = tr if exact else memo.get(("minorant", right, h))
+    if split is None:
+        split = memo["minorant", right, h] = convex_minorant(tr)
+    exact = exact and not left.first_drop(h)
+    tl = left.log_terms(h)
     ns = range(2, h + 1, 2) if exact else range(2, h + 1)
     if exact and h % 2:
         ns = [*ns, h]
-    return ns, [(tl[n] - split[n // 2] - split[n - n // 2]) / (n + 1)
-                for n in ns]
+    entry = classify_trajectory(ns, [
+        (tl[n] - split[n // 2] - split[n - n // 2]) / (n + 1) for n in ns])
+    entry["exact"] = exact
+    return entry
+
+
+def dc_pair(left: WeightSequence, right: WeightSequence, h: int) -> dict:
+    """classify_trajectory of (log L_j - log R_{j-1}) / j over j = 1..h:
+    L_j <= A^j R_{j-1}."""
+    tl, tr = left.log_terms(h), right.log_terms(h - 1)
+    return classify_trajectory(range(1, h + 1), [
+        (tl[j + 1] - tr[j]) / (j + 1) for j in range(h)])
 
 
 def _check_mg(m: WeightSequence, h: int) -> Verdict:
-    t = m.log_terms(h)
-    exact = lc_certified(m, h)
-    split = t if exact else convex_minorant(t)
-    ns, defect = mg_trajectory(t, split, h, exact)
-    traj = classify_trajectory(ns, defect)
-    return _trend_verdict("mg", h, {"exact": exact, "trajectory": traj})
+    traj = mg_pair(m, m, h, {})
+    return _trend_verdict("mg", h, {"exact": traj.pop("exact"), "trajectory": traj})
 
 
 def _check_dc(m: WeightSequence, h: int) -> Verdict:
-    idx = range(1, h + 1)
-    t = m.log_terms(h)
-    defect = [(t[j] - t[j - 1]) / j for j in idx]  # M_j <= A^j M_{j-1}
-    return _trend_verdict("dc", h, {"trajectory": classify_trajectory(idx, defect)})
+    return _trend_verdict("dc", h, {"trajectory": dc_pair(m, m, h)})
 
 
 def _trend_verdict(tag: str, h: int, ev: dict) -> Verdict:

@@ -117,12 +117,11 @@ class WeightMatrix:
     result of one matrix-check computation (a pair test, the sc
     certificate of an element or the constant comparison).  The FdB memo
     also maps ("composition", left element, k_top) to its composition
-    sequence, and the mg memo maps ("lc", element, h) to its lc
-    certificate and ("minorant", element, h) to the convex minorant of a
-    right element without one.  Elements compare by identity, and _memo
-    keeps them alive, so the Roumieu and Beurling searches of one
-    condition run each pair and composition they share once, in whichever
-    order they run.  A memoized result is read-only.
+    sequence, and the mg memo maps ("minorant", element, h) to the convex
+    minorant of a right element that is not lc.  Elements compare by
+    identity, and _memo keeps them alive, so the Roumieu and Beurling
+    searches of one condition run each pair and composition they share
+    once, in whichever order they run.  A memoized result is read-only.
 
     _memo lives as long as the matrix.  drop_checks(tag) forgets one
     condition's memo and drop_checks() all of them: a script drops a
@@ -340,29 +339,6 @@ def _memoized(memo: dict, key: tuple, run, *args):
     return got
 
 
-def _test_mg(left: WeightSequence, right: WeightSequence, h: int,
-             memo: dict) -> dict:
-    """conditions.mg_trajectory of the pair; each element's lc
-    certificate and convex minorant are made once per memo."""
-    def lc(e):
-        return _memoized(memo, ("lc", e, h), _conditions.lc_certified, e, h)
-
-    tr = right.log_terms(h)
-    split = tr if lc(right) else _memoized(
-        memo, ("minorant", right, h), _conditions.convex_minorant, tr)
-    exact = lc(right) and lc(left)
-    entry = classify_trajectory(*_conditions.mg_trajectory(
-        left.log_terms(h), split, h, exact))
-    entry["exact"] = exact
-    return entry
-
-
-def _test_dc(left: WeightSequence, right: WeightSequence, h: int) -> dict:
-    tl, tr = left.log_terms(h), right.log_terms(h - 1)
-    vals = [(tl[j + 1] - tr[j]) / (j + 1) for j in range(h)]
-    return classify_trajectory(range(1, h + 1), vals)
-
-
 def _test_l(left: WeightSequence, right: WeightSequence, h: int) -> dict:
     per_c = {}
     ok = True
@@ -412,8 +388,8 @@ def _test_br(left: WeightSequence, right: WeightSequence, h: int) -> dict:
 
 
 _PAIR_TESTS = {
-    "mg": _test_mg,
-    "dc": _test_dc,
+    "mg": _conditions.mg_pair,
+    "dc": _conditions.dc_pair,
     "L": _test_l,
     "rai": _test_rai,
     "FdB": _test_fdb,

@@ -35,10 +35,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from itertools import islice
+from operator import sub
 
 from .config import COMPARISON_SLACK, need_horizon, need_sigma
 from .errors import InvalidParameterError, PreconditionError, TableExhaustedError
-from .logdomain import last_drop, ln_axis, prefix_max_abs, slack
+from .logdomain import first_drop, last_drop, ln_axis, prefix_max_abs, slack
 
 
 def _check_index(j: int) -> int:
@@ -195,7 +196,7 @@ class WeightSequence:
     read beyond it evaluates the term each time and keeps nothing, so
     only window fills grow a sequence.  _fn evaluates one term; _block,
     when given, evaluates the terms at lo..hi in one pass with the same
-    float operations.
+    float operations.  _drop is first_drop's (drop, horizon scanned).
     """
 
     def __init__(self, family: str, params: dict, _fn: Callable[[int], float],
@@ -207,6 +208,7 @@ class WeightSequence:
         self.length = length
         self._window: list[float] = []
         self._block = _block
+        self._drop = (0, 0)
 
     def _eval(self, j: int) -> float:
         if self.length is not None and j >= self.length:
@@ -238,6 +240,20 @@ class WeightSequence:
             need_horizon(n, 0)  # the window ceiling, before any term is evaluated
             _fill(self, window, len(window), n, _terms_ok, self._eval)
         return window if len(window) == n + 1 else window[:n + 1]
+
+    def first_drop(self, h: int) -> int:
+        """logdomain.first_drop of the quotients on [0, h] (the lc witness,
+        0 when none drops), with the errors of log_terms(h).  A drop at j
+        stands at every horizon from j on, so only a horizon past the one
+        scanned, with no drop found yet, scans again (from 0)."""
+        if not (type(h) is int and 0 <= h < len(self._window)):
+            self.log_terms(h)
+        drop, scanned = self._drop
+        if not drop and h > scanned:
+            w = self._window
+            drop = first_drop(list(map(sub, islice(w, 1, h + 1), w)), w)
+            self._drop = drop, h
+        return drop if drop <= h else 0
 
     def quotient_log(self, j: int) -> float:
         """log(M_j / M_{j-1}); the j = 0 quotient is defined as 1."""

@@ -14,7 +14,7 @@ import json
 import math
 
 from .config import THETA_COUNT_CAP, THETA_TERM_CAP
-from .errors import InvalidParameterError, PreconditionError, WcalcError
+from .errors import InvalidParameterError, PreconditionError
 from .logdomain import log_sum
 from .sequences import ExponentSequence, WeightSequence, linear_exponents
 from .verdicts import (
@@ -210,25 +210,16 @@ def _theta_log_bounds(n: WeightSequence, orders,
     normalized at every order's truncation.
 
     The first order runs both checks at its truncation.  normalized reads
-    only N_0 and N_1, so it needs no other run.  An lc Fails with witness
-    w stands at every horizon from w on, so one more lc at the last
-    truncation decides the rest: when it fails, the full checks raise at
-    the first truncation that reaches w.  When a term is not finite
-    instead, the full checks run at each later truncation in turn, and
-    raise what the first order to meet the drop or the term raised."""
+    only N_0 and N_1, so a later truncation reruns them only where n's
+    first_drop finds a drop, and a term that is not finite raises from
+    first_drop at the first truncation that reaches it."""
     tops = [_order_truncation(orders[0], truncation)]
     _require_witness_preconditions(n, tops[0])
     tops += [_order_truncation(k, truncation) for k in orders[1:]]
+    for top in tops[1:]:
+        if n.first_drop(top):
+            _require_witness_preconditions(n, top)
     last = tops[-1]
-    if last > tops[0]:
-        try:
-            w = _conditions.check_condition(n, "lc", n.last_index(last)).witness
-        except WcalcError:  # a term past the first truncation is not finite
-            w = tops[0] + 1
-        if w is not None:
-            for top in tops:
-                if top >= w:
-                    _require_witness_preconditions(n, top)
     window = n.log_terms(last)
     steps = [_LN2 + _freq_log(window, j) for j in range(last + 1)]
     return [log_sum([window[j] + (k - j) * steps[j] for j in range(top + 1)])

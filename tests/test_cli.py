@@ -347,7 +347,7 @@ GOLDEN_SHA256 = {
         "42ba203520141a7647c022e0ad3372bf170f4fa2e3135def226658b6ae62b087",
         "ff349fe4a04c4feed2ace3927cd4328376d7de429c49a286bd048a6959049806"),
     "omega.wsq": (3,
-        "4a4c673fbf7f084a5f3e2cc7b10026c04ee8ad00d980a93044e91480b29136bf",
+        "6628c8ac5f8f99c4860ab610587f241d71c0a548c186a1880280eb8fea9d8abc",
         "1cfbd5f4f0721114c297541e43fce1ddfa5a3a7be94259e69e7861bf504cf07c"),
 }
 
@@ -596,7 +596,7 @@ CLI_GOLDEN_SHA256 = {
     "compare-numeric-ratio": (
         ("compare", "--left", "gevrey:1", "--right", "gevrey:1.5",
          "--rel", "numeric-ratio", "--horizon", "128"),
-        1, "b51a887286589935d658065a6c1f6275255a03c4d8e49720897f3804a90aa995",
+        1, "b2cf9fe560f744cf2c4f216bc2da27163b77d8283c9ceff81ac5f6f84950a968",
         "7156958919e37eeb8a32ad9f538d2262ed5948c4c8c8acd4cee9405872a2764f"),
     "classify": (
         ("classify", "--bounds", "bounds.csv", "--matrix", "ptt-matrix:1:2"),

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcalc import (
+    FAILS,
     HOLDS,
     UNDETERMINED,
     UP,
@@ -42,17 +43,18 @@ from wcalc import (
     scaled,
     table,
 )
-from wcalc import matrices, relations
+from wcalc import relations
+from wcalc.conditions import mg_pair
 from wcalc.config import COMPARISON_SLACK, POWERFIT_MARGIN, WINDOW_CAP
-from wcalc.conditions import _monotone
 from wcalc.logdomain import (
     LOG_ZERO,
+    first_drop,
     ln_axis,
     ln_factorial_axis,
     log_add_each,
     log_running_sums,
 )
-from wcalc.verdicts import classify_trajectory
+from wcalc.verdicts import classify_trajectory, decimate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,11 +83,28 @@ def old_powerfit_tail(log_indices, log_values, horizon):
     return p, log_tail
 
 
+def old_monotone(tag, key, quotients, terms, h):
+    ev = {key: decimate(quotients)}
+    j = first_drop(quotients, terms)
+    if j:
+        ev["drop"] = quotients[j - 1] - quotients[j - 2]
+        return Verdict(tag, FAILS, h, witness=j, evidence=ev)
+    return Verdict(tag, HOLDS, h, evidence=ev)
+
+
+def old_lc(m, h):
+    """The lc body before the sequence held its first drop: a scan of
+    the quotients on [0, h], fresh at every call."""
+    t = m.log_terms(h)
+    return old_monotone("lc", "quotients_log",
+                        [t[j] - t[j - 1] for j in range(1, h + 1)], t, h)
+
+
 def old_slc(m, h):
     t = m.log_terms(h)
-    return _monotone("slc", "reduced_quotients_log",
-                     [t[j] - t[j - 1] - math.log(j) for j in range(1, h + 1)],
-                     t, h)
+    return old_monotone("slc", "reduced_quotients_log",
+                        [t[j] - t[j - 1] - math.log(j) for j in range(1, h + 1)],
+                        t, h)
 
 
 def old_nq_generic(tag, values_log, h):
@@ -186,7 +205,7 @@ def _assert_mg_as_brute(m, n, h):
         t = s.log_terms(h)
         assert_mg_matches_brute(v.evidence["trajectory"]["log_constant"],
                                 t, t, h, lc[s])
-    entry = matrices._test_mg(m, n, h, {})
+    entry = mg_pair(m, n, h, {})
     assert entry["exact"] is (lc[m] and lc[n])
     assert_mg_matches_brute(entry["log_constant"], m.log_terms(h),
                             n.log_terms(h), h, lc[m] and lc[n])
@@ -201,6 +220,7 @@ def old_ratio_trajectory(m, n, h, phi):
 
 
 _SINGLE = {
+    "lc": old_lc,
     "slc": old_slc,
     "nq": old_nq,
     "nq_carleman": old_nq_carleman,

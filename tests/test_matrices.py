@@ -39,7 +39,7 @@ from wcalc import (
     sigma_matrix,
     table_exponents,
 )
-from wcalc import matrices
+from wcalc import matrices, sequences
 from wcalc.matrices import (
     DEFAULT_INDEX_GRID,
     MATRIX_CONDITIONS,
@@ -740,26 +740,36 @@ def test_memo_keys_on_the_horizon():
 
 
 def test_mg_certifies_each_element_once_per_horizon(monkeypatch):
-    """Both flavors of mg read each element's lc certificate, and each
-    right element's convex minorant, from the mg memo: made once per
-    element and horizon, and gone with the memo."""
-    made = collections.Counter()
-    for name in ("lc_certified", "convex_minorant"):
-        def counted(*args, name=name, real=getattr(matrices._conditions, name)):
-            made[name] += 1
-            return real(*args)
-        monkeypatch.setattr(matrices._conditions, name, counted)
+    """Both flavors of mg read each element's lc certificate from the
+    element: its quotients are scanned at most once per horizon, and not
+    again past a drop found at a lower one.  The mg memo keeps no lc
+    entry, only the pairs and the convex minorant of each right element
+    that is not lc, made once per horizon and gone with the memo."""
+    scans, made = collections.Counter(), collections.Counter()
+
+    def scan(values, terms, real=sequences.first_drop):
+        scans[id(terms), len(values)] += 1
+        return real(values, terms)
+
+    def minorant(t, real=matrices._conditions.convex_minorant):
+        made["minorant"] += 1
+        return real(t)
+
+    monkeypatch.setattr(sequences, "first_drop", scan)
+    monkeypatch.setattr(matrices._conditions, "convex_minorant", minorant)
     mm = ptt_matrix(1.0, 2.0)  # the elements below index 1/4 are not lc
     for h in (64, 128):
         for flavor in (ROUMIEU, BEURLING):
             check_matrix_condition(mm, MatrixConditionId("mg", flavor), horizon=h)
+    elements = list(mm._memo.values())
+    assert set(scans.values()) == {1}
+    assert {w for w, _ in scans} <= {id(e._window) for e in elements}
+    dropped = [id(e._window) for e in elements
+               if (id(e._window), 64) in scans and e.first_drop(64)]
+    assert dropped and all((w, 128) not in scans for w in dropped)
     kinds = collections.Counter(key[0] for key in mm._checks["mg"]
                                 if isinstance(key[0], str))
-    assert kinds == {"lc": made["lc_certified"],
-                     "minorant": made["convex_minorant"]}
-    assert made["convex_minorant"] > 0
-    assert {key[1:] for key in mm._checks["mg"] if key[0] == "lc"} <= {
-        (e, h) for e in mm._memo.values() for h in (64, 128)}
+    assert kinds == {"minorant": made["minorant"]} and made["minorant"] > 0
     mm.drop_checks("mg")
     assert "mg" not in mm._checks
 

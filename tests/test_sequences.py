@@ -24,6 +24,7 @@ from wcalc import (
 )
 from wcalc.config import WINDOW_CAP
 from wcalc.errors import HorizonError
+from wcalc.logdomain import first_drop
 from wcalc.matrices import matrix_scale, sigma_matrix
 from wcalc.sequences import ExponentFamily, ExponentSequence, WeightSequence
 
@@ -521,3 +522,55 @@ def test_quotient_read_errors_match_term_reads():
     for bad in (-1, 1.0, True):
         with pytest.raises(InvalidParameterError):
             short.quotient_log(bad)
+
+
+@st.composite
+def drop_tables(draw):
+    """(log terms, horizons): tables of 2..300 terms from sorted quotients
+    with up to two drops, large or near the lc slack, and 1..6 horizons on
+    them in any order."""
+    quotients = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=299)))
+    top = len(quotients)
+    for at in draw(st.lists(st.integers(1, max(1, top - 1)),
+                            max_size=2 if top > 1 else 0)):
+        size = draw(st.sampled_from([1.0, 1e-3, -0.5, -0.99, -1.01, -2.0]))
+        if size < 0.0:
+            # in lc slacks at the drop: 1e-12 max(1, |log M_j|), j <= at + 1
+            logs = list(itertools.accumulate(quotients, initial=0.0))
+            size *= -1e-12 * max(1.0, max(map(abs, logs[:at + 2])))
+        quotients[at] = quotients[at - 1] - size
+    horizons = draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
+    return list(itertools.accumulate(quotients, initial=0.0)), horizons
+
+
+@settings(deadline=None, max_examples=200)
+@given(drop_tables())
+def test_first_drop_is_the_scan_of_a_fresh_copy(case):
+    """The drop a sequence keeps answers every horizon, asked in any
+    order, as logdomain.first_drop of a fresh copy's quotients."""
+    logs, horizons = case
+    m = table(log_values=logs)
+    for h in horizons:
+        t = table(log_values=logs).log_terms(h)
+        assert m.first_drop(h) == first_drop(
+            [t[j] - t[j - 1] for j in range(1, h + 1)], t), h
+
+
+@pytest.mark.parametrize("drop_at", [None, 20])
+def test_first_drop_raises_where_the_lc_check_does(drop_at):
+    """Past a term that is inf, first_drop raises what the lc check of a
+    fresh copy raises there, even after a drop below it; below the term
+    it still answers."""
+    def probe():
+        return WeightSequence("probe", {}, lambda j: math.inf if j == 40 else
+                              j * j / 8.0 - (drop_at is not None and j >= drop_at))
+    m = probe()
+    for h in (30, 45, 39, 40, 10, 100):
+        if h < 40:
+            assert m.first_drop(h) == (drop_at if drop_at and h >= drop_at else 0)
+            continue
+        with pytest.raises(InvalidParameterError) as want:
+            check_condition(probe(), "lc", h)
+        with pytest.raises(InvalidParameterError) as got:
+            m.first_drop(h)
+        assert str(got.value) == str(want.value)

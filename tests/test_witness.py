@@ -308,8 +308,11 @@ def test_theta_bounds_checks_once_as_every_order_did(case):
     assert got == want
 
 
-def test_theta_bounds_runs_two_checks(g1, monkeypatch):
-    calls = []
+def test_theta_bounds_runs_two_checks(monkeypatch):
+    """lc and normalized run once, at the first truncation; every later
+    truncation reads the sequence's first_drop, and reruns them only where
+    it finds a drop."""
+    calls, reads = [], []
     real = conditions.check_condition
 
     def counted(m, cond, *args, **kwargs):
@@ -317,11 +320,20 @@ def test_theta_bounds_runs_two_checks(g1, monkeypatch):
         return real(m, cond, *args, **kwargs)
 
     monkeypatch.setattr(conditions, "check_condition", counted)
-    got = theta_bounds(g1, 64).bounds
-    # both checks at the first truncation, and lc once more at the last
-    assert calls == [("lc", 50), ("normalized", 50), ("lc", 114)]
+    lc = gevrey(1.0)
+    read = lc.first_drop
+    monkeypatch.setattr(lc, "first_drop", lambda h: reads.append(h) or read(h))
+    got = theta_bounds(lc, 64).bounds
+    assert calls == [("lc", 50), ("normalized", 50)]
+    assert reads == list(range(50, 115))  # the first from the lc check
+    logs = list(itertools.accumulate(
+        [0.0, *[1.0] * 79, 0.5, *[1.0] * 60], initial=0.0))
+    with pytest.raises(PreconditionError) as err:
+        theta_bounds(table(log_values=logs), 64)
+    assert err.value.witness == 81
+    assert calls[2:] == [("lc", 50), ("normalized", 50), ("lc", 81)]
     monkeypatch.undo()
-    assert got == per_order_theta_bounds(g1, 64)
+    assert got == per_order_theta_bounds(gevrey(1.0), 64)
 
 
 def test_theta_bounds_match_each_order_bit_for_bit(g1, g2, p12):
