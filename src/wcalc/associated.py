@@ -28,6 +28,7 @@ from .errors import (
 )
 from .sequences import WeightSequence
 from .verdicts import (
+    FAILS,
     HOLDS,
     UNDETERMINED,
     UP,
@@ -90,11 +91,11 @@ class OmegaFunction:
     def from_sequence(cls, m: WeightSequence,
                       check_horizon: int | None = None) -> "OmegaFunction":
         h = m.last_index(need_horizon(check_horizon, 4))
-        lc = _conditions.check_condition(m, "lc", h)
-        if not lc.holds:
+        drop = m.first_drop(need_horizon(h, 4))  # a short table's h < 4
+        if drop:
             raise PreconditionError(
                 f"sequence {m.label()} is not log-convex up to {h}",
-                witness={"lc": lc.status, "witness": lc.witness})
+                witness={"lc": FAILS, "witness": drop})
         profile = _conditions.root_growth_profile(m, h)
         if not profile["divergent"]:
             raise PreconditionError(

@@ -17,6 +17,7 @@ same record.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import cache
 
@@ -35,6 +36,11 @@ SPECS = {name.replace("_", "-"): (name, kind, tuple(p.name for p in sig.params
          for (kind, name), sig in _dsl.SIGNATURES.items()
          if kind in _dsl.BINDING_KINDS
          and all(p.type == _dsl.NUMBER for p in sig.params if p.required)}
+
+
+# the lone surrogates that errors="surrogateescape" reads a bad byte as,
+# in a script and in a path argument
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 class UsageError(Exception):
@@ -164,6 +170,14 @@ def _parse_t_grid(text: str) -> _assoc.LogGrid:
     return _assoc.LogGrid(t_min, t_max, points)
 
 
+def _report_path(path: str, flag: str) -> str:
+    """path, which the report names, so it must be UTF-8 text as the
+    report is; else a UsageError."""
+    if _NOT_UTF8.search(path):
+        raise UsageError(f"{flag} needs a UTF-8 path, got {path!r}")
+    return path
+
+
 def _exit_code(records, allow_undetermined: bool) -> int:
     if _report.has_errors(records):
         return 3
@@ -180,9 +194,16 @@ def _exit_code(records, allow_undetermined: bool) -> int:
 
 
 def _cmd_run(args, cfg, h) -> list:
-    with open(args.script, encoding="utf-8") as fh:
-        program = _dsl.parse(fh.read())
-    return _dsl.execute(program, cfg, horizon_override=args.horizon)
+    # a byte that is not UTF-8 reads as a lone surrogate, which valid
+    # UTF-8 never decodes to, and fails at its place in the script
+    with open(args.script, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = _NOT_UTF8.search(text)
+    if bad is not None:
+        head = text[:bad.start()]
+        raise SourceError(f"byte {ord(bad.group()) - 0xDC00:#04x} is not UTF-8",
+                          head.count("\n") + 1, len(head) - head.rfind("\n"))
+    return _dsl.execute(_dsl.parse(text), cfg, horizon_override=args.horizon)
 
 
 def _cmd_check(args, cfg, h) -> list:
@@ -219,7 +240,8 @@ def _cmd_omega(args, cfg, h) -> list:
         else _assoc.LogGrid()
     omega = _dsl.build(_dsl.Call("assoc", (("m", _dsl.Ref("m")),)),
                        {"m": ("seq", seq)}, cfg)
-    rows = _assoc.export_csv(omega, grid, args.csv, args.horizon)
+    rows = _assoc.export_csv(omega, grid, _report_path(args.csv, "--csv"),
+                             args.horizon)
     return [{"query": f"omega({label}) grid [{grid.t_min:g}, {grid.t_max:g}, "
                       f"{grid.points}];",
              "rows": rows, "csv": args.csv}]
@@ -234,7 +256,12 @@ def _cmd_compare(args, cfg, h) -> list:
                          f"{sorted(_dsl.QUERY_OPS['compare'])}")
     if op not in ("bigO", "smallO"):
         _unused(args.c_max, "--c-max", "--rel bigO and smallO")
-    numbers = {} if args.c_max is None else {"c_max": float(args.c_max)}
+    try:
+        numbers = {} if args.c_max is None else {"c_max": float(args.c_max)}
+    except OverflowError:
+        raise InvalidParameterError(
+            "c_max", "need c_max in the float range, got an integer of "
+            f"{len(str(abs(args.c_max)))} digits") from None
     out = _answer("compare", op, cfg, h,
                   {"m": ("seq", left), "n": ("seq", right)}, **numbers)
     return [{"query": f"compare {op}({llabel}, {rlabel}) horizon {h};", **out}]
@@ -247,7 +274,8 @@ def _cmd_classify(args, cfg, h) -> list:
         raise UsageError(f"--matrix needs a matrix family, got {args.matrix!r}")
     load = _witness.load_bounds_json if args.bounds.endswith(".json") \
         else _witness.load_bounds_csv
-    env = {"f": ("seq", load(args.bounds)), "mm": ("matrix", mm)}
+    env = {"f": ("seq", load(_report_path(args.bounds, "--bounds"))),
+           "mm": ("matrix", mm)}
     if args.phi is not None:
         env["phi"] = ("exp", _resolve(args.phi, None, cfg, kinds=("exp",))[1])
     out = _answer("classify", "membership", cfg, h, env)
@@ -398,7 +426,7 @@ def main(argv=None) -> int:
     except (UsageError, SourceError, InvalidParameterError) as exc:
         print(f"wcalc: {exc}", file=sys.stderr)
         return 2
-    except (WcalcError, OSError, ValueError, ArithmeticError) as exc:
+    except (WcalcError, OSError) as exc:
         print(f"wcalc: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

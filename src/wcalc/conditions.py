@@ -89,23 +89,23 @@ def check_condition(
 # exact per-index conditions
 
 
-def _monotone(tag: str, key: str, quotients: list[float], j: int,
-              h: int) -> Verdict:
+def _monotone(tag: str, key: str, quotient, j: int, h: int) -> Verdict:
     """Fails at the quotient drop j (witness: the index of the later
-    quotient's term; 0 is none), Holds otherwise.  j is
-    logdomain.first_drop, whose slack reads |log M_i| for i <= j only, so
-    the verdict and witness hold at every horizon past j."""
-    ev = {key: decimate(quotients)}
+    quotient's term; 0 is none), Holds otherwise.  quotient(i) is the
+    quotient ending at term i, read only at the decimated evidence
+    indices and at the drop.  j is logdomain.first_drop, whose slack reads
+    |log M_i| for i <= j only, so the verdict and witness hold at every
+    horizon past j."""
+    ev = {key: [quotient(i) for i in decimate(range(1, h + 1))]}
     if j:
-        ev["drop"] = quotients[j - 1] - quotients[j - 2]
+        ev["drop"] = quotient(j) - quotient(j - 1)
         return Verdict(tag, FAILS, h, witness=j, evidence=ev)
     return Verdict(tag, HOLDS, h, evidence=ev)
 
 
 def _check_lc(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
-    return _monotone("lc", "quotients_log",
-                     [t[j] - t[j - 1] for j in range(1, h + 1)],
+    return _monotone("lc", "quotients_log", lambda i: t[i] - t[i - 1],
                      m.first_drop(h), h)
 
 
@@ -113,7 +113,8 @@ def _check_slc(m: WeightSequence, h: int) -> Verdict:
     t = m.log_terms(h)
     ln = ln_axis(h)
     q = [t[j] - t[j - 1] - ln[j] for j in range(1, h + 1)]
-    return _monotone("slc", "reduced_quotients_log", q, first_drop(q, t), h)
+    return _monotone("slc", "reduced_quotients_log", lambda i: q[i - 1],
+                     first_drop(q, t), h)
 
 
 def _check_normalized(m: WeightSequence, h: int) -> Verdict:
@@ -129,17 +130,16 @@ def _check_normalized(m: WeightSequence, h: int) -> Verdict:
 
 def check_sc(m: WeightSequence, h: int) -> Verdict:
     """The regularity certificate: log-convex, normalized and with
-    divergent roots up to h.  Fails with the lc witness, else the
-    normalized one (both checks are exact); Undetermined when only the
-    divergence of the roots is missing."""
-    lc = check_condition(m, "lc", h)
+    divergent roots up to h.  Fails with the lc witness (m.first_drop),
+    else the normalized one (both checks are exact); Undetermined when
+    only the divergence of the roots is missing."""
+    drop = m.first_drop(need_horizon(h, 4))
     nm = check_condition(m, "normalized", h)
     divergent = root_growth_profile(m, h)["divergent"]
-    ev = {"lc": lc.status, "normalized": nm.status,
+    ev = {"lc": FAILS if drop else HOLDS, "normalized": nm.status,
           "roots_divergent": divergent}
-    if lc.fails or nm.fails:
-        return Verdict("sc", FAILS, h,
-                       witness=lc.witness if lc.fails else nm.witness,
+    if drop or nm.fails:
+        return Verdict("sc", FAILS, h, witness=drop or nm.witness,
                        evidence=ev)
     return Verdict("sc", HOLDS if divergent else UNDETERMINED, h, evidence=ev)
 
@@ -302,39 +302,19 @@ _DISPATCH = {
 
 
 def root_growth_profile(m: WeightSequence, horizon: int | None = None) -> dict:
-    """Tail estimates for quotient/root growth plus window-safe orderings.
-
-    liminf/limsup estimates are min/max over the last quarter.  The
-    sandwich flag reports the two orderings that are checkable inside a
-    window: roots never exceed quotients pointwise (normalized log-convex
-    inputs), and the tail max of the roots stays below the tail max of the
-    quotients.  The divergence flag compares the last-quarter minimum of
-    the roots against the first-quarter maximum plus ROOT_MARGIN.
+    """The divergence test of the roots log M_j / j: divergent when their
+    last-quarter minimum passes their first-quarter maximum by ROOT_MARGIN.
     """
     h = need_horizon(horizon, 4)
     t = m.log_terms(h)
-    mu = [t[j] - t[j - 1] for j in range(1, h + 1)]
-    roots = [t[j] / j for j in range(1, h + 1)]
-    q1 = max(1, h // 4)
-    q3 = (3 * h) // 4
-    tail_mu = mu[q3:]
-    tail_roots = roots[q3:]
-    pointwise_ok = all(r <= u + COMPARISON_SLACK for r, u in zip(roots, mu))
-    profile = {
+    first_max = max(t[j] / j for j in range(1, h // 4 + 1))
+    last_min = min(t[j] / j for j in range((3 * h) // 4 + 1, h + 1))
+    return {
         "horizon": h,
-        "mu_liminf_log": min(tail_mu),
-        "mu_limsup_log": max(tail_mu),
-        "root_liminf_log": min(tail_roots),
-        "root_limsup_log": max(tail_roots),
-        "sandwich_ok": pointwise_ok and max(tail_roots) <= max(tail_mu) + COMPARISON_SLACK,
-        "root_first_quarter_max": max(roots[:q1]),
-        "root_last_quarter_min": min(tail_roots),
-        "margin": ROOT_MARGIN,
+        "root_first_quarter_max": first_max,
+        "root_last_quarter_min": last_min,
+        "divergent": last_min >= first_max + ROOT_MARGIN,
     }
-    profile["divergent"] = (
-        profile["root_last_quarter_min"] >= profile["root_first_quarter_max"] + ROOT_MARGIN
-    )
-    return profile
 
 
 def gamma_lower_bound(m: WeightSequence, alphas,

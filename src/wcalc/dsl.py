@@ -325,11 +325,13 @@ def tokenize(text: str) -> list[Token]:
 # AST
 
 
-# Nodes compare by value; a statement's line and col stay out of the
-# comparison, so the same script text parses to equal trees wherever it sits.
+# Nodes compare by value: a Ref by its name, the others as tuples.  A
+# statement keeps no position, so the same script text parses to equal
+# trees wherever it sits.
 
 
 class Ref:
+    """A name read as an argument; a class, since a tuple value is a list."""
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
@@ -339,58 +341,12 @@ class Ref:
         return type(other) is Ref and self.name == other.name
 
 
-class Call:
-    __slots__ = ("name", "args")
-
-    def __init__(self, name: str, args: tuple) -> None:
-        self.name = name
-        self.args = args  # of (keyword | None, value); value: float | Ref | tuple
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Call and (self.name, self.args) == (other.name, other.args)
-
-
-class Binding:
-    __slots__ = ("kind", "name", "call", "line", "col")
-
-    def __init__(self, kind: str, name: str, call: Call,
-                 line: int = 0, col: int = 0) -> None:
-        self.kind = kind
-        self.name = name
-        self.call = call
-        self.line = line
-        self.col = col
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Binding and (
-            (self.kind, self.name, self.call) == (other.kind, other.name, other.call))
-
-
-class Query:
-    __slots__ = ("kind", "call", "horizon", "grid", "flavor", "line", "col")
-
-    def __init__(self, kind: str, call: Call, horizon: int | None = None,
-                 grid: tuple | None = None, flavor: str | None = None,
-                 line: int = 0, col: int = 0) -> None:
-        self.kind = kind
-        self.call = call
-        self.horizon = horizon
-        self.grid = grid
-        self.flavor = flavor
-        self.line = line
-        self.col = col
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Query and (
-            (self.kind, self.call, self.horizon, self.grid, self.flavor)
-            == (other.kind, other.call, other.horizon, other.grid, other.flavor))
-
-
-class Program:
-    __slots__ = ("statements",)
-
-    def __init__(self, statements: tuple) -> None:
-        self.statements = statements
+# args: of (keyword | None, value); value: float | Ref | tuple
+Call = namedtuple("Call", "name args")
+Binding = namedtuple("Binding", "kind name call")
+Query = namedtuple("Query", "kind call horizon grid flavor",
+                   defaults=(None, None, None))
+Program = namedtuple("Program", "statements")
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +427,7 @@ class _Parser:
                 f"bound under {kw.text!r}", call_tok)
         self.expect_punct(";")
         self.scope[name] = kw.text
-        return Binding(kw.text, name, call, kw.line, kw.col)
+        return Binding(kw.text, name, call)
 
     def query(self) -> Query:
         kw = self.advance()
@@ -508,7 +464,7 @@ class _Parser:
             else:
                 opts["flavor"] = self.expect_ident("a flavor name").text
         self.expect_punct(";")
-        return Query(kw.text, call, line=kw.line, col=kw.col, **opts)
+        return Query(kw.text, call, **opts)
 
     def call(self) -> Call:
         name = self.expect_ident("an operation name").text
@@ -792,7 +748,7 @@ def execute(program: Program, cfg: Config | None = None,
                 h = next(x for x in (horizon_override, stmt.horizon,
                                      cfg.horizon) if x is not None)
                 record.update(run_query(stmt, env, cfg, h))
-        except (WcalcError, ValueError, ArithmeticError) as exc:
+        except WcalcError as exc:
             record["error"] = {"type": type(exc).__name__,
                                "message": str(exc)}
             if getattr(exc, "witness", None) is not None:

@@ -313,8 +313,7 @@ def _partner_search(candidates, test, ok, key):
     candidates in order up to the first whose entry is ok.  Returns that
     (candidate, entry) or None; the one with the least key(entry) tried
     before it (the earlier of a tie; a None key neither replaces the best
-    nor is replaced; None when key is None); and whether every entry
-    tried has trend up."""
+    nor is replaced); and whether every entry tried has trend up."""
     best = best_key = None
     all_up = True
     for cand in candidates:
@@ -323,11 +322,10 @@ def _partner_search(candidates, test, ok, key):
             all_up = False
         if ok(entry):
             return (cand, entry), best, all_up
-        if key is not None:
-            k = key(entry)
-            if best is None or (k is not None and best_key is not None
-                                and k < best_key):
-                best, best_key = (cand, entry), k
+        k = key(entry)
+        if best is None or (k is not None and best_key is not None
+                            and k < best_key):
+            best, best_key = (cand, entry), k
     return None, best, all_up
 
 

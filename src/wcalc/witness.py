@@ -13,7 +13,7 @@ import csv
 import json
 import math
 
-from .config import THETA_COUNT_CAP, THETA_TERM_CAP
+from .config import THETA_COUNT_CAP, THETA_TERM_CAP, need_horizon
 from .errors import InvalidParameterError, PreconditionError
 from .logdomain import log_sum
 from .sequences import ExponentSequence, WeightSequence, linear_exponents
@@ -26,7 +26,7 @@ from .verdicts import (
     classify_trajectory,
 )
 from . import conditions as _conditions
-from .matrices import WeightMatrix, _index_grid, _partner_search
+from .matrices import WeightMatrix, _index_grid
 
 SOURCES = ("synthetic", "theta", "user")
 
@@ -70,12 +70,23 @@ def synthetic_bounds(m: WeightSequence, count: int) -> DerivBounds:
                        source="synthetic")
 
 
+def _utf8_lines(fh, path: str):
+    """The lines of a bounds file opened as UTF-8; a byte that is not
+    UTF-8 raises InvalidParameterError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise InvalidParameterError(
+            "path", f"{path} is not UTF-8: byte "
+            f"{exc.object[exc.start]:#04x}") from None
+
+
 def load_bounds_csv(path: str) -> DerivBounds:
     """Columns j, log_bound; rows may arrive unordered but must cover 0..J,
     each order once."""
     table: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(_utf8_lines(fh, path))
         names = reader.fieldnames or ()
         if "j" not in names or "log_bound" not in names:
             raise InvalidParameterError(
@@ -110,9 +121,9 @@ def load_bounds_csv(path: str) -> DerivBounds:
 def load_bounds_json(path: str) -> DerivBounds:
     """A list of log bounds, or an object with that list under "bounds"
     and optional "label" and "source"."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.loads("".join(_utf8_lines(fh, path)))
         except json.JSONDecodeError as exc:
             raise InvalidParameterError(
                 "path", f"{path} is not JSON: {exc}") from None
@@ -136,12 +147,14 @@ def load_bounds_json(path: str) -> DerivBounds:
 
 
 def _require_witness_preconditions(n: WeightSequence, truncation: int) -> None:
-    for tag in ("lc", "normalized"):
-        v = _conditions.check_condition(n, tag, truncation)
-        if not v.holds:
-            raise PreconditionError(
-                f"witness series needs {tag} to hold on {n.label()} "
-                f"up to {truncation}; got {v.status}", witness=v.witness)
+    """lc, read from n's first_drop, then normalized, on [0, truncation]."""
+    drop = n.first_drop(need_horizon(truncation, 4))
+    v = (Verdict("lc", FAILS, truncation, witness=drop) if drop
+         else _conditions.check_condition(n, "normalized", truncation))
+    if not v.holds:
+        raise PreconditionError(
+            f"witness series needs {v.subject} to hold on {n.label()} "
+            f"up to {truncation}; got {v.status}", witness=v.witness)
 
 
 def _freq_log(terms: list[float], j: int) -> float:
@@ -324,13 +337,12 @@ def classify_membership(f: DerivBounds, mm: WeightMatrix,
 
     subject = f"membership({f.label or f.source}, {mm.label()})"
 
-    found, _, all_up = _partner_search(
-        [(c, h) for c in grid for h in DEFAULT_H_GRID], table.__getitem__,
-        lambda cell: cell["stabilized"], None)
+    found = next((key for key, cell in table.items() if cell["stabilized"]),
+                 None)
     if found is not None:
-        r = Verdict(subject + ":roumieu", HOLDS, horizon, witness=found[0],
-                    evidence={"sup": found[1]["sup"]})
-    elif all_up:
+        r = Verdict(subject + ":roumieu", HOLDS, horizon, witness=found,
+                    evidence={"sup": table[found]["sup"]})
+    elif all(cell.get("trend") == UP for cell in table.values()):
         r = Verdict(subject + ":roumieu", FAILS, horizon,
                     evidence={"diverging": True})
     else:

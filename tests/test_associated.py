@@ -739,10 +739,13 @@ def test_numeric_ratio_decides_from_its_ratio_trajectory(s, tail):
 
 
 def test_numeric_ratio_certifies_each_sequence_once(monkeypatch):
-    from wcalc import conditions
+    """Each sequence's certificate is one quotient scan (its lc read), one
+    normalized check and one roots test."""
+    from wcalc import conditions, sequences
 
     calls = []
     check, profile = conditions.check_condition, conditions.root_growth_profile
+    scan = sequences.first_drop
 
     def counted_check(m, cond, *a, **k):
         calls.append(cond)
@@ -752,13 +755,18 @@ def test_numeric_ratio_certifies_each_sequence_once(monkeypatch):
         calls.append("profile")
         return profile(*a, **k)
 
+    def counted_scan(values, terms):
+        calls.append("scan")
+        return scan(values, terms)
+
     monkeypatch.setattr(conditions, "check_condition", counted_check)
     monkeypatch.setattr(conditions, "root_growth_profile", counted_profile)
+    monkeypatch.setattr(sequences, "first_drop", counted_scan)
     v = assoc_relation_check(gevrey(1.5), gevrey(1.0), "numeric_ratio",
                              horizon=128)
     assert v.status == HOLDS
-    assert sorted(calls) == ["lc", "lc", "normalized", "normalized",
-                             "profile", "profile"]
+    assert sorted(calls) == ["normalized", "normalized", "profile", "profile",
+                             "scan", "scan"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

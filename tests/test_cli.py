@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -150,6 +151,63 @@ def test_exit_three_on_runtime_errors(tmp_path):
     # explicit horizon below the sup maximizer: the value is not attained
     assert run("omega", "--family", "gevrey:1", "--t-grid", "1:1e6:10",
                "--csv", str(tmp_path / "o.csv"), "--horizon", "64") == 3
+
+
+def test_c_max_past_the_float_range_exits_two(capsys):
+    # the rule of --c-max 0: an InvalidParameterError
+    assert run("compare", "--left", "gevrey:1", "--right", "gevrey:2",
+               "--rel", "bigO", "--c-max", "9" * 400) == 2
+    assert capsys.readouterr().err == (
+        "wcalc: c_max: need c_max in the float range, got an integer of "
+        "400 digits\n")
+
+
+@pytest.mark.parametrize("name, data, message", [
+    ("latin-1.wsq", b"seq g = gevrey(1);\n# caf\xe9\ncheck lc(g);\n",
+     "line 2, column 6: byte 0xe9 is not UTF-8"),
+    ("latin-1.csv", b"j,log_bound\n0,0.0\n1,1.0\xe9\n",
+     "path: {path} is not UTF-8: byte 0xe9"),
+    ("latin-1.json", b'{"label": "caf\xe9", "bounds": [0.0]}',
+     "path: {path} is not UTF-8: byte 0xe9"),
+], ids=["wsq", "csv", "json"])
+def test_bytes_that_are_not_utf8_exit_two(name, data, message, tmp_path,
+                                          capsys):
+    # each reader's error for bad content, at the first bad byte
+    path = tmp_path / name
+    path.write_bytes(data)
+    argv = (("run", path) if name.endswith(".wsq") else
+            ("classify", "--bounds", path, "--matrix", "ptt-matrix:1:2"))
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"wcalc: {message.format(path=path)}\n"
+
+
+def test_report_paths_that_are_not_utf8_exit_two(tmp_path, capsys):
+    # the report names these paths, and the report is UTF-8
+    path = tmp_path / os.fsdecode(b"\xff.csv")
+    for argv in (("classify", "--bounds", path, "--matrix", "ptt-matrix:1:2"),
+                 ("omega", "--family", "gevrey:1", "--csv", path)):
+        assert run(*argv) == 2
+        assert "needs a UTF-8 path" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_bounds_files_are_read_as_utf8_in_any_locale(tmp_path, bounds_csv):
+    # a bounds file is UTF-8, as a script is, whatever the locale's encoding
+    rows = bounds_csv.read_text(encoding="utf-8").splitlines()
+    table = tmp_path / "noted.csv"
+    table.write_text("\n".join([rows[0] + ",note", rows[1] + ",café",
+                                *rows[2:]]) + "\n", encoding="utf-8")
+    listed = tmp_path / "noted.json"
+    listed.write_text(json.dumps({"label": "café", "bounds": [0.0, 1.0]},
+                                 ensure_ascii=False), encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0"}
+    for path in (table, listed):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wcalc.cli", "classify", "--bounds",
+             str(path), "--matrix", "ptt-matrix:1:2"],
+            capture_output=True, cwd=ROOT, env=env)
+        assert proc.returncode in (0, 1), proc.stderr
 
 
 def test_help_exits_clean(capsys):

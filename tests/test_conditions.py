@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,9 @@ from wcalc import (
     table,
     table_exponents,
 )
+from wcalc import sequences
 from wcalc.conditions import CONDITIONS, check_sc
+from wcalc.verdicts import decimate
 
 H = 256
 
@@ -113,6 +116,55 @@ def test_lc_failure_witness():
     assert v.status == FAILS
     assert v.witness == 3  # quotient at index 3 drops below its predecessor
     assert v.evidence["drop"] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("h", [4, 16, 17, 300, 4096])
+@pytest.mark.parametrize("drop_at", [None, 3, 250])
+def test_lc_evidence_is_the_decimated_quotient_list(h, drop_at):
+    """check lc reads its quotients_log and drop at their own indices; they
+    equal decimate of the full quotient list, and the drop its difference
+    at the witness, bit for bit."""
+    logs = [j * j / 64.0 - (1.0 if drop_at and j >= drop_at else 0.0)
+            for j in range(h + 1)]
+    v = check_condition(table(log_values=logs), "lc", horizon=h)
+    q = [logs[j] - logs[j - 1] for j in range(1, h + 1)]
+    hexes = lambda xs: [x.hex() for x in xs]  # noqa: E731
+    assert hexes(v.evidence["quotients_log"]) == hexes(decimate(q))
+    if drop_at and drop_at <= h:
+        assert (v.status, v.witness) == (FAILS, drop_at)
+        assert v.evidence["drop"].hex() == \
+            (q[drop_at - 1] - q[drop_at - 2]).hex()
+    else:
+        assert v.status == HOLDS and "drop" not in v.evidence
+
+
+def test_first_lc_check_builds_one_quotient_list(monkeypatch):
+    """A first check lc on a fresh sequence scans its quotients once, and
+    its peak allocation stays below two quotient lists: the scan's list is
+    the only one."""
+    h = 4096
+    scans = []
+    scan = sequences.first_drop
+
+    def counted_scan(values, terms):
+        scans.append(len(values))
+        return scan(values, terms)
+
+    monkeypatch.setattr(sequences, "first_drop", counted_scan)
+    m = gevrey(1.0)
+    w = m.log_terms(h)
+    tracemalloc.start()
+    try:
+        one = [w[j] - w[j - 1] for j in range(1, h + 1)]
+        _, one_peak = tracemalloc.get_traced_memory()
+        del one
+        tracemalloc.reset_peak()
+        v = check_condition(m, "lc", horizon=h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.status == HOLDS and scans == [h]
+    assert peak < 1.5 * one_peak
 
 
 def test_slc_failure_witness():
@@ -231,8 +283,6 @@ def test_mg_reads_the_diagonal_of_a_log_convex_sequence(g1):
 def test_root_growth_profile_divergent(p12, g1):
     prof = root_growth_profile(p12, horizon=H)
     assert prof["divergent"] is True
-    assert prof["sandwich_ok"] is True
-    assert prof["root_liminf_log"] <= prof["mu_limsup_log"]
     assert root_growth_profile(g1, horizon=H)["divergent"] is True
 
 
@@ -240,7 +290,6 @@ def test_root_growth_profile_bounded():
     flat = table(log_values=[0.0] * 65)
     prof = root_growth_profile(flat, horizon=64)
     assert prof["divergent"] is False
-    assert prof["mu_liminf_log"] == prof["root_limsup_log"] == 0.0
 
 
 def test_gamma_lower_bound_gevrey_boundary():

@@ -4,8 +4,10 @@ import collections
 import gc
 import math
 import pathlib
+import sys
 import tracemalloc
 import weakref
+from datetime import timedelta
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -541,18 +543,20 @@ _VALUE = {
 }
 
 
-def _arg(p, scope):
-    """A strategy for a value of p's type; None when no name in scope
-    has a kind p takes."""
-    if p.type in _VALUE:
-        return _VALUE[p.type]
+def _arg(p, scope, values):
+    """A strategy for a value of p's type from values; None when no name in
+    scope has a kind p takes."""
+    if p.type in values:
+        return values[p.type]
     kind = "seq" if p.type == BOUNDS else p.type
     names = sorted(n for n, k in scope.items() if k == kind)
     return st.sampled_from(names).map(Ref) if names else None
 
 
 @st.composite
-def programs(draw):
+def programs(draw, values=_VALUE):
+    """A program of up to ten statements, each parameter and option value
+    drawn by its type from values."""
     scope: dict[str, str] = {}
     stmts = []
     for i in range(draw(st.integers(1, 10))):
@@ -560,17 +564,17 @@ def programs(draw):
         sig = SIGNATURES[kind, name]
         count = draw(st.integers(sum(p.required for p in sig.params),
                                  len(sig.params)))
-        values = [_arg(p, scope) for p in sig.params[:count]]
-        if None in values:
+        args = [_arg(p, scope, values) for p in sig.params[:count]]
+        if None in args:
             continue
         named = draw(st.booleans())
         call = Call(name, tuple((p.name if named else None, draw(v))
-                                for p, v in zip(sig.params, values)))
+                                for p, v in zip(sig.params, args)))
         if kind in BINDING_KINDS:
             scope[f"x{i}"] = kind
             stmts.append(Binding(kind, f"x{i}", call))
             continue
-        opts = {o.name: draw(_VALUE[o.type]) for o in sig.opts
+        opts = {o.name: draw(values[o.type]) for o in sig.opts
                 if draw(st.booleans())}
         horizon = draw(st.none() | st.integers(-10**9, 10**9))
         stmts.append(Query(kind, call, horizon=horizon, **opts))
@@ -581,6 +585,33 @@ def programs(draw):
 @given(programs())
 def test_print_parse_roundtrip(program):
     assert parse(print_program(program)).statements == program.statements
+
+
+# the numbers at the edges of every parameter's range
+_EXTREMES = st.sampled_from([0.0, 1.0, -1.0, 1e-320, 1e300, -1e300,
+                             sys.float_info.max, 1e6, 1e15])
+_EXTREME_VALUE = {
+    **_VALUE,
+    NUMBER: _EXTREMES,
+    INT: _EXTREMES,
+    NUMBERS: st.lists(_EXTREMES, min_size=1, max_size=4).map(tuple),
+    LOG_GRID: st.lists(_EXTREMES, min_size=3, max_size=3).map(tuple),
+}
+
+
+def _error_types(cls=WcalcError):
+    return {cls.__name__}.union(*map(_error_types, cls.__subclasses__()))
+
+
+# the slowest of 10,500 such scripts took about 4 s
+@settings(max_examples=40, deadline=timedelta(seconds=20))
+@given(programs(_EXTREME_VALUE))
+def test_extreme_numbers_end_in_typed_errors(program):
+    """A script of extreme numbers finishes, and each error it records is
+    a WcalcError or a poisoned reference."""
+    allowed = _error_types() | {"PoisonedReference"}
+    for record in execute(program):
+        assert record.get("error", {"type": "WcalcError"})["type"] in allowed
 
 
 _ODD_LITERALS = ["1e400", "-1e400", "2.7", "1e3", "-0", ".5", "1e-400",
@@ -740,15 +771,12 @@ def _folded_loop_tokenize(text):
 
 
 def _outcome(fn, text):
-    """What fn returns on text, statements with their positions, or the
-    message, position and expectations of the SourceError it raises."""
+    """What fn returns on text, or the message, position and expectations
+    of the SourceError it raises."""
     try:
-        out = fn(text)
+        return fn(text)
     except SourceError as exc:
         return ("error", str(exc), exc.line, exc.column, exc.expected)
-    if isinstance(out, Program):
-        return [(s, s.line, s.col) for s in out.statements]
-    return out
 
 
 _PLAIN_NUMBERS = ["1", "0", "-2.5", "+.5", "1e3", "2E-2", "-0", "7.",

@@ -649,7 +649,7 @@ def test_both_flavors_on_one_matrix_match_fresh_matrices(first):
             assert _report_bytes(cid, got) == _report_bytes(cid, fresh), cid
 
 
-def plain_partner_loop(entries, keyed):
+def plain_partner_loop(entries):
     """(found index, best index, all up) of entries = [(ok, trend, key)],
     the way check_matrix_condition's own loop decided them."""
     best = None
@@ -658,8 +658,8 @@ def plain_partner_loop(entries, keyed):
         all_up = all_up and trend == "up"
         if ok:
             return i, best, all_up
-        if keyed and (best is None or (k is not None and entries[best][2]
-                                       is not None and k < entries[best][2])):
+        if best is None or (k is not None and entries[best][2] is not None
+                            and k < entries[best][2]):
             best = i
     return None, best, all_up
 
@@ -667,9 +667,8 @@ def plain_partner_loop(entries, keyed):
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.tuples(st.booleans(), st.sampled_from(["up", "flat", None]),
                           st.one_of(st.none(), st.integers(-2, 2))),
-                max_size=10),
-       st.booleans())
-def test_partner_search_matches_a_plain_loop(entries, keyed):
+                max_size=10))
+def test_partner_search_matches_a_plain_loop(entries):
     tested = []
     made = {}
 
@@ -681,9 +680,8 @@ def test_partner_search_matches_a_plain_loop(entries, keyed):
         return made[i]
 
     found, best, all_up = matrices._partner_search(
-        range(len(entries)), test, lambda e: e["ok"],
-        (lambda e: e["k"]) if keyed else None)
-    want_found, want_best, want_up = plain_partner_loop(entries, keyed)
+        range(len(entries)), test, lambda e: e["ok"], lambda e: e["k"])
+    want_found, want_best, want_up = plain_partner_loop(entries)
     # first-found order, and nothing after the found candidate is tested
     stop = len(entries) if want_found is None else want_found + 1
     assert tested == list(range(stop))

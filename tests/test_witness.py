@@ -36,7 +36,7 @@ from wcalc import (
     theta_derivative_log_bound,
     theta_eval,
 )
-from wcalc import conditions, witness
+from wcalc import conditions, sequences, witness
 from wcalc.config import THETA_COUNT_CAP, THETA_TERM_CAP
 from wcalc.dsl import execute, parse
 from wcalc.logdomain import log_sum
@@ -309,29 +309,35 @@ def test_theta_bounds_checks_once_as_every_order_did(case):
 
 
 def test_theta_bounds_runs_two_checks(monkeypatch):
-    """lc and normalized run once, at the first truncation; every later
-    truncation reads the sequence's first_drop, and reruns them only where
-    it finds a drop."""
-    calls, reads = [], []
-    real = conditions.check_condition
+    """lc and normalized run once, at the first truncation, and lc is a
+    read of the sequence's first_drop: one quotient scan at each
+    truncation 50..114 and no lc check.  normalized is not rerun; a later
+    truncation whose first_drop finds a drop raises lc with its witness."""
+    calls, scans = [], []
+    check, scan = conditions.check_condition, sequences.first_drop
 
     def counted(m, cond, *args, **kwargs):
         calls.append((cond, *args))
-        return real(m, cond, *args, **kwargs)
+        return check(m, cond, *args, **kwargs)
+
+    def counted_scan(values, terms):
+        scans.append(len(values))
+        return scan(values, terms)
 
     monkeypatch.setattr(conditions, "check_condition", counted)
-    lc = gevrey(1.0)
-    read = lc.first_drop
-    monkeypatch.setattr(lc, "first_drop", lambda h: reads.append(h) or read(h))
-    got = theta_bounds(lc, 64).bounds
-    assert calls == [("lc", 50), ("normalized", 50)]
-    assert reads == list(range(50, 115))  # the first from the lc check
+    monkeypatch.setattr(sequences, "first_drop", counted_scan)
+    got = theta_bounds(gevrey(1.0), 64).bounds
+    assert calls == [("normalized", 50)]
+    assert scans == list(range(50, 115))
     logs = list(itertools.accumulate(
         [0.0, *[1.0] * 79, 0.5, *[1.0] * 60], initial=0.0))
+    del calls[:], scans[:]
     with pytest.raises(PreconditionError) as err:
         theta_bounds(table(log_values=logs), 64)
     assert err.value.witness == 81
-    assert calls[2:] == [("lc", 50), ("normalized", 50), ("lc", 81)]
+    assert "needs lc to hold" in str(err.value)
+    assert calls == [("normalized", 50)]
+    assert scans == list(range(50, 82))
     monkeypatch.undo()
     assert got == per_order_theta_bounds(gevrey(1.0), 64)
 
